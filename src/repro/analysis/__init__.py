@@ -6,6 +6,7 @@ from .cross import CrossDescent, extract_cross_descents
 from .criteria import Criterion, schedule_criteria
 from .descent import Component, DescentFunction, extract_descents
 from .domain import Domain
+from .plan import FunctionPlan, function_plan
 
 __all__ = [
     "Affine",
@@ -22,4 +23,6 @@ __all__ = [
     "DescentFunction",
     "extract_descents",
     "Domain",
+    "FunctionPlan",
+    "function_plan",
 ]

@@ -52,6 +52,12 @@ def partition_sizes(schedule: Schedule, domain: Domain) -> np.ndarray:
     return sizes
 
 
+#: Context key under which ``Engine.run`` hands a launch its
+#: :func:`partition_sizes`, so the native entry-point choice does not
+#: convolve them again.
+SIZES_KEY = "partition_sizes"
+
+
 @dataclass(frozen=True)
 class KernelCost:
     """Priced execution of one kernel launch on one problem."""
@@ -76,6 +82,7 @@ def problems_per_sm(
     domain: Domain,
     spec: DeviceSpec,
     schedule: Optional[Schedule] = None,
+    sizes: Optional[np.ndarray] = None,
 ) -> int:
     """How many problems one multiprocessor runs concurrently.
 
@@ -84,9 +91,11 @@ def problems_per_sm(
     to the occupancy limit) so the idle lanes are spent on *other*
     problems — this is what lets tiny models (a 6-state gene finder)
     still saturate the device and reach the paper's x60 (Section 6.2).
+    ``sizes`` is ``partition_sizes(schedule, domain)`` when the caller
+    already holds it.
     """
-    schedule = schedule or kernel.schedule
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule or kernel.schedule, domain)
     widest = int(sizes.max()) if len(sizes) else 1
     if widest >= spec.warp_size:
         return 1
@@ -108,19 +117,23 @@ def window_fits_shared(
     spec: DeviceSpec,
     value_bytes: int = 8,
     window=_KERNEL_WINDOW,
+    sizes: Optional[np.ndarray] = None,
 ) -> bool:
     """Can the sliding window live in shared memory? (Section 4.8).
 
     ``window`` overrides the kernel's own window size, so a candidate
     schedule can be priced against one built kernel (op counts are
     schedule-independent) without re-lowering per candidate — the
-    autotuner's hot loop.
+    autotuner's hot loop. ``sizes`` is
+    ``partition_sizes(schedule, domain)`` when the caller already
+    holds it.
     """
     if window is _KERNEL_WINDOW:
         window = kernel.window
     if window is None:
         return False
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule, domain)
     widest = int(sizes.max()) if len(sizes) else 0
     rows = window + 1
     return rows * widest * value_bytes <= spec.shared_memory_bytes
@@ -168,17 +181,21 @@ def kernel_cost(
     use_window: bool = True,
     schedule: Optional[Schedule] = None,
     window=_KERNEL_WINDOW,
+    sizes: Optional[np.ndarray] = None,
 ) -> KernelCost:
     """Price one problem's kernel execution on the device.
 
     ``schedule``/``window`` override the kernel's own, letting the
     autotuner price alternative schedules against a single lowered
     kernel (the operation counts do not depend on the schedule).
+    ``sizes`` is ``partition_sizes(schedule, domain)`` when the caller
+    already holds it.
     """
     schedule = schedule or kernel.schedule
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule, domain)
     in_shared = use_window and window_fits_shared(
-        kernel, schedule, domain, spec, window=window
+        kernel, schedule, domain, spec, window=window, sizes=sizes
     )
     per_cell = cell_cost_cycles(
         kernel, spec, mean_degree, table_in_shared=in_shared

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..analysis.affine import Affine
-from ..analysis.criteria import schedule_criteria
+from ..analysis.plan import function_plan
 from ..lang.typecheck import CheckedFunction
 from ..lang.types import HmmType, MatrixType, SeqType
 from ..polyhedral.codegen import generate_loops
@@ -193,7 +193,7 @@ def build_kernel(
     )
     body = lower_function(func, prob_mode)
     window = (
-        window_size(schedule, schedule_criteria(func))
+        window_size(schedule, function_plan(func).criteria)
         if compute_window
         else None
     )

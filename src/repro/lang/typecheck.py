@@ -68,7 +68,10 @@ class CheckedFunction:
     """A type-checked function, with per-expression types.
 
     ``recursive_params`` (in declaration order) are the dimensions of
-    the recursion domain; ``calling_params`` are run-invariant.
+    the recursion domain; ``calling_params`` are run-invariant;
+    ``dim_names`` names the recursion dimensions. All three are fixed
+    by ``params`` and computed once at construction — the engine reads
+    them several times per launch.
     """
 
     definition: ast.FuncDef
@@ -76,26 +79,46 @@ class CheckedFunction:
     return_type: Type
     params: Tuple[CheckedParam, ...]
     _expr_types: Dict[int, Type] = field(default_factory=dict, repr=False)
+    recursive_params: Tuple[CheckedParam, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    calling_params: Tuple[CheckedParam, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    dim_names: Tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.recursive_params = tuple(
+            p for p in self.params if p.is_recursive
+        )
+        self.calling_params = tuple(
+            p for p in self.params if not p.is_recursive
+        )
+        self.dim_names = tuple(p.name for p in self.recursive_params)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Derived state stays out of pickles (kernel-cache records,
+        # sandbox frames): the parameter tuples are re-derived on
+        # load, so records keep their layout, and the analysis plan
+        # (repro.analysis.plan) is recomputed on demand.
+        state = dict(self.__dict__)
+        for derived in (
+            "recursive_params", "calling_params", "dim_names",
+            "_function_plan",
+        ):
+            state.pop(derived, None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def body(self) -> ast.Expr:
         """The function's body expression."""
         return self.definition.body
-
-    @property
-    def recursive_params(self) -> Tuple[CheckedParam, ...]:
-        """Parameters that span recursion dimensions."""
-        return tuple(p for p in self.params if p.is_recursive)
-
-    @property
-    def calling_params(self) -> Tuple[CheckedParam, ...]:
-        """Run-invariant parameters."""
-        return tuple(p for p in self.params if not p.is_recursive)
-
-    @property
-    def dim_names(self) -> Tuple[str, ...]:
-        """Names of the recursion dimensions, in order."""
-        return tuple(p.name for p in self.recursive_params)
 
     def param(self, name: str) -> CheckedParam:
         """Look a parameter up by name."""

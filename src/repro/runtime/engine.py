@@ -27,14 +27,17 @@ from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from ..analysis.domain import Domain
+from ..analysis.plan import function_plan
 from ..extensions.hmm import Hmm
 from ..gpu.device import ProblemCost, SimulatedDevice, LaunchReport
 from ..gpu.spec import DeviceSpec, GTX480
 from ..gpu.timing import (
+    SIZES_KEY,
     KernelCost,
     batched_launch_cost,
     inter_task_seconds,
     kernel_cost,
+    partition_sizes,
     problems_per_sm,
 )
 from ..ir.kernel import Kernel, build_kernel
@@ -53,7 +56,11 @@ from ..lang.types import (
 )
 from ..schedule.multi import ScheduleSet, derive_schedule_set
 from ..schedule.schedule import Schedule
-from ..schedule.solver import DEFAULT_BOUND, find_schedule
+from ..schedule.solver import (
+    DEFAULT_BOUND,
+    find_schedule,
+    optimal_candidates,
+)
 from ..service.cache import (
     CacheInfo,
     LRUKernelCache,
@@ -295,7 +302,6 @@ class Engine:
         #: worker crash/hang or an open circuit breaker (the service
         #: stats endpoint sums this across its worker engines).
         self.native_demotions = 0
-        self._verdicts: Dict[str, tuple] = {}
         # Memoised backend resolution: content hash (+ size bucket)
         # -> (resolved backend, sandbox kernel digest or None, the
         # allow_native=False fallback). Keeps the auto ladder's
@@ -304,13 +310,14 @@ class Engine:
         # lets a memo hit consult the crash circuit breaker without
         # rebuilding the kernel.
         self._resolved: Dict[tuple, tuple] = {}
-        # Memoised schedule search: (function identity, domain
-        # extents, bound, solver) -> schedule. A lane-batched map
-        # group solves one schedule for the whole batch instead of
-        # one per member — on a 64-problem profile search the solver
-        # otherwise dominates the host-side cost of the launch. The
-        # function object rides along in the value to pin its id.
-        self._schedules: Dict[tuple, tuple] = {}
+        # What this engine has established per function beyond the
+        # function's own analysis plan, LRU-bounded like the kernel
+        # cache: verification verdicts — one per (plan, schedule)
+        # where the proof is extent-free, one per extents otherwise
+        # — and the schedules of searches that need the extents
+        # (non-uniform descents, autotuning). Keys hold the plan
+        # object itself, so a reused ``id()`` cannot alias entries.
+        self._memo = LRUKernelCache(cache_capacity)
         #: ``"min-partition"`` keeps the Section 4.6 solver's answer;
         #: ``"autotune"`` runs the cost-model-guided portfolio search
         #: (``schedule.autotune``), memoised per exact extents and
@@ -342,9 +349,10 @@ class Engine:
     ):
         """Run the independent verifier, per the engine's mode.
 
-        Verdicts are memoised on the same content hash the kernel
-        cache keys on (plus the concrete extents), so re-running a
-        cached kernel costs one dict probe. Raises
+        Verdicts are memoised per (function plan, schedule) — plus
+        the concrete extents unless the verifier's proof is
+        extent-free, in which case a new problem shape costs one
+        probe and a partition count. Raises
         :class:`~repro.lang.errors.VerificationError` when any
         error-severity diagnostic survives; returns the certificate
         (or None when verification is off or the descents are outside
@@ -353,23 +361,32 @@ class Engine:
         if self.verify == "off":
             return None
         from ..lang.errors import AnalysisError, VerificationError
-        from ..verify import analyze_access, verify_schedule
+        from ..verify import analyze_access
+        from ..verify.soundness import (
+            verdict_is_extent_free,
+            verify_schedule,
+        )
 
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, "verify"
-        ) + "/" + repr(domain.extents)
-        cached = self._verdicts.get(key)
+        try:
+            plan = function_plan(func)
+        except AnalysisError:
+            # Mutual groups / non-affine descents: out of the
+            # single-function verifier's scope, not a failure.
+            return None
+        # The access and parallel-safety passes of "full" read the
+        # real extents, so their verdicts are always per box.
+        extent_free = self.verify == "schedule" and (
+            verdict_is_extent_free(func, domain)
+        )
+        key = (
+            plan, "verdict", schedule,
+            None if extent_free else domain.extents,
+        )
+        cached = self._memo.lookup(key)
         if cached is None:
-            try:
-                certificate, diagnostics = verify_schedule(
-                    func, schedule, domain
-                )
-            except AnalysisError:
-                # Mutual groups / non-affine descents: out of the
-                # single-function verifier's scope, not a failure.
-                self._verdicts[key] = (None, ())
-                return None
-            diagnostics = list(diagnostics)
+            certificate, diagnostics = verify_schedule(
+                func, schedule, domain
+            )
             if self.verify == "full":
                 diagnostics += analyze_access(
                     func, domain,
@@ -378,7 +395,6 @@ class Engine:
                 # Parallel-safety certificates on the real extents: a
                 # refused axis is a warning (the native build simply
                 # goes serial there), never a VerificationError.
-                from ..ir.kernel import build_kernel
                 from ..verify.races import analyze_parallelism
 
                 try:
@@ -396,7 +412,7 @@ class Engine:
                 d for d in diagnostics if d.severity == "error"
             )
             cached = (certificate, errors)
-            self._verdicts[key] = cached
+            self._memo.store(key, cached)
             if errors:
                 self.verify_failures += 1
             else:
@@ -409,6 +425,8 @@ class Engine:
                 + "\n".join(d.render() for d in errors),
                 errors[0].span,
             )
+        if extent_free:
+            return certificate.for_domain(domain)
         return certificate
 
     # -- compilation ----------------------------------------------------------
@@ -711,19 +729,22 @@ class Engine:
             return validate_user_schedule(func, user_schedule, domain)
         if self.schedule_mode == "autotune":
             return self._autotuned_schedule(func, domain, bindings)
-        key = (
-            id(func),
-            tuple(domain.extents),
-            self.schedule_bound,
-            self.solver,
-        )
-        memo = self._schedules.get(key)
-        if memo is not None and memo[0] is func:
-            return memo[1]
-        schedule = find_schedule(
-            func, domain, bound=self.schedule_bound, solver=self.solver
-        )
-        self._schedules[key] = (func, schedule)
+        if self.solver == "orthant" and (
+            optimal_candidates(func, self.schedule_bound) is not None
+        ):
+            # A pick among the function's own few candidates: cheaper
+            # than remembering an answer per problem shape.
+            return find_schedule(func, domain, self.schedule_bound)
+        # A search that needs the extents: a lane-batched map group
+        # solves one schedule for the whole batch, not one per member.
+        key = (function_plan(func), "schedule", domain.extents)
+        schedule = self._memo.lookup(key)
+        if schedule is None:
+            schedule = find_schedule(
+                func, domain,
+                bound=self.schedule_bound, solver=self.solver,
+            )
+            self._memo.store(key, schedule)
         return schedule
 
     def _autotuned_schedule(
@@ -736,7 +757,6 @@ class Engine:
         exact-extents memo, persistent (kernel digest, size bucket)
         record, then the full portfolio search (whose winner is
         persisted for the next process)."""
-        from ..analysis.criteria import schedule_criteria
         from ..schedule.autotune import (
             autotune_schedule,
             measure_from_env,
@@ -747,18 +767,12 @@ class Engine:
             domain_bucket,
         )
 
-        memo_key = (
-            id(func),
-            tuple(domain.extents),
-            self.schedule_bound,
-            self.prob_mode,
-            "autotune",
-        )
-        memo = self._schedules.get(memo_key)
-        if memo is not None and memo[0] is func:
+        plan = function_plan(func)
+        memo_key = (plan, "autotune", domain.extents)
+        schedule = self._memo.lookup(memo_key)
+        if schedule is not None:
             self.autotune_hits += 1
-            return memo[1]
-        criteria = schedule_criteria(func)
+            return schedule
         cache_key = autotune_cache_key(
             func,
             self.prob_mode,
@@ -775,9 +789,9 @@ class Engine:
             # holds — e.g. a record from a different extent mix).
             if tuple(schedule.dims) == tuple(
                 func.dim_names
-            ) and schedule.is_valid(criteria, domain):
+            ) and schedule.is_valid(plan.criteria, domain):
                 self.autotune_hits += 1
-                self._schedules[memo_key] = (func, schedule)
+                self._memo.store(memo_key, schedule)
                 return schedule
         measure = measure_from_env()
         measure_fn = (
@@ -800,7 +814,7 @@ class Engine:
         )
         self.autotune_searches += 1
         self.last_autotune = result
-        self._schedules[memo_key] = (func, result.schedule)
+        self._memo.store(memo_key, result.schedule)
         self._cache.store(
             cache_key,
             ScheduleRecord(
@@ -976,17 +990,24 @@ class Engine:
         ctx = self.build_context(compiled, bound, domain)
         table = self._table_for(compiled.kernel, domain)
 
+        # One convolution per launch: the cost model, the packing
+        # rule and the native entry-point choice all read it.
+        sizes = partition_sizes(schedule, domain)
+        ctx[SIZES_KEY] = sizes
         cost = kernel_cost(
             compiled.kernel,
             domain,
             self.spec,
             mean_degree=self.mean_degree(func, bound),
             use_window=use_window,
+            sizes=sizes,
         )
         problem = ProblemCost(
             cost.seconds,
             bytes_in=self._problem_bytes(domain, bound),
-            packing=problems_per_sm(compiled.kernel, domain, self.spec),
+            packing=problems_per_sm(
+                compiled.kernel, domain, self.spec, sizes=sizes
+            ),
         )
         if self.sanitize:
             from ..verify.sanitizer import run_sanitized
@@ -1068,12 +1089,14 @@ class Engine:
         usage: Dict[Tuple[int, ...], int] = {}
         problem_costs: List[ProblemCost] = []
         for bound, domain, compiled in prepared:
+            sizes = partition_sizes(compiled.schedule, domain)
             cost = kernel_cost(
                 compiled.kernel,
                 domain,
                 self.spec,
                 mean_degree=self.mean_degree(func, bound),
                 use_window=use_window,
+                sizes=sizes,
             )
             costs.append(cost)
             coeffs = compiled.schedule.coefficients
@@ -1083,7 +1106,7 @@ class Engine:
                     cost.seconds,
                     bytes_in=self._problem_bytes(domain, bound),
                     packing=problems_per_sm(
-                        compiled.kernel, domain, self.spec
+                        compiled.kernel, domain, self.spec, sizes=sizes
                     ),
                 )
             )

@@ -76,7 +76,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..gpu.spec import GTX480
-from ..gpu.timing import window_fits_shared
+from ..gpu.timing import SIZES_KEY, window_fits_shared
 from ..ir import cbackend
 from ..ir.kernel import Kernel
 from ..ir.npbackend import Eligibility
@@ -484,7 +484,8 @@ class NativeRun:
         )
         domain = Domain(self.kernel.dims, extents)
         return window_fits_shared(
-            self.kernel, self.kernel.schedule, domain, self.spec
+            self.kernel, self.kernel.schedule, domain, self.spec,
+            sizes=ctx.get(SIZES_KEY),
         )
 
     def __call__(

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from ..analysis.criteria import schedule_criteria
 from ..analysis.domain import Domain
+from ..analysis.plan import function_plan
 from ..gpu.spec import DeviceSpec, GTX480
 from ..gpu.timing import KernelCost, cost_lower_bound, kernel_cost
 from ..lang.typecheck import CheckedFunction
@@ -177,7 +177,7 @@ def autotune_schedule(
     parallel-safety certificate if a non-default schedule wins.
     """
     started = time.perf_counter()
-    criteria = schedule_criteria(func)
+    criteria = function_plan(func).criteria
     dims = func.dim_names
     default = find_schedule(func, domain, bound=bound, solver=solver)
     if kernel_builder is None:

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.criteria import schedule_criteria
+from ..analysis.plan import function_plan
 from ..lang.errors import ScheduleError
 from ..lang.typecheck import CheckedFunction
 from .schedule import Schedule
@@ -62,8 +62,28 @@ class ScheduleSet:
 def derive_schedule_set(
     func: CheckedFunction, bound: int = DEFAULT_BOUND
 ) -> ScheduleSet:
-    """Derive the candidate schedules of ``func`` at compile time."""
-    criteria = schedule_criteria(func)
+    """Derive the candidate schedules of ``func`` at compile time.
+
+    The outcome — the set, or the :class:`ScheduleError` explaining
+    why there is none — depends on the function and the bound only,
+    and is remembered on the function's analysis plan.
+    """
+    plan = function_plan(func)
+    outcome = plan.schedule_sets.get(bound)
+    if outcome is None:
+        try:
+            outcome = _derive(func.dim_names, plan.criteria, bound)
+        except ScheduleError as err:
+            outcome = err.with_traceback(None)
+        plan.schedule_sets[bound] = outcome
+    if isinstance(outcome, ScheduleError):
+        # A fresh exception per call: re-raising the stored instance
+        # would grow its traceback and pin every caller's frames.
+        raise ScheduleError(outcome.message, outcome.span)
+    return outcome
+
+
+def _derive(dims, criteria, bound: int) -> ScheduleSet:
     for criterion in criteria:
         if not criterion.is_uniform:
             raise ScheduleError(
@@ -72,7 +92,6 @@ def derive_schedule_set(
                 f"{criterion.descent.call} is not uniform",
                 criterion.descent.call.span,
             )
-    dims = func.dim_names
     offsets = [c.descent.uniform_offsets() for c in criteria]
     found: List[Schedule] = []
     for permutation in itertools.permutations(range(len(dims))):

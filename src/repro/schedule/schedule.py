@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.affine import Affine, vector_to_affine
-from ..analysis.criteria import Criterion, schedule_criteria
+from ..analysis.criteria import Criterion
 from ..analysis.domain import Domain
+from ..analysis.plan import function_plan
 from ..lang import ast
 from ..lang.errors import ScheduleError
 from ..lang.typecheck import CheckedFunction
@@ -192,7 +193,7 @@ def validate_user_schedule(
     satisfies every one of them.
     """
     schedule = Schedule.from_expr(expr, func.dim_names)
-    schedule.validate(schedule_criteria(func), domain)
+    schedule.validate(function_plan(func).criteria, domain)
     return schedule
 
 
@@ -210,9 +211,7 @@ def brute_force_valid(
     Exponentially slower than the algebraic criteria; small domains
     only.
     """
-    from ..analysis.descent import extract_descents
-
-    descents = extract_descents(func)
+    descents = function_plan(func).descents
     extent = domain.extent_map()
     for point in domain.points():
         values = dict(zip(domain.dims, point))

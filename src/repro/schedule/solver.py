@@ -25,6 +25,12 @@ Two solvers are provided and cross-checked in the test suite:
   solver falls back to enumeration for those).
 
 Coefficients are bounded (default 10, customisable — Section 4.7).
+
+When every descent is uniform the criteria do not mention the extents
+at all (Section 4.5), so the set of vectors that can win for *some*
+extents is a property of the function: :func:`optimal_candidates`
+derives it once per (function, bound) and :func:`find_schedule` then
+picks from it per problem — the same vector either solver returns.
 """
 
 from __future__ import annotations
@@ -33,8 +39,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.criteria import Criterion, schedule_criteria
+import numpy as np
+
+from ..analysis.criteria import Criterion
 from ..analysis.domain import Domain
+from ..analysis.plan import function_plan
 from ..lang.errors import ScheduleError
 from ..lang.typecheck import CheckedFunction
 from .schedule import Schedule
@@ -42,6 +51,11 @@ from .schedule import Schedule
 #: Default bound on |coefficient| (Section 4.7 uses "a small fixed
 #: number (10) that is customisable by the end user").
 DEFAULT_BOUND = 10
+
+#: Derive the extent-free candidate set only when the coefficient box
+#: ``(2*bound + 1)**rank`` holds at most this many vectors (rank <= 3
+#: at the default bound); larger boxes keep the per-extents solver.
+CANDIDATE_BOX_CAP = 10_000
 
 
 def tie_break_key(vector: Tuple[int, ...]) -> Tuple:
@@ -248,6 +262,62 @@ class OrthantSolver:
         return best_vec[0]
 
 
+def optimal_candidates(
+    func: CheckedFunction, bound: int = DEFAULT_BOUND
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Every vector that is optimal for *some* extents, best first.
+
+    For all-uniform criteria validity is extent-free and the goal
+    ``sum |a_k| * (N_k - 1)`` has non-negative weights, so a valid
+    vector ``v`` can never win if another valid ``u`` has
+    ``|u_k| <= |v_k|`` in every component and a smaller
+    :func:`tie_break_key`: ``u`` is at least as good on every box and
+    preferred on ties. What survives is a handful of vectors in
+    tie-break order. ``None`` when a descent is not uniform or the
+    coefficient box exceeds :data:`CANDIDATE_BOX_CAP`. Memoised on
+    the plan per bound.
+    """
+    plan = function_plan(func)
+    if bound not in plan.candidates:
+        rank = len(func.dim_names)
+        plan.candidates[bound] = (
+            _undominated_valid(
+                [c.descent.uniform_offsets() for c in plan.criteria],
+                rank,
+                bound,
+            )
+            if plan.is_uniform
+            and (2 * bound + 1) ** rank <= CANDIDATE_BOX_CAP
+            else None
+        )
+    return plan.candidates[bound]
+
+
+def _undominated_valid(
+    offsets: Sequence[Tuple[int, ...]], rank: int, bound: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """Enumerate the coefficient box; keep the undominated valid rows."""
+    # Per-dimension values in tie_break_key order (0, 1, -1, 2, ...):
+    # the row-major grid then lists whole vectors in that order too.
+    values = [0]
+    for magnitude in range(1, bound + 1):
+        values += [magnitude, -magnitude]
+    grid = np.stack(
+        np.meshgrid(*[np.array(values)] * rank, indexing="ij"), axis=-1
+    ).reshape(-1, rank)
+    deltas = grid @ -np.array(offsets, dtype=np.int64).reshape(-1, rank).T
+    vectors = grid[(deltas >= 1).all(axis=1)]
+    magnitudes = np.abs(vectors)
+    kept = []
+    while len(vectors):
+        # The head is preferred to everything after it, so it
+        # dominates exactly the rows it is component-wise below.
+        kept.append(tuple(int(a) for a in vectors[0]))
+        survives = (magnitudes < magnitudes[0]).any(axis=1)
+        vectors, magnitudes = vectors[survives], magnitudes[survives]
+    return tuple(kept)
+
+
 def find_schedule(
     func: CheckedFunction,
     domain: Domain,
@@ -258,17 +328,45 @@ def find_schedule(
 
     Fully automatic: the criteria come from the recursion alone
     (Section 4.6). ``solver`` picks the strategy (``"orthant"`` or
-    ``"enumerative"``).
+    ``"enumerative"``); the default reads the function's extent-free
+    candidate set when it has one, ``"enumerative"`` always runs the
+    exhaustive reference search.
     """
-    criteria = schedule_criteria(func)
-    if not criteria:
+    plan = function_plan(func)
+    dims = func.dim_names
+    if not plan.criteria:
         # No recursive calls: every cell is independent and a single
         # partition suffices.
-        return Schedule(func.dim_names, (0,) * len(func.dim_names))
+        return Schedule(dims, (0,) * len(dims))
     if solver == "orthant":
         engine = OrthantSolver(bound)
+        candidates = optimal_candidates(func, bound)
+        if candidates is not None:
+            return _pick(dims, candidates, domain, bound)
     elif solver == "enumerative":
         engine = EnumerativeSolver(bound)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return engine.solve(func.dim_names, criteria, domain)
+    return engine.solve(dims, plan.criteria, domain)
+
+
+def _pick(
+    dims: Tuple[str, ...],
+    candidates: Sequence[Tuple[int, ...]],
+    domain: Domain,
+    bound: int,
+) -> Schedule:
+    """The candidate with the fewest partitions over ``domain``."""
+    if not candidates:
+        raise ScheduleError(
+            f"no valid schedule with |coefficients| <= {bound} "
+            f"for dimensions {tuple(dims)}"
+        )
+    extents = domain.extent_map()
+    weights = [extents[d] - 1 for d in dims]
+    # Candidates are in tie-break order and min() keeps the first
+    # minimum: this is the argmin of (goal, tie_break_key).
+    return Schedule(dims, min(
+        candidates,
+        key=lambda v: sum(abs(a) * w for a, w in zip(v, weights)),
+    ))

@@ -13,9 +13,17 @@ cells of a partition may run concurrently between barriers.
 The proof machinery here is deliberately *separate* from
 :meth:`repro.analysis.criteria.Criterion.min_delta`, which feeds the
 schedule solver — a bug there must not be able to certify its own
-output. Descent extraction (:func:`extract_descents`) is shared: it is
-the solver-independent reading of the program text that both sides
-must agree on by construction.
+output. Descent extraction (the ``descents`` of the function's
+:class:`~repro.analysis.plan.FunctionPlan`) is shared: it is the
+solver-independent reading of the program text that both sides must
+agree on by construction.
+
+A call site whose descent is uniform with no range binder has the
+*constant* delta ``-a . c``: its minimum over any box is that
+constant, so the verdict holds for every extents and is proved once
+per (function, schedule) — by the same :func:`verify_call_site`
+arithmetic — and remembered on the plan. Sites with free or ranged
+components are re-proved for every box.
 
 Free descent components (e.g. ``forward(t.start, i - 1)``) are
 worst-cased at ``-|a_k| * (N_k - 1)`` exactly as Section 5.2
@@ -26,12 +34,16 @@ additionally cross-checked by brute-force edge enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..analysis.affine import Affine
-from ..analysis.descent import DescentFunction, extract_descents
+from ..analysis.descent import DescentFunction
 from ..analysis.domain import Domain
+from ..analysis.plan import FunctionPlan, function_plan
 from ..lang.typecheck import CheckedFunction
 from ..schedule.schedule import Schedule
 from .diagnostics import Diagnostic, Severity
@@ -40,6 +52,11 @@ from .exact import constrained_min, vertex_max, vertex_min
 #: Brute-force every dependence edge as a second, concrete proof when
 #: the domain has at most this many points.
 BRUTE_FORCE_CAP = 4096
+
+#: Schedules per function whose extent-free call-site verdicts stay
+#: remembered (oldest dropped first). A function meets a handful —
+#: the solver's candidates, an autotune portfolio, a user clause.
+SITE_MEMO_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,23 @@ class ScheduleCertificate:
     def ok(self) -> bool:
         """Did every call site verify?"""
         return all(v.ok for v in self.call_sites)
+
+    def for_domain(self, domain: Domain) -> "ScheduleCertificate":
+        """This certificate restated for another box.
+
+        Only meaningful when the verdict is extent-free
+        (:func:`verdict_is_extent_free`): the call-site verdicts carry
+        over and the partition count is recomputed.
+        """
+        extent_map = domain.extent_map()
+        extents = tuple(sorted(extent_map.items()))
+        if extents == self.extents:
+            return self
+        return replace(
+            self,
+            extents=extents,
+            partitions=_partition_count(self.schedule, extent_map),
+        )
 
     @property
     def summary(self) -> str:
@@ -162,32 +196,163 @@ def verify_call_site(
     )
 
 
+def _extent_free(descent: DescentFunction) -> bool:
+    """Is ``S(x) - S(r(x))`` the constant ``-a . c`` whatever the box?"""
+    return descent.is_uniform and not descent.binders
+
+
+def verdict_is_extent_free(
+    func: CheckedFunction,
+    domain: Domain,
+    brute_force_cap: int = BRUTE_FORCE_CAP,
+) -> bool:
+    """Does one verdict per (function, schedule) cover ``domain``?
+
+    True when every call site has a constant delta and the box is
+    beyond the brute-force leg, which always runs per extents.
+    """
+    return domain.size > brute_force_cap and all(
+        _extent_free(d) for d in function_plan(func).descents
+    )
+
+
+def _call_site_verdicts(
+    plan: FunctionPlan, schedule: Schedule, domain: Domain
+) -> List[CallSiteVerdict]:
+    """One verdict per call site: remembered where extent-free."""
+    proved = plan.site_verdicts.get(schedule)
+    if proved is None:
+        proved = tuple(
+            verify_call_site(descent, schedule, domain)
+            if _extent_free(descent)
+            else None
+            for descent in plan.descents
+        )
+        if len(plan.site_verdicts) >= SITE_MEMO_CAP:
+            del plan.site_verdicts[next(iter(plan.site_verdicts))]
+        plan.site_verdicts[schedule] = proved
+    return [
+        verdict or verify_call_site(descent, schedule, domain)
+        for descent, verdict in zip(plan.descents, proved)
+    ]
+
+
+def _partition_count(
+    schedule: Schedule, extents: Dict[str, int]
+) -> int:
+    """``max S - min S + 1`` over the box, by vertex enumeration."""
+    affine = schedule.affine
+    smin = vertex_min(affine, extents)
+    smax = vertex_max(affine, extents)
+    if smin is None or smax is None:
+        return 0
+    return smax - smin + 1
+
+
+def _violating_cells(
+    descent: DescentFunction,
+    partition: np.ndarray,
+    coords: np.ndarray,
+    domain: Domain,
+) -> np.ndarray:
+    """Mask of cells with an in-box callee that is not strictly earlier.
+
+    ``partition`` holds ``S`` at every cell. Tracked components give
+    one callee coordinate array per dimension, read back out of
+    ``partition`` — the whole box per comparison. Only the *values*
+    of range binders and free components are looped over: a binder
+    value is live at the cells whose bounds admit it, a free
+    coordinate takes every value of its dimension.
+    """
+    box = domain.extents
+    env: Dict[str, object] = dict(zip(domain.dims, coords))
+    bad = np.zeros(box, dtype=bool)
+    ranges = [
+        (
+            binder.name,
+            np.broadcast_to(binder.lo.evaluate(env), box),
+            np.broadcast_to(binder.hi.evaluate(env), box),
+        )
+        for binder in descent.binders
+    ]
+    free_values = [
+        range(extent)
+        for comp, extent in zip(descent.components, box)
+        if comp.is_free
+    ]
+    for values in itertools.product(
+        *(range(int(lo.min()), int(hi.max()) + 1) for _, lo, hi in ranges)
+    ):
+        live = np.ones(box, dtype=bool)
+        for (name, lo, hi), value in zip(ranges, values):
+            live &= (lo <= value) & (value <= hi)
+            env[name] = value
+        callee: List[Optional[np.ndarray]] = []
+        for comp, extent in zip(descent.components, box):
+            if comp.is_free:
+                callee.append(None)
+                continue
+            assert comp.affine is not None
+            coordinate = np.broadcast_to(comp.affine.evaluate(env), box)
+            live &= (coordinate >= 0) & (coordinate < extent)
+            callee.append(coordinate)
+        if not live.any():
+            continue
+        # Out-of-box callees are masked by ``live``; index cell 0
+        # there so the gather itself stays in bounds.
+        callee = [
+            None if c is None else np.where(live, c, 0) for c in callee
+        ]
+        for chosen in itertools.product(*free_values):
+            free = iter(chosen)
+            index = tuple(
+                next(free) if c is None else c for c in callee
+            )
+            bad |= live & (partition <= partition[index])
+    return bad
+
+
 def _brute_force_edges(
     func: CheckedFunction, schedule: Schedule, domain: Domain
 ) -> Optional[str]:
-    """Walk every dependence edge of a small domain concretely.
+    """Check every dependence edge of a small domain concretely.
 
-    Returns a description of the first violating edge, or None. This
-    checks both strict decrease *and* the Fig. 8 same-partition
-    independence directly on points, as a belt-and-braces second
-    proof independent of the algebra above.
+    Returns a description of the first violating edge (descents in
+    order, then cells lexicographically, then callees in enumeration
+    order), or None. This checks both strict decrease *and* the
+    Fig. 8 same-partition independence directly on points, as a
+    belt-and-braces second proof independent of the algebra above.
+    ``S`` is evaluated over the whole box once and whole-box callee
+    views are compared against it; the edge-at-a-time walk only runs
+    at the one cell that gets named.
     """
     from ..schedule.schedule import _descent_targets
 
+    coords = np.indices(domain.extents)
+    partition = np.tensordot(
+        np.array(schedule.coefficients, dtype=np.int64), coords, axes=1
+    )
     extents = domain.extent_map()
-    for descent in extract_descents(func):
-        for point in domain.points():
-            values = dict(zip(domain.dims, point))
-            here = schedule.partition_of(point)
-            for target in _descent_targets(descent, values, extents):
-                if not domain.contains_tuple(target):
-                    continue
-                there = schedule.partition_of(target)
-                if here <= there:
-                    return (
-                        f"cell {point} (partition {here}) depends on "
-                        f"cell {tuple(target)} (partition {there})"
-                    )
+    for descent in function_plan(func).descents:
+        bad = _violating_cells(descent, partition, coords, domain)
+        if not bad.any():
+            continue
+        point = tuple(int(x) for x in np.argwhere(bad)[0])
+        here = schedule.partition_of(point)
+        values = dict(zip(domain.dims, point))
+        for target in _descent_targets(descent, values, extents):
+            if not domain.contains_tuple(target):
+                continue
+            there = schedule.partition_of(target)
+            if here <= there:
+                return (
+                    f"cell {point} (partition {here}) depends on "
+                    f"cell {tuple(target)} (partition {there})"
+                )
+        return (
+            f"cell {point} (partition {here}) depends on a cell "
+            f"that is not in an earlier partition"
+        )
     return None
 
 
@@ -204,12 +369,11 @@ def verify_schedule(
     (``V-SCHED-DELTA``) per violating call site otherwise.
     """
     extents = domain.extent_map()
-    descents = extract_descents(func)
-    verdicts: List[CallSiteVerdict] = []
+    plan = function_plan(func)
+    descents = plan.descents
+    verdicts = _call_site_verdicts(plan, schedule, domain)
     diagnostics: List[Diagnostic] = []
-    for descent in descents:
-        verdict = verify_call_site(descent, schedule, domain)
-        verdicts.append(verdict)
+    for descent, verdict in zip(descents, verdicts):
         if not verdict.ok:
             qualifier = (
                 "" if verdict.exact
@@ -229,28 +393,20 @@ def verify_schedule(
                 )
             )
 
-    smin = vertex_min(schedule.affine, extents)
-    smax = vertex_max(schedule.affine, extents)
-    partitions = (
-        smax - smin + 1 if smin is not None and smax is not None else 0
-    )
     certificate = ScheduleCertificate(
         func.name,
         schedule,
         tuple(sorted(extents.items())),
-        partitions,
+        _partition_count(schedule, extents),
         tuple(verdicts),
     )
 
     if certificate.ok and descents and domain.size <= brute_force_cap:
         violation = _brute_force_edges(func, schedule, domain)
         if violation is not None:
-            certificate = ScheduleCertificate(
-                certificate.function,
-                certificate.schedule,
-                certificate.extents,
-                certificate.partitions,
-                certificate.call_sites
+            certificate = replace(
+                certificate,
+                call_sites=certificate.call_sites
                 + (CallSiteVerdict(violation, 0.0, True, False),),
             )
             diagnostics.append(
