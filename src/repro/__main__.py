@@ -240,7 +240,6 @@ def explain_main(argv) -> int:
     text = path.read_text()
 
     from .analysis.domain import Domain
-    from .ir import npbackend
     from .ir.kernel import build_kernel
     from .lang.errors import ScheduleError
     from .lang.parser import parse_program
@@ -297,18 +296,12 @@ def explain_main(argv) -> int:
 
         parallel = parallelism_certificate(kernel)
         record["parallel"] = parallel.to_dict()
-        verdict = npbackend.eligibility(kernel)
-        from .ir.cbackend import native_eligibility
-        from .runtime import native as native_rt
+        from .runtime import ladder
 
-        available = native_rt.available()
-        native = native_eligibility(kernel)
-        if available.ok and native.ok:
-            backend = "native"
-        elif verdict.ok:
-            backend = "vector"
-        else:
-            backend = "scalar"
+        rungs = ladder.rungs(kernel)
+        available, native = rungs[0].checks
+        verdict = rungs[1].verdict
+        backend = ladder.choose(rungs)
         record.update(
             status="ok",
             backend=backend,
@@ -340,22 +333,17 @@ def explain_main(argv) -> int:
         emit(f"{name}: backend={backend} rule={verdict.rule} "
              f"schedule={schedule}")
         emit(f"  vector: [{verdict.rule}] {verdict.detail}")
-        if not available.ok:
-            emit(f"  native: [{available.rule}] {available.detail}")
-            emit(f"  batched-native: [{batched.rule}] {batched.detail}")
-        elif not native.ok:
-            emit(f"  native: [{native.rule}] {native.detail}")
+        refusal = rungs[0].verdict
+        if not refusal.ok:
+            emit(f"  native: [{refusal.rule}] {refusal.detail}")
             emit(f"  batched-native: [{batched.rule}] {batched.detail}")
         else:
             import time as _time
 
             from .lang.errors import NativeBuildError
 
-            started = _time.perf_counter()
             try:
-                _run, _source, so_path = native_rt.compile_native(
-                    kernel
-                )
+                compiled = ladder.build(kernel, "native")
             except NativeBuildError as err:
                 record["native_build"] = {
                     "ok": False, "error": str(err),
@@ -364,7 +352,7 @@ def explain_main(argv) -> int:
                 emit(f"  batched-native: [{batched.rule}] "
                      f"{batched.detail}")
             else:
-                elapsed = _time.perf_counter() - started
+                elapsed = compiled.compile_seconds
                 record["native_build"] = {
                     "ok": True, "seconds": elapsed,
                 }
@@ -376,7 +364,7 @@ def explain_main(argv) -> int:
                 if batched.ok:
                     loaded = _time.perf_counter()
                     try:
-                        native_rt.load_batched(kernel, so_path)
+                        compiled.ensure_batched_native()
                     except NativeBuildError as err:
                         record["batched_native"]["ok"] = False
                         record["batched_native"]["error"] = str(err)

@@ -17,15 +17,17 @@ independent reference backend, from the same pre-epoch checkpoint.
   a :class:`~repro.lang.errors.DslError` and therefore *never
   retried* by the serving layer.
 
-Reference choice: a vector-compiled kernel is checked against the
-scalar Python backend (genuinely different generated code); a
-native-compiled kernel against the vector backend when eligible, else
-scalar (either way it is independent code *and* an independent
-evaluator — machine code vs the Python interpreter); a scalar kernel
-is checked against the vector backend when the kernel is eligible,
-else against a fresh re-exec of its own source (which still catches
-nondeterministic state corruption, though not a deterministic
-scalar-codegen bug — noted in the classification).
+Reference choice (:func:`repro.runtime.ladder.reference`): the
+highest Python rung that is not the kernel's own. A vector-compiled
+kernel is checked against the scalar Python backend (genuinely
+different generated code); a native-compiled kernel against the
+vector backend when eligible, else scalar (either way it is
+independent code *and* an independent evaluator — machine code vs the
+Python interpreter); a scalar kernel is checked against the vector
+backend when the kernel is eligible, else against a fresh re-exec of
+its own source (which still catches nondeterministic state
+corruption, though not a deterministic scalar-codegen bug — noted in
+the classification).
 
 Agreement uses the shared cross-backend tolerance policy of
 :mod:`repro.runtime.parity` (re-exported here as ``tables_agree``
@@ -39,6 +41,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..lang.errors import BackendDivergenceError
+from ..runtime import ladder
 from ..runtime.parity import tables_agree
 
 __all__ = ["DivergenceOracle", "tables_agree"]
@@ -74,37 +77,17 @@ class DivergenceOracle:
         cached = self._references.get(key)
         if cached is not None and cached[0] is compiled:
             return cached[1]
-        from ..ir import npbackend
-        from ..ir.pybackend import compile_kernel
-
-        kernel = compiled.kernel
         custom = getattr(compiled, "reference_run", None)
         if custom is not None:
             # Compiled-like wrappers (the lane-batched launch) supply
             # their own independent replay — scalar per member.
-            reference = ("scalar", custom)
-            self._references[key] = (compiled, reference)
-            return reference
-        backend = getattr(compiled, "backend", "scalar")
-        if backend == "vector":
-            run, _source = compile_kernel(kernel)
-            reference: Tuple[str, Optional[Callable]] = ("scalar", run)
-        elif backend == "native":
-            # Machine code vs the Python interpreter: any rung of the
-            # Python side is independent. Prefer vector (different
-            # generated code *and* a different float library path —
-            # the parity policy's tolerance absorbs the ulp spread).
-            if npbackend.eligible(kernel):
-                run, _source = npbackend.compile_vector_kernel(kernel)
-                reference = ("vector", run)
-            else:
-                run, _source = compile_kernel(kernel)
-                reference = ("scalar", run)
-        elif npbackend.eligible(kernel):
-            run, _source = npbackend.compile_vector_kernel(kernel)
-            reference = ("vector", run)
+            reference: Tuple[str, Optional[Callable]] = (
+                "scalar", custom
+            )
         else:
-            reference = ("none", None)
+            reference = ladder.reference(
+                compiled.kernel, getattr(compiled, "backend", "scalar")
+            )
         self._references[key] = (compiled, reference)
         return reference
 

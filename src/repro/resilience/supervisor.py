@@ -2,9 +2,12 @@
 
 :class:`ExecutionSupervisor` wraps an
 :class:`~repro.runtime.engine.Engine` and exposes the same
-``run``/``map_run`` surface, but executes each problem *epoch by
-epoch* — an epoch being a bounded range of schedule partitions, the
-natural consistency points of the paper's time loop (Fig. 9):
+``run``/``map_run`` surface — they *are* the engine's, with
+:meth:`ExecutionSupervisor._execute_supervised` passed at the
+engine's launch seam — so each problem (or lane-batched group)
+executes *epoch by epoch*, an epoch being a bounded range of schedule
+partitions, the natural consistency points of the paper's time loop
+(Fig. 9):
 
 * before an epoch, the committed table state is the checkpoint;
 * the epoch runs as a partition-range launch
@@ -35,13 +38,11 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..gpu.device import ProblemCost
-from ..gpu.timing import kernel_cost, problems_per_sm
-from ..runtime.values import Bindings
+from ..runtime import ladder
 from .checkpoint import CheckpointLog, partition_ranges
 from .faults import (
     CellCorruption,
@@ -165,9 +166,6 @@ class ExecutionSupervisor:
         self.checkpoints = CheckpointLog()
         self.on_fault = on_fault
         self._problem_ids = itertools.count()
-        #: kernel digest -> demoted CompiledKernel (vector/scalar),
-        #: built at most once per crashing kernel.
-        self._demoted: Dict[str, object] = {}
 
         plan = injector.plan if injector is not None else None
         verify = self.policy.verify
@@ -192,151 +190,38 @@ class ExecutionSupervisor:
 
     # -- public surface ------------------------------------------------------
 
-    def run(
-        self,
-        func,
-        bindings: Mapping[str, object],
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-        user_schedule=None,
-        use_window: bool = True,
-        reduce: Optional[str] = None,
-    ):
-        """Supervised twin of :meth:`Engine.run`."""
-        from ..runtime.engine import RunResult
-
-        engine = self.engine
-        bound = Bindings(dict(bindings))
-        domain = engine.domain_of(func, bound, initial)
-        schedule = engine.schedule_for(func, domain, user_schedule)
-        compiled = engine.compile(func, schedule)
-        ctx = engine.build_context(compiled, bound, domain)
-        table = engine._table_for(compiled.kernel, domain)
-        self._execute_supervised(compiled, ctx, domain, table)
-
-        cost = kernel_cost(
-            compiled.kernel,
-            domain,
-            engine.spec,
-            mean_degree=engine.mean_degree(func, bound),
-            use_window=use_window,
-        )
-        problem = ProblemCost(
-            cost.seconds,
-            bytes_in=engine._problem_bytes(domain, bound),
-            packing=problems_per_sm(
-                compiled.kernel, domain, engine.spec
-            ),
-        )
-        report = engine.device.launch([problem])
-        coords = engine.result_coords(func, bound, domain, at, initial)
-        value = engine._extract(compiled.kernel, table, coords, reduce)
-        return RunResult(
-            value, table, compiled.kernel, domain, cost, report
+    def run(self, *args, **options):
+        """:meth:`Engine.run` with its launch supervised."""
+        return self.engine.run(
+            *args, _launch=self._execute_supervised, **options
         )
 
-    def map_run(
-        self,
-        func,
-        base_bindings: Mapping[str, object],
-        problems: Seq[Mapping[str, object]],
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-        use_window: bool = True,
-        reduce: Optional[str] = None,
-        parallelism: str = "intra",
-        hybrid_threshold: Optional[int] = None,
-        execute: bool = True,
-    ):
-        """Supervised twin of :meth:`Engine.map_run`.
+    def map_run(self, *args, **options):
+        """:meth:`Engine.map_run` with every launch supervised.
 
-        Only executing intra-task runs are supervised (the service
-        path); pricing-only sweeps and inter/hybrid accounting modes
-        pass straight through to the engine.
+        A lane-batched group is *one* supervised launch: one
+        checkpoint stream over the padded batch table, with epoch
+        ranges from the padded domain (a superset of every member's;
+        the batched kernel clamps internally, so an epoch outside a
+        member's range is a no-op for it). Replay, verification and
+        oracle recovery therefore apply to the whole batch at once.
         """
-        from ..runtime.engine import MapResult
-
-        if not execute or parallelism != "intra":
-            return self.engine.map_run(
-                func, base_bindings, problems,
-                at=at, initial=initial, use_window=use_window,
-                reduce=reduce, parallelism=parallelism,
-                hybrid_threshold=hybrid_threshold, execute=execute,
-            )
-        engine = self.engine
-        prepared, costs, usage, problem_costs = engine.prepare_map(
-            func, base_bindings, problems,
-            initial=initial, use_window=use_window,
-        )
-        values: List[object] = [None] * len(prepared)
-
-        def extract(index: int, compiled, table) -> None:
-            bound, domain, _ = prepared[index]
-            coords = (
-                None
-                if reduce
-                else engine.result_coords(func, bound, domain, at,
-                                          initial)
-            )
-            values[index] = engine._extract(
-                compiled.kernel, table, coords, reduce
-            )
-
-        # Lane-batched groups are supervised as *single* launches: one
-        # checkpoint stream over the padded batch table, with epoch
-        # ranges from the padded domain (a superset of every member's;
-        # the batched kernel clamps internally, so an epoch outside a
-        # member's range is a no-op for it). Replay, verification and
-        # oracle recovery therefore apply to the whole batch at once.
-        batch_groups: List[List[int]] = []
-        batched: set = set()
-        if getattr(engine, "batching", False) and len(prepared) > 1:
-            from ..runtime.batching import (
-                BatchedLaunch,
-                pack_group,
-                plan_batches,
-            )
-
-            batch_groups = plan_batches(prepared)
-            batched = {
-                index for group in batch_groups for index in group
-            }
-        for group in batch_groups:
-            compiled = prepared[group[0]][2]
-            members = [
-                (prepared[i][0], prepared[i][1]) for i in group
-            ]
-            packed = pack_group(compiled, members, indices=group)
-            launch = BatchedLaunch(packed)
-            self._execute_supervised(
-                launch, packed.ctx, packed.padded_domain, packed.table
-            )
-            # One supervised launch, ``len(group)`` logical problems.
-            self.stats.problems += len(group) - 1
-            for slot, index in enumerate(group):
-                extract(index, compiled, packed.member_view(slot))
-        for index, (bound, domain, compiled) in enumerate(prepared):
-            if index in batched:
-                continue
-            ctx = engine.build_context(compiled, bound, domain)
-            table = engine._table_for(compiled.kernel, domain)
-            self._execute_supervised(compiled, ctx, domain, table)
-            extract(index, compiled, table)
-        report = engine.device.launch(problem_costs)
-        return MapResult(
-            values, report, usage, costs, "intra",
-            lane_batches=len(batch_groups),
-            lane_batched_problems=len(batched),
+        return self.engine.map_run(
+            *args, _launch=self._execute_supervised, **options
         )
 
     # -- supervised execution ------------------------------------------------
 
     def _execute_supervised(
-        self, compiled, ctx: dict, domain, table: np.ndarray
+        self, compiled, table: np.ndarray, ctx: dict, domain
     ) -> np.ndarray:
-        """Fill ``table`` epoch by epoch with checkpointed recovery."""
+        """Fill ``table`` epoch by epoch with checkpointed recovery
+        (the engine's launch seam: ``compiled`` is a compiled kernel
+        or a lane-batched launch)."""
         problem = next(self._problem_ids)
-        self.stats.problems += 1
+        # One supervised launch, however many logical problems it packs.
+        batch = getattr(compiled, "batch", None)
+        self.stats.problems += len(batch.indices) if batch else 1
         schedule = compiled.schedule
         p_lo = schedule.min_partition(domain)
         p_hi = schedule.max_partition(domain)
@@ -418,9 +303,11 @@ class ExecutionSupervisor:
                     return recovered, compiled
                 # A sandboxed kernel whose breaker opened keeps
                 # raising "circuit open" on every replay — burning
-                # the budget can only end in escalation. Re-resolve
-                # down the ladder instead and replay there.
-                compiled = self._demote_if_circuit_open(compiled)
+                # the budget can only end in escalation. Step down
+                # the ladder instead and replay there (a transient
+                # crash under a closed breaker retries on native).
+                if ladder.circuit_open(compiled):
+                    compiled = ladder.demote(self.engine, compiled)
                 self.stats.replays += 1
                 self.stats.replayed_ranges.append((problem, elo, ehi))
         raise FaultEscalation(
@@ -429,58 +316,6 @@ class ExecutionSupervisor:
             FaultSite(problem, elo, sm, self.policy.max_replays,
                       "kernel"),
         )
-
-    def _demote_if_circuit_open(self, compiled):
-        """Swap a circuit-broken sandboxed kernel for its demoted twin.
-
-        Lane-batched launches carry their own rung ladder: they
-        expose ``demote_if_circuit_open()`` (native-batched →
-        vector-batched → scalar sweep, same object), so the launch
-        keeps its single-launch shape through the demotion and the
-        replay simply reruns it on the lower rung. No-op for
-        everything else (plain kernels, a sandboxed kernel whose
-        breaker is still closed — a transient crash there is retried
-        on native as usual).
-        """
-        demote = getattr(compiled, "demote_if_circuit_open", None)
-        if demote is not None:
-            if demote():
-                engine = self.engine
-                engine.native_demotions = (
-                    getattr(engine, "native_demotions", 0) + 1
-                )
-            return compiled
-        run = getattr(compiled, "run", None)
-        if not getattr(run, "sandboxed", False):
-            return compiled
-        from ..runtime import sandbox as sandbox_rt
-
-        if sandbox_rt.get_breaker().allows(run.digest):
-            return compiled
-        demoted = self._demoted.get(run.digest)
-        if demoted is None:
-            from ..ir import npbackend
-            from ..ir.pybackend import compile_kernel
-            from ..runtime.engine import CompiledKernel
-
-            kernel = compiled.kernel
-            backend = self.engine._auto_choice(
-                kernel, npbackend.eligibility(kernel).ok,
-                None, allow_native=False,
-            )
-            if backend == "vector":
-                run_fn, source = npbackend.compile_vector_kernel(kernel)
-            else:
-                run_fn, source = compile_kernel(kernel)
-            demoted = CompiledKernel(
-                kernel, run_fn, source, 0.0, backend=backend
-            )
-            self._demoted[run.digest] = demoted
-        engine = self.engine
-        engine.native_demotions = (
-            getattr(engine, "native_demotions", 0) + 1
-        )
-        return demoted
 
     def _attempt(
         self,

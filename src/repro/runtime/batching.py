@@ -38,11 +38,12 @@ Two rungs can run a packed group, mirroring the per-problem ladder:
   per-problem validity lane-wise.
 
 :class:`BatchedLaunch` picks the rung from the group's compiled
-backend and degrades gracefully — a failed native batched build (or
-an open sandbox circuit breaker) demotes the launch to
-vector-batched when the kernel is vector-eligible, else to a scalar
-per-member sweep, without losing the single-launch shape the
-resilience layer supervises.
+backend and degrades gracefully — a failed native batched build (or,
+through :func:`repro.runtime.ladder.launch`, a sandbox crash or open
+circuit breaker) demotes the launch to the rung
+:mod:`repro.runtime.ladder` names below it: vector-batched when the
+kernel is vector-eligible, else a scalar per-member sweep, without
+losing the single-launch shape the resilience layer supervises.
 
 :class:`BatchedLaunch` adapts a packed batch to the compiled-kernel
 protocol the resilience layer speaks (``run(T, ctx, part_lo,
@@ -61,6 +62,7 @@ import numpy as np
 
 from ..analysis.domain import Domain
 from ..ir.kernel import UB_PREFIX
+from . import ladder
 from .context import build_context
 
 #: Smallest group worth packing: a singleton gains nothing over the
@@ -226,9 +228,9 @@ class BatchedLaunch:
     entry, picked when the group compiled native), ``"vector"`` (the
     batched NumPy twin) or ``"scalar"`` (per-member sweep, the floor
     every kernel supports). ``run`` degrades one rung at a time on
-    :class:`~repro.lang.errors.NativeBuildError`, and
-    :meth:`demote_if_circuit_open` lets the supervisor push an
-    already-crashing group off native before a replay.
+    :class:`~repro.lang.errors.NativeBuildError`; sandbox faults are
+    :func:`repro.runtime.ladder.launch`'s to catch, which steps the
+    group down through :meth:`demote`.
 
     ``reference_run`` gives the divergence oracle an independent
     backend: every member replayed on the *scalar* generator over its
@@ -264,53 +266,15 @@ class BatchedLaunch:
         """The shared schedule (epoch ranges derive from it)."""
         return self.compiled.kernel.schedule
 
-    @property
-    def source(self) -> str:
-        """The batched generated source for the current rung."""
-        if self.rung == "native":
-            self.compiled.ensure_batched_native()
-            return self.compiled.source
-        if self.rung == "vector":
-            self.compiled.ensure_batched()
-            return self.compiled.batched_source
-        from ..ir.pybackend import emit_kernel_source
-
-        return emit_kernel_source(self.kernel)
-
     def demote(self) -> str:
-        """Drop one rung: native → vector when the kernel is
-        vector-eligible, else (and from vector) → scalar. Returns the
-        new rung."""
+        """Drop to the next rung the ladder allows below this one
+        (native → vector when the kernel is vector-eligible, else —
+        and from vector — → scalar). Returns the new rung."""
         if self.rung == "native":
-            from ..ir import npbackend
-
-            self.rung = (
-                "vector"
-                if npbackend.eligibility(self.kernel).ok
-                else "scalar"
-            )
+            self.rung = ladder.below_native(self.kernel)
         else:
             self.rung = "scalar"
         return self.rung
-
-    def demote_if_circuit_open(self) -> bool:
-        """Supervisor hook: when the group's kernel has an open
-        sandbox circuit breaker, leave the native rung *before* the
-        next replay (one batched crash already costs a worker; a
-        replay into an open breaker would just crash again)."""
-        if self.rung != "native":
-            return False
-        run = getattr(self.compiled, "batched_native_run", None)
-        if run is None:
-            run = getattr(self.compiled, "run", None)
-        if not getattr(run, "sandboxed", False):
-            return False
-        from . import sandbox
-
-        if sandbox.get_breaker().allows(run.digest):
-            return False
-        self.demote()
-        return True
 
     def run(self, table, ctx, part_lo=None, part_hi=None):
         """One batched sweep over the global partition range.
@@ -318,8 +282,8 @@ class BatchedLaunch:
         A native build/load failure is permanent for this process, so
         it demotes the launch (native → vector → scalar) and retries
         on the spot — the table is untouched by a failed build.
-        Sandbox *crash* faults are deliberately not caught here: the
-        supervisor owns replay-and-demote for those.
+        Sandbox *crash* faults are deliberately not caught here:
+        :func:`repro.runtime.ladder.launch` owns demotion for those.
         """
         from ..lang.errors import NativeBuildError
 

@@ -41,9 +41,8 @@ from ..gpu.timing import (
     problems_per_sm,
 )
 from ..ir.kernel import Kernel, build_kernel
-from ..ir.pybackend import compile_kernel
 from ..lang import ast
-from ..lang.errors import CodegenError, RuntimeDslError, ScheduleError
+from ..lang.errors import NativeBuildError, RuntimeDslError, ScheduleError
 from ..lang.typecheck import CheckedFunction
 from ..lang.types import (
     HmmType,
@@ -64,127 +63,16 @@ from ..schedule.solver import (
 from ..service.cache import (
     CacheInfo,
     LRUKernelCache,
+    function_source_form,
     kernel_cache_key,
 )
+from . import ladder
 from .interpreter import domain_extents
+from .ladder import CompiledKernel
 from .values import Bindings, Sequence
 
 #: Default bound of the engine's in-memory kernel cache.
 DEFAULT_CACHE_CAPACITY = 256
-
-#: Below this maximum domain extent, ``backend="auto"`` stops
-#: preferring the vector backend over scalar/native: NumPy's per-op
-#: dispatch overhead loses to the scalar loop on tiny partitions
-#: (BENCH_backend.json measured the crossover between sizes 64 and
-#: 128). Override with ``REPRO_VECTOR_CROSSOVER``.
-VECTOR_CROSSOVER_DEFAULT = 96
-
-
-def vector_crossover_extent() -> int:
-    """The measured auto-ladder vector/scalar crossover extent."""
-    try:
-        return int(os.environ["REPRO_VECTOR_CROSSOVER"])
-    except (KeyError, ValueError):
-        return VECTOR_CROSSOVER_DEFAULT
-
-
-@dataclass
-class CompiledKernel:
-    """A cached compilation product.
-
-    ``run`` accepts optional ``part_lo``/``part_hi`` keyword
-    arguments clamping execution to a partition range (the resilience
-    supervisor's replay unit). ``backend`` names the code generator
-    that produced ``source`` — the divergence oracle picks its
-    reference backend from it.
-    """
-
-    kernel: Kernel
-    run: object  # the compiled callable (T, ctx, part_lo, part_hi) -> T
-    source: str
-    compile_seconds: float
-    backend: str = "scalar"
-    batched_run: object = None  # lazy lane-batched twin (vector only)
-    batched_source: Optional[str] = None
-    #: Lazy batched-native callable (native backend only) — the
-    #: ``repro_<name>_batched`` entry of the same shared object.
-    batched_native_run: object = None
-    #: Path of the compiled shared object (native backend only).
-    so_path: Optional[str] = None
-
-    @property
-    def schedule(self) -> Schedule:
-        """The schedule this kernel was compiled for."""
-        return self.kernel.schedule
-
-    @property
-    def eligibility(self):
-        """The vector-backend verdict for this kernel — rule id plus
-        the human sentence (``python -m repro explain`` prints it)."""
-        from ..ir import npbackend
-
-        return npbackend.eligibility(self.kernel)
-
-    @property
-    def native_eligibility(self):
-        """The native (C99) backend verdict for this kernel."""
-        from ..ir import cbackend
-
-        return cbackend.native_eligibility(self.kernel)
-
-    def ensure_batched(self):
-        """Compile (once) and return the lane-batched twin kernel.
-
-        Only meaningful for vector-backend products; the batched
-        generator shares the vector backend's eligibility rules.
-        """
-        if self.batched_run is None:
-            from ..ir import npbackend
-
-            self.batched_run, self.batched_source = (
-                npbackend.compile_batched_kernel(self.kernel)
-            )
-        return self.batched_run
-
-    def ensure_batched_native(self):
-        """Load (once) and return the batched-native callable.
-
-        Only meaningful for native-backend products: the
-        ``repro_<name>_batched`` entry lives in the *same* shared
-        object as the per-problem run, so this is a symbol load, not
-        a compile. Raises
-        :class:`~repro.lang.errors.NativeBuildError` when this is not
-        a native product or the artifact cannot serve the symbol
-        (e.g. a stale shared-cache ``.so`` from before the batched
-        entry existed) — callers demote to the vector-batched rung.
-        """
-        if self.batched_native_run is None:
-            from ..lang.errors import NativeBuildError
-            from . import native as native_rt
-
-            if self.backend != "native" or not self.so_path:
-                raise NativeBuildError(
-                    f"kernel {self.kernel.name!r} compiled on the "
-                    f"{self.backend!r} backend; batched-native needs "
-                    f"a native product"
-                )
-            try:
-                self.batched_native_run = native_rt.load_batched(
-                    self.kernel, self.so_path
-                )
-            except (OSError, AttributeError) as err:
-                raise NativeBuildError(
-                    f"batched entry unavailable in "
-                    f"{self.so_path}: {err}"
-                ) from err
-        return self.batched_native_run
-
-    def cuda_source(self, windowed: bool = False) -> str:
-        """The synthesised CUDA text; ``windowed=True`` emits the
-        Section 4.8 shared-memory variant (uniform descents only)."""
-        from ..ir.cuda import emit_cuda
-
-        return emit_cuda(self.kernel, windowed=windowed)
 
 
 @dataclass
@@ -246,7 +134,6 @@ class Engine:
         device: Optional[DeviceSpec] = None,
         prob_mode: str = "direct",
         schedule_bound: int = DEFAULT_BOUND,
-        solver: str = "orthant",
         backend: Optional[str] = None,
         kernel_cache: Optional[LRUKernelCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
@@ -273,7 +160,6 @@ class Engine:
         self.device = SimulatedDevice(self.spec)
         self.prob_mode = prob_mode
         self.schedule_bound = schedule_bound
-        self.solver = solver
         self.backend = backend
         #: Lane-batch eligible ``map`` groups into single vectorised
         #: sweeps (Section 6.1's inter-task parallelism, functionally).
@@ -302,21 +188,15 @@ class Engine:
         #: worker crash/hang or an open circuit breaker (the service
         #: stats endpoint sums this across its worker engines).
         self.native_demotions = 0
-        # Memoised backend resolution: content hash (+ size bucket)
-        # -> (resolved backend, sandbox kernel digest or None, the
-        # allow_native=False fallback). Keeps the auto ladder's
-        # eligibility probes off the hot path and guarantees the
-        # kernel cache keys on the *resolved* backend; the digest
-        # lets a memo hit consult the crash circuit breaker without
-        # rebuilding the kernel.
-        self._resolved: Dict[tuple, tuple] = {}
         # What this engine has established per function beyond the
         # function's own analysis plan, LRU-bounded like the kernel
         # cache: verification verdicts — one per (plan, schedule)
         # where the proof is extent-free, one per extents otherwise
-        # — and the schedules of searches that need the extents
-        # (non-uniform descents, autotuning). Keys hold the plan
-        # object itself, so a reused ``id()`` cannot alias entries.
+        # — the schedules of searches that need the extents
+        # (non-uniform descents, autotuning), and each (function,
+        # schedule)'s backend ladder. Keys hold the plan object (or
+        # the function's source form), so a reused ``id()`` cannot
+        # alias entries.
         self._memo = LRUKernelCache(cache_capacity)
         #: ``"min-partition"`` keeps the Section 4.6 solver's answer;
         #: ``"autotune"`` runs the cost-model-guided portfolio search
@@ -431,147 +311,6 @@ class Engine:
 
     # -- compilation ----------------------------------------------------------
 
-    def _auto_choice(
-        self, kernel: Kernel, vector_ok: bool,
-        bucket: Optional[bool], allow_native: bool,
-    ) -> str:
-        """Walk the auto ladder: native > vector > scalar.
-
-        ``bucket`` carries the size test (``None`` = unknown extents,
-        treat as large): below the measured crossover extent the
-        vector backend's per-op dispatch overhead loses to the plain
-        scalar loop, so auto stops preferring it (the paper's Table 2
-        sizes are all far above the crossover).
-        """
-        if allow_native:
-            from ..ir.cbackend import native_eligibility
-            from . import native as native_rt
-
-            if (
-                native_rt.available().ok
-                and native_eligibility(kernel).ok
-            ):
-                return "native"
-        if vector_ok and (bucket is None or bucket):
-            return "vector"
-        return "scalar"
-
-    def _choose_backend(
-        self, kernel: Kernel, bucket: Optional[bool]
-    ) -> str:
-        """Resolve this engine's backend mode for one kernel."""
-        from ..ir import npbackend
-
-        verdict = npbackend.eligibility(kernel)
-        if self.backend == "scalar":
-            return "scalar"
-        if self.backend == "vector":
-            if not verdict.ok:
-                # Fail up front with the *rule* that was violated,
-                # rather than letting the generator die mid-emission.
-                raise CodegenError(
-                    f"backend='vector' was forced but kernel "
-                    f"{kernel.name!r} is not eligible "
-                    f"[{verdict.rule}]: {verdict.detail}"
-                )
-            return "vector"
-        if self.backend == "native":
-            from ..ir.cbackend import native_eligibility
-            from . import native as native_rt
-
-            avail = native_rt.available()
-            native = native_eligibility(kernel)
-            if avail.ok and native.ok and not self.sanitize:
-                return "native"
-            if self.backend_forced:
-                if self.sanitize:
-                    raise CodegenError(
-                        "backend='native' cannot run sanitized: the "
-                        "sanitizer instruments the generated Python "
-                        "partition loop, which machine code does not "
-                        "have"
-                    )
-                bad = avail if not avail.ok else native
-                raise CodegenError(
-                    f"backend='native' was forced but kernel "
-                    f"{kernel.name!r} cannot use it "
-                    f"[{bad.rule}]: {bad.detail}"
-                )
-            # Env preference: degrade down the rest of the ladder.
-            return self._auto_choice(
-                kernel, verdict.ok, bucket, allow_native=False
-            )
-        return self._auto_choice(
-            kernel, verdict.ok, bucket,
-            allow_native=not self.sanitize,
-        )
-
-    def _resolve_backend(
-        self,
-        func: CheckedFunction,
-        schedule: Schedule,
-        domain: Optional[Domain],
-    ) -> Tuple[str, Optional[Kernel]]:
-        """Memoised backend resolution for one (function, schedule).
-
-        Returns ``(backend_name, kernel_or_None)`` — the kernel is
-        only built (and returned for reuse) on a memo miss. When the
-        sandbox is on and the kernel resolves native, the crash
-        circuit breaker is consulted on every call (memo hits
-        included): an open breaker re-routes to the memoised
-        ``allow_native=False`` fallback *without* rewriting the memo,
-        so the kernel returns to native once the breaker half-opens.
-        """
-        if domain is None:
-            bucket: Optional[bool] = None
-        else:
-            bucket = max(domain.extents) >= vector_crossover_extent()
-        rkey = (
-            kernel_cache_key(func, schedule, self.prob_mode, "resolve"),
-            bucket,
-        )
-        hit = self._resolved.get(rkey)
-        if hit is not None:
-            resolved, digest, fallback = hit
-            if digest is not None and self._breaker_open(digest):
-                self.native_demotions += 1
-                return fallback, None
-            return resolved, None
-        kernel = build_kernel(func, schedule, self.prob_mode)
-        resolved = self._choose_backend(kernel, bucket)
-        digest = None
-        fallback = resolved
-        if resolved == "native":
-            from . import sandbox as sandbox_rt
-
-            if sandbox_rt.enabled():
-                from ..ir import npbackend
-
-                digest = sandbox_rt.kernel_digest(kernel)
-                fallback = self._auto_choice(
-                    kernel, npbackend.eligibility(kernel).ok,
-                    bucket, allow_native=False,
-                )
-        self._resolved[rkey] = (resolved, digest, fallback)
-        if digest is not None and self._breaker_open(digest):
-            self.native_demotions += 1
-            return fallback, kernel
-        return resolved, kernel
-
-    def _breaker_open(self, digest: str) -> bool:
-        from . import sandbox as sandbox_rt
-
-        if not sandbox_rt.enabled():
-            return False
-        return not sandbox_rt.get_breaker().allows(digest)
-
-    @staticmethod
-    def _is_sandbox_fault(err: Exception) -> bool:
-        """A sandboxed native launch died (crash / hang / breaker)."""
-        from ..resilience.faults import SandboxHang, WorkerCrash
-
-        return isinstance(err, (WorkerCrash, SandboxHang))
-
     def compile(
         self,
         func: CheckedFunction,
@@ -580,132 +319,81 @@ class Engine:
     ) -> CompiledKernel:
         """Compile (or fetch) the kernel for one schedule.
 
-        Backend choice: ``native`` emits C99 and JIT-compiles it with
-        the system C compiler (whole runs execute as machine code);
-        ``vector`` evaluates whole partitions as NumPy array
-        operations when the kernel is eligible (2-D, no reductions);
-        ``scalar`` is the cell-at-a-time generator; ``auto`` walks the
-        ladder native > vector > scalar, preferring scalar/native over
-        vector below the measured crossover extent when ``domain`` is
-        given. The cache keys on the *resolved* backend, so a warm
-        native entry is found again regardless of the engine's mode.
+        Backend choice is :mod:`repro.runtime.ladder`'s: ``native``
+        emits C99 and JIT-compiles it with the system C compiler
+        (whole runs execute as machine code); ``vector`` evaluates
+        whole partitions as NumPy array operations when the kernel is
+        eligible (2-D, no reductions); ``scalar`` is the
+        cell-at-a-time generator; ``auto`` walks the ladder native >
+        vector > scalar, preferring scalar/native over vector below
+        the measured crossover extent when ``domain`` is given. The
+        cache keys on the *resolved* backend, so a warm native entry
+        is found again regardless of the engine's mode.
+
+        The rung verdicts are extent-free, so they are memoised once
+        per (function, schedule) and only the size test is re-read
+        per call.
         """
-        from ..lang.errors import NativeBuildError
-
-        resolved, kernel = self._resolve_backend(
-            func, schedule, domain
-        )
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, resolved
-        )
-        cached = self._cache.lookup(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        started = time.perf_counter()
-        if kernel is None:
+        large = ladder.is_large(domain)
+        memo_key = (function_source_form(func), "ladder", schedule)
+        rungs = self._memo.lookup(memo_key)
+        kernel = None
+        if rungs is None:
             kernel = build_kernel(func, schedule, self.prob_mode)
-        so_path = None
-        if resolved == "native":
-            from . import native as native_rt
-
-            try:
-                run, source, so_path = native_rt.compile_native(kernel)
-            except NativeBuildError as err:
-                if self.backend == "native" and self.backend_forced:
-                    # Name the failure the way a forced-vector
-                    # CodegenError names its eligibility rule, so
-                    # callers see which toolchain step broke.
-                    raise NativeBuildError(
-                        f"backend='native' was forced but kernel "
-                        f"{kernel.name!r} failed to build "
-                        f"[build-failed]: {err.message}",
-                        err.span,
-                    ) from err
-                # Eligibility said yes but the toolchain said no
-                # (compiler rejection, dead probe). Permanent for
-                # this kernel: drop down the ladder and re-memoise
-                # so later calls skip the doomed build.
-                from ..ir import npbackend
-
-                resolved = self._auto_choice(
-                    kernel,
-                    npbackend.eligibility(kernel).ok,
-                    None if domain is None
-                    else max(domain.extents) >= vector_crossover_extent(),
-                    allow_native=False,
-                )
-                for rkey, entry in list(self._resolved.items()):
-                    if entry[0] == "native" and rkey[0] == kernel_cache_key(
-                        func, schedule, self.prob_mode, "resolve"
-                    ):
-                        self._resolved[rkey] = (resolved, None, resolved)
-                key = kernel_cache_key(
-                    func, schedule, self.prob_mode, resolved
-                )
-                cached = self._cache.lookup(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-        if resolved == "native":
-            pass  # compiled above
-        elif resolved == "vector":
-            from ..ir import npbackend
-
-            run, source = npbackend.compile_vector_kernel(kernel)
-        else:
-            run, source = compile_kernel(kernel)
-        elapsed = time.perf_counter() - started
-        compiled = CompiledKernel(
-            kernel, run, source, elapsed,
-            backend=resolved, so_path=so_path,
+            rungs = ladder.rungs(kernel)
+            self._memo.store(memo_key, rungs)
+        rung = ladder.resolve(
+            func.name, rungs, self.backend, self.backend_forced,
+            self.sanitize, large,
         )
-        self._cache.store(key, compiled)
+        try:
+            compiled = self._product(func, schedule, rung, kernel)
+        except NativeBuildError as err:
+            if self.backend == "native" and self.backend_forced:
+                # Name the failure the way a forced-vector
+                # CodegenError names its eligibility rule, so
+                # callers see which toolchain step broke.
+                raise NativeBuildError(
+                    f"backend='native' was forced but kernel "
+                    f"{func.name!r} failed to build "
+                    f"[build-failed]: {err.message}",
+                    err.span,
+                ) from err
+            # Eligibility said yes but the toolchain said no:
+            # permanent for this kernel, so remember the refusal and
+            # take the rung below.
+            rungs = ladder.refuse_native(rungs, err)
+            self._memo.store(memo_key, rungs)
+            compiled = self._product(
+                func, schedule, ladder.choose(rungs, large), kernel
+            )
+        if ladder.circuit_open(compiled):
+            # The sandbox's crash breaker is open for this kernel:
+            # route around native *without* rewriting the memo, so it
+            # returns to native once the breaker half-opens.
+            self.native_demotions += 1
+            compiled = self._product(
+                func, schedule,
+                ladder.choose(rungs, large, allow_native=False), kernel,
+            )
         return compiled
 
-    def _compile_demoted(
+    def _product(
         self,
         func: CheckedFunction,
         schedule: Schedule,
-        domain: Optional[Domain],
+        rung: str,
+        kernel: Optional[Kernel] = None,
     ) -> CompiledKernel:
-        """Compile the same kernel one rung down (native excluded).
-
-        The recovery path after a sandbox worker crash/hang: the
-        native launch is abandoned and the problem re-executes on
-        the ``allow_native=False`` ladder choice (vector when
-        eligible, else scalar). Shares the kernel cache, so repeated
-        demotions of one kernel compile exactly once.
-        """
-        from ..ir import npbackend
-
-        kernel = build_kernel(func, schedule, self.prob_mode)
-        bucket = (
-            None
-            if domain is None
-            else max(domain.extents) >= vector_crossover_extent()
-        )
-        resolved = self._auto_choice(
-            kernel, npbackend.eligibility(kernel).ok,
-            bucket, allow_native=False,
-        )
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, resolved
-        )
+        """The kernel cache's product for ``rung``, built on a miss."""
+        key = kernel_cache_key(func, schedule, self.prob_mode, rung)
         cached = self._cache.lookup(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        started = time.perf_counter()
-        if resolved == "vector":
-            run, source = npbackend.compile_vector_kernel(kernel)
-        else:
-            run, source = compile_kernel(kernel)
-        elapsed = time.perf_counter() - started
-        compiled = CompiledKernel(
-            kernel, run, source, elapsed, backend=resolved
+        compiled = ladder.build(
+            kernel or build_kernel(func, schedule, self.prob_mode), rung
         )
         self._cache.store(key, compiled)
         return compiled
@@ -729,9 +417,7 @@ class Engine:
             return validate_user_schedule(func, user_schedule, domain)
         if self.schedule_mode == "autotune":
             return self._autotuned_schedule(func, domain, bindings)
-        if self.solver == "orthant" and (
-            optimal_candidates(func, self.schedule_bound) is not None
-        ):
+        if optimal_candidates(func, self.schedule_bound) is not None:
             # A pick among the function's own few candidates: cheaper
             # than remembering an answer per problem shape.
             return find_schedule(func, domain, self.schedule_bound)
@@ -741,8 +427,7 @@ class Engine:
         schedule = self._memo.lookup(key)
         if schedule is None:
             schedule = find_schedule(
-                func, domain,
-                bound=self.schedule_bound, solver=self.solver,
+                func, domain, bound=self.schedule_bound
             )
             self._memo.store(key, schedule)
         return schedule
@@ -805,7 +490,6 @@ class Engine:
             self.spec,
             prob_mode=self.prob_mode,
             bound=self.schedule_bound,
-            solver=self.solver,
             mean_degree=(
                 self.mean_degree(func, bindings) if bindings else 1.0
             ),
@@ -969,31 +653,26 @@ class Engine:
                 total += len(value)
         return total
 
-    def run(
+    def _execute(self, target, table, ctx, domain) -> None:
+        """The default launch: one in-process call of a compiled
+        kernel or lane-batched launch (sanitized on request)."""
+        if self.sanitize:
+            from ..verify.sanitizer import run_sanitized
+
+            run_sanitized(target, table, ctx, domain)
+        else:
+            target.run(table, ctx)
+
+    def _price(
         self,
         func: CheckedFunction,
-        bindings: Mapping[str, object],
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-        user_schedule: Optional[ast.Expr] = None,
-        use_window: bool = True,
-        reduce: Optional[str] = None,
-    ) -> RunResult:
-        """Solve one problem end to end on the simulated device."""
-        bound = Bindings(dict(bindings))
-        domain = self.domain_of(func, bound, initial)
-        schedule = self.schedule_for(
-            func, domain, user_schedule, bindings=bound
-        )
-        self.verify_compiled(func, schedule, domain)
-        compiled = self.compile(func, schedule, domain)
-        ctx = self.build_context(compiled, bound, domain)
-        table = self._table_for(compiled.kernel, domain)
-
-        # One convolution per launch: the cost model, the packing
-        # rule and the native entry-point choice all read it.
-        sizes = partition_sizes(schedule, domain)
-        ctx[SIZES_KEY] = sizes
+        compiled: CompiledKernel,
+        bound: Bindings,
+        domain: Domain,
+        use_window: bool,
+        sizes,
+    ) -> Tuple[KernelCost, ProblemCost]:
+        """Analytic cost of one problem and its launch-queue entry."""
         cost = kernel_cost(
             compiled.kernel,
             domain,
@@ -1009,33 +688,52 @@ class Engine:
                 compiled.kernel, domain, self.spec, sizes=sizes
             ),
         )
-        if self.sanitize:
-            from ..verify.sanitizer import run_sanitized
+        return cost, problem
 
-            execute_one = lambda _k: run_sanitized(  # noqa: E731
-                compiled, table, ctx, domain
-            )
-        else:
+    def run(
+        self,
+        func: CheckedFunction,
+        bindings: Mapping[str, object],
+        at: Optional[Mapping[str, int]] = None,
+        initial: Optional[Dict[str, int]] = None,
+        user_schedule: Optional[ast.Expr] = None,
+        use_window: bool = True,
+        reduce: Optional[str] = None,
+        _launch=None,
+    ) -> RunResult:
+        """Solve one problem end to end on the simulated device.
 
-            def execute_one(_k) -> None:
-                try:
-                    compiled.run(table, ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    # The sandboxed native launch died (worker crash,
-                    # deadline kill, or open breaker). The parent
-                    # table is untouched — re-zero it and re-execute
-                    # one rung down; integer kernels recover
-                    # bitwise-identical.
-                    self.native_demotions += 1
-                    demoted = self._compile_demoted(
-                        func, schedule, domain
-                    )
-                    table[...] = 0
-                    demoted.run(table, ctx)
+        ``_launch`` is the private launch seam — a callable
+        ``(compiled_or_batched_launch, table, ctx, domain)`` that
+        fills the table (default: :meth:`_execute`). The resilience
+        supervisor passes its checkpointed executor here, so domain,
+        schedule, verification, rung, context, pricing and extraction
+        are this one code path whether or not a run is supervised.
+        """
+        execute = _launch or self._execute
+        bound = Bindings(dict(bindings))
+        domain = self.domain_of(func, bound, initial)
+        schedule = self.schedule_for(
+            func, domain, user_schedule, bindings=bound
+        )
+        self.verify_compiled(func, schedule, domain)
+        compiled = self.compile(func, schedule, domain)
+        ctx = self.build_context(compiled, bound, domain)
+        table = self._table_for(compiled.kernel, domain)
 
-        report = self.device.launch([problem], run=execute_one)
+        # One convolution per launch: the cost model, the packing
+        # rule and the native entry-point choice all read it.
+        sizes = partition_sizes(schedule, domain)
+        ctx[SIZES_KEY] = sizes
+        cost, problem = self._price(
+            func, compiled, bound, domain, use_window, sizes
+        )
+        report = self.device.launch(
+            [problem],
+            run=lambda _k: ladder.launch(
+                self, execute, compiled, table, ctx, domain
+            ),
+        )
         coords = self.result_coords(func, bound, domain, at, initial)
         value = self._extract(compiled.kernel, table, coords, reduce)
         return RunResult(value, table, compiled.kernel, domain, cost,
@@ -1053,9 +751,7 @@ class Engine:
 
         Returns ``(prepared, costs, usage, problem_costs)`` where
         ``prepared`` is a list of ``(bindings, domain, compiled)``
-        triples in problem order. Shared by :meth:`map_run` and the
-        resilience supervisor (which executes the prepared problems
-        under checkpointed supervision instead).
+        triples in problem order.
         """
         if self.schedule_mode == "autotune":
             # The compile-time schedule set encodes the min-partition
@@ -1089,27 +785,14 @@ class Engine:
         usage: Dict[Tuple[int, ...], int] = {}
         problem_costs: List[ProblemCost] = []
         for bound, domain, compiled in prepared:
-            sizes = partition_sizes(compiled.schedule, domain)
-            cost = kernel_cost(
-                compiled.kernel,
-                domain,
-                self.spec,
-                mean_degree=self.mean_degree(func, bound),
-                use_window=use_window,
-                sizes=sizes,
+            cost, problem = self._price(
+                func, compiled, bound, domain, use_window,
+                partition_sizes(compiled.schedule, domain),
             )
             costs.append(cost)
             coeffs = compiled.schedule.coefficients
             usage[coeffs] = usage.get(coeffs, 0) + 1
-            problem_costs.append(
-                ProblemCost(
-                    cost.seconds,
-                    bytes_in=self._problem_bytes(domain, bound),
-                    packing=problems_per_sm(
-                        compiled.kernel, domain, self.spec, sizes=sizes
-                    ),
-                )
-            )
+            problem_costs.append(problem)
         return prepared, costs, usage, problem_costs
 
     def map_run(
@@ -1124,6 +807,7 @@ class Engine:
         parallelism: str = "intra",
         hybrid_threshold: Optional[int] = None,
         execute: bool = True,
+        _launch=None,
     ) -> MapResult:
         """Solve many problems: the ``map`` primitive (Section 4.7).
 
@@ -1145,7 +829,8 @@ class Engine:
         The functional results are identical in every mode; only the
         device-time accounting differs. ``execute=False`` prices the
         launch without computing the tables (``values`` stay None) —
-        for large sweeps where only the timing matters.
+        for large sweeps where only the timing matters. ``_launch`` is
+        the private launch seam of :meth:`run`.
         """
         if parallelism not in ("intra", "inter", "hybrid"):
             raise RuntimeDslError(
@@ -1156,27 +841,10 @@ class Engine:
             initial=initial, use_window=use_window,
         )
         values: List[object] = [None] * len(prepared)
+        launch = _launch or self._execute
 
-        def run_one(index: int) -> None:
+        def extract(index: int, table) -> None:
             bound, domain, compiled = prepared[index]
-            ctx = self.build_context(compiled, bound, domain)
-            table = self._table_for(compiled.kernel, domain)
-            if self.sanitize:
-                from ..verify.sanitizer import run_sanitized
-
-                run_sanitized(compiled, table, ctx, domain)
-            else:
-                try:
-                    compiled.run(table, ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    self.native_demotions += 1
-                    demoted = self._compile_demoted(
-                        func, compiled.schedule, domain
-                    )
-                    table[...] = 0
-                    demoted.run(table, ctx)
             coords = (
                 None
                 if reduce
@@ -1185,6 +853,13 @@ class Engine:
             values[index] = self._extract(
                 compiled.kernel, table, coords, reduce
             )
+
+        def run_one(index: int) -> None:
+            bound, domain, compiled = prepared[index]
+            ctx = self.build_context(compiled, bound, domain)
+            table = self._table_for(compiled.kernel, domain)
+            ladder.launch(self, launch, compiled, table, ctx, domain)
+            extract(index, table)
 
         if parallelism == "intra":
             # Lane batching: groups of same-kernel vector problems run
@@ -1217,37 +892,16 @@ class Engine:
                     (prepared[i][0], prepared[i][1]) for i in group
                 ]
                 packed = pack_group(compiled, members, indices=group)
-                launch = BatchedLaunch(packed)
-                try:
-                    launch.run(packed.table, packed.ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    # A sandboxed batched launch crashed (or its
-                    # breaker is open): one disposable worker died,
-                    # the parent table is untouched. Demote the whole
-                    # group one rung and rerun from a clean table.
-                    self.native_demotions += 1
-                    launch.demote()
-                    packed.table[...] = 0
-                    launch.run(packed.table, packed.ctx)
-                batched_backends.append(launch.backend)
+                # One launch for the whole group: a crash kills one
+                # disposable worker and demotes the group as a unit.
+                group_launch = ladder.launch(
+                    self, launch, BatchedLaunch(packed),
+                    packed.table, packed.ctx, packed.padded_domain,
+                )
+                batched_backends.append(group_launch.backend)
                 for slot, index in enumerate(group):
-                    p_bound, p_domain, _ = prepared[index]
-                    coords = (
-                        None
-                        if reduce
-                        else self.result_coords(
-                            func, p_bound, p_domain, at, initial
-                        )
-                    )
-                    values[index] = self._extract(
-                        compiled.kernel,
-                        packed.member_view(slot),
-                        coords,
-                        reduce,
-                    )
-                if launch.rung == "native":
+                    extract(index, packed.member_view(slot))
+                if group_launch.rung == "native":
                     from . import native as native_rt
 
                     threads = native_rt.effective_threads()

@@ -157,7 +157,6 @@ def autotune_schedule(
     *,
     prob_mode: str = "direct",
     bound: int = DEFAULT_BOUND,
-    solver: str = "orthant",
     mean_degree: float = 1.0,
     measure: int = 0,
     measure_fn: Optional[Callable[[Schedule], Optional[float]]] = None,
@@ -179,7 +178,7 @@ def autotune_schedule(
     started = time.perf_counter()
     criteria = function_plan(func).criteria
     dims = func.dim_names
-    default = find_schedule(func, domain, bound=bound, solver=solver)
+    default = find_schedule(func, domain, bound=bound)
     if kernel_builder is None:
         from ..ir.kernel import build_kernel
 

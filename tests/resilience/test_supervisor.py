@@ -70,6 +70,74 @@ class TestFaultFree:
         assert result.table.tobytes() == baseline.table.tobytes()
 
 
+class TestOneCodePath:
+    """A supervised run *is* ``Engine.run`` with a different launch:
+    everything before and after the launch is the engine's."""
+
+    def test_supervised_run_verifies_its_schedule(
+        self, edit_func, edit_bindings
+    ):
+        supervisor = ExecutionSupervisor(Engine())
+        assert supervisor.run(edit_func, dict(edit_bindings)).value == 3
+        info = supervisor.cache_info()
+        assert info.verified == 1
+        assert info.verify_failures == 0
+
+    def test_rejected_schedule_raises_supervised_as_plain(
+        self, edit_func, edit_bindings, monkeypatch
+    ):
+        from repro.lang.errors import VerificationError
+        from repro.schedule.schedule import Schedule
+
+        bad = Schedule(edit_func.dim_names, (1, -1))
+        for runner in (Engine(), ExecutionSupervisor(Engine())):
+            engine = getattr(runner, "engine", runner)
+            monkeypatch.setattr(
+                engine, "schedule_for", lambda *a, **k: bad
+            )
+            with pytest.raises(VerificationError, match="V-SCHED-DELTA"):
+                runner.run(edit_func, dict(edit_bindings))
+
+    def test_supervised_run_resolves_the_same_rung(
+        self, edit_func, monkeypatch
+    ):
+        """The rung is chosen with the domain in hand: a 4x5 table
+        sits under the vector crossover, supervised or not."""
+        from repro.runtime.values import ENGLISH, Sequence
+
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        bindings = {
+            "s": Sequence("abac", ENGLISH),
+            "t": Sequence("abrac", ENGLISH),
+        }
+        backends = []
+        for runner in (Engine(), ExecutionSupervisor(Engine())):
+            runner.run(edit_func, bindings)
+            backends.append(runner.cache_info().backends)
+        assert backends == [(("scalar", 1),), (("scalar", 1),)]
+
+    def test_supervised_map_reports_batched_rungs(
+        self, edit_func, edit_bindings
+    ):
+        from repro.runtime.values import ENGLISH, Sequence
+
+        problems = [
+            {"s": Sequence(word, ENGLISH)}
+            for word in ("kitten", "mitten", "witty", "sit")
+        ]
+        base = {"t": edit_bindings["t"]}
+        plain = Engine(backend="vector").map_run(
+            edit_func, base, problems
+        )
+        supervised = ExecutionSupervisor(
+            Engine(backend="vector")
+        ).map_run(edit_func, base, problems)
+        assert supervised.values == plain.values
+        assert supervised.batched_backends == plain.batched_backends
+        assert supervised.batched_backends == ["vector-batched"]
+        assert len(supervised.batched_costs) == 1
+
+
 class TestChaosRecovery:
     def test_bitwise_identical_to_fault_free(
         self, edit_func, edit_bindings
@@ -336,8 +404,8 @@ class TestDivergencePropagation:
         engine = supervisor.engine
         real_compile = engine.compile
 
-        def buggy_compile(func, schedule):
-            compiled = real_compile(func, schedule)
+        def buggy_compile(func, schedule, domain=None):
+            compiled = real_compile(func, schedule, domain)
             real_run = compiled.run
 
             def run(table, ctx, part_lo=None, part_hi=None):

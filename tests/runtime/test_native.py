@@ -10,11 +10,8 @@ from repro.lang.errors import CodegenError, DslError, NativeBuildError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime import native
-from repro.runtime.engine import (
-    Engine,
-    VECTOR_CROSSOVER_DEFAULT,
-    vector_crossover_extent,
-)
+from repro.runtime.engine import Engine
+from repro.runtime.ladder import VECTOR_CROSSOVER
 from repro.runtime.values import Bindings, Sequence
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
@@ -276,18 +273,6 @@ class TestEngineLadder:
 
 
 class TestCrossover:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_CROSSOVER", raising=False)
-        assert vector_crossover_extent() == VECTOR_CROSSOVER_DEFAULT
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "12")
-        assert vector_crossover_extent() == 12
-
-    def test_invalid_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "not-a-number")
-        assert vector_crossover_extent() == VECTOR_CROSSOVER_DEFAULT
-
     def test_small_problems_prefer_scalar(self, monkeypatch):
         """Below the crossover extent, auto picks scalar over vector:
         interpreter startup dominates tiny tables."""
@@ -297,10 +282,18 @@ class TestCrossover:
         assert small.backend == "scalar"
 
     def test_large_problems_prefer_vector(self, monkeypatch):
+        """One extent at the crossover is enough: the size test reads
+        the *largest* extent."""
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "8")
         engine = Engine(backend="auto")
-        big, *_ = compile_edit(engine, edit_bindings(9, 11))
+        bindings = {
+            "s": Sequence("abacadabra"[:9], ALPHABET),
+            "t": Sequence("a" * (VECTOR_CROSSOVER - 1), ALPHABET),
+        }
+        big, _ctx, _table, domain, _schedule = compile_edit(
+            engine, bindings
+        )
+        assert max(domain.extents) == VECTOR_CROSSOVER
         assert big.backend == "vector"
 
     @needs_cc
