@@ -86,6 +86,9 @@ class Hmm:
                 f"hmm {self.name!r} needs exactly one start and one end "
                 f"state"
             )
+        # Resolved here, not per access: a map asks for the end state
+        # once per member.
+        self._start, self._end = starts[0], ends[0]
         self._by_name = {s.name: s for s in self.states}
 
     # -- queries -------------------------------------------------------------
@@ -103,12 +106,12 @@ class Hmm:
     @property
     def start_state(self) -> State:
         """The unique start state."""
-        return next(s for s in self.states if s.is_start)
+        return self._start
 
     @property
     def end_state(self) -> State:
         """The unique end state."""
-        return next(s for s in self.states if s.is_end)
+        return self._end
 
     def state(self, name: str) -> State:
         """Look a state up by name."""

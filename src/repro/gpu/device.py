@@ -65,25 +65,14 @@ class LaunchReport:
 class SimulatedDevice:
     """Places problems on multiprocessors and accumulates time.
 
-    An optional fault ``injector`` (duck-typed against
-    :class:`~repro.resilience.faults.FaultInjector`, not imported to
-    keep this module runtime-free) makes launches and transfers fail
-    deterministically: each problem's launch is checked before its
-    functional execution and the copy-back is checked after, with the
-    fault site pinned to the multiprocessor the greedy placement
-    chose.
+    Pricing only: a launch has no state and no ordering constraint,
+    so the engine may price a run whenever its report is first read.
+    Fault injection happens at the engine's launch seam (the
+    resilience supervisor), not here.
     """
 
-    def __init__(
-        self,
-        spec: Optional[DeviceSpec] = None,
-        injector=None,
-    ) -> None:
+    def __init__(self, spec: Optional[DeviceSpec] = None) -> None:
         self.spec = spec or GTX480
-        self.injector = injector
-        #: Monotonic launch counter (feeds fault-site attempts so a
-        #: retried launch re-rolls its fault decisions).
-        self.launches = 0
 
     def launch(
         self,
@@ -93,26 +82,21 @@ class SimulatedDevice:
         """Simulate one launch over ``costs`` problems.
 
         ``run(k)``, when given, performs the functional execution of
-        problem ``k`` (the Python-backend kernel); the simulator calls
-        it for every problem, then prices the launch analytically.
+        problem ``k``; the simulator calls it for every problem, then
+        prices the launch analytically. (The engine executes before
+        pricing and passes no callback.)
 
         Placement is greedy least-loaded — the natural block scheduler
         behaviour for a queue of independent blocks.
         """
-        self.launches += 1
-        attempt = self.launches
         sm_load = [0.0] * self.spec.sm_count
         bytes_total = 0.0
         for index, cost in enumerate(costs):
             target = sm_load.index(min(sm_load))
-            if run is not None and self.injector is not None:
-                self._check_faults(index, target, attempt, "launch")
             if run is not None:
                 run(index)
             sm_load[target] += cost.seconds / max(1, cost.packing)
             bytes_total += cost.bytes_in + cost.bytes_out
-            if run is not None and self.injector is not None:
-                self._check_faults(index, target, attempt, "transfer")
         kernel_seconds = max(sm_load) if costs else 0.0
         transfer = (
             self.spec.transfer_seconds(bytes_total) if costs else 0.0
@@ -125,22 +109,6 @@ class SimulatedDevice:
             overhead_seconds=self.spec.launch_overhead_s,
             sm_seconds=sm_load,
         )
-
-    def _check_faults(
-        self, problem: int, sm: int, attempt: int, stage: str
-    ) -> None:
-        # Imported lazily: resilience depends on the runtime which
-        # depends on this module; at call time everything is loaded.
-        from ..resilience.faults import FaultSite
-
-        site = FaultSite(
-            problem=problem, partition=-1, sm=sm,
-            attempt=attempt, stage=stage,
-        )
-        if stage == "launch":
-            self.injector.check_launch(site)
-        else:
-            self.injector.check_transfer(site)
 
 
 def greedy_makespan(

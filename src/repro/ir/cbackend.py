@@ -63,6 +63,10 @@ from .npbackend import Eligibility
 #: Scalar helpers matching the Python backend's prelude bit for bit
 #: (same formulas, same libm), so scalar and native tables agree to
 #: the last ulp wherever the compiler preserves IEEE semantics.
+#: ``logaddexp`` spends one ``exp``, not two: of ``exp(a - m)`` and
+#: ``exp(b - m)`` one argument is always exactly 0 and ``exp(0.0)`` is
+#: exactly 1.0, so every finite/-inf pair keeps its bits (see the
+#: scalar prelude's docstring for the one +inf case that differs).
 _HELPERS = C_HELPERS + """\
 #include <math.h>
 
@@ -73,8 +77,9 @@ static inline double safelog(double x) { return x > 0.0 ? log(x) : -INFINITY; }
 static inline double logaddexp(double a, double b) {
   if (a == -INFINITY) return b;
   if (b == -INFINITY) return a;
-  double m = a > b ? a : b;
-  return m + log(exp(a - m) + exp(b - m));
+  double hi = a > b ? a : b;
+  double lo = a > b ? b : a;
+  return hi + log(1.0 + exp(lo - hi));
 }
 """
 

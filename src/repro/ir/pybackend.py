@@ -38,12 +38,23 @@ def _log(x):
 
 
 def _logaddexp(a, b):
+    """``log(exp(a) + exp(b))``, spelled exactly as the C prelude's.
+
+    Bit-equal to ``m + log(exp(a - m) + exp(b - m))`` with
+    ``m = max(a, b)`` on every finite/-inf pair: one of those two
+    arguments is always exactly 0 and ``exp(0.0) == 1.0``. The one
+    difference: (+inf, finite) now yields +inf where ``inf - inf``
+    gave NaN.
+    """
     if a == -inf:
         return b
     if b == -inf:
         return a
-    m = a if a > b else b
-    return m + log(exp(a - m) + exp(b - m))
+    if a > b:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    return hi + log(1.0 + exp(lo - hi))
 
 
 def _idiv(a, b):

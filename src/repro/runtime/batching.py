@@ -56,6 +56,7 @@ divergence oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
@@ -63,7 +64,7 @@ import numpy as np
 from ..analysis.domain import Domain
 from ..ir.kernel import UB_PREFIX
 from . import ladder
-from .context import build_context
+from .context import build_context, sequence_codes
 
 #: Smallest group worth packing: a singleton gains nothing over the
 #: plain vector path and would only add pad/unpack overhead.
@@ -82,8 +83,10 @@ class PackedBatch:
     table: np.ndarray  # (B, d0max, d1max), padded, zero-initialised
     ctx: Dict[str, object]  # batched context (see module doc)
     domains: List[Domain]  # each member's true domain, batch order
-    problem_ctxs: List[Dict[str, object]] = field(repr=False,
-                                                  default_factory=list)
+    #: The ``(bindings, domain)`` pairs the batch was packed from, and
+    #: their extents as one ``(B, rank)`` array.
+    members: Seq[Tuple[object, Domain]] = field(repr=False)
+    extents: np.ndarray = field(repr=False)
 
     @property
     def padded_domain(self) -> Domain:
@@ -97,6 +100,17 @@ class PackedBatch:
         """Problem ``slot``'s own cells of the padded table (a view)."""
         extents = self.domains[slot].extents
         return self.table[slot][tuple(slice(0, e) for e in extents)]
+
+    @cached_property
+    def problem_ctxs(self) -> List[Dict[str, object]]:
+        """Each member's own context — what the scalar per-member
+        sweep reads. Built on first use: the batched rungs read only
+        the stacked ``ctx``."""
+        kernel = self.compiled.kernel
+        return [
+            build_context(kernel, bound, domain)
+            for bound, domain in self.members
+        ]
 
 
 def plan_batches(
@@ -148,44 +162,39 @@ def pack_group(
     rows (reads past a member's own length land in padding and only
     feed masked-off lanes), and the model/matrix arrays are shared
     verbatim from the first member (grouping guaranteed identity).
+
+    One context is built for the group — the first member's — and
+    its per-member entries are replaced by columns cut from the
+    members' extents and bindings directly.
     """
     kernel = compiled.kernel
     domains = [domain for _, domain in members]
-    rank = len(kernel.dims)
-    max_extents = tuple(
-        max(domain.extents[axis] for domain in domains)
-        for axis in range(rank)
-    )
     size = len(members)
+    extents = np.array(
+        [domain.extents for domain in domains], dtype=np.int64
+    )
     dtype = (
         np.int64 if kernel.body.return_kind == "int" else np.float64
     )
-    table = np.zeros((size,) + max_extents, dtype=dtype)
-    problem_ctxs = [
-        build_context(kernel, bound, domain)
-        for bound, domain in members
-    ]
-    # Shared pieces (mat_*/hmm_*) come from the first member; the
-    # per-problem keys below overwrite its scalar/1-D entries.
-    ctx: Dict[str, object] = dict(problem_ctxs[0])
+    table = np.zeros(
+        (size,) + tuple(extents.max(axis=0).tolist()), dtype=dtype
+    )
+    ctx = build_context(kernel, *members[0])
+    for axis, dim in enumerate(domains[0].dims):
+        ctx[UB_PREFIX + dim] = extents[:, axis:axis + 1] - 1
     refs = kernel.referenced_names()
-    for dim in kernel.dims:
-        key = UB_PREFIX + dim
-        ctx[key] = np.asarray(
-            [[pctx[key]] for pctx in problem_ctxs], dtype=np.int64
-        )
     for name in sorted(refs["seqs"]):
-        key = f"seq_{name}"
-        codes = [np.asarray(pctx[key]) for pctx in problem_ctxs]
+        codes = [
+            sequence_codes(bound, name) for bound, _ in members
+        ]
         longest = max((len(arr) for arr in codes), default=0)
         packed = np.zeros((size, longest), dtype=np.int64)
         for row, arr in zip(packed, codes):
             row[: len(arr)] = arr
-        ctx[key] = packed
+        ctx[f"seq_{name}"] = packed
     for name in sorted(refs["scalars"]):
-        key = f"arg_{name}"
-        ctx[key] = np.asarray(
-            [pctx[key] for pctx in problem_ctxs]
+        ctx[f"arg_{name}"] = np.asarray(
+            [bound[name] for bound, _ in members]
         ).reshape(size, 1)
     return PackedBatch(
         indices=list(indices) or list(range(size)),
@@ -193,7 +202,8 @@ def pack_group(
         table=table,
         ctx=ctx,
         domains=domains,
-        problem_ctxs=problem_ctxs,
+        members=members,
+        extents=extents,
     )
 
 

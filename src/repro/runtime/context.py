@@ -18,6 +18,14 @@ from ..lang.errors import RuntimeDslError
 from .values import Bindings, Sequence
 
 
+def sequence_codes(bindings: Bindings, name: str):
+    """The encoded characters of the sequence bound to ``name``."""
+    seq = bindings[name]
+    if not isinstance(seq, Sequence):
+        raise RuntimeDslError(f"parameter {name!r} must be a Sequence")
+    return seq.codes
+
+
 def build_context(
     kernel: Kernel,
     bindings: Bindings,
@@ -29,12 +37,7 @@ def build_context(
         ctx[UB_PREFIX + dim] = extent - 1
     refs = kernel.referenced_names()
     for name in refs["seqs"]:
-        seq = bindings[name]
-        if not isinstance(seq, Sequence):
-            raise RuntimeDslError(
-                f"parameter {name!r} must be a Sequence"
-            )
-        ctx[f"seq_{name}"] = seq.codes
+        ctx[f"seq_{name}"] = sequence_codes(bindings, name)
     for name in refs["scalars"]:
         ctx[f"arg_{name}"] = bindings[name]
     for name in refs["matrices"]:

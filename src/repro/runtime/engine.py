@@ -21,8 +21,18 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence as Seq,
+    Tuple,
+)
 
 import numpy as np
 
@@ -42,7 +52,13 @@ from ..gpu.timing import (
 )
 from ..ir.kernel import Kernel, build_kernel
 from ..lang import ast
-from ..lang.errors import NativeBuildError, RuntimeDslError, ScheduleError
+from ..lang.errors import (
+    AnalysisError,
+    NativeBuildError,
+    RuntimeDslError,
+    ScheduleError,
+    VerificationError,
+)
 from ..lang.typecheck import CheckedFunction
 from ..lang.types import (
     HmmType,
@@ -97,28 +113,75 @@ class RunResult:
         return self.report.total_seconds
 
 
-@dataclass
-class MapResult:
-    """A ``map`` workload solved on the simulated device."""
+class MapPricing(NamedTuple):
+    """The simulated-device accounting of one ``map`` launch."""
 
-    values: List[object]
     report: LaunchReport
     schedule_usage: Dict[Tuple[int, ...], int]
-    costs: List[KernelCost] = field(repr=False, default_factory=list)
-    parallelism: str = "intra"
-    #: Lane-batched execution accounting: how many packed groups ran
-    #: as single vectorised sweeps, covering how many problems, and
-    #: their amortised analytic costs (one sync per *global*
-    #: partition — see ``gpu.timing.batched_launch_cost``).
-    lane_batches: int = 0
-    lane_batched_problems: int = 0
-    batched_costs: List[KernelCost] = field(
-        repr=False, default_factory=list
-    )
-    #: Which rung each packed group actually ran on, in group order
-    #: (``"native-batched"`` / ``"vector-batched"`` /
-    #: ``"scalar-batched"`` after demotions).
-    batched_backends: List[str] = field(default_factory=list)
+    costs: List[KernelCost]
+    batched_costs: List[KernelCost]
+
+
+class MapResult:
+    """A ``map`` workload solved on the simulated device.
+
+    ``values`` and the lane-batch accounting are what the launch
+    produced. The simulated device's side — ``report``, ``costs``,
+    ``schedule_usage``, ``batched_costs``, ``seconds`` — is a view,
+    priced once on first read from what the launch observed (the
+    prepared members, and each packed group's rung and thread count
+    as they were when it ran): a caller that only wants the values
+    does not pay for pricing a GTX 480.
+    """
+
+    def __init__(
+        self,
+        values: List[object],
+        parallelism: str,
+        pricing: Callable[[], MapPricing],
+        lane_batched_problems: int = 0,
+        batched_backends: Seq[str] = (),
+    ) -> None:
+        self.values = values
+        self.parallelism = parallelism
+        #: Lane-batched execution accounting: how many problems ran
+        #: inside packed groups, and which rung each group actually
+        #: ran on, in group order (``"native-batched"`` /
+        #: ``"vector-batched"`` / ``"scalar-batched"`` after
+        #: demotions).
+        self.lane_batched_problems = lane_batched_problems
+        self.batched_backends = list(batched_backends)
+        self._pricing = pricing
+
+    @property
+    def lane_batches(self) -> int:
+        """How many packed groups ran as single batched sweeps."""
+        return len(self.batched_backends)
+
+    @cached_property
+    def _priced(self) -> MapPricing:
+        return self._pricing()
+
+    @property
+    def report(self) -> LaunchReport:
+        """The per-problem launch report (placement, device time)."""
+        return self._priced.report
+
+    @property
+    def schedule_usage(self) -> Dict[Tuple[int, ...], int]:
+        """Schedule coefficients -> how many problems ran under them."""
+        return self._priced.schedule_usage
+
+    @property
+    def costs(self) -> List[KernelCost]:
+        """Every problem's analytic kernel cost, in problem order."""
+        return self._priced.costs
+
+    @property
+    def batched_costs(self) -> List[KernelCost]:
+        """The packed groups' amortised analytic costs (one sync per
+        *global* partition — see ``gpu.timing.batched_launch_cost``)."""
+        return self._priced.batched_costs
 
     @property
     def seconds(self) -> float:
@@ -221,6 +284,37 @@ class Engine:
 
     # -- verification ---------------------------------------------------------
 
+    def _verdict_key(
+        self,
+        func: CheckedFunction,
+        schedule: Schedule,
+        domain: Domain,
+    ):
+        """What one verification verdict covers, as its memo key:
+        (function plan, schedule) where the verifier's proof is
+        extent-free, plus the concrete extents otherwise. ``None``
+        when nothing is verified (mode ``"off"``, or descents outside
+        the single-function verifier's scope)."""
+        if self.verify == "off":
+            return None
+        from ..verify.soundness import verdict_is_extent_free
+
+        try:
+            plan = function_plan(func)
+        except AnalysisError:
+            # Mutual groups / non-affine descents: out of the
+            # single-function verifier's scope, not a failure.
+            return None
+        # The access and parallel-safety passes of "full" read the
+        # real extents, so their verdicts are always per box.
+        extent_free = self.verify == "schedule" and (
+            verdict_is_extent_free(func, domain)
+        )
+        return (
+            plan, "verdict", schedule,
+            None if extent_free else domain.extents,
+        )
+
     def verify_compiled(
         self,
         func: CheckedFunction,
@@ -238,32 +332,28 @@ class Engine:
         (or None when verification is off or the descents are outside
         the single-function verifier's scope).
         """
-        if self.verify == "off":
+        key = self._verdict_key(func, schedule, domain)
+        if key is None:
             return None
-        from ..lang.errors import AnalysisError, VerificationError
-        from ..verify import analyze_access
-        from ..verify.soundness import (
-            verdict_is_extent_free,
-            verify_schedule,
-        )
+        return self._verdict(key, func, schedule, domain)
 
-        try:
-            plan = function_plan(func)
-        except AnalysisError:
-            # Mutual groups / non-affine descents: out of the
-            # single-function verifier's scope, not a failure.
-            return None
-        # The access and parallel-safety passes of "full" read the
-        # real extents, so their verdicts are always per box.
-        extent_free = self.verify == "schedule" and (
-            verdict_is_extent_free(func, domain)
-        )
-        key = (
-            plan, "verdict", schedule,
-            None if extent_free else domain.extents,
-        )
+    def _verdict(
+        self,
+        key,
+        func: CheckedFunction,
+        schedule: Schedule,
+        domain: Domain,
+    ):
+        """The certificate remembered under ``key`` (a
+        :meth:`_verdict_key`), proved on a miss and restated for
+        ``domain``; raises
+        :class:`~repro.lang.errors.VerificationError` on a failed
+        verdict, remembered or fresh."""
         cached = self._memo.lookup(key)
         if cached is None:
+            from ..verify import analyze_access
+            from ..verify.soundness import verify_schedule
+
             certificate, diagnostics = verify_schedule(
                 func, schedule, domain
             )
@@ -305,7 +395,7 @@ class Engine:
                 + "\n".join(d.render() for d in errors),
                 errors[0].span,
             )
-        if extent_free:
+        if key[-1] is None:  # extent-free: one proof, any box
             return certificate.for_domain(domain)
         return certificate
 
@@ -639,6 +729,11 @@ class Engine:
             raw = table[coords]
         else:
             raise RuntimeDslError(f"unknown reduction {reduce!r}")
+        return self._value(kernel, raw)
+
+    @staticmethod
+    def _value(kernel: Kernel, raw) -> object:
+        """A raw table cell as the DSL value it stands for."""
         if kernel.body.return_kind == "int":
             return int(raw)
         if kernel.logspace:
@@ -728,12 +823,8 @@ class Engine:
         cost, problem = self._price(
             func, compiled, bound, domain, use_window, sizes
         )
-        report = self.device.launch(
-            [problem],
-            run=lambda _k: ladder.launch(
-                self, execute, compiled, table, ctx, domain
-            ),
-        )
+        ladder.launch(self, execute, compiled, table, ctx, domain)
+        report = self.device.launch([problem])
         coords = self.result_coords(func, bound, domain, at, initial)
         value = self._extract(compiled.kernel, table, coords, reduce)
         return RunResult(value, table, compiled.kernel, domain, cost,
@@ -753,6 +844,31 @@ class Engine:
         ``prepared`` is a list of ``(bindings, domain, compiled)``
         triples in problem order.
         """
+        prepared = self._prepare_members(
+            func, base_bindings, problems, initial
+        )
+        return (prepared,) + self._price_members(
+            func, prepared, use_window
+        )
+
+    def _prepare_members(
+        self,
+        func: CheckedFunction,
+        base_bindings: Mapping[str, object],
+        problems: Seq[Mapping[str, object]],
+        initial: Optional[Dict[str, int]] = None,
+    ) -> List[Tuple[Bindings, Domain, CompiledKernel]]:
+        """Bind, size, schedule, verify and compile every problem.
+
+        Per member only what depends on the member: the bindings
+        merge, the extents, the schedule selection. Within the call
+        the rung and product are resolved once per distinct
+        (schedule, size class) and the verifier is asked once per
+        distinct verdict key — so whatever it proves per box (the
+        brute-force leg, non-uniform descents, ``verify="full"``) is
+        still proved per box, while any number of members under one
+        extent-free verdict cost one memo probe.
+        """
         if self.schedule_mode == "autotune":
             # The compile-time schedule set encodes the min-partition
             # goal; autotune decisions are per size bucket instead
@@ -768,6 +884,8 @@ class Engine:
                 schedule_set = None
 
         prepared = []
+        products: Dict[tuple, CompiledKernel] = {}
+        proved: set = set()
         for overrides in problems:
             bound = Bindings({**base_bindings, **overrides})
             domain = self.domain_of(func, bound, initial)
@@ -777,10 +895,25 @@ class Engine:
                 schedule = self.schedule_for(
                     func, domain, bindings=bound
                 )
-            self.verify_compiled(func, schedule, domain)
-            compiled = self.compile(func, schedule, domain)
+            verdict = self._verdict_key(func, schedule, domain)
+            if verdict is not None and verdict not in proved:
+                self._verdict(verdict, func, schedule, domain)
+                proved.add(verdict)
+            size_class = (schedule, ladder.is_large(domain))
+            compiled = products.get(size_class)
+            if compiled is None:
+                compiled = products[size_class] = self.compile(
+                    func, schedule, domain
+                )
             prepared.append((bound, domain, compiled))
+        return prepared
 
+    def _price_members(
+        self, func: CheckedFunction, prepared, use_window: bool
+    ) -> Tuple[
+        List[KernelCost], Dict[Tuple[int, ...], int], List[ProblemCost]
+    ]:
+        """``(costs, usage, problem_costs)`` of prepared members."""
         costs: List[KernelCost] = []
         usage: Dict[Tuple[int, ...], int] = {}
         problem_costs: List[ProblemCost] = []
@@ -793,7 +926,7 @@ class Engine:
             coeffs = compiled.schedule.coefficients
             usage[coeffs] = usage.get(coeffs, 0) + 1
             problem_costs.append(problem)
-        return prepared, costs, usage, problem_costs
+        return costs, usage, problem_costs
 
     def map_run(
         self,
@@ -827,116 +960,176 @@ class Engine:
           ``hybrid_threshold`` cells go inter-task, the rest intra.
 
         The functional results are identical in every mode; only the
-        device-time accounting differs. ``execute=False`` prices the
-        launch without computing the tables (``values`` stay None) —
-        for large sweeps where only the timing matters. ``_launch`` is
-        the private launch seam of :meth:`run`.
+        device-time accounting differs, and that accounting is priced
+        when the result's ``report``/``costs``/... are first read
+        (see :class:`MapResult`). ``execute=False`` prices the launch
+        without computing the tables (``values`` stay None) — for
+        large sweeps where only the timing matters. ``_launch`` is the
+        private launch seam of :meth:`run`.
         """
         if parallelism not in ("intra", "inter", "hybrid"):
             raise RuntimeDslError(
                 f"unknown parallelism {parallelism!r}"
             )
-        prepared, costs, usage, problem_costs = self.prepare_map(
-            func, base_bindings, problems,
-            initial=initial, use_window=use_window,
+        prepared = self._prepare_members(
+            func, base_bindings, problems, initial
         )
         values: List[object] = [None] * len(prepared)
         launch = _launch or self._execute
 
-        def extract(index: int, table) -> None:
-            bound, domain, compiled = prepared[index]
-            coords = (
-                None
-                if reduce
-                else self.result_coords(func, bound, domain, at, initial)
-            )
-            values[index] = self._extract(
-                compiled.kernel, table, coords, reduce
-            )
+        # Lane batching: groups of same-kernel problems run as single
+        # padded sweeps, then the rest one launch each. The analytic
+        # launch report keeps the per-problem costs — placement and
+        # device time are modelled unchanged — while ``batched_costs``
+        # records the amortised (one sync per global partition)
+        # pricing. Sanitized runs step partition-by-partition; the
+        # packed sweep cannot, so batching stands down.
+        batch_groups: List[List[int]] = []
+        if (
+            execute and parallelism == "intra" and self.batching
+            and not self.sanitize and len(prepared) > 1
+        ):
+            from . import native as native_rt
+            from .batching import BatchedLaunch, pack_group, plan_batches
 
-        def run_one(index: int) -> None:
-            bound, domain, compiled = prepared[index]
-            ctx = self.build_context(compiled, bound, domain)
-            table = self._table_for(compiled.kernel, domain)
-            ladder.launch(self, launch, compiled, table, ctx, domain)
-            extract(index, table)
-
-        if parallelism == "intra":
-            # Lane batching: groups of same-kernel vector problems run
-            # as single padded sweeps *before* the per-problem launch
-            # loop (which then skips them). The analytic launch report
-            # keeps the per-problem costs — placement and device time
-            # are modelled unchanged — while ``batched_costs`` records
-            # the amortised (one sync per global partition) pricing.
-            batch_groups: List[List[int]] = []
-            batched: set = set()
-            # Sanitized runs step partition-by-partition; the packed
-            # lane-batch sweep cannot, so batching stands down.
-            if (
-                execute and self.batching and not self.sanitize
-                and len(prepared) > 1
+            batch_groups = plan_batches(prepared)
+        batched_backends: List[str] = []
+        group_threads: List[int] = []
+        for group in batch_groups:
+            packed = pack_group(
+                prepared[group[0]][2],
+                [prepared[i][:2] for i in group],
+                indices=group,
+            )
+            # One launch for the whole group: a crash kills one
+            # disposable worker and demotes the group as a unit.
+            group_launch = ladder.launch(
+                self, launch, BatchedLaunch(packed),
+                packed.table, packed.ctx, packed.padded_domain,
+            )
+            for index, value in zip(
+                group,
+                self._group_values(func, packed, at, initial, reduce),
             ):
-                from .batching import (
-                    BatchedLaunch, pack_group, plan_batches,
-                )
-
-                batch_groups = plan_batches(prepared)
-                batched = {
-                    index for group in batch_groups for index in group
-                }
-            batched_costs: List[KernelCost] = []
-            batched_backends: List[str] = []
-            for group in batch_groups:
-                bound0, _, compiled = prepared[group[0]]
-                members = [
-                    (prepared[i][0], prepared[i][1]) for i in group
-                ]
-                packed = pack_group(compiled, members, indices=group)
-                # One launch for the whole group: a crash kills one
-                # disposable worker and demotes the group as a unit.
-                group_launch = ladder.launch(
-                    self, launch, BatchedLaunch(packed),
-                    packed.table, packed.ctx, packed.padded_domain,
-                )
-                batched_backends.append(group_launch.backend)
-                for slot, index in enumerate(group):
-                    extract(index, packed.member_view(slot))
-                if group_launch.rung == "native":
-                    from . import native as native_rt
-
-                    threads = native_rt.effective_threads()
-                else:
-                    threads = 1
-                batched_costs.append(
-                    batched_launch_cost(
-                        compiled.kernel,
-                        [domain for _, domain in members],
-                        self.spec,
-                        mean_degree=self.mean_degree(func, bound0),
-                        threads=threads,
+                values[index] = value
+            # Pricing reads the rung and thread count the group
+            # *ran* on, so they are taken now, not when it is priced.
+            batched_backends.append(group_launch.backend)
+            group_threads.append(
+                native_rt.effective_threads()
+                if group_launch.rung == "native"
+                else 1
+            )
+        if execute:
+            batched = {i for group in batch_groups for i in group}
+            for index, (bound, domain, compiled) in enumerate(prepared):
+                if index in batched:
+                    continue
+                ctx = self.build_context(compiled, bound, domain)
+                table = self._table_for(compiled.kernel, domain)
+                ladder.launch(self, launch, compiled, table, ctx, domain)
+                coords = (
+                    None
+                    if reduce
+                    else self.result_coords(
+                        func, bound, domain, at, initial
                     )
                 )
+                values[index] = self._extract(
+                    compiled.kernel, table, coords, reduce
+                )
+        return MapResult(
+            values,
+            parallelism,
+            partial(
+                self._price_map, func, prepared, use_window,
+                parallelism, hybrid_threshold,
+                list(zip(batch_groups, group_threads)),
+            ),
+            lane_batched_problems=sum(map(len, batch_groups)),
+            batched_backends=batched_backends,
+        )
 
-            def run_unbatched(index: int) -> None:
-                if index not in batched:
-                    run_one(index)
-
-            report = self.device.launch(
-                problem_costs, run=run_unbatched if execute else None
+    def _group_values(
+        self, func, packed, at, initial, reduce
+    ) -> List[object]:
+        """Every member's result out of a packed group's table."""
+        kernel = packed.compiled.kernel
+        coords = None
+        if reduce is None:
+            coords = self._group_coords(func, packed, at, initial)
+            if ((coords >= 0) & (coords < packed.extents)).all():
+                # Every coordinate is a cell of its own member: one
+                # gather from the padded table reads them all.
+                raws = packed.table[
+                    (np.arange(len(coords)),) + tuple(coords.T)
+                ]
+                return [self._value(kernel, raw) for raw in raws.tolist()]
+        return [
+            self._extract(
+                kernel, packed.member_view(slot),
+                None if coords is None else tuple(coords[slot]),
+                reduce,
             )
-            return MapResult(
-                values, report, usage, costs, "intra",
-                lane_batches=len(batch_groups),
-                lane_batched_problems=len(batched),
-                batched_costs=batched_costs,
-                batched_backends=batched_backends,
-            )
+            for slot in range(len(packed.domains))
+        ]
 
-        # Inter/hybrid: functional execution is unchanged; pricing
-        # splits the problem set by strategy.
-        if execute:
-            for index in range(len(prepared)):
-                run_one(index)
+    def _group_coords(self, func, packed, at, initial) -> np.ndarray:
+        """:meth:`result_coords` of every member of a packed group,
+        one row each: the first member's, with only the columns that
+        follow the member — an index dimension's own length, a state
+        dimension's own model — filled per member."""
+        at = at or {}
+        coords = np.empty_like(packed.extents)
+        coords[:] = self.result_coords(
+            func, *packed.members[0], at, initial
+        )
+        for axis, param in enumerate(func.recursive_params):
+            if param.name in at:
+                continue
+            if isinstance(param.type, IndexType):
+                coords[:, axis] = packed.extents[:, axis] - 1
+            elif isinstance(param.type, StateType):
+                coords[:, axis] = [
+                    bound[param.type.hmm_param].end_state.index
+                    for bound, _ in packed.members
+                ]
+        return coords
+
+    def _price_map(
+        self,
+        func: CheckedFunction,
+        prepared,
+        use_window: bool,
+        parallelism: str,
+        hybrid_threshold: Optional[int],
+        groups: Seq[Tuple[List[int], int]],
+    ) -> MapPricing:
+        """Price a ``map`` launch on the simulated device: every
+        member, each lane-batched group (``groups`` pairs a group's
+        indices with the thread count it ran on), and the launch
+        report of the chosen ``parallelism``."""
+        costs, usage, problem_costs = self._price_members(
+            func, prepared, use_window
+        )
+        batched_costs = [
+            batched_launch_cost(
+                prepared[group[0]][2].kernel,
+                [prepared[i][1] for i in group],
+                self.spec,
+                mean_degree=self.mean_degree(
+                    func, prepared[group[0]][0]
+                ),
+                threads=threads,
+            )
+            for group, threads in groups
+        ]
+        if parallelism == "intra":
+            return MapPricing(
+                self.device.launch(problem_costs), usage, costs,
+                batched_costs,
+            )
+        # Inter/hybrid: pricing splits the problem set by strategy.
         threshold = hybrid_threshold or 64 * 64
         intra_costs: List[ProblemCost] = []
         inter_domains = []
@@ -970,4 +1163,4 @@ class Engine:
             ),
             overhead_seconds=self.spec.launch_overhead_s,
         )
-        return MapResult(values, report, usage, costs, parallelism)
+        return MapPricing(report, usage, costs, batched_costs)

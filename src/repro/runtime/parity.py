@@ -9,7 +9,7 @@ Float tables are bitwise *almost* everywhere:
 
 * **native vs scalar is bitwise.** The emitted C helpers use the
   exact formulas of the scalar prelude (``logaddexp(a, b) =
-  m + log(exp(a - m) + exp(b - m))`` with the same -inf guards,
+  hi + log(1.0 + exp(lo - hi))`` with the same -inf guards,
   ``safelog``, truncating integer division) and both sides evaluate
   them through the platform libm in double precision, one cell at a
   time, in the same order.

@@ -1,6 +1,7 @@
 """Tests for the HMM extension (Section 5.2)."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +37,24 @@ class TestBuilder:
         hmm = toy()
         assert hmm.start_state.name == "b"
         assert hmm.end_state.name == "e"
+
+    def test_start_end_resolved_once(self):
+        """Built at construction (a map reads the end state once per
+        member), not by a scan per access — and a pickled model
+        carries them along."""
+
+        class NoRescan(tuple):
+            def __iter__(self):
+                raise AssertionError("states scanned on access")
+
+        hmm = toy()
+        start, end = hmm.states[0], hmm.states[3]
+        hmm.states = NoRescan(hmm.states)
+        assert hmm.start_state is start
+        assert hmm.end_state is end
+        clone = pickle.loads(pickle.dumps(toy()))
+        assert clone.start_state is clone.states[0]
+        assert clone.end_state is clone.states[3]
 
     def test_duplicate_state_rejected(self):
         builder = HmmBuilder("h", DNA).start("x")

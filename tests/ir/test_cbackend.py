@@ -97,7 +97,7 @@ class TestEmission:
         """The C helpers spell the exact formulas of the scalar
         backend's prelude, the basis of bitwise native/scalar parity."""
         text = emit_native_source(edit_kernel)
-        assert "m + log(exp(a - m) + exp(b - m))" in text
+        assert "hi + log(1.0 + exp(lo - hi))" in text
         assert "x > 0.0 ? log(x) : -INFINITY" in text
 
 

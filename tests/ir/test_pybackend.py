@@ -9,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.domain import Domain
 from repro.extensions.hmm import HmmBuilder
 from repro.ir.kernel import build_kernel
-from repro.ir.pybackend import compile_kernel, emit_kernel_source
+from repro.ir.pybackend import (
+    _PRELUDE,
+    compile_kernel,
+    emit_kernel_source,
+)
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime.interpreter import memoised
@@ -218,3 +222,44 @@ class TestGeneratedSource:
         kernel = build_kernel(func, Schedule.of(i=1, j=2))
         source = emit_kernel_source(kernel)
         assert "% 2 == 0" in source
+
+
+class TestLogaddexp:
+    """The prelude spends one ``exp``; the two-``exp`` formula it
+    replaced lives on here as the reference."""
+
+    @staticmethod
+    def two_exps(a, b):
+        if a == -math.inf:
+            return b
+        if b == -math.inf:
+            return a
+        m = a if a > b else b
+        return m + math.log(math.exp(a - m) + math.exp(b - m))
+
+    doubles = st.floats(allow_nan=False, max_value=1e308) | st.just(
+        -math.inf
+    )
+
+    @pytest.fixture(scope="class")
+    def logaddexp(self):
+        namespace = {}
+        exec(_PRELUDE, namespace)
+        return namespace["_logaddexp"]
+
+    @settings(max_examples=2000, deadline=None)
+    @given(doubles, doubles)
+    def test_bit_equal_to_the_two_exp_formula(self, logaddexp, a, b):
+        assert logaddexp(a, b).hex() == self.two_exps(a, b).hex()
+
+    def test_close_pairs_and_signed_zeros(self, logaddexp):
+        for a, b in [
+            (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+            (-745.2, -745.1), (1e-320, 2e-320), (-1e308, -1e308),
+            (700.0, 700.0), (-3.5, -3.5 + 2**-50),
+        ]:
+            assert logaddexp(a, b).hex() == self.two_exps(a, b).hex()
+
+    def test_positive_infinity_no_longer_nan(self, logaddexp):
+        assert math.isnan(self.two_exps(math.inf, 1.0))
+        assert logaddexp(math.inf, 1.0) == math.inf

@@ -180,6 +180,24 @@ class TestNativeExecution:
                part_hi=sched.max_partition(d2))
         assert t1.tobytes() == t2.tobytes()
 
+    @pytest.mark.parametrize("algorithm", ["forward", "viterbi"])
+    def test_logspace_tables_match_scalar_bitwise(self, algorithm):
+        """``logaddexp``/``safelog`` are one formula in the C and the
+        scalar prelude, so float tables agree to the last bit."""
+        from repro.apps import hmm_algorithms
+        from repro.apps.profile_hmm import tk_model
+        from repro.runtime.sequences import random_protein
+
+        func = getattr(hmm_algorithms, f"{algorithm}_function")()
+        bindings = {"h": tk_model(seed=7), "x": random_protein(90, seed=7)}
+        tables = [
+            Engine(backend=backend, prob_mode="logspace")
+            .run(func, bindings).table
+            for backend in ("scalar", "native")
+        ]
+        assert np.isfinite(tables[0]).any()
+        assert np.array_equal(tables[0], tables[1], equal_nan=True)
+
     def test_mid_schedule_replay_split(self):
         """part_lo/part_hi splits reproduce the single full run —
         the windowed entry preloads its ring from the table."""
