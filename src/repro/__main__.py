@@ -296,6 +296,7 @@ def explain_main(argv) -> int:
 
         parallel = parallelism_certificate(kernel)
         record["parallel"] = parallel.to_dict()
+        from .ir import cbackend
         from .runtime import ladder
 
         rungs = ladder.rungs(kernel)
@@ -320,6 +321,13 @@ def explain_main(argv) -> int:
                 "ok": native.ok,
                 "rule": native.rule,
                 "detail": native.detail,
+                # Block shape of the blocked wavefront; null when the
+                # kernel keeps the partition sweep.
+                "tile": (
+                    list(cbackend.TILE)
+                    if cbackend.native_entries(kernel, parallel).tiled
+                    else None
+                ),
             },
         )
         from .runtime.batching import batched_native_eligibility

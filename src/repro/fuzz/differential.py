@@ -11,6 +11,12 @@ environment supports:
 * forced ``native`` — ditto against
   :func:`repro.ir.cbackend.native_eligibility` (skipped with a
   counter when no toolchain is present);
+* the blocked wavefront a second time, under a tiny tile drawn from
+  the case text — kernels the native rung blocks (the whole
+  ``Seq2DSpec`` family) are a single block at fuzz-scale extents
+  under :data:`repro.ir.cbackend.TILE`, so the forced-native leg
+  alone never crosses a block edge; the rebuilt entry must reproduce
+  the scalar table bitwise;
 * the auto ladder under the existing
   :class:`~repro.resilience.oracle.DivergenceOracle` — a clean
   re-execution against an independently generated reference backend;
@@ -374,6 +380,16 @@ class DifferentialHarness:
                 legs, lint_errors, tuple(skips),
             )
 
+        # -- the blocked wavefront across block edges -------------------------
+        tiled_detail = self._tiled_leg(
+            case, func, bindings, run_kwargs, scalar, legs
+        )
+        if tiled_detail:
+            return CaseOutcome(
+                case, "divergence", tiled_detail,
+                legs, lint_errors, tuple(skips),
+            )
+
         # -- the divergence oracle on the auto rung ---------------------------
         oracle_detail = self._oracle_leg(
             case, func, bindings, run_kwargs, scalar, legs
@@ -538,6 +554,86 @@ class DifferentialHarness:
                 )
         return ""
 
+    @staticmethod
+    def _stage(engine, func, bindings, run_kwargs):
+        """Everything ``Engine.run`` does before the launch:
+        ``(compiled, ctx, fresh table, first, last partition)``."""
+        from ..runtime.values import Bindings
+
+        bound = Bindings(dict(bindings))
+        domain = engine.domain_of(func, bound, run_kwargs["initial"])
+        schedule = engine.schedule_for(
+            func, domain, run_kwargs["user_schedule"]
+        )
+        compiled = engine.compile(func, schedule, domain)
+        return (
+            compiled,
+            engine.build_context(compiled, bound, domain),
+            engine._table_for(compiled.kernel, domain),
+            schedule.min_partition(domain),
+            schedule.max_partition(domain),
+        )
+
+    def _tiled_leg(
+        self, case, func, bindings, run_kwargs, scalar, legs
+    ) -> str:
+        """The native entry rebuilt with a tiny tile.
+
+        Applies to kernels whose native entry is the blocked
+        wavefront. Under the default tile a fuzz-scale table is one
+        block; edges of 1-4 cells (a pure function of the case text,
+        so a campaign stays reproducible) give the same table several
+        block diagonals, ragged last blocks and, under ASan, every
+        block-edge clip a chance to read out of bounds. Returns a
+        non-empty detail string on divergence.
+        """
+        import zlib
+
+        from ..ir import cbackend
+        from ..runtime import native as native_rt
+
+        native_leg = legs.get("native")
+        if (
+            native_leg is None
+            or native_leg.status != "ok"
+            or scalar.table is None
+            or not cbackend.native_entries(scalar.value_kernel).tiled
+        ):
+            return ""
+        draw = zlib.crc32(case.text.encode("utf-8"))
+        tile = (1 + draw % 4, 1 + draw // 4 % 4)
+        try:
+            compiled, ctx, table, lo, hi = self._stage(
+                self._engine("native", case.prob_mode),
+                func, bindings, run_kwargs,
+            )
+            source = cbackend.emit_native_source(
+                compiled.kernel,
+                openmp=native_rt.toolchain()[1],
+                tile=tile,
+            )
+            run = native_rt.load_compiled(
+                compiled.kernel, native_rt.build_shared_object(source)
+            )
+            run(table, ctx, part_lo=lo, part_hi=hi)
+        except Exception as err:
+            legs["native-tiled"] = LegResult(
+                "native-tiled", "error",
+                error_type=type(err).__name__, error=str(err),
+            )
+            return (
+                f"tile {tile} leg failed: {type(err).__name__}: {err}"
+            )
+        legs["native-tiled"] = LegResult(
+            "native-tiled", "ok", table=table
+        )
+        if not np.array_equal(scalar.table, table, equal_nan=True):
+            return (
+                f"blocked wavefront under tile {tile} disagrees "
+                f"bitwise with the scalar table"
+            )
+        return ""
+
     def _oracle_leg(
         self, case, func, bindings, run_kwargs, scalar, legs
     ) -> str:
@@ -545,20 +641,11 @@ class DifferentialHarness:
 
         Returns a non-empty detail string on divergence.
         """
-        from ..runtime.values import Bindings
-
-        engine = self._engine("auto", case.prob_mode)
-        bound = Bindings(dict(bindings))
         try:
-            domain = engine.domain_of(func, bound, run_kwargs["initial"])
-            schedule = engine.schedule_for(
-                func, domain, run_kwargs["user_schedule"]
+            compiled, ctx, base, lo, hi = self._stage(
+                self._engine("auto", case.prob_mode),
+                func, bindings, run_kwargs,
             )
-            compiled = engine.compile(func, schedule, domain)
-            ctx = engine.build_context(compiled, bound, domain)
-            base = engine._table_for(compiled.kernel, domain)
-            lo = schedule.min_partition(domain)
-            hi = schedule.max_partition(domain)
             _verdict, recovered = self._oracle_instance().classify(
                 compiled, ctx, base, lo, hi
             )

@@ -70,6 +70,13 @@ class CCellEmitter:
         self.counter += 1
         return name
 
+    def _minmax(self, node: ir.Binary) -> str:
+        """Helper name for a ``min``/``max`` node. C99 has no
+        overloads, so integer nodes go through the ``long`` pair
+        ``lmin``/``lmax``: the ``double`` helpers would round every
+        operand above 2**53 and promote the surrounding ``?:``."""
+        return f"l{node.op}" if node.kind == "int" else node.op
+
     @property
     def window_col(self) -> int:
         """Which dimension indexes the ring buffer's columns.
@@ -105,10 +112,8 @@ class CCellEmitter:
             right = self.inline(node.right)
             if left is None or right is None:
                 return None
-            if node.op == "min":
-                return f"min({left}, {right})"
-            if node.op == "max":
-                return f"max({left}, {right})"
+            if node.op in ("min", "max"):
+                return f"{self._minmax(node)}({left}, {right})"
             if node.op == "logaddexp":
                 return f"logaddexp({left}, {right})"
             if node.op == "/" and node.kind == "int":
@@ -228,6 +233,10 @@ class CCellEmitter:
             left = self._force(node.left, lines, pad)
             right = self._force(node.right, lines, pad)
             if node.op in ("min", "max", "logaddexp"):
+                # Reached only when an operand did not inline, i.e.
+                # sits in a ``double`` temporary (a reduction, which
+                # starts at +-INFINITY): the ``double`` helpers, not
+                # ``lmin``/``lmax``, whatever the node's kind.
                 lines.append(
                     f"{pad}{target} = {node.op}({left}, {right});"
                 )

@@ -9,22 +9,40 @@ library call instead of millions of interpreted Python steps. The
 cell expression printer is shared with the CUDA emitter
 (:mod:`repro.ir.c_expr`); only the surrounding function differs.
 
-Two entry points are emitted when the schedule admits the Section 4.8
-sliding window (uniform descents, 2-D nest):
+``repro_<name>`` reads and writes the caller's table, in one of two
+orders picked by the ``tile`` axis of the kernel's parallel-safety
+certificate (:func:`native_entries` is the one place that decides):
 
-* ``repro_<name>`` — plain: reads and writes the caller's table;
+* **blocked wavefront** (``R-TILE-ORDER`` CONFIRMED: every own-table
+  read looks backward in every dimension — Smith-Waterman, edit
+  distance) — the box is cut into :data:`TILE` blocks, block
+  anti-diagonals run in order under *one* ``#pragma omp parallel``,
+  the blocks of a diagonal are shared out by ``#pragma omp for`` (its
+  implicit barrier is the only synchronisation), and inside a block
+  runs the kernel's own scattering nest over the block's box
+  ``[lo_<dim>, hi_<dim>]``, serially. A problem no larger than one
+  tile is one block: one region, one barrier.
+* **partition sweep** (everything else) — Figure 9 literally: the
+  time loop over the whole box, ``#pragma omp parallel for`` on the
+  first space loop of each partition.
+
+A partition-sweep kernel whose schedule admits the Section 4.8
+sliding window (uniform descents, 2-D nest) also gets
+
 * ``repro_<name>_windowed`` — keeps the last ``window + 1``
   partitions in a stack-resident ring buffer (the CPU analogue of
   shared-memory residency), reads the recursion's look-backs from the
   ring, and copies every computed row out to the table. Because a
   replay may start mid-schedule (``part_lo > 0``), the ring is
   preloaded from the table rows of the ``window`` preceding
-  partitions before computation begins.
+  partitions before computation begins. A blocked kernel has no ring:
+  on a CPU the tile *is* the resident window.
 
-Both entries take ``(table, part_lo, part_hi, bounds, context
-arrays...)`` with a fixed parameter order described by
+Every per-problem entry takes ``(table, part_lo, part_hi, bounds,
+context arrays...)`` with a fixed parameter order described by
 :func:`native_param_spec` — :mod:`repro.runtime.native` builds the
-matching ``ctypes`` call from the same spec.
+matching ``ctypes`` call from the same spec — and computes exactly
+the cells whose partition lies in ``[part_lo, part_hi]``.
 
 A third entry point is always emitted for the lane-batched ``map``
 path (the native mirror of the vector batcher in
@@ -52,17 +70,27 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..analysis.affine import Affine
 from ..lang.errors import CodegenError
 from ..lang.types import IntType
 from ..polyhedral import loopast
+from ..polyhedral.codegen import generate_loops
 from . import expr as ir
 from .c_expr import C_HELPERS, CCellEmitter
 from .kernel import Kernel
 from .npbackend import Eligibility
 
+#: Block edge per dimension of the blocked wavefront. A constant, not
+#: a tuning dimension: edges from 64 to 256 measure within 10 % of
+#: each other at 2048x2048 (docs/PERFORMANCE.md), and a 128x128 int64
+#: block is 128 KB — resident in L2 while its three look-backs are
+#: re-read.
+TILE = (128, 128)
+
 #: Scalar helpers matching the Python backend's prelude bit for bit
 #: (same formulas, same libm), so scalar and native tables agree to
 #: the last ulp wherever the compiler preserves IEEE semantics.
+#: ``lmin``/``lmax`` keep integer cells and loop bounds in ``long``.
 #: ``logaddexp`` spends one ``exp``, not two: of ``exp(a - m)`` and
 #: ``exp(b - m)`` one argument is always exactly 0 and ``exp(0.0)`` is
 #: exactly 1.0, so every finite/-inf pair keeps its bits (see the
@@ -72,6 +100,8 @@ _HELPERS = C_HELPERS + """\
 
 static inline double min(double a, double b) { return a < b ? a : b; }
 static inline double max(double a, double b) { return a > b ? a : b; }
+static inline long lmin(long a, long b) { return a < b ? a : b; }
+static inline long lmax(long a, long b) { return a > b ? a : b; }
 static inline double idiv(double a, double b) { return trunc(a / b); }
 static inline double safelog(double x) { return x > 0.0 ? log(x) : -INFINITY; }
 static inline double logaddexp(double a, double b) {
@@ -134,27 +164,67 @@ def entry_symbol(
 
 
 def supports_window(kernel: Kernel) -> bool:
-    """Does the native path emit a ring-buffer variant for this
-    kernel? Requires a constant non-zero window (uniform descents,
-    Section 4.8), the 2-D partition/lane shape the ring is addressed
-    by, and a partition-major time loop to preload across."""
+    """Does the kernel have the geometry a ring buffer needs? A
+    constant non-zero window (uniform descents, Section 4.8), the
+    2-D partition/lane shape the ring is addressed by, and a
+    partition-major time loop to preload across. Whether a
+    translation unit actually carries the ring entry is
+    :func:`native_entries`' answer."""
     return (
         kernel.window is not None
         and kernel.window >= 1
         and kernel.rank == 2
-        and _time_loop(kernel) is not None
+        and kernel.nest.time_loop is not None
     )
 
 
-def _time_loop(kernel: Kernel) -> Optional[loopast.Loop]:
-    roots = kernel.nest.roots
-    if (
-        len(roots) == 1
-        and isinstance(roots[0], loopast.Loop)
-        and roots[0].var == kernel.nest.time_var
-    ):
-        return roots[0]
-    return None
+@dataclass(frozen=True)
+class Entries:
+    """Which per-problem entry points a kernel's translation unit has
+    (the batched entry is always there)."""
+
+    #: ``repro_<name>`` is the blocked wavefront.
+    tiled: bool
+    #: ``repro_<name>_windowed`` (the Section 4.8 ring) exists.
+    windowed: bool
+
+
+def native_entries(kernel: Kernel, certificate=None) -> Entries:
+    """The one answer to "which entries does this TU have".
+
+    The emitter, :class:`repro.runtime.native.NativeRun` and both
+    eligibility sentences read it, so none can describe an entry the
+    others do not emit or load. ``certificate`` is the kernel's
+    :class:`~repro.verify.races.ParallelismCertificate` (the memoised
+    one when omitted): a CONFIRMED ``tile`` axis selects the blocked
+    wavefront, which has no ring; otherwise a window-capable kernel
+    keeps its ring when the ``ring`` axis is CONFIRMED.
+    """
+    if certificate is None:
+        from ..verify.races import parallelism_certificate
+
+        certificate = parallelism_certificate(kernel)
+    tiled = certificate.tile.confirmed
+    return Entries(
+        tiled=tiled,
+        windowed=(
+            not tiled
+            and supports_window(kernel)
+            and certificate.ring.confirmed
+        ),
+    )
+
+
+def _tile_nest(kernel: Kernel) -> loopast.LoopNest:
+    """The kernel's own scattering nest over one block's box
+    ``[lo_<dim>, hi_<dim>]`` instead of ``[0, ub_<dim>]``."""
+    return generate_loops(
+        kernel.dims,
+        [Affine.variable(f"hi_{d}") for d in kernel.dims],
+        kernel.schedule.coefficients,
+        time_var=kernel.nest.time_var,
+        lower_bounds=[Affine.variable(f"lo_{d}") for d in kernel.dims],
+    )
 
 
 def _scalar_kinds(kernel: Kernel) -> dict:
@@ -296,15 +366,20 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
             False, "codegen",
             f"kernel {kernel.name!r} has no C99 rendering: {err}",
         )
-    window = (
-        f"; sliding window of {kernel.window} partitions"
-        if supports_window(kernel)
-        else ""
-    )
+    entries = native_entries(kernel)
+    if entries.tiled:
+        shape = (
+            f"; blocked wavefront, tile "
+            f"{'×'.join(str(t) for t in TILE)}"
+        )
+    elif entries.windowed:
+        shape = f"; sliding window of {kernel.window} partitions"
+    else:
+        shape = ""
     return Eligibility(
         True, "ok",
         f"kernel {kernel.name!r} compiles to portable C99 "
-        f"(whole-run dispatch, partition loop in C{window})",
+        f"(whole-run dispatch, partition loop in C{shape})",
     )
 
 
@@ -315,15 +390,25 @@ def batched_eligibility(kernel: Kernel) -> Eligibility:
     The batched entry reuses the per-problem body verbatim (each
     member runs its own nest over its own bounds), so it is eligible
     exactly when the per-problem native path is — with one named
-    nuance: windowed kernels batch through the *plain* body
-    (``ok-plain-body``), because the stack-resident ring buffer is a
-    single-problem residency optimisation and the batched table's
-    member slices are written in full regardless.
+    nuance: a kernel whose per-problem entry is blocked or windowed
+    batches through the *plain* whole-box body (``ok-plain-body``),
+    because blocks and the ring buffer are single-problem devices:
+    the batch's parallel axis is the problem loop, and the batched
+    table's member slices are written in full regardless.
     """
     base = native_eligibility(kernel)
     if not base.ok:
         return base
-    if supports_window(kernel):
+    entries = native_entries(kernel)
+    if entries.tiled:
+        return Eligibility(
+            True, "ok-plain-body",
+            f"kernel {kernel.name!r} batches natively with the plain "
+            f"(unblocked) body; the blocked wavefront parallelises "
+            f"one problem, a batched launch parallelises over "
+            f"problems",
+        )
+    if entries.windowed:
         return Eligibility(
             True, "ok-plain-body",
             f"kernel {kernel.name!r} batches natively with the plain "
@@ -357,32 +442,46 @@ long repro_max_threads(void) { return 1; }
 
 
 def emit_native_source(
-    kernel: Kernel, openmp: bool = False, certificate=None
+    kernel: Kernel,
+    openmp: bool = False,
+    certificate=None,
+    tile: Optional[Tuple[int, int]] = None,
 ) -> str:
     """Emit the complete C99 translation unit for one kernel.
 
-    ``openmp=True`` requests ``#pragma omp parallel for`` over the
-    first space loop of each partition and over the batched entry's
-    problem loop — but a pragma is only *emitted* for an axis the
+    ``openmp=True`` requests the pragmas — over the blocks of a block
+    diagonal (blocked wavefront) or the first space loop of each
+    partition (partition sweep), and over the batched entry's problem
+    loop — but a pragma is only *emitted* for an axis the
     parallel-safety verifier CONFIRMED (:mod:`repro.verify.races`
     re-proves intra-partition disjointness, batched-slice
-    disjointness and ring safety per kernel; the emitter no longer
-    trusts the schedule's independence claim as a comment). An axis
-    without a certificate degrades to serial emission — the TU is
-    simply pragma-free there, so its content hash differs from the
-    proved TU's and the build cache keeps the variants apart. A
-    refused ring suppresses the windowed entry outright; the runtime
-    falls back to the plain entry. The pragmas are inert unless the
-    library is built with ``-fopenmp``.
+    disjointness, ring safety and the block order per kernel; the
+    emitter no longer trusts the schedule's independence claim as a
+    comment). An axis without a certificate degrades to serial
+    emission — the TU is simply pragma-free there, so its content
+    hash differs from the proved TU's and the build cache keeps the
+    variants apart. A refused ring suppresses the windowed entry
+    outright; the runtime falls back to the plain entry. The pragmas
+    are inert unless the library is built with ``-fopenmp``.
+
+    Which entries exist is :func:`native_entries`' decision, serial
+    builds included: the blocked wavefront is an order, not a
+    threading choice.
 
     ``certificate`` overrides the verifier's own judgement (tests use
-    it to force refusals); when ``None`` and ``openmp=True``, the
-    memoised certificate is computed on demand.
+    it to force refusals); when ``None``, the memoised certificate is
+    computed on demand. ``tile`` overrides :data:`TILE` — a test seam
+    like the race analyser's mutation knobs, so block-edge clipping
+    and multi-block order can be exercised at small extents.
     """
-    if openmp and certificate is None:
+    # A serial TU emitted on the verifier's own judgement carries no
+    # header comment, as before there was an order to certify.
+    annotate = bool(openmp) or certificate is not None
+    if certificate is None:
         from ..verify.races import parallelism_certificate
 
         certificate = parallelism_certificate(kernel)
+    entries = native_entries(kernel, certificate)
 
     def _unused_casts(params, body_lines, pad="  "):
         # A shared model marshals every column of its context whether
@@ -397,7 +496,6 @@ def emit_native_source(
         ]
     space_omp = bool(openmp) and certificate.space.confirmed
     batch_omp = bool(openmp) and certificate.batch.confirmed
-    ring_ok = certificate is None or certificate.ring.status != "refused"
     vt = value_ctype(kernel)
     params = native_param_spec(kernel)
     decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
@@ -407,15 +505,20 @@ def emit_native_source(
         _HELPERS,
         _THREAD_HELPERS,
     ]
-    if certificate is not None:
+    if annotate:
         lines.insert(1, f"/* parallel-safety: {certificate.summary} */")
     body: List[str] = []
-    _emit_body(kernel, body, vt, windowed=False, openmp=space_omp)
+    if entries.tiled:
+        _emit_tiled_body(
+            kernel, body, vt, openmp=bool(openmp), tile=tile or TILE
+        )
+    else:
+        _emit_body(kernel, body, vt, windowed=False, openmp=space_omp)
     lines.append(f"void {entry_symbol(kernel)}({decl}) {{")
     lines.extend(_unused_casts(params, body))
     lines.extend(body)
     lines.append("}")
-    if supports_window(kernel) and ring_ok:
+    if entries.windowed:
         body = []
         _emit_body(kernel, body, vt, windowed=True, openmp=space_omp)
         lines.append("")
@@ -501,6 +604,56 @@ def _emit_batched_entry(
     lines.append("}")
 
 
+def _emit_tiled_body(
+    kernel: Kernel,
+    lines: List[str],
+    vt: str,
+    openmp: bool,
+    tile: Tuple[int, int],
+) -> None:
+    """The blocked wavefront: block anti-diagonals in order, the
+    blocks of one diagonal in parallel, the kernel's own nest inside
+    each block.
+
+    ``openmp`` may be passed unconditionally: this body is only
+    emitted under a CONFIRMED ``tile`` axis, which is the proof that
+    two blocks of one diagonal never reach each other. Every thread
+    of the one region walks the diagonal loop; ``omp for`` shares out
+    a diagonal's blocks and its implicit barrier is the only
+    synchronisation — ``nb_0 + nb_1 - 1`` rounds per launch, one for
+    a problem that fits a single tile.
+    """
+    (d0, d1), (t0, t1) = kernel.dims, tile
+    pad = "  "
+    lines.append(f"{pad}const long _nb_{d0} = (ub_{d0} + {t0}) / {t0};")
+    lines.append(f"{pad}const long _nb_{d1} = (ub_{d1} + {t1}) / {t1};")
+    if openmp:
+        lines.append(f"{pad}#pragma omp parallel")
+    lines.append(
+        f"{pad}for (long _bd = 0; _bd <= _nb_{d0} + _nb_{d1} - 2; "
+        f"_bd++) {{"
+    )
+    mid = pad * 2
+    lines.append(f"{mid}const long _b0 = lmax(0, _bd - _nb_{d1} + 1);")
+    lines.append(f"{mid}const long _b1 = lmin(_nb_{d0} - 1, _bd);")
+    if openmp:
+        lines.append(f"{mid}#pragma omp for schedule(static)")
+    lines.append(f"{mid}for (long _b = _b0; _b <= _b1; _b++) {{")
+    inner = pad * 3
+    for dim, edge, block in ((d0, t0, "_b"), (d1, t1, "(_bd - _b)")):
+        lines.append(f"{inner}const long lo_{dim} = {block} * {edge};")
+        lines.append(
+            f"{inner}const long hi_{dim} = "
+            f"lmin(ub_{dim}, lo_{dim} + {edge - 1});"
+        )
+    _emit_body(
+        kernel, lines, vt, windowed=False, openmp=False,
+        pad=inner, nest=_tile_nest(kernel),
+    )
+    lines.append(f"{mid}}}")
+    lines.append(f"{pad}}}")
+
+
 def _emit_body(
     kernel: Kernel,
     lines: List[str],
@@ -509,22 +662,28 @@ def _emit_body(
     openmp: bool,
     cell: Optional[CCellEmitter] = None,
     pad: str = "  ",
+    nest: Optional[loopast.LoopNest] = None,
 ) -> None:
+    """The scattering nest with its time loop clipped to
+    ``[part_lo, part_hi]``: ``kernel.nest`` over the whole box, or a
+    block's ``nest`` over ``[lo_<dim>, hi_<dim>]``."""
     if cell is None:
         cell = CCellEmitter(kernel, windowed=windowed)
-    time_loop = _time_loop(kernel)
+    if nest is None:
+        nest = kernel.nest
+    time_loop = nest.time_loop
     if time_loop is None:
         if windowed:
             raise CodegenError(
                 "windowed emission requires a partition-major time loop"
             )
         _emit_nest(
-            kernel, kernel.nest.roots, cell, lines, pad, vt,
+            kernel, nest.roots, cell, lines, pad, vt,
             mode="compute", openmp=openmp, space_seen=False,
         )
         return
-    low = time_loop.lower.c_text()
-    high = time_loop.upper.c_text()
+    low = time_loop.lower.c_text("l")
+    high = time_loop.upper.c_text("l")
     tv = time_loop.var
     lines.append(f"{pad}long _plo = {low};")
     lines.append(f"{pad}long _phi = {high};")
@@ -580,11 +739,11 @@ def _emit_nest(
     dim_refs = tuple(ir.DimRef(d) for d in kernel.dims)
     for node in nodes:
         if isinstance(node, loopast.Loop):
-            low = node.lower.c_text()
-            high = node.upper.c_text()
+            low = node.lower.c_text("l")
+            high = node.upper.c_text("l")
             if openmp and not space_seen:
                 # OpenMP's canonical loop form rejects function calls
-                # (our min/max helpers) in the controlling predicate:
+                # (our lmin/lmax helpers) in the controlling predicate:
                 # hoist the bounds into loop-invariant temporaries.
                 lo_t, hi_t = cell.fresh(), cell.fresh()
                 lines.append(f"{pad}const long {lo_t} = {low};")

@@ -28,7 +28,11 @@ def _ctype(kind: str) -> str:
 
 
 class _CudaCell(CCellEmitter):
-    """The shared C cell printer, under its historical CUDA name."""
+    """The shared C cell printer, with CUDA's overloaded ``min``/
+    ``max`` (already typed per operand, so no ``lmin``/``lmax``)."""
+
+    def _minmax(self, node: ir.Binary) -> str:
+        return node.op
 
 
 def emit_cuda(kernel: Kernel, windowed: bool = False) -> str:

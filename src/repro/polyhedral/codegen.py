@@ -41,11 +41,14 @@ def scattering_polyhedron(
     upper_bounds: Sequence[Affine],
     coefficients: Sequence[int],
     time_var: str = TIME_VAR,
+    lower_bounds: Optional[Sequence[Affine]] = None,
 ) -> Polyhedron:
     """The target polyhedron: domain box plus ``t == S(x)``."""
     if len(dims) != len(upper_bounds) or len(dims) != len(coefficients):
         raise ValueError("dims, bounds and coefficients must align")
-    poly = Polyhedron.box(list(zip(dims, upper_bounds)))
+    if lower_bounds is not None and len(lower_bounds) != len(dims):
+        raise ValueError("dims and lower bounds must align")
+    poly = Polyhedron.box(list(zip(dims, upper_bounds)), lower_bounds)
     poly = poly.with_dim(time_var, front=True)
     schedule = Affine.of(dict(zip(dims, coefficients)))
     equality = Constraint(
@@ -60,11 +63,14 @@ def generate_loops(
     coefficients: Sequence[int],
     time_var: str = TIME_VAR,
     stmt_name: str = STMT_NAME,
+    lower_bounds: Optional[Sequence[Affine]] = None,
 ) -> LoopNest:
     """Generate the loop nest for one schedule.
 
     ``upper_bounds`` are inclusive upper bounds per dimension, affine
-    in symbolic parameters (or constants). The time loop is outermost;
+    in symbolic parameters (or constants); ``lower_bounds`` likewise
+    (0 per dimension when omitted), so the same generator scans the
+    whole domain box or one block of it. The time loop is outermost;
     space dimensions keep their declaration order; the last dimension
     with a non-zero coefficient is pinned by the scattering equality.
     """
@@ -75,7 +81,7 @@ def generate_loops(
         )
     coefficients = tuple(coefficients)
     poly = scattering_polyhedron(
-        dims, upper_bounds, coefficients, time_var
+        dims, upper_bounds, coefficients, time_var, lower_bounds
     )
 
     pinned = _pinned_dim(dims, coefficients)

@@ -12,7 +12,7 @@ nodes. Two consumers exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..analysis.affine import Affine
 
@@ -82,14 +82,20 @@ class Bound:
         values = [term.evaluate(env) for term in self.terms]
         return max(values) if self.kind == "max" else min(values)
 
-    def c_text(self) -> str:
-        """Render as CLooG-style C text."""
+    def c_text(self, prefix: str = "") -> str:
+        """Render as CLooG-style C text.
+
+        ``prefix`` names a typed helper family: bounds are integers
+        by construction, so the native emitter spells them
+        ``lmax``/``lmin`` (``prefix="l"``) instead of the untyped
+        CLooG ``max``/``min``.
+        """
         if len(self.terms) == 1:
             return self.terms[0].c_text()
         texts = [t.c_text() for t in self.terms]
         out = texts[0]
         for text in texts[1:]:
-            out = f"{self.kind}({out},{text})"
+            out = f"{prefix}{self.kind}({out},{text})"
         return out
 
     def __str__(self) -> str:
@@ -150,6 +156,18 @@ class LoopNest:
     roots: Tuple[Node, ...]
     time_var: str
     space_vars: Tuple[str, ...]
+
+    @property
+    def time_loop(self) -> Optional["Loop"]:
+        """The partition-major root loop over :attr:`time_var`, when
+        the nest has one (``None`` for any other root shape)."""
+        if (
+            len(self.roots) == 1
+            and isinstance(self.roots[0], Loop)
+            and self.roots[0].var == self.time_var
+        ):
+            return self.roots[0]
+        return None
 
     def c_text(self) -> str:
         """The whole nest as CLooG-style C text."""

@@ -78,11 +78,22 @@ class Polyhedron:
     constraints: Tuple[Constraint, ...]
 
     @staticmethod
-    def box(bounds: Sequence[Tuple[str, Affine]]) -> "Polyhedron":
-        """``0 <= dim <= ub`` for each ``(dim, ub)`` (ub inclusive)."""
+    def box(
+        bounds: Sequence[Tuple[str, Affine]],
+        lowers: Optional[Sequence[Affine]] = None,
+    ) -> "Polyhedron":
+        """``lo <= dim <= ub`` for each ``(dim, ub)`` (both inclusive).
+
+        ``lowers`` gives one lower bound per dimension, affine in
+        symbolic parameters like the upper bounds; omitted, every
+        dimension starts at 0.
+        """
         constraints: List[Constraint] = []
-        for dim, upper in bounds:
-            constraints.append(Constraint(Affine.variable(dim)))
+        for k, (dim, upper) in enumerate(bounds):
+            lower = Affine.variable(dim)
+            if lowers is not None:
+                lower = lower - lowers[k]
+            constraints.append(Constraint(lower))
             constraints.append(
                 Constraint(upper - Affine.variable(dim))
             )

@@ -30,14 +30,16 @@ Robustness contract:
 
 OpenMP is **on by default when the toolchain probe finds
 ``-fopenmp``**: the emitter adds ``#pragma omp parallel for`` over
-each partition's lane loop (the paper's parfor over cells) and over
-the batched entry's problem loop, and the build adds ``-fopenmp``.
+each partition's lane loop (the paper's parfor over cells) — or, for
+a blocked-wavefront kernel, one region with an ``omp for`` over the
+blocks of each block diagonal — and over the batched entry's problem
+loop, and the build adds ``-fopenmp``.
 ``REPRO_NATIVE_OMP=0`` forces the serial build — bitwise-identical
 by construction, since the parallel axes (cells of one partition,
-problems of one batch) never share a written cell and every
-reduction stays serial inside its cell. ``REPRO_NATIVE_THREADS=N``
-caps the OpenMP team size (applied via the emitted
-``repro_set_threads`` export when each library loads). The pragmas
+blocks of one diagonal, problems of one batch) never share a written
+cell and every reduction stays serial inside its cell.
+``REPRO_NATIVE_THREADS=N`` caps the OpenMP team size (applied via the
+emitted ``repro_set_threads`` export when each library loads). The pragmas
 themselves are certificate-gated: :func:`repro.ir.cbackend
 .emit_native_source` consults :mod:`repro.verify.races` and emits a
 pragma only on axes with a CONFIRMED parallel-safety verdict, so an
@@ -439,9 +441,11 @@ class NativeRun:
     """The compiled-kernel callable for a loaded shared object.
 
     Speaks the backend calling convention —
-    ``run(T, ctx, part_lo=None, part_hi=None)`` — and picks the
-    ring-buffer entry point per call when the kernel has a constant
-    window that fits the simulated device's shared memory
+    ``run(T, ctx, part_lo=None, part_hi=None)``. Which entries the
+    library has is :func:`repro.ir.cbackend.native_entries`' answer:
+    a blocked-wavefront kernel has exactly one, and a kernel that
+    kept its ring picks the ring-buffer entry per call when the
+    window fits the simulated device's shared memory
     (:func:`repro.gpu.timing.window_fits_shared` — the same Section
     4.8 residency decision the analytic cost model prices).
     """
@@ -460,11 +464,12 @@ class NativeRun:
         )
         self._plain.restype = None
         self._plain.argtypes = _argtypes_for(self._spec)
-        # A window-capable kernel whose ring certificate was refused
-        # builds without the windowed entry (the emitter suppresses
-        # it); the plain entry serves every launch then.
+        # ``getattr(..., None)``: a TU emitted under a doctored
+        # certificate (tests force ring refusals) has no ring even
+        # where the kernel's own certificate would keep one; the
+        # plain entry serves every launch then.
         self._windowed = None
-        if cbackend.supports_window(kernel):
+        if cbackend.native_entries(kernel).windowed:
             self._windowed = getattr(
                 self._lib,
                 cbackend.entry_symbol(kernel, windowed=True),

@@ -3,7 +3,14 @@
 Three executable backends produce the same tables from the same
 kernels: the scalar Python generator, the NumPy vector generator and
 the native C backend. Integer tables must match **bitwise** in every
-pair — any difference is a codegen bug or device corruption.
+pair — any difference is a codegen bug or device corruption. That
+holds over all of int64, not just ``|v| <= 2**53``: the native
+prelude's ``lmin``/``lmax`` keep an integer cell expression in
+``long`` from its literals to its store (the ``double`` ``min``/
+``max`` helpers it used before rounded operands above 2**53). The
+two constructs that still pass through ``double`` on the native rung
+— integer ``/`` (``trunc(a / b)``, as on the other rungs) and
+reductions (``double`` accumulators) — are exact to 2**53.
 
 Float tables are bitwise *almost* everywhere:
 

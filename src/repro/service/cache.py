@@ -46,7 +46,12 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 #: persisted per (kernel digest, domain-size bucket) so warm
 #: processes and service replicas skip the search. Old-schema
 #: entries are evicted by the MAGIC check as before.
-KEY_FORMAT = 4
+#: v5: native records of backward-only kernels carry the blocked
+#: wavefront (no ``_windowed`` symbol in source or ``.so``) and every
+#: pickled parallelism certificate has a ``tile`` axis; a v4 record
+#: holds the untiled source, a ring entry and a three-axis
+#: certificate.
+KEY_FORMAT = 5
 
 #: Leading magic of every on-disk record. Checked *before* the pickle
 #: payload is touched: entries written by an older (or entirely

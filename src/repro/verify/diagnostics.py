@@ -73,6 +73,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "R-SPACE-RW": ("warning", "a same-partition read/write pair is feasible; space-loop pragma withheld"),
     "R-BATCH-OVERLAP": ("warning", "batched member slices (or shared columns) not provably disjoint; problem-loop pragma withheld"),
     "R-RING-COLLIDE": ("warning", "two live ring-buffer rows can collide; windowed entry withheld"),
+    "R-TILE-ORDER": ("info", "an own-table read is not backward in every dimension; native entry keeps the partition sweep instead of the blocked wavefront"),
     "R-PAR-CERT": ("info", "positive parallel-safety certificate: every applicable axis proved race-free"),
     # -- runtime sanitizer (repro.verify.sanitizer) -------------------
     "S-POISON-READ": ("error", "runtime: a cell was read while poisoned"),

@@ -1,15 +1,16 @@
 """Static parallel-safety analysis of compiled kernels.
 
 The native backend parallelises two axes with OpenMP — the space loop
-over a partition's cells and the batched entry's problem loop — and
-the Section 4.8 ring buffer additionally relies on no two *live* rows
-colliding. Until this pass existed, those claims were comments in
+over a partition's cells (or, blocked, the blocks of one block
+diagonal) and the batched entry's problem loop — and the Section 4.8
+ring buffer additionally relies on no two *live* rows colliding.
+Until this pass existed, those claims were comments in
 :mod:`repro.ir.cbackend`; here they are re-proved per kernel, in the
 same independent-verifier discipline as
 :mod:`repro.verify.soundness`, and the emitter refuses to emit a
 pragma on any axis without a CONFIRMED verdict.
 
-Three obligations, three stable rules:
+Four obligations — three race axes and one order licence:
 
 * **space** (``R-SPACE-WW`` / ``R-SPACE-RW``) — cells of one
   partition are mutually independent. Writes are disjoint because
@@ -34,7 +35,21 @@ Three obligations, three stable rules:
   for ``0 < delta <= window``), and the ring column must be injective
   within a partition (every non-column dimension needs a nonzero
   schedule coefficient, else ``R-SPACE-WW``: two cells of one
-  partition would share a slot).
+  partition would share a slot). Judged only for kernels that keep
+  the partition sweep; a blocked wavefront has no ring.
+* **tile** (``R-TILE-ORDER``) — the blocked wavefront may replace
+  the partition-by-partition sweep. CONFIRMED iff every own-table
+  read in the cell body, guarded or not, is ``x + c`` with a constant
+  ``c <= 0`` in every dimension and ``S(c) < 0``: a callee then lies
+  in the reader's own block at a strictly earlier partition, or in a
+  block whose indices are componentwise no larger and not all equal,
+  i.e. on a strictly earlier block diagonal, and two blocks of one
+  diagonal cannot reach each other. A sign check on the IR — no
+  extents, no path conditions, no LP — so the verdict holds at every
+  problem size. A refusal is not a hazard (it selects the untiled
+  nest, the normal state of every kernel with a free or forward
+  index), so it does not count against :attr:`ParallelismCertificate
+  .ok` and raises no diagnostic.
 
 Index components the affine abstraction cannot express (opaque
 transition binders) are treated as *free*: a fresh variable spanning
@@ -98,7 +113,7 @@ class AxisVerdict:
     refusal — the verifier never parallelises on a maybe).
     """
 
-    axis: str  # "space" | "batch" | "ring"
+    axis: str  # "space" | "batch" | "ring" | "tile"
     status: str  # CONFIRMED | REFUSED | NOT_APPLICABLE
     detail: str
     rule: Optional[str] = None
@@ -138,21 +153,30 @@ class ParallelismCertificate:
     space: AxisVerdict
     batch: AxisVerdict
     ring: AxisVerdict
+    tile: AxisVerdict
 
     @property
     def axes(self) -> Tuple[AxisVerdict, ...]:
-        """All three axis verdicts, in report order."""
+        """All four axis verdicts, in report order."""
+        return self.race_axes + (self.tile,)
+
+    @property
+    def race_axes(self) -> Tuple[AxisVerdict, ...]:
+        """The axes whose refusal withholds a pragma or an entry —
+        a finding. The tile licence is not one: without it the
+        kernel keeps the order these three were proved for."""
         return (self.space, self.batch, self.ring)
 
     @property
     def ok(self) -> bool:
-        """No axis refused (not-applicable axes do not count)."""
-        return all(a.status != REFUSED for a in self.axes)
+        """No race axis refused (not-applicable axes do not count)."""
+        return all(a.status != REFUSED for a in self.race_axes)
 
     @property
     def summary(self) -> str:
         """One-line verdict, e.g. ``space=confirmed batch=confirmed
-        ring=not-applicable`` (refused axes carry their rule)."""
+        ring=not-applicable tile=refused[R-TILE-ORDER]`` (refused
+        axes carry their rule)."""
         parts = []
         for axis in self.axes:
             text = f"{axis.axis}={axis.status}"
@@ -170,6 +194,7 @@ class ParallelismCertificate:
             "space": self.space.to_dict(),
             "batched": self.batch.to_dict(),
             "ring": self.ring.to_dict(),
+            "tile": self.tile.to_dict(),
         }
 
     def diagnostics(self, span=None) -> List[Diagnostic]:
@@ -181,7 +206,7 @@ class ParallelismCertificate:
         info line (the positive certificate, like ``V-SCHED-CERT``).
         """
         findings: List[Diagnostic] = []
-        for axis in self.axes:
+        for axis in self.race_axes:
             if axis.status != REFUSED:
                 continue
             message = (
@@ -569,6 +594,82 @@ def _ring_axis(
     )
 
 
+def _tile_axis(kernel: Kernel) -> AxisVerdict:
+    """May a blocked wavefront replace the partition sweep?
+
+    Judged on *every* own-table read of the cell body — not on the
+    footprints, which drop arms that are dead on the analysis box and
+    would tie the verdict to its extents.
+    """
+    if kernel.rank != 2 or kernel.nest.time_loop is None:
+        return AxisVerdict(
+            "tile", NOT_APPLICABLE,
+            "no blocked wavefront: blocks are cut from a 2-D nest "
+            "under a partition-major time loop",
+        )
+    if not _identity_store(kernel):
+        return AxisVerdict(
+            "tile", REFUSED,
+            "the loop nest's store map is not the identity on the "
+            "cell coordinates; a block's writes cannot be confined "
+            "to its box",
+            rule="R-TILE-ORDER", witness={"store": 0},
+        )
+    coefficients = kernel.schedule.coefficients
+    reads = [
+        node for node in ir.walk(kernel.body.cell)
+        if isinstance(node, ir.TableRead) and not node.table
+    ]
+    # The access pass's affine abstraction, with no binder in scope:
+    # a transition or range binder abstracts to None / a foreign
+    # variable. (The box only fills the constructor; the abstraction
+    # reads no extents.)
+    affine_of = _FootprintCollector(
+        kernel.func, _nominal_domain(kernel)
+    )._affine_of
+    for n, read in enumerate(reads):
+        text = f"{kernel.name}({', '.join(map(str, read.indices))})"
+        offsets = []
+        for k, (dim, index) in enumerate(zip(kernel.dims, read.indices)):
+            affine = affine_of(index)
+            if affine is None or affine.coeffs != ((dim, 1),):
+                return AxisVerdict(
+                    "tile", REFUSED,
+                    f"read {text}: the {dim!r} index is not "
+                    f"{dim} + constant, so the callee's block is not "
+                    f"fixed relative to the reader's",
+                    rule="R-TILE-ORDER", witness={"read": n, "dim": k},
+                )
+            offset = affine.const
+            if offset > 0:
+                return AxisVerdict(
+                    "tile", REFUSED,
+                    f"read {text} looks forward in {dim!r} (offset "
+                    f"+{offset}); its callee can sit in a block on a "
+                    f"later block diagonal",
+                    rule="R-TILE-ORDER",
+                    witness={"read": n, "dim": k, "offset": offset},
+                )
+            offsets.append(offset)
+        delta = -sum(a * c for a, c in zip(coefficients, offsets))
+        if delta <= 0:
+            return AxisVerdict(
+                "tile", REFUSED,
+                f"read {text} is not strictly earlier under the "
+                f"schedule (S(x) - S(callee) = {delta}); inside a "
+                f"block its callee would not be computed first",
+                rule="R-TILE-ORDER",
+                witness={"read": n, "delta": delta},
+            )
+    return AxisVerdict(
+        "tile", CONFIRMED,
+        f"all {len(reads)} own-table read(s) are x + c with c <= 0 "
+        f"in every dimension and S(c) < 0: a callee is in the "
+        f"reader's block at an earlier partition or in a block on an "
+        f"earlier block diagonal, at every problem size",
+    )
+
+
 def analyze_parallelism(
     kernel: Kernel,
     extents: Optional[Sequence[int]] = None,
@@ -587,6 +688,18 @@ def analyze_parallelism(
     """
     domain = _nominal_domain(kernel, extents)
     footprints = collect_read_footprints(kernel, domain)
+    tile = _tile_axis(kernel)
+    if tile.confirmed:
+        ring = AxisVerdict(
+            "ring", NOT_APPLICABLE,
+            "no ring buffer: the kernel runs as a blocked wavefront, "
+            "whose tile is the resident window",
+        )
+    else:
+        ring = _ring_axis(
+            kernel, domain, footprints,
+            window=window, window_col=window_col, ring_rows=ring_rows,
+        )
     return ParallelismCertificate(
         function=kernel.name,
         schedule=str(kernel.schedule),
@@ -595,10 +708,8 @@ def analyze_parallelism(
         batch=_batch_axis(
             kernel, domain, footprints, pad_extents=pad_extents
         ),
-        ring=_ring_axis(
-            kernel, domain, footprints,
-            window=window, window_col=window_col, ring_rows=ring_rows,
-        ),
+        ring=ring,
+        tile=tile,
     )
 
 

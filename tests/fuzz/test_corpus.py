@@ -113,3 +113,21 @@ class TestAutotuneEntries:
         assert report.ok, report.detail
         assert "autotune" in report.values
         assert report.values["autotune"] == report.values["scalar"]
+
+
+@pytest.mark.parametrize(
+    "entry", ENTRIES, ids=[e.name for e in ENTRIES]
+)
+def test_corpus_entry_replays_green_across_block_edges(
+    entry, monkeypatch
+):
+    """Corpus tables are a few cells wide — one block under the
+    default tile. With 2x3 blocks every backward-only entry runs
+    several block diagonals with ragged last blocks; under the
+    sanitizer job this is where a block-edge off-by-one would read
+    out of bounds."""
+    from repro.ir import cbackend
+
+    monkeypatch.setattr(cbackend, "TILE", (2, 3))
+    report = replay_entry(entry, backends=("scalar", "native"))
+    assert report.ok, report.detail

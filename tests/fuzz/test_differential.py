@@ -14,6 +14,7 @@ from repro.fuzz.differential import (
 from repro.fuzz.generator import generate_case
 from repro.fuzz.grammar import FuzzCase
 from repro.lang.errors import VerificationError
+from repro.runtime import native
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +209,63 @@ class TestAutotuneLeg:
             )
             if "autotune" in outcome.legs:
                 assert outcome.legs["autotune"].status == "ok"
+
+
+class TestTiledLeg:
+    """Blocked kernels are rebuilt with a tiny tile so fuzz-scale
+    tables cross block edges."""
+
+    needs_cc = pytest.mark.skipif(
+        not native.available().ok,
+        reason="no working C compiler in this environment",
+    )
+
+    @needs_cc
+    def test_backward_only_kernel_gets_the_leg(self, harness):
+        outcome = harness.classify(
+            case_from_text(EDIT_CASE, function="d", args=EDIT_ARGS)
+        )
+        assert outcome.classification == "parity-ok", outcome.detail
+        leg = outcome.legs["native-tiled"]
+        assert leg.status == "ok"
+        assert leg.table.tobytes() == (
+            outcome.legs["scalar"].table.tobytes()
+        )
+
+    @needs_cc
+    def test_tile_is_a_function_of_the_case_text(self, harness, monkeypatch):
+        """Same case, same tiny tile (campaign reports must repeat);
+        every edge within 1-4 cells, so an 8x7 table is several block
+        diagonals."""
+        from repro.ir import cbackend
+
+        tiles = []
+        real = cbackend.emit_native_source
+
+        def spy(kernel, openmp=False, certificate=None, tile=None):
+            if tile is not None:
+                tiles.append(tile)
+            return real(kernel, openmp, certificate, tile)
+
+        monkeypatch.setattr(cbackend, "emit_native_source", spy)
+        case = case_from_text(EDIT_CASE, function="d", args=EDIT_ARGS)
+        for _ in range(2):
+            assert harness.classify(case).classification == "parity-ok"
+        assert len(tiles) == 2 and tiles[0] == tiles[1]
+        assert all(1 <= edge <= 4 for edge in tiles[0])
+
+    @needs_cc
+    def test_kernel_without_blocks_has_no_leg(self, harness):
+        rng = random.Random(42)
+        seen = set()
+        for _ in range(12):
+            outcome = harness.classify(generate_case(rng))
+            assert outcome.classification == "parity-ok"
+            seen.add(
+                (outcome.case.shape, "native-tiled" in outcome.legs)
+            )
+        assert ("seq2d", True) in seen
+        assert ("seq2d", False) not in seen
+        assert {tiled for shape, tiled in seen if shape == "hmm"} <= {
+            False
+        }

@@ -35,11 +35,23 @@ prob forward(hmm h, state[h] s, seq[*] x, index[x] i) =
     * sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))
 """
 
+# The ring-buffer entry survives on kernels that are uniform (constant
+# window) but whose block order R-TILE-ORDER refuses: a read that
+# looks *forward* in j. (Backward-only kernels such as EDIT_DISTANCE
+# are blocked wavefronts and carry no ring.)
+ANTI_DIAGONAL = """
+int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then j
+  else if j == 0 then i
+  else if j > 7 then g(i-1, j) + 1
+  else (g(i-1, j) min g(i, j-1) min g(i-1, j+1)) + 1
+"""
+
 ROW_MAJOR = """
 int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
   if i < 2 then i + j
-  else if j < 2 then i + j
-  else f(i-1, j) + 1
+  else if j > 7 then i + j
+  else f(i-1, j+1) + 1
 """
 
 
@@ -53,32 +65,47 @@ def edit_kernel():
     return kernel_for(EDIT_DISTANCE, Schedule.of(i=1, j=1))
 
 
+@pytest.fixture(scope="module")
+def ring_kernel():
+    return kernel_for(ANTI_DIAGONAL, Schedule.of(i=2, j=1))
+
+
 class TestEmission:
     def test_plain_entry_present(self, edit_kernel):
         text = emit_native_source(edit_kernel)
         assert f"void {entry_symbol(edit_kernel)}(" in text
         assert entry_symbol(edit_kernel) == "repro_d"
 
-    def test_windowed_entry_for_diagonal(self, edit_kernel):
-        """S = i + j gives window 2 on a rank-2 nest: the ring-buffer
-        variant must be emitted alongside the plain entry."""
-        assert supports_window(edit_kernel)
-        text = emit_native_source(edit_kernel)
-        assert "void repro_d_windowed(" in text
+    def test_windowed_entry_for_diagonal(self, ring_kernel, edit_kernel):
+        """S = 2i + j gives window 2 on a rank-2 nest: the ring-buffer
+        variant must be emitted alongside the plain entry — for a
+        kernel the block order refuses. The backward-only edit
+        distance has the same geometry and no ring."""
+        assert supports_window(ring_kernel)
+        text = emit_native_source(ring_kernel)
+        assert "void repro_g_windowed(" in text
         assert "swin[" in text
         # window + 1 = 3 rows resident.
         assert "swin[3 * win_cols]" in text
+        assert supports_window(edit_kernel)
+        assert "_windowed" not in emit_native_source(edit_kernel)
+        assert "swin" not in emit_native_source(edit_kernel)
 
-    def test_partition_clamps_emitted(self, edit_kernel):
-        """Replay support: both entries honour part_lo/part_hi."""
-        text = emit_native_source(edit_kernel)
-        assert "if (part_lo > _plo) _plo = part_lo;" in text
-        assert "if (part_hi < _phi) _phi = part_hi;" in text
+    def test_partition_clamps_emitted(self, edit_kernel, ring_kernel):
+        """Replay support: every entry honours part_lo/part_hi."""
+        for kernel, entries in ((edit_kernel, 2), (ring_kernel, 3)):
+            text = emit_native_source(kernel)
+            assert text.count(
+                "if (part_lo > _plo) _plo = part_lo;"
+            ) == entries
+            assert text.count(
+                "if (part_hi < _phi) _phi = part_hi;"
+            ) == entries
 
-    def test_windowed_preload_for_mid_schedule_replay(self, edit_kernel):
+    def test_windowed_preload_for_mid_schedule_replay(self, ring_kernel):
         """A replay starting at part_lo > 0 must find its look-back
         rows in the ring: the emitter preloads them from the table."""
-        text = emit_native_source(edit_kernel)
+        text = emit_native_source(ring_kernel)
         assert "_pre" in text
         assert "_plo - 2" in text  # window partitions preloaded
 
@@ -93,6 +120,27 @@ class TestEmission:
         assert "#pragma omp parallel for" not in plain
         assert "#pragma omp parallel for" in omp
 
+    def test_integer_minmax_and_bounds_stay_long(self, edit_kernel):
+        """Int cells and loop bounds use ``lmin``/``lmax``; float
+        cells keep the ``double`` helpers; the CUDA text keeps its
+        overloaded spellings."""
+        from repro.ir.cuda import emit_cuda
+
+        text = emit_native_source(edit_kernel)
+        assert "static inline long lmin(long a, long b)" in text
+        assert "static inline long lmax(long a, long b)" in text
+        assert "lmin(lmin(farr[" in text
+        assert " min(" not in text.split("void repro_d(")[1]
+        assert "lmax(0,p-ub_j)" in text  # batched whole-box bounds
+        viterbi = kernel_for(
+            FORWARD.replace("sum(", "max(").replace("forward", "vit"),
+            Schedule.of(s=0, i=1), {},
+        )
+        body = emit_native_source(viterbi).split("void repro_vit(")[1]
+        assert "= max(" in body and "lmax(" not in body
+        cuda = emit_cuda(edit_kernel)
+        assert "lmin" not in cuda and "min(min(farr[" in cuda
+
     def test_helpers_match_scalar_prelude(self, edit_kernel):
         """The C helpers spell the exact formulas of the scalar
         backend's prelude, the basis of bitwise native/scalar parity."""
@@ -102,10 +150,10 @@ class TestEmission:
 
 
 class TestWindowColumn:
-    def test_diagonal_ring_uses_first_dim(self, edit_kernel):
-        """Under S = i + j the partition determines j from i, so the
+    def test_diagonal_ring_uses_first_dim(self, ring_kernel):
+        """Under S = 2i + j the partition determines j from i, so the
         first dimension is a valid injective ring column."""
-        text = emit_native_source(edit_kernel)
+        text = emit_native_source(ring_kernel)
         assert "const long win_cols = ub_j + 1;" not in text
         assert "const long win_cols = ub_i + 1;" in text
 
@@ -123,11 +171,19 @@ class TestWindowColumn:
 
 
 class TestEligibility:
-    def test_edit_distance_eligible(self, edit_kernel):
+    def test_edit_distance_eligible(self, edit_kernel, ring_kernel):
+        """The detail names the entry the TU really has: blocks for
+        the backward-only kernel (never a ring it no longer emits),
+        the ring for the kernel that kept it."""
         verdict = native_eligibility(edit_kernel)
         assert verdict.ok
         assert verdict.rule == "ok"
+        assert "blocked wavefront, tile 128×128" in verdict.detail
+        assert "sliding window" not in verdict.detail
+        verdict = native_eligibility(ring_kernel)
+        assert verdict.ok
         assert "sliding window of 2" in verdict.detail
+        assert "blocked" not in verdict.detail
 
     def test_hmm_forward_eligible_without_window(self):
         kernel = kernel_for(FORWARD, Schedule.of(s=0, i=1), {})
@@ -196,11 +252,21 @@ class TestBatchedEmission:
         with pytest.raises(CodegenError):
             entry_symbol(edit_kernel, windowed=True, batched=True)
 
-    def test_windowed_kernel_batches_via_plain_body(self, edit_kernel):
-        assert supports_window(edit_kernel)
+    def test_windowed_kernel_batches_via_plain_body(
+        self, edit_kernel, ring_kernel
+    ):
+        """Blocks and the ring are per-problem devices: both kinds
+        batch through the plain whole-box body, each saying which
+        device it leaves behind."""
+        verdict = batched_eligibility(ring_kernel)
+        assert verdict.ok
+        assert verdict.rule == "ok-plain-body"
+        assert "ring buffer" in verdict.detail
         verdict = batched_eligibility(edit_kernel)
         assert verdict.ok
         assert verdict.rule == "ok-plain-body"
+        assert "blocked wavefront" in verdict.detail
+        assert "ring" not in verdict.detail
 
     def test_plain_kernel_rule(self):
         kernel = kernel_for(FORWARD, Schedule.of(s=0, i=1), {})

@@ -124,7 +124,83 @@ class TestSchedules:
         check_nest(Domain(("i", "j", "k"), extents), list(coeffs))
 
 
+class TestLowerBounds:
+    """Symbolic lower bounds: the same generator scans one block
+    ``[lo, hi]`` of the box (the native backend's tile nest)."""
+
+    @staticmethod
+    def block_nest(coeffs):
+        return generate_loops(
+            ["i", "j"],
+            [Affine.variable("hi_i"), Affine.variable("hi_j")],
+            list(coeffs),
+            lower_bounds=[Affine.variable("lo_i"), Affine.variable("lo_j")],
+        )
+
+    def test_diagonal_block_text(self):
+        assert emit_c_inlined(self.block_nest([1, 1]).roots) == (
+            "for (p=lo_i+lo_j;p<=hi_i+hi_j;p++) {\n"
+            "  for (i=max(lo_i,p-hi_j);i<=min(hi_i,p-lo_j);i++) {\n"
+            "    S1(i,p-i);\n"
+            "  }\n"
+            "}"
+        )
+
+    def test_zero_lower_bounds_are_the_default_nest(self):
+        bounds = [Affine.variable("n"), Affine.variable("m")]
+        assert generate_loops(["i", "j"], bounds, [2, 1]) == (
+            generate_loops(
+                ["i", "j"], bounds, [2, 1],
+                lower_bounds=[Affine.constant(0), Affine.constant(0)],
+            )
+        )
+
+    def test_misaligned_lower_bounds_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            generate_loops(
+                ["i", "j"],
+                [Affine.constant(3), Affine.constant(3)],
+                [1, 1],
+                lower_bounds=[Affine.constant(0)],
+            )
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lo=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        size=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        coeffs=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_block_scanned_exactly_once_in_partition_order(
+        self, lo, size, coeffs
+    ):
+        """Any block, any schedule (an empty block — ``hi < lo`` —
+        included): every cell once, partitions non-decreasing."""
+        hi = (lo[0] + size[0] - 1, lo[1] + size[1] - 1)
+        params = {
+            "lo_i": lo[0], "lo_j": lo[1], "hi_i": hi[0], "hi_j": hi[1],
+        }
+        visited = enumerate_nest(self.block_nest(coeffs), params)
+        expected = [
+            (i, j)
+            for i in range(lo[0], hi[0] + 1)
+            for j in range(lo[1], hi[1] + 1)
+        ]
+        assert sorted(visited) == expected
+        partitions = [
+            coeffs[0] * i + coeffs[1] * j for i, j in visited
+        ]
+        assert partitions == sorted(partitions)
+
+
 class TestStructure:
+    def test_time_loop_property(self):
+        from repro.polyhedral.loopast import LoopNest, Stmt
+
+        nest = generate_for_domain(Domain.of(i=3, j=3), [1, 1])
+        assert nest.time_loop is nest.roots[0]
+        bare = LoopNest((Stmt("S1", ()),), "p", ())
+        assert bare.time_loop is None
+
     def test_time_loop_outermost(self):
         nest = generate_for_domain(Domain.of(i=3, j=3), [1, 1])
         from repro.polyhedral.loopast import Loop

@@ -42,11 +42,11 @@ def edit_bindings(n=9, m=11):
     }
 
 
-def compile_edit(engine, bindings=None):
-    func = edit_func()
+def compile_edit(engine, bindings=None, func=None, user_schedule=None):
+    func = func or edit_func()
     bound = Bindings(dict(bindings or edit_bindings()))
     domain = engine.domain_of(func, bound)
-    schedule = engine.schedule_for(func, domain)
+    schedule = engine.schedule_for(func, domain, user_schedule)
     compiled = engine.compile(func, schedule, domain)
     ctx = engine.build_context(compiled, bound, domain)
     table = engine._table_for(compiled.kernel, domain)
@@ -213,11 +213,86 @@ class TestNativeExecution:
         compiled.run(split, ctx, part_lo=mid + 1, part_hi=hi)
         assert split.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("op, step", [("max", 1), ("min", -1)])
+    def test_int_minmax_exact_above_2p53(self, op, step):
+        """Integer ``min``/``max`` stay in ``long``: the native
+        prelude's ``double`` helpers used to round every operand past
+        2**53 (and promote the surrounding ``?:``, rounding the base
+        case's literal too), so native said ...992 where the other
+        rungs say ...998."""
+        base = 2 ** 53 + 1
+        func = check_function(
+            parse_function(
+                f"""
+int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then {base}
+  else if j == 0 then {base}
+  else (f(i - 1, j) + {step}) {op} f(i, j - 1)
+""".strip()
+            ),
+            EN,
+        )
+        tables = {
+            backend: Engine(backend=backend)
+            .run(func, edit_bindings(5, 2)).table
+            for backend in ("scalar", "vector", "native")
+        }
+        expected = np.array(
+            [
+                [base + step * (i if j else 0) for j in range(3)]
+                for i in range(6)
+            ],
+            dtype=np.int64,
+        )
+        for backend, table in tables.items():
+            assert np.array_equal(table, expected), backend
+
     def test_windowed_entry_emitted_for_diagonal(self):
+        """The ring entry belongs to kernels the block order refuses
+        (here a read looking forward in j, under S = 2i + j): emitted,
+        loaded, and — full launch or mid-schedule split, which must
+        preload the ring from the table — bitwise the scalar table.
+        Backward-only edit distance is a blocked wavefront instead."""
+        from repro.lang.parser import parse_expr
+
         engine = Engine(backend="native")
-        compiled, _ctx, _table, _domain, _schedule = compile_edit(engine)
+        compiled, *_ = compile_edit(engine)
         assert cbackend.supports_window(compiled.kernel)
-        assert "repro_d_windowed" in compiled.source
+        assert "_windowed" not in compiled.source
+
+        func = check_function(
+            parse_function(
+                """
+int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then j
+  else if j == 0 then i
+  else if j > 10 then g(i-1, j) + 1
+  else (g(i-1, j) min g(i, j-1) min g(i-1, j+1)) + 1
+""".strip()
+            ),
+            EN,
+        )
+        tables = {}
+        for backend in ("scalar", "native"):
+            compiled, ctx, table, domain, schedule = compile_edit(
+                Engine(backend=backend), func=func,
+                user_schedule=parse_expr("2*i + j"),
+            )
+            lo = schedule.min_partition(domain)
+            hi = schedule.max_partition(domain)
+            full = table.copy()
+            compiled.run(full, ctx, part_lo=lo, part_hi=hi)
+            tables[backend] = full
+        assert "repro_g_windowed" in compiled.source
+        if isinstance(compiled.run, native.NativeRun):  # not sandboxed
+            assert compiled.run._windowed is not None
+            assert compiled.run._use_window(ctx)
+        assert np.array_equal(tables["scalar"], tables["native"])
+        split = table.copy()
+        mid = (lo + hi) // 2
+        compiled.run(split, ctx, part_lo=lo, part_hi=mid)
+        compiled.run(split, ctx, part_lo=mid + 1, part_hi=hi)
+        assert np.array_equal(split, tables["native"])
 
 
 class TestEngineLadder:

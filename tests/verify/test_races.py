@@ -7,6 +7,7 @@ refuse a pragma on any axis whose obligation the analyzer could not
 discharge.
 """
 
+import dataclasses
 import glob
 import os
 import subprocess
@@ -22,7 +23,6 @@ from repro.runtime import native
 from repro.schedule.schedule import Schedule
 from repro.verify.races import (
     AxisVerdict,
-    ParallelismCertificate,
     analyze_parallelism,
     parallelism_certificate,
 )
@@ -43,12 +43,25 @@ needs_cc = pytest.mark.skipif(
 )
 
 
-def edit_kernel(coeffs=(1, 1)):
-    func = check_function(parse_function(EDIT.strip()), EN)
+ANTI = """
+int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then j
+  else if j == 0 then i
+  else if j > 7 then f(i-1, j) + 1
+  else (f(i-1, j) min f(i, j-1) min f(i-1, j+1)) + 1
+"""
+
+
+def kernel_for(text, coeffs, alphabets=EN):
+    func = check_function(parse_function(text.strip()), alphabets)
     return build_kernel(
-        func, Schedule(("i", "j"), coeffs),
+        func, Schedule(func.dim_names, coeffs),
         prob_mode="direct", compute_window=True,
     )
+
+
+def edit_kernel(coeffs=(1, 1)):
+    return kernel_for(EDIT, coeffs)
 
 
 class TestConfirmed:
@@ -57,8 +70,15 @@ class TestConfirmed:
         assert cert.ok
         assert cert.space.status == "confirmed"
         assert cert.batch.status == "confirmed"
-        assert cert.ring.status == "confirmed"
+        assert cert.tile.status == "confirmed"
+        # blocks replace the ring: the tile is the resident window
+        assert cert.ring.status == "not-applicable"
         assert cert.space.exact  # proved, not LP-bounded
+        # a kernel the block order refuses keeps (and proves) its ring
+        ringed = parallelism_certificate(kernel_for(ANTI, (2, 1)))
+        assert ringed.ok
+        assert ringed.ring.status == "confirmed"
+        assert ringed.tile.status == "refused"
 
     def test_certificate_is_memoised_per_extents(self):
         kernel = edit_kernel()
@@ -80,8 +100,10 @@ class TestConfirmed:
         assert record["ok"] is True
         assert set(record) == {
             "function", "schedule", "ok", "space", "batched", "ring",
+            "tile",
         }
         assert record["space"]["status"] == "confirmed"
+        assert record["tile"]["status"] == "confirmed"
 
 
 class TestPaperApps:
@@ -174,7 +196,7 @@ class TestMutations:
     def test_shrunk_ring_refused(self):
         # Two rows for a look-back of two: antidiagonal t and t-2
         # alias the same ring row.
-        cert = analyze_parallelism(edit_kernel(), ring_rows=2)
+        cert = analyze_parallelism(kernel_for(ANTI, (2, 1)), ring_rows=2)
         assert cert.ring.status == "refused"
         assert cert.ring.rule == "R-RING-COLLIDE"
         assert cert.ring.witness == {"delta": 2}
@@ -187,6 +209,140 @@ class TestMutations:
         )
         assert cert.ring.status == "refused"
         assert cert.ring.rule == "R-SPACE-WW"
+
+
+class TestTileOrder:
+    """``R-TILE-ORDER``: the blocked wavefront's licence is a sign
+    check on every own-table read — extent-free, LP-free."""
+
+    FORWARD = """
+prob forward(hmm h, state[h] s, seq[*] x, index[x] i) =
+  if i == 0 then (if s.isstart then 1.0 else 0.0)
+  else (if s.isend then 1.0 else s.emission[x[i-1]])
+    * sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))
+"""
+    NUSSINOV = """
+int n(seq[en] x, index[x] i, index[x] j) =
+  if j < i + 2 then 0
+  else (n(i + 1, j) max n(i, j - 1)) + 1
+"""
+    RANGED = """
+int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if j == 0 then 0
+  else max(k in 0 .. j - 1 : f(i, k)) + 1
+"""
+    LATE_ARM = """
+int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i < 1 then j
+  else if i < 50 then f(i - 1, j) + 1
+  else if j > 90 then f(i - 1, j) + 2
+  else f(i - 1, j + 1) + 1
+"""
+
+    def refused(self, kernel):
+        tile = parallelism_certificate(kernel).tile
+        assert tile.status == "refused"
+        assert tile.rule == "R-TILE-ORDER"
+        assert tile.witness
+        return tile
+
+    def test_backward_only_kernels_confirmed(self):
+        from repro.apps.smith_waterman import smith_waterman_function
+
+        sw = build_kernel(
+            smith_waterman_function(), Schedule(("i", "j"), (1, 1))
+        )
+        for kernel in (sw, edit_kernel(), edit_kernel((2, 1))):
+            cert = parallelism_certificate(kernel)
+            assert cert.tile.confirmed
+            assert cert.tile.rule is None
+            assert "tile=confirmed" in cert.summary
+
+    def test_free_state_component_refused(self):
+        tile = self.refused(kernel_for(self.FORWARD, (0, 1), {}))
+        assert tile.witness == {"read": 0, "dim": 0}
+        assert "forward(h.start(t), (i - 1))" in tile.detail
+
+    def test_forward_looking_reads_refused(self):
+        tile = self.refused(kernel_for(self.NUSSINOV, (-1, 1)))
+        assert tile.witness == {"read": 0, "dim": 0, "offset": 1}
+        assert "n((i + 1), j)" in tile.detail
+        tile = self.refused(kernel_for(ANTI, (2, 1)))
+        assert tile.witness == {"read": 3, "dim": 1, "offset": 1}
+
+    def test_ranged_read_refused(self):
+        tile = self.refused(kernel_for(self.RANGED, (0, 1)))
+        assert tile.witness == {"read": 0, "dim": 1}
+        assert "f(i, k)" in tile.detail
+
+    def test_read_not_earlier_in_schedule_order_refused(self):
+        # S = i: d(i, j-1) is backward in j but in the reader's own
+        # partition; inside a block it would not be computed first.
+        tile = self.refused(edit_kernel((1, 0)))
+        assert tile.witness == {"read": 2, "delta": 0}
+
+    def test_non_identity_store_refused(self):
+        from repro.polyhedral import loopast
+
+        kernel = edit_kernel()
+        (time_loop,) = kernel.nest.roots
+        (space_loop,) = time_loop.body
+        (assign,) = space_loop.body
+        unpinned = dataclasses.replace(
+            kernel.nest,
+            roots=(
+                dataclasses.replace(
+                    time_loop,
+                    body=(
+                        dataclasses.replace(
+                            space_loop, body=assign.body
+                        ),
+                    ),
+                ),
+            ),
+        )
+        assert isinstance(assign, loopast.Assign)
+        tile = self.refused(dataclasses.replace(kernel, nest=unpinned))
+        assert "store map" in tile.detail
+
+    def test_verdict_does_not_depend_on_the_analysis_box(self):
+        """The footprint collector drops arms that are dead on the
+        box it analyses — at the nominal 13x13 the forward-looking
+        arm (``i >= 50``) is unreachable, so the space proof never
+        sees it. The tile axis reads the IR itself and must refuse
+        at every box, or a 100x100 run would block a kernel whose
+        callee can sit on a later block diagonal."""
+        kernel = kernel_for(self.LATE_ARM, (1, 0))
+        for extents in (None, (13, 13), (100, 100)):
+            cert = parallelism_certificate(kernel, extents)
+            assert cert.tile.status == "refused"
+            assert cert.tile.witness == {
+                "read": 2, "dim": 1, "offset": 1,
+            }
+
+    def test_not_applicable_off_the_2d_partition_nest(self):
+        one_d = """
+int f(seq[en] s, index[s] i) =
+  if i == 0 then 0 else f(i - 1) + 1
+"""
+        cert = parallelism_certificate(kernel_for(one_d, (1,)))
+        assert cert.tile.status == "not-applicable"
+        assert "tile=not-applicable" in cert.summary
+
+    def test_refusal_is_not_a_finding(self):
+        """A refused licence selects the partition sweep; it is not a
+        hazard, so the certificate stays ``ok`` and lint stays quiet."""
+        cert = parallelism_certificate(
+            kernel_for(self.FORWARD, (0, 1), {})
+        )
+        assert cert.ok
+        assert [d.rule for d in cert.diagnostics()] == ["R-PAR-CERT"]
+        assert "tile=refused[R-TILE-ORDER]" in cert.summary
+
+    def test_rule_is_registered(self):
+        from repro.verify.diagnostics import RULES
+
+        assert RULES["R-TILE-ORDER"][0] == "info"
 
 
 class TestPragmaGating:
@@ -211,14 +367,16 @@ class TestPragmaGating:
         assert "refused[R-SPACE-RW]" in src
 
     def test_refused_ring_axis_suppresses_windowed_entry(self):
-        kernel = edit_kernel()
+        # A kernel that keeps its ring: uniform, but f(i-1, j+1)
+        # looks forward in j, so the block order is refused.
+        kernel = kernel_for(ANTI, (2, 1))
         cert = parallelism_certificate(kernel)
-        doctored = ParallelismCertificate(
-            function=cert.function,
-            schedule=cert.schedule,
-            extents=cert.extents,
-            space=cert.space,
-            batch=cert.batch,
+        windowed = cbackend.entry_symbol(kernel, windowed=True)
+        assert windowed in cbackend.emit_native_source(
+            kernel, openmp=True
+        )
+        doctored = dataclasses.replace(
+            cert,
             ring=AxisVerdict(
                 "ring", "refused", "doctored", rule="R-RING-COLLIDE",
             ),
@@ -226,7 +384,7 @@ class TestPragmaGating:
         src = cbackend.emit_native_source(
             kernel, openmp=True, certificate=doctored
         )
-        assert cbackend.entry_symbol(kernel, windowed=True) not in src
+        assert windowed not in src
 
     @needs_cc
     def test_racy_kernel_still_builds_and_runs(self):
