@@ -301,6 +301,7 @@ def explain_main(argv) -> int:
 
         rungs = ladder.rungs(kernel)
         available, native = rungs[0].checks
+        entries = cbackend.native_entries(kernel, parallel)
         verdict = rungs[1].verdict
         backend = ladder.choose(rungs)
         record.update(
@@ -323,11 +324,9 @@ def explain_main(argv) -> int:
                 "detail": native.detail,
                 # Block shape of the blocked wavefront; null when the
                 # kernel keeps the partition sweep.
-                "tile": (
-                    list(cbackend.TILE)
-                    if cbackend.native_entries(kernel, parallel).tiled
-                    else None
-                ),
+                "tile": list(cbackend.TILE) if entries.tiled else None,
+                # May the entry be launched without a table?
+                "result_only": entries.result_only,
             },
         )
         from .runtime.batching import batched_native_eligibility

@@ -577,20 +577,26 @@ class DifferentialHarness:
     def _tiled_leg(
         self, case, func, bindings, run_kwargs, scalar, legs
     ) -> str:
-        """The native entry rebuilt with a tiny tile.
+        """The native entry rebuilt with a tiny tile, and launched
+        without a table.
 
         Applies to kernels whose native entry is the blocked
         wavefront. Under the default tile a fuzz-scale table is one
         block; edges of 1-4 cells (a pure function of the case text,
         so a campaign stays reproducible) give the same table several
         block diagonals, ragged last blocks and, under ASan, every
-        block-edge clip a chance to read out of bounds. Returns a
-        non-empty detail string on divergence.
+        block-edge clip a chance to read out of bounds. The table
+        must be the scalar rung's bitwise; and the value the case
+        asked for, taken by a result-only launch (under the default
+        tile, and under the tiny one when its edges reach as far back
+        as the recurrence does), must be the value read from that
+        table. Returns a non-empty detail string on divergence.
         """
         import zlib
 
         from ..ir import cbackend
         from ..runtime import native as native_rt
+        from ..runtime.values import Bindings
 
         native_leg = legs.get("native")
         if (
@@ -603,9 +609,9 @@ class DifferentialHarness:
         draw = zlib.crc32(case.text.encode("utf-8"))
         tile = (1 + draw % 4, 1 + draw // 4 % 4)
         try:
+            engine = self._engine("native", case.prob_mode)
             compiled, ctx, table, lo, hi = self._stage(
-                self._engine("native", case.prob_mode),
-                func, bindings, run_kwargs,
+                engine, func, bindings, run_kwargs
             )
             source = cbackend.emit_native_source(
                 compiled.kernel,
@@ -616,6 +622,19 @@ class DifferentialHarness:
                 compiled.kernel, native_rt.build_shared_object(source)
             )
             run(table, ctx, part_lo=lo, part_hi=hi)
+            reduce = run_kwargs["reduce"]
+            bound = Bindings(dict(bindings))
+            coords = engine._result_request(
+                func, bound,
+                engine.domain_of(func, bound, run_kwargs["initial"]),
+                run_kwargs["at"], run_kwargs["initial"], reduce,
+            )
+            reach = cbackend.native_entries(compiled.kernel).reach
+            fused = {"default tile": compiled.run.result(
+                ctx, reduce, coords
+            )}
+            if all(edge >= h for edge, h in zip(tile, reach)):
+                fused[f"tile {tile}"] = run.result(ctx, reduce, coords)
         except Exception as err:
             legs["native-tiled"] = LegResult(
                 "native-tiled", "error",
@@ -632,6 +651,16 @@ class DifferentialHarness:
                 f"blocked wavefront under tile {tile} disagrees "
                 f"bitwise with the scalar table"
             )
+        kernel = compiled.kernel
+        expected = engine._extract(kernel, scalar.table, coords, reduce)
+        for label, raw in fused.items():
+            got = engine._value(kernel, raw)
+            if not np.array_equal(got, expected, equal_nan=True):
+                return (
+                    f"result-only launch under the {label} returned "
+                    f"{got!r}; the scalar table holds {expected!r} "
+                    f"(reduce={reduce!r}, coords={coords})"
+                )
         return ""
 
     def _oracle_leg(

@@ -21,7 +21,11 @@ certificate (:func:`native_entries` is the one place that decides):
   implicit barrier is the only synchronisation), and inside a block
   runs the kernel's own scattering nest over the block's box
   ``[lo_<dim>, hi_<dim>]``, serially. A problem no larger than one
-  tile is one block: one region, one barrier.
+  tile is one block: one region, one barrier. The same entry has a
+  *result-only* mode (``_res`` non-null, no table): every thread
+  keeps one private halo tile, block edges travel through two
+  boundary strips, and ``max``/``min``/one coordinate is folded in C
+  — see :func:`_emit_tiled_body`.
 * **partition sweep** (everything else) — Figure 9 literally: the
   time loop over the whole box, ``#pragma omp parallel for`` on the
   first space loop of each partition.
@@ -133,9 +137,16 @@ class Param:
     ``nprob``       batch size ``B`` (``long``, from ``table.shape[0]``)
     ``pad``         one padded table extent (``long``, from
                     ``table.shape[1 + k]`` in dimension order)
+    ``result``      result-only scratch (``<vt>*``; null = fill the
+                    table), cell 0 receives the value
+    ``reduce``      what a result-only launch returns (``long``, a
+                    :data:`REDUCTIONS` code; 0 = the ``at`` cell)
+    ``at``          one coordinate of that cell (``long``)
     ==============  ====================================================
 
-    The last two appear only in :func:`native_batched_param_spec`.
+    ``nprob``/``pad`` appear only in
+    :func:`native_batched_param_spec`; the last three close the
+    per-problem spec of a blocked-wavefront kernel.
     """
 
     name: str
@@ -145,8 +156,9 @@ class Param:
 
 
 def value_ctype(kernel: Kernel) -> str:
-    """C element type of the DP table (mirrors ``Engine._table_for``:
-    int kernels fill int64 tables, everything else float64)."""
+    """C element type of the DP table (mirrors
+    :meth:`repro.runtime.engine.Engine._table_for`: int kernels fill
+    int64 tables, everything else float64)."""
     return "long" if kernel.body.return_kind == "int" else "double"
 
 
@@ -183,18 +195,36 @@ class Entries:
     """Which per-problem entry points a kernel's translation unit has
     (the batched entry is always there)."""
 
-    #: ``repro_<name>`` is the blocked wavefront.
-    tiled: bool
     #: ``repro_<name>_windowed`` (the Section 4.8 ring) exists.
     windowed: bool
+    #: ``repro_<name>`` is the blocked wavefront, and this is its tile
+    #: verdict's reach — the halo of a result-only launch (``None``:
+    #: the partition sweep).
+    reach: Optional[Tuple[int, ...]] = None
+
+    @property
+    def tiled(self) -> bool:
+        """Is ``repro_<name>`` the blocked wavefront?"""
+        return self.reach is not None
+
+    @property
+    def result_only(self) -> bool:
+        """May ``repro_<name>`` be launched without a table? Every
+        blocked entry has the mode; it is *used* while the reach fits
+        the block edge, which caps a thread's private halo tile
+        (``(T0 + h0) x (T1 + h1)`` cells of stack) at four blocks."""
+        return self.tiled and all(
+            h <= t for h, t in zip(self.reach, TILE)
+        )
 
 
 def native_entries(kernel: Kernel, certificate=None) -> Entries:
-    """The one answer to "which entries does this TU have".
+    """The one answer to "which entries and modes does this TU have".
 
-    The emitter, :class:`repro.runtime.native.NativeRun` and both
-    eligibility sentences read it, so none can describe an entry the
-    others do not emit or load. ``certificate`` is the kernel's
+    The emitter, :class:`repro.runtime.native.NativeRun`, both
+    eligibility sentences and ``explain --json`` read it, so none can
+    describe an entry the others do not emit or load. ``certificate``
+    is the kernel's
     :class:`~repro.verify.races.ParallelismCertificate` (the memoised
     one when omitted): a CONFIRMED ``tile`` axis selects the blocked
     wavefront, which has no ring; otherwise a window-capable kernel
@@ -206,13 +236,35 @@ def native_entries(kernel: Kernel, certificate=None) -> Entries:
         certificate = parallelism_certificate(kernel)
     tiled = certificate.tile.confirmed
     return Entries(
-        tiled=tiled,
         windowed=(
             not tiled
             and supports_window(kernel)
             and certificate.ring.confirmed
         ),
+        reach=certificate.tile.reach if tiled else None,
     )
+
+
+#: ``reduce=`` spellings a result-only launch folds in C, as the
+#: ``_red`` codes of the emitted entry (0 reads the ``_at`` cell).
+REDUCTIONS = {None: 0, "max": 1, "min": 2}
+
+
+def result_scratch_cells(reach, extents) -> int:
+    """How many table cells of scratch a result-only launch needs,
+    given the tile verdict's ``reach`` and the table's extents.
+
+    The result cell, one partial per block row, the top strip (the
+    last ``h0`` rows of every column) and the left strips (the last
+    ``h1`` columns of every table row, plus ``h0`` corner rows per
+    block row) — laid out in that order by :func:`_emit_tiled_body`.
+    Sized for *any* block shape, since the dispatcher does not see
+    the tile a translation unit was built with: a launch has at most
+    one block row per table row, which bounds the partials by ``n0``
+    and the left strips' rows by ``n0 + n0 * h0``.
+    """
+    (h0, h1), (n0, n1) = reach, extents
+    return 1 + n0 + h0 * n1 + h1 * n0 * (1 + h0)
 
 
 def _tile_nest(kernel: Kernel) -> loopast.LoopNest:
@@ -238,12 +290,14 @@ def _scalar_kinds(kernel: Kernel) -> dict:
     return kinds
 
 
-def native_param_spec(kernel: Kernel) -> List[Param]:
+def native_param_spec(kernel: Kernel, certificate=None) -> List[Param]:
     """The (ordered) formal parameters of both emitted entry points.
 
     The emitter renders the C declarations from this list and the
     ``ctypes`` dispatcher marshals arguments from the same list, so
-    the two can never disagree on the calling convention.
+    the two can never disagree on the calling convention. A
+    blocked-wavefront kernel's list closes with the result-only
+    parameters (all zero on a table launch).
     """
     vt = value_ctype(kernel)
     params: List[Param] = [
@@ -264,6 +318,10 @@ def native_param_spec(kernel: Kernel) -> List[Param]:
         ctext = "long" if kind == "scalar_int" else "double"
         params.append(Param(f"arg_{a}", ctext, kind, f"arg_{a}"))
     params += _shared_model_params(kernel, refs)
+    if native_entries(kernel, certificate).tiled:
+        params.append(Param("_res", f"{vt}*", "result"))
+        params.append(Param("_red", "long", "reduce"))
+        params += [Param(f"_at_{d}", "long", "at") for d in kernel.dims]
     return params
 
 
@@ -371,6 +429,7 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
         shape = (
             f"; blocked wavefront, tile "
             f"{'×'.join(str(t) for t in TILE)}"
+            + (", result-only launches" if entries.result_only else "")
         )
     elif entries.windowed:
         shape = f"; sliding window of {kernel.window} partitions"
@@ -441,6 +500,77 @@ long repro_max_threads(void) { return 1; }
 """
 
 
+#: The result-only half of a blocked entry, typed by the table's
+#: element (``{vt}``): everything a block does besides its cells.
+#: ``repro_block(s, 0, ...)`` loads the block's halo before its nest
+#: runs; ``repro_block(s, 1, ...)`` stores its last rows and columns
+#: afterwards and takes the block's share of the result. One
+#: ``noinline, cold`` function: the entry's cell body is emitted once
+#: and what stands beside it is priced in ``cc`` time — a function
+#: costs the compiler ~25 ms whatever its size, ``cold`` (optimise
+#: for size) takes ~10 ms off that and ~1 % of a 2048x2048 launch
+#: (docs/PERFORMANCE.md prices the alternatives).
+#:
+#: ``farr`` is the thread's halo tile shifted so that the global
+#: ``(i, j)`` address it. ``top`` holds the last ``h0`` rows of every
+#: column; ``left`` holds, per block row, the last ``h1`` columns of
+#: its ``th`` tile rows — halo rows included: the corner a diagonal
+#: look-back needs, which ``top`` no longer has once the block
+#: above-left's right neighbour overwrote it. A strip segment is
+#: written by one block and read by its neighbour a block diagonal
+#: later, on the far side of the barrier. ``acc`` is the running
+#: ``max``/``min`` of every cell the thread has computed so far;
+#: ``res[1 + b0]`` collects it per block row, written by one block
+#: per diagonal, and the launch's last block folds the rows into
+#: ``res[0]``. The comparison is ``ndarray.max()``/``min()``'s: a
+#: NaN wins from then on (the ``{nan}``/``{nanv}`` clauses are left out
+#: for integer tables, where a self-comparison is a ``-Wtautological-compare``).
+_RESULT_HELPERS = """\
+#include <limits.h>
+#include <string.h>
+typedef struct {{
+  {vt}* res; {vt}* top; {vt}* left;
+  long h0, h1, th, cols, nb0, nb1, red, at0, at1;
+}} repro_strips;
+static __attribute__((noinline, cold)) void repro_block(
+    const repro_strips* s, int out, {vt}* farr, long ts, long b0, long b1,
+    long lo0, long hi0, long lo1, long hi1, {vt} acc) {{
+  const long r0 = b0 > 0 ? lo0 - s->h0 : lo0;
+  if (out ? b0 < s->nb0 - 1 : b0 > 0) {{
+    {vt}* tile = farr + (out ? hi0 - s->h0 + 1 : r0) * ts + lo1;
+    {vt}* strip = s->top + lo1;
+    for (long r = 0; r < s->h0; r++, tile += ts, strip += s->cols)
+      memcpy(out ? strip : tile, out ? tile : strip,
+             (size_t) (hi1 - lo1 + 1) * sizeof({vt}));
+  }}
+  if (out ? b1 < s->nb1 - 1 : b1 > 0) {{
+    {vt}* tile = farr + r0 * ts + (out ? hi1 - s->h1 + 1 : lo1 - s->h1);
+    {vt}* strip = s->left + (b0 * s->th + r0 - (lo0 - s->h0)) * s->h1;
+    for (long r = r0; r <= hi0; r++, tile += ts, strip += s->h1)
+      memcpy(out ? strip : tile, out ? tile : strip,
+             (size_t) s->h1 * sizeof({vt}));
+  }}
+  if (!out) return;
+  if (s->red) {{
+    {vt}* const row = s->res + 1 + b0;
+    if (b1 == 0 || (s->red == 1 ? acc > *row : acc < *row){nan})
+      *row = acc;
+    if (b0 == s->nb0 - 1 && b1 == s->nb1 - 1) {{
+      /* the last diagonal's only block: every row has reported */
+      acc = s->res[1];
+      for (long r = 2; r <= s->nb0; r++) {{
+        const {vt} v = s->res[r];
+        if ((s->red == 1 ? v > acc : v < acc){nanv}) acc = v;
+      }}
+      s->res[0] = acc;
+    }}
+  }} else if (lo0 <= s->at0 && s->at0 <= hi0
+             && lo1 <= s->at1 && s->at1 <= hi1)
+    s->res[0] = farr[s->at0 * ts + s->at1];
+}}
+"""
+
+
 def emit_native_source(
     kernel: Kernel,
     openmp: bool = False,
@@ -497,7 +627,7 @@ def emit_native_source(
     space_omp = bool(openmp) and certificate.space.confirmed
     batch_omp = bool(openmp) and certificate.batch.confirmed
     vt = value_ctype(kernel)
-    params = native_param_spec(kernel)
+    params = native_param_spec(kernel, certificate)
     decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
     lines: List[str] = [
         f"/* native kernel: {kernel.name} "
@@ -509,8 +639,16 @@ def emit_native_source(
         lines.insert(1, f"/* parallel-safety: {certificate.summary} */")
     body: List[str] = []
     if entries.tiled:
+        lines.append(
+            _RESULT_HELPERS.format(
+                vt=vt,
+                nan=" || acc != acc" if vt == "double" else "",
+                nanv=" || v != v" if vt == "double" else "",
+            )
+        )
         _emit_tiled_body(
-            kernel, body, vt, openmp=bool(openmp), tile=tile or TILE
+            kernel, body, vt, openmp=bool(openmp), tile=tile or TILE,
+            reach=entries.reach,
         )
     else:
         _emit_body(kernel, body, vt, windowed=False, openmp=space_omp)
@@ -610,6 +748,7 @@ def _emit_tiled_body(
     vt: str,
     openmp: bool,
     tile: Tuple[int, int],
+    reach: Tuple[int, int],
 ) -> None:
     """The blocked wavefront: block anti-diagonals in order, the
     blocks of one diagonal in parallel, the kernel's own nest inside
@@ -622,13 +761,42 @@ def _emit_tiled_body(
     a diagonal's blocks and its implicit barrier is the only
     synchronisation — ``nb_0 + nb_1 - 1`` rounds per launch, one for
     a problem that fits a single tile.
+
+    The nest is emitted once and addresses ``farr[i * _ts + j]``;
+    ``(farr, _ts)`` is chosen per block. A table launch points them
+    at the caller's table and its row stride. A *result-only* launch
+    (``_res`` non-null) points them at the thread's private halo tile
+    — the block's box plus ``reach`` rows above and columns to the
+    left — so nothing the size of the table exists. ``R-TILE-ORDER``'s
+    offsets are the licence: a cell reads at most ``reach`` cells
+    back, so the halo is all a block needs of its neighbours; it
+    travels through the strips of :data:`_RESULT_HELPERS`, laid out
+    in the caller's scratch as :func:`result_scratch_cells` sizes it.
     """
-    (d0, d1), (t0, t1) = kernel.dims, tile
+    (d0, d1), (t0, t1), (h0, h1) = kernel.dims, tile, reach
     pad = "  "
     lines.append(f"{pad}const long _nb_{d0} = (ub_{d0} + {t0}) / {t0};")
     lines.append(f"{pad}const long _nb_{d1} = (ub_{d1} + {t1}) / {t1};")
+    lines += [
+        f"{pad}{vt}* const _tab = farr;",
+        f"{pad}const long _tw = lmin(ub_{d1} + 1, {t1}) + {h1};",
+        f"{pad}repro_strips _s = {{_res, 0, 0, {h0}, {h1}, "
+        f"lmin(ub_{d0} + 1, {t0}) + {h0}, ub_{d1} + 1, "
+        f"_nb_{d0}, _nb_{d1}, _red, _at_{d0}, _at_{d1}}};",
+        f"{pad}if (_res) {{",
+        f"{pad}  _s.top = _res + 1 + _nb_{d0};",
+        f"{pad}  _s.left = _s.top + {h0} * (ub_{d1} + 1);",
+        f"{pad}}}",
+    ]
     if openmp:
         lines.append(f"{pad}#pragma omp parallel")
+    lines.append(f"{pad}{{")
+    lines.append(f"{pad}{vt} _tile[_res ? _s.th * _tw : 1];")
+    lowest, highest = (
+        ("-INFINITY", "INFINITY") if vt == "double"
+        else ("LONG_MIN", "LONG_MAX")
+    )
+    lines.append(f"{pad}{vt} _amax = {lowest}, _amin = {highest};")
     lines.append(
         f"{pad}for (long _bd = 0; _bd <= _nb_{d0} + _nb_{d1} - 2; "
         f"_bd++) {{"
@@ -646,11 +814,30 @@ def _emit_tiled_body(
             f"{inner}const long hi_{dim} = "
             f"lmin(ub_{dim}, lo_{dim} + {edge - 1});"
         )
+    block = (
+        f"farr, _ts, _b, _bd - _b, lo_{d0}, hi_{d0}, lo_{d1}, hi_{d1}"
+    )
+    acc = "_red == 1 ? _amax : _amin"
+    lines += [
+        f"{inner}{vt}* farr = _tab;",
+        f"{inner}long _ts = ub_{d1} + 1;",
+        f"{inner}if (_res) {{",
+        f"{inner}  _ts = _tw;",
+        f"{inner}  farr = _tile - (lo_{d0} - {h0}) * _ts "
+        f"- (lo_{d1} - {h1});",
+        f"{inner}  repro_block(&_s, 0, {block}, 0);",
+        f"{inner}}}",
+    ]
     _emit_body(
         kernel, lines, vt, windowed=False, openmp=False,
-        pad=inner, nest=_tile_nest(kernel),
+        cell=CCellEmitter(kernel, strides=(None, "_ts")),
+        pad=inner, nest=_tile_nest(kernel), fold=True,
+    )
+    lines.append(
+        f"{inner}if (_res) repro_block(&_s, 1, {block}, {acc});"
     )
     lines.append(f"{mid}}}")
+    lines.append(f"{pad}}}")
     lines.append(f"{pad}}}")
 
 
@@ -663,10 +850,12 @@ def _emit_body(
     cell: Optional[CCellEmitter] = None,
     pad: str = "  ",
     nest: Optional[loopast.LoopNest] = None,
+    fold: bool = False,
 ) -> None:
     """The scattering nest with its time loop clipped to
     ``[part_lo, part_hi]``: ``kernel.nest`` over the whole box, or a
-    block's ``nest`` over ``[lo_<dim>, hi_<dim>]``."""
+    block's ``nest`` over ``[lo_<dim>, hi_<dim>]``. ``fold`` keeps
+    the running ``_amax``/``_amin`` of every cell stored."""
     if cell is None:
         cell = CCellEmitter(kernel, windowed=windowed)
     if nest is None:
@@ -720,7 +909,8 @@ def _emit_body(
     )
     _emit_nest(
         kernel, time_loop.body, cell, lines, pad + "  ", vt,
-        mode="compute", openmp=openmp, space_seen=False,
+        mode="fold" if fold else "compute", openmp=openmp,
+        space_seen=False,
     )
     lines.append(f"{pad}}}")
 
@@ -796,5 +986,14 @@ def _emit_nest(
                 lines.append(
                     f"{pad}{cell.linear_ref(dim_refs)} = {target};"
                 )
+            if mode == "fold":
+                # ndarray.max()/min(): a NaN cell wins from then on.
+                nan = (
+                    f" || {target} != {target}" if vt == "double" else ""
+                )
+                lines += [
+                    f"{pad}if ({target} > _amax{nan}) _amax = {target};",
+                    f"{pad}if ({target} < _amin{nan}) _amin = {target};",
+                ]
         else:
             raise CodegenError(f"unknown nest node {node!r}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import (
     Callable,
@@ -91,16 +90,41 @@ from .values import Bindings, Sequence
 DEFAULT_CACHE_CAPACITY = 256
 
 
-@dataclass
 class RunResult:
-    """One problem solved on the simulated device."""
+    """One problem solved on the simulated device.
 
-    value: object
-    table: np.ndarray
-    kernel: Kernel
-    domain: Domain
-    cost: KernelCost
-    report: LaunchReport
+    ``value`` is what the launch produced. ``table`` is computed on
+    first read: a launch that could hand back the value without
+    materialising the table (a blocked-wavefront kernel on the native
+    rung — see :meth:`Engine.run`) did so, and the first access runs
+    the full-table entry once and keeps the array. Every other launch
+    filled its table up front and the attribute just returns it.
+    """
+
+    def __init__(
+        self,
+        value: object,
+        table,
+        kernel: Kernel,
+        domain: Domain,
+        cost: KernelCost,
+        report: LaunchReport,
+    ) -> None:
+        self.value = value
+        #: The filled table, or the zero-argument launch that fills it.
+        self._table = table
+        self.kernel = kernel
+        self.domain = domain
+        self.cost = cost
+        self.report = report
+
+    @property
+    def table(self) -> np.ndarray:
+        """The whole DP table (filled on first read if the launch
+        was result-only)."""
+        if callable(self._table):
+            self._table = self._table()
+        return self._table
 
     @property
     def schedule(self) -> Schedule:
@@ -712,6 +736,36 @@ class Engine:
             return np.zeros(domain.extents, dtype=np.int64)
         return np.zeros(domain.extents, dtype=np.float64)
 
+    def _result_request(
+        self,
+        func: CheckedFunction,
+        bindings: Bindings,
+        domain: Domain,
+        at: Optional[Mapping[str, int]],
+        initial: Optional[Dict[str, int]],
+        reduce: Optional[str],
+    ) -> Tuple[int, ...]:
+        """What a launch is asked for, settled before it runs: the
+        result coordinates, wrapped the way NumPy wraps a negative
+        index, after refusing an unknown ``reduce`` and (when the
+        coordinates are what will be read) an out-of-range one."""
+        coords = self.result_coords(func, bindings, domain, at, initial)
+        if reduce is not None:
+            if reduce not in ("max", "min"):
+                raise RuntimeDslError(f"unknown reduction {reduce!r}")
+            return coords
+        wrapped = []
+        for axis, (index, extent) in enumerate(
+            zip(coords, domain.extents)
+        ):
+            if not -extent <= index < extent:
+                raise IndexError(
+                    f"index {index} is out of bounds for axis {axis} "
+                    f"with size {extent}"
+                )
+            wrapped.append(index % extent)
+        return tuple(wrapped)
+
     def _extract(
         self, kernel: Kernel, table, coords, reduce: Optional[str] = None
     ) -> object:
@@ -798,6 +852,16 @@ class Engine:
     ) -> RunResult:
         """Solve one problem end to end on the simulated device.
 
+        The result is settled before the launch: an unknown
+        ``reduce`` or an ``at=`` outside the table raises without
+        running anything. When nobody needs the table up front — the
+        default launch, unsanitized, of an in-process native run
+        whose entry has a result-only mode
+        (:attr:`~repro.runtime.native.NativeRun.result_only`) — the
+        kernel hands back the value alone and ``RunResult.table``
+        runs the full-table entry on first read, through the same
+        :func:`ladder.launch` seam.
+
         ``_launch`` is the private launch seam — a callable
         ``(compiled_or_batched_launch, table, ctx, domain)`` that
         fills the table (default: :meth:`_execute`). The resilience
@@ -805,16 +869,17 @@ class Engine:
         schedule, verification, rung, context, pricing and extraction
         are this one code path whether or not a run is supervised.
         """
-        execute = _launch or self._execute
         bound = Bindings(dict(bindings))
         domain = self.domain_of(func, bound, initial)
+        coords = self._result_request(
+            func, bound, domain, at, initial, reduce
+        )
         schedule = self.schedule_for(
             func, domain, user_schedule, bindings=bound
         )
         self.verify_compiled(func, schedule, domain)
         compiled = self.compile(func, schedule, domain)
         ctx = self.build_context(compiled, bound, domain)
-        table = self._table_for(compiled.kernel, domain)
 
         # One convolution per launch: the cost model, the packing
         # rule and the native entry-point choice all read it.
@@ -823,12 +888,29 @@ class Engine:
         cost, problem = self._price(
             func, compiled, bound, domain, use_window, sizes
         )
-        ladder.launch(self, execute, compiled, table, ctx, domain)
+
+        kernel = compiled.kernel
+        execute = _launch or self._execute
+
+        def fill() -> np.ndarray:
+            table = self._table_for(kernel, domain)
+            ladder.launch(self, execute, compiled, table, ctx, domain)
+            return table
+
+        if (
+            _launch is None
+            and not self.sanitize
+            and getattr(compiled.run, "result_only", False)
+        ):
+            table = fill
+            value = self._value(
+                kernel, compiled.run.result(ctx, reduce, coords)
+            )
+        else:
+            table = fill()
+            value = self._extract(kernel, table, coords, reduce)
         report = self.device.launch([problem])
-        coords = self.result_coords(func, bound, domain, at, initial)
-        value = self._extract(compiled.kernel, table, coords, reduce)
-        return RunResult(value, table, compiled.kernel, domain, cost,
-                         report)
+        return RunResult(value, table, kernel, domain, cost, report)
 
     def prepare_map(
         self,

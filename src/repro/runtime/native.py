@@ -437,6 +437,11 @@ def _argtypes_for(spec) -> List[object]:
     return types
 
 
+#: numpy dtype of each array-valued :class:`~repro.ir.cbackend.Param`
+#: kind.
+_ARRAY_DTYPES = {"i64[]": np.int64, "i32[]": np.int32, "f64[]": np.float64}
+
+
 class NativeRun:
     """The compiled-kernel callable for a loaded shared object.
 
@@ -448,6 +453,9 @@ class NativeRun:
     window fits the simulated device's shared memory
     (:func:`repro.gpu.timing.window_fits_shared` — the same Section
     4.8 residency decision the analytic cost model prices).
+
+    Where :attr:`result_only` is set, :meth:`result` launches the
+    same entry without a table and hands back one value.
     """
 
     def __init__(
@@ -464,12 +472,22 @@ class NativeRun:
         )
         self._plain.restype = None
         self._plain.argtypes = _argtypes_for(self._spec)
+        entries = cbackend.native_entries(kernel)
+        #: May :meth:`result` be used (a blocked entry whose halo
+        #: tile is bounded)?
+        self.result_only = entries.result_only
+        self._reach = entries.reach
+        self._ub_keys = tuple(f"ub_{d}" for d in kernel.dims)
+        self._dtype = (
+            np.int64 if cbackend.value_ctype(kernel) == "long"
+            else np.float64
+        )
         # ``getattr(..., None)``: a TU emitted under a doctored
         # certificate (tests force ring refusals) has no ring even
         # where the kernel's own certificate would keep one; the
         # plain entry serves every launch then.
         self._windowed = None
-        if cbackend.native_entries(kernel).windowed:
+        if entries.windowed:
             self._windowed = getattr(
                 self._lib,
                 cbackend.entry_symbol(kernel, windowed=True),
@@ -493,19 +511,24 @@ class NativeRun:
             sizes=ctx.get(SIZES_KEY),
         )
 
-    def __call__(
+    def _launch(
         self,
-        T: np.ndarray,
         ctx: Dict[str, object],
+        table: int,
         part_lo: Optional[int] = None,
         part_hi: Optional[int] = None,
-    ) -> np.ndarray:
-        table = np.ascontiguousarray(T)
+        result: int = 0,
+        reduce: int = 0,
+        at: Tuple[int, ...] = (),
+    ) -> None:
+        """Marshal one call from the param spec. ``table`` and
+        ``result`` are addresses (0 = null): exactly one is set."""
         args: List[object] = []
         keepalive: List[np.ndarray] = []
+        at = iter(at)
         for param in self._spec:
             if param.kind == "table":
-                args.append(table.ctypes.data)
+                args.append(table)
             elif param.name == "part_lo":
                 args.append(_NO_LO if part_lo is None else int(part_lo))
             elif param.name == "part_hi":
@@ -518,22 +541,70 @@ class NativeRun:
                 args.append(int(ctx[param.key]))
             elif param.kind == "scalar_f64":
                 args.append(float(ctx[param.key]))
+            elif param.kind == "result":
+                args.append(result)
+            elif param.kind == "reduce":
+                args.append(reduce)
+            elif param.kind == "at":
+                args.append(next(at, 0))
             else:
-                dtype = {
-                    "i64[]": np.int64,
-                    "i32[]": np.int32,
-                    "f64[]": np.float64,
-                }[param.kind]
-                arr = np.ascontiguousarray(ctx[param.key], dtype=dtype)
+                arr = np.ascontiguousarray(
+                    ctx[param.key], dtype=_ARRAY_DTYPES[param.kind]
+                )
                 keepalive.append(arr)
                 args.append(arr.ctypes.data)
         entry = (
             self._windowed if self._use_window(ctx) else self._plain
         )
         entry(*args)
+
+    def __call__(
+        self,
+        T: np.ndarray,
+        ctx: Dict[str, object],
+        part_lo: Optional[int] = None,
+        part_hi: Optional[int] = None,
+    ) -> np.ndarray:
+        table = np.ascontiguousarray(T)
+        self._launch(ctx, table.ctypes.data, part_lo, part_hi)
         if table is not T:
             np.copyto(T, table)
         return T
+
+    def result(
+        self,
+        ctx: Dict[str, object],
+        reduce: Optional[str],
+        coords: Tuple[int, ...],
+    ):
+        """Run every partition without a table; return the raw value
+        a full launch's table would give for ``table.max()`` /
+        ``table.min()`` (``reduce``) or ``table[coords]`` (``reduce``
+        None; ``coords`` non-negative and in range, or no tile holds
+        them and nothing would be handed back).
+
+        The scratch — two boundary strips and a partial per block
+        row — belongs to this call, so concurrent launches of one
+        run share nothing.
+        """
+        extents = [int(ctx[key]) + 1 for key in self._ub_keys]
+        if reduce is None and not (
+            len(coords) == len(extents)
+            and all(0 <= c < e for c, e in zip(coords, extents))
+        ):
+            raise IndexError(
+                f"coordinates {tuple(coords)} outside the "
+                f"{'x'.join(map(str, extents))} table"
+            )
+        scratch = np.empty(
+            cbackend.result_scratch_cells(self._reach, extents),
+            dtype=self._dtype,
+        )
+        self._launch(
+            ctx, 0, result=scratch.ctypes.data,
+            reduce=cbackend.REDUCTIONS[reduce], at=coords,
+        )
+        return scratch[0]
 
 
 class NativeBatchedRun:
@@ -589,12 +660,9 @@ class NativeBatchedRun:
             elif param.kind == "cols":
                 args.append(int(np.asarray(ctx[param.key]).shape[1]))
             else:
-                dtype = {
-                    "i64[]": np.int64,
-                    "i32[]": np.int32,
-                    "f64[]": np.float64,
-                }[param.kind]
-                arr = np.ascontiguousarray(ctx[param.key], dtype=dtype)
+                arr = np.ascontiguousarray(
+                    ctx[param.key], dtype=_ARRAY_DTYPES[param.kind]
+                )
                 keepalive.append(arr)
                 args.append(arr.ctypes.data)
         self._entry(*args)

@@ -28,6 +28,17 @@ Float tables are bitwise *almost* everywhere:
   index, a NaN payload, an exponent bit-flip) lands far outside it,
   loose enough that ulp noise never trips the oracle.
 
+A **result-only** native launch (no table; ``reduce=``/``at=`` taken
+in C) returns what the same rung's table would have given: ``at=`` is
+the cell itself, bit for bit; an integer ``max``/``min`` is exact
+(``long`` comparisons, no ``double`` on the way); a float ``max``/
+``min`` is ``ndarray.max()``/``min()`` *as a value* — a NaN cell
+anywhere makes the result NaN, as NumPy propagates it, and the sign
+of a zero extremum is no more defined than NumPy's own SIMD reduction
+defines it (``0.0 == -0.0``; nothing downstream reads the sign). No
+tolerance is involved: the fold compares cells, it does not
+re-associate arithmetic.
+
 Everything that compares tables across backends — the divergence
 oracle, the parity test suites, the bench harnesses — imports the
 policy from here so a tolerance change happens once.

@@ -120,14 +120,22 @@ def _handle_launch(request: dict, runs: dict) -> dict:
 
         batched = bool(request.get("batched"))
         # Plain and batched callables for one kernel memoise under
-        # distinct keys (same .so, different entry symbol/spec).
-        memo_key = request["digest"] + (":batched" if batched else "")
+        # distinct keys (same .so, different entry symbol/spec) — and
+        # so do two builds of one kernel (a test-seam tile, a doctored
+        # certificate), which must not answer for each other.
+        memo_key = (request["digest"], request["so_path"], batched)
         run = runs.get(memo_key)
         if run is None:
             kernel = Kernel.from_payload(request["payload"])
             cls = NativeBatchedRun if batched else NativeRun
             run = cls(kernel, request["so_path"])
             runs[memo_key] = run
+        if request.get("want") is not None:
+            # A result-only launch: no table either way.
+            return {
+                "ok": True,
+                "value": run.result(request["ctx"], *request["want"]),
+            }
         table = np.array(request["table"], copy=True)
         out = run(
             table,
@@ -151,7 +159,7 @@ def worker_main() -> None:
     """
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
-    runs: Dict[str, object] = {}
+    runs: Dict[tuple, object] = {}
     while True:
         header = _read_exact(stdin, _HEADER.size)
         if header is None:
@@ -450,8 +458,14 @@ class NativeSandbox:
         fault: Optional[dict] = None,
         deadline: Optional[float] = None,
         batched: bool = False,
-    ) -> np.ndarray:
+        want: Optional[tuple] = None,
+    ):
         """Run one kernel launch in a worker; copy the result into ``T``.
+
+        ``want=(reduce, coords)`` asks for a result-only launch
+        instead (:meth:`repro.runtime.native.NativeRun.result`):
+        ``T`` is ``None``, no table travels either way and the raw
+        value is returned.
 
         ``batched=True`` routes the request through the worker's
         batched entry point: ``T`` is then a whole map group's padded
@@ -477,7 +491,10 @@ class NativeSandbox:
                     "digest": digest,
                     "payload": payload,
                     "so_path": so_path,
-                    "table": np.ascontiguousarray(T),
+                    "table": (
+                        None if want else np.ascontiguousarray(T)
+                    ),
+                    "want": want,
                     "ctx": ctx,
                     "part_lo": part_lo,
                     "part_hi": part_hi,
@@ -508,6 +525,8 @@ class NativeSandbox:
             raise RuntimeError(
                 f"sandboxed launch failed: {reply.get('error')}"
             )
+        if want:
+            return reply["value"]
         np.copyto(T, reply["table"])
         return T
 
@@ -645,7 +664,8 @@ class SandboxedNativeRun:
         part_hi: Optional[int] = None,
         fault: Optional[dict] = None,
         deadline: Optional[float] = None,
-    ) -> np.ndarray:
+        want: Optional[tuple] = None,
+    ):
         from ..resilience.faults import WorkerCrash
 
         breaker = get_breaker()
@@ -667,6 +687,7 @@ class SandboxedNativeRun:
                 fault=fault,
                 deadline=deadline,
                 batched=self.batched,
+                want=want,
             )
         except Exception as err:
             from ..resilience.faults import DeviceFault
@@ -676,3 +697,12 @@ class SandboxedNativeRun:
             raise
         breaker.record_success(self.digest)
         return result
+
+    def result(self, ctx: Dict[str, object], reduce, coords):
+        """:meth:`repro.runtime.native.NativeRun.result` in a worker,
+        behind the same breaker. There is no ``result_only`` flag
+        here: the engine keeps a sandboxed run on the table path
+        (its demotion re-runs on the table); this is how a sanitized
+        build's halo tiles get launched at all.
+        """
+        return self(None, ctx, want=(reduce, tuple(coords)))

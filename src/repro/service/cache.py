@@ -51,7 +51,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 #: pickled parallelism certificate has a ``tile`` axis; a v4 record
 #: holds the untiled source, a ring entry and a three-axis
 #: certificate.
-KEY_FORMAT = 5
+#: v6: the per-problem entry of a blocked-wavefront kernel takes the
+#: result-only parameters (``_res``, ``_red``, ``_at_<dim>``); a v5
+#: record's ``.so`` would be called through argtypes it was not built
+#: for, and its pickled tile verdict has no ``reach``.
+KEY_FORMAT = 6
 
 #: Leading magic of every on-disk record. Checked *before* the pickle
 #: payload is touched: entries written by an older (or entirely

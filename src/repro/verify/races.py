@@ -110,7 +110,11 @@ class AxisVerdict:
     ``witness`` is the worst-case point (variable assignment) behind
     a refusal, when the exact minimiser produced one; ``exact`` is
     False when only the LP relaxation supported the refusal (still a
-    refusal — the verifier never parallelises on a maybe).
+    refusal — the verifier never parallelises on a maybe). ``reach``
+    is carried by a CONFIRMED ``tile`` verdict only: per dimension,
+    how far back the furthest own-table read looks (``max |c_d|`` over
+    the constant offsets the verdict was proved from) — the halo a
+    block needs around its own cells.
     """
 
     axis: str  # "space" | "batch" | "ring" | "tile"
@@ -119,6 +123,7 @@ class AxisVerdict:
     rule: Optional[str] = None
     witness: Optional[Dict[str, int]] = None
     exact: bool = True
+    reach: Optional[Tuple[int, ...]] = None
 
     @property
     def confirmed(self) -> bool:
@@ -140,6 +145,8 @@ class AxisVerdict:
             }
         if not self.exact:
             record["exact"] = False
+        if self.reach is not None:
+            record["reach"] = list(self.reach)
         return record
 
 
@@ -627,6 +634,7 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
     affine_of = _FootprintCollector(
         kernel.func, _nominal_domain(kernel)
     )._affine_of
+    reach = [0] * kernel.rank
     for n, read in enumerate(reads):
         text = f"{kernel.name}({', '.join(map(str, read.indices))})"
         offsets = []
@@ -661,12 +669,14 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
                 rule="R-TILE-ORDER",
                 witness={"read": n, "delta": delta},
             )
+        reach = [max(h, -c) for h, c in zip(reach, offsets)]
     return AxisVerdict(
         "tile", CONFIRMED,
         f"all {len(reads)} own-table read(s) are x + c with c <= 0 "
         f"in every dimension and S(c) < 0: a callee is in the "
         f"reader's block at an earlier partition or in a block on an "
         f"earlier block diagonal, at every problem size",
+        reach=tuple(reach),
     )
 
 

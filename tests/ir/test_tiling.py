@@ -9,6 +9,10 @@ launch or any split into partition ranges), the text (one region, one
 ``omp for``, the kernel's own nest inside a tile, no ring entry), and
 what does *not* change (every other kernel's translation unit, byte
 for byte against goldens taken at the commit before tiling).
+
+The same entry launched *without* a table — a private halo tile per
+thread, two boundary strips, the reduction folded in C — must hand
+back exactly what the table would have given (section f).
 """
 
 import functools
@@ -455,3 +459,250 @@ def test_supervised_run_recovers_bitwise_under_a_tiny_tile(monkeypatch):
     assert supervisor.stats.replays > 0
     assert result.value == baseline.value
     assert result.table.tobytes() == baseline.table.tobytes()
+
+
+# -- (f) result-only launches -----------------------------------------------
+
+#: What a caller can ask a launch for — ``(reduce, coords(n, m))``:
+#: either whole-table reduction, the default coordinate (the last
+#: cell) and an explicit one inside the table.
+WANTS = [
+    ("max", lambda n, m: ()),
+    ("min", lambda n, m: ()),
+    (None, lambda n, m: (n, m)),
+    (None, lambda n, m: (n // 2, m // 3)),
+]
+
+#: 2x3 and up are no smaller than any program's reach (rows-S=i
+#: reads ``f(i - 2, j - 1)``: its halo is two rows and the corner);
+#: 1x1 is one block per cell, where the strips and partials are as
+#: long as ``result_scratch_cells`` allows for.
+HALO_TILES = [(1, 1), (2, 3), (5, 4), (128, 128)]
+
+# A float kernel with a NaN cell (inf - inf) that spreads along its
+# row: ndarray.max()/min() return NaN, and so must the C fold.
+NAN = """
+float h(seq[al] s, index[s] i, seq[al] t, index[t] j) =
+  if i == 0 then 0.5 * j
+  else if j == 0 then 0.25 * i
+  else if 7 * i + j == 23 then (1e308 * 10.0) - (1e308 * 10.0)
+  else (h(i - 1, j) max h(i, j - 1)) + 0.5
+"""
+
+
+def read(table, reduce, coords):
+    """What ``Engine._extract`` reads off a full table."""
+    if reduce is None:
+        return table[coords]
+    return table.max() if reduce == "max" else table.min()
+
+
+def test_the_tile_verdict_carries_the_reach():
+    reach = {
+        name: parallelism_certificate(
+            problem_for(name, (3, 2)).kernel
+        ).tile.reach
+        for name in PROGRAMS
+    }
+    assert reach == {
+        "edit": (1, 1), "edit-2i+j": (1, 1), "sw": (1, 1),
+        "rows-S=i": (2, 1), "down-i-j": (1, 0),
+    }
+    forward = forward_function()
+    domain = Domain(forward.dim_names, (13, 13))
+    refused = parallelism_certificate(
+        build_kernel(forward, find_schedule(forward, domain))
+    ).tile
+    assert not refused.confirmed and refused.reach is None
+    assert "reach" not in refused.to_dict()
+
+
+@needs_cc
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "tile", HALO_TILES, ids=lambda t: f"{t[0]}x{t[1]}"
+)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_result_only_value_is_read_off_no_table(
+    name, tile, threads, monkeypatch
+):
+    monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
+    reach = cbackend.native_entries(problem_for(name, (3, 2)).kernel).reach
+    if any(h > t for h, t in zip(reach, tile)):
+        pytest.skip(f"reach {reach} past the {tile} block edge")
+    for lengths in LENGTHS:
+        problem = problem_for(name, lengths)
+        run = tiled_run(problem.kernel, tile)
+        for reduce, coords in WANTS:
+            at = coords(*lengths)
+            assert run.result(problem.ctx, reduce, at) == read(
+                problem.expected, reduce, at
+            ), f"{name} tile={tile} lengths={lengths} {reduce} {at}"
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "tile", HALO_TILES, ids=lambda t: f"{t[0]}x{t[1]}"
+)
+def test_float_fold_is_ndarray_max_and_min_nan_included(tile):
+    func = checked(NAN)
+    engine = scalar_engine()
+    bound = Bindings({"s": dna(9, 1), "t": dna(7, 2)})
+    domain = engine.domain_of(func, bound)
+    compiled = engine.compile(
+        func, engine.schedule_for(func, domain), domain
+    )
+    kernel = compiled.kernel
+    assert parallelism_certificate(kernel).tile.confirmed
+    ctx = engine.build_context(compiled, bound, domain)
+    run = tiled_run(kernel, tile)
+    table = run(engine._table_for(kernel, domain), ctx)
+    assert np.isnan(table[3, 2]) and np.isnan(table).sum() > 1
+    assert np.isnan(run.result(ctx, "max", ()))
+    assert np.isnan(run.result(ctx, "min", ()))
+    assert np.isnan(run.result(ctx, None, (3, 2)))
+    assert run.result(ctx, None, (9, 7)) == table[9, 7]
+    # NaN-free: the same kernel on a table too small to hold the cell
+    bound = Bindings({"s": dna(2, 1), "t": dna(7, 2)})
+    domain = engine.domain_of(func, bound)
+    ctx = engine.build_context(compiled, bound, domain)
+    table = run(engine._table_for(kernel, domain), ctx)
+    assert not np.isnan(table).any()
+    assert run.result(ctx, "max", ()) == table.max()
+    assert run.result(ctx, "min", ()) == table.min()
+
+
+@needs_cc
+def test_concurrent_result_only_launches_of_one_run_share_nothing():
+    """The scratch (strips, partials) belongs to a call and the halo
+    tiles to the threads inside it: launches of one run overlapping
+    in time agree with the same launches made one after another."""
+    import threading
+
+    problems = [
+        problem_for("sw", lengths)
+        for lengths in [(130, 127), (127, 127), (11, 13), (9, 7)]
+    ]
+    run = tiled_run(problems[0].kernel, (5, 4))
+    serial = [run.result(p.ctx, "max", ()) for p in problems]
+    got = [[] for _ in problems]
+    gate = threading.Barrier(len(problems))
+
+    def worker(slot):
+        gate.wait(timeout=30)
+        for _ in range(20):
+            got[slot].append(run.result(problems[slot].ctx, "max", ()))
+
+    threads = [
+        threading.Thread(target=worker, args=(slot,))
+        for slot in range(len(problems))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[value] * 20 for value in serial]
+    assert serial == [p.expected.max() for p in problems]
+
+
+@needs_cc
+def test_result_only_refuses_a_coordinate_no_tile_holds():
+    problem = problem_for("edit", (9, 7))
+    run = tiled_run(problem.kernel, (5, 4))
+    for coords in [(10, 7), (9, -1), (9,), ()]:
+        with pytest.raises(Exception) as err:
+            run.result(problem.ctx, None, coords)
+        assert "IndexError" in (
+            type(err.value).__name__ + str(err.value)
+        )
+    # a reduction reads no coordinate
+    assert run.result(problem.ctx, "max", ()) == problem.expected.max()
+
+
+class TestResultOnlyStructure:
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return build_kernel(checked(EDIT), Schedule.of(i=1, j=1))
+
+    def test_the_cell_body_is_emitted_once_per_entry(self, kernel):
+        source = cbackend.emit_native_source(kernel, openmp=True)
+        entry = entry_text(source, "repro_d")
+        assert entry.count("farr[(i) * (_ts) + j] = ") == 1
+        assert entry.count("for (long p = _plo; p <= _phi; p++)") == 1
+        assert entry.count("repro_block(&_s, 0, farr, _ts,") == 1
+        assert entry.count("repro_block(&_s, 1, farr, _ts,") == 1
+        # table and result-only launches choose (farr, _ts) per block
+        assert "long* farr = _tab;" in entry
+        assert "farr = _tile - (lo_i - 1) * _ts - (lo_j - 1);" in entry
+        assert source.count("void repro_block(") == 1
+        # the batched entry keeps its own strides and no fold
+        batched = entry_text(source, "repro_d_batched")
+        assert "(_ts)" not in batched and "_amax" not in batched
+
+    def test_entries_and_spec_agree_on_the_mode(self, kernel):
+        entries = cbackend.native_entries(kernel)
+        assert entries.tiled and entries.result_only
+        assert entries.reach == (1, 1)
+        tail = cbackend.native_param_spec(kernel)[-4:]
+        assert [(p.name, p.kind) for p in tail] == [
+            ("_res", "result"), ("_red", "reduce"),
+            ("_at_i", "at"), ("_at_j", "at"),
+        ]
+        assert "result-only launches" in (
+            cbackend.native_eligibility(kernel).detail
+        )
+
+    def test_a_reach_past_the_tile_edge_keeps_the_table(
+        self, monkeypatch
+    ):
+        """The halo tile is capped at four blocks: under a block
+        edge smaller than the reach the mode is not used."""
+        kernel = problem_for("rows-S=i", (3, 2)).kernel
+        assert cbackend.native_entries(kernel).result_only
+        monkeypatch.setattr(cbackend, "TILE", (1, 4))
+        entries = cbackend.native_entries(kernel)
+        assert entries.tiled and not entries.result_only
+        assert "result-only" not in (
+            cbackend.native_eligibility(kernel).detail
+        )
+
+    def test_untiled_kernels_have_no_result_only_mode(self):
+        func = forward_function()
+        domain = Domain(func.dim_names, (13, 13))
+        kernel = build_kernel(func, find_schedule(func, domain))
+        entries = cbackend.native_entries(kernel)
+        assert not entries.tiled and not entries.result_only
+        assert all(
+            p.kind not in ("result", "reduce", "at")
+            for p in cbackend.native_param_spec(kernel)
+        )
+        source = cbackend.emit_native_source(kernel, openmp=True)
+        assert "repro_block" not in source and "_res" not in source
+
+
+def test_explain_json_says_whether_the_entry_is_result_only(
+    tmp_path, capsys
+):
+    import json
+
+    from repro.__main__ import main
+
+    script = tmp_path / "two.dsl"
+    script.write_text(
+        'alphabet al = "acgt"\n'
+        + EDIT
+        + "\nint g(seq[al] s, index[s] i, seq[al] t, index[t] j) =\n"
+        "  if i == 0 then 0\n"
+        "  else if j > 7 then 0\n"
+        "  else g(i - 1, j + 1) + 1\n"
+    )
+    main(["explain", "--json", str(script)])
+    records = {
+        r["function"]: r
+        for r in json.loads(capsys.readouterr().out)["functions"]
+    }
+    assert records["d"]["native"]["result_only"] is True
+    assert records["d"]["parallel"]["tile"]["reach"] == [1, 1]
+    assert records["g"]["native"]["result_only"] is False
+    assert "reach" not in records["g"]["parallel"]["tile"]

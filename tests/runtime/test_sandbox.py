@@ -126,6 +126,43 @@ class TestSandboxedExecution:
         assert isinstance(compiled.run, sandbox.SandboxedNativeRun)
         assert os.path.exists(compiled.run.so_path)
 
+    def test_two_builds_of_one_kernel_do_not_answer_for_each_other(
+        self, sandboxed
+    ):
+        """A worker memoises its loaded runs; a second build of the
+        same kernel (a test-seam tile, a doctored certificate) is a
+        different shared object and must be loaded as one."""
+        import numpy as np
+
+        from repro.ir import cbackend
+        from repro.runtime.values import Bindings
+
+        engine = Engine(backend="native")
+        func = edit_func()
+        bound = Bindings(edit_args())
+        domain = engine.domain_of(func, bound)
+        compiled = engine.compile(
+            func, engine.schedule_for(func, domain), domain
+        )
+        ctx = engine.build_context(compiled, bound, domain)
+        source = cbackend.emit_native_source(
+            compiled.kernel, openmp=native.toolchain()[1]
+        )
+        store = "farr[(i) * (_ts) + j] = _t0;"
+        assert source.count(store) == 1
+        skewed = native.load_compiled(
+            compiled.kernel,
+            native.build_shared_object(
+                source.replace(store, store[:-1] + " + 100;")
+            ),
+        )
+        assert skewed.digest == compiled.run.digest
+        # Back to back, both launches land on the one idle worker.
+        plain = compiled.run(np.zeros(domain.extents, np.int64), ctx)
+        other = skewed(np.zeros(domain.extents, np.int64), ctx)
+        assert plain[6, 7] == 3
+        assert other[0, 0] == 100 and not np.array_equal(plain, other)
+
     def test_kill_fault_raises_worker_crash(self, sandboxed):
         engine = Engine(backend="native")
         func = edit_func()

@@ -367,28 +367,30 @@ class TestFormatGuard:
     def test_previous_format_record_is_a_miss_not_a_misload(
         self, tmp_path, edit_func
     ):
-        """Format 4 records hold the untiled translation unit (with a
-        ring entry) and a three-axis certificate. Keys embed the
-        format, so a format-5 process never asks for one; and a file
-        that does sit under a current key with the old header is
-        evicted unread, then replaced by a blocked-wavefront build."""
+        """Format 5 records hold a blocked entry without the
+        result-only parameters: its ``.so`` must never be called
+        through today's argtypes. Keys embed the format, so a
+        format-6 process never asks for one; and a file that does sit
+        under a current key with the old header is evicted unread,
+        then replaced by a build whose entry has the result-only
+        mode."""
         from repro.service import cache as cache_mod
         from repro.service.cache import MAGIC, canonical_kernel_form
 
-        assert cache_mod.KEY_FORMAT == 5
+        assert cache_mod.KEY_FORMAT == 6
         warm = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
         warm.run(edit_func, ARGS)
         compiled = warm._cache.values()[0]
         form = canonical_kernel_form(
             edit_func, compiled.schedule, "direct", compiled.backend
         )
-        assert form.startswith("v5\n")
+        assert form.startswith("v6\n")
         (name,) = record_names(tmp_path)
         path = tmp_path / name
         Tripwire.unpickled = False
         path.write_bytes(
-            b"repro-kernel-cache:4\n"
-            + pickle.dumps({"format": 4, "payload": Tripwire()})
+            b"repro-kernel-cache:5\n"
+            + pickle.dumps({"format": 5, "payload": Tripwire()})
         )
         cold = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
         assert cold.run(edit_func, ARGS).value == 3  # recompiled
@@ -402,6 +404,7 @@ class TestFormatGuard:
             rebuilt = cold._cache.values()[0]
             assert "_windowed" not in rebuilt.source
             assert "for (long _bd = 0;" in rebuilt.source
+            assert "long* _res, long _red, long _at_i" in rebuilt.source
 
     def test_backend_survives_round_trip(self, edit_func):
         engine = Engine(backend="vector")

@@ -152,39 +152,40 @@ class TestDeadlinePropagation:
 
 class TestQueueFullShedding:
     def test_admission_rejection_carries_retry_after(self):
-        service = ComputeService(
-            workers=1, queue_capacity=1, batch_window=5.0,
-        )
+        """One admitted job holds the only queue slot — the batcher
+        is parked so it cannot dequeue it — and the next submit is
+        refused at admission. (Racing several submitters against the
+        batcher's dequeue instead was a coin toss under load.)"""
+        service = ComputeService(workers=1, queue_capacity=1)
         server = make_http_server(service, "127.0.0.1", 0)
         serve_in_thread(server)
         host, port = server.server_address[:2]
+        pop = service.jobs.pop
+        parked = threading.Event()
+
+        def held(timeout=None):
+            parked.set()
+            time.sleep(0.005)
+
+        service.jobs.pop = held
         try:
-            # Saturate: the batcher waits out a 5 s window, so the
-            # single queue slot stays occupied.
-            statuses = []
-            threads = []
-
-            def submit():
-                status, headers, reply = http_post(
-                    host, port, "/submit",
-                    {"program": EDIT_PROGRAM, "function": "d",
-                     "args": {"s": "kitten", "t": "sitting"},
-                     "timeout": 1.0},
-                )
-                statuses.append((status, headers, reply))
-
-            for _ in range(6):
-                thread = threading.Thread(target=submit)
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join(timeout=30)
-            rejected = [s for s in statuses if s[0] == 503]
-            assert rejected, [s[0] for s in statuses]
-            status, headers, reply = rejected[0]
+            # Past this point the batcher's calls all land in held().
+            assert parked.wait(timeout=10)
+            service.submit(
+                EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
+            )
+            assert service.jobs.depth() == 1
+            status, headers, reply = http_post(
+                host, port, "/submit",
+                {"program": EDIT_PROGRAM, "function": "d",
+                 "args": {"s": "kitten", "t": "sitting"}},
+            )
+            assert status == 503
             assert headers["Retry-After"] == "1"
             assert reply["rejected"] is True
+            assert service.stats().rejected == 1
         finally:
+            service.jobs.pop = pop
             server.shutdown()
             server.server_close()
             service.shutdown(drain=False)
