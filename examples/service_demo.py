@@ -4,9 +4,11 @@
 Demonstrates the acceptance scenario for ``repro.service``:
 
 1. 120 edit-distance problems submitted concurrently to a 4-worker
-   ``ComputeService`` complete with a mean batch size well above 1 —
-   the batcher coalesced them into a handful of ``map`` launches —
-   and every value is bitwise-identical to a serial ``Engine.run``.
+   ``ComputeService`` complete with a mean batch size well above 1:
+   the first four go straight to the four idle workers, which are
+   then busy compiling, and everything that arrives while no worker
+   is free coalesces into a handful of ``map`` launches — every value
+   bitwise-identical to a serial ``Engine.run``.
 2. A second service started on the same cache directory answers
    without compiling anything: the persistent kernel cache made the
    schedule search and code generation a one-time cost.
@@ -54,6 +56,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         # -- phase 1: cold cache, concurrent clients ---------------
+        # ``batch_window`` bounds how long a job waits for company
+        # while all four workers are busy; an idle worker never waits.
         with ComputeService(
             workers=4, batch_window=0.05, max_batch=64,
             cache_dir=cache_dir,

@@ -70,7 +70,8 @@ def serve_main(argv) -> int:
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01,
-        help="seconds to wait for coalescible requests",
+        help="longest wait (seconds) for coalescible requests "
+        "while all workers are busy",
     )
     parser.add_argument(
         "--max-batch", type=int, default=64,

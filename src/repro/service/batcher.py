@@ -4,9 +4,12 @@ The paper's conditional-parallelisation machinery (Section 4.7) packs
 many independent problems into one launch; serially executing one-off
 requests would waste it. The batcher buckets admitted jobs by their
 :attr:`~repro.service.queue.Job.group_key` (same program, function
-and extraction coordinates) and flushes a bucket when it reaches
-``max_batch`` jobs or when its oldest job has waited ``window``
-seconds — the classic size-or-time trigger.
+and extraction coordinates). Packing exists so that no execution
+unit sits idle, so the batcher is work-conserving: a bucket leaves
+the moment a worker is free to run it, and only while every worker
+is busy does it stay open for company — until it reaches
+``max_batch`` jobs or its oldest job has waited ``window`` seconds.
+Batches therefore grow with load, not with a timer.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import queue as _queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .queue import DeadlineError, GroupKey, Job, JobQueue, JobState
 
@@ -41,8 +44,22 @@ class Batch:
         return len(self.jobs)
 
 
+#: With no bucket open only a job or a wake brings work; the batcher
+#: still looks up this often, so that a ``jobs.pop`` swapped in by a
+#: test or a tool is picked up without either.
+IDLE_HEARTBEAT = 0.25
+
+
 class Batcher(threading.Thread):
     """Pulls jobs off the admission queue into keyed buckets.
+
+    A bucket leaves as one :class:`Batch` on the first of: ``spare()``
+    reports an idle worker and it is the oldest open bucket (one batch
+    per spare worker); it holds ``max_batch`` jobs; its first job has
+    waited ``window`` seconds. ``spare`` defaults to "never", which
+    leaves size-or-time. Between events the thread sleeps in
+    ``jobs.pop``: a job, a :meth:`JobQueue.wake` (a worker finished,
+    :meth:`stop`) or the oldest bucket's window ends the wait.
 
     Runs as a daemon thread; :meth:`stop` drains every open bucket so
     no admitted job is lost on shutdown.
@@ -55,6 +72,7 @@ class Batcher(threading.Thread):
         window: float = 0.01,
         max_batch: int = 32,
         stats=None,
+        spare: Callable[[], int] = lambda: 0,
     ) -> None:
         super().__init__(name="repro-batcher", daemon=True)
         if max_batch < 1:
@@ -64,7 +82,9 @@ class Batcher(threading.Thread):
         self.window = max(0.0, window)
         self.max_batch = max_batch
         self.stats = stats
+        self.spare = spare
         self._buckets: Dict[GroupKey, List[Job]] = {}
+        #: Opening time per open bucket; insertion order is age order.
         self._opened: Dict[GroupKey, float] = {}
         self._stop = threading.Event()
         self._drained = threading.Event()
@@ -72,23 +92,29 @@ class Batcher(threading.Thread):
     # -- thread body ---------------------------------------------------------
 
     def run(self) -> None:
-        # Poll at half the window but never slower than 20 Hz, so a
-        # stop() request (or a size-triggered flush for another key)
-        # is noticed promptly even under long windows.
-        poll = min(max(self.window / 2.0, 0.001), 0.05)
         while True:
-            job = self.jobs.pop(timeout=poll)
+            job = self.jobs.pop(timeout=self._patience())
             now = time.monotonic()
             if job is not None:
                 self._add(job, now)
-            self._flush_due(now)
+            self._flush_ready(now)
             if self._stop.is_set() and job is None:
-                # Stop requested and the queue stayed empty for one
-                # poll: flush the stragglers and leave.
+                # Stop requested and the queue is empty: flush the
+                # stragglers and leave.
                 if self.jobs.depth() == 0:
                     self._flush_all()
                     self._drained.set()
                     return
+
+    def _patience(self) -> float:
+        """How long nothing can change unless a job or a wake arrives:
+        until the oldest open bucket's window ends."""
+        if self._stop.is_set():
+            return 0.0
+        oldest = next(iter(self._opened.values()), None)
+        if oldest is None:
+            return IDLE_HEARTBEAT
+        return max(0.0, oldest + self.window - time.monotonic())
 
     def _add(self, job: Job, now: float) -> None:
         if job.expired(now):
@@ -115,13 +141,23 @@ class Batcher(threading.Thread):
         if len(bucket) >= self.max_batch:
             self._flush(key)
 
-    def _flush_due(self, now: float) -> None:
-        due = [
-            key
-            for key, opened in self._opened.items()
-            if now - opened >= self.window
-        ]
-        for key in due:
+    def _flush_ready(self, now: float) -> None:
+        """Oldest first: buckets whose window has ended, then one per
+        spare worker — each flush puts a batch in flight, which is
+        what ``spare`` counts."""
+        for key, opened in list(self._opened.items()):
+            if now - opened < self.window:
+                if self.spare() <= 0:
+                    return
+                # Before feeding an idle worker, step aside once for
+                # the submitters that are already running: free when
+                # nobody else wants the interpreter, and when many do
+                # (a front end at saturation) their jobs are in the
+                # queue by the time this thread runs again — bucket
+                # those first, so simultaneous requests share a launch.
+                time.sleep(0)
+                if self.jobs.depth():
+                    return
             self._flush(key)
 
     def _flush_all(self) -> None:
@@ -134,6 +170,14 @@ class Batcher(threading.Thread):
         if bucket:
             self.batches.put(Batch(key, bucket))
 
+    def capacity_freed(self) -> None:
+        """A worker finished a batch (called on its thread): end the
+        loop's wait if a bucket is open for that worker to take.
+        Race-free without a lock: the worker's ``task_done`` precedes
+        this read, so a bucket opened after it sees the capacity."""
+        if self._opened:
+            self.jobs.wake()
+
     # -- shutdown ------------------------------------------------------------
 
     def stop(self, drain_timeout: float = 5.0) -> bool:
@@ -142,8 +186,5 @@ class Batcher(threading.Thread):
         if not self.is_alive():
             self._flush_all()
             return True
+        self.jobs.wake()
         return self._drained.wait(drain_timeout)
-
-    def open_jobs(self) -> int:
-        """Jobs currently buffered in buckets (approximate)."""
-        return sum(len(b) for b in self._buckets.values())

@@ -180,6 +180,7 @@ class JobQueue:
         self._jobs: Deque[Job] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        self._woken = False
         self._closed = False
 
     def submit(self, job: Job) -> None:
@@ -196,13 +197,23 @@ class JobQueue:
             self._not_empty.notify()
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next job, or None after ``timeout`` seconds of emptiness."""
+        """Next job, or None after ``timeout`` seconds of emptiness
+        (``None`` waits without limit) or a :meth:`wake`."""
         with self._not_empty:
-            if not self._jobs:
+            if not self._jobs and not self._woken:
                 self._not_empty.wait(timeout)
+            self._woken = False
             if not self._jobs:
                 return None
             return self._jobs.popleft()
+
+    def wake(self) -> None:
+        """End the consumer's current ``pop`` or, if it is between
+        two, its next: something it plans by (a worker freed, a stop
+        request) changed. The flag keeps the wake from being lost."""
+        with self._lock:
+            self._woken = True
+            self._not_empty.notify_all()
 
     def depth(self) -> int:
         """Jobs currently waiting."""

@@ -6,8 +6,13 @@
         │  parse/check once per program (ProgramRegistry)
         │  bind args, admission control (JobQueue)
         ▼
-    Batcher ── coalesces same-function jobs (window / max-batch) ──▶
+    Batcher ── buckets same-function jobs; a bucket leaves when a
+        │      worker is idle, at max-batch, or (all workers busy)
+        ▼      after the batch window
     WorkerPool ── N engines, shared kernel cache ──▶ map_run batches
+        │  a finished batch wakes the batcher: capacity to fill
+        ▼
+    JobHandle.result()
 
 The HTTP layer is deliberately small (``http.server`` +
 ``http.client``, JSON bodies, no dependencies):
@@ -38,6 +43,7 @@ import queue as _queue
 import signal
 import sys
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional
 
@@ -134,10 +140,14 @@ class ComputeService:
         self.stats_registry = StatsRegistry()
         self.jobs = JobQueue(queue_capacity)
         self.batch_queue: "_queue.Queue[Optional[Batch]]" = _queue.Queue()
+        # Work-conserving batching is two wires: the batcher reads the
+        # pool's spare capacity (late-bound: the pool is built below)
+        # and a worker finishing a batch tells the batcher.
         self.batcher = Batcher(
             self.jobs, self.batch_queue,
             window=batch_window, max_batch=max_batch,
             stats=self.stats_registry,
+            spare=lambda: self.pool.spare(),
         )
         self.default_timeout = default_timeout
         self.max_retries = max_retries
@@ -174,6 +184,7 @@ class ComputeService:
             workers=workers,
             backoff_seconds=backoff_seconds,
             demote_after=demote_after,
+            on_batch_done=self.batcher.capacity_freed,
         )
         self._closed = False
         self._draining = False
@@ -421,13 +432,21 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        lines = [
+            f"{self.protocol_version} {status} "
+            f"{HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
+        # One write, so one segment: head and body sent separately on
+        # a kept-alive socket without TCP_NODELAY meet Nagle's
+        # algorithm and the client's delayed ACK, ~40 ms per reply.
+        self.wfile.write(
+            "\r\n".join(lines + ["", ""]).encode("latin-1") + body
+        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # requests are accounted in ServiceStats, not stderr

@@ -97,6 +97,7 @@ class WorkerPool:
         backoff_seconds: float = 0.05,
         backoff_cap_seconds: float = 1.0,
         demote_after: int = 3,
+        on_batch_done: Callable[[], None] = lambda: None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -111,6 +112,8 @@ class WorkerPool:
         self.backoff_seconds = backoff_seconds
         self.backoff_cap_seconds = backoff_cap_seconds
         self.demote_after = demote_after
+        #: Called after each ``task_done()``: capacity just changed.
+        self.on_batch_done = on_batch_done
         #: The engines (or supervisors) the worker threads built —
         #: the stats endpoint sums ``native_demotions`` across them.
         self.engines: List[object] = []
@@ -150,6 +153,13 @@ class WorkerPool:
         """Number of worker threads."""
         return len(self._threads)
 
+    def spare(self) -> int:
+        """Workers with nothing to run: the pool's size minus the
+        batches in flight — put and not yet ``task_done``, the count
+        the queue already keeps for ``join()``, so a batch counts
+        from the instant it is queued."""
+        return len(self._threads) - self.batches.unfinished_tasks
+
     # -- execution -----------------------------------------------------------
 
     def native_demotions(self) -> int:
@@ -173,6 +183,7 @@ class WorkerPool:
                 self.execute_batch(engine, batch)
             finally:
                 self.batches.task_done()
+                self.on_batch_done()
 
     def execute_batch(self, engine: Engine, batch: Batch) -> None:
         """Run one batch to completion (public for tests/tools)."""

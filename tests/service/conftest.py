@@ -1,9 +1,13 @@
 """Shared fixtures for the service-layer tests."""
 
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from repro import check_function, parse_function
 from repro.runtime import ENGLISH
+from repro.service.batcher import Batch
 
 EDIT_PROGRAM = '''\
 alphabet en = "abcdefghijklmnopqrstuvwxyz"
@@ -47,3 +51,37 @@ def edit_func():
     return check_function(
         parse_function(EDIT_FUNC_SRC), {"en": ENGLISH.chars}
     )
+
+
+@contextmanager
+def workers_held(service):
+    """Hold every worker of ``service`` inside ``execute_batch`` until
+    the block exits.
+
+    Saturation stated, not raced: each worker is given an empty plug
+    batch and parked in it, so the pool has no spare capacity and
+    whatever the block submits coalesces under the size and window
+    triggers alone. Batches flushed meanwhile queue behind the plugs
+    and run, in order, once the block exits.
+    """
+    pool = service.pool
+    release = threading.Event()
+    parked = threading.Semaphore(0)
+    execute = pool.execute_batch
+
+    def hold(engine, batch):
+        parked.release()
+        release.wait(60)
+        if batch.jobs:
+            execute(engine, batch)
+
+    pool.execute_batch = hold
+    try:
+        for _ in range(pool.size):
+            service.batch_queue.put(Batch(("", "", (), (), None)))
+        for _ in range(pool.size):
+            assert parked.acquire(timeout=30), "a worker never parked"
+        yield
+    finally:
+        release.set()
+        del pool.execute_batch

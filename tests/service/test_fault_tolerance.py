@@ -29,7 +29,8 @@ from repro.service.server import (
 )
 from repro.service.workers import backoff_delay
 
-from .conftest import EDIT_PROGRAM
+from .conftest import EDIT_PROGRAM, workers_held
+from .test_batcher import wait_for
 
 
 def http_get(host, port, path):
@@ -131,14 +132,24 @@ class TestDeadlinePropagation:
 
     def test_expired_deadline_is_504_shed(self, http_service):
         host, port, service = http_service
-        # A microscopic budget: queue + batch window alone eat it, so
-        # the job is shed at dequeue — never launched.
-        status, _, reply = http_post(
-            host, port, "/submit",
-            {"program": EDIT_PROGRAM, "function": "d",
-             "args": {"s": "kitten", "t": "sitting"},
-             "timeout": 0.0005},
+        # A microscopic budget and no worker free to take the job:
+        # the wait for one eats it, so the job is shed — at dequeue
+        # or just before launch, never launched.
+        result = []
+        post = threading.Thread(
+            target=lambda: result.extend(http_post(
+                host, port, "/submit",
+                {"program": EDIT_PROGRAM, "function": "d",
+                 "args": {"s": "kitten", "t": "sitting"},
+                 "timeout": 0.0005},
+            ))
         )
+        with workers_held(service):
+            post.start()
+            assert wait_for(lambda: service.stats().submitted == 1)
+            time.sleep(0.005)
+        post.join(30)
+        status, _, reply = result
         assert status == 504
         assert reply["timed_out"] is True
         assert reply["shed"] is True

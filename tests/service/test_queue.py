@@ -1,6 +1,7 @@
 """Jobs, handles and the bounded admission queue."""
 
 import threading
+import time
 
 import pytest
 
@@ -115,6 +116,28 @@ class TestJobQueue:
     def test_pop_times_out_empty(self):
         queue = JobQueue(capacity=2)
         assert queue.pop(timeout=0.01) is None
+
+    def test_wake_ends_a_blocked_pop(self):
+        queue = JobQueue(capacity=2)
+        threading.Timer(0.02, queue.wake).start()
+        began = time.monotonic()
+        assert queue.pop(timeout=30.0) is None
+        assert time.monotonic() - began < 5.0
+
+    def test_wake_between_pops_is_not_lost(self):
+        queue = JobQueue(capacity=2)
+        queue.wake()
+        began = time.monotonic()
+        assert queue.pop(timeout=30.0) is None  # the pending wake
+        assert time.monotonic() - began < 5.0
+        assert queue.pop(timeout=0.01) is None  # spent: times out
+
+    def test_wake_does_not_hide_a_job(self):
+        queue = JobQueue(capacity=2)
+        job = make_job()
+        queue.submit(job)
+        queue.wake()
+        assert queue.pop(timeout=1.0) is job
 
     def test_rejects_capacity_below_one(self):
         with pytest.raises(ValueError):

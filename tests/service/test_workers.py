@@ -1,17 +1,19 @@
 """Worker-pool semantics: timeout, retry with backoff, failure kinds."""
 
 import queue as _queue
+import threading
 import time
 
 import pytest
 
 from repro.lang.errors import RuntimeDslError
 from repro.runtime.engine import Engine
-from repro.service.batcher import Batch
+from repro.service.batcher import Batch, Batcher
 from repro.service.programs import ProgramRegistry
 from repro.service.queue import (
     DeadlineError,
     Job,
+    JobQueue,
     JobState,
     JobTimeoutError,
 )
@@ -207,6 +209,73 @@ class TestLifecycle:
         assert all(
             j.handle.done() for b in submitted for j in b.jobs
         )
+
+    def test_spare_counts_batches_from_put_to_task_done(self):
+        registry = ProgramRegistry()
+        batches = _queue.Queue()
+        done = []
+        pool = WorkerPool(
+            batches, Engine, registry, StatsRegistry(), workers=2,
+            on_batch_done=lambda: done.append(pool.spare()),
+        )
+        assert pool.spare() == 2
+        batches.put(edit_batch(registry, ["kitten"]))
+        # In flight from the put, before any worker has taken it.
+        assert pool.spare() == 1
+        batches.put(edit_batch(registry, ["mitten"]))
+        batches.put(edit_batch(registry, ["bitten"]))
+        assert pool.spare() == -1
+        pool.start()
+        batches.join()
+        assert pool.spare() == 2
+        # Told after each task_done, when the capacity already shows.
+        assert len(done) == 3 and done[-1] == 2
+        pool.shutdown(timeout=5.0)
+
+    def test_bucket_filled_under_saturation_leaves_on_task_done(self):
+        """Batcher and pool wired as the service wires them, one
+        worker held mid-batch: what arrives meanwhile shares a bucket,
+        and the worker finishing — not the 30 s window — sends it."""
+        stats, registry = StatsRegistry(), ProgramRegistry()
+        jobs, batches = JobQueue(16), _queue.Queue()
+        batcher = Batcher(
+            jobs, batches, window=30.0,
+            spare=lambda: pool.spare(),
+        )
+        pool = WorkerPool(
+            batches, Engine, registry, stats, workers=1,
+            on_batch_done=batcher.capacity_freed,
+        )
+        release, entered = threading.Event(), threading.Event()
+        execute = pool.execute_batch
+
+        def held(engine, batch):
+            entered.set()
+            release.wait(30)
+            execute(engine, batch)
+
+        pool.execute_batch = held
+        batcher.start()
+        pool.start()
+        try:
+            first, *rest = edit_batch(
+                registry, ["kitten", "mitten", "bitten", "sit"]
+            ).jobs
+            jobs.submit(first)
+            assert entered.wait(30)
+            for job in rest:
+                jobs.submit(job)
+            time.sleep(0.05)
+            assert batches.unfinished_tasks == 1  # bucket still open
+            release.set()
+            values = [j.handle.result(timeout=10) for j in rest]
+        finally:
+            release.set()
+            batcher.stop()
+            pool.shutdown(timeout=5.0)
+        assert values == [3, 3, 4]
+        snapshot = stats.snapshot()
+        assert (snapshot.batches, snapshot.max_batch_size) == (2, 3)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
