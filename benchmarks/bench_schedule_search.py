@@ -7,10 +7,6 @@ find equally good schedules.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.analysis.domain import Domain
@@ -18,15 +14,11 @@ from repro.apps.hmm_algorithms import forward_function
 from repro.apps.smith_waterman import smith_waterman_function
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.runtime import native as native_rt
-from repro.runtime.engine import Engine
 from repro.schedule.solver import find_schedule
 
 from conftest import write_table
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CASES = {
     "edit-distance": (
@@ -94,198 +86,3 @@ def test_search_report(benchmark):
         ("recursion", "schedule", "partitions", "cells"),
         rows,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cost-model-guided autotuning (schedule.autotune)
-
-AUTOTUNE_REPEATS = 3
-
-
-def _native_measure(engine, func, bindings, domain):
-    """Best-of-N wall-clock of one native run under ``schedule``."""
-    from repro import Bindings
-
-    def measure(schedule):
-        compiled = engine.compile(func, schedule, domain)
-        ctx = engine.build_context(
-            compiled, Bindings(dict(bindings)), domain
-        )
-        best = None
-        for _ in range(AUTOTUNE_REPEATS):
-            table = engine._table_for(compiled.kernel, domain)
-            started = time.perf_counter()
-            compiled.run(table, ctx)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-        return best
-
-    return measure
-
-
-def autotune_cases():
-    """(name, func, bindings) for the autotune report; domains come
-    from the bindings so predicted and measured agree exactly."""
-    from repro.apps.profile_hmm import tk_model
-    from repro.extensions.submatrix import blosum62
-    from repro.runtime.sequences import random_protein
-    from repro.runtime.values import PROTEIN
-
-    sw_func = smith_waterman_function()
-    protein = blosum62(PROTEIN)
-    cases = [
-        (
-            "smith-waterman-2304",
-            sw_func,
-            {
-                "m": protein,
-                "q": random_protein(2304, seed=1),
-                "d": random_protein(2304, seed=2),
-            },
-        ),
-        (
-            "edit-distance-2304",
-            CASES["edit-distance"][0],
-            {
-                "s": _random_english(2304, 41),
-                "t": _random_english(2304, 42),
-            },
-        ),
-        (
-            "hmm-forward-2048",
-            forward_function(),
-            {"h": tk_model(), "x": random_protein(2048, seed=5)},
-        ),
-    ]
-    return cases
-
-
-def _random_english(n, seed):
-    import random as _random
-
-    from repro.runtime.values import ENGLISH, Sequence
-
-    rng = _random.Random(seed)
-    return Sequence(
-        "".join(rng.choice(ENGLISH.chars) for _ in range(n)), ENGLISH
-    )
-
-
-@pytest.mark.skipif(
-    not native_rt.available().ok,
-    reason="no working C compiler in this environment",
-)
-def test_autotune_report(benchmark):
-    """Cost-model-guided autotuning vs the min-partition default.
-
-    Candidates are searched analytically, the top predicted few are
-    compiled and timed natively (the ``REPRO_AUTOTUNE_MEASURE`` path
-    with an explicit ``measure_fn``), and both the default and the
-    adopted schedule are measured the same way. Writes
-    ``BENCH_autotune.json`` at the repository root."""
-    from repro import Bindings
-    from repro.schedule.autotune import autotune_schedule
-
-    def compute():
-        rows = []
-        records = []
-        for name, func, bindings in autotune_cases():
-            engine = Engine(backend="native")
-            domain = engine.domain_of(func, Bindings(dict(bindings)))
-            measure = _native_measure(engine, func, bindings, domain)
-            started = time.perf_counter()
-            result = autotune_schedule(
-                func,
-                domain,
-                engine.spec,
-                mean_degree=engine.mean_degree(
-                    func, Bindings(dict(bindings))
-                ),
-                measure=3,
-                measure_fn=measure,
-            )
-            search_s = time.perf_counter() - started
-            clock = engine.spec.clock_hz
-            default_ms = measure(result.default) * 1e3
-            chosen_ms = (
-                default_ms
-                if result.schedule == result.default
-                else measure(result.schedule) * 1e3
-            )
-            row = {
-                "app": name,
-                "extents": list(domain.extents),
-                "default_schedule": str(result.default),
-                "autotuned_schedule": str(result.schedule),
-                "predicted_default_ms": (
-                    result.default_predicted.cycles / clock * 1e3
-                ),
-                "predicted_autotuned_ms": (
-                    result.predicted.cycles / clock * 1e3
-                ),
-                "predicted_speedup": result.predicted_speedup,
-                "measured_default_ms": default_ms,
-                "measured_autotuned_ms": chosen_ms,
-                "measured_speedup": default_ms / chosen_ms,
-                "candidates_enumerated": result.stats.enumerated,
-                "candidates_pruned": result.stats.pruned,
-                "candidates_measured": result.stats.measured,
-                "search_seconds": search_s,
-            }
-            records.append(row)
-            rows.append(
-                (
-                    name,
-                    row["default_schedule"],
-                    row["autotuned_schedule"],
-                    row["measured_default_ms"],
-                    row["measured_autotuned_ms"],
-                    row["measured_speedup"],
-                    row["candidates_enumerated"],
-                    row["candidates_pruned"],
-                )
-            )
-        return rows, records
-
-    rows, records = benchmark.pedantic(compute, rounds=1, iterations=1)
-    write_table(
-        "autotune",
-        "Cost-model-guided schedule autotuning vs min-partition\n"
-        "(native backend, best-of-%d host milliseconds)"
-        % AUTOTUNE_REPEATS,
-        (
-            "app",
-            "default",
-            "autotuned",
-            "default (ms)",
-            "autotuned (ms)",
-            "speedup",
-            "enumerated",
-            "pruned",
-        ),
-        rows,
-    )
-    payload = {
-        "benchmark": "autotune",
-        "measure_top_k": 3,
-        "repeats": AUTOTUNE_REPEATS,
-        "rows": records,
-    }
-    (REPO_ROOT / "BENCH_autotune.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    # The model must never pick something it predicts to be worse...
-    for row in records:
-        assert row["predicted_autotuned_ms"] <= (
-            row["predicted_default_ms"]
-        ), row["app"]
-        # ...and the measured winner never loses by more than noise.
-        assert row["measured_speedup"] > 0.95, row["app"]
-    # At least one paper app shows a real measured win, with the
-    # model's ordering agreeing on the direction.
-    wins = [r for r in records if r["measured_speedup"] > 1.05]
-    assert wins, "autotuning won nowhere"
-    assert any(
-        r["predicted_speedup"] > 1.0 for r in wins
-    ), "measured win the model did not predict"

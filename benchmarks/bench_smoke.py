@@ -163,57 +163,3 @@ def test_smoke_batched_rungs_agree():
     # The batched entry runs each member's exact serial nest: bitwise
     # with the scalar interpreter through the same libm.
     assert batched_native.likelihoods == scalar.likelihoods
-
-
-def test_smoke_autotune_agrees_and_never_predicts_worse():
-    """The autotuned engine computes the same tables as the
-    min-partition default, and the adopted schedule is never
-    predicted slower than the default — the invariant behind
-    ``bench_schedule_search.test_autotune_report``'s timings."""
-    query = random_protein(SMOKE_SIZE, seed=11)
-    targets = [
-        random_protein(SMOKE_SIZE, seed=110 + k)
-        for k in range(SMOKE_PROBLEMS)
-    ]
-    baseline = [
-        int(
-            SmithWaterman(engine=Engine(backend="scalar"))
-            .align(query, target)
-            .value
-        )
-        for target in targets
-    ]
-    engine = Engine(backend="scalar", schedule="autotune")
-    tuned_sw = SmithWaterman(engine=engine)
-    tuned = [
-        int(tuned_sw.align(query, target).value) for target in targets
-    ]
-    assert tuned == baseline
-    assert engine.autotune_searches >= 1
-    result = engine.last_autotune
-    assert result is not None
-    assert result.predicted.cycles <= result.default_predicted.cycles
-
-    profile = tk_model()
-    database = [
-        random_protein(SMOKE_SIZE, seed=1100 + k)
-        for k in range(SMOKE_PROBLEMS)
-    ]
-    scalar = ProfileSearch(
-        profile,
-        engine=Engine(prob_mode="logspace", backend="scalar"),
-    ).search(database)
-    tuned_engine = Engine(
-        prob_mode="logspace", backend="scalar", schedule="autotune"
-    )
-    tuned_search = ProfileSearch(profile, engine=tuned_engine).search(
-        database
-    )
-    assert np.allclose(
-        tuned_search.likelihoods, scalar.likelihoods,
-        rtol=1e-9, atol=1e-12,
-    )
-    assert tuned_engine.last_autotune is not None
-    assert tuned_engine.last_autotune.predicted.cycles <= (
-        tuned_engine.last_autotune.default_predicted.cycles
-    )

@@ -94,13 +94,6 @@ def serve_main(argv) -> int:
         default="auto",
     )
     parser.add_argument(
-        "--schedule", choices=("min-partition", "autotune"),
-        default="min-partition",
-        help="schedule selection: the Section 4.6 partition-minimal "
-        "solver, or the cost-model-guided autotuner (winners are "
-        "persisted per size bucket in the kernel cache)",
-    )
-    parser.add_argument(
         "--chaos-rate", type=float, default=0.0,
         help="inject launch failures / transfer truncations at this "
         "rate (supervised recovery; for soak testing)",
@@ -164,7 +157,6 @@ def serve_main(argv) -> int:
         cache_capacity=args.cache_capacity,
         prob_mode=args.prob_mode,
         backend=args.backend,
-        schedule=args.schedule,
         fault_plan=fault_plan,
         sandbox_native=True if args.sandbox else None,
     )
@@ -221,19 +213,7 @@ def explain_main(argv) -> int:
         help="emit machine-readable eligibility verdicts and "
         "certificate summaries instead of text",
     )
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="also run the cost-model-guided schedule autotuner and "
-        "report the chosen vs default schedule with predicted costs",
-    )
-    parser.add_argument(
-        "--extent", type=int, default=None, metavar="N",
-        help="with --autotune: stand-in extent for the unknown "
-        "problem size (default 256; the winner is size-dependent)",
-    )
     args = parser.parse_args(argv)
-    if args.extent is not None and not args.autotune:
-        parser.error("--extent requires --autotune")
 
     path = Path(args.script)
     if not path.exists():
@@ -392,56 +372,6 @@ def explain_main(argv) -> int:
                     emit(f"  batched-native: [{batched.rule}] "
                          f"{batched.detail}")
         emit(f"  parallel: {parallel.summary}")
-        if args.autotune:
-            from .lang.errors import AnalysisError
-            from .schedule.autotune import autotune_schedule
-
-            extent = args.extent or 256
-            tune_domain = Domain(
-                func.dim_names,
-                tuple(extent for _ in func.recursive_params),
-            )
-            try:
-                tuned = autotune_schedule(
-                    func, tune_domain, prob_mode=args.prob_mode
-                )
-            except (AnalysisError, DslError) as err:
-                record["autotune"] = {"error": str(err)}
-                emit(f"  autotune: failed ({err})")
-            else:
-                record["autotune"] = {
-                    "extent": extent,
-                    "chosen": tuned.schedule.to_json(),
-                    "default": tuned.default.to_json(),
-                    "improved": tuned.improved,
-                    "predicted_cycles": tuned.predicted.cycles,
-                    "default_predicted_cycles": (
-                        tuned.default_predicted.cycles
-                    ),
-                    "predicted_speedup": tuned.predicted_speedup,
-                    "enumerated": tuned.stats.enumerated,
-                    "pruned": tuned.stats.pruned,
-                    "search_seconds": tuned.stats.search_seconds,
-                }
-                if tuned.improved:
-                    emit(
-                        f"  autotune (extent {extent}): "
-                        f"{tuned.schedule} beats default "
-                        f"{tuned.default} — predicted "
-                        f"{tuned.predicted.cycles:.3g} vs "
-                        f"{tuned.default_predicted.cycles:.3g} "
-                        f"cycles "
-                        f"({tuned.predicted_speedup:.2f}x)"
-                    )
-                else:
-                    emit(
-                        f"  autotune (extent {extent}): default "
-                        f"{tuned.default} confirmed optimal "
-                        f"(predicted "
-                        f"{tuned.predicted.cycles:.3g} cycles; "
-                        f"{tuned.stats.enumerated} candidates, "
-                        f"{tuned.stats.pruned} pruned)"
-                    )
         try:
             certificate, _diags = verify_schedule(
                 func,

@@ -15,18 +15,18 @@ Header format, one ``// fuzz: key = value`` line per key::
     // fuzz: prob-mode = direct
     // fuzz: note = free text
 
-Recognised keys: ``name``, ``origin``, ``prob-mode`` (engine mode
-for the replay, default ``direct``), ``expect`` (space-separated
-golden printed values, checked against the scalar leg), ``note``,
-``schedule`` (``autotune`` adds a scalar leg under the
-cost-model-guided autotuner, compared against the min-partition
-baseline like any backend — the fuzzer's ``schedule-divergence``
-check in corpus form), and the map-leg pair ``map-call`` /
-``map-texts``: a map template
-call (``d(a, |a|, _, |_|)``) plus a JSON list of member texts (JSON,
-so empty-string members survive). Entries carrying both replay the
-lane-batched map path on every backend — scalar loop, batched-vector
-and batched-native compared member for member.
+Recognised keys (:data:`RECOGNISED_KEYS`; the loader rejects any
+other, naming the entry — a misspelt or retired directive must not
+silently replay fewer legs): ``name``, ``origin``, ``prob-mode``
+(engine mode for the replay, default ``direct``), ``expect``
+(space-separated golden printed values, checked against the scalar
+leg), ``note``, and the map-leg pair ``map-call`` / ``map-texts``: a
+map template call (``d(a, |a|, _, |_|)``) plus a JSON list of member
+texts (JSON, so empty-string members survive). Entries carrying both
+replay the lane-batched map path on every backend — scalar loop,
+batched-vector and batched-native compared member for member. A
+non-default schedule is not a directive: it is a ``schedule`` clause
+in the script itself.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ __all__ = [
 #: backends a corpus entry replays on (native auto-skips without a
 #: toolchain; vector skips per-kernel on ineligibility).
 REPLAY_BACKENDS = ("scalar", "vector", "native")
+
+#: ``// fuzz:`` header keys an entry may carry.
+RECOGNISED_KEYS = frozenset(
+    ("name", "origin", "prob-mode", "expect", "note", "map-call",
+     "map-texts")
+)
 
 
 def corpus_dir() -> str:
@@ -137,6 +143,14 @@ def load_corpus(directory: Optional[str] = None) -> List[CorpusEntry]:
         with open(path, "r", encoding="utf-8") as handle:
             script = handle.read()
         meta = _parse_meta(script)
+        unknown = sorted(meta.keys() - RECOGNISED_KEYS)
+        if unknown:
+            key = unknown[0]
+            raise ValueError(
+                f"corpus entry {meta.get('name', filename[:-4])!r}: "
+                f"unknown directive '// fuzz: {key} = {meta[key]}' "
+                f"(recognised: {', '.join(sorted(RECOGNISED_KEYS))})"
+            )
         entries.append(
             CorpusEntry(
                 name=meta.get("name", filename[:-4]),
@@ -203,25 +217,11 @@ def replay_entry(
             script.rstrip("\n")
             + f"\nmap fuzzmap = {entry.map_call} over fuzzdb\n"
         )
-    legs = list(backends)
-    if entry.meta.get("schedule") == "autotune":
-        # Extra leg: scalar backend under the autotuned schedule. A
-        # valid schedule only reorders the sweep, so this leg must
-        # agree with the scalar baseline exactly.
-        legs.append("autotune")
-    for backend in legs:
+    for backend in backends:
         if backend == "native" and not native_rt.available().ok:
             skipped.append("native: no toolchain")
             continue
-        engine = Engine(
-            backend="scalar" if backend == "autotune" else backend,
-            prob_mode=entry.prob_mode,
-            schedule=(
-                "autotune"
-                if backend == "autotune"
-                else "min-partition"
-            ),
-        )
+        engine = Engine(backend=backend, prob_mode=entry.prob_mode)
         try:
             if map_texts is not None and entry.map_call:
                 runner = ProgramRunner(engine)

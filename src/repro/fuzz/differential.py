@@ -24,10 +24,6 @@ environment supports:
 * the memoised interpreter (direct mode, small domains) — an
   independent evaluator of the *source*, catching bugs every code
   generator shares;
-* forced scalar under ``schedule="autotune"`` — the cost-model-guided
-  schedule must reproduce the min-partition table *bitwise*: a valid
-  schedule only reorders when cells are computed, never what they
-  compute;
 * the lane-batched ``map`` path when the case carries a problem
   group: batched and unbatched sweeps must agree with scalar.
 
@@ -41,10 +37,6 @@ Verdicts (:data:`FAILURE_CLASSES` are the failing ones):
 * ``eligibility-mismatch`` — a forced backend's behaviour contradicts
   its eligibility verdict (or its error hides the failed rule);
 * ``divergence`` — two rungs produce different answers;
-* ``schedule-divergence`` — the autotuned schedule's table is not
-  bitwise identical to the min-partition baseline (an invalid winner
-  slipped past the autotuner's verifier gate, or the partition loop
-  mishandles the reordering);
 * ``race-gap`` — the parallel-safety analyzer and reality disagree in
   either direction: a CONFIRMED space axis diverges under a
   multi-threaded native run (analyzer unsound for this kernel), or an
@@ -93,7 +85,6 @@ FAILURE_CLASSES = (
     "divergence",
     "race-gap",
     "map-native-divergence",
-    "schedule-divergence",
     "service-divergence",
     "eligibility-mismatch",
     "lint-gap",
@@ -177,18 +168,16 @@ class DifferentialHarness:
         backend: str,
         prob_mode: str,
         sanitize: bool = False,
-        schedule: str = "min-partition",
     ):
         from ..runtime.engine import Engine
 
-        key = (backend, prob_mode, sanitize, schedule)
+        key = (backend, prob_mode, sanitize)
         engine = self._engines.get(key)
         if engine is None:
             engine = Engine(
                 backend=backend,
                 prob_mode=prob_mode,
                 sanitize=sanitize,
-                schedule=schedule,
             )
             self._engines[key] = engine
         return engine
@@ -449,16 +438,6 @@ class DifferentialHarness:
             return CaseOutcome(
                 case, "divergence",
                 "sanitized and plain scalar tables disagree",
-                legs, lint_errors, tuple(skips),
-            )
-
-        # -- autotuned schedule parity -----------------------------------------
-        autotune_finding = self._autotune_leg(
-            case, func, bindings, run_kwargs, scalar, legs
-        )
-        if autotune_finding:
-            return CaseOutcome(
-                case, autotune_finding[0], autotune_finding[1],
                 legs, lint_errors, tuple(skips),
             )
 
@@ -738,60 +717,6 @@ class DifferentialHarness:
                 "interpreter"
             )
         return ""
-
-    def _autotune_leg(
-        self, case, func, bindings, run_kwargs, scalar, legs
-    ) -> Optional[Tuple[str, str]]:
-        """Autotuned vs min-partition schedule on the scalar backend.
-
-        A valid schedule only reorders *when* cells are computed —
-        each cell's value is a pure function of already-final cells —
-        so the same backend under a different schedule must produce a
-        **bitwise identical** table. A mismatch means an invalid
-        winner slipped past the autotuner's verifier gate (or the
-        partition loop mishandles the reordered sweep):
-        ``schedule-divergence``.
-        """
-        if run_kwargs.get("user_schedule") is not None:
-            return None  # a user schedule overrides the autotuner
-        engine = self._engine(
-            "scalar", case.prob_mode, schedule="autotune"
-        )
-        try:
-            result = engine.run(func, dict(bindings), **run_kwargs)
-        except Exception as err:
-            legs["autotune"] = LegResult(
-                "autotune", "error",
-                error_type=type(err).__name__, error=str(err),
-            )
-            return (
-                "crash",
-                f"autotune leg failed on a program the scalar leg "
-                f"runs: {type(err).__name__}: {err}",
-            )
-        legs["autotune"] = LegResult(
-            "autotune", "ok", value=result.value, table=result.table,
-        )
-        if (
-            scalar.table is not None
-            and result.table is not None
-            and not np.array_equal(
-                scalar.table, result.table, equal_nan=True
-            )
-        ):
-            return (
-                "schedule-divergence",
-                f"autotuned schedule "
-                f"{result.kernel.schedule} table differs bitwise "
-                f"from the min-partition baseline",
-            )
-        if not values_agree(scalar.value, result.value):
-            return (
-                "schedule-divergence",
-                f"autotuned schedule value {result.value!r} != "
-                f"min-partition {scalar.value!r}",
-            )
-        return None
 
     def _map_leg(self, case, func, bindings) -> Optional[Tuple[str, str]]:
         """Batched vs unbatched vs scalar ``map`` sweeps."""

@@ -6,8 +6,8 @@ sampling the grammar uniformly:
 
 * tiny domains (empty sequences, size-1 extents) below the vector
   crossover;
-* user schedules including the ``S = i`` ring shape (pure-space
-  column → the windowed native entry);
+* user schedules including the ``S = i`` ring shape (a pure-space
+  column: partitions are whole rows);
 * range and CSR reductions (vector-ineligibility, empty-reduction
   semantics);
 * log-space probability mode;
@@ -39,7 +39,7 @@ from .grammar import (
 __all__ = ["generate_case", "generate_spec"]
 
 #: (shape, weight) — seq2d dominates because it covers the most
-#: rungs (vector, native, windowed-ring, map batching).
+#: rungs (vector, native, blocked wavefront, map batching).
 _SHAPE_WEIGHTS = (
     ("seq2d", 46),
     ("hmm", 20),

@@ -12,9 +12,9 @@ Shapes, chosen to cover every backend-eligibility gate:
 
 * :class:`Seq2DSpec` — the edit-distance / Smith-Waterman family:
   2-D uniform recurrences over two sequences, optional substitution
-  matrix, optional user schedule (including the ``S = i`` ring shape
-  whose pure-space column dimension exercises the §4.8 windowed
-  native entry), optional whole-table reduction, optional ``map``
+  matrix, optional user schedule (including the ``S = i`` ring shape,
+  whose column dimension is pure space: a partition is a whole row),
+  optional whole-table reduction, optional ``map``
   problem list (the lane-batching path);
 * :class:`Range2DSpec` — the Nussinov family: substring recurrences
   with bounded range reductions (``max(k in i+1 .. j-1 : ...)``);

@@ -18,8 +18,7 @@ quantities the paper's design discussion revolves around:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -50,12 +49,6 @@ def partition_sizes(schedule: Schedule, domain: Domain) -> np.ndarray:
         if coeff < 0:
             offset -= span
     return sizes
-
-
-#: Context key under which ``Engine.run`` hands a launch its
-#: :func:`partition_sizes`, so the native entry-point choice does not
-#: convolve them again.
-SIZES_KEY = "partition_sizes"
 
 
 @dataclass(frozen=True)
@@ -104,38 +97,25 @@ def problems_per_sm(
     )
 
 
-#: Sentinel for "use the kernel's own window" — distinct from an
-#: explicit ``window=None`` (a candidate schedule with non-uniform
-#: look-back, hence no constant window at all).
-_KERNEL_WINDOW = object()
-
-
 def window_fits_shared(
     kernel: Kernel,
     schedule: Schedule,
     domain: Domain,
     spec: DeviceSpec,
     value_bytes: int = 8,
-    window=_KERNEL_WINDOW,
     sizes: Optional[np.ndarray] = None,
 ) -> bool:
     """Can the sliding window live in shared memory? (Section 4.8).
 
-    ``window`` overrides the kernel's own window size, so a candidate
-    schedule can be priced against one built kernel (op counts are
-    schedule-independent) without re-lowering per candidate — the
-    autotuner's hot loop. ``sizes`` is
-    ``partition_sizes(schedule, domain)`` when the caller already
-    holds it.
+    ``sizes`` is ``partition_sizes(schedule, domain)`` when the caller
+    already holds it.
     """
-    if window is _KERNEL_WINDOW:
-        window = kernel.window
-    if window is None:
+    if kernel.window is None:
         return False
     if sizes is None:
         sizes = partition_sizes(schedule, domain)
     widest = int(sizes.max()) if len(sizes) else 0
-    rows = window + 1
+    rows = kernel.window + 1
     return rows * widest * value_bytes <= spec.shared_memory_bytes
 
 
@@ -179,23 +159,18 @@ def kernel_cost(
     spec: DeviceSpec,
     mean_degree: float = 1.0,
     use_window: bool = True,
-    schedule: Optional[Schedule] = None,
-    window=_KERNEL_WINDOW,
     sizes: Optional[np.ndarray] = None,
 ) -> KernelCost:
     """Price one problem's kernel execution on the device.
 
-    ``schedule``/``window`` override the kernel's own, letting the
-    autotuner price alternative schedules against a single lowered
-    kernel (the operation counts do not depend on the schedule).
-    ``sizes`` is ``partition_sizes(schedule, domain)`` when the caller
-    already holds it.
+    ``sizes`` is ``partition_sizes(kernel.schedule, domain)`` when the
+    caller already holds it.
     """
-    schedule = schedule or kernel.schedule
+    schedule = kernel.schedule
     if sizes is None:
         sizes = partition_sizes(schedule, domain)
     in_shared = use_window and window_fits_shared(
-        kernel, schedule, domain, spec, window=window, sizes=sizes
+        kernel, schedule, domain, spec, sizes=sizes
     )
     per_cell = cell_cost_cycles(
         kernel, spec, mean_degree, table_in_shared=in_shared
@@ -217,36 +192,6 @@ def kernel_cost(
         compute_cycles=compute_total,
         memory_cycles=memory_total,
         sync_cycles=sync_total,
-    )
-
-
-def cost_lower_bound(
-    kernel: Kernel,
-    domain: Domain,
-    spec: DeviceSpec,
-    partitions: int,
-    mean_degree: float = 1.0,
-) -> float:
-    """Cycles no schedule with ``>= partitions`` partitions can beat.
-
-    Two monotone facts make this a sound branch-and-bound floor for
-    the autotuner (and they are what the cost-model property tests
-    pin down):
-
-    * every partition closes with one barrier, so sync cycles are at
-      least ``partitions * sync_cycles`` — and a *partial* coefficient
-      vector's span only grows as more dimensions are assigned;
-    * the cell work is at least ``ceil(cells / warp)`` warp-batches
-      (``sum(ceil(s_i/w)) >= ceil(sum(s_i)/w)``), each priced at the
-      cheapest memory tier (the shared-window rate).
-    """
-    per_cell = cell_cost_cycles(
-        kernel, spec, mean_degree, table_in_shared=True
-    )
-    batches = ceil(domain.size / spec.warp_size)
-    return (
-        partitions * spec.sync_cycles
-        + batches * (per_cell["compute"] + per_cell["memory"])
     )
 
 

@@ -204,16 +204,6 @@ class CCellEmitter:
             text = f"({text}) * ({self._dim_size(k)}) + {rendered[k]}"
         return f"farr[{text}]"
 
-    def linear_ref(self, indices: Tuple[ir.Node, ...]) -> str:
-        """The plain (non-windowed) ``farr`` access for ``indices`` —
-        used for the windowed variants' global write-back."""
-        rendered = [self.inline(i) for i in indices]
-        dims = self.kernel.dims
-        text = rendered[0]
-        for k in range(1, len(dims)):
-            text = f"({text}) * ({self._dim_size(k)}) + {rendered[k]}"
-        return f"farr[{text}]"
-
     def emit_to(
         self, node: ir.Node, target: str, lines: List[str], pad: str
     ) -> None:

@@ -30,27 +30,18 @@ certificate (:func:`native_entries` is the one place that decides):
   time loop over the whole box, ``#pragma omp parallel for`` on the
   first space loop of each partition.
 
-A partition-sweep kernel whose schedule admits the Section 4.8
-sliding window (uniform descents, 2-D nest) also gets
-
-* ``repro_<name>_windowed`` — keeps the last ``window + 1``
-  partitions in a stack-resident ring buffer (the CPU analogue of
-  shared-memory residency), reads the recursion's look-backs from the
-  ring, and copies every computed row out to the table. Because a
-  replay may start mid-schedule (``part_lo > 0``), the ring is
-  preloaded from the table rows of the ``window`` preceding
-  partitions before computation begins. A blocked kernel has no ring:
-  on a CPU the tile *is* the resident window.
-
-Every per-problem entry takes ``(table, part_lo, part_hi, bounds,
-context arrays...)`` with a fixed parameter order described by
+Either way the table is the only storage: Section 4.8's sliding
+window is a shared-memory device and stays in the CUDA text
+(:func:`repro.ir.cuda.emit_cuda`); on a CPU the tile is the resident
+window. The entry takes ``(table, part_lo, part_hi, bounds, context
+arrays...)`` with a fixed parameter order described by
 :func:`native_param_spec` — :mod:`repro.runtime.native` builds the
 matching ``ctypes`` call from the same spec — and computes exactly
 the cells whose partition lies in ``[part_lo, part_hi]``.
 
-A third entry point is always emitted for the lane-batched ``map``
-path (the native mirror of the vector batcher in
-:mod:`repro.ir.npbackend`):
+The translation unit's second and last entry point serves the
+lane-batched ``map`` path (the native mirror of the vector batcher
+in :mod:`repro.ir.npbackend`):
 
 * ``repro_<name>_batched`` — runs a whole same-kernel map group as
   one call over a padded ``(B, d0max, ...)`` table with ``(B, 1)``
@@ -162,41 +153,16 @@ def value_ctype(kernel: Kernel) -> str:
     return "long" if kernel.body.return_kind == "int" else "double"
 
 
-def entry_symbol(
-    kernel: Kernel, windowed: bool = False, batched: bool = False
-) -> str:
+def entry_symbol(kernel: Kernel, batched: bool = False) -> str:
     """Exported symbol name of an entry point."""
-    if windowed and batched:
-        raise CodegenError(
-            "no windowed batched entry exists: batched launches use "
-            "the plain body (rule 'ok-plain-body')"
-        )
-    suffix = "_windowed" if windowed else "_batched" if batched else ""
-    return f"repro_{kernel.name}{suffix}"
-
-
-def supports_window(kernel: Kernel) -> bool:
-    """Does the kernel have the geometry a ring buffer needs? A
-    constant non-zero window (uniform descents, Section 4.8), the
-    2-D partition/lane shape the ring is addressed by, and a
-    partition-major time loop to preload across. Whether a
-    translation unit actually carries the ring entry is
-    :func:`native_entries`' answer."""
-    return (
-        kernel.window is not None
-        and kernel.window >= 1
-        and kernel.rank == 2
-        and kernel.nest.time_loop is not None
-    )
+    return f"repro_{kernel.name}{'_batched' if batched else ''}"
 
 
 @dataclass(frozen=True)
 class Entries:
-    """Which per-problem entry points a kernel's translation unit has
-    (the batched entry is always there)."""
+    """What a kernel's per-problem entry ``repro_<name>`` is (the
+    batched entry is always the whole-box sweep)."""
 
-    #: ``repro_<name>_windowed`` (the Section 4.8 ring) exists.
-    windowed: bool
     #: ``repro_<name>`` is the blocked wavefront, and this is its tile
     #: verdict's reach — the halo of a result-only launch (``None``:
     #: the partition sweep).
@@ -219,7 +185,8 @@ class Entries:
 
 
 def native_entries(kernel: Kernel, certificate=None) -> Entries:
-    """The one answer to "which entries and modes does this TU have".
+    """The one answer to "which order and modes does ``repro_<name>``
+    have".
 
     The emitter, :class:`repro.runtime.native.NativeRun`, both
     eligibility sentences and ``explain --json`` read it, so none can
@@ -227,22 +194,14 @@ def native_entries(kernel: Kernel, certificate=None) -> Entries:
     is the kernel's
     :class:`~repro.verify.races.ParallelismCertificate` (the memoised
     one when omitted): a CONFIRMED ``tile`` axis selects the blocked
-    wavefront, which has no ring; otherwise a window-capable kernel
-    keeps its ring when the ``ring`` axis is CONFIRMED.
+    wavefront, anything else the partition sweep.
     """
     if certificate is None:
         from ..verify.races import parallelism_certificate
 
         certificate = parallelism_certificate(kernel)
-    tiled = certificate.tile.confirmed
-    return Entries(
-        windowed=(
-            not tiled
-            and supports_window(kernel)
-            and certificate.ring.confirmed
-        ),
-        reach=certificate.tile.reach if tiled else None,
-    )
+    tile = certificate.tile
+    return Entries(reach=tile.reach if tile.confirmed else None)
 
 
 #: ``reduce=`` spellings a result-only launch folds in C, as the
@@ -291,7 +250,7 @@ def _scalar_kinds(kernel: Kernel) -> dict:
 
 
 def native_param_spec(kernel: Kernel, certificate=None) -> List[Param]:
-    """The (ordered) formal parameters of both emitted entry points.
+    """The (ordered) formal parameters of the per-problem entry.
 
     The emitter renders the C declarations from this list and the
     ``ctypes`` dispatcher marshals arguments from the same list, so
@@ -425,16 +384,13 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
             f"kernel {kernel.name!r} has no C99 rendering: {err}",
         )
     entries = native_entries(kernel)
+    shape = ""
     if entries.tiled:
         shape = (
             f"; blocked wavefront, tile "
             f"{'×'.join(str(t) for t in TILE)}"
             + (", result-only launches" if entries.result_only else "")
         )
-    elif entries.windowed:
-        shape = f"; sliding window of {kernel.window} partitions"
-    else:
-        shape = ""
     return Eligibility(
         True, "ok",
         f"kernel {kernel.name!r} compiles to portable C99 "
@@ -449,31 +405,22 @@ def batched_eligibility(kernel: Kernel) -> Eligibility:
     The batched entry reuses the per-problem body verbatim (each
     member runs its own nest over its own bounds), so it is eligible
     exactly when the per-problem native path is — with one named
-    nuance: a kernel whose per-problem entry is blocked or windowed
-    batches through the *plain* whole-box body (``ok-plain-body``),
-    because blocks and the ring buffer are single-problem devices:
-    the batch's parallel axis is the problem loop, and the batched
-    table's member slices are written in full regardless.
+    nuance: a kernel whose per-problem entry is blocked batches
+    through the *plain* whole-box body (``ok-plain-body``), because
+    blocks are a single-problem device: the batch's parallel axis is
+    the problem loop, and the batched table's member slices are
+    written in full regardless.
     """
     base = native_eligibility(kernel)
     if not base.ok:
         return base
-    entries = native_entries(kernel)
-    if entries.tiled:
+    if native_entries(kernel).tiled:
         return Eligibility(
             True, "ok-plain-body",
             f"kernel {kernel.name!r} batches natively with the plain "
             f"(unblocked) body; the blocked wavefront parallelises "
             f"one problem, a batched launch parallelises over "
             f"problems",
-        )
-    if entries.windowed:
-        return Eligibility(
-            True, "ok-plain-body",
-            f"kernel {kernel.name!r} batches natively with the plain "
-            f"(non-windowed) body; the Section 4.8 ring buffer is a "
-            f"per-problem residency optimisation and is not emitted "
-            f"for batched launches",
         )
     return Eligibility(
         True, "ok-batched",
@@ -585,18 +532,17 @@ def emit_native_source(
     loop — but a pragma is only *emitted* for an axis the
     parallel-safety verifier CONFIRMED (:mod:`repro.verify.races`
     re-proves intra-partition disjointness, batched-slice
-    disjointness, ring safety and the block order per kernel; the
-    emitter no longer trusts the schedule's independence claim as a
-    comment). An axis without a certificate degrades to serial
-    emission — the TU is simply pragma-free there, so its content
-    hash differs from the proved TU's and the build cache keeps the
-    variants apart. A refused ring suppresses the windowed entry
-    outright; the runtime falls back to the plain entry. The pragmas
-    are inert unless the library is built with ``-fopenmp``.
+    disjointness and the block order per kernel; the emitter no
+    longer trusts the schedule's independence claim as a comment).
+    An axis without a certificate degrades to serial emission — the
+    TU is simply pragma-free there, so its content hash differs from
+    the proved TU's and the build cache keeps the variants apart.
+    The pragmas are inert unless the library is built with
+    ``-fopenmp``.
 
-    Which entries exist is :func:`native_entries`' decision, serial
-    builds included: the blocked wavefront is an order, not a
-    threading choice.
+    Which order ``repro_<name>`` runs in is :func:`native_entries`'
+    decision, serial builds included: the blocked wavefront is an
+    order, not a threading choice.
 
     ``certificate`` overrides the verifier's own judgement (tests use
     it to force refusals); when ``None``, the memoised certificate is
@@ -651,21 +597,11 @@ def emit_native_source(
             reach=entries.reach,
         )
     else:
-        _emit_body(kernel, body, vt, windowed=False, openmp=space_omp)
+        _emit_body(kernel, body, vt, openmp=space_omp)
     lines.append(f"void {entry_symbol(kernel)}({decl}) {{")
     lines.extend(_unused_casts(params, body))
     lines.extend(body)
     lines.append("}")
-    if entries.windowed:
-        body = []
-        _emit_body(kernel, body, vt, windowed=True, openmp=space_omp)
-        lines.append("")
-        lines.append(
-            f"void {entry_symbol(kernel, windowed=True)}({decl}) {{"
-        )
-        lines.extend(_unused_casts(params, body))
-        lines.extend(body)
-        lines.append("}")
     lines.append("")
     _emit_batched_entry(
         kernel, lines, vt, openmp=batch_omp,
@@ -724,14 +660,9 @@ def _emit_batched_entry(
         )
         body.append(f"{inner}const {ctext} arg_{a} = b_arg_{a}[_b];")
     cell = CCellEmitter(
-        kernel,
-        windowed=False,
-        strides=tuple(f"pad_{d}" for d in kernel.dims),
+        kernel, strides=tuple(f"pad_{d}" for d in kernel.dims)
     )
-    _emit_body(
-        kernel, body, vt, windowed=False, openmp=False,
-        cell=cell, pad=inner,
-    )
+    _emit_body(kernel, body, vt, openmp=False, cell=cell, pad=inner)
     body.append(f"{pad}}}")
     lines.append(
         f"void {entry_symbol(kernel, batched=True)}({decl}) {{"
@@ -829,7 +760,7 @@ def _emit_tiled_body(
         f"{inner}}}",
     ]
     _emit_body(
-        kernel, lines, vt, windowed=False, openmp=False,
+        kernel, lines, vt, openmp=False,
         cell=CCellEmitter(kernel, strides=(None, "_ts")),
         pad=inner, nest=_tile_nest(kernel), fold=True,
     )
@@ -845,7 +776,6 @@ def _emit_body(
     kernel: Kernel,
     lines: List[str],
     vt: str,
-    windowed: bool,
     openmp: bool,
     cell: Optional[CCellEmitter] = None,
     pad: str = "  ",
@@ -857,18 +787,14 @@ def _emit_body(
     block's ``nest`` over ``[lo_<dim>, hi_<dim>]``. ``fold`` keeps
     the running ``_amax``/``_amin`` of every cell stored."""
     if cell is None:
-        cell = CCellEmitter(kernel, windowed=windowed)
+        cell = CCellEmitter(kernel)
     if nest is None:
         nest = kernel.nest
     time_loop = nest.time_loop
     if time_loop is None:
-        if windowed:
-            raise CodegenError(
-                "windowed emission requires a partition-major time loop"
-            )
         _emit_nest(
             kernel, nest.roots, cell, lines, pad, vt,
-            mode="compute", openmp=openmp, space_seen=False,
+            fold=False, openmp=openmp, space_seen=False,
         )
         return
     low = time_loop.lower.c_text("l")
@@ -878,39 +804,12 @@ def _emit_body(
     lines.append(f"{pad}long _phi = {high};")
     lines.append(f"{pad}if (part_lo > _plo) _plo = part_lo;")
     lines.append(f"{pad}if (part_hi < _phi) _phi = part_hi;")
-    if windowed:
-        rows = kernel.window + 1
-        # The ring column of a cell is its window_col index (the
-        # shared printer's swin addressing — a pure space dimension
-        # when one exists), so the ring is as wide as that dimension.
-        col_dim = kernel.dims[cell.window_col]
-        lines.append(
-            f"{pad}const long win_cols = ub_{col_dim} + 1;"
-        )
-        lines.append(
-            f"{pad}/* Section 4.8: stack-resident ring buffer of the "
-            f"last {rows} partitions (window {kernel.window}). */"
-        )
-        lines.append(f"{pad}{vt} swin[{rows} * win_cols];")
-        # A replay may start mid-schedule: preload the ring with the
-        # table rows of the window partitions preceding part_lo.
-        lines.append(f"{pad}long _pre = _plo - {kernel.window};")
-        lines.append(f"{pad}if (_pre < ({low})) _pre = {low};")
-        lines.append(
-            f"{pad}for (long {tv} = _pre; {tv} < _plo; {tv}++) {{"
-        )
-        _emit_nest(
-            kernel, time_loop.body, cell, lines, pad + "  ", vt,
-            mode="preload", openmp=False, space_seen=False,
-        )
-        lines.append(f"{pad}}}")
     lines.append(
         f"{pad}for (long {tv} = _plo; {tv} <= _phi; {tv}++) {{"
     )
     _emit_nest(
         kernel, time_loop.body, cell, lines, pad + "  ", vt,
-        mode="fold" if fold else "compute", openmp=openmp,
-        space_seen=False,
+        fold=fold, openmp=openmp, space_seen=False,
     )
     lines.append(f"{pad}}}")
 
@@ -922,7 +821,7 @@ def _emit_nest(
     lines: List[str],
     pad: str,
     vt: str,
-    mode: str,
+    fold: bool,
     openmp: bool,
     space_seen: bool,
 ) -> None:
@@ -946,7 +845,7 @@ def _emit_nest(
             )
             _emit_nest(
                 kernel, node.body, cell, lines, pad + "  ", vt,
-                mode, openmp, space_seen=True,
+                fold, openmp, space_seen=True,
             )
             lines.append(pad + "}")
         elif isinstance(node, loopast.Assign):
@@ -955,7 +854,7 @@ def _emit_nest(
             )
             _emit_nest(
                 kernel, node.body, cell, lines, pad, vt,
-                mode, openmp, space_seen,
+                fold, openmp, space_seen,
             )
         elif isinstance(node, loopast.Guard):
             lines.append(
@@ -964,29 +863,16 @@ def _emit_nest(
             )
             _emit_nest(
                 kernel, node.body, cell, lines, pad + "  ", vt,
-                mode, openmp, space_seen,
+                fold, openmp, space_seen,
             )
             lines.append(pad + "}")
         elif isinstance(node, loopast.Stmt):
-            if mode == "preload":
-                ring = cell._table_ref(dim_refs)
-                lines.append(
-                    f"{pad}{ring} = {cell.linear_ref(dim_refs)};"
-                )
-                continue
             target = cell.fresh()
             lines.append(f"{pad}{vt} {target};")
             cell.emit_to(kernel.body.cell, target, lines, pad)
             store = cell._table_ref(dim_refs)
             lines.append(f"{pad}{store} = {target};")
-            if cell.windowed:
-                # Copy the row out: callers (result extraction,
-                # whole-table reductions, parity checks) read the
-                # full table, not the ring.
-                lines.append(
-                    f"{pad}{cell.linear_ref(dim_refs)} = {target};"
-                )
-            if mode == "fold":
+            if fold:
                 # ndarray.max()/min(): a NaN cell wins from then on.
                 nan = (
                     f" || {target} != {target}" if vt == "double" else ""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from functools import cached_property, partial
 from typing import (
     Callable,
@@ -41,7 +40,6 @@ from ..extensions.hmm import Hmm
 from ..gpu.device import ProblemCost, SimulatedDevice, LaunchReport
 from ..gpu.spec import DeviceSpec, GTX480
 from ..gpu.timing import (
-    SIZES_KEY,
     KernelCost,
     batched_launch_cost,
     inter_task_seconds,
@@ -68,7 +66,7 @@ from ..lang.types import (
     StateType,
     TransitionType,
 )
-from ..schedule.multi import ScheduleSet, derive_schedule_set
+from ..schedule.multi import derive_schedule_set
 from ..schedule.schedule import Schedule
 from ..schedule.solver import (
     DEFAULT_BOUND,
@@ -227,7 +225,6 @@ class Engine:
         batching: bool = True,
         verify: str = "schedule",
         sanitize: bool = False,
-        schedule: str = "min-partition",
     ) -> None:
         # ``backend=None`` (the default) defers to the REPRO_BACKEND
         # environment variable, then "auto". An env-provided backend
@@ -241,8 +238,6 @@ class Engine:
             raise ValueError(f"unknown backend {backend!r}")
         if verify not in ("off", "schedule", "full"):
             raise ValueError(f"unknown verify mode {verify!r}")
-        if schedule not in ("min-partition", "autotune"):
-            raise ValueError(f"unknown schedule mode {schedule!r}")
         self.spec = device or GTX480
         self.device = SimulatedDevice(self.spec)
         self.prob_mode = prob_mode
@@ -280,21 +275,11 @@ class Engine:
         # cache: verification verdicts — one per (plan, schedule)
         # where the proof is extent-free, one per extents otherwise
         # — the schedules of searches that need the extents
-        # (non-uniform descents, autotuning), and each (function,
-        # schedule)'s backend ladder. Keys hold the plan object (or
+        # (non-uniform descents), and each (function, schedule)'s
+        # backend ladder. Keys hold the plan object (or
         # the function's source form), so a reused ``id()`` cannot
         # alias entries.
         self._memo = LRUKernelCache(cache_capacity)
-        #: ``"min-partition"`` keeps the Section 4.6 solver's answer;
-        #: ``"autotune"`` runs the cost-model-guided portfolio search
-        #: (``schedule.autotune``), memoised per exact extents and
-        #: persisted per (kernel digest, size bucket) in the kernel
-        #: cache so warm processes skip the search entirely.
-        self.schedule_mode = schedule
-        self.autotune_searches = 0
-        self.autotune_hits = 0
-        #: The most recent AutotuneResult (``explain`` reports it).
-        self.last_autotune = None
 
     def cache_info(self) -> CacheInfo:
         """Counter snapshot of the kernel cache (both tiers), extended
@@ -302,8 +287,6 @@ class Engine:
         return self._cache.cache_info()._replace(
             verified=self.verified_schedules,
             verify_failures=self.verify_failures,
-            autotune_searches=self.autotune_searches,
-            autotune_hits=self.autotune_hits,
         )
 
     # -- verification ---------------------------------------------------------
@@ -519,18 +502,13 @@ class Engine:
         user_schedule: Optional[ast.Expr] = None,
         bindings: Optional[Bindings] = None,
     ) -> Schedule:
-        """Pick the schedule: verify the user's, search, or autotune.
-
-        ``bindings`` (optional) lets the autotuner's measured-feedback
-        mode build a real context to time candidates against; without
-        it the search stays purely analytic.
-        """
+        """Pick the schedule: verify the user's, or search (Section
+        4.6: fewest partitions). ``bindings`` is accepted and unused —
+        the choice reads the function and the extents only."""
         if user_schedule is not None:
             from ..schedule.schedule import validate_user_schedule
 
             return validate_user_schedule(func, user_schedule, domain)
-        if self.schedule_mode == "autotune":
-            return self._autotuned_schedule(func, domain, bindings)
         if optimal_candidates(func, self.schedule_bound) is not None:
             # A pick among the function's own few candidates: cheaper
             # than remembering an answer per problem shape.
@@ -545,115 +523,6 @@ class Engine:
             )
             self._memo.store(key, schedule)
         return schedule
-
-    def _autotuned_schedule(
-        self,
-        func: CheckedFunction,
-        domain: Domain,
-        bindings: Optional[Bindings] = None,
-    ) -> Schedule:
-        """The autotune path of :meth:`schedule_for`, three tiers deep:
-        exact-extents memo, persistent (kernel digest, size bucket)
-        record, then the full portfolio search (whose winner is
-        persisted for the next process)."""
-        from ..schedule.autotune import (
-            autotune_schedule,
-            measure_from_env,
-        )
-        from ..service.cache import (
-            ScheduleRecord,
-            autotune_cache_key,
-            domain_bucket,
-        )
-
-        plan = function_plan(func)
-        memo_key = (plan, "autotune", domain.extents)
-        schedule = self._memo.lookup(memo_key)
-        if schedule is not None:
-            self.autotune_hits += 1
-            return schedule
-        cache_key = autotune_cache_key(
-            func,
-            self.prob_mode,
-            self.schedule_bound,
-            self.spec.name,
-            domain_bucket(domain.extents),
-        )
-        record = self._cache.lookup(cache_key)
-        if isinstance(record, ScheduleRecord):
-            schedule = record.schedule
-            # The bucket is coarser than the extents: re-validate the
-            # cached winner against the *actual* box before trusting
-            # it (and fall through to a fresh search if it no longer
-            # holds — e.g. a record from a different extent mix).
-            if tuple(schedule.dims) == tuple(
-                func.dim_names
-            ) and schedule.is_valid(plan.criteria, domain):
-                self.autotune_hits += 1
-                self._memo.store(memo_key, schedule)
-                return schedule
-        measure = measure_from_env()
-        measure_fn = (
-            self._autotune_measure_fn(func, domain, bindings)
-            if measure > 0 and bindings is not None
-            else None
-        )
-        result = autotune_schedule(
-            func,
-            domain,
-            self.spec,
-            prob_mode=self.prob_mode,
-            bound=self.schedule_bound,
-            mean_degree=(
-                self.mean_degree(func, bindings) if bindings else 1.0
-            ),
-            measure=measure if measure_fn is not None else 0,
-            measure_fn=measure_fn,
-        )
-        self.autotune_searches += 1
-        self.last_autotune = result
-        self._memo.store(memo_key, result.schedule)
-        self._cache.store(
-            cache_key,
-            ScheduleRecord(
-                result.schedule,
-                meta={
-                    "default": list(result.default.coefficients),
-                    "predicted_cycles": result.predicted.cycles,
-                    "default_predicted_cycles": (
-                        result.default_predicted.cycles
-                    ),
-                    "enumerated": result.stats.enumerated,
-                    "pruned": result.stats.pruned,
-                },
-            ),
-        )
-        return result.schedule
-
-    def _autotune_measure_fn(
-        self,
-        func: CheckedFunction,
-        domain: Domain,
-        bindings: Bindings,
-    ):
-        """Compile-and-time closure for measured autotune feedback.
-
-        Any failure (ineligible backend, build error, sandbox fault)
-        returns None — that candidate simply stays analytic.
-        """
-
-        def measure(schedule: Schedule) -> Optional[float]:
-            try:
-                compiled = self.compile(func, schedule, domain)
-                ctx = self.build_context(compiled, bindings, domain)
-                table = self._table_for(compiled.kernel, domain)
-                started = time.perf_counter()
-                compiled.run(table, ctx)
-                return time.perf_counter() - started
-            except Exception:
-                return None
-
-        return measure
 
     # -- context preparation --------------------------------------------------
 
@@ -874,17 +743,14 @@ class Engine:
         coords = self._result_request(
             func, bound, domain, at, initial, reduce
         )
-        schedule = self.schedule_for(
-            func, domain, user_schedule, bindings=bound
-        )
+        schedule = self.schedule_for(func, domain, user_schedule)
         self.verify_compiled(func, schedule, domain)
         compiled = self.compile(func, schedule, domain)
         ctx = self.build_context(compiled, bound, domain)
 
-        # One convolution per launch: the cost model, the packing
-        # rule and the native entry-point choice all read it.
+        # One convolution per launch: the cost model and the packing
+        # rule both read it.
         sizes = partition_sizes(schedule, domain)
-        ctx[SIZES_KEY] = sizes
         cost, problem = self._price(
             func, compiled, bound, domain, use_window, sizes
         )
@@ -951,19 +817,12 @@ class Engine:
         still proved per box, while any number of members under one
         extent-free verdict cost one memo probe.
         """
-        if self.schedule_mode == "autotune":
-            # The compile-time schedule set encodes the min-partition
-            # goal; autotune decisions are per size bucket instead
-            # (memoised + persisted, so a map group still searches
-            # once per bucket, not once per problem).
-            schedule_set: Optional[ScheduleSet] = None
-        else:
-            try:
-                schedule_set = derive_schedule_set(
-                    func, bound=self.schedule_bound
-                )
-            except ScheduleError:
-                schedule_set = None
+        try:
+            schedule_set = derive_schedule_set(
+                func, bound=self.schedule_bound
+            )
+        except ScheduleError:
+            schedule_set = None
 
         prepared = []
         products: Dict[tuple, CompiledKernel] = {}
@@ -974,9 +833,7 @@ class Engine:
             if schedule_set is not None:
                 schedule = schedule_set.select(domain.extent_map())
             else:
-                schedule = self.schedule_for(
-                    func, domain, bindings=bound
-                )
+                schedule = self.schedule_for(func, domain)
             verdict = self._verdict_key(func, schedule, domain)
             if verdict is not None and verdict not in proved:
                 self._verdict(verdict, func, schedule, domain)

@@ -77,8 +77,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..gpu.spec import GTX480
-from ..gpu.timing import SIZES_KEY, window_fits_shared
 from ..ir import cbackend
 from ..ir.kernel import Kernel
 from ..ir.npbackend import Eligibility
@@ -446,32 +444,25 @@ class NativeRun:
     """The compiled-kernel callable for a loaded shared object.
 
     Speaks the backend calling convention —
-    ``run(T, ctx, part_lo=None, part_hi=None)``. Which entries the
-    library has is :func:`repro.ir.cbackend.native_entries`' answer:
-    a blocked-wavefront kernel has exactly one, and a kernel that
-    kept its ring picks the ring-buffer entry per call when the
-    window fits the simulated device's shared memory
-    (:func:`repro.gpu.timing.window_fits_shared` — the same Section
-    4.8 residency decision the analytic cost model prices).
+    ``run(T, ctx, part_lo=None, part_hi=None)`` — through the
+    library's one per-problem entry, ``repro_<name>``; which order it
+    runs in is :func:`repro.ir.cbackend.native_entries`' answer.
 
     Where :attr:`result_only` is set, :meth:`result` launches the
     same entry without a table and hands back one value.
     """
 
-    def __init__(
-        self, kernel: Kernel, so_path: str, spec=None
-    ) -> None:
+    def __init__(self, kernel: Kernel, so_path: str) -> None:
         self.kernel = kernel
         self.so_path = so_path
-        self.spec = spec or GTX480
         self._lib = ctypes.CDLL(so_path)
         _apply_thread_cap(self._lib)
         self._spec = cbackend.native_param_spec(kernel)
-        self._plain = getattr(
+        self._entry = getattr(
             self._lib, cbackend.entry_symbol(kernel)
         )
-        self._plain.restype = None
-        self._plain.argtypes = _argtypes_for(self._spec)
+        self._entry.restype = None
+        self._entry.argtypes = _argtypes_for(self._spec)
         entries = cbackend.native_entries(kernel)
         #: May :meth:`result` be used (a blocked entry whose halo
         #: tile is bounded)?
@@ -481,34 +472,6 @@ class NativeRun:
         self._dtype = (
             np.int64 if cbackend.value_ctype(kernel) == "long"
             else np.float64
-        )
-        # ``getattr(..., None)``: a TU emitted under a doctored
-        # certificate (tests force ring refusals) has no ring even
-        # where the kernel's own certificate would keep one; the
-        # plain entry serves every launch then.
-        self._windowed = None
-        if entries.windowed:
-            self._windowed = getattr(
-                self._lib,
-                cbackend.entry_symbol(kernel, windowed=True),
-                None,
-            )
-            if self._windowed is not None:
-                self._windowed.restype = None
-                self._windowed.argtypes = _argtypes_for(self._spec)
-
-    def _use_window(self, ctx: Dict[str, object]) -> bool:
-        if self._windowed is None:
-            return False
-        from ..analysis.domain import Domain
-
-        extents = tuple(
-            int(ctx[f"ub_{d}"]) + 1 for d in self.kernel.dims
-        )
-        domain = Domain(self.kernel.dims, extents)
-        return window_fits_shared(
-            self.kernel, self.kernel.schedule, domain, self.spec,
-            sizes=ctx.get(SIZES_KEY),
         )
 
     def _launch(
@@ -553,10 +516,7 @@ class NativeRun:
                 )
                 keepalive.append(arr)
                 args.append(arr.ctypes.data)
-        entry = (
-            self._windowed if self._use_window(ctx) else self._plain
-        )
-        entry(*args)
+        self._entry(*args)
 
     def __call__(
         self,

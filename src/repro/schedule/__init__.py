@@ -20,20 +20,7 @@ from .solver import (
 )
 from .window import window_rows, window_size
 
-# Last: the autotuner prices candidates through repro.gpu.timing,
-# which itself imports repro.schedule.schedule (loaded above).
-from .autotune import (  # noqa: E402
-    AutotuneResult,
-    AutotuneStats,
-    Candidate,
-    autotune_schedule,
-)
-
 __all__ = [
-    "AutotuneResult",
-    "AutotuneStats",
-    "Candidate",
-    "autotune_schedule",
     "Schedule",
     "FunctionSchedule",
     "MutualSchedule",

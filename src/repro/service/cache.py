@@ -55,7 +55,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 #: result-only parameters (``_res``, ``_red``, ``_at_<dim>``); a v5
 #: record's ``.so`` would be called through argtypes it was not built
 #: for, and its pickled tile verdict has no ``reach``.
-KEY_FORMAT = 6
+#: v7: no ``autotune-schedule`` kind; no ``_windowed`` symbol; pickled
+#: certificates have three axes. A v6 record — a persisted autotune
+#: winner, or a native record whose certificate still has a ``ring``
+#: field — is evicted unread.
+KEY_FORMAT = 7
 
 #: Leading magic of every on-disk record. Checked *before* the pickle
 #: payload is touched: entries written by an older (or entirely
@@ -87,11 +91,6 @@ class CacheInfo(NamedTuple):
     #: verifier confirmed / rejected for this engine.
     verified: int = 0
     verify_failures: int = 0
-    #: Filled by ``Engine.cache_info()`` in autotune mode: full
-    #: portfolio searches run vs winners reused from a memo or the
-    #: persistent (kernel digest, size bucket) record.
-    autotune_searches: int = 0
-    autotune_hits: int = 0
 
 
 def function_source_form(func) -> str:
@@ -139,68 +138,6 @@ def kernel_cache_key(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def domain_bucket(extents) -> Tuple[int, ...]:
-    """Round each extent up to a power of two.
-
-    Autotune decisions are cached per bucket, not per exact extent:
-    the winning schedule is a shared-memory-fit question, stable
-    within a factor-of-two size band, and exact-extent keys would
-    re-search for every database sequence length in a ``map``.
-    """
-    return tuple(
-        1 if e <= 1 else 1 << (int(e) - 1).bit_length()
-        for e in extents
-    )
-
-
-def autotune_cache_key(
-    func, prob_mode: str, bound: int, spec_name: str, bucket
-) -> str:
-    """Key of a persisted autotune decision.
-
-    Hashes the kernel-determining inputs (function source form,
-    probability mode), the search parameters (coefficient bound,
-    device spec), and the domain-size bucket — everything that can
-    change which schedule wins. Deliberately *not* the schedule
-    itself: the schedule is the cached value.
-    """
-    text = "\n".join(
-        (
-            f"v{KEY_FORMAT}",
-            "autotune",
-            function_source_form(func),
-            prob_mode,
-            str(int(bound)),
-            spec_name,
-            ",".join(str(int(b)) for b in bucket),
-        )
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class ScheduleRecord:
-    """A persisted autotuner decision (record kind
-    ``"autotune-schedule"``).
-
-    Stores the winning :class:`~repro.schedule.schedule.Schedule`
-    plus free-form provenance ``meta`` (predicted cycles, default
-    coefficients, search stats). Quacks enough like a compilation
-    product for both cache tiers: ``record_kind`` routes
-    serialisation, ``backend`` shows up in the
-    :meth:`LRUKernelCache.cache_info` breakdown.
-    """
-
-    record_kind = "autotune-schedule"
-    backend = "autotune"
-
-    def __init__(self, schedule, meta: Optional[dict] = None) -> None:
-        self.schedule = schedule
-        self.meta = dict(meta or {})
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScheduleRecord({self.schedule}, meta={self.meta!r})"
-
-
 def encode_compiled(compiled) -> bytes:
     """Serialize a ``CompiledKernel`` for the disk tier.
 
@@ -212,21 +149,7 @@ def encode_compiled(compiled) -> bytes:
     ``"native-so"``) with its sha256, so a warm process on the same
     platform skips the C compiler entirely; the digest is re-verified
     at decode time before the bytes go anywhere near ``dlopen``.
-
-    :class:`ScheduleRecord` values (autotuner decisions) serialise as
-    kind ``"autotune-schedule"`` — no source, no artifact, just the
-    winning schedule's JSON form and its provenance.
     """
-    if getattr(compiled, "record_kind", None) == "autotune-schedule":
-        record = {
-            "format": KEY_FORMAT,
-            "kind": "autotune-schedule",
-            "schedule": compiled.schedule.to_json(),
-            "meta": compiled.meta,
-        }
-        return MAGIC + pickle.dumps(
-            record, protocol=pickle.HIGHEST_PROTOCOL
-        )
     record = {
         "format": KEY_FORMAT,
         "kind": "python-src",
@@ -303,13 +226,6 @@ def decode_compiled(data: bytes, so_dir: Optional[str] = None):
         if record["format"] != KEY_FORMAT:
             raise ValueError(
                 f"cache record format {record['format']!r} != {KEY_FORMAT}"
-            )
-        if record.get("kind") == "autotune-schedule":
-            from ..schedule.schedule import Schedule
-
-            return ScheduleRecord(
-                Schedule.from_json(record["schedule"]),
-                record.get("meta", {}),
             )
         kernel = Kernel.from_payload(record["payload"])
         source = record["source"]

@@ -113,7 +113,6 @@ class ComputeService:
         cache_capacity: int = 256,
         prob_mode: str = "direct",
         backend: str = "auto",
-        schedule: str = "min-partition",
         device: Optional[DeviceSpec] = None,
         default_timeout: Optional[float] = None,
         max_retries: int = 2,
@@ -156,15 +155,10 @@ class ComputeService:
         self.supervision = supervision
 
         def engine_factory() -> Engine:
-            # ``schedule="autotune"``: every worker engine shares
-            # ``self.kernel_cache``, so one worker's portfolio search
-            # seeds the (kernel digest, size bucket) record the whole
-            # pool — and, with ``cache_dir``, every replica — reuses.
             engine = Engine(
                 device=device,
                 prob_mode=prob_mode,
                 backend=backend,
-                schedule=schedule,
                 kernel_cache=self.kernel_cache,
             )
             if fault_plan is None and supervision is None:

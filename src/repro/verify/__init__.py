@@ -12,9 +12,9 @@ machine-readable :class:`~repro.verify.diagnostics.Diagnostic` type:
   read-before-write under the schedule, dead equation arms, unused
   calling parameters;
 * :mod:`repro.verify.races` — parallel-safety certificates for the
-  OpenMP axes: intra-partition disjointness, batched-slice
-  disjointness, ring-buffer safety; the native emitter withholds
-  every pragma an axis has not earned;
+  OpenMP axes and the block order: intra-partition disjointness,
+  batched-slice disjointness, the blocked wavefront's licence; the
+  native emitter withholds every pragma an axis has not earned;
 * :mod:`repro.verify.sanitizer` — poison-fill execution with
   per-partition read/write tracking that fails at partition barriers;
 * :mod:`repro.verify.lint` — the program-level orchestration behind

@@ -72,7 +72,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "R-SPACE-WW": ("warning", "same-partition writes not provably disjoint; space-loop pragma withheld"),
     "R-SPACE-RW": ("warning", "a same-partition read/write pair is feasible; space-loop pragma withheld"),
     "R-BATCH-OVERLAP": ("warning", "batched member slices (or shared columns) not provably disjoint; problem-loop pragma withheld"),
-    "R-RING-COLLIDE": ("warning", "two live ring-buffer rows can collide; windowed entry withheld"),
     "R-TILE-ORDER": ("info", "an own-table read is not backward in every dimension; native entry keeps the partition sweep instead of the blocked wavefront"),
     "R-PAR-CERT": ("info", "positive parallel-safety certificate: every applicable axis proved race-free"),
     # -- runtime sanitizer (repro.verify.sanitizer) -------------------
@@ -91,7 +90,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "no-compiler": ("info", "eligibility: no working C compiler on this host"),
     "disabled": ("info", "eligibility: native backend disabled by REPRO_NATIVE_DISABLE"),
     "ok": ("info", "eligibility: the backend accepts the kernel"),
-    "ok-plain-body": ("info", "eligibility: batched via the plain (non-windowed) body"),
+    "ok-plain-body": ("info", "eligibility: the per-problem entry is blocked; the group batches via the whole-box body"),
     "ok-batched": ("info", "eligibility: the batched native entry accepts the kernel"),
 }
 

@@ -2,15 +2,13 @@
 
 The native backend parallelises two axes with OpenMP — the space loop
 over a partition's cells (or, blocked, the blocks of one block
-diagonal) and the batched entry's problem loop — and the Section 4.8
-ring buffer additionally relies on no two *live* rows colliding.
-Until this pass existed, those claims were comments in
-:mod:`repro.ir.cbackend`; here they are re-proved per kernel, in the
-same independent-verifier discipline as
-:mod:`repro.verify.soundness`, and the emitter refuses to emit a
-pragma on any axis without a CONFIRMED verdict.
+diagonal) and the batched entry's problem loop. Until this pass
+existed, those claims were comments in :mod:`repro.ir.cbackend`; here
+they are re-proved per kernel, in the same independent-verifier
+discipline as :mod:`repro.verify.soundness`, and the emitter refuses
+to emit a pragma on any axis without a CONFIRMED verdict.
 
-Four obligations — three race axes and one order licence:
+Three obligations — two race axes and one order licence:
 
 * **space** (``R-SPACE-WW`` / ``R-SPACE-RW``) — cells of one
   partition are mutually independent. Writes are disjoint because
@@ -28,15 +26,6 @@ Four obligations — three race axes and one order licence:
   ``prod(pad) - 1``, so slice ``b`` never reaches slice ``b + 1``.
   The ``(B,)``-shaped bound/sequence/scalar columns must marshal
   read-only (``const`` in the batched parameter spec).
-* **ring** (``R-RING-COLLIDE``) — the windowed entry keeps
-  ``window + 1`` partitions resident. No feasible read may look back
-  more than ``window`` partitions (maximised exactly per footprint),
-  no live partition delta may alias a ring row (``delta % rows == 0``
-  for ``0 < delta <= window``), and the ring column must be injective
-  within a partition (every non-column dimension needs a nonzero
-  schedule coefficient, else ``R-SPACE-WW``: two cells of one
-  partition would share a slot). Judged only for kernels that keep
-  the partition sweep; a blocked wavefront has no ring.
 * **tile** (``R-TILE-ORDER``) — the blocked wavefront may replace
   the partition-by-partition sweep. CONFIRMED iff every own-table
   read in the cell body, guarded or not, is ``x + c`` with a constant
@@ -59,9 +48,9 @@ runtime can marshal. Free components do not break box membership
 (state-typed values are dimension-valid by the marshalling contract,
 the same stance the access pass takes).
 
-The analyzer accepts mutation knobs (``window``, ``window_col``,
-``ring_rows``, ``pad_extents``) so tests can perturb a proved-safe
-kernel into a racy one and watch the matching rule fire.
+The analyzer accepts one mutation knob (``pad_extents``) so tests
+can perturb a proved-safe kernel into a racy one and watch the
+matching rule fire.
 """
 
 from __future__ import annotations
@@ -76,7 +65,7 @@ from ..ir.kernel import Kernel
 from ..polyhedral import loopast
 from .access import _Analyzer
 from .diagnostics import Diagnostic, Severity
-from .exact import constrained_min, feasible
+from .exact import feasible
 
 __all__ = [
     "CONFIRMED",
@@ -92,7 +81,7 @@ __all__ = [
 
 #: Axis verdict states. ``CONFIRMED`` is the only state that permits
 #: a pragma; ``NOT_APPLICABLE`` means the axis does not exist for the
-#: kernel (e.g. no ring buffer without a constant window).
+#: kernel (e.g. no blocked wavefront over a rank-3 nest).
 CONFIRMED = "confirmed"
 REFUSED = "refused"
 NOT_APPLICABLE = "not-applicable"
@@ -117,7 +106,7 @@ class AxisVerdict:
     block needs around its own cells.
     """
 
-    axis: str  # "space" | "batch" | "ring" | "tile"
+    axis: str  # "space" | "batch" | "tile"
     status: str  # CONFIRMED | REFUSED | NOT_APPLICABLE
     detail: str
     rule: Optional[str] = None
@@ -159,20 +148,19 @@ class ParallelismCertificate:
     extents: Tuple[int, ...]
     space: AxisVerdict
     batch: AxisVerdict
-    ring: AxisVerdict
     tile: AxisVerdict
 
     @property
     def axes(self) -> Tuple[AxisVerdict, ...]:
-        """All four axis verdicts, in report order."""
+        """All three axis verdicts, in report order."""
         return self.race_axes + (self.tile,)
 
     @property
     def race_axes(self) -> Tuple[AxisVerdict, ...]:
-        """The axes whose refusal withholds a pragma or an entry —
-        a finding. The tile licence is not one: without it the
-        kernel keeps the order these three were proved for."""
-        return (self.space, self.batch, self.ring)
+        """The axes whose refusal withholds a pragma — a finding.
+        The tile licence is not one: without it the kernel keeps the
+        order these two were proved for."""
+        return (self.space, self.batch)
 
     @property
     def ok(self) -> bool:
@@ -182,8 +170,8 @@ class ParallelismCertificate:
     @property
     def summary(self) -> str:
         """One-line verdict, e.g. ``space=confirmed batch=confirmed
-        ring=not-applicable tile=refused[R-TILE-ORDER]`` (refused
-        axes carry their rule)."""
+        tile=refused[R-TILE-ORDER]`` (refused axes carry their
+        rule)."""
         parts = []
         for axis in self.axes:
             text = f"{axis.axis}={axis.status}"
@@ -200,7 +188,6 @@ class ParallelismCertificate:
             "ok": self.ok,
             "space": self.space.to_dict(),
             "batched": self.batch.to_dict(),
-            "ring": self.ring.to_dict(),
             "tile": self.tile.to_dict(),
         }
 
@@ -507,100 +494,6 @@ def _batch_axis(
     )
 
 
-def _ring_axis(
-    kernel: Kernel,
-    domain: Domain,
-    footprints: Sequence[ReadFootprint],
-    window: Optional[int] = None,
-    window_col: Optional[int] = None,
-    ring_rows: Optional[int] = None,
-) -> AxisVerdict:
-    """Windowed ring-buffer safety (Section 4.8)."""
-    if window is None:
-        window = kernel.window
-    if window is None or window < 1 or kernel.rank != 2:
-        return AxisVerdict(
-            "ring", NOT_APPLICABLE,
-            "no ring buffer: the kernel has no constant non-zero "
-            "window over a 2-D nest",
-        )
-    rows = int(ring_rows) if ring_rows is not None else window + 1
-    # Live-row aliasing: two partitions at distance 0 < delta <=
-    # window are resident together; they collide when delta is a
-    # multiple of the row count. rows = window + 1 excludes every
-    # such delta; a shrunk ring does not.
-    for delta in range(1, window + 1):
-        if delta % rows == 0:
-            return AxisVerdict(
-                "ring", REFUSED,
-                f"partitions at distance {delta} are live together "
-                f"but share ring row {delta % rows} of {rows}; the "
-                f"ring needs window + 1 = {window + 1} rows",
-                rule="R-RING-COLLIDE",
-                witness={"delta": delta},
-            )
-    # Column injectivity inside one partition: the ring addresses a
-    # cell by (partition mod rows, x[window_col]), so every *other*
-    # dimension must be determined by the partition — a zero
-    # coefficient there leaves two cells of one partition sharing a
-    # slot (a write-write collision).
-    if window_col is None:
-        from ..ir.c_expr import CCellEmitter
-
-        window_col = CCellEmitter(kernel, windowed=True).window_col
-    for k, coeff in enumerate(kernel.schedule.coefficients):
-        if k == int(window_col):
-            continue
-        if coeff == 0:
-            return AxisVerdict(
-                "ring", REFUSED,
-                f"dimension {kernel.dims[k]!r} has schedule "
-                f"coefficient 0 but is not the ring column; two "
-                f"cells of one partition would share a ring slot",
-                rule="R-SPACE-WW",
-                witness={"dim": k},
-            )
-    # Look-back depth: the deepest feasible read distance
-    # max S(x) - S(r(x)) must fit inside the resident window, else a
-    # read lands on a row the ring has already overwritten.
-    extents = domain.extent_map()
-    deepest = 0
-    exact = True
-    for footprint in footprints:
-        in_box, bounds, delta = _footprint_region(
-            footprint, kernel, extents
-        )
-        for conj in footprint.dnf or ((),):
-            result = constrained_min(
-                Affine.constant(0) - delta,
-                extents,
-                tuple(conj) + tuple(in_box),
-                var_bounds=bounds,
-            )
-            if result.empty:
-                continue
-            look_back = -int(result.value)
-            if look_back > window:
-                return AxisVerdict(
-                    "ring", REFUSED,
-                    f"a feasible read looks back {look_back} "
-                    f"partition(s), past the resident window of "
-                    f"{window}; its ring row has been overwritten",
-                    rule="R-RING-COLLIDE",
-                    witness=result.witness,
-                    exact=result.exact,
-                )
-            deepest = max(deepest, look_back)
-            exact = exact and result.exact
-    return AxisVerdict(
-        "ring", CONFIRMED,
-        f"deepest feasible look-back {deepest} <= window {window}, "
-        f"{rows} resident rows alias no live pair, and the ring "
-        f"column is injective within a partition",
-        exact=exact,
-    )
-
-
 def _tile_axis(kernel: Kernel) -> AxisVerdict:
     """May a blocked wavefront replace the partition sweep?
 
@@ -683,33 +576,17 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
 def analyze_parallelism(
     kernel: Kernel,
     extents: Optional[Sequence[int]] = None,
-    window: Optional[int] = None,
-    window_col: Optional[int] = None,
-    ring_rows: Optional[int] = None,
     pad_extents: Optional[Sequence[int]] = None,
 ) -> ParallelismCertificate:
     """Prove (or refuse) each parallel axis of ``kernel``.
 
     ``extents`` picks the analysis box (nominal stand-in when
-    omitted, matching lint). The keyword knobs exist for mutation
-    testing — they override the kernel's own window geometry and the
-    pack-time padded extents so tests can turn a proved-safe kernel
-    racy and assert the matching rule fires.
+    omitted, matching lint). ``pad_extents`` exists for mutation
+    testing — it overrides the pack-time padded extents so tests can
+    turn a proved-safe kernel racy and assert the rule fires.
     """
     domain = _nominal_domain(kernel, extents)
     footprints = collect_read_footprints(kernel, domain)
-    tile = _tile_axis(kernel)
-    if tile.confirmed:
-        ring = AxisVerdict(
-            "ring", NOT_APPLICABLE,
-            "no ring buffer: the kernel runs as a blocked wavefront, "
-            "whose tile is the resident window",
-        )
-    else:
-        ring = _ring_axis(
-            kernel, domain, footprints,
-            window=window, window_col=window_col, ring_rows=ring_rows,
-        )
     return ParallelismCertificate(
         function=kernel.name,
         schedule=str(kernel.schedule),
@@ -718,8 +595,7 @@ def analyze_parallelism(
         batch=_batch_axis(
             kernel, domain, footprints, pad_extents=pad_extents
         ),
-        ring=ring,
-        tile=tile,
+        tile=_tile_axis(kernel),
     )
 
 

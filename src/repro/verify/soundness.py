@@ -55,7 +55,7 @@ BRUTE_FORCE_CAP = 4096
 
 #: Schedules per function whose extent-free call-site verdicts stay
 #: remembered (oldest dropped first). A function meets a handful —
-#: the solver's candidates, an autotune portfolio, a user clause.
+#: the solver's candidates, a user clause.
 SITE_MEMO_CAP = 64
 
 

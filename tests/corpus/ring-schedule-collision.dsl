@@ -1,7 +1,7 @@
 // fuzz: name = ring-schedule-collision
 // fuzz: origin = seeded
 // fuzz: prob-mode = direct
-// fuzz: note = S = i leaves j pure-space: partitions are whole rows and the native windowed entry's ring buffer must not collide across the wrap
+// fuzz: note = S = i leaves j a pure-space column: under the partition sweep (scalar, vector, batched native) a partition is a whole row, under the native blocked wavefront a block is a run of rows cut into column strips, and the two-row look-back f(i - 2, j - 1) must read finished rows either way
 // fuzz: expect = 16 6
 alphabet al = "acgt"
 

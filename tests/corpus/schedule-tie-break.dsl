@@ -1,8 +1,7 @@
-// fuzz: name = autotune-tie-break
+// fuzz: name = schedule-tie-break
 // fuzz: origin = seeded
 // fuzz: prob-mode = direct
-// fuzz: schedule = autotune
-// fuzz: note = diagonal-only descent: (1,0) and (0,1) tie at equal predicted cost, so the shared tie_break_key must resolve identically on every replay, and the autotuned table must match the min-partition baseline bitwise
+// fuzz: note = diagonal-only descent: (1,0) and (0,1) tie at equal partition count, so the solver's tie_break_key must resolve identically on every replay and every backend must print the same values under the schedule it picks
 // fuzz: expect = 6 4
 alphabet al = "ab"
 

@@ -46,7 +46,7 @@ class TestCampaign:
         assert set(payload["classifications"]) == {
             "crash", "service-crash", "divergence", "race-gap",
             "map-native-divergence", "service-divergence",
-            "schedule-divergence", "eligibility-mismatch", "lint-gap",
+            "eligibility-mismatch", "lint-gap",
             "rejected", "parity-ok",
         }
         assert payload["rules"]

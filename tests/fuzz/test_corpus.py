@@ -103,16 +103,28 @@ class TestFormat:
         assert load_corpus(str(tmp_path / "nope")) == []
 
 
-class TestAutotuneEntries:
-    def test_autotune_key_adds_leg(self):
-        (entry,) = [
-            e for e in ENTRIES if e.meta.get("schedule") == "autotune"
-        ]
-        assert entry.name == "autotune-tie-break"
-        report = replay_entry(entry)
-        assert report.ok, report.detail
-        assert "autotune" in report.values
-        assert report.values["autotune"] == report.values["scalar"]
+class TestUnknownDirectives:
+    def test_schedule_directive_rejected_by_name(self, tmp_path):
+        """``// fuzz: schedule = ...`` used to add a replay leg for
+        one value and be ignored for every other; now no header key
+        outside the recognised set loads, so a stale or misspelt
+        directive cannot silently replay fewer legs."""
+        script = (
+            'alphabet al = "ab"\n\n'
+            "int f(seq[al] s, index[s] i) =\n"
+            "  if i < 1 then 0 else f(i - 1) + 1\n\n"
+            'let a = "ab"\n'
+            "print f(a, |a|)\n"
+        )
+        for value in ("autotune", "min-partition", "fastest"):
+            write_entry(
+                script, "stale-directive",
+                meta={"schedule": value}, directory=str(tmp_path),
+            )
+            with pytest.raises(ValueError) as err:
+                load_corpus(str(tmp_path))
+            assert "'stale-directive'" in str(err.value)
+            assert f"schedule = {value}" in str(err.value)
 
 
 @pytest.mark.parametrize(

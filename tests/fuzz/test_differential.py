@@ -168,49 +168,6 @@ int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =
 EDIT_ARGS = {"s": "kitten", "i": 6, "t": "sitting", "j": 7}
 
 
-class TestAutotuneLeg:
-    """The autotuned-schedule differential rung."""
-
-    def test_schedule_divergence_in_taxonomy(self):
-        assert "schedule-divergence" in FAILURE_CLASSES
-        assert "schedule-divergence" in ALL_CLASSES
-
-    def test_leg_runs_and_agrees(self, harness):
-        outcome = harness.classify(
-            case_from_text(EDIT_CASE, function="d", args=EDIT_ARGS)
-        )
-        assert outcome.classification == "parity-ok", outcome.detail
-        leg = outcome.legs["autotune"]
-        assert leg.status == "ok"
-        assert leg.value == outcome.legs["scalar"].value == 3
-
-    def test_user_schedule_suppresses_leg(self, harness):
-        """An explicit ``schedule`` clause overrides the autotuner,
-        so there is nothing to compare."""
-        text = EDIT_CASE.rstrip() + "\n\nschedule d : i + j\n"
-        outcome = harness.classify(
-            case_from_text(text, function="d", args=EDIT_ARGS)
-        )
-        assert outcome.classification == "parity-ok", outcome.detail
-        assert "autotune" not in outcome.legs
-
-    def test_generated_cases_keep_parity_with_autotune(self, harness):
-        """The leg rides along on generator output: no generated
-        program may diverge under the autotuned schedule."""
-        import random
-
-        from repro.fuzz.generator import generate_case
-
-        rng = random.Random(7)
-        for _ in range(6):
-            outcome = harness.classify(generate_case(rng))
-            assert outcome.classification == "parity-ok", (
-                outcome.detail, outcome.case.text,
-            )
-            if "autotune" in outcome.legs:
-                assert outcome.legs["autotune"].status == "ok"
-
-
 class TestTiledLeg:
     """Blocked kernels are rebuilt with a tiny tile so fuzz-scale
     tables cross block edges."""

@@ -8,7 +8,6 @@ from repro.analysis.domain import Domain
 from repro.gpu.spec import DeviceSpec, GTX480, XEON_E5520, XEON_E5520_SSE
 from repro.gpu.timing import (
     batched_launch_cost,
-    cost_lower_bound,
     cpu_cost_seconds,
     kernel_cost,
     partition_sizes,
@@ -160,69 +159,13 @@ class TestBatchedLaunchCost:
         )
 
 
-class TestCostLowerBound:
-    """The autotuner's branch-and-bound floor must be sound."""
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        coeffs=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-        extents=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    )
-    def test_never_exceeds_true_cost(self, coeffs, extents):
-        kernel = edit_kernel()
-        schedule = Schedule(("i", "j"), coeffs)
-        domain = Domain(("i", "j"), extents)
-        cost = kernel_cost(kernel, domain, GTX480, schedule=schedule)
-        floor = cost_lower_bound(
-            kernel, domain, GTX480, cost.partitions
-        )
-        assert floor <= cost.cycles
-
-    def test_holds_at_global_memory_pricing_too(self):
-        """The floor prices memory at the shared rate; a schedule
-        whose window spills to global memory clears it by a wide
-        margin — exactly the gap the autotuner exploits."""
-        kernel = edit_kernel()
-        domain = Domain.of(i=64, j=64)
-        spilled = kernel_cost(
-            kernel, domain, GTX480, use_window=False
-        )
-        floor = cost_lower_bound(
-            kernel, domain, GTX480, spilled.partitions
-        )
-        assert floor < spilled.cycles
-
-    def test_monotone_in_partitions(self):
-        """A partial coefficient vector's span only grows as more
-        dimensions are assigned, so the bound must grow with it."""
-        kernel = edit_kernel()
-        domain = Domain.of(i=64, j=64)
-        floors = [
-            cost_lower_bound(kernel, domain, GTX480, p)
-            for p in range(1, 300, 25)
-        ]
-        assert floors == sorted(floors)
-        assert floors[0] < floors[-1]
-
-    def test_single_cell_domain(self):
-        kernel = edit_kernel()
-        domain = Domain.of(i=1, j=1)
-        floor = cost_lower_bound(kernel, domain, GTX480, 1)
-        cost = kernel_cost(kernel, domain, GTX480)
-        assert 0 < floor <= cost.cycles
-
-
 class TestCostModelProperties:
-    """Monotonicity facts the autotuner's pruning relies on."""
+    """Monotonicity facts of the pricing model."""
 
     def test_sync_term_linear_in_partitions(self):
-        kernel = edit_kernel()
         domain = Domain.of(i=64, j=48)
         for coeffs in [(1, 1), (1, 2), (2, 1), (0, 1)]:
-            schedule = Schedule(("i", "j"), coeffs)
-            cost = kernel_cost(
-                kernel, domain, GTX480, schedule=schedule
-            )
+            cost = kernel_cost(edit_kernel(coeffs), domain, GTX480)
             assert cost.sync_cycles == (
                 cost.partitions * GTX480.sync_cycles
             )
@@ -301,11 +244,9 @@ int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =
     def test_zero_coefficient_schedule_degenerate(self):
         """``S = j`` runs whole columns as partitions: partition
         count equals the j extent, and the model still decomposes."""
-        kernel = edit_kernel()
+        kernel = edit_kernel((0, 1))
         domain = Domain.of(i=16, j=9)
-        cost = kernel_cost(
-            kernel, domain, GTX480, schedule=Schedule.of(i=0, j=1)
-        )
+        cost = kernel_cost(kernel, domain, GTX480)
         assert cost.partitions == 9
         assert cost.cells == domain.size
         assert cost.cycles == pytest.approx(

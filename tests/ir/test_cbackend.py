@@ -9,10 +9,8 @@ from repro.ir.cbackend import (
     native_batched_param_spec,
     native_eligibility,
     native_param_spec,
-    supports_window,
     value_ctype,
 )
-from repro.lang.errors import CodegenError
 from repro.ir.kernel import build_kernel
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
@@ -35,10 +33,10 @@ prob forward(hmm h, state[h] s, seq[*] x, index[x] i) =
     * sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))
 """
 
-# The ring-buffer entry survives on kernels that are uniform (constant
-# window) but whose block order R-TILE-ORDER refuses: a read that
-# looks *forward* in j. (Backward-only kernels such as EDIT_DISTANCE
-# are blocked wavefronts and carry no ring.)
+# Uniform (constant window) kernels whose block order R-TILE-ORDER
+# refuses — a read that looks *forward* in j — keep the partition
+# sweep. (Backward-only kernels such as EDIT_DISTANCE are blocked
+# wavefronts.)
 ANTI_DIAGONAL = """
 int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =
   if i == 0 then j
@@ -66,7 +64,7 @@ def edit_kernel():
 
 
 @pytest.fixture(scope="module")
-def ring_kernel():
+def forward_kernel():
     return kernel_for(ANTI_DIAGONAL, Schedule.of(i=2, j=1))
 
 
@@ -76,38 +74,46 @@ class TestEmission:
         assert f"void {entry_symbol(edit_kernel)}(" in text
         assert entry_symbol(edit_kernel) == "repro_d"
 
-    def test_windowed_entry_for_diagonal(self, ring_kernel, edit_kernel):
-        """S = 2i + j gives window 2 on a rank-2 nest: the ring-buffer
-        variant must be emitted alongside the plain entry — for a
-        kernel the block order refuses. The backward-only edit
-        distance has the same geometry and no ring."""
-        assert supports_window(ring_kernel)
-        text = emit_native_source(ring_kernel)
-        assert "void repro_g_windowed(" in text
-        assert "swin[" in text
-        # window + 1 = 3 rows resident.
-        assert "swin[3 * win_cols]" in text
-        assert supports_window(edit_kernel)
-        assert "_windowed" not in emit_native_source(edit_kernel)
-        assert "swin" not in emit_native_source(edit_kernel)
+    @pytest.mark.parametrize(
+        "source, schedule",
+        [
+            (ANTI_DIAGONAL, Schedule.of(i=2, j=1)),
+            (ROW_MAJOR, Schedule.of(i=1, j=0)),
+        ],
+        ids=["2i+j", "S=i"],
+    )
+    def test_forward_looking_kernel_has_one_per_problem_symbol(
+        self, source, schedule
+    ):
+        """A kernel with a constant Section 4.8 window that the block
+        order refuses (``g(i-1, j+1)`` under ``S = 2i + j``; the
+        ``S = i`` shape) has exactly the two kernel symbols every TU
+        has — the partition sweep and the batched entry. The table
+        is its only storage: no ring, nothing to preload."""
+        kernel = kernel_for(source, schedule)
+        assert kernel.window is not None and kernel.window >= 1
+        text = emit_native_source(kernel, openmp=True)
+        name = kernel.name
+        assert [
+            line.split("(")[0]
+            for line in text.splitlines()
+            if line.startswith("void repro_")
+            and not line.startswith("void repro_set_threads")
+        ] == [f"void repro_{name}", f"void repro_{name}_batched"]
+        for leftover in ("swin", "win_cols", "_pre", "_bd"):
+            assert leftover not in text
+        assert "tile=refused[R-TILE-ORDER]" in text
 
-    def test_partition_clamps_emitted(self, edit_kernel, ring_kernel):
+    def test_partition_clamps_emitted(self, edit_kernel, forward_kernel):
         """Replay support: every entry honours part_lo/part_hi."""
-        for kernel, entries in ((edit_kernel, 2), (ring_kernel, 3)):
+        for kernel in (edit_kernel, forward_kernel):
             text = emit_native_source(kernel)
             assert text.count(
                 "if (part_lo > _plo) _plo = part_lo;"
-            ) == entries
+            ) == 2
             assert text.count(
                 "if (part_hi < _phi) _phi = part_hi;"
-            ) == entries
-
-    def test_windowed_preload_for_mid_schedule_replay(self, ring_kernel):
-        """A replay starting at part_lo > 0 must find its look-back
-        rows in the ring: the emitter preloads them from the table."""
-        text = emit_native_source(ring_kernel)
-        assert "_pre" in text
-        assert "_plo - 2" in text  # window partitions preloaded
+            ) == 2
 
     def test_table_type_matches_kind(self, edit_kernel):
         assert value_ctype(edit_kernel) == "long"
@@ -150,47 +156,54 @@ class TestEmission:
 
 
 class TestWindowColumn:
-    def test_diagonal_ring_uses_first_dim(self, ring_kernel):
+    """Which dimension addresses the Section 4.8 ring's columns is
+    the shared cell printer's rule (``CCellEmitter.window_col``);
+    the CUDA text is what renders it."""
+
+    def test_diagonal_ring_uses_first_dim(self, forward_kernel):
         """Under S = 2i + j the partition determines j from i, so the
         first dimension is a valid injective ring column."""
-        text = emit_native_source(ring_kernel)
-        assert "const long win_cols = ub_j + 1;" not in text
-        assert "const long win_cols = ub_i + 1;" in text
+        from repro.ir.cuda import emit_cuda
+
+        text = emit_cuda(forward_kernel, windowed=True)
+        assert "* win_cols + (i)]" in text
+        assert "* win_cols + (j)]" not in text
 
     def test_row_major_ring_uses_space_dim(self):
         """Under S = i the i coordinate is constant within a
         partition — using it as the ring column would collide every
         cell of a row into one slot. The column must be the pure space
         dimension j (schedule coefficient zero)."""
+        from repro.ir.cuda import emit_cuda
+
         kernel = kernel_for(ROW_MAJOR, Schedule.of(i=1, j=0))
         assert kernel.window == 1
-        assert supports_window(kernel)
-        text = emit_native_source(kernel)
-        assert "const long win_cols = ub_j + 1;" in text
-        assert "swin[2 * win_cols]" in text
+        text = emit_cuda(kernel, windowed=True)
+        assert "* win_cols + (j)]" in text
+        assert "* win_cols + (i)]" not in text
+        assert "[2 rows x win_cols]" in text
 
 
 class TestEligibility:
-    def test_edit_distance_eligible(self, edit_kernel, ring_kernel):
-        """The detail names the entry the TU really has: blocks for
-        the backward-only kernel (never a ring it no longer emits),
-        the ring for the kernel that kept it."""
+    def test_edit_distance_eligible(self, edit_kernel, forward_kernel):
+        """The detail names the order the entry really runs in:
+        blocks for the backward-only kernel, the bare partition loop
+        for the kernel the block order refuses."""
         verdict = native_eligibility(edit_kernel)
         assert verdict.ok
         assert verdict.rule == "ok"
         assert "blocked wavefront, tile 128×128" in verdict.detail
         assert "sliding window" not in verdict.detail
-        verdict = native_eligibility(ring_kernel)
+        verdict = native_eligibility(forward_kernel)
         assert verdict.ok
-        assert "sliding window of 2" in verdict.detail
-        assert "blocked" not in verdict.detail
+        assert verdict.detail.endswith("partition loop in C)")
 
     def test_hmm_forward_eligible_without_window(self):
         kernel = kernel_for(FORWARD, Schedule.of(s=0, i=1), {})
         verdict = native_eligibility(kernel)
         assert verdict.ok
-        assert not supports_window(kernel)
-        assert "sliding window" not in verdict.detail
+        assert kernel.window is None
+        assert verdict.detail.endswith("partition loop in C)")
 
     def test_mutual_group_member_rejected(self):
         """Cross-table reads have no single-kernel C rendering."""
@@ -246,27 +259,20 @@ class TestBatchedEmission:
         assert symbol == "repro_d_batched"
         assert f"void {symbol}(" in text
 
-    def test_windowed_batched_refused(self, edit_kernel):
-        """The ring buffer is a per-problem residency optimisation;
-        there is no windowed batched entry to name."""
-        with pytest.raises(CodegenError):
-            entry_symbol(edit_kernel, windowed=True, batched=True)
-
-    def test_windowed_kernel_batches_via_plain_body(
-        self, edit_kernel, ring_kernel
+    def test_blocked_kernel_batches_via_plain_body(
+        self, edit_kernel, forward_kernel
     ):
-        """Blocks and the ring are per-problem devices: both kinds
-        batch through the plain whole-box body, each saying which
-        device it leaves behind."""
-        verdict = batched_eligibility(ring_kernel)
-        assert verdict.ok
-        assert verdict.rule == "ok-plain-body"
-        assert "ring buffer" in verdict.detail
+        """Blocks are a per-problem device: a blocked kernel batches
+        through the plain whole-box body and says so; a kernel whose
+        per-problem entry already is that body is plain
+        ``ok-batched``."""
         verdict = batched_eligibility(edit_kernel)
         assert verdict.ok
         assert verdict.rule == "ok-plain-body"
         assert "blocked wavefront" in verdict.detail
-        assert "ring" not in verdict.detail
+        verdict = batched_eligibility(forward_kernel)
+        assert verdict.ok
+        assert verdict.rule == "ok-batched"
 
     def test_plain_kernel_rule(self):
         kernel = kernel_for(FORWARD, Schedule.of(s=0, i=1), {})

@@ -167,9 +167,27 @@ class TestCli:
         assert parallel["ok"] is True
         assert parallel["space"]["status"] == "confirmed"
         assert parallel["batched"]["status"] == "confirmed"
-        assert parallel["ring"]["status"] in (
-            "confirmed", "not-applicable"
-        )
+        assert parallel["tile"]["status"] == "confirmed"
+        assert set(parallel) == {
+            "function", "schedule", "ok", "space", "batched", "tile",
+        }
+
+    def test_explain_autotune_flag_is_gone(self, tmp_path, capsys):
+        """The device model prices, it does not choose: asking
+        ``explain`` for an autotuned schedule is a usage error."""
+        script = tmp_path / "prog.dsl"
+        script.write_text(DEMO)
+        for flags in (["--autotune"], ["--extent", "64"]):
+            with pytest.raises(SystemExit) as err:
+                main(["explain", str(script)] + flags)
+            assert err.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_schedule_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--schedule", "autotune"])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_logspace_mode(self, tmp_path, capsys):
         script = tmp_path / "fwd.dsl"

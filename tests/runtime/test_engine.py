@@ -240,6 +240,12 @@ class TestCostKnobs:
         text = compiled.cuda_source(windowed=True)
         assert "swin" in text
 
+    def test_schedule_mode_option_is_gone(self):
+        """The engine keeps the Section 4.6 schedule; a non-default
+        one is a ``schedule`` clause in the DSL, not an engine mode."""
+        with pytest.raises(TypeError, match="schedule"):
+            Engine(schedule="autotune")
+
     def test_missing_binding_message(self):
         engine = Engine()
         func = checked(EDIT_DISTANCE)

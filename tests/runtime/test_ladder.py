@@ -359,3 +359,69 @@ class TestLaunchDemotion:
         with pytest.raises(ValueError):
             engine.run(func, words())
         assert engine.native_demotions == 0
+
+
+# -- the device model prices, it does not choose -------------------------------
+
+
+def _gpu_importers():
+    """Modules under ``src/repro`` (outside ``repro.gpu`` itself) with
+    an import of ``repro.gpu`` anywhere in them, lazy ones included,
+    as paths relative to the package."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root)
+        if rel.parts[0] == "gpu":
+            continue
+        package = ("repro",) + rel.parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = (
+                    list(package[: len(package) - node.level + 1])
+                    if node.level
+                    else []
+                )
+                base += node.module.split(".") if node.module else []
+                targets = [
+                    ".".join(base + [alias.name]) for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                (target + ".").startswith("repro.gpu.")
+                for target in targets
+            ):
+                importers.add(rel.as_posix())
+    return importers
+
+
+def test_nothing_that_chooses_code_imports_the_device_model():
+    """The simulated GTX 480 prices what ran; it never decides what
+    runs. So nothing that picks a schedule, emits or verifies code,
+    or launches it may import ``repro.gpu`` — only what prices a
+    launch (the engines), configures the device (the service) or
+    reproduces the paper's baselines."""
+    importers = _gpu_importers()
+    choosers = {
+        path for path in importers
+        if path.split("/")[0] in ("schedule", "ir", "verify")
+        or path in (
+            "runtime/ladder.py", "runtime/native.py",
+            "runtime/sandbox.py", "runtime/batching.py",
+        )
+    }
+    assert choosers == set()
+    assert {
+        path for path in importers
+        if not path.startswith("apps/baselines/")
+    } == {
+        "runtime/engine.py", "runtime/mutual.py", "service/server.py",
+    }

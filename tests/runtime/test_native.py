@@ -200,7 +200,7 @@ class TestNativeExecution:
 
     def test_mid_schedule_replay_split(self):
         """part_lo/part_hi splits reproduce the single full run —
-        the windowed entry preloads its ring from the table."""
+        a later launch reads the earlier one's cells from the table."""
         engine = Engine(backend="native")
         compiled, ctx, table, domain, schedule = compile_edit(engine)
         lo = schedule.min_partition(domain)
@@ -247,52 +247,70 @@ int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
         for backend, table in tables.items():
             assert np.array_equal(table, expected), backend
 
-    def test_windowed_entry_emitted_for_diagonal(self):
-        """The ring entry belongs to kernels the block order refuses
-        (here a read looking forward in j, under S = 2i + j): emitted,
-        loaded, and — full launch or mid-schedule split, which must
-        preload the ring from the table — bitwise the scalar table.
-        Backward-only edit distance is a blocked wavefront instead."""
+    @pytest.mark.parametrize(
+        "lengths", [(11, 9), (131, 130)], ids=["small", "big"]
+    )
+    @pytest.mark.parametrize(
+        "body, schedule",
+        [
+            (
+                "if i == 0 then j else if j == 0 then i"
+                " else if j > {last} then g(i-1, j) + 1"
+                " else (g(i-1, j) min g(i, j-1) min g(i-1, j+1)) + 1",
+                "2*i + j",
+            ),
+            (
+                "if i < 2 then i + j else if j > {last} then i + j"
+                " else g(i-1, j+1) + 1",
+                "i",
+            ),
+        ],
+        ids=["2i+j", "S=i"],
+    )
+    def test_forward_looking_kernel_one_entry(
+        self, body, schedule, lengths
+    ):
+        """A read looking forward in j (``g(i-1, j+1)``) is refused
+        the block order, so ``repro_g`` is the partition sweep — the
+        kernel's only per-problem symbol, at a table no larger than a
+        tile and at one that is. Its table is bitwise the scalar
+        rung's for one full launch and for every split of the
+        partition range into two launches (a supervised replay
+        resuming from the table alone)."""
         from repro.lang.parser import parse_expr
 
-        engine = Engine(backend="native")
-        compiled, *_ = compile_edit(engine)
-        assert cbackend.supports_window(compiled.kernel)
-        assert "_windowed" not in compiled.source
-
+        n, m = lengths
         func = check_function(
             parse_function(
-                """
-int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =
-  if i == 0 then j
-  else if j == 0 then i
-  else if j > 10 then g(i-1, j) + 1
-  else (g(i-1, j) min g(i, j-1) min g(i-1, j+1)) + 1
-""".strip()
+                "int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+                "  " + body.format(last=m - 1)
             ),
             EN,
         )
+        bindings = {
+            "s": Sequence(("abacadabra" * 14)[:n], ALPHABET),
+            "t": Sequence(("abracadabra" * 12)[:m], ALPHABET),
+        }
         tables = {}
         for backend in ("scalar", "native"):
-            compiled, ctx, table, domain, schedule = compile_edit(
-                Engine(backend=backend), func=func,
-                user_schedule=parse_expr("2*i + j"),
+            compiled, ctx, table, domain, sched = compile_edit(
+                Engine(backend=backend), bindings, func=func,
+                user_schedule=parse_expr(schedule),
             )
-            lo = schedule.min_partition(domain)
-            hi = schedule.max_partition(domain)
+            lo = sched.min_partition(domain)
+            hi = sched.max_partition(domain)
             full = table.copy()
             compiled.run(full, ctx, part_lo=lo, part_hi=hi)
             tables[backend] = full
-        assert "repro_g_windowed" in compiled.source
-        if isinstance(compiled.run, native.NativeRun):  # not sandboxed
-            assert compiled.run._windowed is not None
-            assert compiled.run._use_window(ctx)
+        assert not cbackend.native_entries(compiled.kernel).tiled
+        assert compiled.source.count("\nvoid repro_g") == 2
+        assert "void repro_g_batched(" in compiled.source
         assert np.array_equal(tables["scalar"], tables["native"])
-        split = table.copy()
-        mid = (lo + hi) // 2
-        compiled.run(split, ctx, part_lo=lo, part_hi=mid)
-        compiled.run(split, ctx, part_lo=mid + 1, part_hi=hi)
-        assert np.array_equal(split, tables["native"])
+        for mid in range(lo, hi):
+            split = table.copy()
+            compiled.run(split, ctx, part_lo=lo, part_hi=mid)
+            compiled.run(split, ctx, part_lo=mid + 1, part_hi=hi)
+            assert split.tobytes() == full.tobytes(), mid
 
 
 class TestEngineLadder:

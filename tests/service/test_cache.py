@@ -367,39 +367,50 @@ class TestFormatGuard:
     def test_previous_format_record_is_a_miss_not_a_misload(
         self, tmp_path, edit_func
     ):
-        """Format 5 records hold a blocked entry without the
-        result-only parameters: its ``.so`` must never be called
-        through today's argtypes. Keys embed the format, so a
-        format-6 process never asks for one; and a file that does sit
+        """Format 6 records are a persisted autotune winner — a kind
+        this format no longer has — or a native product whose pickled
+        certificate still carries a ``ring`` axis: neither may be
+        unpickled into today's classes. Keys embed the format, so a
+        format-7 process never asks for one; and a file that does sit
         under a current key with the old header is evicted unread,
-        then replaced by a build whose entry has the result-only
-        mode."""
+        then replaced by a fresh build."""
         from repro.service import cache as cache_mod
         from repro.service.cache import MAGIC, canonical_kernel_form
 
-        assert cache_mod.KEY_FORMAT == 6
+        assert cache_mod.KEY_FORMAT == 7
         warm = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
         warm.run(edit_func, ARGS)
         compiled = warm._cache.values()[0]
         form = canonical_kernel_form(
             edit_func, compiled.schedule, "direct", compiled.backend
         )
-        assert form.startswith("v6\n")
+        assert form.startswith("v7\n")
         (name,) = record_names(tmp_path)
         path = tmp_path / name
-        Tripwire.unpickled = False
-        path.write_bytes(
-            b"repro-kernel-cache:5\n"
-            + pickle.dumps({"format": 5, "payload": Tripwire()})
-        )
-        cold = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
-        assert cold.run(edit_func, ARGS).value == 3  # recompiled
-        assert Tripwire.unpickled is False
-        info = cold.cache_info()
-        assert info.disk_hits == 0
-        assert info.corrupt_evictions == 1
-        assert info.disk_stores == 1
-        assert path.read_bytes().startswith(MAGIC)
+        for stale in (
+            {"format": 6, "payload": Tripwire()},
+            {
+                "format": 6,
+                "kind": "autotune-schedule",
+                "schedule": {"dims": ["i", "j"], "coefficients": [1, 2]},
+                "meta": {"predicted_cycles": Tripwire()},
+            },
+        ):
+            Tripwire.unpickled = False
+            record = b"repro-kernel-cache:6\n" + pickle.dumps(stale)
+            with pytest.raises(ValueError, match="stale or foreign"):
+                decode_compiled(record)
+            path.write_bytes(record)
+            cold = Engine(
+                kernel_cache=PersistentKernelCache(str(tmp_path))
+            )
+            assert cold.run(edit_func, ARGS).value == 3  # recompiled
+            assert Tripwire.unpickled is False
+            info = cold.cache_info()
+            assert info.disk_hits == 0
+            assert info.corrupt_evictions == 1
+            assert info.disk_stores == 1
+            assert path.read_bytes().startswith(MAGIC)
         if compiled.backend == "native":
             rebuilt = cold._cache.values()[0]
             assert "_windowed" not in rebuilt.source
@@ -435,153 +446,3 @@ class TestBackendBreakdown:
         scalar.run(edit_func, ARGS)  # evicts the vector entry
         info = cache.cache_info()
         assert dict(info.backends) == {"scalar": 1}
-
-
-class TestAutotuneRecords:
-    """The v4 record kind: persisted autotune winners."""
-
-    def _record(self):
-        from repro.service.cache import ScheduleRecord
-
-        return ScheduleRecord(
-            Schedule(("i", "j"), (1, 2)),
-            meta={"default": [1, 1], "predicted_cycles": 123.0},
-        )
-
-    def test_encode_decode_round_trip(self):
-        from repro.service.cache import ScheduleRecord
-
-        record = self._record()
-        restored = decode_compiled(encode_compiled(record))
-        assert isinstance(restored, ScheduleRecord)
-        assert restored.schedule == record.schedule
-        assert restored.meta == record.meta
-        assert restored.record_kind == "autotune-schedule"
-        assert restored.backend == "autotune"
-
-    def test_persists_through_disk_tier(self, tmp_path):
-        from repro.service.cache import ScheduleRecord
-
-        warm = PersistentKernelCache(str(tmp_path))
-        warm.store("autotune-key", self._record())
-        assert "autotune-key" in warm.disk_keys()
-        cold = PersistentKernelCache(str(tmp_path))
-        restored = cold.lookup("autotune-key")
-        assert isinstance(restored, ScheduleRecord)
-        assert restored.schedule == Schedule(("i", "j"), (1, 2))
-
-    def test_corrupt_schedule_payload_quarantined(self, tmp_path):
-        cache = PersistentKernelCache(str(tmp_path))
-        cache.store("autotune-key", self._record())
-        (name,) = record_names(tmp_path)
-        path = tmp_path / name
-        from repro.service.cache import MAGIC
-
-        body = {
-            "format": __import__("repro").service.cache.KEY_FORMAT,
-            "kind": "autotune-schedule",
-            "schedule": {"dims": ["i"]},  # missing coefficients
-            "meta": {},
-        }
-        path.write_bytes(MAGIC + pickle.dumps(body))
-        cold = PersistentKernelCache(str(tmp_path))
-        assert cold.lookup("autotune-key") is None
-        assert cold.cache_info().corrupt_evictions == 1
-
-    def test_domain_bucket_powers_of_two(self):
-        from repro.service.cache import domain_bucket
-
-        assert domain_bucket((1, 1)) == (1, 1)
-        assert domain_bucket((2, 3)) == (2, 4)
-        assert domain_bucket((64, 65)) == (64, 128)
-        assert domain_bucket((2305,)) == (4096,)
-        assert domain_bucket(()) == ()
-
-    def test_autotune_key_components_differentiate(self, edit_func):
-        from repro.service.cache import autotune_cache_key
-
-        base = autotune_cache_key(
-            edit_func, "direct", 10, "gpu", (64, 64)
-        )
-        assert base == autotune_cache_key(
-            edit_func, "direct", 10, "gpu", (64, 64)
-        )
-        assert len(base) == 64
-        assert base != autotune_cache_key(
-            edit_func, "logspace", 10, "gpu", (64, 64)
-        )
-        assert base != autotune_cache_key(
-            edit_func, "direct", 4, "gpu", (64, 64)
-        )
-        assert base != autotune_cache_key(
-            edit_func, "direct", 10, "other", (64, 64)
-        )
-        assert base != autotune_cache_key(
-            edit_func, "direct", 10, "gpu", (64, 128)
-        )
-
-    def test_key_is_content_addressed(self, edit_func):
-        """Re-parsing the same source yields the same key; a
-        different body under the same name yields a different one."""
-        from repro import check_function, parse_function
-        from repro.service.cache import autotune_cache_key
-        from tests.service.conftest import EDIT_FUNC_SRC
-
-        twin = check_function(
-            parse_function(EDIT_FUNC_SRC), {"en": ENGLISH.chars}
-        )
-        other = check_function(
-            parse_function(
-                "int d(seq[en] s, index[s] i) = "
-                "if i == 0 then 0 else d(i-1) + 1"
-            ),
-            {"en": ENGLISH.chars},
-        )
-        key = autotune_cache_key(edit_func, "direct", 10, "gpu", (64,))
-        assert key == autotune_cache_key(
-            twin, "direct", 10, "gpu", (64,)
-        )
-        assert key != autotune_cache_key(
-            other, "direct", 10, "gpu", (64,)
-        )
-
-    def test_engine_reuses_persisted_winner(self, tmp_path, edit_func):
-        """Warm directory, cold process: the search runs exactly
-        once across engine lifetimes."""
-        cold = Engine(
-            schedule="autotune",
-            kernel_cache=PersistentKernelCache(str(tmp_path)),
-        )
-        expected = cold.run(edit_func, ARGS).value
-        assert expected == 3
-        assert cold.autotune_searches == 1
-        info = cold.cache_info()
-        assert info.autotune_searches == 1
-        assert info.autotune_hits == 0
-
-        warm = Engine(
-            schedule="autotune",
-            kernel_cache=PersistentKernelCache(str(tmp_path)),
-        )
-        assert warm.run(edit_func, ARGS).value == expected
-        assert warm.autotune_searches == 0
-        assert warm.cache_info().autotune_hits == 1
-
-    def test_in_process_memo(self, edit_func):
-        engine = Engine(schedule="autotune")
-        engine.run(edit_func, ARGS)
-        engine.run(edit_func, ARGS)
-        assert engine.autotune_searches == 1
-        assert engine.autotune_hits >= 1
-
-    def test_min_partition_engine_never_searches(self, edit_func):
-        engine = Engine()
-        engine.run(edit_func, ARGS)
-        info = engine.cache_info()
-        assert engine.autotune_searches == 0
-        assert info.autotune_searches == 0
-        assert info.autotune_hits == 0
-
-    def test_unknown_schedule_mode_rejected(self):
-        with pytest.raises(ValueError, match="schedule mode"):
-            Engine(schedule="fastest")

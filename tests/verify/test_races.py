@@ -1,8 +1,8 @@
 """Static parallel-safety analyzer tests (races.py).
 
 Covers the three proof obligations (space partition, batched problem
-loop, §4.8 ring buffer), the mutation knobs that turn a proved-safe
-kernel racy, and the end-to-end gate: ``emit_native_source`` must
+loop, block order), the mutations that turn a proved-safe kernel
+racy, and the end-to-end gate: ``emit_native_source`` must
 refuse a pragma on any axis whose obligation the analyzer could not
 discharge.
 """
@@ -22,7 +22,6 @@ from repro.lang.typecheck import check_function
 from repro.runtime import native
 from repro.schedule.schedule import Schedule
 from repro.verify.races import (
-    AxisVerdict,
     analyze_parallelism,
     parallelism_certificate,
 )
@@ -71,14 +70,14 @@ class TestConfirmed:
         assert cert.space.status == "confirmed"
         assert cert.batch.status == "confirmed"
         assert cert.tile.status == "confirmed"
-        # blocks replace the ring: the tile is the resident window
-        assert cert.ring.status == "not-applicable"
         assert cert.space.exact  # proved, not LP-bounded
-        # a kernel the block order refuses keeps (and proves) its ring
-        ringed = parallelism_certificate(kernel_for(ANTI, (2, 1)))
-        assert ringed.ok
-        assert ringed.ring.status == "confirmed"
-        assert ringed.tile.status == "refused"
+        assert [a.axis for a in cert.axes] == ["space", "batch", "tile"]
+        # a kernel the block order refuses is still race-free under
+        # the partition sweep
+        forward = parallelism_certificate(kernel_for(ANTI, (2, 1)))
+        assert forward.ok
+        assert forward.space.status == "confirmed"
+        assert forward.tile.status == "refused"
 
     def test_certificate_is_memoised_per_extents(self):
         kernel = edit_kernel()
@@ -99,8 +98,7 @@ class TestConfirmed:
         record = parallelism_certificate(edit_kernel()).to_dict()
         assert record["ok"] is True
         assert set(record) == {
-            "function", "schedule", "ok", "space", "batched", "ring",
-            "tile",
+            "function", "schedule", "ok", "space", "batched", "tile",
         }
         assert record["space"]["status"] == "confirmed"
         assert record["tile"]["status"] == "confirmed"
@@ -131,9 +129,6 @@ class TestPaperApps:
             cert = parallelism_certificate(kernel)
             assert cert.ok, f"{path}:{name}: {cert.summary}"
             assert cert.space.status == "confirmed"
-            # the ring axis is allowed to be not-applicable (no
-            # window geometry), never refused
-            assert cert.ring.status != "refused"
 
 
 class TestRegressionCorpus:
@@ -192,23 +187,6 @@ class TestMutations:
         assert cert.batch.status == "refused"
         assert cert.batch.rule == "R-BATCH-OVERLAP"
         assert cert.batch.witness == {"i": 5}
-
-    def test_shrunk_ring_refused(self):
-        # Two rows for a look-back of two: antidiagonal t and t-2
-        # alias the same ring row.
-        cert = analyze_parallelism(kernel_for(ANTI, (2, 1)), ring_rows=2)
-        assert cert.ring.status == "refused"
-        assert cert.ring.rule == "R-RING-COLLIDE"
-        assert cert.ring.witness == {"delta": 2}
-
-    def test_non_injective_ring_column_refused(self):
-        # window_col=0 leaves dim 1 unmapped under S = i: distinct
-        # cells of one ring row would collide.
-        cert = analyze_parallelism(
-            edit_kernel((1, 0)), window_col=0
-        )
-        assert cert.ring.status == "refused"
-        assert cert.ring.rule == "R-SPACE-WW"
 
 
 class TestTileOrder:
@@ -365,26 +343,6 @@ class TestPragmaGating:
         # pragma; both space loops degrade to serial
         assert src.count("#pragma omp") == 1
         assert "refused[R-SPACE-RW]" in src
-
-    def test_refused_ring_axis_suppresses_windowed_entry(self):
-        # A kernel that keeps its ring: uniform, but f(i-1, j+1)
-        # looks forward in j, so the block order is refused.
-        kernel = kernel_for(ANTI, (2, 1))
-        cert = parallelism_certificate(kernel)
-        windowed = cbackend.entry_symbol(kernel, windowed=True)
-        assert windowed in cbackend.emit_native_source(
-            kernel, openmp=True
-        )
-        doctored = dataclasses.replace(
-            cert,
-            ring=AxisVerdict(
-                "ring", "refused", "doctored", rule="R-RING-COLLIDE",
-            ),
-        )
-        src = cbackend.emit_native_source(
-            kernel, openmp=True, certificate=doctored
-        )
-        assert windowed not in src
 
     @needs_cc
     def test_racy_kernel_still_builds_and_runs(self):
