@@ -541,7 +541,7 @@ def lint_main(argv) -> int:
     if not path.exists():
         parser.error(f"no such script: {path}")
 
-    from .verify import lint_text
+    from .verify.lint import lint_text
     from .verify.diagnostics import Severity
 
     kwargs = {"prob_mode": args.prob_mode}

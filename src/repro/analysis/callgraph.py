@@ -8,24 +8,41 @@ extension, scheduled by :mod:`repro.schedule.mutual_rec`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from ..lang import ast
 from ..lang.typecheck import CheckedFunction, CheckedProgram
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def _callees(
+    functions: Mapping[str, CheckedFunction]
+) -> Dict[str, List[str]]:
+    """The functions each function calls (those given only)."""
+    return {
+        name: [
+            node.func
+            for node in ast.walk(func.body)
+            if isinstance(node, ast.Call) and node.func in functions
+        ]
+        for name, func in functions.items()
+    }
 
 
 def call_graph(
     functions: Mapping[str, CheckedFunction]
 ) -> "nx.DiGraph":
     """Edges ``caller -> callee`` over the given functions."""
+    # Imported here: nothing on the run path draws the graph, and
+    # networkx is ~50 ms of start-up.
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(functions)
-    for name, func in functions.items():
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.Call) and node.func in functions:
-                graph.add_edge(name, node.func)
+    for name, callees in _callees(functions).items():
+        graph.add_edges_from((name, callee) for callee in callees)
     return graph
 
 
@@ -38,21 +55,46 @@ def recursive_groups(
     are excluded; singletons with a self-loop are ordinary recursions;
     larger components are mutual groups.
     """
-    graph = call_graph(functions)
+    callees = _callees(functions)
     groups: List[Tuple[str, ...]] = []
-    for component in nx.strongly_connected_components(graph):
-        names = tuple(sorted(component))
-        if len(names) > 1 or graph.has_edge(names[0], names[0]):
-            groups.append(names)
-    # Reverse topological order of the condensation: callees first.
-    condensation = nx.condensation(graph)
-    order: Dict[frozenset, int] = {}
-    for position, node in enumerate(
-        nx.topological_sort(condensation)
-    ):
-        members = frozenset(condensation.nodes[node]["members"])
-        order[members] = position
-    groups.sort(key=lambda g: -order.get(frozenset(g), 0))
+    # Tarjan's algorithm closes a component only after every
+    # component it calls into: callees first, the order asked for.
+    # Iterative — a chain of a thousand helpers is a program, not a
+    # RecursionError.
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack = set()
+    for root in functions:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(callees[root]))]
+        while work:
+            name, rest = work[-1]
+            for callee in rest:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(callees[callee])))
+                    break
+                if callee in on_stack:
+                    low[name] = min(low[name], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[name])
+                if low[name] == index[name]:
+                    members = []
+                    while not members or members[-1] != name:
+                        members.append(stack.pop())
+                    on_stack.difference_update(members)
+                    if len(members) > 1 or name in callees[name]:
+                        groups.append(tuple(sorted(members)))
     return groups
 
 

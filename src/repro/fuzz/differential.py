@@ -207,7 +207,7 @@ class DifferentialHarness:
         """Run every applicable leg and produce the verdict."""
         from ..lang.source import SourceText
         from ..service.programs import ServiceProgram
-        from ..verify import lint_checked
+        from ..verify.lint import lint_checked
         from ..verify.diagnostics import Severity
 
         legs: Dict[str, LegResult] = {}

@@ -90,8 +90,17 @@ TILE = (128, 128)
 #: ``exp(b - m)`` one argument is always exactly 0 and ``exp(0.0)`` is
 #: exactly 1.0, so every finite/-inf pair keeps its bits (see the
 #: scalar prelude's docstring for the one +inf case that differs).
+#:
+#: A translation unit includes nothing: what it uses of libm, libc
+#: and libgomp is declared here and beside its use below, and the
+#: three constants are the compiler's own spellings (what ``math.h``
+#: and ``limits.h`` expand to). Parsing the four headers was 8-15 ms
+#: of every ``cc`` (docs/PERFORMANCE.md).
 _HELPERS = C_HELPERS + """\
-#include <math.h>
+double log(double);
+double exp(double);
+double trunc(double);
+#define INFINITY (__builtin_inff())
 
 static inline double min(double a, double b) { return a < b ? a : b; }
 static inline double max(double a, double b) { return a > b ? a : b; }
@@ -435,7 +444,8 @@ def batched_eligibility(kernel: Kernel) -> Eligibility:
 #: them) but make them report a fixed single thread.
 _THREAD_HELPERS = """\
 #ifdef _OPENMP
-#include <omp.h>
+void omp_set_num_threads(int);
+int omp_get_max_threads(void);
 void repro_set_threads(long n) {
   if (n >= 1) omp_set_num_threads((int) n);
 }
@@ -473,8 +483,10 @@ long repro_max_threads(void) { return 1; }
 #: NaN wins from then on (the ``{nan}``/``{nanv}`` clauses are left out
 #: for integer tables, where a self-comparison is a ``-Wtautological-compare``).
 _RESULT_HELPERS = """\
-#include <limits.h>
-#include <string.h>
+#define LONG_MAX __LONG_MAX__
+#define LONG_MIN (-__LONG_MAX__ - 1L)
+typedef __SIZE_TYPE__ size_t;
+void* memcpy(void*, const void*, size_t);
 typedef struct {{
   {vt}* res; {vt}* top; {vt}* left;
   long h0, h1, th, cols, nb0, nb1, red, at0, at1;

@@ -12,17 +12,27 @@ Robustness contract:
 
 * **Toolchain probe** — ``cc``/``gcc``/``clang`` (override with
   ``REPRO_CC``) are probed once per process with a real test
-  compilation; the verdict is cached, so an environment without a
-  compiler pays the probe exactly once and every engine falls back
+  compilation — of the ``dlopen`` helper below, with ``-fopenmp``, so
+  one compiler run says both "cc works" and "OpenMP links" (a failure
+  retries without). The verdict is cached, so an environment without
+  a compiler pays the probe exactly once and every engine falls back
   down the ladder with a machine-readable
   :class:`~repro.ir.npbackend.Eligibility` reason.
   ``REPRO_NATIVE_DISABLE=1`` force-disables the backend (checked on
   every call, not cached — tests rely on that).
 * **Segfault-guarded load** — a freshly built (or cache-restored)
-  ``.so`` is first ``dlopen``-ed in a *subprocess*; if that probe
-  dies — including by signal — the library is never loaded into this
-  process and a :class:`~repro.lang.errors.NativeBuildError` (a
-  permanent ``DslError``, never retried) is raised instead.
+  ``.so`` is first ``dlopen``-ed in a *subprocess*: a ten-line C
+  program (``dlopen(argv[1], RTLD_NOW | RTLD_LOCAL)``, ``dlerror`` to
+  stderr, exit 1) that the toolchain probe built into a directory of
+  this process's own — a millisecond to start where an interpreter
+  took thirteen. If that probe dies — including by signal — the
+  library is never loaded into this process and a
+  :class:`~repro.lang.errors.NativeBuildError` (a permanent
+  ``DslError``, never retried) is raised instead. A compiler that
+  cannot build the helper is not a working toolchain, so every
+  library *built* here is probed by it; only a process with no
+  compiler at all — which can still be handed a cache-restored
+  ``.so`` — probes with ``sys.executable -c "ctypes.CDLL(...)"``.
 * **Content-addressed artifacts** — builds land in
   ``$REPRO_NATIVE_CACHE_DIR`` (or a per-process temp dir) under the
   sha256 of (source, compiler, flags), so recompilation is skipped
@@ -52,8 +62,9 @@ race certificates. The sanitizer flags join the build flags (and
 therefore the content-address digest, so instrumented and plain
 artifacts never collide); the ``dlopen`` probe subprocess and the
 sandbox workers run with ``ASAN_OPTIONS=verify_asan_link_order=0``
-(the Python binary is not ASan-linked, so the runtime arrives via
-the ``.so`` rather than first in the initial library list) plus
+(neither the probe helper nor the Python binary is ASan-linked, so
+the runtime arrives via the ``.so`` rather than first in the initial
+library list) plus
 ``detect_leaks=0`` (the interpreter's own allocations are not this
 backend's findings). Because ASan reads ``/proc/self/environ``
 directly — immune to ``putenv`` after start-up — sanitized libraries
@@ -120,48 +131,78 @@ def build_dir() -> str:
     return _BUILD_DIR
 
 
+#: The ``dlopen`` probe, as a program: loading a library is all it
+#: does, so a library that takes its loader down takes only this.
+#: ``RTLD_NOW | RTLD_LOCAL`` is what ``ctypes.CDLL`` asks for.
+_PROBE_HELPER_SOURCE = """\
+#include <dlfcn.h>
+#include <stdio.h>
+int main(int argc, char** argv) {
+  if (argc != 2) return 2;
+  if (dlopen(argv[1], RTLD_NOW | RTLD_LOCAL)) return 0;
+  fprintf(stderr, "%s\\n", dlerror());
+  return 1;
+}
+"""
+
+#: The helper :func:`toolchain` built, set with its verdict (``None``
+#: with a verdict of "no compiler").
+_PROBE_HELPER: Optional[str] = None
+
+
+def _build_probe_helper(cc: str, openmp: bool, out: str) -> Optional[str]:
+    """Compile the ``dlopen`` helper to ``out``; ``None`` on success,
+    else why not. The source goes in on stdin: there is no ``.c`` file
+    for another process to find half-written."""
+    try:
+        result = subprocess.run(
+            [
+                cc, "-std=c99", *(["-fopenmp"] if openmp else []),
+                "-x", "c", "-", "-o", out, "-ldl",
+            ],
+            input=_PROBE_HELPER_SOURCE.encode("ascii"),
+            capture_output=True, timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired) as err:
+        return str(err)
+    if result.returncode != 0:
+        return f"exit {result.returncode}"
+    return None
+
+
 def toolchain() -> Tuple[Optional[str], bool, str]:
     """Probe (once) for a working C compiler.
 
     Returns ``(cc, openmp_ok, detail)``; ``cc`` is ``None`` when no
-    candidate both exists and compiles a trivial shared object.
+    candidate both exists and builds the ``dlopen`` probe helper —
+    the test compilation and the one program every later build needs.
+    It is built with ``-fopenmp`` first, so where OpenMP links (the
+    usual case) one compiler run answers both questions; only a
+    failure retries without. The helper lands in a directory of this
+    process's own, never in :func:`build_dir`: that one may be shared,
+    read-only, or re-pointed after the probe ran.
     """
-    global _TOOLCHAIN
+    global _TOOLCHAIN, _PROBE_HELPER
     if _TOOLCHAIN is not None:
         return _TOOLCHAIN
-    probe_src = "int repro_probe(int x) { return x + 1; }\n"
     tried: List[str] = []
+    helper: Optional[str] = None
     for name in _candidate_compilers():
         path = shutil.which(name)
         if path is None:
             tried.append(f"{name}: not found")
             continue
-        with tempfile.TemporaryDirectory(
-            prefix="repro-ccprobe-"
-        ) as tmp:
-            src = os.path.join(tmp, "probe.c")
-            out = os.path.join(tmp, "probe.so")
-            with open(src, "w") as handle:
-                handle.write(probe_src)
-            base = [path, *_CFLAGS, "-o", out, src, "-lm"]
-            try:
-                result = subprocess.run(
-                    base, capture_output=True, timeout=60,
-                )
-            except (OSError, subprocess.TimeoutExpired) as err:
-                tried.append(f"{name}: {err}")
-                continue
-            if result.returncode != 0:
-                tried.append(
-                    f"{name}: exit {result.returncode}"
-                )
-                continue
-            omp = subprocess.run(
-                [path, *_CFLAGS, "-fopenmp", "-o", out, src, "-lm"],
-                capture_output=True, timeout=60,
-            ).returncode == 0
-            _TOOLCHAIN = (path, omp, f"system compiler {path}")
-            return _TOOLCHAIN
+        if helper is None:
+            private = tempfile.mkdtemp(prefix="repro-dlopen-probe-")
+            atexit.register(shutil.rmtree, private, True)
+            helper = os.path.join(private, "dlopen-probe")
+        for openmp in (True, False):
+            error = _build_probe_helper(path, openmp, helper)
+            if error is None:
+                _PROBE_HELPER = helper
+                _TOOLCHAIN = (path, openmp, f"system compiler {path}")
+                return _TOOLCHAIN
+        tried.append(f"{name}: {error}")
     _TOOLCHAIN = (
         None, False,
         "no working C compiler (" + "; ".join(tried) + ")",
@@ -170,9 +211,11 @@ def toolchain() -> Tuple[Optional[str], bool, str]:
 
 
 def reset_toolchain_cache() -> None:
-    """Forget the probe verdict (tests exercising the no-cc path)."""
-    global _TOOLCHAIN
+    """Forget the probe verdict and the helper it built (tests
+    exercising the no-cc path)."""
+    global _TOOLCHAIN, _PROBE_HELPER
     _TOOLCHAIN = None
+    _PROBE_HELPER = None
 
 
 def available() -> Eligibility:
@@ -378,12 +421,28 @@ def _remove_quietly(path: str) -> None:
         pass
 
 
+def _probe_command(so_path: str) -> List[str]:
+    """What to run to ``dlopen`` ``so_path`` somewhere else: the C
+    helper wherever :func:`toolchain` built one. Without a compiler
+    nothing is built here, but a cache-restored library can still
+    arrive, and an interpreter can load it."""
+    toolchain()
+    if _PROBE_HELPER is not None:
+        return [_PROBE_HELPER, so_path]
+    return [
+        sys.executable, "-c",
+        "import ctypes, sys; ctypes.CDLL(sys.argv[1])",
+        so_path,
+    ]
+
+
 def probe_shared_object(so_path: str) -> None:
     """``dlopen`` the library in a throwaway subprocess first.
 
     A corrupt or ABI-incompatible artifact can take the whole process
     down inside ``dlopen``; the probe confines that blast radius to a
-    child. Failure — any nonzero exit, including death by signal —
+    child that does nothing else (:func:`_probe_command`). Failure —
+    any nonzero exit, including death by signal —
     raises :class:`NativeBuildError`, which is a permanent
     ``DslError``: the supervisor and service will not retry it.
     Verdicts are memoised per path for the life of the process.
@@ -396,11 +455,7 @@ def probe_shared_object(so_path: str) -> None:
         env = dict(os.environ)
     try:
         result = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import ctypes, sys; ctypes.CDLL(sys.argv[1])",
-                so_path,
-            ],
+            _probe_command(so_path),
             capture_output=True, timeout=60, env=env,
         )
     except (OSError, subprocess.TimeoutExpired) as err:

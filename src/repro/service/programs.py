@@ -77,7 +77,7 @@ class ServiceProgram:
         """Reject programs the static verifier finds errors in."""
         from ..lang.errors import VerificationError
         from ..lang.source import SourceText
-        from ..verify import lint_checked
+        from ..verify.lint import lint_checked
         from ..verify.diagnostics import Severity
 
         source = SourceText(self.text, "<program>")

@@ -19,18 +19,22 @@ machine-readable :class:`~repro.verify.diagnostics.Diagnostic` type:
   per-partition read/write tracking that fails at partition barriers;
 * :mod:`repro.verify.lint` — the program-level orchestration behind
   ``python -m repro lint`` and the service's admission control.
+
+What every ``Engine.run`` needs — the schedule proof, the access
+pass, the certificates — is re-exported here. The sanitizer (and the
+fault injector it borrows from :mod:`repro.resilience`) and the lint
+orchestration are not: import :mod:`repro.verify.sanitizer` and
+:mod:`repro.verify.lint` by name, so the run path never loads them.
 """
 
 from .access import analyze_access
 from .diagnostics import RULES, Diagnostic, Report, Severity
-from .lint import LintResult, lint_checked, lint_text
 from .races import (
     AxisVerdict,
     ParallelismCertificate,
     analyze_parallelism,
     parallelism_certificate,
 )
-from .sanitizer import run_sanitized, sanitized_partition_scan
 from .soundness import ScheduleCertificate, verify_schedule
 
 __all__ = [
@@ -45,9 +49,4 @@ __all__ = [
     "ParallelismCertificate",
     "analyze_parallelism",
     "parallelism_certificate",
-    "run_sanitized",
-    "sanitized_partition_scan",
-    "LintResult",
-    "lint_checked",
-    "lint_text",
 ]

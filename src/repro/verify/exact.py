@@ -4,10 +4,11 @@ This is the verifier's arithmetic core, written independently of
 :func:`repro.analysis.criteria.min_affine_over_box` (which feeds the
 schedule *solver*): the unconstrained case enumerates the box vertices
 outright instead of using the per-term corner shortcut, and the
-constrained case prefers exact integer enumeration, falling back to an
-LP relaxation only when the region is too large — and then rounding
-the bound up, which is sound because affine functions with integer
-coefficients take integer values at integer points.
+constrained case prefers exact integer enumeration — the whole box
+evaluated at once in NumPy — falling back to an LP relaxation only
+when the region is too large — and then rounding the bound up, which
+is sound because affine functions with integer coefficients take
+integer values at integer points.
 
 All functions speak :class:`~repro.analysis.affine.Affine` (the shared
 *representation* — the proofs are what must not be shared) and treat a
@@ -19,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..analysis.affine import Affine
 
@@ -158,28 +161,62 @@ def constrained_min(
                 best, witness = value, point
         return MinResult(float(best), True, witness)
 
-    points = 1
-    for lo, hi in bounds.values():
-        points *= hi - lo + 1
-        if points > cap:
-            break
-    if points <= cap:
-        best = None
-        witness = None
-        for choice in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in bounds.values()]
-        ):
-            point = dict(zip(bounds.keys(), choice))
-            if any(con.evaluate(point) < 0 for con in constraints):
-                continue
-            value = objective.evaluate(point)
-            if best is None or value < best:
-                best, witness = value, point
-        if best is None:
-            return MinResult(None, True)
-        return MinResult(float(best), True, witness)
+    if math.prod(hi - lo + 1 for lo, hi in bounds.values()) <= cap:
+        return _lattice_min(objective, constraints, bounds)
 
     return _lp_min(objective, constraints, bounds)
+
+
+def _lattice_min(
+    objective: Affine,
+    constraints: Sequence[Affine],
+    bounds: Mapping[str, Tuple[int, int]],
+) -> MinResult:
+    """Exact minimum by evaluating the whole integer box at once.
+
+    One axis per variable, in ``bounds`` order, so the box in C order
+    is the lexicographic order of its points and the witness is the
+    first minimiser in it. An affine function is built by broadcasting
+    its terms, so it is only as large as the variables it mentions;
+    what can be as large as the box are the feasibility mask, the
+    objective at the feasible points and, after it, their positions.
+    """
+    # int64 unless a value could leave it; Python integers (exact at
+    # any size, through the same NumPy expressions) otherwise.
+    reach = max(
+        abs(a.const)
+        + sum(abs(c) * max(map(abs, bounds[n])) for n, c in a.coeffs)
+        for a in (objective, *constraints)
+    )
+    dtype = np.int64 if reach < 2 ** 62 else object
+    shape = tuple(hi - lo + 1 for lo, hi in bounds.values())
+    axes = {}
+    for k, (name, (lo, _hi)) in enumerate(bounds.items()):
+        side = [1] * len(shape)
+        side[k] = shape[k]
+        axes[name] = (
+            np.arange(shape[k]).astype(dtype) + lo
+        ).reshape(side)
+
+    def lattice(affine: Affine):
+        total = np.full([1] * len(shape), affine.const, dtype=dtype)
+        for name, coeff in affine.coeffs:
+            total = total + coeff * axes[name]
+        return total
+
+    mask = np.ones(shape, dtype=bool)
+    for con in constraints:
+        mask &= lattice(con) >= 0
+    values = np.broadcast_to(lattice(objective), shape)[mask]
+    if not values.size:
+        return MinResult(None, True)
+    first = int(np.argmin(values))
+    point = np.unravel_index(np.flatnonzero(mask)[first], shape)
+    witness = {
+        name: lo + int(x)
+        for (name, (lo, _hi)), x in zip(bounds.items(), point)
+    }
+    return MinResult(float(values[first]), True, witness)
 
 
 def _lp_min(

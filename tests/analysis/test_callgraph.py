@@ -1,5 +1,7 @@
 """Tests for call-graph construction and recursive grouping."""
 
+import sys
+
 import networkx as nx
 
 from repro.analysis.callgraph import (
@@ -76,6 +78,61 @@ class TestGroups:
     def test_group_of_nonrecursive(self):
         checked = check_program(parse_program("int f(int n) = n"))
         assert group_of(checked, "f") == ("f",)
+
+
+class TestComponents:
+    """``recursive_groups`` finds its own components; networkx, which
+    it no longer imports, is the oracle."""
+
+    @staticmethod
+    def groups_of(monkeypatch, edges):
+        monkeypatch.setattr(
+            "repro.analysis.callgraph._callees", lambda functions: edges
+        )
+        return recursive_groups(dict.fromkeys(edges))
+
+    def test_random_graphs_match_networkx(self, monkeypatch):
+        import random
+
+        rng = random.Random(24)
+        for _ in range(300):
+            names = [f"f{k}" for k in range(rng.randint(1, 10))]
+            edges = {
+                name: rng.choices(names, k=rng.randint(0, 3))
+                for name in names
+            }
+            groups = self.groups_of(monkeypatch, edges)
+            graph = nx.DiGraph(
+                [(u, v) for u, vs in edges.items() for v in vs]
+            )
+            graph.add_nodes_from(names)
+            expected = {
+                tuple(sorted(c))
+                for c in nx.strongly_connected_components(graph)
+                if len(c) > 1 or graph.has_edge(*list(c) * 2)
+            }
+            assert set(groups) == expected
+            assert len(groups) == len(expected)
+            place = {
+                name: k for k, group in enumerate(groups)
+                for name in group
+            }
+            for u, v in graph.edges:
+                if u in place and v in place:
+                    assert place[v] <= place[u]  # callees first
+
+    def test_call_chain_deeper_than_the_interpreter_stack(
+        self, monkeypatch
+    ):
+        depth = 4 * sys.getrecursionlimit()
+        names = [f"f{k}" for k in range(depth)]
+        chain = {a: [b] for a, b in zip(names, names[1:])}
+        chain[names[-1]] = [names[-1]]
+        assert self.groups_of(monkeypatch, chain) == [(names[-1],)]
+        chain[names[-1]] = [names[0]]
+        assert self.groups_of(monkeypatch, chain) == [
+            tuple(sorted(names))
+        ]
 
 
 class TestCrossDescents:

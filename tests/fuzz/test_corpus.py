@@ -29,7 +29,7 @@ def test_corpus_entry_replays_green(entry):
 )
 def test_corpus_entry_lints_clean(entry):
     """Reproducers for fixed bugs must pass the static verifier."""
-    from repro.verify import lint_text
+    from repro.verify.lint import lint_text
     from repro.verify.diagnostics import Severity
 
     result = lint_text(

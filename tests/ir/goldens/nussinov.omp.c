@@ -2,7 +2,10 @@
 /* parallel-safety: space=confirmed batch=confirmed ring=not-applicable */
 #define ceild(n, d) (((n) < 0) ? -((-(n)) / (d)) : ((n) + (d) - 1) / (d))
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
-#include <math.h>
+double log(double);
+double exp(double);
+double trunc(double);
+#define INFINITY (__builtin_inff())
 
 static inline double min(double a, double b) { return a < b ? a : b; }
 static inline double max(double a, double b) { return a > b ? a : b; }
@@ -17,7 +20,8 @@ static inline double logaddexp(double a, double b) {
 }
 
 #ifdef _OPENMP
-#include <omp.h>
+void omp_set_num_threads(int);
+int omp_get_max_threads(void);
 void repro_set_threads(long n) {
   if (n >= 1) omp_set_num_threads((int) n);
 }

@@ -147,6 +147,46 @@ class TestEmission:
         cuda = emit_cuda(edit_kernel)
         assert "lmin" not in cuda and "min(min(farr[" in cuda
 
+    @pytest.mark.parametrize(
+        "app", ["sw", "edit", "forward", "viterbi", "nussinov"]
+    )
+    @pytest.mark.parametrize("openmp", [False, True])
+    def test_tu_includes_nothing(self, app, openmp):
+        """A TU declares the six library functions and three
+        constants it uses and parses no header — 8-15 ms of every
+        ``cc``. ``TestWarningClean`` compiles the same text under
+        ``-Wall -Wextra -Werror``, so a missing or mismatched
+        declaration fails there."""
+        from repro.analysis.domain import Domain
+        from repro.apps.hmm_algorithms import (
+            forward_function,
+            viterbi_function,
+        )
+        from repro.apps.rna_folding import nussinov_function
+        from repro.apps.smith_waterman import smith_waterman_function
+        from repro.schedule.solver import find_schedule
+
+        func = {
+            "sw": smith_waterman_function,
+            "edit": lambda: check_function(
+                parse_function(EDIT_DISTANCE.strip()), EN
+            ),
+            "forward": forward_function,
+            "viterbi": viterbi_function,
+            "nussinov": nussinov_function,
+        }[app]()
+        domain = Domain(func.dim_names, (13,) * len(func.dim_names))
+        mode = "logspace" if app in ("forward", "viterbi") else "direct"
+        kernel = build_kernel(func, find_schedule(func, domain), mode)
+        text = emit_native_source(kernel, openmp=openmp)
+        assert "#include" not in text
+        for name in ("log", "exp", "trunc"):
+            assert f"double {name}(double);" in text
+        tiled = app in ("sw", "edit")
+        assert ("void* memcpy(void*, const void*, size_t);" in text) \
+            == tiled
+        assert ("#define LONG_MIN" in text) == tiled
+
     def test_helpers_match_scalar_prelude(self, edit_kernel):
         """The C helpers spell the exact formulas of the scalar
         backend's prelude, the basis of bitwise native/scalar parity."""

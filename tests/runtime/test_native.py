@@ -1,6 +1,7 @@
 """Tests for the native compiled backend (cc + ctypes runtime)."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ have_cc = native.available().ok
 needs_cc = pytest.mark.skipif(
     not have_cc, reason="no working C compiler in this environment"
 )
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every command ``native`` hands to ``subprocess.run``."""
+    commands = []
+    run = native.subprocess.run
+
+    def counting(cmd, **kwargs):
+        commands.append(cmd)
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "run", counting)
+    return commands
 
 
 def edit_func():
@@ -77,6 +92,18 @@ class TestAvailability:
     @needs_cc
     def test_toolchain_memoised(self):
         assert native.toolchain() is native.toolchain()
+
+    @needs_cc
+    def test_one_compiler_run_answers_cc_and_openmp(self, spawned):
+        """The probe builds the dlopen helper with ``-fopenmp``; where
+        that links, nothing is left to ask a second compiler."""
+        if not native.toolchain()[1]:
+            pytest.skip("OpenMP does not link here: the probe retries")
+        del spawned[:]
+        native.reset_toolchain_cache()
+        cc, omp, _detail = native.toolchain()
+        assert omp and len(spawned) == 1
+        assert spawned[0][0] == cc and "-fopenmp" in spawned[0]
 
 
 class TestBuild:
@@ -157,6 +184,87 @@ class TestProbe:
         with pytest.raises(NativeBuildError) as err:
             native.probe_shared_object(str(bogus))
         assert "probe" in str(err.value)
+
+    @needs_cc
+    @pytest.mark.parametrize("damage", ["truncated", "zero-filled"])
+    def test_damaged_library_names_how_the_probe_ended(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """Half a library maps pages the file does not back and kills
+        the helper (SIGBUS), as it killed the interpreter; zeros are
+        refused by the loader and the helper exits 1."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+        good = native.build_shared_object(
+            "int repro_whole(int x) { return x + 1; }\n"
+        )
+        with open(good, "rb") as handle:
+            data = handle.read()
+        bad = tmp_path / "damaged.so"
+        bad.write_bytes(
+            data[: len(data) // 2] if damage == "truncated"
+            else bytes(len(data))
+        )
+        with pytest.raises(NativeBuildError) as err:
+            native.probe_shared_object(str(bad))
+        message = str(err.value)
+        assert "died with signal" in message or "exited 1" in message
+        if damage == "zero-filled":
+            assert "exited 1" in message and "ELF" in message
+        native.probe_shared_object(good)  # the helper itself is sound
+
+    @needs_cc
+    def test_helper_is_built_once_and_reused(
+        self, tmp_path, monkeypatch, spawned
+    ):
+        """``toolchain()`` builds the helper, outside the build
+        directory; probes only run it, wherever that points by then."""
+        native.toolchain()
+        helper = native._PROBE_HELPER
+        assert os.access(helper, os.X_OK)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+        paths = [
+            native.build_shared_object(
+                f"int repro_reuse_{k}(int x) {{ return x + {k}; }}\n"
+            )
+            for k in range(2)
+        ]
+        del spawned[:]
+        for path in paths:
+            native.probe_shared_object(path)
+        assert spawned == [[helper, path] for path in paths]
+        assert os.path.dirname(helper) != str(tmp_path)
+
+    @needs_cc
+    def test_reset_forgets_the_helper(self):
+        native.toolchain()
+        first = native._PROBE_HELPER
+        native.reset_toolchain_cache()
+        assert native._PROBE_HELPER is None
+        native.toolchain()
+        assert native._PROBE_HELPER not in (None, first)
+
+    @needs_cc
+    def test_without_a_compiler_the_interpreter_probes(
+        self, tmp_path, monkeypatch, spawned
+    ):
+        """No compiler, no helper — but a cache-restored library can
+        still turn up, and gets the same isolated ``dlopen``."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+        good = native.build_shared_object(
+            "int repro_nocc(int x) { return x + 1; }\n"
+        )
+        bad = tmp_path / "zeros.so"
+        bad.write_bytes(bytes(os.path.getsize(good)))
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-missing")
+        native.reset_toolchain_cache()
+        try:
+            del spawned[:]
+            native.probe_shared_object(good)
+            assert [cmd[0] for cmd in spawned] == [sys.executable]
+            with pytest.raises(NativeBuildError, match="exited 1"):
+                native.probe_shared_object(str(bad))
+        finally:
+            native.reset_toolchain_cache()
 
     def test_probe_failure_is_permanent(self):
         """NativeBuildError is a DslError: the supervisor's retry loop

@@ -10,6 +10,8 @@ bytes is refused before ``dlopen`` and counted as a corrupt eviction.
 import hashlib
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,14 +131,20 @@ class TestPersistentTier:
             part_hi=schedule.max_partition(domain),
         )
 
+        # What a fresh process on a host without cc starts from: no
+        # verdict, no probe helper, nothing probed.
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-missing")
         native.reset_toolchain_cache()
+        monkeypatch.setattr(native, "_PROBED", {})
         try:
             assert not native.available().ok
+            assert native._PROBE_HELPER is None
             warm_cache = PersistentKernelCache(str(tmp_path))
             key = warm_cache.disk_keys()[0]
             clone = warm_cache.lookup(key)
             assert clone is not None and clone.backend == "native"
+            assert warm_cache.cache_info().corrupt_evictions == 0
+            assert len(native._PROBED) == 1  # loaded through a probe
             actual = expected.copy()
             actual[:] = 0
             actual[0, :] = expected[0, :]
@@ -149,6 +157,35 @@ class TestPersistentTier:
             assert actual.tobytes() == expected.tobytes()
         finally:
             native.reset_toolchain_cache()
+
+    def test_fresh_process_without_compiler_keeps_the_record(
+        self, edit_func, tmp_path
+    ):
+        """The same, with nothing carried over: a new interpreter that
+        never had a compiler loads the record natively and leaves it
+        on disk."""
+        native_compiled(edit_func, cache=PersistentKernelCache(str(tmp_path)))
+        script = (
+            "import sys\n"
+            "from repro.runtime import native\n"
+            "from repro.service.cache import PersistentKernelCache\n"
+            "assert not native.available().ok\n"
+            "cache = PersistentKernelCache(sys.argv[1])\n"
+            "(key,) = cache.disk_keys()\n"
+            "clone = cache.lookup(key)\n"
+            "info = cache.cache_info()\n"
+            "assert clone is not None and clone.backend == 'native'\n"
+            "assert info.disk_hits == 1 and not info.corrupt_evictions\n"
+        )
+        env = dict(os.environ, REPRO_CC="/nonexistent/cc-missing")
+        env.pop("REPRO_NATIVE_CACHE_DIR", None)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(PersistentKernelCache(str(tmp_path)).disk_keys()) == 1
 
     def test_corrupt_record_evicted_and_recompiled(
         self, edit_func, tmp_path

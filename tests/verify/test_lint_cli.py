@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.verify import lint_text
+from repro.verify.lint import lint_text
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -140,7 +140,7 @@ int f(seq[en] s, index[s] i, seq[en] unused) =
     def test_lint_reports_parallel_certificate(self, tmp_path):
         script = tmp_path / "good.dsl"
         script.write_text(GOOD)
-        from repro.verify import lint_text
+        from repro.verify.lint import lint_text
 
         result = lint_text(GOOD, "good.dsl")
         assert "d" in result.parallelism
