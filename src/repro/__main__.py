@@ -93,60 +93,14 @@ def serve_main(argv) -> int:
         "--backend", choices=("auto", "scalar", "vector", "native"),
         default="auto",
     )
-    parser.add_argument(
-        "--chaos-rate", type=float, default=0.0,
-        help="inject launch failures / transfer truncations at this "
-        "rate (supervised recovery; for soak testing)",
-    )
-    parser.add_argument(
-        "--chaos-corrupt", type=float, default=0.0,
-        help="per-cell corruption rate for injected memory faults",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the deterministic fault injector",
-    )
-    parser.add_argument(
-        "--chaos-kill", type=float, default=0.0,
-        help="per-launch probability of SIGKILLing the sandbox "
-        "worker subprocess (requires --sandbox)",
-    )
-    parser.add_argument(
-        "--chaos-hang", type=float, default=0.0,
-        help="per-launch probability of hanging the sandbox worker "
-        "past its deadline (requires --sandbox)",
-    )
-    parser.add_argument(
-        "--sandbox", action="store_true",
-        help="run native kernels in crash-isolated worker "
-        "subprocesses (a segfault kills the worker, not the service)",
-    )
     args = parser.parse_args(argv)
 
+    from .runtime import sandbox
     from .service.server import (
         ComputeService,
         install_signal_handlers,
         make_http_server,
     )
-
-    fault_plan = None
-    if (
-        args.chaos_rate > 0.0
-        or args.chaos_corrupt > 0.0
-        or args.chaos_kill > 0.0
-        or args.chaos_hang > 0.0
-    ):
-        from .resilience import FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=args.chaos_seed,
-            launch_fail_rate=args.chaos_rate,
-            truncate_rate=args.chaos_rate,
-            corrupt_rate=args.chaos_corrupt,
-            corrupt_mode="bitflip",
-            worker_kill_rate=args.chaos_kill,
-            sandbox_hang_rate=args.chaos_hang,
-        )
 
     service = ComputeService(
         workers=args.workers,
@@ -157,8 +111,6 @@ def serve_main(argv) -> int:
         cache_capacity=args.cache_capacity,
         prob_mode=args.prob_mode,
         backend=args.backend,
-        fault_plan=fault_plan,
-        sandbox_native=True if args.sandbox else None,
     )
     server = make_http_server(service, args.host, args.port)
     install_signal_handlers(server, service)
@@ -167,7 +119,7 @@ def serve_main(argv) -> int:
         f"repro service on http://{host}:{port} "
         f"({args.workers} workers, cache="
         f"{args.cache_dir or 'memory-only'}"
-        f"{', sandboxed native' if args.sandbox else ''})",
+        f"{', sandboxed native' if sandbox.enabled() else ''})",
         file=sys.stderr,
     )
     try:

@@ -81,17 +81,16 @@ class ServiceRoundTrip:
                 serve_in_thread,
             )
 
+            if self.chaos_rate > 0.0 and self.use_native:
+                # Chaos kills subprocesses: only live when the native
+                # sandbox is on (process-wide switch).
+                from ..runtime import sandbox
+
+                sandbox.configure(True)
             service = ComputeService(
                 workers=1,  # single worker: deterministic fault sites
                 prob_mode=prob_mode,
                 fault_plan=self._fault_plan(),
-                # Chaos kills subprocesses: only live when the native
-                # sandbox is on (process-wide switch).
-                sandbox_native=(
-                    True
-                    if self.chaos_rate > 0.0 and self.use_native
-                    else None
-                ),
             )
             server = make_http_server(service, "127.0.0.1", 0)
             thread = serve_in_thread(server)

@@ -15,9 +15,10 @@ partitions, the natural consistency points of the paper's time loop
   watchdog deadline;
 * fault detection: launch/transfer faults surface as exceptions from
   the injection plane (or real infrastructure), hangs trip the
-  watchdog, poisoned cells are caught by a NaN scan, and silent
-  bit-flips by replay verification (the epoch runs twice from the
-  same checkpoint and must agree bitwise);
+  watchdog, poisoned cells are caught by a NaN scan, and — when the
+  fault plan can corrupt cells — silent bit-flips by replay
+  verification (the epoch runs twice from the same checkpoint and
+  must agree bitwise);
 * recovery restores the checkpoint and replays *only the failed
   partition range* — earlier epochs are never recomputed;
 * a detected corruption consults the
@@ -62,28 +63,20 @@ class SupervisionPolicy:
 
     ``checkpoint_interval`` is the epoch size in partitions (the
     recovery granularity: smaller = cheaper replays, more snapshot
-    copies). ``verify`` picks the corruption detector: ``"scan"``
-    (NaN scan only — catches poison, misses silent bit-flips),
-    ``"replay"`` (every epoch executes twice and must agree bitwise),
-    ``"off"``, or ``"auto"`` (replay when the fault plan can corrupt
-    cells, scan otherwise). ``watchdog_seconds`` bounds one epoch's
-    wall time; ``None`` disables the watchdog unless the plan injects
-    hangs.
+    copies). ``max_replays`` bounds the replays of one faulting
+    range. ``watchdog_seconds`` bounds one epoch's wall time;
+    ``None`` disables the watchdog unless the plan injects hangs.
     """
 
     checkpoint_interval: int = 8
     max_replays: int = 8
     watchdog_seconds: Optional[float] = None
-    verify: str = "auto"
-    use_oracle: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.max_replays < 0:
             raise ValueError("max_replays must be >= 0")
-        if self.verify not in ("auto", "scan", "replay", "off"):
-            raise ValueError(f"unknown verify mode {self.verify!r}")
 
 
 @dataclass
@@ -168,14 +161,10 @@ class ExecutionSupervisor:
         self._problem_ids = itertools.count()
 
         plan = injector.plan if injector is not None else None
-        verify = self.policy.verify
-        if verify == "auto":
-            verify = (
-                "replay"
-                if plan is not None and plan.corrupt_rate > 0.0
-                else "scan"
-            )
-        self._verify = verify
+        # Corruption detection: every epoch's float cells are scanned
+        # for poison; a plan that can flip bits silently also runs
+        # each epoch twice, and the two must agree bitwise.
+        self._replay = plan is not None and plan.corrupt_rate > 0.0
         watchdog = self.policy.watchdog_seconds
         if watchdog is None and plan is not None and (
             plan.hang_rate > 0 or plan.sandbox_hang_rate > 0
@@ -267,7 +256,7 @@ class ExecutionSupervisor:
                     compiled, ctx, base, elo, ehi, problem, sm,
                     next(attempts),
                 )
-                if self._verify == "replay":
+                if self._replay:
                     self.stats.partitions_verified += ehi - elo + 1
                     again = self._attempt(
                         compiled, ctx, base, elo, ehi, problem, sm,
@@ -285,10 +274,7 @@ class ExecutionSupervisor:
                 self.stats.note_fault(fault)
                 if self.on_fault is not None:
                     self.on_fault(fault)
-                if (
-                    isinstance(fault, CellCorruption)
-                    and self.policy.use_oracle
-                ):
+                if isinstance(fault, CellCorruption):
                     # The oracle replays the range cleanly on two
                     # backends: recovery value on agreement, a
                     # permanent BackendDivergenceError otherwise.
@@ -345,11 +331,7 @@ class ExecutionSupervisor:
                 scratch, compiled.schedule, elo, ehi,
                 FaultSite(problem, elo, sm, attempt, "memory"),
             )
-        if (
-            self._verify in ("scan", "replay")
-            and scratch.dtype.kind == "f"
-            and bool(np.isnan(scratch).any())
-        ):
+        if scratch.dtype.kind == "f" and bool(np.isnan(scratch).any()):
             raise CellCorruption(
                 f"NaN cells detected in partitions [{elo}, {ehi}]",
                 FaultSite(problem, elo, sm, attempt, "memory"),

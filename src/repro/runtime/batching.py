@@ -115,7 +115,6 @@ class PackedBatch:
 
 def plan_batches(
     prepared: Seq[Tuple[object, Domain, object]],
-    min_batch: int = MIN_BATCH,
 ) -> List[List[int]]:
     """Group a prepared ``map`` workload into batchable index sets.
 
@@ -124,7 +123,7 @@ def plan_batches(
     (on a :data:`BATCHABLE_BACKENDS` rung — vector groups run the
     batched NumPy twin, native groups the batched C entry) and the
     identical HMM/matrix binding objects; groups smaller than
-    ``min_batch`` are dropped (those problems run the ordinary path).
+    :data:`MIN_BATCH` are dropped (those problems run the ordinary path).
     Mixed-rung groups cannot arise: the compiled object identity is
     part of the key and already encodes the backend.
     """
@@ -145,7 +144,7 @@ def plan_batches(
     return [
         members
         for members in groups.values()
-        if len(members) >= min_batch
+        if len(members) >= MIN_BATCH
     ]
 
 

@@ -42,7 +42,6 @@ from ..gpu.spec import DeviceSpec, GTX480
 from ..gpu.timing import (
     KernelCost,
     batched_launch_cost,
-    inter_task_seconds,
     kernel_cost,
     partition_sizes,
     problems_per_sm,
@@ -68,11 +67,7 @@ from ..lang.types import (
 )
 from ..schedule.multi import derive_schedule_set
 from ..schedule.schedule import Schedule
-from ..schedule.solver import (
-    DEFAULT_BOUND,
-    find_schedule,
-    optimal_candidates,
-)
+from ..schedule.solver import find_schedule, optimal_candidates
 from ..service.cache import (
     CacheInfo,
     LRUKernelCache,
@@ -159,13 +154,11 @@ class MapResult:
     def __init__(
         self,
         values: List[object],
-        parallelism: str,
         pricing: Callable[[], MapPricing],
         lane_batched_problems: int = 0,
         batched_backends: Seq[str] = (),
     ) -> None:
         self.values = values
-        self.parallelism = parallelism
         #: Lane-batched execution accounting: how many problems ran
         #: inside packed groups, and which rung each group actually
         #: ran on, in group order (``"native-batched"`` /
@@ -218,7 +211,6 @@ class Engine:
         self,
         device: Optional[DeviceSpec] = None,
         prob_mode: str = "direct",
-        schedule_bound: int = DEFAULT_BOUND,
         backend: Optional[str] = None,
         kernel_cache: Optional[LRUKernelCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
@@ -241,7 +233,6 @@ class Engine:
         self.spec = device or GTX480
         self.device = SimulatedDevice(self.spec)
         self.prob_mode = prob_mode
-        self.schedule_bound = schedule_bound
         self.backend = backend
         #: Lane-batch eligible ``map`` groups into single vectorised
         #: sweeps (Section 6.1's inter-task parallelism, functionally).
@@ -509,18 +500,16 @@ class Engine:
             from ..schedule.schedule import validate_user_schedule
 
             return validate_user_schedule(func, user_schedule, domain)
-        if optimal_candidates(func, self.schedule_bound) is not None:
+        if optimal_candidates(func) is not None:
             # A pick among the function's own few candidates: cheaper
             # than remembering an answer per problem shape.
-            return find_schedule(func, domain, self.schedule_bound)
+            return find_schedule(func, domain)
         # A search that needs the extents: a lane-batched map group
         # solves one schedule for the whole batch, not one per member.
         key = (function_plan(func), "schedule", domain.extents)
         schedule = self._memo.lookup(key)
         if schedule is None:
-            schedule = find_schedule(
-                func, domain, bound=self.schedule_bound
-            )
+            schedule = find_schedule(func, domain)
             self._memo.store(key, schedule)
         return schedule
 
@@ -818,9 +807,7 @@ class Engine:
         extent-free verdict cost one memo probe.
         """
         try:
-            schedule_set = derive_schedule_set(
-                func, bound=self.schedule_bound
-            )
+            schedule_set = derive_schedule_set(func)
         except ScheduleError:
             schedule_set = None
 
@@ -876,40 +863,21 @@ class Engine:
         initial: Optional[Dict[str, int]] = None,
         use_window: bool = True,
         reduce: Optional[str] = None,
-        parallelism: str = "intra",
-        hybrid_threshold: Optional[int] = None,
-        execute: bool = True,
         _launch=None,
     ) -> MapResult:
         """Solve many problems: the ``map`` primitive (Section 4.7).
 
         Each problem overrides some calling parameters (typically the
-        database sequence). Schedules come from the compile-time
-        schedule set when the descents are uniform, chosen per problem
-        by the minimality condition; otherwise each problem gets a
-        runtime search (both paths share the kernel cache).
-
-        ``parallelism`` picks the strategy (Section 6.1):
-
-        * ``"intra"`` — one problem per multiprocessor, threads
-          cooperate on partitions (the paper's focus);
-        * ``"inter"`` — one problem per *thread* ("algorithmically
-          trivial" sequence-per-thread generation);
-        * ``"hybrid"`` — CUDASW++-style split: problems smaller than
-          ``hybrid_threshold`` cells go inter-task, the rest intra.
-
-        The functional results are identical in every mode; only the
-        device-time accounting differs, and that accounting is priced
-        when the result's ``report``/``costs``/... are first read
-        (see :class:`MapResult`). ``execute=False`` prices the launch
-        without computing the tables (``values`` stay None) — for
-        large sweeps where only the timing matters. ``_launch`` is the
-        private launch seam of :meth:`run`.
+        database sequence) and runs on a multiprocessor of its own,
+        its threads cooperating on partitions. Schedules come from the
+        compile-time schedule set when the descents are uniform,
+        chosen per problem by the minimality condition; otherwise each
+        problem gets a runtime search (both paths share the kernel
+        cache). The device-time accounting is priced when the
+        result's ``report``/``costs``/... are first read (see
+        :class:`MapResult`). ``_launch`` is the private launch seam of
+        :meth:`run`.
         """
-        if parallelism not in ("intra", "inter", "hybrid"):
-            raise RuntimeDslError(
-                f"unknown parallelism {parallelism!r}"
-            )
         prepared = self._prepare_members(
             func, base_bindings, problems, initial
         )
@@ -924,10 +892,8 @@ class Engine:
         # pricing. Sanitized runs step partition-by-partition; the
         # packed sweep cannot, so batching stands down.
         batch_groups: List[List[int]] = []
-        if (
-            execute and parallelism == "intra" and self.batching
-            and not self.sanitize and len(prepared) > 1
-        ):
+        if self.batching and not self.sanitize and len(prepared) > 1:
+            from ..verify.races import parallelism_certificate
             from . import native as native_rt
             from .batching import BatchedLaunch, pack_group, plan_batches
 
@@ -953,36 +919,36 @@ class Engine:
                 values[index] = value
             # Pricing reads the rung and thread count the group
             # *ran* on, so they are taken now, not when it is priced.
+            # A kernel whose certificate refuses the batch axis ran a
+            # pragma-free problem loop: one thread.
             batched_backends.append(group_launch.backend)
             group_threads.append(
                 native_rt.effective_threads()
                 if group_launch.rung == "native"
+                and parallelism_certificate(
+                    packed.compiled.kernel
+                ).batch.confirmed
                 else 1
             )
-        if execute:
-            batched = {i for group in batch_groups for i in group}
-            for index, (bound, domain, compiled) in enumerate(prepared):
-                if index in batched:
-                    continue
-                ctx = self.build_context(compiled, bound, domain)
-                table = self._table_for(compiled.kernel, domain)
-                ladder.launch(self, launch, compiled, table, ctx, domain)
-                coords = (
-                    None
-                    if reduce
-                    else self.result_coords(
-                        func, bound, domain, at, initial
-                    )
-                )
-                values[index] = self._extract(
-                    compiled.kernel, table, coords, reduce
-                )
+        batched = {i for group in batch_groups for i in group}
+        for index, (bound, domain, compiled) in enumerate(prepared):
+            if index in batched:
+                continue
+            ctx = self.build_context(compiled, bound, domain)
+            table = self._table_for(compiled.kernel, domain)
+            ladder.launch(self, launch, compiled, table, ctx, domain)
+            coords = (
+                None
+                if reduce
+                else self.result_coords(func, bound, domain, at, initial)
+            )
+            values[index] = self._extract(
+                compiled.kernel, table, coords, reduce
+            )
         return MapResult(
             values,
-            parallelism,
             partial(
                 self._price_map, func, prepared, use_window,
-                parallelism, hybrid_threshold,
                 list(zip(batch_groups, group_threads)),
             ),
             lane_batched_problems=sum(map(len, batch_groups)),
@@ -1040,14 +1006,12 @@ class Engine:
         func: CheckedFunction,
         prepared,
         use_window: bool,
-        parallelism: str,
-        hybrid_threshold: Optional[int],
         groups: Seq[Tuple[List[int], int]],
     ) -> MapPricing:
         """Price a ``map`` launch on the simulated device: every
         member, each lane-batched group (``groups`` pairs a group's
         indices with the thread count it ran on), and the launch
-        report of the chosen ``parallelism``."""
+        report."""
         costs, usage, problem_costs = self._price_members(
             func, prepared, use_window
         )
@@ -1063,43 +1027,6 @@ class Engine:
             )
             for group, threads in groups
         ]
-        if parallelism == "intra":
-            return MapPricing(
-                self.device.launch(problem_costs), usage, costs,
-                batched_costs,
-            )
-        # Inter/hybrid: pricing splits the problem set by strategy.
-        threshold = hybrid_threshold or 64 * 64
-        intra_costs: List[ProblemCost] = []
-        inter_domains = []
-        mean = 1.0
-        kernel = prepared[0][2].kernel if prepared else None
-        for (bound, domain, compiled), cost in zip(
-            prepared, problem_costs
-        ):
-            mean = self.mean_degree(func, bound)
-            if parallelism == "inter" or domain.size < threshold:
-                inter_domains.append(domain)
-                kernel = compiled.kernel
-            else:
-                intra_costs.append(cost)
-        seconds = 0.0
-        if inter_domains and kernel is not None:
-            seconds += inter_task_seconds(
-                kernel, inter_domains, self.spec, mean
-            )
-        if intra_costs:
-            seconds += self.device.launch(intra_costs).kernel_seconds
-        report = LaunchReport(
-            device=self.spec.name,
-            problems=len(prepared),
-            kernel_seconds=seconds,
-            transfer_seconds=self.spec.transfer_seconds(
-                sum(
-                    self._problem_bytes(d, b)
-                    for b, d, _ in prepared
-                )
-            ),
-            overhead_seconds=self.spec.launch_overhead_s,
+        return MapPricing(
+            self.device.launch(problem_costs), usage, costs, batched_costs
         )
-        return MapPricing(report, usage, costs, batched_costs)

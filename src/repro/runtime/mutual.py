@@ -321,17 +321,15 @@ def solve_mutual(
     initial: Optional[Mapping[str, Dict[str, int]]] = None,
     coeff_bound: int = 2,
     offset_bound: int = 2,
-    lockstep: bool = True,
     spec: DeviceSpec = GTX480,
-    engine: Optional[str] = None,
+    engine: str = "lockstep",
 ) -> MutualResult:
     """Schedule and evaluate one mutual group, end to end.
 
     ``engine``: ``"vector"`` (vectorised group module — fastest),
     ``"compiled"`` (generated scalar group module), ``"lockstep"``
-    (interpreted, with barrier/race checking) or ``"serial"``
-    (interpreted tabulation). Defaults to lockstep (or serial when
-    ``lockstep=False``, the legacy switch).
+    (interpreted, with barrier/race checking, the default) or
+    ``"serial"`` (interpreted tabulation).
     """
     initial = initial or {}
     domains = {
@@ -344,8 +342,6 @@ def solve_mutual(
     mutual = find_mutual_schedules(
         funcs, domains, coeff_bound, offset_bound
     )
-    if engine is None:
-        engine = "lockstep" if lockstep else "serial"
     engine_cls = {
         "vector": MutualVectorised,
         "compiled": MutualCompiled,

@@ -43,13 +43,14 @@ OpenMP is **on by default when the toolchain probe finds
 each partition's lane loop (the paper's parfor over cells) — or, for
 a blocked-wavefront kernel, one region with an ``omp for`` over the
 blocks of each block diagonal — and over the batched entry's problem
-loop, and the build adds ``-fopenmp``.
-``REPRO_NATIVE_OMP=0`` forces the serial build — bitwise-identical
-by construction, since the parallel axes (cells of one partition,
+loop, and the build adds ``-fopenmp``; a toolchain without it builds
+pragma-free TUs. Results are bitwise-identical at any thread count by
+construction, since the parallel axes (cells of one partition,
 blocks of one diagonal, problems of one batch) never share a written
 cell and every reduction stays serial inside its cell.
-``REPRO_NATIVE_THREADS=N`` caps the OpenMP team size (applied via the
-emitted ``repro_set_threads`` export when each library loads). The pragmas
+``REPRO_NATIVE_THREADS=N`` (a positive integer) caps the OpenMP team
+size (applied via the emitted ``repro_set_threads`` export when each
+library loads). The pragmas
 themselves are certificate-gated: :func:`repro.ir.cbackend
 .emit_native_source` consults :mod:`repro.verify.races` and emits a
 pragma only on axes with a CONFIRMED parallel-safety verdict, so an
@@ -235,17 +236,6 @@ def available() -> Eligibility:
     return Eligibility(True, "ok", detail)
 
 
-def _use_openmp() -> bool:
-    """OpenMP policy: default on when the toolchain probe found
-    ``-fopenmp``; ``REPRO_NATIVE_OMP=0`` opts out (``1`` and unset
-    are equivalent). Checked fresh on every build so tests can flip
-    the environment without resetting caches."""
-    if os.environ.get("REPRO_NATIVE_OMP") == "0":
-        return False
-    _cc, omp, _detail = toolchain()
-    return omp
-
-
 #: Recognised ``REPRO_NATIVE_SANITIZE`` components and their flags.
 _SANITIZERS = {
     "address": "-fsanitize=address",
@@ -260,8 +250,7 @@ def sanitize_flags() -> Tuple[str, ...]:
     ``undefined``; unknown names raise immediately (a typo silently
     building uninstrumented kernels would defeat the whole point).
     Instrumented builds keep symbols and frames so findings name the
-    emitted entry points. Read fresh on every build, like the OpenMP
-    opt-out.
+    emitted entry points. Read fresh on every build.
     """
     raw = os.environ.get("REPRO_NATIVE_SANITIZE", "").strip()
     if not raw:
@@ -312,23 +301,29 @@ def _export_sanitizer_env() -> None:
 
 
 def thread_count() -> Optional[int]:
-    """The ``REPRO_NATIVE_THREADS`` cap, or ``None`` when unset or
-    unparseable (let the OpenMP runtime pick)."""
+    """The ``REPRO_NATIVE_THREADS`` cap, or ``None`` when unset (let
+    the OpenMP runtime pick). Anything but a positive integer raises
+    :class:`ValueError`: a typo silently running on every core would
+    defeat the cap."""
     raw = os.environ.get("REPRO_NATIVE_THREADS")
     if not raw:
         return None
     try:
         n = int(raw)
     except ValueError:
-        return None
-    return n if n >= 1 else None
+        n = 0
+    if n < 1:
+        raise ValueError(
+            f"REPRO_NATIVE_THREADS={raw!r}: expected a positive integer"
+        )
+    return n
 
 
 def effective_threads() -> int:
-    """How many threads a native launch will use: 1 when OpenMP is
-    off (env opt-out or unsupported toolchain), else the
-    ``REPRO_NATIVE_THREADS`` cap, else every core."""
-    if not _use_openmp():
+    """How many threads a native launch will use: 1 when the
+    toolchain has no OpenMP, else the ``REPRO_NATIVE_THREADS`` cap,
+    else every core."""
+    if not toolchain()[1]:
         return 1
     forced = thread_count()
     if forced is not None:
@@ -359,11 +354,11 @@ def build_shared_object(source: str) -> str:
     compiler entirely (warm starts across processes when
     ``REPRO_NATIVE_CACHE_DIR`` is shared).
     """
-    cc, _omp, detail = toolchain()
+    cc, omp, detail = toolchain()
     if cc is None:
         raise NativeBuildError(detail)
     flags = list(_CFLAGS)
-    if _use_openmp():
+    if omp:
         flags.append("-fopenmp")
     sanitize = sanitize_flags()
     if sanitize:
@@ -696,9 +691,7 @@ def compile_native(kernel: Kernel):
     verdict = available()
     if not verdict.ok:
         raise NativeBuildError(verdict.detail)
-    source = cbackend.emit_native_source(
-        kernel, openmp=_use_openmp()
-    )
+    source = cbackend.emit_native_source(kernel, openmp=toolchain()[1])
     so_path = build_shared_object(source)
     probe_shared_object(so_path)
     return _make_run(kernel, so_path), source, so_path

@@ -22,17 +22,15 @@ long-lived **worker subprocesses**:
   ``DeviceFault`` subclasses, so the supervisor replays them and the
   service retry loop classifies them as device failures.
 * A per-kernel-digest :class:`CircuitBreaker` demotes a kernel after
-  ``K`` crashes (``REPRO_SANDBOX_BREAKER_K``, default 3): the engine
-  consults it at resolve time and re-routes the kernel down the
-  ladder (native → vector → scalar); after a cooldown
-  (``REPRO_SANDBOX_BREAKER_COOLDOWN`` seconds, default 30) the
+  :data:`BREAKER_THRESHOLD` crashes: the engine consults it at
+  resolve time and re-routes the kernel down the ladder (native →
+  vector → scalar); after :data:`BREAKER_COOLDOWN` seconds the
   breaker goes half-open and one probe launch may try native again.
 
 Sandboxing is **opt-in** (serializing tables over a pipe costs real
 throughput): set ``REPRO_NATIVE_SANDBOX=1`` or call
-:func:`configure`. The worker pool size comes from
-``REPRO_SANDBOX_WORKERS`` (default 1) and the default launch
-deadline from ``REPRO_SANDBOX_TIMEOUT`` seconds (default 60).
+:func:`configure`. The pool holds :data:`POOL_SIZE` worker and a
+launch without its own deadline gets :data:`LAUNCH_DEADLINE` seconds.
 """
 
 from __future__ import annotations
@@ -67,6 +65,15 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct(">Q")
+
+#: Worker subprocesses in the process-wide pool.
+POOL_SIZE = 1
+#: Seconds a launch may take when its caller sets no deadline.
+LAUNCH_DEADLINE = 60.0
+#: Consecutive crashes that open a kernel's circuit breaker.
+BREAKER_THRESHOLD = 3
+#: Seconds an open breaker waits before going half-open.
+BREAKER_COOLDOWN = 30.0
 
 #: ``src`` directory holding the ``repro`` package — prepended to the
 #: worker's PYTHONPATH so ``python -c "from repro..."`` resolves.
@@ -319,15 +326,11 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        threshold: Optional[int] = None,
-        cooldown: Optional[float] = None,
+        threshold: int = BREAKER_THRESHOLD,
+        cooldown: float = BREAKER_COOLDOWN,
     ) -> None:
-        self.threshold = threshold if threshold is not None else int(
-            os.environ.get("REPRO_SANDBOX_BREAKER_K", "3")
-        )
-        self.cooldown = cooldown if cooldown is not None else float(
-            os.environ.get("REPRO_SANDBOX_BREAKER_COOLDOWN", "30")
-        )
+        self.threshold = threshold
+        self.cooldown = cooldown
         self._lock = threading.Lock()
         #: digest -> (consecutive failures, last-failure monotonic).
         self._entries: Dict[str, Tuple[int, float]] = {}
@@ -375,13 +378,7 @@ class CircuitBreaker:
 class NativeSandbox:
     """A pool of sandbox workers plus checkout/checkin bookkeeping."""
 
-    def __init__(self, size: Optional[int] = None) -> None:
-        self.size = max(
-            1,
-            size
-            if size is not None
-            else int(os.environ.get("REPRO_SANDBOX_WORKERS", "1")),
-        )
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         self._idle: List[WorkerProcess] = []
         self._spawned = 0
@@ -407,7 +404,7 @@ class NativeSandbox:
                     worker.kill()
                     self._spawned -= 1
                     self.restarts += 1
-                if self._spawned < self.size:
+                if self._spawned < POOL_SIZE:
                     self._spawned += 1
                     break
                 self._cond.wait(timeout=0.5)
@@ -480,9 +477,7 @@ class NativeSandbox:
         from ..resilience.faults import SandboxHang, WorkerCrash
 
         if deadline is None:
-            deadline = float(
-                os.environ.get("REPRO_SANDBOX_TIMEOUT", "60")
-            )
+            deadline = LAUNCH_DEADLINE
         worker = self._checkout()
         try:
             worker.send(

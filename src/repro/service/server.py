@@ -120,16 +120,9 @@ class ComputeService:
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionPolicy] = None,
         demote_after: int = 3,
-        sandbox_native: Optional[bool] = None,
     ) -> None:
         if fault_plan is None:
             fault_plan = chaos_plan_from_env()
-        if sandbox_native is not None:
-            # Crash-isolate native launches in worker subprocesses
-            # (process-wide: the engines share the native runtime).
-            from ..runtime import sandbox as native_sandbox
-
-            native_sandbox.configure(sandbox_native)
         self.kernel_cache = (
             PersistentKernelCache(cache_dir, capacity=cache_capacity)
             if cache_dir is not None

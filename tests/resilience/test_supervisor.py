@@ -373,19 +373,21 @@ class TestSupervisedMap:
         assert result.values == baseline.values
         assert supervisor.stats.problems == len(problems)
 
-    def test_pricing_only_passes_through(
+    def test_pricing_matches_the_bare_engine(
         self, edit_func, edit_bindings
     ):
+        """Supervision changes how a launch runs, not how it is
+        priced: replays and checkpoints cost the model nothing."""
         from repro.runtime.values import ENGLISH, Sequence
 
         problems = [{"s": Sequence("kitten", ENGLISH)}]
+        base = {"t": edit_bindings["t"]}
         supervisor = ExecutionSupervisor(plan=CHAOS)
-        result = supervisor.map_run(
-            edit_func, {"t": edit_bindings["t"]}, problems,
-            execute=False,
-        )
-        assert supervisor.stats.problems == 0  # unsupervised path
-        assert result.report.problems == 1
+        result = supervisor.map_run(edit_func, base, problems)
+        bare = Engine().map_run(edit_func, base, problems)
+        assert supervisor.stats.problems == 1
+        assert result.report == bare.report
+        assert result.costs == bare.costs
 
 
 class TestDivergencePropagation:

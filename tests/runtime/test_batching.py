@@ -205,12 +205,12 @@ class TestBatchedMapRun:
             batched.values, scalar.values, rtol=1e-9, atol=1e-12
         )
 
-    def test_pricing_only_never_batches(self, edit_func):
-        result = Engine().map_run(
-            edit_func, BASE, edit_problems(), execute=False
-        )
-        assert result.lane_batches == 0
-        assert result.values == [None] * len(WORDS)
+    def test_pricing_covers_every_member_of_a_batch(self, edit_func):
+        result = Engine().map_run(edit_func, BASE, edit_problems())
+        assert result.lane_batches == 1
+        assert result.report.problems == len(WORDS)
+        assert len(result.costs) == len(WORDS)
+        assert sum(result.schedule_usage.values()) == len(WORDS)
 
     def test_batching_off_engine_flag(self, edit_func):
         engine = Engine(batching=False)
@@ -361,20 +361,23 @@ class TestNativeRung:
     def test_openmp_off_is_bitwise_identical(
         self, edit_func, monkeypatch
     ):
-        """REPRO_NATIVE_OMP=0 compiles a pragma-free TU (a different
-        content hash, so a fresh .so); the batched rung must fill
-        bit-identical tables either way."""
-        default = Engine(backend="native").map_run(
-            edit_func, BASE, edit_problems()
-        )
-        monkeypatch.setenv("REPRO_NATIVE_OMP", "0")
-        serial = Engine(backend="native").map_run(
-            edit_func, BASE, edit_problems()
-        )
-        assert serial.batched_backends == ["native-batched"]
-        assert [int(v) for v in serial.values] == [
-            int(v) for v in default.values
-        ]
+        """A toolchain whose probe finds no ``-fopenmp`` compiles a
+        pragma-free TU (a different content hash, so a fresh .so);
+        the batched rung must fill bit-identical tables either way."""
+        native_rt = self._native_rt
+        default = self.native_launch(edit_func)
+        cc, _omp, detail = native_rt.toolchain()
+        monkeypatch.setattr(native_rt, "_TOOLCHAIN", (cc, False, detail))
+        serial = self.native_launch(edit_func)
+        assert "#pragma omp" not in serial.compiled.source
+        assert native_rt.effective_threads() == 1
+        tables = []
+        for launch in (default, serial):
+            table = launch.batch.table.copy()
+            launch.run(table, launch.batch.ctx)
+            assert launch.backend == "native-batched"
+            tables.append(table)
+        assert tables[0].tobytes() == tables[1].tobytes()
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
     def test_forced_single_thread_is_bitwise_identical(

@@ -189,6 +189,19 @@ class TestCli:
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_sandbox_and_chaos_flags_are_gone(self, capsys):
+        """``REPRO_NATIVE_SANDBOX`` and ``REPRO_CHAOS_*`` reach the
+        service already; ``serve`` does not spell them twice."""
+        for flags in (
+            ["--sandbox"], ["--chaos-rate", "0.1"],
+            ["--chaos-corrupt", "0.1"], ["--chaos-seed", "1"],
+            ["--chaos-kill", "0.1"], ["--chaos-hang", "0.1"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(["serve"] + flags)
+            assert err.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_logspace_mode(self, tmp_path, capsys):
         script = tmp_path / "fwd.dsl"
         script.write_text(

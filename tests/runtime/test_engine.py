@@ -273,86 +273,3 @@ class TestCostKnobs:
                  "t": Sequence("cd", ENGLISH)},
                 reduce="median",
             )
-
-
-class TestParallelismModes:
-    """Section 6.1: intra vs inter vs hybrid map strategies."""
-
-    def _search(self, engine, parallelism, **kw):
-        func = checked(EDIT_DISTANCE)
-        q = Sequence("abcd" * 4, ENGLISH)
-        targets = [
-            {"t": Sequence("bcda" * (1 + k % 3), ENGLISH)}
-            for k in range(12)
-        ]
-        return engine.map_run(
-            func, {"s": q}, targets, parallelism=parallelism, **kw
-        )
-
-    def _price(self, engine, parallelism, length, count):
-        func = checked(EDIT_DISTANCE)
-        q = Sequence("ab" * (length // 2), ENGLISH)
-        targets = [
-            {"t": Sequence("ba" * (length // 2), ENGLISH)}
-        ] * count
-        return engine.map_run(
-            func, {"s": q}, targets, parallelism=parallelism,
-            execute=False,
-        )
-
-    def test_values_identical_across_modes(self):
-        engine = Engine()
-        results = {
-            mode: self._search(engine, mode)
-            for mode in ("intra", "inter", "hybrid")
-        }
-        assert results["intra"].values == results["inter"].values
-        assert results["intra"].values == results["hybrid"].values
-
-    def test_parallelism_recorded(self):
-        engine = Engine()
-        assert self._search(engine, "inter").parallelism == "inter"
-        assert self._search(engine, "intra").parallelism == "intra"
-
-    def test_inter_wins_only_for_masses_of_tiny_problems(self):
-        """The generated sequence-per-thread kernel pays generic
-        global-memory costs per cell, so it only overtakes intra-task
-        (with occupancy packing and the shared window) for very large
-        counts of very small problems. CUDASW++'s hybrid advantage
-        comes from its hand-virtualised SIMD inner loop, not from the
-        strategy alone — an honest divergence from the paper's
-        (unmeasured) expectation in Section 6.1.
-        """
-        engine = Engine()
-        intra = self._price(engine, "intra", 12, 5000)
-        inter = self._price(engine, "inter", 12, 5000)
-        assert intra.values == [None] * 5000  # price-only launch
-        assert inter.report.kernel_seconds < (
-            intra.report.kernel_seconds
-        )
-
-    def test_intra_beats_inter_on_large_problems(self):
-        """Large tables fill the multiprocessor cooperatively and use
-        the shared-memory window; per-thread serial walks cannot."""
-        engine = Engine()
-        intra = self._price(engine, "intra", 400, 30)
-        inter = self._price(engine, "inter", 400, 30)
-        assert intra.report.kernel_seconds < (
-            inter.report.kernel_seconds
-        )
-
-    def test_hybrid_splits_by_threshold(self):
-        engine = Engine()
-        result = self._search(
-            engine, "hybrid", hybrid_threshold=10_000_000
-        )
-        # Everything under the huge threshold goes inter-task.
-        assert result.parallelism == "hybrid"
-        assert result.seconds > 0
-
-    def test_unknown_parallelism_rejected(self):
-        from repro.lang.errors import RuntimeDslError
-
-        engine = Engine()
-        with pytest.raises(RuntimeDslError, match="parallelism"):
-            self._search(engine, "diagonal")

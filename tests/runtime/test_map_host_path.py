@@ -24,6 +24,7 @@ from repro.gpu.timing import (
     kernel_cost,
     problems_per_sm,
 )
+from repro.ir.kernel import build_kernel
 from repro.lang.errors import VerificationError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
@@ -34,6 +35,7 @@ from repro.runtime.parity import FLOAT_RTOL
 from repro.runtime.values import ENGLISH, Sequence
 from repro.schedule.multi import ScheduleSet
 from repro.schedule.schedule import Schedule
+from repro.verify.races import analyze_parallelism, parallelism_certificate
 from repro.verify.soundness import BRUTE_FORCE_CAP, verify_schedule
 from tests.runtime.test_ladder import CrashOnce
 from tests.verify.test_extent_free import count_calls
@@ -202,7 +204,6 @@ def record(engine, result):
             dataclasses.astuple(c) for c in result.batched_costs
         ],
         "seconds": result.seconds,
-        "parallelism": result.parallelism,
         "lane_batches": result.lane_batches,
         "lane_batched_problems": result.lane_batched_problems,
         "batched_backends": list(result.batched_backends),
@@ -214,40 +215,33 @@ def record(engine, result):
 def golden_cases():
     """``name -> thunk`` returning ``(engine, MapResult)`` from a cold
     engine. Rungs are forced to the toolchain-independent ones so the
-    records are the same on every machine."""
+    records are the same on every machine. The names keep the tags
+    the records were taken under: one problem per multiprocessor
+    (``intra``), every value computed (``run``)."""
     cases = {}
     model = tk_model(seed=3)
     forward_problems = [
         {"x": protein(model, n, salt=n)} for n in (5, 12, 9, 12, 30)
     ]
-    for parallelism in ("intra", "inter", "hybrid"):
-        for execute in (True, False):
-            for batching in (True, False):
-                def edit(p=parallelism, e=execute, b=batching):
-                    engine = Engine(backend="vector", batching=b)
-                    return engine, engine.map_run(
-                        checked(EDIT), EDIT_BASE, edit_problems(),
-                        parallelism=p, execute=e,
-                    )
+    for batching in (True, False):
+        def edit(b=batching):
+            engine = Engine(backend="vector", batching=b)
+            return engine, engine.map_run(
+                checked(EDIT), EDIT_BASE, edit_problems()
+            )
 
-                def forward(p=parallelism, e=execute, b=batching):
-                    engine = Engine(
-                        backend="vector", prob_mode="logspace",
-                        batching=b,
-                    )
-                    return engine, engine.map_run(
-                        checked(FORWARD), {"h": model},
-                        forward_problems, parallelism=p, execute=e,
-                        hybrid_threshold=22 * 11, use_window=False,
-                    )
+        def forward(b=batching):
+            engine = Engine(
+                backend="vector", prob_mode="logspace", batching=b
+            )
+            return engine, engine.map_run(
+                checked(FORWARD), {"h": model}, forward_problems,
+                use_window=False,
+            )
 
-                tag = (
-                    f"{parallelism}-"
-                    f"{'run' if execute else 'price'}-"
-                    f"{'batched' if batching else 'unbatched'}"
-                )
-                cases[f"edit-{tag}"] = edit
-                cases[f"forward-{tag}"] = forward
+        tag = f"intra-run-{'batched' if batching else 'unbatched'}"
+        cases[f"edit-{tag}"] = edit
+        cases[f"forward-{tag}"] = forward
     return cases
 
 
@@ -306,6 +300,38 @@ class TestPricedView:
                 threads=threads,
             )
         ]
+
+    @needs_cc
+    def test_refused_batch_axis_is_priced_on_one_thread(
+        self, monkeypatch
+    ):
+        """A kernel whose certificate refuses the batch axis builds a
+        pragma-free problem loop, so its group ran on one thread."""
+
+        def refused(func, schedule, prob_mode):
+            kernel = build_kernel(func, schedule, prob_mode)
+            kernel.__dict__["_parallelism_certs"] = {
+                None: analyze_parallelism(kernel, pad_extents=(1, 1))
+            }
+            return kernel
+
+        monkeypatch.setattr("repro.runtime.engine.build_kernel", refused)
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
+        engine = Engine(backend="native")
+        func = checked(EDIT)
+        result = engine.map_run(func, EDIT_BASE, edit_problems())
+        assert result.batched_backends == ["native-batched"]
+        prepared, _, _, _ = engine.prepare_map(
+            func, EDIT_BASE, edit_problems()
+        )
+        kernel = prepared[0][2].kernel
+        assert not parallelism_certificate(kernel).batch.confirmed
+        assert result.batched_costs[0] == batched_launch_cost(
+            kernel,
+            [domain for _, domain, _ in prepared],
+            engine.spec,
+            threads=1,
+        )
 
     @needs_cc
     def test_demoted_group_is_priced_on_the_rung_it_ran(
@@ -400,7 +426,7 @@ class TestValuesAreRuns:
             ENGINE, GAPLESS_FUNC, {}, problems, reduce="max"
         )
         usage = ENGINE.map_run(
-            GAPLESS_FUNC, {}, problems, execute=False
+            GAPLESS_FUNC, {}, problems, reduce="max"
         ).schedule_usage
         # The shorter axis carries the partitions (a tie may go
         # either way).
@@ -509,7 +535,7 @@ class TestNoVerdictSkipped:
         )
         monkeypatch.setattr(
             "repro.runtime.engine.derive_schedule_set",
-            lambda func, bound: bad,
+            lambda func: bad,
         )
         engine = Engine(backend="vector")
         for _ in range(2):

@@ -60,10 +60,10 @@ class TestExecution:
         bindings = {"f": Bindings({}), "g": Bindings({})}
         initial = {"f": {"n": 7}, "g": {"n": 7}}
         serial = solve_mutual(
-            funcs, bindings, initial=initial, lockstep=False
+            funcs, bindings, initial=initial, engine="serial"
         )
         barrier = solve_mutual(
-            funcs, bindings, initial=initial, lockstep=True
+            funcs, bindings, initial=initial, engine="lockstep"
         )
         for name in funcs:
             assert (serial.tables[name] == barrier.tables[name]).all()

@@ -89,6 +89,15 @@ class TestAvailability:
         finally:
             native.reset_toolchain_cache()
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_thread_cap_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", raw)
+        with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS") as err:
+            native.thread_count()
+        assert "positive integer" in str(err.value)
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
+        assert native.thread_count() == 3
+
     @needs_cc
     def test_toolchain_memoised(self):
         assert native.toolchain() is native.toolchain()

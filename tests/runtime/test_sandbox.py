@@ -91,12 +91,10 @@ class TestCircuitBreaker:
         assert not breaker.allows("a")
         assert breaker.allows("b")
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANDBOX_BREAKER_K", "7")
-        monkeypatch.setenv("REPRO_SANDBOX_BREAKER_COOLDOWN", "1.5")
+    def test_defaults(self):
         breaker = sandbox.CircuitBreaker()
-        assert breaker.threshold == 7
-        assert breaker.cooldown == 1.5
+        assert breaker.threshold == sandbox.BREAKER_THRESHOLD == 3
+        assert breaker.cooldown == sandbox.BREAKER_COOLDOWN == 30.0
 
 
 @needs_cc

@@ -81,7 +81,7 @@ class TestSupervisedSandboxChaos:
         assert counts["crashes"] + counts["hangs"] >= 1
         assert counts["restarts"] >= 1
         # The pool healed: every slot has a live worker again.
-        assert counts["workers"] == sandbox.get_sandbox().size
+        assert counts["workers"] == sandbox.POOL_SIZE
 
     def test_breaker_opens_and_engine_demotes(
         self, sandboxed, edit_func
@@ -136,7 +136,6 @@ class TestServiceSandboxChaos:
             workers=1,
             backend="native",
             fault_plan=KILL_PLAN,
-            sandbox_native=True,
         )
         server = make_http_server(service, "127.0.0.1", 0)
         serve_in_thread(server)
