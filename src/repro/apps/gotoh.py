@@ -146,7 +146,12 @@ class GotohAligner:
     def align(
         self, a: Sequence, b: Sequence, engine: str = "compiled"
     ) -> GotohResult:
-        """Align two sequences; returns score and schedules."""
+        """Align two sequences; returns score and schedules.
+
+        ``engine`` is :func:`~repro.runtime.mutual.solve_mutual`'s:
+        the default ``"compiled"`` group module, or the interpreted
+        ``"lockstep"`` (race-checked) and ``"serial"`` references.
+        """
         bindings = {
             name: Bindings({"s": a, "t": b}) for name in self.funcs
         }

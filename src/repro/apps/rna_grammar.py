@@ -96,9 +96,11 @@ class RnaGrammar:
     def fold(
         self, seq: Sequence, engine: str = "lockstep"
     ) -> GrammarFold:
-        """Fold one sequence. ``engine="compiled"`` for long inputs;
-        the default lock-step engine additionally race-checks the
-        joint schedules."""
+        """Fold one sequence. ``engine`` is
+        :func:`~repro.runtime.mutual.solve_mutual`'s: ``"compiled"``
+        (the generated group module) for long inputs; the default
+        ``"lockstep"`` additionally race-checks the joint schedules;
+        ``"serial"`` is the plain interpreted reference."""
         bindings = {
             "struct": Bindings({"x": seq}),
             "paired": Bindings({"y": seq}),

@@ -6,8 +6,9 @@ of the same synthesised program (Figure 9's loop nest): the time loop
 over partitions and the space loop over a partition's cells both live
 in C, so a whole run — every partition, every cell — is one shared
 library call instead of millions of interpreted Python steps. The
-cell expression printer is shared with the CUDA emitter
-(:mod:`repro.ir.c_expr`); only the surrounding function differs.
+cell expression is printed by the C dialect of the one cell printer
+(:mod:`repro.ir.cell`), shared with the CUDA emitter; only the
+surrounding function differs.
 
 ``repro_<name>`` reads and writes the caller's table, in one of two
 orders picked by the ``tile`` axis of the kernel's parallel-safety
@@ -71,7 +72,7 @@ from ..lang.types import IntType
 from ..polyhedral import loopast
 from ..polyhedral.codegen import generate_loops
 from . import expr as ir
-from .c_expr import C_HELPERS, CCellEmitter
+from .cell import CCell, prelude
 from .kernel import Kernel
 from .npbackend import Eligibility
 
@@ -81,41 +82,6 @@ from .npbackend import Eligibility
 #: block is 128 KB — resident in L2 while its three look-backs are
 #: re-read.
 TILE = (128, 128)
-
-#: Scalar helpers matching the Python backend's prelude bit for bit
-#: (same formulas, same libm), so scalar and native tables agree to
-#: the last ulp wherever the compiler preserves IEEE semantics.
-#: ``lmin``/``lmax`` keep integer cells and loop bounds in ``long``.
-#: ``logaddexp`` spends one ``exp``, not two: of ``exp(a - m)`` and
-#: ``exp(b - m)`` one argument is always exactly 0 and ``exp(0.0)`` is
-#: exactly 1.0, so every finite/-inf pair keeps its bits (see the
-#: scalar prelude's docstring for the one +inf case that differs).
-#:
-#: A translation unit includes nothing: what it uses of libm, libc
-#: and libgomp is declared here and beside its use below, and the
-#: three constants are the compiler's own spellings (what ``math.h``
-#: and ``limits.h`` expand to). Parsing the four headers was 8-15 ms
-#: of every ``cc`` (docs/PERFORMANCE.md).
-_HELPERS = C_HELPERS + """\
-double log(double);
-double exp(double);
-double trunc(double);
-#define INFINITY (__builtin_inff())
-
-static inline double min(double a, double b) { return a < b ? a : b; }
-static inline double max(double a, double b) { return a > b ? a : b; }
-static inline long lmin(long a, long b) { return a < b ? a : b; }
-static inline long lmax(long a, long b) { return a > b ? a : b; }
-static inline double idiv(double a, double b) { return trunc(a / b); }
-static inline double safelog(double x) { return x > 0.0 ? log(x) : -INFINITY; }
-static inline double logaddexp(double a, double b) {
-  if (a == -INFINITY) return b;
-  if (b == -INFINITY) return a;
-  double hi = a > b ? a : b;
-  double lo = a > b ? b : a;
-  return hi + log(1.0 + exp(lo - hi));
-}
-"""
 
 
 @dataclass(frozen=True)
@@ -375,8 +341,9 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
 
     The emitter handles every nest shape and rank the polyhedral
     generator produces; the hard exclusions are cross-table reads
-    (mutual-group members compile through the group backends) and any
-    cell construct the shared C printer cannot render.
+    (mutual-group members compile through the scalar group module of
+    :mod:`repro.ir.pybackend`) and any cell construct the C dialect
+    of :mod:`repro.ir.cell` cannot render.
     """
     for node in ir.walk(kernel.body.cell):
         if isinstance(node, ir.TableRead) and node.table:
@@ -590,7 +557,7 @@ def emit_native_source(
     lines: List[str] = [
         f"/* native kernel: {kernel.name} "
         f"(schedule {kernel.schedule}) */",
-        _HELPERS,
+        prelude("c"),
         _THREAD_HELPERS,
     ]
     if annotate:
@@ -671,7 +638,7 @@ def _emit_batched_entry(
             else "double"
         )
         body.append(f"{inner}const {ctext} arg_{a} = b_arg_{a}[_b];")
-    cell = CCellEmitter(
+    cell = CCell(
         kernel, strides=tuple(f"pad_{d}" for d in kernel.dims)
     )
     _emit_body(kernel, body, vt, openmp=False, cell=cell, pad=inner)
@@ -773,7 +740,7 @@ def _emit_tiled_body(
     ]
     _emit_body(
         kernel, lines, vt, openmp=False,
-        cell=CCellEmitter(kernel, strides=(None, "_ts")),
+        cell=CCell(kernel, strides=(None, "_ts")),
         pad=inner, nest=_tile_nest(kernel), fold=True,
     )
     lines.append(
@@ -789,7 +756,7 @@ def _emit_body(
     lines: List[str],
     vt: str,
     openmp: bool,
-    cell: Optional[CCellEmitter] = None,
+    cell: Optional[CCell] = None,
     pad: str = "  ",
     nest: Optional[loopast.LoopNest] = None,
     fold: bool = False,
@@ -799,7 +766,7 @@ def _emit_body(
     block's ``nest`` over ``[lo_<dim>, hi_<dim>]``. ``fold`` keeps
     the running ``_amax``/``_amin`` of every cell stored."""
     if cell is None:
-        cell = CCellEmitter(kernel)
+        cell = CCell(kernel)
     if nest is None:
         nest = kernel.nest
     time_loop = nest.time_loop
@@ -829,7 +796,7 @@ def _emit_body(
 def _emit_nest(
     kernel: Kernel,
     nodes,
-    cell: CCellEmitter,
+    cell: CCell,
     lines: List[str],
     pad: str,
     vt: str,
@@ -837,7 +804,6 @@ def _emit_nest(
     openmp: bool,
     space_seen: bool,
 ) -> None:
-    dim_refs = tuple(ir.DimRef(d) for d in kernel.dims)
     for node in nodes:
         if isinstance(node, loopast.Loop):
             low = node.lower.c_text("l")
@@ -882,7 +848,7 @@ def _emit_nest(
             target = cell.fresh()
             lines.append(f"{pad}{vt} {target};")
             cell.emit_to(kernel.body.cell, target, lines, pad)
-            store = cell._table_ref(dim_refs)
+            store = cell.address(kernel.dims)
             lines.append(f"{pad}{store} = {target};")
             if fold:
                 # ndarray.max()/min(): a NaN cell wins from then on.

@@ -5,9 +5,9 @@ outer space loop is strided across the block's threads (``+ t`` start,
 ``+= tn`` step) and a ``__syncthreads()`` barrier separates
 partitions. The text is what the compiler *would* hand to nvcc on real
 hardware; in this reproduction it is emitted for inspection, examples
-and tests (no GPU is assumed — see DESIGN.md §2). The cell-expression
-printer is shared with the *executable* native C backend
-(:mod:`repro.ir.cbackend`) via :mod:`repro.ir.c_expr`.
+and tests (no GPU is assumed — see DESIGN.md §2). The cell expression
+is printed by the C dialect of :mod:`repro.ir.cell`, the one the
+*executable* native C backend (:mod:`repro.ir.cbackend`) uses.
 """
 
 from __future__ import annotations
@@ -16,22 +16,20 @@ from typing import List
 
 from ..lang.errors import CodegenError
 from ..polyhedral import loopast
-from . import expr as ir
-from .c_expr import C_HELPERS, CCellEmitter, ctype_of
+from .cell import C_HELPERS, CCell
 from .kernel import Kernel
-
-_HELPERS = C_HELPERS
 
 
 def _ctype(kind: str) -> str:
-    return ctype_of(kind)
+    """The C value type of a DSL kind (table cells, scalars)."""
+    return {"int": "long", "bool": "int"}.get(kind, "double")
 
 
-class _CudaCell(CCellEmitter):
-    """The shared C cell printer, with CUDA's overloaded ``min``/
-    ``max`` (already typed per operand, so no ``lmin``/``lmax``)."""
+class _CudaCell(CCell):
+    """The C dialect with CUDA's overloaded ``min``/``max`` (already
+    typed per operand, so no ``lmin``/``lmax``)."""
 
-    def _minmax(self, node: ir.Binary) -> str:
+    def _minmax(self, node) -> str:
         return node.op
 
 
@@ -83,7 +81,7 @@ def emit_cuda(kernel: Kernel, windowed: bool = False) -> str:
             f"const long* hmm_{h}_outids",
         ]
 
-    lines: List[str] = [_HELPERS]
+    lines: List[str] = [C_HELPERS]
     suffix = "_windowed" if windowed else ""
     lines.append(
         f"__global__ void {kernel.name}_kernel{suffix}("
@@ -105,7 +103,7 @@ def emit_cuda(kernel: Kernel, windowed: bool = False) -> str:
     cell = _CudaCell(kernel, windowed=windowed)
     _emit_nest(
         kernel, kernel.nest.roots, cell, lines, "  ",
-        value_type=value_type, thread_strided=False, depth=0,
+        value_type=value_type, thread_strided=False,
     )
     lines.append("}")
     return "\n".join(lines)
@@ -119,7 +117,6 @@ def _emit_nest(
     pad: str,
     value_type: str,
     thread_strided: bool,
-    depth: int,
 ) -> None:
     for node in nodes:
         if isinstance(node, loopast.Loop):
@@ -140,7 +137,7 @@ def _emit_nest(
                 )
             _emit_nest(
                 kernel, node.body, cell, lines, pad + "  ",
-                value_type, thread_strided or stride_this, depth + 1,
+                value_type, thread_strided or stride_this,
             )
             if is_time:
                 # Figure 8/10: barrier between partitions.
@@ -152,7 +149,7 @@ def _emit_nest(
             )
             _emit_nest(
                 kernel, node.body, cell, lines, pad,
-                value_type, thread_strided, depth,
+                value_type, thread_strided,
             )
         elif isinstance(node, loopast.Guard):
             lines.append(
@@ -161,24 +158,21 @@ def _emit_nest(
             )
             _emit_nest(
                 kernel, node.body, cell, lines, pad + "  ",
-                value_type, thread_strided, depth,
+                value_type, thread_strided,
             )
             lines.append(pad + "}")
         elif isinstance(node, loopast.Stmt):
             target = cell.fresh()
             lines.append(f"{pad}{value_type} {target};")
             cell.emit_to(kernel.body.cell, target, lines, pad)
-            store = cell._table_ref(
-                tuple(ir.DimRef(d) for d in kernel.dims)
-            )
+            store = cell.address(kernel.dims)
             lines.append(f"{pad}{store} = {target};")
             if cell.windowed:
                 # Results still need to reach global memory: write
                 # back the cells of the last `window + 1` partitions
                 # (everything an caller could still ask for).
                 dims = kernel.dims
-                linear = ir.DimRef(dims[0]).name
-                text = linear
+                text = dims[0]
                 for k in range(1, len(dims)):
                     text = (
                         f"({text}) * (ub_{dims[k]} + 1) + {dims[k]}"

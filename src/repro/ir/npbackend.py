@@ -15,17 +15,18 @@ Python loop over the maximum in-degree of the partition's states,
 with a per-lane mask ``k < degree(s)`` discarding the lanes whose
 transition list is shorter; a ``RangeReduce`` runs over the global
 ``[min(lo), max(hi)]`` envelope with the analogous per-lane range
-mask. Accumulation is ``np.logaddexp`` for log-space sums,
-``np.maximum``/``np.minimum`` for max/min, ``+`` for direct sums —
-always through ``np.where(mask, update, acc)`` so masked lanes keep
-their accumulator untouched.
+mask. Accumulation folds with the rows of :data:`repro.ir.cell.OPS`
+(C's formulas, elementwise) — always through
+``np.where(mask, update, acc)`` so masked lanes keep their
+accumulator untouched.
 
 Eligibility (otherwise the engine falls back to the scalar backend)
 is reported as a machine-readable :class:`Eligibility` record:
 
 * two-dimensional kernels with a unit-coefficient pinned dimension
   (the common case; non-unit pins need per-lane divisibility masks);
-* no cross-table reads (mutual groups use :func:`emit_vector_group_source`).
+* no cross-table reads (mutual groups run the scalar group module,
+  :func:`repro.ir.pybackend.compile_group`).
 
 Branch semantics: ``np.where`` evaluates both branches eagerly, so
 guarded out-of-domain table reads *would* be attempted; all gather
@@ -46,20 +47,23 @@ parallelism (§6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import List
 
 from ..lang.errors import CodegenError
 from ..polyhedral import loopast
 from . import expr as ir
+from .cell import csr_arrays, prelude
 from .kernel import Kernel
-from .pybackend import bound_py, div_py
+from .pybackend import (
+    PyCell,
+    bound_py,
+    clip_partitions,
+    div_py,
+    exec_source,
+    unpack_ctx,
+)
 
-_PRELUDE = '''\
-import numpy as np
-
-_NINF = float("-inf")
-_PINF = float("inf")
-
+_PRELUDE = prelude("np") + '''
 
 def _ix(index, ub):
     """Clamp gather indices into the table (see module doc)."""
@@ -72,16 +76,6 @@ def _gather(arr, index):
     if len(arr) == 0:
         return np.zeros_like(np.asarray(index))
     return arr[np.clip(index, 0, len(arr) - 1)]
-
-
-def _idiv(a, b):
-    return np.trunc(np.asarray(a, dtype=np.float64) / b).astype(np.int64)
-
-
-def _safelog(x):
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), _NINF)
 '''
 
 #: Extra helpers of the batched (leading problem axis) variant.
@@ -115,12 +109,6 @@ def _bstore(T, b, i0, i1, valid, cell):
 
 _ERRSTATE = (
     'np.errstate(invalid="ignore", over="ignore", divide="ignore")'
-)
-
-#: Context pieces unpacked per referenced HMM parameter.
-_HMM_PIECES = (
-    "isstart", "isend", "emis", "symidx", "tprob", "tsrc",
-    "ttgt", "inoff", "inids", "outoff", "outids",
 )
 
 
@@ -187,31 +175,6 @@ def eligible(kernel: Kernel) -> bool:
     return eligibility(kernel).ok
 
 
-def group_eligibility(kernels: Mapping[str, Kernel]) -> Eligibility:
-    """Can a mutual group use the vectorised group backend?
-
-    Every member must individually pass the shape rules (cross-table
-    reads are, of course, allowed — they are what makes it a group).
-    """
-    for name in sorted(kernels):
-        kernel = kernels[name]
-        if kernel.rank != 2:
-            return Eligibility(
-                False, "rank",
-                f"group member {name!r} is {kernel.rank}-dimensional",
-            )
-        if _nest_shape(kernel) is None:
-            return Eligibility(
-                False, "nest-shape",
-                f"group member {name!r} does not lower to a vectorisable "
-                f"time/space nest",
-            )
-    return Eligibility(
-        True, "ok",
-        "every group member lowers to a vectorisable 2-D nest",
-    )
-
-
 def _nest_shape(kernel: Kernel):
     """Recognise ``Loop(p) { Loop(d) { [Assign(e)] Stmt } }``."""
     roots = kernel.nest.roots
@@ -251,353 +214,84 @@ def bound_np(bound: loopast.Bound) -> str:
 # -- the emitter --------------------------------------------------------------
 
 
-class _VectorEmitter:
-    """Emits the cell expression as NumPy statements over lanes.
-
-    Mirrors the scalar backend's ``_CellEmitter`` (inline / emit_to /
-    _force), but every value is an array over the partition's lanes —
-    reductions become masked serial loops, selects become ``np.where``.
+class _VectorCell(PyCell):
+    """The NumPy lane dialect of :mod:`repro.ir.cell`: every value is
+    an array over the partition's lanes, selects evaluate both arms,
+    and reductions become masked serial loops.
 
     ``batch=True`` targets the leading-problem-axis layout: table
     reads go through ``_bread`` with the ``_pb`` batch index column,
     sequence gathers through ``_bgather``.
-
-    ``own_table``/``table_ubs`` serve the mutual-group variant:
-    cross-table reads render against the callee's table and are
-    clamped with the callee's upper-bound names.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        batch: bool = False,
-        own_table: str = "T",
-        table_ubs: Optional[Mapping[str, Mapping[str, str]]] = None,
-    ) -> None:
-        self.kernel = kernel
+    TARGET = "np"
+    IF = None
+
+    def __init__(self, kernel: Kernel, batch: bool = False) -> None:
+        super().__init__(kernel)
         self.batch = batch
-        self.own_table = own_table
-        self.own_ubs = {dim: f"ub_{dim}" for dim in kernel.dims}
-        self.table_ubs = table_ubs or {}
-        self.counter = 0
 
-    def fresh(self) -> str:
-        name = f"_v{self.counter}"
-        self.counter += 1
-        return name
-
-    # -- inline expression rendering (None when a reduce is inside) ----
-
-    def inline(self, node: ir.Node) -> Optional[str]:
-        if isinstance(node, ir.Const):
-            if node.value == float("-inf"):
-                return "_NINF"
-            if node.value == float("inf"):
-                return "_PINF"
-            return repr(node.value)
-        if isinstance(node, (ir.DimRef, ir.VarRef)):
-            return node.name
-        if isinstance(node, ir.ArgRef):
-            return f"arg_{node.name}"
-        if isinstance(node, ir.Binary):
-            left = self.inline(node.left)
-            right = self.inline(node.right)
-            if left is None or right is None:
-                return None
-            return self._binary_text(node.op, node.kind, left, right)
-        if isinstance(node, ir.Log):
-            operand = self.inline(node.operand)
-            return None if operand is None else f"_safelog({operand})"
-        if isinstance(node, ir.Select):
-            cond = self.inline(node.cond)
-            then = self.inline(node.then)
-            other = self.inline(node.otherwise)
-            if cond is None or then is None or other is None:
-                return None
-            return f"np.where({cond}, {then}, {other})"
-        if isinstance(node, ir.TableRead):
-            return self._table_text(node, self.inline)
-        if isinstance(node, ir.SeqRead):
-            index = self.inline(node.index)
-            if index is None:
-                return None
-            if self.batch:
-                return f"_bgather(seq_{node.seq}, _pb, {index})"
-            return f"_gather(seq_{node.seq}, {index})"
-        if isinstance(node, ir.MatrixRead):
-            row = self.inline(node.row)
-            col = self.inline(node.col)
-            if row is None or col is None:
-                return None
-            return (
-                f"mat_{node.matrix}[rowidx_{node.matrix}[{row}], "
-                f"colidx_{node.matrix}[{col}]]"
-            )
-        if isinstance(node, ir.StateFlag):
-            state = self.inline(node.state)
-            if state is None:
-                return None
-            suffix = "isstart" if node.which == "isstart" else "isend"
-            return f"hmm_{node.hmm}_{suffix}[{state}]"
-        if isinstance(node, ir.EmissionRead):
-            state = self.inline(node.state)
-            symbol = self.inline(node.symbol)
-            if state is None or symbol is None:
-                return None
-            return (
-                f"hmm_{node.hmm}_emis[{state}, "
-                f"hmm_{node.hmm}_symidx[{symbol}]]"
-            )
-        if isinstance(node, ir.TransField):
-            trans = self.inline(node.trans)
-            if trans is None:
-                return None
-            suffix = {"prob": "tprob", "start": "tsrc",
-                      "end": "ttgt"}[node.which]
-            return f"hmm_{node.hmm}_{suffix}[{trans}]"
-        if isinstance(node, (ir.ReduceLoop, ir.RangeReduce)):
-            return None
-        raise CodegenError(
-            f"vector backend cannot render {node!r}"
-        )
-
-    def _table_text(self, node: ir.TableRead, render) -> Optional[str]:
+    def table(self, node: ir.TableRead, kids: List[str]) -> str:
         if node.table:
-            table = f"T_{node.table}"
-            ubs = self.table_ubs.get(node.table, self.own_ubs)
-        else:
-            table = self.own_table
-            ubs = self.own_ubs
-        indices = []
-        for dim, index in zip(self.kernel.dims, node.indices):
-            text = render(index)
-            if text is None:
-                return None
-            indices.append(f"_ix({text}, {ubs[dim]})")
+            raise CodegenError(
+                f"cross-table read of {node.table!r}: the vector "
+                f"backend runs single kernels"
+            )
+        indices = ", ".join(
+            f"_ix({kid}, ub_{dim})"
+            for dim, kid in zip(self.kernel.dims, kids)
+        )
         if self.batch:
-            return f"_bread({table}, _pb, {', '.join(indices)})"
-        return f"{table}[{', '.join(indices)}]"
+            return f"_bread(T, _pb, {indices})"
+        return f"T[{indices}]"
 
-    @staticmethod
-    def _binary_text(op: str, kind: str, left: str, right: str) -> str:
-        if op == "min":
-            return f"np.minimum({left}, {right})"
-        if op == "max":
-            return f"np.maximum({left}, {right})"
-        if op == "logaddexp":
-            return f"np.logaddexp({left}, {right})"
-        if op == "/":
-            if kind == "int":
-                return f"_idiv({left}, {right})"
-            return f"({left} / {right})"
-        return f"({left} {op} {right})"
+    def seq(self, name: str, index: str) -> str:
+        if self.batch:
+            return f"_bgather({name}, _pb, {index})"
+        return f"_gather({name}, {index})"
 
-    # -- statement emission --------------------------------------------------
-
-    def emit_to(
-        self, node: ir.Node, target: str, lines: List[str], pad: str
-    ) -> None:
-        text = self.inline(node)
-        if text is not None:
-            lines.append(f"{pad}{target} = {text}")
-            return
-        if isinstance(node, ir.Select):
-            # np.where is eager, so both branches fully evaluate —
-            # exactly the existing vector-backend branch semantics.
-            cond = self._force(node.cond, lines, pad)
-            then = self._force(node.then, lines, pad)
-            other = self._force(node.otherwise, lines, pad)
-            lines.append(
-                f"{pad}{target} = np.where({cond}, {then}, {other})"
-            )
-            return
-        if isinstance(node, ir.Binary):
-            left = self._force(node.left, lines, pad)
-            right = self._force(node.right, lines, pad)
-            text = self._binary_text(node.op, node.kind, left, right)
-            lines.append(f"{pad}{target} = {text}")
-            return
-        if isinstance(node, ir.Log):
-            operand = self._force(node.operand, lines, pad)
-            lines.append(f"{pad}{target} = _safelog({operand})")
-            return
-        if isinstance(node, ir.ReduceLoop):
-            self._emit_reduce(node, target, lines, pad)
-            return
+    def open_loop(self, node, over, lines: List[str], pad: str) -> str:
+        """A range reduction runs over the global ``[min(lo),
+        max(hi)]`` envelope; a transition reduction to the maximum
+        in/out-degree of the lanes' states (lane-uniform, from the
+        bindings, never from cell data). The returned mask keeps the
+        lanes whose own range or transition list the step is inside."""
+        var = node.var
         if isinstance(node, ir.RangeReduce):
-            self._emit_range_reduce(node, target, lines, pad)
-            return
-        if isinstance(node, ir.TableRead):
-            text = self._table_text(
-                node, lambda n: self._force(n, lines, pad)
+            lo, hi = over
+            lines.append(
+                f"{pad}for {var} in range(int(np.min({lo})), "
+                f"int(np.max({hi})) + 1):"
             )
-            lines.append(f"{pad}{target} = {text}")
-            return
-        raise CodegenError(f"cannot emit IR node {node!r}")
+            return f"({var} >= {lo}) & ({var} <= {hi})"
+        (state,) = over
+        ids, offsets = csr_arrays(node)
+        base, deg, step = self.fresh(), self.fresh(), self.fresh()
+        lines += [
+            f"{pad}{base} = {offsets}[{state}]",
+            f"{pad}{deg} = {offsets}[{state} + 1] - {base}",
+            f"{pad}for {step} in range(int(np.max({deg}))):",
+            f"{pad}    {var} = {ids}[np.clip({base} + {step}, 0, "
+            f"{ids}.size - 1)]",
+        ]
+        return f"{step} < {deg}"
 
-    def _force(self, node: ir.Node, lines: List[str], pad: str) -> str:
-        """Render inline, or spill to a temporary."""
-        text = self.inline(node)
-        if text is not None:
-            return text
-        temp = self.fresh()
-        self.emit_to(node, temp, lines, pad)
-        return temp
-
-    @staticmethod
-    def _reduce_init(node) -> str:
-        if node.kind == "sum":
-            return "_NINF" if node.logspace else "0.0"
-        if node.kind == "min":
-            return "_PINF"
-        if node.prob and not node.logspace:
-            # max over an empty set of path probabilities is 0.
-            return "0.0"
-        return "_NINF"
-
-    def _reduce_update(self, node, acc: str, body: str) -> str:
-        if node.kind == "sum" and node.logspace:
-            return f"np.logaddexp({acc}, {body})"
-        if node.kind == "sum":
-            return f"{acc} + {body}"
-        if node.kind == "min":
-            return f"np.minimum({acc}, {body})"
-        return f"np.maximum({acc}, {body})"
-
-    def _emit_reduce(
-        self, node: ir.ReduceLoop, target: str, lines: List[str],
-        pad: str,
-    ) -> None:
-        """Transition reduce: serial loop over the max in/out-degree.
-
-        The CSR offset arrays give every lane's transition count; the
-        loop runs to the *maximum* count (lane-uniform, from the
-        bindings, never from cell data) and the mask ``k < degree``
-        discards the lanes whose list is shorter.
-        """
-        state = self._force(node.state, lines, pad)
-        prefix = f"hmm_{node.hmm}"
-        ids = f"{prefix}_{'inids' if node.source == 'to' else 'outids'}"
-        offsets = (
-            f"{prefix}_{'inoff' if node.source == 'to' else 'outoff'}"
+    def fold(self, acc, row, body, live) -> str:
+        """Masked lanes keep their accumulator untouched."""
+        update = f"{acc} + {body}" if row is None else self.call(
+            row, acc, body
         )
-        base = self.fresh()
-        deg = self.fresh()
-        acc = self.fresh()
-        lines.append(f"{pad}{base} = {offsets}[{state}]")
-        lines.append(
-            f"{pad}{deg} = {offsets}[{state} + 1] - {base}"
-        )
-        lines.append(f"{pad}{acc} = {self._reduce_init(node)}")
-        step = self.fresh()
-        lines.append(
-            f"{pad}for {step} in range(int(np.max({deg}))):"
-        )
-        inner = pad + "    "
-        lines.append(
-            f"{inner}{node.var} = {ids}["
-            f"np.clip({base} + {step}, 0, {ids}.size - 1)]"
-        )
-        body = self._force(node.body, lines, inner)
-        lines.append(
-            f"{inner}{acc} = np.where({step} < {deg}, "
-            f"{self._reduce_update(node, acc, body)}, {acc})"
-        )
-        lines.append(f"{pad}{target} = {acc}")
-
-    def _emit_range_reduce(
-        self, node: ir.RangeReduce, target: str, lines: List[str],
-        pad: str,
-    ) -> None:
-        """Range reduce: serial loop over the global bound envelope,
-        with the per-lane range mask selecting the live lanes."""
-        lo = self._force(node.lo, lines, pad)
-        hi = self._force(node.hi, lines, pad)
-        acc = self.fresh()
-        lines.append(f"{pad}{acc} = {self._reduce_init(node)}")
-        lines.append(
-            f"{pad}for {node.var} in range(int(np.min({lo})), "
-            f"int(np.max({hi})) + 1):"
-        )
-        inner = pad + "    "
-        body = self._force(node.body, lines, inner)
-        lines.append(
-            f"{inner}{acc} = np.where("
-            f"({node.var} >= {lo}) & ({node.var} <= {hi}), "
-            f"{self._reduce_update(node, acc, body)}, {acc})"
-        )
-        lines.append(f"{pad}{target} = {acc}")
+        return f"{acc} = np.where({live}, {update}, {acc})"
 
 
 # -- module emission ----------------------------------------------------------
-
-
-def _unpack_ctx(
-    kernel: Kernel, lines: List[str], pad: str, ctx: str = "ctx"
-) -> None:
-    refs = kernel.referenced_names()
-    for ub in kernel.ub_params():
-        lines.append(f"{pad}{ub} = {ctx}['{ub}']")
-    for seq in sorted(refs["seqs"]):
-        lines.append(f"{pad}seq_{seq} = {ctx}['seq_{seq}']")
-    for scalar in sorted(refs["scalars"]):
-        lines.append(f"{pad}arg_{scalar} = {ctx}['arg_{scalar}']")
-    for matrix in sorted(refs["matrices"]):
-        for piece in ("mat", "rowidx", "colidx"):
-            lines.append(
-                f"{pad}{piece}_{matrix} = {ctx}['{piece}_{matrix}']"
-            )
-    for hmm in sorted(refs["hmms"]):
-        for piece in _HMM_PIECES:
-            lines.append(
-                f"{pad}hmm_{hmm}_{piece} = {ctx}['hmm_{hmm}_{piece}']"
-            )
 
 
 def emit_vector_source(
     kernel: Kernel, func_name: str = "kernel"
 ) -> str:
     """Emit the vectorised module source (single problem)."""
-    shape = _nest_shape(kernel)
-    if shape is None:
-        verdict = eligibility(kernel)
-        raise CodegenError(
-            f"kernel shape not eligible for the vector backend "
-            f"[{verdict.rule}]: {verdict.detail}"
-        )
-    time_loop, space_loop, assign = shape
-    lines: List[str] = [_PRELUDE, ""]
-    lines.append(f"def {func_name}(T, ctx, part_lo=None, part_hi=None):")
-    pad = "    "
-    _unpack_ctx(kernel, lines, pad)
-
-    p = time_loop.var
-    lines.append(f"{pad}_plo = {bound_py(time_loop.lower)}")
-    lines.append(f"{pad}_phi = {bound_py(time_loop.upper)}")
-    lines.append(f"{pad}if part_lo is not None and part_lo > _plo:")
-    lines.append(f"{pad}    _plo = part_lo")
-    lines.append(f"{pad}if part_hi is not None and part_hi < _phi:")
-    lines.append(f"{pad}    _phi = part_hi")
-    lines.append(f"{pad}with {_ERRSTATE}:")
-    pad = pad + "    "
-    lines.append(f"{pad}for {p} in range(_plo, _phi + 1):")
-    inner = pad + "    "
-    lines.append(f"{inner}_lo = {bound_py(space_loop.lower)}")
-    lines.append(f"{inner}_hi = {bound_py(space_loop.upper)}")
-    lines.append(f"{inner}if _lo > _hi:")
-    lines.append(f"{inner}    continue")
-    lines.append(
-        f"{inner}{space_loop.var} = np.arange(_lo, _hi + 1)"
-    )
-    lines.append(
-        f"{inner}{assign.var} = {div_py(assign.value)}"
-    )
-    emitter = _VectorEmitter(kernel)
-    emitter.emit_to(kernel.body.cell, "_cell", lines, inner)
-    store = ", ".join(kernel.dims)
-    lines.append(f"{inner}T[{store}] = _cell")
-    lines.append("    return T")
-    return "\n".join(lines)
+    return _emit_sweep(kernel, func_name, batch=False)
 
 
 def emit_batched_source(
@@ -614,143 +308,64 @@ def emit_batched_source(
     the *global* partition loop (the supervisor's replay unit); each
     problem's own range is narrower or equal and enforced by the mask.
     """
+    return _emit_sweep(kernel, func_name, batch=True)
+
+
+def _emit_sweep(kernel: Kernel, func_name: str, batch: bool) -> str:
+    """The time loop over partitions, each partition's cells one
+    array of lanes: bounds are scalars, or with ``batch`` ``(B, 1)``
+    columns whose envelope the loops run over."""
     shape = _nest_shape(kernel)
     if shape is None:
         verdict = eligibility(kernel)
         raise CodegenError(
-            f"kernel shape not eligible for the batched vector "
-            f"backend [{verdict.rule}]: {verdict.detail}"
-        )
-    time_loop, space_loop, assign = shape
-    lines: List[str] = [_PRELUDE, _BATCH_PRELUDE, ""]
-    lines.append(f"def {func_name}(T, ctx, part_lo=None, part_hi=None):")
-    pad = "    "
-    lines.append(f"{pad}_pb = np.arange(T.shape[0]).reshape(-1, 1)")
-    _unpack_ctx(kernel, lines, pad)
-
-    p = time_loop.var
-    lines.append(f"{pad}with {_ERRSTATE}:")
-    pad = pad + "    "
-    lines.append(f"{pad}_bplo = {bound_np(time_loop.lower)}")
-    lines.append(f"{pad}_bphi = {bound_np(time_loop.upper)}")
-    lines.append(f"{pad}_plo = int(np.min(_bplo))")
-    lines.append(f"{pad}_phi = int(np.max(_bphi))")
-    lines.append(f"{pad}if part_lo is not None and part_lo > _plo:")
-    lines.append(f"{pad}    _plo = part_lo")
-    lines.append(f"{pad}if part_hi is not None and part_hi < _phi:")
-    lines.append(f"{pad}    _phi = part_hi")
-    lines.append(f"{pad}for {p} in range(_plo, _phi + 1):")
-    inner = pad + "    "
-    lines.append(f"{inner}_lo = {bound_np(space_loop.lower)}")
-    lines.append(f"{inner}_hi = {bound_np(space_loop.upper)}")
-    lines.append(f"{inner}_lo_g = int(np.min(_lo))")
-    lines.append(f"{inner}_hi_g = int(np.max(_hi))")
-    lines.append(f"{inner}if _lo_g > _hi_g:")
-    lines.append(f"{inner}    continue")
-    lines.append(
-        f"{inner}{space_loop.var} = "
-        f"np.arange(_lo_g, _hi_g + 1).reshape(1, -1)"
-    )
-    lines.append(
-        f"{inner}{assign.var} = {div_py(assign.value)}"
-    )
-    lines.append(
-        f"{inner}_valid = ({space_loop.var} >= _lo) "
-        f"& ({space_loop.var} <= _hi) "
-        f"& ({p} >= _bplo) & ({p} <= _bphi)"
-    )
-    emitter = _VectorEmitter(kernel, batch=True)
-    emitter.emit_to(kernel.body.cell, "_cell", lines, inner)
-    store = ", ".join(kernel.dims)
-    lines.append(f"{inner}_bstore(T, _pb, {store}, _valid, _cell)")
-    lines.append("    return T")
-    return "\n".join(lines)
-
-
-def emit_vector_group_source(
-    kernels: Mapping[str, Kernel],
-    mutual,
-    func_name: str = "kernel",
-) -> str:
-    """Emit the vectorised module for a mutual group (Section 9).
-
-    Mirrors :mod:`repro.ir.groupbackend`: one global time loop, one
-    vectorised space sweep per member per global partition. Each
-    member unpacks its context into member-suffixed names so the
-    cross-table clamps use the *callee's* bounds.
-    """
-    verdict = group_eligibility(kernels)
-    if not verdict.ok:
-        raise CodegenError(
-            f"group not eligible for the vector backend "
+            f"kernel shape not eligible for the "
+            f"{'batched ' if batch else ''}vector backend "
             f"[{verdict.rule}]: {verdict.detail}"
         )
-    names = sorted(kernels)
-    lines: List[str] = [_PRELUDE, ""]
-    for name in names:
-        _emit_vector_step(lines, name, kernels[name], names)
-        lines.append("")
-    lines.append(f"def {func_name}(tables, ctxs, global_lo, global_hi):")
-    pad = "    "
-    for name in names:
-        lines.append(f"{pad}T_{name} = tables['{name}']")
-    lines.append(f"{pad}with {_ERRSTATE}:")
-    pad = pad + "    "
-    lines.append(f"{pad}for _gp in range(global_lo, global_hi + 1):")
-    inner = pad + "    "
-    for name in names:
-        offset = mutual[name].offset
-        tables_args = ", ".join(f"T_{n}" for n in names)
-        lines.append(
-            f"{inner}_step_{name}({tables_args}, "
-            f"_gp - ({offset}), ctxs['{name}'])"
-        )
-    lines.append("    return tables")
-    return "\n".join(lines)
-
-
-def _emit_vector_step(
-    lines: List[str],
-    name: str,
-    kernel: Kernel,
-    group_names: List[str],
-) -> None:
-    """One member's vectorised per-partition step function.
-
-    Group members share loop dimensions by construction of the joint
-    schedule; every member's table is clamped with its *own* bounds
-    (``ub_<dim>`` is the member's — cross reads use the caller's
-    unpacked values, which agree because the group shares domains)."""
-    shape = _nest_shape(kernel)
-    assert shape is not None  # guarded by group_eligibility
     time_loop, space_loop, assign = shape
-    p = time_loop.var
-    tables = ", ".join(f"T_{n}" for n in group_names)
-    lines.append(f"def _step_{name}({tables}, {p}, ctx):")
-    pad = "    "
-    _unpack_ctx(kernel, lines, pad)
-    lines.append(
-        f"{pad}if {p} < {bound_py(time_loop.lower)} or "
-        f"{p} > {bound_py(time_loop.upper)}:"
-    )
-    lines.append(f"{pad}    return")
-    lines.append(f"{pad}_lo = {bound_py(space_loop.lower)}")
-    lines.append(f"{pad}_hi = {bound_py(space_loop.upper)}")
-    lines.append(f"{pad}if _lo > _hi:")
-    lines.append(f"{pad}    return")
-    lines.append(f"{pad}{space_loop.var} = np.arange(_lo, _hi + 1)")
-    lines.append(f"{pad}{assign.var} = {div_py(assign.value)}")
-    emitter = _VectorEmitter(kernel, own_table=f"T_{name}")
-    emitter.emit_to(kernel.body.cell, "_cell", lines, pad)
+    p, x = time_loop.var, space_loop.var
+    bound = bound_np if batch else bound_py
+    lines: List[str] = [_PRELUDE + (_BATCH_PRELUDE if batch else ""), ""]
+    lines.append(f"def {func_name}(T, ctx, part_lo=None, part_hi=None):")
+    if batch:
+        lines.append("    _pb = np.arange(T.shape[0]).reshape(-1, 1)")
+    unpack_ctx(kernel, lines, "    ")
+    lines.append(f"    with {_ERRSTATE}:")
+    pad, inner = " " * 8, " " * 12
+    lo, hi = bound(time_loop.lower), bound(time_loop.upper)
+    if batch:
+        lines += [f"{pad}_bplo = {lo}", f"{pad}_bphi = {hi}"]
+        lo, hi = "int(np.min(_bplo))", "int(np.max(_bphi))"
+    clip_partitions(lo, hi, lines, pad)
+    lines.append(f"{pad}for {p} in range(_plo, _phi + 1):")
+    lines.append(f"{inner}_lo = {bound(space_loop.lower)}")
+    lines.append(f"{inner}_hi = {bound(space_loop.upper)}")
+    lo, hi, lanes = "_lo", "_hi", ""
+    if batch:
+        lines.append(f"{inner}_lo_g = int(np.min(_lo))")
+        lines.append(f"{inner}_hi_g = int(np.max(_hi))")
+        lo, hi, lanes = "_lo_g", "_hi_g", ".reshape(1, -1)"
+    lines += [
+        f"{inner}if {lo} > {hi}:",
+        f"{inner}    continue",
+        f"{inner}{x} = np.arange({lo}, {hi} + 1){lanes}",
+        f"{inner}{assign.var} = {div_py(assign.value)}",
+    ]
+    if batch:
+        lines.append(
+            f"{inner}_valid = ({x} >= _lo) & ({x} <= _hi) "
+            f"& ({p} >= _bplo) & ({p} <= _bphi)"
+        )
+    cell = _VectorCell(kernel, batch=batch)
+    cell.emit_to(kernel.body.cell, "_cell", lines, inner)
     store = ", ".join(kernel.dims)
-    lines.append(f"{pad}T_{name}[{store}] = _cell")
-
-
-def _compile(source: str, tag: str, func_name: str):
-    namespace: Dict[str, object] = {}
-    code = compile(source, tag, "exec")
-    exec(code, namespace)  # noqa: S102 - our own generated code
-    return namespace[func_name]
+    if batch:
+        lines.append(f"{inner}_bstore(T, _pb, {store}, _valid, _cell)")
+    else:
+        lines.append(f"{inner}T[{store}] = _cell")
+    lines.append("    return T")
+    return "\n".join(lines)
 
 
 def compile_vector_kernel(
@@ -758,7 +373,7 @@ def compile_vector_kernel(
 ):
     """Compile the vector source; returns ``(callable, source)``."""
     source = emit_vector_source(kernel, func_name)
-    run = _compile(source, f"<npkernel:{kernel.name}>", func_name)
+    run = exec_source(source, f"<npkernel:{kernel.name}>", func_name)
     return run, source
 
 
@@ -767,16 +382,5 @@ def compile_batched_kernel(
 ):
     """Compile the lane-batched source; returns ``(callable, source)``."""
     source = emit_batched_source(kernel, func_name)
-    run = _compile(source, f"<npbatched:{kernel.name}>", func_name)
-    return run, source
-
-
-def compile_vector_group(
-    kernels: Mapping[str, Kernel],
-    mutual,
-    func_name: str = "kernel",
-):
-    """Compile the vector group module; returns ``(callable, source)``."""
-    source = emit_vector_group_source(kernels, mutual, func_name)
-    run = _compile(source, "<npgroupkernel>", func_name)
+    run = exec_source(source, f"<npbatched:{kernel.name}>", func_name)
     return run, source

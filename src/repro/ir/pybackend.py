@@ -17,49 +17,25 @@ The generated module expects a context dict prepared by the engine:
 ``rowidx_/colidx_<p>``  char code -> dense index tables
 ``hmm_<p>_...``         model arrays (see HmmArrays)
 ======================  ====================================
+
+The cell expression is printed by :class:`PyCell`, the Python dialect
+of :mod:`repro.ir.cell`. The same nest walk emits the mutual-group
+module (:func:`emit_group_source`, Section 9), and the vector backend
+reuses the context unpacking and partition clipping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..analysis.affine import Affine
 from ..lang.errors import CodegenError
 from ..polyhedral import loopast
 from . import expr as ir
+from .cell import CellPrinter, csr_arrays, prelude
 from .kernel import Kernel
 
-_PRELUDE = '''\
-from math import exp, inf, log
-
-
-def _log(x):
-    return log(x) if x > 0.0 else -inf
-
-
-def _logaddexp(a, b):
-    """``log(exp(a) + exp(b))``, spelled exactly as the C prelude's.
-
-    Bit-equal to ``m + log(exp(a - m) + exp(b - m))`` with
-    ``m = max(a, b)`` on every finite/-inf pair: one of those two
-    arguments is always exactly 0 and ``exp(0.0) == 1.0``. The one
-    difference: (+inf, finite) now yields +inf where ``inf - inf``
-    gave NaN.
-    """
-    if a == -inf:
-        return b
-    if b == -inf:
-        return a
-    if a > b:
-        hi, lo = a, b
-    else:
-        hi, lo = b, a
-    return hi + log(1.0 + exp(lo - hi))
-
-
-def _idiv(a, b):
-    return int(a / b)
-'''
+_PRELUDE = prelude("py")
 
 
 def affine_py(affine: Affine) -> str:
@@ -102,233 +78,91 @@ def bound_py(bound: loopast.Bound) -> str:
     return f"{bound.kind}({', '.join(texts)})"
 
 
-class _CellEmitter:
-    """Emits the cell expression as Python statements.
+#: Context pieces unpacked per referenced HMM parameter.
+_HMM_PIECES = (
+    "isstart", "isend", "emis", "symidx", "tprob", "tsrc",
+    "ttgt", "inoff", "inids", "outoff", "outids",
+)
+
+
+def unpack_ctx(kernel: Kernel, lines: List[str], pad: str) -> None:
+    """Bind every context entry the kernel reads to a local name —
+    the first lines of every generated Python function."""
+    refs = kernel.referenced_names()
+    names = list(kernel.ub_params())
+    names += [f"seq_{seq}" for seq in sorted(refs["seqs"])]
+    names += [f"arg_{scalar}" for scalar in sorted(refs["scalars"])]
+    for matrix in sorted(refs["matrices"]):
+        names += [f"{p}_{matrix}" for p in ("mat", "rowidx", "colidx")]
+    for hmm in sorted(refs["hmms"]):
+        names += [f"hmm_{hmm}_{piece}" for piece in _HMM_PIECES]
+    lines.extend(f"{pad}{name} = ctx['{name}']" for name in names)
+
+
+class PyCell(CellPrinter):
+    """The scalar Python dialect of :mod:`repro.ir.cell`.
 
     ``own_table`` is the Python name of the function's own DP table;
-    cross-table reads (mutual groups) render as ``T_<callee>``.
+    cross-table reads (mutual groups) render as ``T_<callee>``. With
+    ``sanitize`` every table and sequence read goes through the
+    :class:`~repro.verify.sanitizer.TableSanitizer` ``_san``.
     """
 
+    TARGET = "py"
+
     def __init__(
-        self, own_table: str = "T", sanitize: bool = False
+        self, kernel: Kernel, own_table: str = "T", sanitize: bool = False
     ) -> None:
+        super().__init__(kernel)
         self.own_table = own_table
         self.sanitize = sanitize
-        self.counter = 0
 
-    def _table_name(self, node) -> str:
-        return f"T_{node.table}" if node.table else self.own_table
-
-    def fresh(self) -> str:
-        name = f"_t{self.counter}"
-        self.counter += 1
-        return name
-
-    # -- inline expression rendering (None when a reduce is inside) ----
-
-    def inline(self, node: ir.Node) -> Optional[str]:
-        if isinstance(node, ir.Const):
-            if node.value == float("-inf"):
-                return "(-inf)"
-            if node.value == float("inf"):
-                return "inf"
-            return repr(node.value)
-        if isinstance(node, (ir.DimRef, ir.VarRef)):
-            return node.name
-        if isinstance(node, ir.ArgRef):
-            return f"arg_{node.name}"
-        if isinstance(node, ir.Binary):
-            left = self.inline(node.left)
-            right = self.inline(node.right)
-            if left is None or right is None:
-                return None
-            return self._binary_text(node.op, node.kind, left, right)
-        if isinstance(node, ir.Log):
-            operand = self.inline(node.operand)
-            return None if operand is None else f"_log({operand})"
-        if isinstance(node, ir.Select):
-            cond = self.inline(node.cond)
-            then = self.inline(node.then)
-            other = self.inline(node.otherwise)
-            if cond is None or then is None or other is None:
-                return None
-            return f"({then} if {cond} else {other})"
-        if isinstance(node, ir.TableRead):
-            indices = [self.inline(i) for i in node.indices]
-            if any(i is None for i in indices):
-                return None
-            return self._table_read_text(node, indices)
-        if isinstance(node, ir.SeqRead):
-            index = self.inline(node.index)
-            if index is None:
-                return None
-            if self.sanitize:
-                return f"_san.sread(seq_{node.seq}, {index})"
-            return f"seq_{node.seq}[{index}]"
-        if isinstance(node, ir.MatrixRead):
-            row = self.inline(node.row)
-            col = self.inline(node.col)
-            if row is None or col is None:
-                return None
-            return (
-                f"mat_{node.matrix}[rowidx_{node.matrix}[{row}], "
-                f"colidx_{node.matrix}[{col}]]"
-            )
-        if isinstance(node, ir.StateFlag):
-            state = self.inline(node.state)
-            if state is None:
-                return None
-            suffix = "isstart" if node.which == "isstart" else "isend"
-            return f"hmm_{node.hmm}_{suffix}[{state}]"
-        if isinstance(node, ir.EmissionRead):
-            state = self.inline(node.state)
-            symbol = self.inline(node.symbol)
-            if state is None or symbol is None:
-                return None
-            return (
-                f"hmm_{node.hmm}_emis[{state}, "
-                f"hmm_{node.hmm}_symidx[{symbol}]]"
-            )
-        if isinstance(node, ir.TransField):
-            trans = self.inline(node.trans)
-            if trans is None:
-                return None
-            suffix = {"prob": "tprob", "start": "tsrc", "end": "ttgt"}[
-                node.which
-            ]
-            return f"hmm_{node.hmm}_{suffix}[{trans}]"
-        if isinstance(node, (ir.ReduceLoop, ir.RangeReduce)):
-            return None
-        raise CodegenError(f"cannot render IR node {node!r}")
-
-    def _table_read_text(self, node, indices: List[str]) -> str:
-        name = self._table_name(node)
+    def table(self, node: ir.TableRead, kids: List[str]) -> str:
+        """Own or callee table, through the sanitizer when on."""
+        name = f"T_{node.table}" if node.table else self.own_table
         if self.sanitize:
-            own = "True" if not node.table else "False"
             return (
-                f"_san.tread({name}, ({', '.join(indices)},), "
-                f"own={own})"
+                f"_san.tread({name}, ({', '.join(kids)},), "
+                f"own={not node.table})"
             )
-        return f"{name}[{', '.join(indices)}]"
+        return f"{name}[{', '.join(kids)}]"
 
-    @staticmethod
-    def _binary_text(op: str, kind: str, left: str, right: str) -> str:
-        if op == "min":
-            return f"min({left}, {right})"
-        if op == "max":
-            return f"max({left}, {right})"
-        if op == "logaddexp":
-            return f"_logaddexp({left}, {right})"
-        if op == "/":
-            if kind == "int":
-                return f"_idiv({left}, {right})"
-            return f"({left} / {right})"
-        return f"({left} {op} {right})"
+    def seq(self, name: str, index: str) -> str:
+        """Sequence read, through the sanitizer when on."""
+        if self.sanitize:
+            return f"_san.sread({name}, {index})"
+        return f"{name}[{index}]"
 
-    # -- statement emission --------------------------------------------------
+    def index2(self, array: str, row: str, cols: str, col: str) -> str:
+        """A 2-D NumPy index."""
+        return f"{array}[{row}, {col}]"
 
-    def emit_to(
-        self, node: ir.Node, target: str, lines: List[str], pad: str
-    ) -> None:
-        text = self.inline(node)
-        if text is not None:
-            lines.append(f"{pad}{target} = {text}")
-            return
-        if isinstance(node, ir.Select):
-            cond = self._force(node.cond, lines, pad)
-            lines.append(f"{pad}if {cond}:")
-            self.emit_to(node.then, target, lines, pad + "    ")
-            lines.append(f"{pad}else:")
-            self.emit_to(node.otherwise, target, lines, pad + "    ")
-            return
-        if isinstance(node, ir.Binary):
-            left = self._force(node.left, lines, pad)
-            right = self._force(node.right, lines, pad)
-            text = self._binary_text(node.op, node.kind, left, right)
-            lines.append(f"{pad}{target} = {text}")
-            return
-        if isinstance(node, ir.Log):
-            operand = self._force(node.operand, lines, pad)
-            lines.append(f"{pad}{target} = _log({operand})")
-            return
-        if isinstance(node, ir.ReduceLoop):
-            self._emit_reduce(node, target, lines, pad)
-            return
+    def open_loop(self, node, over, lines: List[str], pad: str):
+        """A ``range`` loop, or a loop over the CSR slice of ids."""
         if isinstance(node, ir.RangeReduce):
-            self._emit_range_reduce(node, target, lines, pad)
-            return
-        if isinstance(node, ir.TableRead):
-            indices = [self._force(i, lines, pad) for i in node.indices]
-            lines.append(
-                f"{pad}{target} = "
-                f"{self._table_read_text(node, indices)}"
-            )
-            return
-        raise CodegenError(f"cannot emit IR node {node!r}")
-
-    def _force(self, node: ir.Node, lines: List[str], pad: str) -> str:
-        """Render inline, or spill to a temporary."""
-        text = self.inline(node)
-        if text is not None:
-            return text
-        temp = self.fresh()
-        self.emit_to(node, temp, lines, pad)
-        return temp
-
-    @staticmethod
-    def _reduce_init(node) -> str:
-        if node.kind == "sum":
-            return "-inf" if node.logspace else "0.0"
-        if node.kind == "min":
-            return "inf"
-        if node.prob and not node.logspace:
-            # max over an empty set of path probabilities is 0.
-            return "0.0"
-        return "-inf"
-
-    def _reduce_update(self, node, acc: str, body: str) -> str:
-        if node.kind == "sum" and node.logspace:
-            return f"_logaddexp({acc}, {body})"
-        if node.kind == "sum":
-            return f"{acc} + {body}"
-        if node.kind == "min":
-            return f"min({acc}, {body})"
-        return f"max({acc}, {body})"
-
-    def _emit_range_reduce(
-        self, node: ir.RangeReduce, target: str, lines: List[str],
-        pad: str,
-    ) -> None:
-        lo = self._force(node.lo, lines, pad)
-        hi = self._force(node.hi, lines, pad)
-        acc = self.fresh()
-        lines.append(f"{pad}{acc} = {self._reduce_init(node)}")
+            lo, hi = over
+            lines.append(f"{pad}for {node.var} in range({lo}, {hi} + 1):")
+            return None
+        (state,) = over
+        ids, offsets = csr_arrays(node)
         lines.append(
-            f"{pad}for {node.var} in range({lo}, {hi} + 1):"
+            f"{pad}for {node.var} in "
+            f"{ids}[{offsets}[{state}]:{offsets}[{state} + 1]]:"
         )
-        inner = pad + "    "
-        body = self._force(node.body, lines, inner)
-        lines.append(f"{inner}{acc} = {self._reduce_update(node, acc, body)}")
-        lines.append(f"{pad}{target} = {acc}")
+        return None
 
-    def _emit_reduce(
-        self, node: ir.ReduceLoop, target: str, lines: List[str], pad: str
-    ) -> None:
-        state = self._force(node.state, lines, pad)
-        prefix = f"hmm_{node.hmm}"
-        table = "inids" if node.source == "to" else "outids"
-        offsets = "inoff" if node.source == "to" else "outoff"
-        ids = (
-            f"{prefix}_{table}[{prefix}_{offsets}[{state}]:"
-            f"{prefix}_{offsets}[{state} + 1]]"
-        )
-        acc = self.fresh()
-        lines.append(f"{pad}{acc} = {self._reduce_init(node)}")
-        lines.append(f"{pad}for {node.var} in {ids}:")
-        inner = pad + "    "
-        body = self._force(node.body, lines, inner)
-        lines.append(f"{inner}{acc} = {self._reduce_update(node, acc, body)}")
-        lines.append(f"{pad}{target} = {acc}")
+
+def clip_partitions(lower: str, upper: str, lines: List[str], pad: str):
+    """``_plo``/``_phi``: the time loop's bounds, clipped to the
+    generated function's ``part_lo``/``part_hi`` arguments."""
+    lines += [
+        f"{pad}_plo = {lower}",
+        f"{pad}_phi = {upper}",
+        f"{pad}if part_lo is not None and part_lo > _plo:",
+        f"{pad}    _plo = part_lo",
+        f"{pad}if part_hi is not None and part_hi < _phi:",
+        f"{pad}    _phi = part_hi",
+    ]
 
 
 def emit_kernel_source(
@@ -347,32 +181,13 @@ def emit_kernel_source(
     :class:`~repro.verify.sanitizer.TableSanitizer` taken from
     ``ctx['_san']``, and announces each partition at its barrier.
     """
-    refs = kernel.referenced_names()
     lines: List[str] = [_PRELUDE, ""]
     lines.append(f"def {func_name}(T, ctx, part_lo=None, part_hi=None):")
     pad = "    "
     if sanitize:
         lines.append(f"{pad}_san = ctx['_san']")
-    for ub in kernel.ub_params():
-        lines.append(f"{pad}{ub} = ctx['{ub}']")
-    for seq in sorted(refs["seqs"]):
-        lines.append(f"{pad}seq_{seq} = ctx['seq_{seq}']")
-    for scalar in sorted(refs["scalars"]):
-        lines.append(f"{pad}arg_{scalar} = ctx['arg_{scalar}']")
-    for matrix in sorted(refs["matrices"]):
-        for piece in ("mat", "rowidx", "colidx"):
-            lines.append(
-                f"{pad}{piece}_{matrix} = ctx['{piece}_{matrix}']"
-            )
-    for hmm in sorted(refs["hmms"]):
-        for piece in (
-            "isstart", "isend", "emis", "symidx", "tprob", "tsrc",
-            "ttgt", "inoff", "inids", "outoff", "outids",
-        ):
-            lines.append(
-                f"{pad}hmm_{hmm}_{piece} = ctx['hmm_{hmm}_{piece}']"
-            )
-    emitter = _CellEmitter(sanitize=sanitize)
+    unpack_ctx(kernel, lines, pad)
+    cell = PyCell(kernel, sanitize=sanitize)
     roots = kernel.nest.roots
     if (
         len(roots) == 1
@@ -380,16 +195,14 @@ def emit_kernel_source(
         and roots[0].var == kernel.nest.time_var
     ):
         time_loop = roots[0]
-        lines.append(f"{pad}_plo = {bound_py(time_loop.lower)}")
-        lines.append(f"{pad}_phi = {bound_py(time_loop.upper)}")
-        lines.append(f"{pad}if part_lo is not None and part_lo > _plo:")
-        lines.append(f"{pad}    _plo = part_lo")
-        lines.append(f"{pad}if part_hi is not None and part_hi < _phi:")
-        lines.append(f"{pad}    _phi = part_hi")
+        clip_partitions(
+            bound_py(time_loop.lower), bound_py(time_loop.upper),
+            lines, pad,
+        )
         lines.append(f"{pad}for {time_loop.var} in range(_plo, _phi + 1):")
         if sanitize:
             lines.append(f"{pad}    _san.barrier({time_loop.var})")
-        _emit_nest(kernel, time_loop.body, emitter, lines, pad + "    ")
+        _emit_nest(time_loop.body, cell, lines, pad + "    ")
         if sanitize:
             lines.append(f"{pad}_san.finish(T)")
     elif sanitize:
@@ -398,45 +211,101 @@ def emit_kernel_source(
             "this kernel's nest has no time dimension"
         )
     else:
-        _emit_nest(kernel, roots, emitter, lines, pad)
+        _emit_nest(roots, cell, lines, pad)
     lines.append(f"{pad}return T")
     return "\n".join(lines)
 
 
 def _emit_nest(
-    kernel: Kernel,
     nodes: Tuple[loopast.Node, ...],
-    emitter: _CellEmitter,
+    cell: PyCell,
     lines: List[str],
     pad: str,
 ) -> None:
+    """The scattering nest, one cell per statement, stored into the
+    printer's own table."""
     for node in nodes:
         if isinstance(node, loopast.Loop):
             lines.append(
                 f"{pad}for {node.var} in range({bound_py(node.lower)}, "
                 f"{bound_py(node.upper)} + 1):"
             )
-            _emit_nest(kernel, node.body, emitter, lines, pad + "    ")
+            _emit_nest(node.body, cell, lines, pad + "    ")
         elif isinstance(node, loopast.Assign):
             lines.append(f"{pad}{node.var} = {div_py(node.value)}")
-            _emit_nest(kernel, node.body, emitter, lines, pad)
+            _emit_nest(node.body, cell, lines, pad)
         elif isinstance(node, loopast.Guard):
             lines.append(
                 f"{pad}if ({affine_py(node.expr)}) % {node.divisor} == 0:"
             )
-            _emit_nest(kernel, node.body, emitter, lines, pad + "    ")
+            _emit_nest(node.body, cell, lines, pad + "    ")
         elif isinstance(node, loopast.Stmt):
-            target = emitter.fresh()
-            emitter.emit_to(kernel.body.cell, target, lines, pad)
-            index = ", ".join(kernel.dims)
-            if emitter.sanitize:
+            target = cell.fresh()
+            cell.emit_to(cell.kernel.body.cell, target, lines, pad)
+            index = ", ".join(cell.kernel.dims)
+            if cell.sanitize:
                 lines.append(
                     f"{pad}_san.twrite(T, ({index},), {target})"
                 )
             else:
-                lines.append(f"{pad}T[{index}] = {target}")
+                lines.append(f"{pad}{cell.own_table}[{index}] = {target}")
         else:
             raise CodegenError(f"unknown nest node {node!r}")
+
+
+def emit_group_source(
+    kernels: Mapping[str, Kernel], mutual, func_name: str = "kernel"
+) -> str:
+    """Emit the module source for one mutual group (Section 9).
+
+    One generated module drives the whole group: a single global time
+    loop interleaves the members' partitions (each shifted by its
+    schedule offset in ``mutual``), and each member's space loops run
+    in a per-partition step function. Cross-calls read the callee's
+    table directly — all writes from earlier global partitions, by the
+    joint schedules' compatibility. The entry point is
+    ``kernel(tables, ctxs, global_lo, global_hi)`` over name-keyed
+    dicts; the caller computes the global partition range.
+    """
+    names = sorted(kernels)
+    tables = ", ".join(f"T_{name}" for name in names)
+    lines: List[str] = [_PRELUDE, ""]
+    for name in names:
+        kernel = kernels[name]
+        roots = kernel.nest.roots
+        if len(roots) != 1 or not isinstance(roots[0], loopast.Loop):
+            raise CodegenError(
+                f"group member {name!r}: unexpected nest shape"
+            )
+        time_loop = roots[0]
+        p = time_loop.var
+        lines.append(f"def _step_{name}({tables}, {p}, ctx):")
+        unpack_ctx(kernel, lines, "    ")
+        lines.append(
+            f"    if {p} < {bound_py(time_loop.lower)} or "
+            f"{p} > {bound_py(time_loop.upper)}:"
+        )
+        lines.append("        return")
+        cell = PyCell(kernel, own_table=f"T_{name}")
+        _emit_nest(time_loop.body, cell, lines, "    ")
+        lines.append("")
+    lines.append(f"def {func_name}(tables, ctxs, global_lo, global_hi):")
+    lines += [f"    T_{name} = tables['{name}']" for name in names]
+    lines.append("    for _gp in range(global_lo, global_hi + 1):")
+    lines += [
+        f"        _step_{name}({tables}, _gp - ({mutual[name].offset}), "
+        f"ctxs['{name}'])"
+        for name in names
+    ]
+    lines.append("    return tables")
+    return "\n".join(lines)
+
+
+def exec_source(source: str, tag: str, func_name: str = "kernel"):
+    """Execute generated module source; returns its ``func_name``."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, tag, "exec"), namespace)  # noqa: S102 - ours
+    return namespace[func_name]
 
 
 def compile_kernel(
@@ -444,7 +313,12 @@ def compile_kernel(
 ):
     """Compile the generated source; returns ``(callable, source)``."""
     source = emit_kernel_source(kernel, func_name, sanitize=sanitize)
-    namespace: Dict[str, object] = {}
-    code = compile(source, f"<kernel:{kernel.name}>", "exec")
-    exec(code, namespace)  # noqa: S102 - our own generated code
-    return namespace[func_name], source
+    return exec_source(source, f"<kernel:{kernel.name}>", func_name), source
+
+
+def compile_group(
+    kernels: Mapping[str, Kernel], mutual, func_name: str = "kernel"
+):
+    """Compile the group module; returns ``(callable, source)``."""
+    source = emit_group_source(kernels, mutual, func_name)
+    return exec_source(source, "<groupkernel>", func_name), source

@@ -17,9 +17,11 @@ is tested against this module.
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from typing import Callable, Dict, Optional, Tuple
 
 from ..extensions.hmm import Hmm
+from ..ir.cell import PY_HELPERS
 from ..extensions.submatrix import SubstitutionMatrix
 from ..lang import ast
 from ..lang.errors import RuntimeDslError
@@ -35,6 +37,10 @@ from .values import Bindings, Sequence
 
 #: Recursive call handler: receives the recursive-argument tuple.
 CallHandler = Callable[[Tuple[int, ...]], object]
+
+#: ``min``/``max`` as every backend computes them (``a < b ? a : b``:
+#: a NaN operand gives the second), not as the builtins do.
+_MIN, _MAX = PY_HELPERS["min2"], PY_HELPERS["max2"]
 
 
 class Evaluator:
@@ -140,9 +146,9 @@ class Evaluator:
                 return int(left / right)  # C-style truncation
             return left / right
         if op == ast.BinOpKind.MIN:
-            return min(left, right)
+            return _MIN(left, right)
         if op == ast.BinOpKind.MAX:
-            return max(left, right)
+            return _MAX(left, right)
         if op == ast.BinOpKind.LT:
             return left < right
         if op == ast.BinOpKind.GT:
@@ -241,9 +247,9 @@ class Evaluator:
                 f"{expr.kind.value} over an empty transition set",
                 expr.span,
             )
-        if expr.kind == ast.ReduceKind.MIN:
-            return min(values)
-        return max(values)
+        return reduce(
+            _MIN if expr.kind == ast.ReduceKind.MIN else _MAX, values
+        )
 
 
 def domain_extents(

@@ -2,13 +2,17 @@
 
 The global time axis interleaves the group's functions: at partition
 ``p``, every function evaluates its cells with ``S_f(x) + o_f == p``,
-then the group synchronises. Two engines:
+then the group synchronises. Three engines, picked by
+:func:`solve_mutual`'s ``engine``:
 
-* :class:`MutualTabulator` — serial evaluation in global partition
-  order (the functional reference);
-* :class:`MutualLockStep` — barrier semantics with race detection:
-  a cell may only read cells (of any table in the group) written at a
-  strictly earlier global partition.
+* :class:`MutualTabulator` (``"serial"``) — serial evaluation in
+  global partition order (the functional reference);
+* :class:`MutualLockStep` (``"lockstep"``) — barrier semantics with
+  race detection: a cell may only read cells (of any table in the
+  group) written at a strictly earlier global partition;
+* :class:`MutualCompiled` (``"compiled"``) — the generated group
+  module of :mod:`repro.ir.pybackend`, for sizes the interpreters
+  cannot reach.
 
 Pricing uses the same warp-batch model as single kernels, summed over
 the group per global partition (:func:`mutual_cost`).
@@ -199,15 +203,16 @@ class MutualLockStep(_GroupEvaluation):
 class MutualCompiled(_GroupEvaluation):
     """Compiled execution: one generated module drives the group.
 
-    The group backend inlines every member's space loops under a
-    single global time loop (see :mod:`repro.ir.groupbackend`); this
-    is the fast functional path for mutual groups, validated against
-    the interpreted engines in the test-suite.
+    The group module inlines every member's space loops under a
+    single global time loop (see
+    :func:`repro.ir.pybackend.emit_group_source`); this is the fast
+    functional path for mutual groups, validated against the
+    interpreted engines in the test-suite.
     """
 
     def run(self) -> Dict[str, np.ndarray]:
         """Run the generated group module; returns the tables."""
-        from ..ir.groupbackend import compile_group
+        from ..ir.pybackend import compile_group
         from ..ir.kernel import build_kernel
         from .context import build_context
 
@@ -225,45 +230,6 @@ class MutualCompiled(_GroupEvaluation):
             for name in self.funcs
         }
         run, self.source = compile_group(kernels, self.mutual)
-        global_lo, global_hi = self.mutual.global_range(self.domains)
-        run(self.tables, ctxs, global_lo, global_hi)
-        for name in self.funcs:
-            self.filled[name][...] = True
-        return self.tables
-
-
-class MutualVectorised(_GroupEvaluation):
-    """Vectorised compiled execution: each member's space sweep runs
-    as NumPy lanes under the single global time loop.
-
-    The vector group backend
-    (:func:`repro.ir.npbackend.compile_vector_group`) is the lane-wise
-    twin of the scalar group module — same global partition
-    interleaving, whole partitions at a time. Falls back with a
-    :class:`~repro.lang.errors.CodegenError` when a member fails the
-    vector shape rules (the caller can retry ``engine="compiled"``).
-    """
-
-    def run(self) -> Dict[str, np.ndarray]:
-        """Run the vectorised group module; returns the tables."""
-        from ..ir.kernel import build_kernel
-        from ..ir.npbackend import compile_vector_group
-        from .context import build_context
-
-        kernels = {
-            name: build_kernel(
-                func, self.mutual[name].schedule,
-                compute_window=False,
-            )
-            for name, func in self.funcs.items()
-        }
-        ctxs = {
-            name: build_context(
-                kernels[name], self.bindings[name], self.domains[name]
-            )
-            for name in self.funcs
-        }
-        run, self.source = compile_vector_group(kernels, self.mutual)
         global_lo, global_hi = self.mutual.global_range(self.domains)
         run(self.tables, ctxs, global_lo, global_hi)
         for name in self.funcs:
@@ -326,10 +292,10 @@ def solve_mutual(
 ) -> MutualResult:
     """Schedule and evaluate one mutual group, end to end.
 
-    ``engine``: ``"vector"`` (vectorised group module — fastest),
-    ``"compiled"`` (generated scalar group module), ``"lockstep"``
-    (interpreted, with barrier/race checking, the default) or
-    ``"serial"`` (interpreted tabulation).
+    ``engine``: ``"compiled"`` (the generated group module — the fast
+    path), ``"lockstep"`` (interpreted, with barrier/race checking,
+    the default) or ``"serial"`` (interpreted tabulation). Anything
+    else raises :class:`~repro.lang.errors.RuntimeDslError`.
     """
     initial = initial or {}
     domains = {
@@ -343,7 +309,6 @@ def solve_mutual(
         funcs, domains, coeff_bound, offset_bound
     )
     engine_cls = {
-        "vector": MutualVectorised,
         "compiled": MutualCompiled,
         "lockstep": MutualLockStep,
         "serial": MutualTabulator,

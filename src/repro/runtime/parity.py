@@ -2,27 +2,41 @@
 
 Three executable backends produce the same tables from the same
 kernels: the scalar Python generator, the NumPy vector generator and
-the native C backend. Integer tables must match **bitwise** in every
-pair — any difference is a codegen bug or device corruption. That
-holds over all of int64, not just ``|v| <= 2**53``: the native
-prelude's ``lmin``/``lmax`` keep an integer cell expression in
-``long`` from its literals to its store (the ``double`` ``min``/
-``max`` helpers it used before rounded operands above 2**53). The
-two constructs that still pass through ``double`` on the native rung
-— integer ``/`` (``trunc(a / b)``, as on the other rungs) and
-reductions (``double`` accumulators) — are exact to 2**53.
+the native C backend. All three print the cell expression through one
+walk and spell every operation from one table,
+:data:`repro.ir.cell.OPS` — the single source of what ``min``,
+``max``, integer ``/``, ``log``, ``logaddexp``, the infinities,
+selects and the reductions compute; ``tests/ir/test_cell.py``
+evaluates every row on every target. Two of its rules decide values
+the backends once disagreed on:
+
+* ``min(a, b)`` is ``a < b ? a : b`` and ``max(a, b)`` is
+  ``a > b ? a : b`` — what ``minsd``/``maxsd`` compute: a NaN operand,
+  or two equal ones, give ``b``. The reference interpreter folds its
+  ``min``/``max`` with the same helpers.
+* ``safelog(x)`` is ``log(x)`` for ``x > 0`` and ``-inf`` otherwise
+  (zero, negatives, NaN); nothing positive is clamped, subnormals
+  included.
+
+Integer tables must match **bitwise** in every pair — any difference
+is a codegen bug or device corruption. That holds over all of int64,
+not just ``|v| <= 2**53``: the native prelude's ``lmin``/``lmax`` keep
+an integer cell expression in ``long`` from its literals to its store.
+The two constructs that still pass through ``double`` on every rung —
+integer ``/`` (``trunc(a / b)``) and reductions (``double``
+accumulators) — are exact to 2**53.
 
 Float tables are bitwise *almost* everywhere:
 
-* **native vs scalar is bitwise.** The emitted C helpers use the
-  exact formulas of the scalar prelude (``logaddexp(a, b) =
-  hi + log(1.0 + exp(lo - hi))`` with the same -inf guards,
-  ``safelog``, truncating integer division) and both sides evaluate
-  them through the platform libm in double precision, one cell at a
-  time, in the same order.
-* **vector vs anything is ulp-close, not bitwise.** NumPy's
-  ``np.logaddexp`` ufunc is a different implementation of the same
-  function; on log-space reduction kernels the accumulated difference
+* **native vs scalar is bitwise.** Both evaluate the table's formulas
+  through the platform libm in double precision, one cell at a time,
+  in the same order. (A NaN is a NaN: which operand's sign and payload
+  a NaN result carries is the hardware's operand order, which a
+  compiler may swap.)
+* **vector vs anything is ulp-close, not bitwise.** NumPy evaluates
+  ``exp`` and ``log`` (in ``logaddexp`` and ``safelog``) with its own
+  SIMD routines, which may differ from libm's in the last ulp; on
+  log-space reduction kernels the accumulated difference
   stays within a few ulps per cell. Hence the float tolerance below:
   tight enough that real divergence (a wrong guard, a transposed
   index, a NaN payload, an exponent bit-flip) lands far outside it,
@@ -49,8 +63,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Relative tolerance for float tables across backends. Covers the
-#: ulp-level spread of ``np.logaddexp`` vs the shared scalar/native
-#: formula on log-space reductions.
+#: ulp-level spread of NumPy's ``exp``/``log`` vs libm's in the
+#: shared ``logaddexp`` formula on log-space reductions.
 FLOAT_RTOL = 1e-9
 
 #: Absolute floor for values near zero (log space rarely gets there,
@@ -62,7 +76,7 @@ def tables_agree(a: np.ndarray, b: np.ndarray) -> bool:
     """Backend-grade agreement: exact for ints, tight for floats.
 
     Float kernels may differ in the last few ulps between backends
-    (``np.logaddexp`` vs the scalar/native helper); corruption
+    (NumPy's ``exp``/``log`` vs libm's); corruption
     payloads (NaN, exponent bit-flips) are far outside this
     tolerance.
     """

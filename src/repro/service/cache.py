@@ -59,7 +59,12 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 #: certificates have three axes. A v6 record — a persisted autotune
 #: winner, or a native record whose certificate still has a ``ring``
 #: field — is evicted unread.
-KEY_FORMAT = 7
+#: v8: the Python and NumPy preludes are rendered from one operation
+#: table (``repro.ir.cell.OPS``) with C's helper names and formulas; a
+#: v7 ``python-src`` record re-exec'd its stored source, old prelude
+#: and all, so it would keep answering with the old ``min``/``max``
+#: and ``safelog``.
+KEY_FORMAT = 8
 
 #: Leading magic of every on-disk record. Checked *before* the pickle
 #: payload is touched: entries written by an older (or entirely

@@ -6,12 +6,12 @@ profile-HMM search, Nussinov folding) produces *bitwise* identical
 tables to the scalar interpreter — including log space, because the C
 helpers spell the scalar prelude's exact formulas through the same
 platform libm. Against the vector backend the comparison goes through
-the :mod:`repro.runtime.parity` policy instead (numpy's ``logaddexp``
-may differ in the last ulps).
+the :mod:`repro.runtime.parity` policy instead (NumPy's ``exp``/``log``
+may differ from libm's in the last ulps).
 
 Gotoh is absent by design: mutual-group members read each other's
 tables and the native backend refuses them (rule
-``cross-table-read``); the group backends cover that app.
+``cross-table-read``); the scalar group module covers that app.
 """
 
 import numpy as np

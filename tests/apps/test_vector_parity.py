@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.apps.gene_finder import GeneFinder, build_gene_finder_hmm
-from repro.apps.gotoh import GotohAligner
 from repro.apps.profile_hmm import ProfileSearch, tk_model
 from repro.apps.smith_waterman import SmithWaterman
 from repro.apps.viterbi_decode import ViterbiDecoder
@@ -40,21 +39,6 @@ class TestSmithWaterman:
         assert a.value == b.value
         assert a.table.tobytes() == b.table.tobytes()
         assert_vectorised(auto.engine)
-
-
-class TestGotoh:
-    def test_vector_group_matches_compiled(self):
-        a = random_protein(18, seed=3)
-        b = random_protein(21, seed=4)
-        aligner = GotohAligner()
-        compiled = aligner.align(a, b, engine="compiled")
-        vector = aligner.align(a, b, engine="vector")
-        assert vector.score == compiled.score
-        for name, table in compiled.result.tables.items():
-            assert (
-                vector.result.tables[name].tobytes()
-                == table.tobytes()
-            )
 
 
 class TestViterbiDecode:

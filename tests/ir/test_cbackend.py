@@ -197,7 +197,7 @@ class TestEmission:
 
 class TestWindowColumn:
     """Which dimension addresses the Section 4.8 ring's columns is
-    the shared cell printer's rule (``CCellEmitter.window_col``);
+    the C cell dialect's rule (``CCell.window_col``);
     the CUDA text is what renders it."""
 
     def test_diagonal_ring_uses_first_dim(self, forward_kernel):
@@ -244,6 +244,39 @@ class TestEligibility:
         assert verdict.ok
         assert kernel.window is None
         assert verdict.detail.endswith("partition loop in C)")
+
+    LOG_OF_A_SUM = (
+        "prob f(seq[en] s, index[s] i, float w) = if i == 0 then 1.0 "
+        "else f(i - 1) * sum(k in 0 .. i - 1 : w)"
+    )
+
+    def test_log_of_a_reduction_renders(self):
+        """In log space ``f(i - 1) * sum(...)`` takes ``safelog`` of
+        a float reduction: a spilled ``Log``, which the C printer once
+        could not emit."""
+        func = check_function(parse_function(self.LOG_OF_A_SUM), EN)
+        for mode in ("direct", "logspace"):
+            kernel = build_kernel(func, Schedule.of(i=1), mode)
+            verdict = native_eligibility(kernel)
+            assert verdict.ok, (mode, verdict.detail)
+        assert "= safelog(_t" in emit_native_source(kernel)
+
+    def test_log_of_a_reduction_matches_scalar_bitwise(self):
+        from repro.runtime import native
+        from repro.runtime.engine import Engine
+        from repro.runtime.values import ENGLISH, Sequence
+
+        if not native.available().ok:
+            pytest.skip("no working C compiler in this environment")
+        func = check_function(parse_function(self.LOG_OF_A_SUM), EN)
+        bindings = {"s": Sequence("kitten" * 3, ENGLISH), "w": 0.5}
+        scalar = Engine(backend="scalar", prob_mode="logspace").run(
+            func, dict(bindings)
+        )
+        engine = Engine(backend="native", prob_mode="logspace")
+        compiled = engine.run(func, dict(bindings))
+        assert compiled.table.tobytes() == scalar.table.tobytes()
+        assert {e.backend for e in engine._cache.values()} == {"native"}
 
     def test_mutual_group_member_rejected(self):
         """Cross-table reads have no single-kernel C rendering."""

@@ -1,4 +1,4 @@
-"""Tests for the compiled mutual-group backend."""
+"""Tests for the compiled mutual-group module (pybackend)."""
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ class TestCompiledGroup:
                 )
 
     def test_generated_source_structure(self):
-        from repro.ir.groupbackend import emit_group_source
+        from repro.ir.pybackend import emit_group_source
         from repro.ir.kernel import build_kernel
         from repro.analysis.domain import Domain
         from repro.schedule.mutual_rec import find_mutual_schedules
@@ -73,14 +73,17 @@ class TestCompiledGroup:
         assert tagged[0].table == "g"
 
     def test_unknown_engine_rejected(self):
+        """``"vector"`` is unknown too: the vectorised group module
+        is gone; ``"compiled"`` is the fast path."""
         funcs = funcs_of(PING_PONG, ("f", "g"))
         bindings = {"f": Bindings({}), "g": Bindings({})}
-        with pytest.raises(RuntimeDslError, match="unknown mutual"):
-            solve_mutual(
-                funcs, bindings,
-                initial={"f": {"n": 3}, "g": {"n": 3}},
-                engine="quantum",
-            )
+        for engine in ("quantum", "vector"):
+            with pytest.raises(RuntimeDslError, match="unknown mutual"):
+                solve_mutual(
+                    funcs, bindings,
+                    initial={"f": {"n": 3}, "g": {"n": 3}},
+                    engine=engine,
+                )
 
     def test_gotoh_compiled_at_scale(self):
         """The compiled path handles sizes the interpreters cannot."""

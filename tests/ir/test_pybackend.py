@@ -245,7 +245,7 @@ class TestLogaddexp:
     def logaddexp(self):
         namespace = {}
         exec(_PRELUDE, namespace)
-        return namespace["_logaddexp"]
+        return namespace["logaddexp"]
 
     @settings(max_examples=2000, deadline=None)
     @given(doubles, doubles)

@@ -367,24 +367,25 @@ class TestFormatGuard:
     def test_previous_format_record_is_a_miss_not_a_misload(
         self, tmp_path, edit_func
     ):
-        """Format 6 records are a persisted autotune winner — a kind
-        this format no longer has — or a native product whose pickled
-        certificate still carries a ``ring`` axis: neither may be
+        """Format 7 records re-exec a Python prelude this format no
+        longer emits; format 6 ones are a persisted autotune winner —
+        a kind this format no longer has — or a native product whose
+        pickled certificate still carries a ``ring`` axis: none may be
         unpickled into today's classes. Keys embed the format, so a
-        format-7 process never asks for one; and a file that does sit
-        under a current key with the old header is evicted unread,
+        format-8 process never asks for one; and a file that does sit
+        under a current key with an old header is evicted unread,
         then replaced by a fresh build."""
         from repro.service import cache as cache_mod
         from repro.service.cache import MAGIC, canonical_kernel_form
 
-        assert cache_mod.KEY_FORMAT == 7
+        assert cache_mod.KEY_FORMAT == 8
         warm = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
         warm.run(edit_func, ARGS)
         compiled = warm._cache.values()[0]
         form = canonical_kernel_form(
             edit_func, compiled.schedule, "direct", compiled.backend
         )
-        assert form.startswith("v7\n")
+        assert form.startswith("v8\n")
         (name,) = record_names(tmp_path)
         path = tmp_path / name
         for stale in (
@@ -395,9 +396,17 @@ class TestFormatGuard:
                 "schedule": {"dims": ["i", "j"], "coefficients": [1, 2]},
                 "meta": {"predicted_cycles": Tripwire()},
             },
+            {
+                "format": 7,
+                "kind": "python-src",
+                "payload": Tripwire(),
+                "source": "def kernel(T, ctx): return min(1, 2)",
+            },
         ):
             Tripwire.unpickled = False
-            record = b"repro-kernel-cache:6\n" + pickle.dumps(stale)
+            record = b"repro-kernel-cache:%d\n" % stale["format"] + (
+                pickle.dumps(stale)
+            )
             with pytest.raises(ValueError, match="stale or foreign"):
                 decode_compiled(record)
             path.write_bytes(record)
