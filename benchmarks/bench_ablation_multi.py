@@ -1,9 +1,9 @@
 """Ablation (Section 4.7): conditional parallelisation.
 
 For a heterogeneous mix of problem shapes, applying the per-problem
-minimal schedule (the compile-time schedule set plus runtime
-conditions) is compared against forcing any single fixed schedule on
-every problem. The paper's motivating example: ``f(x, y) = ..
+minimal schedule (the compile-time candidates plus the per-problem
+pick) is compared against forcing any single fixed schedule on every
+problem. The paper's motivating example: ``f(x, y) = ..
 f(x-1, y-1)`` — ``S = x`` is right when ``nx < ny``, ``S = y``
 otherwise.
 """
@@ -18,8 +18,8 @@ from repro.gpu.timing import kernel_cost
 from repro.ir.kernel import build_kernel
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.schedule.multi import derive_schedule_set
 from repro.schedule.schedule import Schedule
+from repro.schedule.solver import find_schedule, optimal_candidates
 
 from conftest import write_table
 
@@ -49,16 +49,18 @@ def _total_seconds(func, schedule_for):
 
 def test_multi_schedule_ablation_report(benchmark):
     func = check_function(parse_function(SOURCE), EN)
-    schedule_set = derive_schedule_set(func)
-    assert len(schedule_set) == 2
+    candidates = [
+        Schedule(func.dim_names, v) for v in optimal_candidates(func)
+    ]
+    assert len(candidates) == 2
 
     def compute():
         rows = []
         conditional = _total_seconds(
-            func, lambda d: schedule_set.select(d.extent_map())
+            func, lambda d: find_schedule(func, d)
         )
         rows.append(("conditional (Section 4.7)", conditional, 1.0))
-        for fixed in schedule_set:
+        for fixed in candidates:
             seconds = _total_seconds(func, lambda d: fixed)
             rows.append(
                 (f"fixed {fixed}", seconds, seconds / conditional)

@@ -1,6 +1,8 @@
 """Section 4.6: the schedule-search CSP.
 
-Times both solvers (the paper's sign-orthant decomposition and the
+Times ``find_schedule`` (which picks uniform recursions' schedules
+from their compile-time candidates) and both solvers (the paper's
+sign-orthant decomposition, for uniform recursions only, and the
 exhaustive reference) on the evaluation recursions, and verifies they
 find equally good schedules.
 """
@@ -13,8 +15,13 @@ from repro.analysis.domain import Domain
 from repro.apps.hmm_algorithms import forward_function
 from repro.apps.smith_waterman import smith_waterman_function
 from repro.lang.parser import parse_function
+from repro.analysis import function_plan
 from repro.lang.typecheck import check_function
-from repro.schedule.solver import find_schedule
+from repro.schedule.solver import (
+    EnumerativeSolver,
+    OrthantSolver,
+    find_schedule,
+)
 
 from conftest import write_table
 
@@ -53,16 +60,25 @@ CASES = {
 }
 
 
+SOLVERS = {
+    "find_schedule": find_schedule,
+    "orthant": lambda func, domain: OrthantSolver().solve(
+        func.dim_names, function_plan(func).criteria, domain
+    ),
+    "enumerative": lambda func, domain: EnumerativeSolver().solve(
+        func.dim_names, function_plan(func).criteria, domain
+    ),
+}
+
+
 @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
-@pytest.mark.parametrize("solver", ["orthant", "enumerative"])
+@pytest.mark.parametrize("solver", list(SOLVERS))
 def test_solver_speed(benchmark, case, solver):
     func, domain = CASES[case]
-
-    def solve():
-        return find_schedule(func, domain, solver=solver)
-
-    schedule = benchmark(solve)
-    reference = find_schedule(func, domain, solver="enumerative")
+    if solver == "orthant" and not function_plan(func).is_uniform:
+        pytest.skip("the orthant decomposition needs uniform criteria")
+    schedule = benchmark(SOLVERS[solver], func, domain)
+    reference = SOLVERS["enumerative"](func, domain)
     assert schedule.num_partitions(domain) == (
         reference.num_partitions(domain)
     )

@@ -16,8 +16,8 @@ from repro.lang.typecheck import check_function
 from repro.polyhedral import emit_c_inlined, generate_loops
 from repro.schedule import (
     Schedule,
-    derive_schedule_set,
     find_schedule,
+    optimal_candidates,
     window_size,
 )
 
@@ -68,11 +68,11 @@ def main() -> None:
         ),
         EN,
     )
-    schedule_set = derive_schedule_set(diagonal)
+    candidates = optimal_candidates(diagonal)
     print(f"  candidate schedules: "
-          f"{[str(s) for s in schedule_set]}")
+          f"{[str(Schedule(diagonal.dim_names, v)) for v in candidates]}")
     for extents in ({"x": 3, "y": 50}, {"x": 50, "y": 3}):
-        chosen = schedule_set.select(extents)
+        chosen = find_schedule(diagonal, Domain.of(**extents))
         print(f"  extents {extents} -> {chosen}")
 
     print("\n=== Section 4.8: sliding window " + "=" * 23)

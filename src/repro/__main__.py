@@ -177,7 +177,6 @@ def explain_main(argv) -> int:
     from .lang.errors import ScheduleError
     from .lang.parser import parse_program
     from .lang.typecheck import check_program
-    from .schedule.multi import derive_schedule_set
     from .schedule.solver import find_schedule
     from .verify import verify_schedule
 
@@ -207,23 +206,18 @@ def explain_main(argv) -> int:
             record["status"] = "not-a-recurrence"
             emit(f"{name}: not a recurrence (nothing to schedule)")
             continue
+        # A nominal domain stands in for the unknown problem extents.
+        nominal = Domain(
+            func.dim_names, tuple(16 for _ in func.recursive_params)
+        )
         try:
-            schedule = derive_schedule_set(func).schedules[0]
-        except (ScheduleError, DslError):
-            # Non-uniform descents need the runtime search; a nominal
-            # domain stands in for the unknown problem extents.
-            nominal = Domain(
-                func.dim_names,
-                tuple(16 for _ in func.recursive_params),
-            )
-            try:
-                schedule = find_schedule(func, nominal)
-            except (ScheduleError, DslError) as err:
-                record["status"] = "no-schedule"
-                record["error"] = str(err)
-                emit(f"{name}: no schedule ({err})")
-                failures += 1
-                continue
+            schedule = find_schedule(func, nominal)
+        except (ScheduleError, DslError) as err:
+            record["status"] = "no-schedule"
+            record["error"] = str(err)
+            emit(f"{name}: no schedule ({err})")
+            failures += 1
+            continue
         kernel = build_kernel(func, schedule, args.prob_mode)
         from .verify.races import parallelism_certificate
 

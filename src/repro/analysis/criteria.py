@@ -15,7 +15,8 @@ Range-reduction descents (Section 5's looping extension) add binder
 variables ``lo(x) <= k <= hi(x)``: the delta is affine in ``(x, k)``,
 so it is minimised by pinning each binder to one of its (affine)
 bounds and minimising the resulting affine functions over the box,
-subject to the ranges being non-empty — a small linear program.
+subject to the ranges being non-empty — a small linear program,
+solved exactly by enumerating its vertices in rationals.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..lang.errors import ScheduleError
 from ..lang.typecheck import CheckedFunction
 from .affine import Affine
-from .descent import DescentFunction, extract_descents
+from .descent import BinderBound, DescentFunction, extract_descents
 
 
 def min_affine_over_box(
@@ -44,9 +46,9 @@ def min_affine_over_box(
     itself empty. A single-point dimension (extent 1) pins its
     coordinate at 0 and is handled by the ordinary corner formula.
     Without constraints this is the exact corner formula; with
-    constraints it is the LP-relaxation minimum — a safe lower bound
-    for the integer minimum (the criterion only needs a positive lower
-    bound).
+    constraints it is the exact minimum of the real relaxation — a
+    safe lower bound for the integer minimum (the criterion only needs
+    a positive lower bound).
     """
     names = sorted(
         set(affine.dims()).union(
@@ -57,28 +59,87 @@ def min_affine_over_box(
         return None
     if not constraints:
         return float(affine.min_over_box(extents))
-
-    from scipy.optimize import linprog
-    if not names:
-        for con in constraints:
-            if con.const < 0:
-                return None
-        return float(affine.const)
+    # The region is a bounded polytope: when it is non-empty it has a
+    # vertex and attains its minimum at one. A vertex is where ``n``
+    # linearly independent faces meet — box faces ``x_k = 0``,
+    # ``x_k = N_k - 1`` or constraint hyperplanes ``c(x) = 0`` — and
+    # lies in the region.
+    rank = len(names)
+    faces = []
+    for k, dim in enumerate(names):
+        unit = [int(k == j) for j in range(rank)]
+        faces += [(unit, 0), (unit, extents[dim] - 1)]
+    rows = [[c.coefficient(d) for d in names] for c in constraints]
+    faces += [(row, -c.const) for row, c in zip(rows, constraints)]
     objective = [affine.coefficient(d) for d in names]
-    a_ub = [[-con.coefficient(d) for d in names] for con in constraints]
-    b_ub = [float(con.const) for con in constraints]
-    bounds = [(0.0, float(extents[d] - 1)) for d in names]
-    result = linprog(
-        objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
-    )
-    if result.status == 2:  # infeasible: the ranges are never entered
-        return None
-    if not result.success:
-        raise ScheduleError(
-            f"could not minimise {affine} over the constrained box: "
-            f"{result.message}"
+    values = [
+        _dot(objective, point)
+        for point in map(
+            _solve_exactly, itertools.combinations(faces, rank)
         )
-    return float(result.fun) + affine.const
+        if point is not None
+        and all(0 <= x <= extents[d] - 1 for x, d in zip(point, names))
+        and all(
+            _dot(row, point) + c.const >= 0
+            for row, c in zip(rows, constraints)
+        )
+    ]
+    return float(min(values) + affine.const) if values else None
+
+
+def _dot(row: Sequence[int], point: Sequence[Fraction]) -> Fraction:
+    return sum((a * x for a, x in zip(row, point)), Fraction(0))
+
+
+def _solve_exactly(
+    equations: Sequence[Tuple[Sequence[int], int]]
+) -> Optional[List[Fraction]]:
+    """The solution of the square system ``row . x = rhs``, by
+    Gauss-Jordan elimination in rationals; ``None`` when singular."""
+    m = [
+        [Fraction(a) for a in row] + [Fraction(rhs)]
+        for row, rhs in equations
+    ]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [m[k][n] / m[k][k] for k in range(n)]
+
+
+def min_over_binders(
+    delta: Affine,
+    binders: Sequence[BinderBound],
+    extents: Mapping[str, int],
+) -> float:
+    """``min delta`` over the box and its binders ``lo <= k <= hi``.
+
+    An affine function of a binder is extremised at one of its ends,
+    so every used binder is pinned to ``lo`` or ``hi`` and the true
+    minimum is among those pinnings, each minimised subject to every
+    range being non-empty (``hi - lo >= 0``). ``math.inf`` when the
+    ranges are empty everywhere: the dependence never materialises.
+    """
+    used = [b for b in binders if delta.coefficient(b.name)]
+    constraints = [b.hi - b.lo for b in binders]
+    minima = [
+        min_affine_over_box(
+            delta.substitute({
+                b.name: b.hi if end else b.lo
+                for b, end in zip(used, ends)
+            }),
+            extents,
+            constraints,
+        )
+        for ends in itertools.product((0, 1), repeat=len(used))
+    ]
+    return min((m for m in minima if m is not None), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -142,33 +203,6 @@ class Criterion:
             total -= abs(a_k) * (extents[comp.dim] - 1)
         return total
 
-    def _binder_candidates(
-        self, delta: Affine
-    ) -> Tuple[List[Affine], List[Affine]]:
-        """Pin every used binder to its bounds.
-
-        Returns the candidate delta functions (one per assignment of
-        binders to {lo, hi}) and the non-emptiness constraints
-        ``hi - lo >= 0``; an affine function of a binder is extremised
-        at one of its ends, so the true minimum is among the
-        candidates.
-        """
-        used = [
-            b for b in self.descent.binders
-            if delta.coefficient(b.name) != 0
-        ]
-        constraints = [b.hi - b.lo for b in self.descent.binders]
-        if not used:
-            return [delta], constraints
-        candidates: List[Affine] = []
-        for ends in itertools.product((0, 1), repeat=len(used)):
-            substitution = {
-                b.name: (b.lo if end == 0 else b.hi)
-                for b, end in zip(used, ends)
-            }
-            candidates.append(delta.substitute(substitution))
-        return candidates, constraints
-
     def min_delta(
         self,
         coeffs: Mapping[str, int],
@@ -184,17 +218,10 @@ class Criterion:
                 f"criterion for call {self.descent.call} is not "
                 f"uniform; validity needs the runtime extents"
             )
-        candidates, constraints = self._binder_candidates(delta)
-        minima = [
-            min_affine_over_box(candidate, extents, constraints)
-            for candidate in candidates
-        ]
-        feasible = [m for m in minima if m is not None]
-        if not feasible:
-            # The reduction range is empty everywhere: the dependence
-            # never materialises.
-            return math.inf
-        return min(feasible) + free_part
+        return (
+            min_over_binders(delta, self.descent.binders, extents)
+            + free_part
+        )
 
     def is_satisfied(
         self,

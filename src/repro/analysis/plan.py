@@ -13,11 +13,10 @@ The plan rides on the :class:`~repro.lang.typecheck.CheckedFunction`
 object itself (never in a table keyed by ``id()``, which the
 allocator reuses) and is recomputed when ``func.definition`` is
 replaced. The layers that own a derivation fill its slot on first
-use: :mod:`repro.schedule.multi` the schedule sets,
-:mod:`repro.schedule.solver` the candidate vectors,
-:mod:`repro.verify.soundness` its extent-free call-site verdicts —
-which the solvers never read, so a solver bug still cannot certify
-its own output.
+use: :mod:`repro.schedule.solver` the candidate vectors every uniform
+schedule is picked from, :mod:`repro.verify.soundness` its
+extent-free call-site verdicts — which the solver never reads, so a
+solver bug still cannot certify its own output.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ class FunctionPlan:
     criteria: Tuple[Criterion, ...]
     #: Is every descent uniform (``x_k + c_k`` in every component)?
     is_uniform: bool
-    #: Coefficient bound -> the Section 4.7 ``ScheduleSet``, or the
-    #: ``ScheduleError`` its derivation raised.
-    schedule_sets: Dict[int, object] = field(default_factory=dict)
     #: Coefficient bound -> the vectors that can be optimal for *some*
     #: extents, in preference order; ``None`` when the coefficient box
     #: is too large to enumerate (the per-extents solver runs then).

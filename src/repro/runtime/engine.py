@@ -52,7 +52,6 @@ from ..lang.errors import (
     AnalysisError,
     NativeBuildError,
     RuntimeDslError,
-    ScheduleError,
     VerificationError,
 )
 from ..lang.typecheck import CheckedFunction
@@ -60,12 +59,9 @@ from ..lang.types import (
     HmmType,
     IndexType,
     IntType,
-    MatrixType,
-    SeqType,
     StateType,
     TransitionType,
 )
-from ..schedule.multi import derive_schedule_set
 from ..schedule.schedule import Schedule
 from ..schedule.solver import find_schedule, optimal_candidates
 from ..service.cache import (
@@ -494,8 +490,10 @@ class Engine:
         bindings: Optional[Bindings] = None,
     ) -> Schedule:
         """Pick the schedule: verify the user's, or search (Section
-        4.6: fewest partitions). ``bindings`` is accepted and unused —
-        the choice reads the function and the extents only."""
+        4.6: fewest partitions). The one way the engine chooses a
+        schedule, for :meth:`run` and :meth:`map_run` alike.
+        ``bindings`` is accepted and unused — the choice reads the
+        function and the extents only."""
         if user_schedule is not None:
             from ..schedule.schedule import validate_user_schedule
 
@@ -798,29 +796,22 @@ class Engine:
         """Bind, size, schedule, verify and compile every problem.
 
         Per member only what depends on the member: the bindings
-        merge, the extents, the schedule selection. Within the call
-        the rung and product are resolved once per distinct
+        merge, the extents, the schedule (:meth:`schedule_for`'s, the
+        one :meth:`run` picks for that box). Within the call the rung
+        and product are resolved once per distinct
         (schedule, size class) and the verifier is asked once per
         distinct verdict key — so whatever it proves per box (the
         brute-force leg, non-uniform descents, ``verify="full"``) is
         still proved per box, while any number of members under one
         extent-free verdict cost one memo probe.
         """
-        try:
-            schedule_set = derive_schedule_set(func)
-        except ScheduleError:
-            schedule_set = None
-
         prepared = []
         products: Dict[tuple, CompiledKernel] = {}
         proved: set = set()
         for overrides in problems:
             bound = Bindings({**base_bindings, **overrides})
             domain = self.domain_of(func, bound, initial)
-            if schedule_set is not None:
-                schedule = schedule_set.select(domain.extent_map())
-            else:
-                schedule = self.schedule_for(func, domain)
+            schedule = self.schedule_for(func, domain)
             verdict = self._verdict_key(func, schedule, domain)
             if verdict is not None and verdict not in proved:
                 self._verdict(verdict, func, schedule, domain)
@@ -869,12 +860,12 @@ class Engine:
 
         Each problem overrides some calling parameters (typically the
         database sequence) and runs on a multiprocessor of its own,
-        its threads cooperating on partitions. Schedules come from the
-        compile-time schedule set when the descents are uniform,
-        chosen per problem by the minimality condition; otherwise each
-        problem gets a runtime search (both paths share the kernel
-        cache). The device-time accounting is priced when the
-        result's ``report``/``costs``/... are first read (see
+        its threads cooperating on partitions. Each problem gets the
+        schedule :meth:`run` would pick for its box (Section 4.7's
+        per-problem choice: a pick among the function's compile-time
+        candidates when the descents are uniform, a search memoised
+        per extents otherwise). The device-time accounting is priced
+        when the result's ``report``/``costs``/... are first read (see
         :class:`MapResult`). ``_launch`` is the private launch seam of
         :meth:`run`.
         """

@@ -1,6 +1,5 @@
 """Schedules: representation, validation, search, windows (Section 4)."""
 
-from .multi import ScheduleSet, derive_schedule_set
 from .mutual_rec import (
     FunctionSchedule,
     MutualSchedule,
@@ -17,6 +16,7 @@ from .solver import (
     EnumerativeSolver,
     OrthantSolver,
     find_schedule,
+    optimal_candidates,
 )
 from .window import window_rows, window_size
 
@@ -28,12 +28,11 @@ __all__ = [
     "find_mutual_schedules",
     "brute_force_valid",
     "validate_user_schedule",
-    "ScheduleSet",
-    "derive_schedule_set",
     "DEFAULT_BOUND",
     "EnumerativeSolver",
     "OrthantSolver",
     "find_schedule",
+    "optimal_candidates",
     "window_rows",
     "window_size",
 ]

@@ -24,17 +24,17 @@ valid assignment is optimal.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from ..analysis.criteria import min_affine_over_box
+from ..analysis.criteria import min_over_binders
 from ..analysis.cross import CrossDescent, extract_cross_descents
 from ..analysis.affine import Affine
 from ..analysis.domain import Domain
 from ..lang.errors import ScheduleError
 from ..lang.typecheck import CheckedFunction
 from .schedule import Schedule
+from .solver import tie_break_key
 
 #: Default coefficient bound for the joint search (tighter than the
 #: single-function bound: the joint space is a product).
@@ -140,34 +140,13 @@ class CrossCriterion:
             assert comp.affine is not None
             delta = delta - comp.affine.scale(a_k)
 
-        constant = offsets[descent.caller] - offsets[descent.callee]
-        delta = delta + Affine.constant(constant)
-
-        candidates = [delta]
-        constraints: List[Affine] = []
-        used = [
-            b for b in descent.binders
-            if any(c.coefficient(b.name) for c in candidates)
-        ]
-        constraints = [b.hi - b.lo for b in descent.binders]
-        if used:
-            expanded: List[Affine] = []
-            for ends in itertools.product((0, 1), repeat=len(used)):
-                substitution = {
-                    b.name: (b.lo if end == 0 else b.hi)
-                    for b, end in zip(used, ends)
-                }
-                expanded.append(delta.substitute(substitution))
-            candidates = expanded
-
-        minima = [
-            min_affine_over_box(c, caller_extents, constraints)
-            for c in candidates
-        ]
-        feasible = [m for m in minima if m is not None]
-        if not feasible:
-            return math.inf  # the call is never reachable
-        return min(feasible) + free_min
+        delta = delta + Affine.constant(
+            offsets[descent.caller] - offsets[descent.callee]
+        )
+        return (
+            min_over_binders(delta, descent.binders, caller_extents)
+            + free_min
+        )
 
     def is_satisfied(self, coeffs, offsets, domains) -> bool:
         """Does the joint assignment satisfy this edge?"""
@@ -252,11 +231,9 @@ def find_mutual_schedules(
             lows.append(lo + offset)
             highs.append(hi + offset)
         span = max(highs) - min(lows)
-        tie = tuple(
-            (abs(a), a < 0)
-            for vector in coeff_vectors
-            for a in vector
-        ) + tuple(abs(o) for o in offset_vector)
+        tie = tie_break_key(sum(coeff_vectors, ())) + tuple(
+            abs(o) for o in offset_vector
+        )
         return (span, tie)
 
     assignments = sorted(

@@ -13,30 +13,29 @@ a linear function is extremised component-wise: fixing the *sign* of
 each ``a_k`` fixes which corner of the box maximises/minimises it,
 giving up to ``2^n`` linear sub-problems (Section 4.6).
 
-Two solvers are provided and cross-checked in the test suite:
+:func:`find_schedule` is the one place a schedule is chosen, and it
+dispatches once, on the function's analysis plan:
 
-* :class:`EnumerativeSolver` — exhaustive search over the bounded
-  coefficient box, in order of increasing partition count, so the
-  first valid vector found is optimal. Handles every criterion kind.
-* :class:`OrthantSolver` — the paper's sign-orthant CSP decomposition,
-  solved per orthant with a bounded integer linear program. Restricted
-  to uniform criteria (general affine criteria make the constraint
-  matrix sign-dependent on ``a`` beyond the orthant pattern; the
-  solver falls back to enumeration for those).
+* no recursive calls — the zero schedule;
+* uniform descents, enumerable coefficient box — a pick among
+  :func:`optimal_candidates`. The criteria do not mention the extents
+  (Section 4.5), so the vectors that can win for *some* extents are a
+  property of the function, derived once per (function, bound): the
+  compile-time candidates of Section 4.7, over every sign;
+* uniform descents beyond :data:`CANDIDATE_BOX_CAP` —
+  :class:`OrthantSolver`, the paper's sign-orthant CSP;
+* anything else — :class:`EnumerativeSolver`, exhaustive search in
+  order of increasing partition count.
 
-Coefficients are bounded (default 10, customisable — Section 4.7).
-
-When every descent is uniform the criteria do not mention the extents
-at all (Section 4.5), so the set of vectors that can win for *some*
-extents is a property of the function: :func:`optimal_candidates`
-derives it once per (function, bound) and :func:`find_schedule` then
-picks from it per problem — the same vector either solver returns.
+All three break ties by :func:`tie_break_key`, so they return the same
+vector wherever more than one applies; the test suite cross-checks
+them. Coefficients are bounded (default 10, customisable — Section
+4.7).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,15 +70,6 @@ def tie_break_key(vector: Tuple[int, ...]) -> Tuple:
     return tuple((abs(a), a < 0) for a in vector)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    """Diagnostics from a schedule search."""
-
-    candidates_checked: int
-    orthants_solved: int
-    partitions: int
-
-
 class EnumerativeSolver:
     """Exhaustive bounded search; the reference solver.
 
@@ -94,7 +84,6 @@ class EnumerativeSolver:
         if bound < 1:
             raise ValueError("coefficient bound must be >= 1")
         self.bound = bound
-        self.last_stats: Optional[SearchStats] = None
 
     def solve(
         self,
@@ -106,9 +95,7 @@ class EnumerativeSolver:
         criteria = tuple(criteria)
         extents = domain.extent_map()
         weights = [extents[d] - 1 for d in dims]
-        checked = 0
         for coeffs in self._candidates(len(dims), weights):
-            checked += 1
             schedule = Schedule(tuple(dims), coeffs)
             if schedule.is_zero:
                 continue
@@ -116,9 +103,6 @@ class EnumerativeSolver:
                 c.is_satisfied(schedule.coefficient_map(), extents)
                 for c in criteria
             ):
-                self.last_stats = SearchStats(
-                    checked, 0, schedule.num_partitions(domain)
-                )
                 return schedule
         raise ScheduleError(
             f"no valid schedule with |coefficients| <= {self.bound} for "
@@ -136,12 +120,9 @@ class EnumerativeSolver:
         """
         values = range(-self.bound, self.bound + 1)
         vectors = itertools.product(values, repeat=rank)
-
-        def key(vector: Tuple[int, ...]):
-            goal = sum(abs(a) * w for a, w in zip(vector, weights))
-            return (goal, tie_break_key(vector))
-
-        return sorted(vectors, key=key)
+        return sorted(
+            vectors, key=lambda v: (_goal(v, weights), tie_break_key(v))
+        )
 
 
 class OrthantSolver:
@@ -152,14 +133,14 @@ class OrthantSolver:
     criteria are linear constraints ``sum(-c_k * a_k) >= 1``, so each
     sub-problem is a small bounded ILP. Orthants whose sign pattern is
     already inconsistent with a criterion are skipped — the pruning
-    the paper describes.
+    the paper describes. Only uniform criteria are linear in ``a``
+    this way: any other raises :class:`ValueError`.
     """
 
     def __init__(self, bound: int = DEFAULT_BOUND) -> None:
         if bound < 1:
             raise ValueError("coefficient bound must be >= 1")
         self.bound = bound
-        self.last_stats: Optional[SearchStats] = None
 
     def solve(
         self,
@@ -170,39 +151,27 @@ class OrthantSolver:
         """Find the partition-minimal valid schedule."""
         criteria = tuple(criteria)
         if any(not c.is_uniform for c in criteria):
-            fallback = EnumerativeSolver(self.bound)
-            schedule = fallback.solve(dims, criteria, domain)
-            self.last_stats = fallback.last_stats
-            return schedule
-
+            raise ValueError(
+                "the orthant decomposition needs uniform criteria"
+            )
         extents = domain.extent_map()
         weights = [extents[d] - 1 for d in dims]
         offsets = [c.descent.uniform_offsets() for c in criteria]
-
+        orthants = itertools.product((1, -1), repeat=len(dims))
+        solutions = [
+            solution for solution in (
+                self._solve_orthant(signs, weights, offsets)
+                for signs in orthants
+            ) if solution is not None
+        ]
+        if not solutions:
+            raise _unschedulable(dims, self.bound)
         # Cross-orthant ties are ordered by the same key the
         # enumerative solver sorts with, not by orthant iteration
         # order — both solvers must return identical schedules.
-        best: Optional[Tuple[Tuple, Tuple[int, ...]]] = None
-        orthants = 0
-        for signs in itertools.product((1, -1), repeat=len(dims)):
-            orthants += 1
-            solution = self._solve_orthant(signs, weights, offsets)
-            if solution is None:
-                continue
-            goal = sum(
-                abs(a) * w for a, w in zip(solution, weights)
-            )
-            key = (goal, tie_break_key(solution))
-            if best is None or key < best[0]:
-                best = (key, solution)
-        if best is None:
-            raise ScheduleError(
-                f"no valid schedule with |coefficients| <= {self.bound} "
-                f"for dimensions {tuple(dims)}"
-            )
-        schedule = Schedule(tuple(dims), best[1])
-        self.last_stats = SearchStats(0, orthants, best[0][0] + 1)
-        return schedule
+        return Schedule(tuple(dims), min(
+            solutions, key=lambda v: (_goal(v, weights), tie_break_key(v))
+        ))
 
     def _solve_orthant(
         self,
@@ -322,15 +291,12 @@ def find_schedule(
     func: CheckedFunction,
     domain: Domain,
     bound: int = DEFAULT_BOUND,
-    solver: str = "orthant",
 ) -> Schedule:
     """Derive a valid, partition-minimal schedule for ``func``.
 
     Fully automatic: the criteria come from the recursion alone
-    (Section 4.6). ``solver`` picks the strategy (``"orthant"`` or
-    ``"enumerative"``); the default reads the function's extent-free
-    candidate set when it has one, ``"enumerative"`` always runs the
-    exhaustive reference search.
+    (Section 4.6); the module docstring lists which search answers
+    which function.
     """
     plan = function_plan(func)
     dims = func.dim_names
@@ -338,35 +304,30 @@ def find_schedule(
         # No recursive calls: every cell is independent and a single
         # partition suffices.
         return Schedule(dims, (0,) * len(dims))
-    if solver == "orthant":
-        engine = OrthantSolver(bound)
-        candidates = optimal_candidates(func, bound)
-        if candidates is not None:
-            return _pick(dims, candidates, domain, bound)
-    elif solver == "enumerative":
-        engine = EnumerativeSolver(bound)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return engine.solve(dims, plan.criteria, domain)
-
-
-def _pick(
-    dims: Tuple[str, ...],
-    candidates: Sequence[Tuple[int, ...]],
-    domain: Domain,
-    bound: int,
-) -> Schedule:
-    """The candidate with the fewest partitions over ``domain``."""
+    if not plan.is_uniform:
+        return EnumerativeSolver(bound).solve(dims, plan.criteria, domain)
+    candidates = optimal_candidates(func, bound)
+    if candidates is None:
+        return OrthantSolver(bound).solve(dims, plan.criteria, domain)
     if not candidates:
-        raise ScheduleError(
-            f"no valid schedule with |coefficients| <= {bound} "
-            f"for dimensions {tuple(dims)}"
-        )
+        raise _unschedulable(dims, bound)
     extents = domain.extent_map()
     weights = [extents[d] - 1 for d in dims]
     # Candidates are in tie-break order and min() keeps the first
     # minimum: this is the argmin of (goal, tie_break_key).
-    return Schedule(dims, min(
-        candidates,
-        key=lambda v: sum(abs(a) * w for a, w in zip(v, weights)),
-    ))
+    return Schedule(
+        dims, min(candidates, key=lambda v: _goal(v, weights))
+    )
+
+
+def _goal(vector: Sequence[int], weights: Sequence[int]) -> int:
+    """``max(S) - min(S)`` over the box: one less than the partition
+    count the search minimises."""
+    return sum(abs(a) * w for a, w in zip(vector, weights))
+
+
+def _unschedulable(dims: Sequence[str], bound: int) -> ScheduleError:
+    return ScheduleError(
+        f"no valid schedule with |coefficients| <= {bound} "
+        f"for dimensions {tuple(dims)}"
+    )

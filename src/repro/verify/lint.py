@@ -24,7 +24,7 @@ bounds and dead-arm checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..analysis.domain import Domain
 from ..ir.kernel import build_kernel

@@ -11,10 +11,11 @@ from repro.apps.rna_folding import (
     pairs,
     traceback,
 )
+from repro.analysis.criteria import schedule_criteria
 from repro.analysis.domain import Domain
 from repro.runtime.values import Sequence
 from repro.schedule.schedule import Schedule, brute_force_valid
-from repro.schedule.solver import find_schedule
+from repro.schedule.solver import EnumerativeSolver
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +26,8 @@ def folder():
 class TestSchedule:
     def test_interval_schedule_derived(self):
         func = nussinov_function()
-        schedule = find_schedule(
-            func, Domain.of(i=20, j=20), solver="enumerative"
+        schedule = EnumerativeSolver().solve(
+            func.dim_names, schedule_criteria(func), Domain.of(i=20, j=20)
         )
         assert schedule == Schedule.of(i=-1, j=1)
 

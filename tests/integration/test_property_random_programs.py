@@ -75,10 +75,13 @@ def test_random_recurrences_agree(src, s_text, t_text):
     except ScheduleError:
         # If the solver says no schedule exists, the enumerative
         # solver must agree.
-        from repro.schedule.solver import find_schedule
+        from repro.analysis.criteria import schedule_criteria
+        from repro.schedule.solver import EnumerativeSolver
 
         with pytest.raises(ScheduleError):
-            find_schedule(func, domain, solver="enumerative")
+            EnumerativeSolver().solve(
+                func.dim_names, schedule_criteria(func), domain
+            )
         return
 
     oracle = memoised(func, bound)

@@ -98,9 +98,10 @@ class TestDescentAnalysis:
         assert descent.is_uniform
 
     def test_interval_schedule_derived(self):
+        from repro.analysis.criteria import schedule_criteria
         from repro.analysis.domain import Domain
         from repro.schedule.schedule import Schedule, brute_force_valid
-        from repro.schedule.solver import find_schedule
+        from repro.schedule.solver import EnumerativeSolver
 
         func = check_function(
             parse_function(
@@ -110,7 +111,9 @@ class TestDescentAnalysis:
             )
         )
         domain = Domain.of(i=10, j=10)
-        schedule = find_schedule(func, domain, solver="enumerative")
+        schedule = EnumerativeSolver().solve(
+            func.dim_names, schedule_criteria(func), domain
+        )
         assert schedule == Schedule.of(i=-1, j=1)
         assert brute_force_valid(schedule, func, domain)
 

@@ -5,11 +5,19 @@ import subprocess
 import sys
 
 #: Packages no stage of a plain run needs: the graph library behind
-#: ``analysis.call_graph``, SciPy (the LP fallbacks import it when
-#: they are reached), fault injection and the fuzzer.
+#: ``analysis.call_graph``, SciPy (the verifier's LP fallback above
+#: its enumeration cap imports it when it is reached), fault injection
+#: and the fuzzer.
 UNWANTED = ("networkx", "scipy", "repro.resilience", "repro.fuzz")
 
-SCRIPT = """
+REPORT = """
+print(result.value, ",".join(sorted(
+    name for name in sys.modules
+    if any(name == u or name.startswith(u + ".") for u in %r)
+)))
+"""
+
+SMITH_WATERMAN = """
 import sys
 import repro.runtime.engine
 import numpy as np
@@ -40,17 +48,37 @@ result = Engine().run(
     },
     reduce="max",
 )
-print(result.value, ",".join(sorted(
-    name for name in sys.modules
-    if any(name == u or name.startswith(u + ".") for u in %r)
-)))
-"""
+""" + REPORT
+
+#: The schedule search's non-uniform path: range-binder criteria are
+#: minimised over a constrained box.
+NUSSINOV = """
+import sys
+from repro.apps.rna_folding import RNA, nussinov_function
+from repro.runtime.engine import Engine
+from repro.runtime.values import Sequence
+
+result = Engine().run(
+    nussinov_function(),
+    {"x": Sequence("gggaaauccc" * 4, RNA)},
+    at={"i": 0, "j": 40},
+)
+""" + REPORT
 
 
-def test_a_first_run_imports_no_analysis_only_packages():
+def first_run_imports(script):
+    """``[value, unwanted modules...]`` printed by a fresh process."""
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT % (UNWANTED,)],
+        [sys.executable, "-c", script % (UNWANTED,)],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["10"]  # the score, no module names
+    return done.stdout.split()
+
+
+def test_a_first_run_imports_no_analysis_only_packages():
+    assert first_run_imports(SMITH_WATERMAN) == ["10"]  # no module names
+
+
+def test_a_first_nussinov_run_imports_no_scipy():
+    assert first_run_imports(NUSSINOV) == ["16"]

@@ -32,8 +32,7 @@ from repro.runtime import native
 from repro.runtime.context import build_context
 from repro.runtime.engine import Engine
 from repro.runtime.parity import FLOAT_RTOL
-from repro.runtime.values import ENGLISH, Sequence
-from repro.schedule.multi import ScheduleSet
+from repro.runtime.values import DNA, ENGLISH, Sequence
 from repro.schedule.schedule import Schedule
 from repro.verify.races import analyze_parallelism, parallelism_certificate
 from repro.verify.soundness import BRUTE_FORCE_CAP, verify_schedule
@@ -54,13 +53,21 @@ int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =
 """
 
 #: Gapless local alignment: only the diagonal descent, so the
-#: compile-time schedule set holds two schedules (``S = i`` and
-#: ``S = j``) and a member's shape picks between them.
+#: compile-time candidates are two schedules (``S = i`` and ``S = j``)
+#: and a member's shape picks between them.
 GAPLESS = """
 int g(seq[en] a, index[a] i, seq[en] b, index[b] j) =
   if i == 0 then 0
   else if j == 0 then 0
   else 0 max (g(i-1, j-1) + (if a[i-1] == b[j-1] then 2 else 0 - 1))
+"""
+
+#: ``f(i-1, j+1)``: ``S = i`` and ``S = -j`` are both minimal for some
+#: shape, so a member's shape picks between them — the second only
+#: from candidates of every sign.
+RECEDING = """
+int f(seq[dna] s, index[s] i, seq[dna] t, index[t] j) =
+  if i == 0 then 0 else if j > 7 then 0 else f(i - 1, j + 1) + 1
 """
 
 FORWARD = """
@@ -446,6 +453,29 @@ class TestValuesAreRuns:
             problems,
         )
 
+    def test_members_take_the_schedule_run_picks(self):
+        func = check_function(
+            parse_function(RECEDING.strip()), {"dna": DNA.chars}
+        )
+        problems = [
+            {"s": Sequence(text(m, chars=DNA.chars), DNA),
+             "t": Sequence(text(n, chars=DNA.chars), DNA)}
+            for m, n in [(100, 9), (9, 100), (100, 9)]
+        ]
+        engine = Engine()
+        runs = [engine.run(func, problem) for problem in problems]
+        assert [run.schedule.coefficients for run in runs] == [
+            (0, -1), (1, 0), (0, -1)
+        ]
+        prepared, _, usage, _ = engine.prepare_map(func, {}, problems)
+        assert [compiled.schedule for _, _, compiled in prepared] == [
+            run.schedule for run in runs
+        ]
+        assert usage == {(0, -1): 2, (1, 0): 1}
+        result = engine.map_run(func, {}, problems)
+        assert result.schedule_usage == usage
+        assert result.values == [run.value for run in runs]
+
     def test_explicit_coordinates_outside_a_member_still_raise(self):
         """``at=`` beyond a short member's own table is an error, as
         it is for ``Engine.run`` — never a read of the padding."""
@@ -529,13 +559,9 @@ class TestNoVerdictSkipped:
         assert engine.cache_info().verified == len(boxes)
 
     def test_a_failed_verdict_raises_and_counts_once(self, monkeypatch):
-        bad = ScheduleSet(
-            EDIT_FUNC.dim_names,
-            (Schedule(EDIT_FUNC.dim_names, (1, -1)),),
-        )
+        bad = Schedule(EDIT_FUNC.dim_names, (1, -1))
         monkeypatch.setattr(
-            "repro.runtime.engine.derive_schedule_set",
-            lambda func: bad,
+            Engine, "schedule_for", lambda self, func, domain: bad
         )
         engine = Engine(backend="vector")
         for _ in range(2):

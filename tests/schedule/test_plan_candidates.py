@@ -3,7 +3,9 @@
 ``find_schedule`` on an all-uniform function reads a handful of
 candidate vectors off the function's analysis plan; these tests pin it
 to ``OrthantSolver`` and ``EnumerativeSolver`` — same vector, same
-error — and pin the plan to the function object it was derived from.
+error — pin the set to Section 4.7's compile-time candidates (derived
+once per function, the minimal one picked per problem), and pin the
+plan to the function object it was derived from.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from repro.analysis.domain import Domain
 from repro.lang.errors import ScheduleError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.schedule.multi import derive_schedule_set
+from repro.schedule.schedule import Schedule
 from repro.schedule.solver import (
     CANDIDATE_BOX_CAP,
     EnumerativeSolver,
@@ -25,6 +27,25 @@ from repro.schedule.solver import (
 )
 
 DIMS = ("x", "y", "z", "w")
+
+EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
+
+DIAGONAL_ONLY = (
+    "int f(seq[en] a, index[a] x, seq[en] b, index[b] y) = "
+    "if x == 0 then 0 else f(x - 1, y - 1)"
+)
+
+EDIT_DISTANCE = """
+int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then j
+  else if j == 0 then i
+  else if s[i-1] == t[j-1] then d(i-1, j-1)
+  else (d(i-1, j) min d(i, j-1) min d(i-1, j-1)) + 1
+"""
+
+
+def checked(src, alphabets=EN):
+    return check_function(parse_function(src.strip()), alphabets)
 
 
 def uniform_function(offsets, name="f"):
@@ -113,7 +134,66 @@ class TestPickEqualsSolvers:
             self.check([(1, -1), (-1, -2)], extents, 10)
 
 
+class TestPaperExample:
+    """Section 4.7: f(x,y) = .. f(x-1, y-1) has two minimal schedules."""
+
+    def test_two_candidates(self):
+        assert set(optimal_candidates(checked(DIAGONAL_ONLY))) == {
+            (1, 0),
+            (0, 1),
+        }
+
+    def test_runtime_selection(self):
+        func = checked(DIAGONAL_ONLY)
+        assert find_schedule(func, Domain.of(x=3, y=100)) == (
+            Schedule.of(x=1, y=0)
+        )
+        assert find_schedule(func, Domain.of(x=100, y=3)) == (
+            Schedule.of(x=0, y=1)
+        )
+
+    def test_nonminimal_schedules_excluded(self):
+        """(2,1), (2,2), (3,3) are valid but never minimal."""
+        candidates = optimal_candidates(checked(DIAGONAL_ONLY))
+        for vector in [(2, 1), (2, 2), (3, 3)]:
+            assert vector not in candidates
+
+
 class TestCandidateSet:
+    def test_edit_distance_single_schedule(self):
+        """Most problems have one schedule (Section 4.7 note)."""
+        assert optimal_candidates(checked(EDIT_DISTANCE)) == ((1, 1),)
+
+    def test_all_candidates_valid(self):
+        func = checked(DIAGONAL_ONLY)
+        criteria = schedule_criteria(func)
+        for vector in optimal_candidates(func):
+            assert Schedule(func.dim_names, vector).is_valid(criteria)
+
+    def test_three_dims(self):
+        func = checked(
+            "int g(int x, int y, int z) = if x == 0 then 0 else "
+            "g(x-1, y-1, z-1)"
+        )
+        assert set(optimal_candidates(func)) == {
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 1),
+        }
+
+    def test_nonuniform_rejected(self):
+        func = checked(
+            "int f(int x, int y) = if x == 0 then 0 else f(x - 1, x - y)"
+        )
+        assert not function_plan(func).is_uniform
+        assert optimal_candidates(func) is None
+
+    def test_unsatisfiable_raises(self):
+        func = checked("int f(int n) = f(n) + 1")
+        assert optimal_candidates(func) == ()
+        with pytest.raises(ScheduleError, match="no valid schedule"):
+            find_schedule(func, Domain.of(n=5))
+
     def test_smith_waterman_shape_has_one_candidate(self):
         func = uniform_function([(-1, -1), (-1, 0), (0, -1)])
         assert optimal_candidates(func, 10) == ((1, 1),)
@@ -181,13 +261,13 @@ class TestPlanIdentity:
         before = function_plan(func)
         assert function_plan(func) is before
         assert find_schedule(func, domain).coefficients == (0, 1)
-        assert len(derive_schedule_set(func)) == 2
+        assert optimal_candidates(func) == ((0, 1), (1, 0))
         func.definition = other.definition
         after = function_plan(func)
         assert after is not before
         assert after.definition is other.definition
         assert find_schedule(func, domain).coefficients == (0, -1)
-        assert len(derive_schedule_set(func)) == 1
+        assert optimal_candidates(func) == ((0, -1), (1, 0))
 
     def test_plan_is_not_pickled_with_the_function(self):
         import pickle
@@ -199,16 +279,3 @@ class TestPlanIdentity:
         assert clone.dim_names == func.dim_names
         assert clone.recursive_params == func.recursive_params
         assert clone.calling_params == func.calling_params
-
-    def test_schedule_set_error_is_remembered_and_fresh(self):
-        from repro.apps.hmm_algorithms import forward_function
-
-        func = forward_function()
-        errors = []
-        for _ in range(2):
-            with pytest.raises(ScheduleError) as exc:
-                derive_schedule_set(func)
-            errors.append(exc.value)
-        assert errors[0] is not errors[1]
-        assert str(errors[0]) == str(errors[1])
-        assert errors[0].span == errors[1].span

@@ -38,6 +38,10 @@ def checked(src, alphabets=EN):
     return check_function(parse_function(src.strip()), alphabets)
 
 
+def solve_with(solver, func, domain):
+    return solver.solve(func.dim_names, schedule_criteria(func), domain)
+
+
 class TestPaperExamples:
     def test_edit_distance_derives_diagonal(self):
         func = checked(EDIT_DISTANCE)
@@ -82,16 +86,16 @@ class TestSolverProperties:
         assert schedule.is_zero
         assert schedule.num_partitions(Domain.of(n=5)) == 1
 
-    def test_unknown_solver_name(self):
-        func = checked(EDIT_DISTANCE)
-        with pytest.raises(ValueError, match="unknown solver"):
-            find_schedule(func, Domain.of(i=3, j=3), solver="nope")
-
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             EnumerativeSolver(bound=0)
         with pytest.raises(ValueError):
             OrthantSolver(bound=0)
+
+    def test_orthant_solver_refuses_non_uniform_criteria(self):
+        func = checked(FORWARD, DNA)
+        with pytest.raises(ValueError, match="uniform"):
+            solve_with(OrthantSolver(), func, Domain.of(s=4, i=9))
 
     def test_negative_coefficients_found_when_needed(self):
         # f(x+1, y-1): dependence increases x, so a_x must be <= -1...
@@ -119,7 +123,8 @@ class TestSolverProperties:
 
 
 class TestSolverAgreement:
-    """The orthant CSP and exhaustive search must agree on the goal."""
+    """The candidate pick, the orthant CSP and exhaustive search must
+    agree on the goal."""
 
     CASES = [
         ("int f(int x, int y) = if x == 0 then 0 else f(x-1, y-1)",
@@ -135,12 +140,14 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("src,domain", CASES)
     def test_same_partition_count(self, src, domain):
         func = checked(src)
-        a = find_schedule(func, domain, solver="orthant")
-        b = find_schedule(func, domain, solver="enumerative")
+        a = find_schedule(func, domain)
+        b = solve_with(EnumerativeSolver(), func, domain)
+        c = solve_with(OrthantSolver(), func, domain)
         assert a.num_partitions(domain) == b.num_partitions(domain)
+        assert c.num_partitions(domain) == b.num_partitions(domain)
         criteria = schedule_criteria(func)
-        assert a.is_valid(criteria, domain)
-        assert b.is_valid(criteria, domain)
+        for schedule in (a, b, c):
+            assert schedule.is_valid(criteria, domain)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -167,12 +174,12 @@ class TestSolverAgreement:
         domain = Domain(("x", "y"), extents)
 
         try:
-            a = find_schedule(func, domain, solver="orthant")
+            a = find_schedule(func, domain)
         except ScheduleError:
             with pytest.raises(ScheduleError):
-                find_schedule(func, domain, solver="enumerative")
+                solve_with(EnumerativeSolver(), func, domain)
             return
-        b = find_schedule(func, domain, solver="enumerative")
+        b = solve_with(EnumerativeSolver(), func, domain)
         assert a.num_partitions(domain) == b.num_partitions(domain)
         assert brute_force_valid(a, func, domain)
         assert brute_force_valid(b, func, domain)

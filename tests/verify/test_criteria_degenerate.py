@@ -9,6 +9,7 @@ must read as "satisfied", not as a crash or a spurious failure).
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.affine import Affine
 from repro.analysis.criteria import min_affine_over_box, schedule_criteria
@@ -74,6 +75,62 @@ class TestMinAffineOverBox:
         bad = Affine.constant(-1)
         assert min_affine_over_box(affine, {}, [ok]) == 5.0
         assert min_affine_over_box(affine, {}, [bad]) is None
+
+
+@st.composite
+def constrained_boxes(draw):
+    """``(objective, extents, constraints)``: rank 1-3, extents from 1
+    (a single-point dimension) to 12, one to three constraints with
+    coefficients in -3..3, and sometimes a redundant copy, a parallel
+    shift or the opposite half-space of the first constraint."""
+    dims = "xyz"[:draw(st.integers(1, 3))]
+
+    def affine():
+        return Affine.of(
+            {d: draw(st.integers(-3, 3)) for d in dims},
+            draw(st.integers(-6, 6)),
+        )
+
+    extents = {d: draw(st.integers(1, 12)) for d in dims}
+    constraints = [affine() for _ in range(draw(st.integers(1, 3)))]
+    first = constraints[0]
+    extra = draw(st.sampled_from(["none", "copy", "parallel", "opposite"]))
+    if extra == "copy":
+        constraints.append(first)
+    elif extra == "parallel":
+        scale = draw(st.integers(1, 3))
+        constraints.append(Affine.of(
+            {d: c * scale for d, c in first.coeffs},
+            draw(st.integers(-6, 6)),
+        ))
+    elif extra == "opposite":
+        constraints.append(-first)
+    return affine(), extents, constraints
+
+
+class TestVertexMinimumIsTheLinearProgram:
+    """The constrained minimum is exact: it is what an LP solver finds,
+    and empty exactly when the LP is infeasible."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=constrained_boxes())
+    def test_matches_linprog(self, case):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        objective, extents, constraints = case
+        names = sorted(extents)
+        lp = linprog(
+            [objective.coefficient(d) for d in names],
+            A_ub=[[-c.coefficient(d) for d in names] for c in constraints],
+            b_ub=[c.const for c in constraints],
+            bounds=[(0, extents[d] - 1) for d in names],
+            method="highs",
+        )
+        got = min_affine_over_box(objective, extents, constraints)
+        if lp.status == 2:
+            assert got is None
+        else:
+            assert lp.status == 0
+            assert got == pytest.approx(lp.fun + objective.const, abs=1e-9)
 
 
 class TestNonUniformCriteria:
