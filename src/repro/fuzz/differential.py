@@ -443,7 +443,7 @@ class DifferentialHarness:
 
         # -- lane-batched map groups ------------------------------------------
         if case.map_texts:
-            map_detail = self._map_leg(case, func, bindings)
+            map_detail = self._map_leg(case, func, bindings, run_kwargs)
             if map_detail:
                 return CaseOutcome(
                     case, map_detail[0], map_detail[1],
@@ -718,8 +718,14 @@ class DifferentialHarness:
             )
         return ""
 
-    def _map_leg(self, case, func, bindings) -> Optional[Tuple[str, str]]:
-        """Batched vs unbatched vs scalar ``map`` sweeps."""
+    def _map_leg(
+        self, case, func, bindings, run_kwargs
+    ) -> Optional[Tuple[str, str]]:
+        """Batched vs unbatched vs scalar ``map`` sweeps of the case's
+        request — its ``map_call`` template: the case's schedule,
+        ``initial``, ``reduce`` and coordinates, except the mapped
+        member's own ``|_|``, which defaults per member."""
+        from ..lang.types import IndexType
         from ..runtime.engine import Engine
         from ..runtime.values import Sequence
 
@@ -731,16 +737,27 @@ class DifferentialHarness:
         base = {
             k: v for k, v in bindings.items() if k != case.map_param
         }
+        own = {
+            p.name for p in func.recursive_params
+            if isinstance(p.type, IndexType)
+            and p.type.seq_param == case.map_param
+        }
+        request = dict(
+            run_kwargs,
+            at={
+                k: v for k, v in run_kwargs["at"].items() if k not in own
+            },
+        )
         try:
             batched = self._engine("auto", case.prob_mode).map_run(
-                func, base, problems, reduce=case.reduce
+                func, base, problems, **request
             )
             plain = Engine(
                 backend="auto", prob_mode=case.prob_mode,
                 batching=False,
-            ).map_run(func, base, problems, reduce=case.reduce)
+            ).map_run(func, base, problems, **request)
             scalar = self._engine("scalar", case.prob_mode).map_run(
-                func, base, problems, reduce=case.reduce
+                func, base, problems, **request
             )
         except Exception as err:
             return (
@@ -769,7 +786,7 @@ class DifferentialHarness:
             try:
                 native = self._engine(
                     "native", case.prob_mode
-                ).map_run(func, base, problems, reduce=case.reduce)
+                ).map_run(func, base, problems, **request)
             except (CodegenError, NativeBuildError):
                 return None  # ineligible kernel: a refusal, not a bug
             except Exception as err:

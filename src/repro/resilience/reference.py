@@ -26,12 +26,13 @@ def serial_reference_run(
 ) -> object:
     """Solve one problem with the memoised interpreter.
 
-    Mirrors :meth:`~repro.runtime.engine.Engine.run`'s result
-    extraction (default coordinates per dimension kind, or a
-    whole-table ``max``/``min`` reduction) so a demoted job returns
-    the same value shape the engine would have produced. Interpreter
-    semantics are direct-space — the match is exact for integer
-    kernels and direct-mode probability kernels (the service
+    Settles the request with :meth:`~repro.runtime.engine.Engine.run`'s
+    own rule — default coordinates per dimension kind, a negative
+    ``at`` wrapped within the extents, an out-of-range ``at`` an
+    ``IndexError``, an unknown ``reduce`` a ``RuntimeDslError`` — so
+    a demoted job answers (or refuses) exactly as a served one.
+    Interpreter semantics are direct-space — the match is exact for
+    integer kernels and direct-mode probability kernels (the service
     default).
     """
     from ..runtime.engine import Engine
@@ -39,17 +40,11 @@ def serial_reference_run(
     engine = Engine()  # coordinate/domain helpers only; nothing runs on it
     bound = Bindings(dict(bindings))
     domain = engine.domain_of(func, bound, initial)
+    coords = engine._result_request(
+        func, bound, domain, at, initial, reduce
+    )
     call = memoised(func, bound)
-    if reduce is not None:
-        if reduce not in ("max", "min"):
-            from ..lang.errors import RuntimeDslError
-
-            raise RuntimeDslError(f"unknown reduction {reduce!r}")
-        pick = max if reduce == "max" else min
-        best = None
-        for point in domain.points():
-            value = call(tuple(point))
-            best = value if best is None else pick(best, value)
-        return best
-    coords = engine.result_coords(func, bound, domain, at, initial)
-    return call(coords)
+    if reduce is None:
+        return call(coords)
+    pick = max if reduce == "max" else min
+    return pick(call(tuple(point)) for point in domain.points())

@@ -601,26 +601,12 @@ class Engine:
         initial: Optional[Dict[str, int]],
         reduce: Optional[str],
     ) -> Tuple[int, ...]:
-        """What a launch is asked for, settled before it runs: the
-        result coordinates, wrapped the way NumPy wraps a negative
-        index, after refusing an unknown ``reduce`` and (when the
-        coordinates are what will be read) an out-of-range one."""
-        coords = self.result_coords(func, bindings, domain, at, initial)
-        if reduce is not None:
-            if reduce not in ("max", "min"):
-                raise RuntimeDslError(f"unknown reduction {reduce!r}")
-            return coords
-        wrapped = []
-        for axis, (index, extent) in enumerate(
-            zip(coords, domain.extents)
-        ):
-            if not -extent <= index < extent:
-                raise IndexError(
-                    f"index {index} is out of bounds for axis {axis} "
-                    f"with size {extent}"
-                )
-            wrapped.append(index % extent)
-        return tuple(wrapped)
+        """:meth:`_member_requests` for one problem: its settled
+        result coordinates, ``()`` for a whole-table ``reduce``."""
+        coords = self._member_requests(
+            func, [(bindings, domain)], at, initial, reduce
+        )
+        return () if coords is None else tuple(coords.tolist()[0])
 
     def _extract(
         self, kernel: Kernel, table, coords, reduce: Optional[str] = None
@@ -635,10 +621,8 @@ class Engine:
             raw = table.max()
         elif reduce == "min":
             raw = table.min()
-        elif reduce is None:
-            raw = table[coords]
         else:
-            raise RuntimeDslError(f"unknown reduction {reduce!r}")
+            raw = table[coords]
         return self._value(kernel, raw)
 
     @staticmethod
@@ -780,38 +764,50 @@ class Engine:
         triples in problem order.
         """
         prepared = self._prepare_members(
-            func, base_bindings, problems, initial
+            func, self._bind_members(func, base_bindings, problems, initial)
         )
         return (prepared,) + self._price_members(
             func, prepared, use_window
         )
 
-    def _prepare_members(
+    def _bind_members(
         self,
         func: CheckedFunction,
         base_bindings: Mapping[str, object],
         problems: Seq[Mapping[str, object]],
         initial: Optional[Dict[str, int]] = None,
-    ) -> List[Tuple[Bindings, Domain, CompiledKernel]]:
-        """Bind, size, schedule, verify and compile every problem.
+    ) -> List[Tuple[Bindings, Domain]]:
+        """Every problem's bindings (``base_bindings`` overridden by
+        the problem's own) and its box."""
+        members = []
+        for overrides in problems:
+            bound = Bindings({**base_bindings, **overrides})
+            members.append((bound, self.domain_of(func, bound, initial)))
+        return members
 
-        Per member only what depends on the member: the bindings
-        merge, the extents, the schedule (:meth:`schedule_for`'s, the
-        one :meth:`run` picks for that box). Within the call the rung
-        and product are resolved once per distinct
-        (schedule, size class) and the verifier is asked once per
-        distinct verdict key — so whatever it proves per box (the
-        brute-force leg, non-uniform descents, ``verify="full"``) is
-        still proved per box, while any number of members under one
-        extent-free verdict cost one memo probe.
+    def _prepare_members(
+        self,
+        func: CheckedFunction,
+        members: Seq[Tuple[Bindings, Domain]],
+        user_schedule: Optional[ast.Expr] = None,
+    ) -> List[Tuple[Bindings, Domain, CompiledKernel]]:
+        """Schedule, verify and compile every bound member.
+
+        Per member only what depends on the member's box: the
+        schedule (:meth:`schedule_for`'s for that box:
+        ``user_schedule`` verified, else the one :meth:`run` would
+        search). Within the call the rung and product are resolved
+        once per distinct (schedule, size class) and the verifier is
+        asked once per distinct verdict key — so whatever it proves
+        per box (the brute-force leg, non-uniform descents,
+        ``verify="full"``) is still proved per box, while any number
+        of members under one extent-free verdict cost one memo probe.
         """
         prepared = []
         products: Dict[tuple, CompiledKernel] = {}
         proved: set = set()
-        for overrides in problems:
-            bound = Bindings({**base_bindings, **overrides})
-            domain = self.domain_of(func, bound, initial)
-            schedule = self.schedule_for(func, domain)
+        for bound, domain in members:
+            schedule = self.schedule_for(func, domain, user_schedule)
             verdict = self._verdict_key(func, schedule, domain)
             if verdict is not None and verdict not in proved:
                 self._verdict(verdict, func, schedule, domain)
@@ -854,24 +850,27 @@ class Engine:
         initial: Optional[Dict[str, int]] = None,
         use_window: bool = True,
         reduce: Optional[str] = None,
+        user_schedule: Optional[ast.Expr] = None,
         _launch=None,
     ) -> MapResult:
         """Solve many problems: the ``map`` primitive (Section 4.7).
 
         Each problem overrides some calling parameters (typically the
         database sequence) and runs on a multiprocessor of its own,
-        its threads cooperating on partitions. Each problem gets the
-        schedule :meth:`run` would pick for its box (Section 4.7's
-        per-problem choice: a pick among the function's compile-time
-        candidates when the descents are uniform, a search memoised
-        per extents otherwise). The device-time accounting is priced
-        when the result's ``report``/``costs``/... are first read (see
-        :class:`MapResult`). ``_launch`` is the private launch seam of
-        :meth:`run`.
+        its threads cooperating on partitions. ``at``, ``initial``,
+        ``reduce`` and ``user_schedule`` mean what they mean to
+        :meth:`run`, for every member, and every member's request is
+        settled, as :meth:`run` settles its one, before anything is
+        scheduled, compiled or launched. Without ``user_schedule``
+        each problem gets the schedule :meth:`run` would pick for its
+        box (Section 4.7's per-problem choice). The device-time
+        accounting is priced when the result's ``report``/``costs``/...
+        are first read (see :class:`MapResult`). ``_launch`` is the
+        private launch seam of :meth:`run`.
         """
-        prepared = self._prepare_members(
-            func, base_bindings, problems, initial
-        )
+        members = self._bind_members(func, base_bindings, problems, initial)
+        coords = self._member_requests(func, members, at, initial, reduce)
+        prepared = self._prepare_members(func, members, user_schedule)
         values: List[object] = [None] * len(prepared)
         launch = _launch or self._execute
 
@@ -904,8 +903,7 @@ class Engine:
                 packed.table, packed.ctx, packed.padded_domain,
             )
             for index, value in zip(
-                group,
-                self._group_values(func, packed, at, initial, reduce),
+                group, self._group_values(packed, coords, reduce)
             ):
                 values[index] = value
             # Pricing reads the rung and thread count the group
@@ -928,13 +926,9 @@ class Engine:
             ctx = self.build_context(compiled, bound, domain)
             table = self._table_for(compiled.kernel, domain)
             ladder.launch(self, launch, compiled, table, ctx, domain)
-            coords = (
-                None
-                if reduce
-                else self.result_coords(func, bound, domain, at, initial)
-            )
             values[index] = self._extract(
-                compiled.kernel, table, coords, reduce
+                compiled.kernel, table,
+                None if coords is None else tuple(coords[index]), reduce,
             )
         return MapResult(
             values,
@@ -946,51 +940,57 @@ class Engine:
             batched_backends=batched_backends,
         )
 
-    def _group_values(
-        self, func, packed, at, initial, reduce
-    ) -> List[object]:
-        """Every member's result out of a packed group's table."""
-        kernel = packed.compiled.kernel
-        coords = None
-        if reduce is None:
-            coords = self._group_coords(func, packed, at, initial)
-            if ((coords >= 0) & (coords < packed.extents)).all():
-                # Every coordinate is a cell of its own member: one
-                # gather from the padded table reads them all.
-                raws = packed.table[
-                    (np.arange(len(coords)),) + tuple(coords.T)
-                ]
-                return [self._value(kernel, raw) for raw in raws.tolist()]
-        return [
-            self._extract(
-                kernel, packed.member_view(slot),
-                None if coords is None else tuple(coords[slot]),
-                reduce,
-            )
-            for slot in range(len(packed.domains))
-        ]
-
-    def _group_coords(self, func, packed, at, initial) -> np.ndarray:
-        """:meth:`result_coords` of every member of a packed group,
-        one row each: the first member's, with only the columns that
-        follow the member — an index dimension's own length, a state
+    def _member_requests(self, func, members, at, initial, reduce):
+        """What every one of ``members`` — ``(bindings, domain)``
+        pairs — is asked for, settled before anything launches: after
+        refusing an unknown ``reduce``, ``None`` for a whole-table
+        one, else one row per member of its result coordinates,
+        wrapped the way NumPy wraps a negative index after refusing an
+        out-of-range one. One check over the stacked extents: the
+        first member's coordinates, with only the columns that follow
+        the member — an index dimension's own length, a state
         dimension's own model — filled per member."""
+        if reduce not in (None, "max", "min"):
+            raise RuntimeDslError(f"unknown reduction {reduce!r}")
+        if reduce is not None or not members:
+            return None
         at = at or {}
-        coords = np.empty_like(packed.extents)
-        coords[:] = self.result_coords(
-            func, *packed.members[0], at, initial
+        extents = np.array(
+            [domain.extents for _, domain in members], dtype=np.int64
         )
+        coords = np.empty_like(extents)
+        coords[:] = self.result_coords(func, *members[0], at, initial)
         for axis, param in enumerate(func.recursive_params):
-            if param.name in at:
-                continue
+            if param.name in at or len(members) == 1:
+                continue  # one member: the first row is its own
             if isinstance(param.type, IndexType):
-                coords[:, axis] = packed.extents[:, axis] - 1
+                coords[:, axis] = extents[:, axis] - 1
             elif isinstance(param.type, StateType):
                 coords[:, axis] = [
                     bound[param.type.hmm_param].end_state.index
-                    for bound, _ in packed.members
+                    for bound, _ in members
                 ]
-        return coords
+        outside = (coords < -extents) | (coords >= extents)
+        if np.count_nonzero(outside):
+            member, axis = np.argwhere(outside)[0]
+            raise IndexError(
+                f"index {coords[member, axis]} is out of bounds for "
+                f"axis {axis} with size {extents[member, axis]}"
+            )
+        return coords % extents
+
+    def _group_values(self, packed, coords, reduce) -> List[object]:
+        """Every member's result out of a packed group's table: one
+        gather at the settled ``coords``, or a reduction per member."""
+        kernel = packed.compiled.kernel
+        if reduce is not None:
+            return [
+                self._extract(kernel, packed.member_view(slot), None, reduce)
+                for slot in range(len(packed.domains))
+            ]
+        rows = coords[packed.indices]
+        raws = packed.table[(np.arange(len(rows)),) + tuple(rows.T)]
+        return [self._value(kernel, raw) for raw in raws.tolist()]
 
     def _price_map(
         self,

@@ -6,7 +6,10 @@ schedules) followed by imperative statements — ``let``, ``load``,
 ``print`` and the ``map`` primitive that applies a function across a
 sequence collection (the inter-multiprocessor parallelisation).
 
-:class:`ProgramRunner` evaluates a script against an
+:class:`Program` is a checked program with its alphabets, globals and
+the one binder every front end shares — scripts here, the service in
+:mod:`repro.service.programs`. :class:`ProgramRunner` evaluates a
+script's statements on top of it against an
 :class:`~repro.runtime.engine.Engine`; results (printed lines, map
 outputs, timing reports) are collected on the returned
 :class:`ScriptResult`.
@@ -14,8 +17,9 @@ outputs, timing reports) are collected on the returned
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..extensions.hmm import Hmm
 from ..extensions.submatrix import SubstitutionMatrix
@@ -27,6 +31,156 @@ from ..lang.types import IntType, SeqType
 from .engine import Engine, MapResult, RunResult
 from .sequences import read_fasta
 from .values import Alphabet, Sequence
+
+#: Operators a script-level expression may use.
+_SCRIPT_OPS = {
+    ast.BinOpKind.ADD: operator.add,
+    ast.BinOpKind.SUB: operator.sub,
+    ast.BinOpKind.MUL: operator.mul,
+    ast.BinOpKind.MIN: min,
+    ast.BinOpKind.MAX: max,
+}
+
+Bound = Tuple[Dict[str, object], Dict[str, int], Dict[str, int]]
+
+
+class Program:
+    """A checked program, its alphabets and globals, and the binder.
+
+    Builds the alphabets and the declared matrices and models into
+    ``globals`` (which the caller may pre-seed), evaluates ``let``
+    right-hand sides with :meth:`eval_value`, and binds a
+    parameter-name→value map into the engine's
+    ``(bindings, at, initial)`` with :meth:`bind_values`.
+    """
+
+    def __init__(
+        self,
+        checked: CheckedProgram,
+        globals: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.checked = checked
+        self.alphabets: Dict[str, Alphabet] = {
+            name: Alphabet(name, chars)
+            for name, chars in checked.alphabets.items()
+        }
+        self.globals = {} if globals is None else globals
+        for name, decl in checked.matrices.items():
+            self.globals[name] = SubstitutionMatrix.from_decl(
+                decl, self.alphabets
+            )
+        for name, decl in checked.hmms.items():
+            self.globals[name] = Hmm.from_decl(decl, self.alphabets)
+
+    def function(self, name: str) -> CheckedFunction:
+        """Look a checked function up by name."""
+        return self.checked.function(name)
+
+    def user_schedule(self, name: str) -> Optional[ast.Expr]:
+        """The program's ``schedule`` declaration for ``name``, if any."""
+        return self.checked.schedules.get(name)
+
+    def let(self, stmt: ast.LetStmt) -> None:
+        """Bind a ``let``'s value."""
+        self.globals[stmt.name] = self.eval_value(stmt.value)
+
+    def eval_value(self, expr: ast.Expr) -> object:
+        """Evaluate a script-level value expression: a literal, a
+        global's name, ``|name|``, a model's ``.start``/``.end``, or
+        ``+ - * min max`` over numbers among those. An ``int`` result
+        must fit the kernels' 64 bits, so no value outgrows the text
+        that wrote it."""
+        if isinstance(
+            expr,
+            (ast.StrLit, ast.IntLit, ast.FloatLit, ast.BoolLit,
+             ast.CharLit),
+        ):
+            return expr.value
+        if isinstance(expr, (ast.Var, ast.Len)):
+            name = expr.name if isinstance(expr, ast.Var) else expr.seq
+            if name not in self.globals:
+                raise RuntimeDslError(
+                    f"unknown script variable {name!r}", expr.span
+                )
+            value = self.globals[name]
+            if isinstance(expr, ast.Var):
+                return value
+            if isinstance(value, (Sequence, str, list, tuple)):
+                return len(value)
+            raise RuntimeDslError(
+                f"|{name}| needs a sequence or collection", expr.span
+            )
+        if isinstance(expr, ast.Field) and expr.name in ("start", "end"):
+            subject = self.eval_value(expr.subject)
+            if isinstance(subject, Hmm):
+                return getattr(subject, f"{expr.name}_state").index
+        if isinstance(expr, ast.BinOp) and expr.op in _SCRIPT_OPS:
+            operands = [self.eval_value(expr.left),
+                        self.eval_value(expr.right)]
+            if all(isinstance(v, (int, float)) for v in operands):
+                value = _SCRIPT_OPS[expr.op](*operands)
+                if not isinstance(value, int) or value.bit_length() < 64:
+                    return value
+            raise RuntimeDslError(
+                f"script-level {expr.op.value!r} takes numbers and "
+                f"gives a float or an int that fits 64 bits",
+                expr.span,
+            )
+        raise RuntimeDslError(
+            f"cannot evaluate {expr} at script level", expr.span
+        )
+
+    def bind_values(
+        self, func: CheckedFunction, values: Mapping[str, object]
+    ) -> Bound:
+        """Bind parameter values to ``func``'s parameters.
+
+        Returns ``(bindings, at, initial)`` in the engine's terms. A
+        recursive parameter's value is an explicit coordinate (an
+        ``int`` dimension's is also its initial value); an absent one
+        defaults per problem. A calling parameter's value is coerced
+        to its type and must be present.
+        """
+        bindings: Dict[str, object] = {}
+        at: Dict[str, int] = {}
+        initial: Dict[str, int] = {}
+        for param in func.params:
+            if param.name not in values:
+                continue
+            value = values[param.name]
+            if param.is_recursive:
+                at[param.name] = coordinate = int(value)
+                if isinstance(param.type, IntType):
+                    initial[param.name] = coordinate
+            else:
+                bindings[param.name] = self._coerce(param, value)
+        missing = [
+            p.name for p in func.calling_params if p.name not in bindings
+        ]
+        if missing:
+            raise RuntimeDslError(
+                f"missing value(s) for parameter(s) "
+                f"{', '.join(missing)} of {func.name}"
+            )
+        return bindings, at, initial
+
+    def _coerce(self, param, value: object) -> object:
+        """Adapt a value to its parameter's type (str -> Sequence).
+
+        A bare string passed for a ``seq[*]`` parameter adopts the
+        first declared alphabet that covers it.
+        """
+        if isinstance(param.type, SeqType) and isinstance(value, str):
+            if param.type.alphabet is not None:
+                return Sequence(value, self.alphabets[param.type.alphabet])
+            for alphabet in self.alphabets.values():
+                if all(ch in alphabet.chars for ch in set(value)):
+                    return Sequence(value, alphabet)
+            raise RuntimeDslError(
+                f"no declared alphabet covers the string for "
+                f"parameter {param.name!r}"
+            )
+        return value
 
 
 @dataclass
@@ -56,10 +210,8 @@ class ProgramRunner:
     ) -> None:
         self.engine = engine or Engine()
         self.echo = echo
-        self.alphabets: Dict[str, Alphabet] = {}
         self.globals: Dict[str, object] = {}
-
-    # -- entry points ---------------------------------------------------------
+        self.program: Optional[Program] = None
 
     def run_text(self, text: str) -> ScriptResult:
         """Parse, check and execute DSL source text."""
@@ -68,27 +220,17 @@ class ProgramRunner:
     def run(self, checked: CheckedProgram) -> ScriptResult:
         """Execute a checked program."""
         result = ScriptResult()
-        self.alphabets = {
-            name: Alphabet(name, chars)
-            for name, chars in checked.alphabets.items()
-        }
-        for name, decl in checked.matrices.items():
-            self.globals[name] = SubstitutionMatrix.from_decl(
-                decl, self.alphabets
-            )
-        for name, decl in checked.hmms.items():
-            self.globals[name] = Hmm.from_decl(decl, self.alphabets)
-
+        self.program = Program(checked, self.globals)
         for stmt in checked.program.statements:
             if isinstance(stmt, ast.LetStmt):
-                self.globals[stmt.name] = self._eval_value(stmt.value)
+                self.program.let(stmt)
             elif isinstance(stmt, ast.LoadStmt):
                 self._load(stmt)
             elif isinstance(stmt, ast.PrintStmt):
-                self._print(stmt, checked, result)
+                self._print(stmt, result)
             elif isinstance(stmt, ast.MapStmt):
-                self._map(stmt, checked, result)
-            # declarations were handled by the checker / above.
+                self._map(stmt, result)
+            # declarations were handled by the checker / Program.
         return result
 
     # -- statement execution --------------------------------------------------
@@ -110,7 +252,7 @@ class ProgramRunner:
             for line in Path(path).read_text().splitlines()
             if line.strip() and not line.startswith(">")
         )
-        for alphabet in self.alphabets.values():
+        for alphabet in self.program.alphabets.values():
             folded = (
                 body.lower()
                 if alphabet.chars == alphabet.chars.lower()
@@ -122,221 +264,117 @@ class ProgramRunner:
             f"no declared alphabet covers the sequences in {path!r}"
         )
 
-    def _print(
-        self,
-        stmt: ast.PrintStmt,
-        checked: CheckedProgram,
-        result: ScriptResult,
-    ) -> None:
-        value = self._eval_script_expr(stmt.value, checked, result)
+    def _print(self, stmt: ast.PrintStmt, result: ScriptResult) -> None:
+        call = stmt.value
+        functions = self.program.checked.functions
+        if isinstance(call, ast.Call) and call.func in functions:
+            func = self.program.function(call.func)
+            bindings, at, initial = self._bind_call(func, call)
+            run = self.engine.run(
+                func, bindings, at=at or None, initial=initial or None,
+                user_schedule=self.program.user_schedule(func.name),
+            )
+            result.runs.append(run)
+            value = run.value
+        else:
+            value = self.program.eval_value(call)
         result.values.append(value)
         line = str(value)
         result.printed.append(line)
         if self.echo:
             print(line)
 
-    def _map(
-        self,
-        stmt: ast.MapStmt,
-        checked: CheckedProgram,
-        result: ScriptResult,
-    ) -> None:
-        if stmt.over not in self.globals:
-            raise RuntimeDslError(
-                f"unknown collection {stmt.over!r}", stmt.span
-            )
-        collection = self.globals[stmt.over]
+    def _map(self, stmt: ast.MapStmt, result: ScriptResult) -> None:
+        """One ``run`` request per member: the template's explicit
+        coordinates, ``initial`` and the declared schedule apply to
+        every member, its ``_`` holes take the member."""
+        collection = self.globals.get(stmt.over)
         if not isinstance(collection, (list, tuple)):
             raise RuntimeDslError(
-                f"{stmt.over!r} is not a sequence collection", stmt.span
+                f"{stmt.over!r} is not a sequence collection"
+                if stmt.over in self.globals
+                else f"unknown collection {stmt.over!r}",
+                stmt.span,
             )
-        func = checked.function(stmt.template.func)
-        base, at, initial, holes = self._bind_call(
-            func, stmt.template, element=None, allow_holes=True
-        )
-        if not holes:
+        func = self.program.function(stmt.template.func)
+        _check_arity(func, stmt.template)
+        if not any(map(_is_hole, stmt.template.args)):
             raise RuntimeDslError(
                 "map template has no '_' placeholder", stmt.span
             )
-        problems = []
-        ats = []
+        problems, at, initial = [], {}, {}
         for element in collection:
-            bound, el_at, el_initial, _ = self._bind_call(
-                func, stmt.template, element=element, allow_holes=True
+            bound, at, initial = self._bind_call(
+                func, stmt.template, element
             )
             problems.append(bound)
-            ats.append((el_at, el_initial))
-        # All problems share `at` semantics (per-problem coords are
-        # handled inside map_run via defaults); explicit coords that
-        # depend on the element (|_|) resolve to per-problem defaults.
         map_result = self.engine.map_run(
-            func,
-            {},
-            problems,
-            at=None,
-            initial=initial if initial else None,
+            func, {}, problems, at=at or None, initial=initial or None,
+            user_schedule=self.program.user_schedule(func.name),
         )
         self.globals[stmt.name] = map_result.values
         result.maps[stmt.name] = map_result
-
-    # -- expression evaluation -------------------------------------------------
-
-    def _eval_value(self, expr: ast.Expr) -> object:
-        """Evaluate a script-level value expression (let/arguments)."""
-        if isinstance(expr, ast.StrLit):
-            return expr.value
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.FloatLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return expr.value
-        if isinstance(expr, ast.CharLit):
-            return expr.value
-        if isinstance(expr, ast.Var):
-            if expr.name not in self.globals:
-                raise RuntimeDslError(
-                    f"unknown script variable {expr.name!r}", expr.span
-                )
-            return self.globals[expr.name]
-        if isinstance(expr, ast.Len):
-            target = self._lookup_len_target(expr)
-            return len(target)
-        if isinstance(expr, ast.Field):
-            return self._eval_field(expr)
-        if isinstance(expr, ast.BinOp):
-            left = self._eval_value(expr.left)
-            right = self._eval_value(expr.right)
-            return _script_binop(expr, left, right)
-        raise RuntimeDslError(
-            f"cannot evaluate {expr} at script level", expr.span
-        )
-
-    def _lookup_len_target(self, expr: ast.Len):
-        if expr.seq not in self.globals:
-            raise RuntimeDslError(
-                f"unknown script variable {expr.seq!r} in |{expr.seq}|",
-                expr.span,
-            )
-        target = self.globals[expr.seq]
-        if isinstance(target, (Sequence, str, list, tuple)):
-            return target
-        raise RuntimeDslError(
-            f"|{expr.seq}| needs a sequence or collection", expr.span
-        )
-
-    def _eval_field(self, expr: ast.Field) -> object:
-        subject = self._eval_value(expr.subject)
-        if isinstance(subject, Hmm):
-            if expr.name == "start":
-                return subject.start_state.index
-            if expr.name == "end":
-                return subject.end_state.index
-        raise RuntimeDslError(
-            f"cannot evaluate field {expr.name!r} at script level",
-            expr.span,
-        )
-
-    def _eval_script_expr(
-        self,
-        expr: ast.Expr,
-        checked: CheckedProgram,
-        result: ScriptResult,
-    ) -> object:
-        if isinstance(expr, ast.Call) and expr.func in checked.functions:
-            return self._run_call(expr, checked, result)
-        return self._eval_value(expr)
-
-    def _run_call(
-        self,
-        expr: ast.Call,
-        checked: CheckedProgram,
-        result: ScriptResult,
-    ) -> object:
-        func = checked.function(expr.func)
-        bindings, at, initial, _ = self._bind_call(
-            func, expr, element=None, allow_holes=False
-        )
-        user_schedule = checked.schedules.get(func.name)
-        run = self.engine.run(
-            func,
-            bindings,
-            at=at or None,
-            initial=initial or None,
-            user_schedule=user_schedule,
-        )
-        result.runs.append(run)
-        return run.value
-
-    # -- argument binding -------------------------------------------------------
 
     def _bind_call(
         self,
         func: CheckedFunction,
         call: ast.Call,
-        element: Optional[object],
-        allow_holes: bool,
-    ) -> Tuple[Dict[str, object], Dict[str, int], Dict[str, int], int]:
-        """Bind a full-prototype call's arguments to parameters.
+        element: Optional[object] = None,
+    ) -> Bound:
+        """Bind a full-prototype call's positional arguments.
 
-        Returns (calling bindings, at-coordinates, int initials,
-        number of ``_`` holes). ``element`` fills the holes.
-        """
-        if len(call.args) != len(func.params):
-            raise RuntimeDslError(
-                f"{func.name} takes {len(func.params)} arguments "
-                f"({', '.join(p.name for p in func.params)}), got "
-                f"{len(call.args)}",
-                call.span,
-            )
-        bindings: Dict[str, object] = {}
-        at: Dict[str, int] = {}
-        initial: Dict[str, int] = {}
-        holes = 0
+        A ``_`` hole takes ``element`` (``|_|`` its length). In a
+        recursive position only ``|_|`` indexing the ``_`` sequence may
+        stand; it is left out, so it defaults to the member's last row
+        as the ``print`` of the member's call would."""
+        _check_arity(func, call)
+        mapped = {
+            p.name
+            for p, arg in zip(func.params, call.args)
+            if isinstance(arg, ast.Placeholder)
+        }
+        values: Dict[str, object] = {}
         for param, arg in zip(func.params, call.args):
-            if isinstance(arg, ast.Placeholder):
-                holes += 1
-                value: object = element
-            elif isinstance(arg, ast.Len) and arg.seq == "_":
-                holes += 1
-                value = len(element) if element is not None else None
-            else:
-                value = self._eval_value(arg)
-            if param.is_recursive:
-                if value is None:
-                    continue  # defaulted per problem
-                coordinate = int(value)
-                at[param.name] = coordinate
-                if isinstance(param.type, IntType):
-                    initial[param.name] = coordinate
-            else:
-                if value is None and not allow_holes:
-                    raise RuntimeDslError(
-                        f"missing value for parameter {param.name!r}",
-                        call.span,
-                    )
-                if value is not None:
-                    bindings[param.name] = self._coerce(param, value)
-        return bindings, at, initial, holes
+            if not _is_hole(arg):
+                values[param.name] = self.program.eval_value(arg)
+            elif element is None:
+                raise RuntimeDslError(
+                    "'_' stands only in a map template", arg.span
+                )
+            elif not param.is_recursive:
+                values[param.name] = (
+                    element
+                    if isinstance(arg, ast.Placeholder)
+                    else len(element)
+                )
+            elif not (
+                isinstance(arg, ast.Len)
+                and getattr(param.type, "seq_param", None) in mapped
+            ):
+                raise RuntimeDslError(
+                    f"the hole for recursive parameter {param.name!r} "
+                    f"of {func.name} must be |_| indexing the mapped "
+                    f"sequence",
+                    arg.span,
+                )
+        return self.program.bind_values(func, values)
 
-    def _coerce(self, param, value: object) -> object:
-        """Adapt script values to parameter types (str -> Sequence).
 
-        A bare string passed for a ``seq[*]`` parameter adopts the
-        first declared alphabet that covers it.
-        """
-        if isinstance(param.type, SeqType) and isinstance(value, str):
-            if param.type.alphabet is not None:
-                alphabet = self.alphabets[param.type.alphabet]
-                return Sequence(value, alphabet)
-            for alphabet in self.alphabets.values():
-                if all(ch in alphabet.chars for ch in set(value)):
-                    return Sequence(value, alphabet)
-            raise RuntimeDslError(
-                f"no declared alphabet covers the string for "
-                f"parameter {param.name!r}"
-            )
-        return value
+def _is_hole(arg: ast.Expr) -> bool:
+    """``_`` or ``|_|``: a ``map`` template's per-member argument."""
+    return isinstance(arg, ast.Placeholder) or (
+        isinstance(arg, ast.Len) and arg.seq == "_"
+    )
+
+
+def _check_arity(func: CheckedFunction, call: ast.Call) -> None:
+    if len(call.args) != len(func.params):
+        raise RuntimeDslError(
+            f"{func.name} takes {len(func.params)} arguments "
+            f"({', '.join(p.name for p in func.params)}), got "
+            f"{len(call.args)}",
+            call.span,
+        )
 
 
 def run_script(
@@ -346,20 +384,3 @@ def run_script(
 ) -> ScriptResult:
     """Parse, check and execute a DSL script."""
     return ProgramRunner(engine, echo=echo).run_text(text)
-
-
-def _script_binop(expr: ast.BinOp, left, right):
-    kind = expr.op
-    table = {
-        ast.BinOpKind.ADD: lambda: left + right,
-        ast.BinOpKind.SUB: lambda: left - right,
-        ast.BinOpKind.MUL: lambda: left * right,
-        ast.BinOpKind.MIN: lambda: min(left, right),
-        ast.BinOpKind.MAX: lambda: max(left, right),
-    }
-    if kind not in table:
-        raise RuntimeDslError(
-            f"operator {kind.value!r} is not supported at script level",
-            expr.span,
-        )
-    return table[kind]()

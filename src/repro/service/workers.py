@@ -220,6 +220,7 @@ class WorkerPool:
                     at=at or None,
                     initial=initial or None,
                     reduce=reduce,
+                    user_schedule=program.user_schedule(batch.function),
                 )
             except Exception as err:
                 kind = classify_failure(err)

@@ -561,7 +561,7 @@ class TestNoVerdictSkipped:
     def test_a_failed_verdict_raises_and_counts_once(self, monkeypatch):
         bad = Schedule(EDIT_FUNC.dim_names, (1, -1))
         monkeypatch.setattr(
-            Engine, "schedule_for", lambda self, func, domain: bad
+            Engine, "schedule_for", lambda self, func, domain, *_: bad
         )
         engine = Engine(backend="vector")
         for _ in range(2):

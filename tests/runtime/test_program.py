@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.lang.errors import RuntimeDslError
-from repro.runtime.program import run_script
+from repro.lang.errors import RuntimeDslError, ScheduleError
+from repro.runtime.program import ProgramRunner, run_script
 from repro.runtime.sequences import random_database, write_fasta
 from repro.runtime.values import DNA
 
@@ -121,6 +121,56 @@ class TestLoadAndMap:
         scores = result.maps["scores"].values
         assert len(scores) == 6
         assert all(isinstance(v, int) for v in scores)
+
+    @pytest.mark.parametrize(
+        "schedule, usage",
+        [("", (1, 1)), ("schedule d : 2*i + j\n", (2, 1))],
+    )
+    def test_map_member_is_its_print(self, schedule, usage):
+        """A member's request is the ``print`` of the same call: the
+        template's explicit coordinate and the declared schedule hold
+        for every member. The collection is seeded the way the
+        corpus replay seeds it."""
+        members = ["sitting", "kitchen", ""]
+        runner = ProgramRunner()
+        runner.globals["xs"] = members
+        result = runner.run_text(
+            PRELUDE + schedule + 'let a = "kitten"\n'
+            + "".join(f'print d(a, 2, "{x}", {len(x)})\n' for x in members)
+            + "map r = d(a, 2, _, |_|) over xs\n"
+        )
+        assert result.values == [6, 5, 2]
+        assert result.maps["r"].values == result.values
+        assert result.maps["r"].schedule_usage == {usage: len(members)}
+
+    @pytest.mark.parametrize(
+        "statement",
+        ['print d(a, |a|, "ab", 2)', "map r = d(a, |a|, _, |_|) over xs"],
+    )
+    def test_invalid_declared_schedule_refused(self, statement):
+        runner = ProgramRunner()
+        runner.globals["xs"] = ["ab", "b"]
+        with pytest.raises(ScheduleError):
+            runner.run_text(
+                PRELUDE + "schedule d : i\n"
+                + f'let a = "kitten"\n{statement}\n'
+            )
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "map r = d(a, |_|, _, |_|) over xs",  # i indexes a, not xs
+            "map r = d(_, 2, a, _) over xs",  # a sequence as coordinate
+            'print d(a, |_|, "ab", 2)',  # no member to stand for
+        ],
+    )
+    def test_a_hole_that_is_not_the_members_print_refused(
+        self, statement
+    ):
+        runner = ProgramRunner()
+        runner.globals["xs"] = ["ab", "b"]
+        with pytest.raises(RuntimeDslError, match="hole|only in a map"):
+            runner.run_text(PRELUDE + f'let a = "kitten"\n{statement}\n')
 
     def test_map_without_placeholder_rejected(self, tmp_path):
         db = random_database(2, 8, alphabet=DNA, seed=2)

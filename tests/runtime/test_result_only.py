@@ -18,7 +18,7 @@ from repro.apps.smith_waterman import smith_waterman_function
 from repro.extensions.submatrix import blosum62
 from repro.ir import cbackend
 from repro.lang.errors import RuntimeDslError
-from repro.lang.parser import parse_function
+from repro.lang.parser import parse_expr, parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime import ladder, native, sandbox
 from repro.runtime.engine import Engine
@@ -102,35 +102,57 @@ def is_lazy(result):
 # -- the request is settled before the launch -------------------------------
 
 
+def ask(engine, via, func, args, **request):
+    """``request`` through ``run``, or for the first member of a
+    ``map_run`` whose second member is longer (a lane-batched group
+    on ``auto``, one launch per member on ``scalar``)."""
+    if via == "run":
+        return engine.run(func, args, **request).value
+    longer = dict(args, s=dna(9, 3))
+    return engine.map_run(func, {}, [args, longer], **request).values[0]
+
+
 @pytest.mark.parametrize("backend", ["scalar", "auto"])
 def test_a_bad_request_launches_nothing(backend, monkeypatch):
+    """Through ``run`` and for a ``map_run`` member alike."""
     func = checked(EDIT)
     args = {"s": dna(6, 1), "t": dna(7, 2)}
     engine = Engine(backend=backend)
     good = engine.run(func, args)  # warm: products exist either way
+    ask(engine, "map_run", func, args)
     launches = Spy(monkeypatch, ladder, "launch")
     fused = Spy(monkeypatch, native.NativeRun, "result")
     tables = Spy(monkeypatch, Engine, "_table_for")
-    with pytest.raises(RuntimeDslError) as err:
-        engine.run(func, args, reduce="sum")
-    assert err.value.message == "unknown reduction 'sum'"
-    with pytest.raises(IndexError) as err:
-        engine.run(func, args, at={"i": 7})
-    assert str(err.value) == (
-        "index 7 is out of bounds for axis 0 with size 7"
-    )
-    with pytest.raises(IndexError):
-        engine.run(func, args, at={"j": -9})
+    schedules = Spy(monkeypatch, Engine, "schedule_for")
+    for via in ("run", "map_run"):
+        with pytest.raises(RuntimeDslError) as err:
+            ask(engine, via, func, args, reduce="sum")
+        assert err.value.message == "unknown reduction 'sum'"
+        # the request is refused before the (invalid) schedule is read
+        with pytest.raises(RuntimeDslError):
+            ask(
+                engine, via, func, args, reduce="sum",
+                user_schedule=parse_expr("i"),
+            )
+        with pytest.raises(IndexError) as err:
+            ask(engine, via, func, args, at={"i": 7})
+        assert str(err.value) == (
+            "index 7 is out of bounds for axis 0 with size 7"
+        )
+        with pytest.raises(IndexError):
+            ask(engine, via, func, args, at={"j": -9})
     assert launches.calls == fused.calls == tables.calls == 0
-    # in range, negative included, as NumPy wraps it
-    assert engine.run(func, args, at={"i": -1, "j": -1}).value == (
-        good.value
-    )
-    assert engine.run(func, args, at={"i": -7, "j": 3}).value == 3
-    # an out-of-range coordinate nobody reads is nobody's error
-    assert engine.run(
-        func, args, at={"i": 99}, reduce="max"
-    ).value == good.table.max()
+    assert schedules.calls == 0
+    for via in ("run", "map_run"):
+        # in range, negative included, as NumPy wraps it
+        assert ask(engine, via, func, args, at={"i": -1, "j": -1}) == (
+            good.value
+        )
+        assert ask(engine, via, func, args, at={"i": -7, "j": 3}) == 3
+        # an out-of-range coordinate nobody reads is nobody's error
+        assert ask(
+            engine, via, func, args, at={"i": 99}, reduce="max"
+        ) == good.table.max()
 
 
 # -- the fused path ----------------------------------------------------------

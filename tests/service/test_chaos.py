@@ -81,12 +81,12 @@ def make_pool(stats, registry, **overrides):
     )
 
 
-def edit_batch(registry, words, **job_overrides):
+def edit_batch(registry, words, args=(), **job_overrides):
     program = registry.register(EDIT_PROGRAM)
     jobs = []
     for word in words:
         bindings, at, initial = program.bind(
-            "d", {"s": word, "t": "sitting"}
+            "d", {"s": word, "t": "sitting", **dict(args)}
         )
         jobs.append(
             Job(
@@ -132,14 +132,21 @@ class TestDemotion:
         assert snapshot.failed == 0
 
     def test_budget_exhaustion_demotes_instead_of_failing(self):
-        stats, registry = StatsRegistry(), ProgramRegistry()
-        pool = make_pool(stats, registry, demote_after=100)
-        engine = BrokenDeviceEngine()
-        batch = edit_batch(registry, ["kitten"], retries_left=0)
-        pool.execute_batch(engine, batch)
-        assert batch.jobs[0].handle.result(timeout=5) == 3
-        assert stats.snapshot().demotions == 1
-        assert stats.snapshot().failed == 0
+        """A demoted job answers what a served one does, a negative
+        coordinate wrapped the same way."""
+        for args, value in (
+            ({}, 3), ({"i": -1}, 3), ({"i": -3}, 4), ({"j": -6}, 5)
+        ):
+            stats, registry = StatsRegistry(), ProgramRegistry()
+            pool = make_pool(stats, registry, demote_after=100)
+            served = edit_batch(registry, ["kitten"], args)
+            pool.execute_batch(Engine(), served)
+            assert served.jobs[0].handle.result(timeout=5) == value
+            batch = edit_batch(registry, ["kitten"], args, retries_left=0)
+            pool.execute_batch(BrokenDeviceEngine(), batch)
+            assert batch.jobs[0].handle.result(timeout=5) == value
+            assert stats.snapshot().demotions == 1
+            assert stats.snapshot().failed == 0
 
     def test_dsl_error_still_fails_fast(self):
         """A RaceError-style DslError from a chaotic engine is never

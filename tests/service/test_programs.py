@@ -32,6 +32,41 @@ class TestServiceProgram:
         )
         assert str(bindings["t"].text) == "sitting"
 
+    def test_lets_are_script_lets(self):
+        """Service lets go through the script's evaluator: lengths,
+        model fields and arithmetic, not only constants."""
+        program = ServiceProgram(
+            FORWARD_PROGRAM
+            + '\nlet x = "acgt"\nlet last = |x| - 1\nlet fin = h.end\n'
+        )
+        assert program.globals["last"] == 3
+        assert program.globals["fin"] == program.globals["h"].end_state.index
+        _, at, _ = program.bind(
+            "fw", {"x": {"ref": "x"}, "i": {"ref": "last"}}
+        )
+        assert at == {"i": 3}
+
+    @pytest.mark.parametrize(
+        "lets",
+        [
+            # each line doubles a string: 4 * 2**40 characters
+            'let b0 = "acgt"\n' + "".join(
+                f"let b{k + 1} = b{k} + b{k}\n" for k in range(40)
+            ),
+            # each line squares an int: about 2**41 digits
+            "let y0 = 99\n" + "".join(
+                f"let y{k + 1} = y{k} * y{k}\n" for k in range(40)
+            ),
+            'let s = "acgt" * 999999999\n',
+        ],
+    )
+    def test_a_let_cannot_outgrow_its_text(self, lets):
+        """A submitted ``let`` is arithmetic over numbers, and an int
+        stays within 64 bits: registration refuses at once rather
+        than building a value no request body could hold."""
+        with pytest.raises(RuntimeDslError, match="takes numbers"):
+            ProgramRegistry().register(EDIT_PROGRAM + "\n" + lets)
+
 
 class TestBinding:
     def test_strings_coerce_to_sequences(self):

@@ -37,8 +37,8 @@ def make_pool(stats=None, registry=None, **overrides):
     )
 
 
-def edit_batch(registry, words, **job_overrides):
-    program = registry.register(EDIT_PROGRAM)
+def edit_batch(registry, words, program=EDIT_PROGRAM, **job_overrides):
+    program = registry.register(program)
     jobs = []
     for word in words:
         bindings, at, initial = program.bind(
@@ -91,6 +91,27 @@ class TestExecution:
         pool.execute_batch(Engine(), batch)
         batched = [j.handle.result(timeout=1) for j in batch.jobs]
         assert batched == serial
+
+    def test_declared_schedule_reaches_map_run(self):
+        """A program's ``schedule`` is its functions' schedule on the
+        service too, as it is for a script's ``print`` and ``map``."""
+        usages = []
+
+        class Recording(Engine):
+            def map_run(self, *args, **kwargs):
+                result = super().map_run(*args, **kwargs)
+                usages.append(result.schedule_usage)
+                return result
+
+        registry = ProgramRegistry()
+        pool = make_pool(registry=registry)
+        batch = edit_batch(
+            registry, ["kitten", "mitten"],
+            program=EDIT_PROGRAM + "\nschedule d : 2*i + j\n",
+        )
+        pool.execute_batch(Recording(), batch)
+        assert [j.handle.result(timeout=1) for j in batch.jobs] == [3, 3]
+        assert usages == [{(2, 1): 2}]
 
     def test_unknown_program_fails_jobs(self):
         stats = StatsRegistry()
