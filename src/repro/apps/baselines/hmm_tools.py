@@ -28,6 +28,7 @@ import numpy as np
 
 from ...extensions.hmm import Hmm
 from ...gpu.spec import CpuSpec, DeviceSpec, GTX480, XEON_E5520
+from ...gpu.timing import cpu_cell_cycles
 from ...ir.kernel import Kernel
 from ...runtime.values import Sequence
 
@@ -73,28 +74,6 @@ def _cells(hmm: Hmm, seq_lengths: Iterable[int]) -> float:
     )
 
 
-def _cpu_cell_cycles(
-    kernel: Kernel, spec: CpuSpec, mean_degree: float
-) -> float:
-    """Per-cell cycles of the kernel's operation mix on a CPU core."""
-    totals = kernel.counts.scaled_total(mean_degree)
-    return (
-        totals["arith"] * spec.arith_cycles
-        + totals["compare"] * spec.compare_cycles
-        + totals["select"] * spec.select_cycles
-        + totals["special"] * spec.special_cycles
-        + (
-            totals["table_reads"]
-            + totals["seq_reads"]
-            + totals["matrix_reads"]
-            + totals["hmm_reads"]
-        )
-        * spec.memory_read_cycles
-        + spec.memory_write_cycles
-        + spec.loop_overhead_cycles
-    )
-
-
 @dataclass
 class HmmocBaseline:
     """HMMoC: compiled generic HMM code, one CPU thread."""
@@ -107,7 +86,7 @@ class HmmocBaseline:
 
     def seconds(self, hmm: Hmm, seq_lengths: Iterable[int]) -> float:
         """Modelled wall-clock of scoring ``seq_lengths``."""
-        per_cell = _cpu_cell_cycles(
+        per_cell = cpu_cell_cycles(
             self.kernel, self.spec, hmm.mean_in_degree()
         )
         cycles = _cells(hmm, seq_lengths) * per_cell * self.tool_factor
@@ -194,7 +173,7 @@ class Hmmer3Baseline:
     def seconds(self, hmm: Hmm, seq_lengths: Iterable[int]) -> float:
         """Modelled wall-clock of scoring ``seq_lengths``."""
         lengths = list(seq_lengths)
-        per_cell = _cpu_cell_cycles(
+        per_cell = cpu_cell_cycles(
             self.kernel, self.spec, hmm.mean_in_degree()
         ) * self.tool_factor
         full_cycles = _cells(hmm, lengths) * per_cell

@@ -125,7 +125,11 @@ def cell_cost_cycles(
     mean_degree: float = 1.0,
     table_in_shared: bool = False,
 ) -> Dict[str, float]:
-    """Per-cell cost, split into compute and memory cycles."""
+    """Per-cell cost, split into compute and memory cycles.
+
+    Only ``kernel.counts`` is read, so a lowered cell body prices
+    the same as the kernel built from it.
+    """
     totals = kernel.counts.scaled_total(mean_degree)
     compute = (
         totals["arith"] * spec.arith_cycles
@@ -296,20 +300,12 @@ def inter_task_seconds(
     )
 
 
-def cpu_cost_seconds(
-    kernel: Kernel,
-    domain: Domain,
-    spec: CpuSpec,
-    mean_degree: float = 1.0,
+def cpu_cell_cycles(
+    kernel: Kernel, spec: CpuSpec, mean_degree: float = 1.0
 ) -> float:
-    """Serial CPU execution of the same recurrence (one core).
-
-    Used for the CPU comparisons: the same per-cell operation mix,
-    priced with CPU constants, one cell at a time, divided by the
-    configuration's SIMD/thread speedup.
-    """
+    """Per-cell cycles of the kernel's operation mix on one CPU core."""
     totals = kernel.counts.scaled_total(mean_degree)
-    per_cell = (
+    return (
         totals["arith"] * spec.arith_cycles
         + totals["compare"] * spec.compare_cycles
         + totals["select"] * spec.select_cycles
@@ -324,5 +320,19 @@ def cpu_cost_seconds(
         + spec.memory_write_cycles
         + spec.loop_overhead_cycles
     )
-    cycles = per_cell * domain.size
+
+
+def cpu_cost_seconds(
+    kernel: Kernel,
+    domain: Domain,
+    spec: CpuSpec,
+    mean_degree: float = 1.0,
+) -> float:
+    """Serial CPU execution of the same recurrence (one core).
+
+    Used for the CPU comparisons: the same per-cell operation mix,
+    priced with CPU constants, one cell at a time, divided by the
+    configuration's SIMD/thread speedup.
+    """
+    cycles = cpu_cell_cycles(kernel, spec, mean_degree) * domain.size
     return cycles / spec.clock_hz / spec.effective_speedup()

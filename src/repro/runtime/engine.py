@@ -12,21 +12,20 @@
   persist compilation products across processes;
 * context preparation (device layout of sequences, matrices, models);
 * single-problem runs and ``map`` runs over problem collections with
-  conditional parallelisation (Section 4.7);
-* the simulated device's functional execution and analytic timing.
+  conditional parallelisation (Section 4.7), whose results price the
+  launch on first read (:func:`repro.gpu.device.price_launch`).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from functools import cached_property, partial
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence as Seq,
     Tuple,
@@ -37,15 +36,8 @@ import numpy as np
 from ..analysis.domain import Domain
 from ..analysis.plan import function_plan
 from ..extensions.hmm import Hmm
-from ..gpu.device import ProblemCost, SimulatedDevice, LaunchReport
+from ..gpu.device import Pricing, price_launch
 from ..gpu.spec import DeviceSpec, GTX480
-from ..gpu.timing import (
-    KernelCost,
-    batched_launch_cost,
-    kernel_cost,
-    partition_sizes,
-    problems_per_sm,
-)
 from ..ir.kernel import Kernel, build_kernel
 from ..lang import ast
 from ..lang.errors import (
@@ -79,7 +71,31 @@ from .values import Bindings, Sequence
 DEFAULT_CACHE_CAPACITY = 256
 
 
-class RunResult:
+class _Priced:
+    """The simulated device's side of a result, as a view: priced
+    once, on first read, by ``_pricing`` — the one pricer bound to
+    what the launch observed and the spec the engine had at launch —
+    so a caller that only wants values does not price a GTX 480.
+    """
+
+    _pricing: Callable[[], Pricing]
+
+    @cached_property
+    def _priced(self) -> Pricing:
+        return self._pricing()
+
+    @property
+    def report(self):
+        """The launch report (placement, device time)."""
+        return self._priced.report
+
+    @property
+    def seconds(self) -> float:
+        """Total simulated launch time."""
+        return self.report.total_seconds
+
+
+class RunResult(_Priced):
     """One problem solved on the simulated device.
 
     ``value`` is what the launch produced. ``table`` is computed on
@@ -88,6 +104,8 @@ class RunResult:
     rung — see :meth:`Engine.run`) did so, and the first access runs
     the full-table entry once and keeps the array. Every other launch
     filled its table up front and the attribute just returns it.
+    ``cost`` (the one problem's), ``report`` and ``seconds`` are the
+    priced view of a one-member launch.
     """
 
     def __init__(
@@ -96,16 +114,14 @@ class RunResult:
         table,
         kernel: Kernel,
         domain: Domain,
-        cost: KernelCost,
-        report: LaunchReport,
+        pricing: Callable[[], Pricing],
     ) -> None:
+        self._pricing = pricing
         self.value = value
         #: The filled table, or the zero-argument launch that fills it.
         self._table = table
         self.kernel = kernel
         self.domain = domain
-        self.cost = cost
-        self.report = report
 
     @property
     def table(self) -> np.ndarray:
@@ -121,39 +137,28 @@ class RunResult:
         return self.kernel.schedule
 
     @property
-    def seconds(self) -> float:
-        """Total simulated launch time."""
-        return self.report.total_seconds
+    def cost(self):
+        """The problem's analytic kernel cost."""
+        return self._priced.costs[0]
 
 
-class MapPricing(NamedTuple):
-    """The simulated-device accounting of one ``map`` launch."""
-
-    report: LaunchReport
-    schedule_usage: Dict[Tuple[int, ...], int]
-    costs: List[KernelCost]
-    batched_costs: List[KernelCost]
-
-
-class MapResult:
+class MapResult(_Priced):
     """A ``map`` workload solved on the simulated device.
 
     ``values`` and the lane-batch accounting are what the launch
-    produced. The simulated device's side — ``report``, ``costs``,
-    ``schedule_usage``, ``batched_costs``, ``seconds`` — is a view,
-    priced once on first read from what the launch observed (the
-    prepared members, and each packed group's rung and thread count
-    as they were when it ran): a caller that only wants the values
-    does not pay for pricing a GTX 480.
+    produced; the rest is the priced view, from the prepared members
+    and each packed group's rung and thread count as they were when
+    it ran.
     """
 
     def __init__(
         self,
         values: List[object],
-        pricing: Callable[[], MapPricing],
+        pricing: Callable[[], Pricing],
         lane_batched_problems: int = 0,
         batched_backends: Seq[str] = (),
     ) -> None:
+        self._pricing = pricing
         self.values = values
         #: Lane-batched execution accounting: how many problems ran
         #: inside packed groups, and which rung each group actually
@@ -162,21 +167,16 @@ class MapResult:
         #: demotions).
         self.lane_batched_problems = lane_batched_problems
         self.batched_backends = list(batched_backends)
-        self._pricing = pricing
 
     @property
     def lane_batches(self) -> int:
         """How many packed groups ran as single batched sweeps."""
         return len(self.batched_backends)
 
-    @cached_property
-    def _priced(self) -> MapPricing:
-        return self._pricing()
-
     @property
-    def report(self) -> LaunchReport:
-        """The per-problem launch report (placement, device time)."""
-        return self._priced.report
+    def costs(self):
+        """Every problem's analytic kernel cost, in problem order."""
+        return self._priced.costs
 
     @property
     def schedule_usage(self) -> Dict[Tuple[int, ...], int]:
@@ -184,20 +184,10 @@ class MapResult:
         return self._priced.schedule_usage
 
     @property
-    def costs(self) -> List[KernelCost]:
-        """Every problem's analytic kernel cost, in problem order."""
-        return self._priced.costs
-
-    @property
-    def batched_costs(self) -> List[KernelCost]:
-        """The packed groups' amortised analytic costs (one sync per
-        *global* partition — see ``gpu.timing.batched_launch_cost``)."""
+    def batched_costs(self):
+        """The packed groups' amortised analytic costs, in group order
+        (one sync per *global* partition)."""
         return self._priced.batched_costs
-
-    @property
-    def seconds(self) -> float:
-        """Total simulated launch time."""
-        return self.report.total_seconds
 
 
 class Engine:
@@ -227,7 +217,6 @@ class Engine:
         if verify not in ("off", "schedule", "full"):
             raise ValueError(f"unknown verify mode {verify!r}")
         self.spec = device or GTX480
-        self.device = SimulatedDevice(self.spec)
         self.prob_mode = prob_mode
         self.backend = backend
         #: Lane-batch eligible ``map`` groups into single vectorised
@@ -634,14 +623,6 @@ class Engine:
             return math.exp(raw) if raw != float("-inf") else 0.0
         return float(raw)
 
-    def _problem_bytes(self, domain: Domain, bindings: Bindings) -> float:
-        """Rough host->device payload of one problem."""
-        total = 8.0 * domain.extents[-1]  # result row copied back
-        for value in bindings.values.values():
-            if isinstance(value, Sequence):
-                total += len(value)
-        return total
-
     def _execute(self, target, table, ctx, domain) -> None:
         """The default launch: one in-process call of a compiled
         kernel or lane-batched launch (sanitized on request)."""
@@ -651,33 +632,6 @@ class Engine:
             run_sanitized(target, table, ctx, domain)
         else:
             target.run(table, ctx)
-
-    def _price(
-        self,
-        func: CheckedFunction,
-        compiled: CompiledKernel,
-        bound: Bindings,
-        domain: Domain,
-        use_window: bool,
-        sizes,
-    ) -> Tuple[KernelCost, ProblemCost]:
-        """Analytic cost of one problem and its launch-queue entry."""
-        cost = kernel_cost(
-            compiled.kernel,
-            domain,
-            self.spec,
-            mean_degree=self.mean_degree(func, bound),
-            use_window=use_window,
-            sizes=sizes,
-        )
-        problem = ProblemCost(
-            cost.seconds,
-            bytes_in=self._problem_bytes(domain, bound),
-            packing=problems_per_sm(
-                compiled.kernel, domain, self.spec, sizes=sizes
-            ),
-        )
-        return cost, problem
 
     def run(
         self,
@@ -706,8 +660,8 @@ class Engine:
         ``(compiled_or_batched_launch, table, ctx, domain)`` that
         fills the table (default: :meth:`_execute`). The resilience
         supervisor passes its checkpointed executor here, so domain,
-        schedule, verification, rung, context, pricing and extraction
-        are this one code path whether or not a run is supervised.
+        schedule, verification, rung, context and extraction are this
+        one code path whether or not a run is supervised.
         """
         bound = Bindings(dict(bindings))
         domain = self.domain_of(func, bound, initial)
@@ -718,14 +672,6 @@ class Engine:
         self.verify_compiled(func, schedule, domain)
         compiled = self.compile(func, schedule, domain)
         ctx = self.build_context(compiled, bound, domain)
-
-        # One convolution per launch: the cost model and the packing
-        # rule both read it.
-        sizes = partition_sizes(schedule, domain)
-        cost, problem = self._price(
-            func, compiled, bound, domain, use_window, sizes
-        )
-
         kernel = compiled.kernel
         execute = _launch or self._execute
 
@@ -746,8 +692,10 @@ class Engine:
         else:
             table = fill()
             value = self._extract(kernel, table, coords, reduce)
-        report = self.device.launch([problem])
-        return RunResult(value, table, kernel, domain, cost, report)
+        return RunResult(
+            value, table, kernel, domain,
+            self._pricing(func, [(bound, domain, compiled)], use_window),
+        )
 
     def prepare_map(
         self,
@@ -761,14 +709,15 @@ class Engine:
 
         Returns ``(prepared, costs, usage, problem_costs)`` where
         ``prepared`` is a list of ``(bindings, domain, compiled)``
-        triples in problem order.
+        triples in problem order and the rest is their
+        :class:`~repro.gpu.device.Pricing`.
         """
         prepared = self._prepare_members(
             func, self._bind_members(func, base_bindings, problems, initial)
         )
-        return (prepared,) + self._price_members(
-            func, prepared, use_window
-        )
+        priced = self._pricing(func, prepared, use_window)()
+        usage = priced.schedule_usage
+        return prepared, priced.costs, usage, priced.problem_costs
 
     def _bind_members(
         self,
@@ -821,26 +770,6 @@ class Engine:
             prepared.append((bound, domain, compiled))
         return prepared
 
-    def _price_members(
-        self, func: CheckedFunction, prepared, use_window: bool
-    ) -> Tuple[
-        List[KernelCost], Dict[Tuple[int, ...], int], List[ProblemCost]
-    ]:
-        """``(costs, usage, problem_costs)`` of prepared members."""
-        costs: List[KernelCost] = []
-        usage: Dict[Tuple[int, ...], int] = {}
-        problem_costs: List[ProblemCost] = []
-        for bound, domain, compiled in prepared:
-            cost, problem = self._price(
-                func, compiled, bound, domain, use_window,
-                partition_sizes(compiled.schedule, domain),
-            )
-            costs.append(cost)
-            coeffs = compiled.schedule.coefficients
-            usage[coeffs] = usage.get(coeffs, 0) + 1
-            problem_costs.append(problem)
-        return costs, usage, problem_costs
-
     def map_run(
         self,
         func: CheckedFunction,
@@ -863,10 +792,9 @@ class Engine:
         settled, as :meth:`run` settles its one, before anything is
         scheduled, compiled or launched. Without ``user_schedule``
         each problem gets the schedule :meth:`run` would pick for its
-        box (Section 4.7's per-problem choice). The device-time
-        accounting is priced when the result's ``report``/``costs``/...
-        are first read (see :class:`MapResult`). ``_launch`` is the
-        private launch seam of :meth:`run`.
+        box (Section 4.7's per-problem choice). The result is priced
+        as :meth:`run`'s is, on first read. ``_launch`` is the private
+        launch seam of :meth:`run`.
         """
         members = self._bind_members(func, base_bindings, problems, initial)
         coords = self._member_requests(func, members, at, initial, reduce)
@@ -875,12 +803,9 @@ class Engine:
         launch = _launch or self._execute
 
         # Lane batching: groups of same-kernel problems run as single
-        # padded sweeps, then the rest one launch each. The analytic
-        # launch report keeps the per-problem costs — placement and
-        # device time are modelled unchanged — while ``batched_costs``
-        # records the amortised (one sync per global partition)
-        # pricing. Sanitized runs step partition-by-partition; the
-        # packed sweep cannot, so batching stands down.
+        # padded sweeps, then the rest one launch each. Sanitized runs
+        # step partition-by-partition; the packed sweep cannot, so
+        # batching stands down.
         batch_groups: List[List[int]] = []
         if self.batching and not self.sanitize and len(prepared) > 1:
             from ..verify.races import parallelism_certificate
@@ -932,8 +857,8 @@ class Engine:
             )
         return MapResult(
             values,
-            partial(
-                self._price_map, func, prepared, use_window,
+            self._pricing(
+                func, prepared, use_window,
                 list(zip(batch_groups, group_threads)),
             ),
             lane_batched_problems=sum(map(len, batch_groups)),
@@ -992,32 +917,33 @@ class Engine:
         raws = packed.table[(np.arange(len(rows)),) + tuple(rows.T)]
         return [self._value(kernel, raw) for raw in raws.tolist()]
 
-    def _price_map(
+    def _pricing(
         self,
         func: CheckedFunction,
         prepared,
         use_window: bool,
-        groups: Seq[Tuple[List[int], int]],
-    ) -> MapPricing:
-        """Price a ``map`` launch on the simulated device: every
-        member, each lane-batched group (``groups`` pairs a group's
-        indices with the thread count it ran on), and the launch
-        report."""
-        costs, usage, problem_costs = self._price_members(
-            func, prepared, use_window
-        )
-        batched_costs = [
-            batched_launch_cost(
-                prepared[group[0]][2].kernel,
-                [prepared[i][1] for i in group],
-                self.spec,
-                mean_degree=self.mean_degree(
-                    func, prepared[group[0]][0]
-                ),
-                threads=threads,
-            )
-            for group, threads in groups
-        ]
-        return MapPricing(
-            self.device.launch(problem_costs), usage, costs, batched_costs
-        )
+        groups: Seq[Tuple[List[int], int]] = (),
+    ) -> Callable[[], Pricing]:
+        """The one pricer, bound to what a launch observed: the
+        prepared ``(bindings, domain, compiled)`` members, the window
+        choice, each lane-batched group's indices with the thread
+        count it ran on, and the engine's spec as it is now."""
+        spec = self.spec
+
+        def price() -> Pricing:
+            members = [
+                (
+                    compiled.kernel, domain,
+                    self.mean_degree(func, bound),
+                    # Rough host->device payload: the result row
+                    # copied back, plus every bound sequence.
+                    8.0 * domain.extents[-1] + sum(
+                        len(value) for value in bound.values.values()
+                        if isinstance(value, Sequence)
+                    ),
+                )
+                for bound, domain, compiled in prepared
+            ]
+            return price_launch(members, spec, use_window, groups)
+
+        return price

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..analysis.domain import Domain
 from ..gpu.spec import DeviceSpec, GTX480
+from ..gpu.timing import cell_cost_cycles, partition_sizes
 from ..ir.lower import lower_function
 from ..lang.errors import RuntimeDslError
 from ..lang.typecheck import CheckedFunction
@@ -249,34 +250,18 @@ def mutual_cost(
     Per global partition, each function contributes its warp batches;
     one barrier closes the partition.
     """
-    per_cell = {}
-    for name, func in funcs.items():
-        body = lower_function(func)
-        totals = body.counts.scaled_total(mean_degree)
-        per_cell[name] = (
-            totals["arith"] * spec.arith_cycles
-            + totals["compare"] * spec.compare_cycles
-            + totals["select"] * spec.select_cycles
-            + totals["special"] * spec.special_cycles
-            + (
-                totals["table_reads"] * spec.global_read_cycles
-                + totals["seq_reads"] * spec.shared_read_cycles
-                + totals["matrix_reads"] * spec.shared_read_cycles
-                + totals["hmm_reads"] * spec.shared_read_cycles
-            )
-            + spec.global_write_cycles
-        )
-
-    # Partition-size profiles per function, aligned on the global axis.
+    # A group's tables live in global memory: no shared window.
     low, high = mutual.global_range(domains)
     cycles = 0.0
-    from ..gpu.timing import partition_sizes
-
     for name, func in funcs.items():
-        fs = mutual[name]
-        sizes = partition_sizes(fs.schedule, domains[name])
+        per_cell = cell_cost_cycles(
+            lower_function(func), spec, mean_degree, table_in_shared=False
+        )
+        sizes = partition_sizes(mutual[name].schedule, domains[name])
         batches = np.ceil(sizes / spec.warp_size)
-        cycles += float(batches.sum()) * per_cell[name]
+        cycles += float(batches.sum()) * (
+            per_cell["compute"] + per_cell["memory"]
+        )
     cycles += (high - low + 1) * spec.sync_cycles
     return cycles / spec.clock_hz
 

@@ -25,6 +25,9 @@ class TestSchedules:
                 "i": 1, "j": 1
             }
             assert mutual[name].offset == 0
+        # The modelled device time, bit for bit as recorded before
+        # ``mutual_cost`` shared ``gpu.timing``'s per-cell formula.
+        assert fold.result.seconds == float.fromhex("0x1.7fdcda0b23ca9p-20")
 
 
 class TestScores:

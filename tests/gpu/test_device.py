@@ -29,14 +29,6 @@ class TestLaunch:
         report = device.launch([ProblemCost(1.0)] * 4)
         assert report.kernel_seconds == pytest.approx(2.0)
 
-    def test_functional_callback_runs_for_every_problem(self):
-        device = SimulatedDevice(DeviceSpec(sm_count=2))
-        seen = []
-        device.launch(
-            [ProblemCost(0.1)] * 5, run=lambda k: seen.append(k)
-        )
-        assert seen == [0, 1, 2, 3, 4]
-
     def test_transfer_time_scales_with_bytes(self):
         device = SimulatedDevice()
         small = device.launch([ProblemCost(0.0, bytes_in=1e3)])

@@ -364,17 +364,18 @@ class TestLaunchDemotion:
 # -- the device model prices, it does not choose -------------------------------
 
 
-def _gpu_importers():
+def _gpu_imports():
     """Modules under ``src/repro`` (outside ``repro.gpu`` itself) with
     an import of ``repro.gpu`` anywhere in them, lazy ones included,
-    as paths relative to the package."""
+    as paths relative to the package, each with the dotted names it
+    imports from ``repro.gpu``."""
     import ast
     from pathlib import Path
 
     import repro
 
     root = Path(repro.__file__).parent
-    importers = set()
+    importers = {}
     for path in root.rglob("*.py"):
         rel = path.relative_to(root)
         if rel.parts[0] == "gpu":
@@ -395,12 +396,11 @@ def _gpu_importers():
                 ]
             else:
                 continue
-            if any(
-                (target + ".").startswith("repro.gpu.")
-                for target in targets
-            ):
-                importers.add(rel.as_posix())
-    return importers
+            importers.setdefault(rel.as_posix(), set()).update(
+                target for target in targets
+                if (target + ".").startswith("repro.gpu.")
+            )
+    return {path: names for path, names in importers.items() if names}
 
 
 def test_nothing_that_chooses_code_imports_the_device_model():
@@ -408,8 +408,10 @@ def test_nothing_that_chooses_code_imports_the_device_model():
     runs. So nothing that picks a schedule, emits or verifies code,
     or launches it may import ``repro.gpu`` — only what prices a
     launch (the engines), configures the device (the service) or
-    reproduces the paper's baselines."""
-    importers = _gpu_importers()
+    reproduces the paper's baselines. The engine imports the spec it
+    is configured with and the one pricer, nothing of the model."""
+    imports = _gpu_imports()
+    importers = set(imports)
     choosers = {
         path for path in importers
         if path.split("/")[0] in ("schedule", "ir", "verify")
@@ -424,4 +426,10 @@ def test_nothing_that_chooses_code_imports_the_device_model():
         if not path.startswith("apps/baselines/")
     } == {
         "runtime/engine.py", "runtime/mutual.py", "service/server.py",
+    }
+    assert imports["runtime/engine.py"] == {
+        "repro.gpu.spec.DeviceSpec",
+        "repro.gpu.spec.GTX480",
+        "repro.gpu.device.Pricing",
+        "repro.gpu.device.price_launch",
     }

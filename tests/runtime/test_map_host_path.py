@@ -3,25 +3,30 @@
 A map member pays for its own bindings, extents and schedule pick;
 the rung, the packed context and each verification verdict are paid
 once per group (or per distinct verdict key), and the simulated
-device's accounting is priced when it is first read. These tests pin
-the counts, pin the priced numbers to goldens recorded at the parent
-commit (``map_pricing_goldens.json``, written by running
-:func:`golden_records` against that tree), and pin the values to
+device's accounting — a map's and a single run's alike — is priced
+when it is first read. These tests pin the counts, pin the priced
+numbers to goldens recorded at the commit before each view landed
+(``map_pricing_goldens.json`` and ``run_pricing_goldens.json``,
+written by running :func:`golden_records` and
+:func:`run_golden_records` against that tree), and pin the values to
 ``Engine.run``'s.
 """
 
 import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.profile_hmm import tk_model
+from repro.apps.rna_folding import RNA, nussinov_function
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.timing import (
     batched_launch_cost,
     kernel_cost,
+    partition_sizes,
     problems_per_sm,
 )
 from repro.ir.kernel import build_kernel
@@ -173,9 +178,34 @@ class TestMemberCosts:
         }
         assert counts_of(unseen) == repeated
 
+    @pytest.mark.parametrize(
+        "backend", ["vector", pytest.param("native", marks=needs_cc)]
+    )
+    def test_values_only_run_prices_nothing(self, monkeypatch, backend):
+        """A warm ``Engine.run`` whose caller reads only ``.value``
+        never touches the device model — on the native rung through
+        the result-only entry, whose table stays unfilled."""
+        engine = Engine(backend=backend)
+        func = checked(EDIT)
+        bindings = {**EDIT_BASE, **edit_problems()[0]}
+        engine.run(func, bindings)
+        counters = [
+            count_calls(monkeypatch, kernel_cost),
+            count_calls(monkeypatch, problems_per_sm),
+            count_calls(monkeypatch, partition_sizes),
+            count_method(monkeypatch, SimulatedDevice, "launch"),
+        ]
+        result = engine.run(func, bindings)
+        assert result.value == engine.run(func, bindings).value
+        if backend == "native":
+            assert callable(result._table)  # launched result-only
+        assert [len(calls) for calls in counters] == [0, 0, 0, 0]
+
     def test_pricing_runs_once_on_first_read(self, monkeypatch):
         engine = Engine(backend="vector")
-        result = engine.map_run(checked(EDIT), EDIT_BASE, edit_problems())
+        func = checked(EDIT)
+        result = engine.map_run(func, EDIT_BASE, edit_problems())
+        run = engine.run(func, {**EDIT_BASE, **edit_problems()[0]})
         launches = count_method(monkeypatch, SimulatedDevice, "launch")
         priced = count_calls(monkeypatch, kernel_cost)
         for _ in range(2):
@@ -186,8 +216,11 @@ class TestMemberCosts:
             )
             assert len(result.batched_costs) == result.lane_batches
             assert result.seconds == result.report.total_seconds
-        assert len(launches) == 1
-        assert len(priced) == len(EDIT_LENGTHS)
+            assert run.report.problems == 1
+            assert run.cost.cells == run.domain.size
+            assert run.seconds == run.report.total_seconds
+        assert len(launches) == 2
+        assert len(priced) == len(EDIT_LENGTHS) + 1
 
 
 # -- (b) the priced view equals the eager pricing ---
@@ -267,6 +300,71 @@ GOLDENS = json.loads(
 )
 
 
+def run_record(result):
+    """Everything a ``RunResult`` reports about the simulated device,
+    as JSON-stable data."""
+    report = result.report
+    return json.loads(json.dumps({
+        "report": [
+            report.device, report.problems, report.kernel_seconds,
+            report.transfer_seconds, report.overhead_seconds,
+            list(report.sm_seconds),
+        ],
+        "cost": dataclasses.astuple(result.cost),
+        "seconds": result.seconds,
+    }))
+
+
+def run_golden_cases():
+    """``name -> thunk(with_map=False)`` returning a cold engine's
+    ``RunResult`` — with the same problem's one-member ``MapResult``
+    when ``with_map``. Rungs are forced to toolchain-independent ones,
+    as for the map goldens."""
+    model = tk_model(seed=3)
+    edit = {"s": english(100, salt=1), "t": english(63)}
+    fold = {"x": Sequence("ggcgcaaagcgccgggaaaccc", RNA)}
+    setups = {
+        "edit-window": ("vector", "direct", EDIT, edit, {}),
+        "edit-no-window": (
+            "vector", "direct", EDIT, edit, {"use_window": False},
+        ),
+        "forward-logspace": (
+            "vector", "logspace", FORWARD,
+            {"h": model, "x": protein(model, 30, salt=2)}, {},
+        ),
+        "nussinov": (
+            "scalar", "direct", nussinov_function(), fold,
+            {"at": {"i": 0, "j": 22}},
+        ),
+    }
+
+    def thunk(backend, mode, source, bindings, kwargs, with_map=False):
+        engine = Engine(backend=backend, prob_mode=mode)
+        func = checked(source) if isinstance(source, str) else source
+        run = engine.run(func, bindings, **kwargs)
+        if not with_map:
+            return run
+        return run, engine.map_run(func, bindings, [{}], **kwargs)
+
+    return {name: partial(thunk, *args) for name, args in setups.items()}
+
+
+RUN_GOLDEN_CASES = run_golden_cases()
+
+
+def run_golden_records():
+    """What ``run_pricing_goldens.json`` holds (run at the parent)."""
+    return {
+        name: run_record(thunk())
+        for name, thunk in RUN_GOLDEN_CASES.items()
+    }
+
+
+RUN_GOLDENS = json.loads(
+    Path(__file__).with_name("run_pricing_goldens.json").read_text()
+)
+
+
 class TestPricedView:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_matches_the_parent_commit(self, name):
@@ -282,8 +380,22 @@ class TestPricedView:
         )
         assert result.costs == costs
         assert result.schedule_usage == usage
-        assert result.report == engine.device.launch(problem_costs)
+        assert result.report == SimulatedDevice(engine.spec).launch(
+            problem_costs
+        )
         assert result.seconds == result.report.total_seconds
+
+    @pytest.mark.parametrize("name", sorted(RUN_GOLDEN_CASES))
+    def test_run_matches_the_parent_commit(self, name):
+        assert run_record(RUN_GOLDEN_CASES[name]()) == RUN_GOLDENS[name]
+
+    @pytest.mark.parametrize("name", sorted(RUN_GOLDEN_CASES))
+    def test_run_is_a_one_member_map(self, name):
+        """``run`` is the one pricer's one-member call: its cost and
+        report are a one-member ``map_run``'s."""
+        run, single = RUN_GOLDEN_CASES[name](with_map=True)
+        assert single.costs == [run.cost]
+        assert single.report == run.report
 
     @needs_cc
     def test_batched_costs_keep_the_launch_time_threads(

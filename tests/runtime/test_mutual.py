@@ -126,6 +126,9 @@ class TestRnaGrammar:
         # Same span coefficients, paired strictly earlier.
         assert struct_sched.schedule == paired_sched.schedule
         assert paired_sched.offset < struct_sched.offset
+        # The modelled device time, bit for bit as recorded before
+        # ``mutual_cost`` shared ``gpu.timing``'s per-cell formula.
+        assert fold.result.seconds == float.fromhex("0x1.8fdf7a4857fc4p-19")
 
     def test_random_sequences(self, grammar):
         import random
