@@ -224,11 +224,12 @@ def explain_main(argv) -> int:
         parallel = parallelism_certificate(kernel)
         record["parallel"] = parallel.to_dict()
         from .ir import cbackend
+        from .ir.npbackend import Eligibility
         from .runtime import ladder
 
         rungs = ladder.rungs(kernel)
         available, native = rungs[0].checks
-        entries = cbackend.native_entries(kernel, parallel)
+        licence = parallel.licences.tile
         verdict = rungs[1].verdict
         backend = ladder.choose(rungs)
         record.update(
@@ -251,14 +252,26 @@ def explain_main(argv) -> int:
                 "detail": native.detail,
                 # Block shape of the blocked wavefront; null when the
                 # kernel keeps the partition sweep.
-                "tile": list(cbackend.TILE) if entries.tiled else None,
+                "tile": list(cbackend.TILE) if licence else None,
                 # May the entry be launched without a table?
-                "result_only": entries.result_only,
+                "result_only": bool(licence and licence.result_only),
             },
         )
-        from .runtime.batching import batched_native_eligibility
-
-        batched = batched_native_eligibility(kernel)
+        # A map group batches through the same TU, so the native
+        # rung's verdict is the batched one; the tile licence says
+        # which body each member runs.
+        refusal = rungs[0].verdict
+        batched = refusal if not refusal.ok else Eligibility(
+            True, refusal.rule,
+            f"kernel {name!r} runs whole map groups as one "
+            f"native launch: a problem loop over the padded (B, ...) "
+            f"table, each member's own partition sweep inside"
+            + (
+                "; the blocked wavefront parallelises one problem, a "
+                "batched launch parallelises over problems"
+                if licence else ""
+            ),
+        )
         record["batched_native"] = {
             "ok": batched.ok,
             "rule": batched.rule,
@@ -267,7 +280,6 @@ def explain_main(argv) -> int:
         emit(f"{name}: backend={backend} rule={verdict.rule} "
              f"schedule={schedule}")
         emit(f"  vector: [{verdict.rule}] {verdict.detail}")
-        refusal = rungs[0].verdict
         if not refusal.ok:
             emit(f"  native: [{refusal.rule}] {refusal.detail}")
             emit(f"  batched-native: [{batched.rule}] {batched.detail}")
@@ -295,28 +307,22 @@ def explain_main(argv) -> int:
                 # The batched entry point lives in the same
                 # translation unit; prove it loads (the map path's
                 # rung is only real if the symbol resolves).
-                if batched.ok:
-                    loaded = _time.perf_counter()
-                    try:
-                        compiled.ensure_batched_native()
-                    except NativeBuildError as err:
-                        record["batched_native"]["ok"] = False
-                        record["batched_native"]["error"] = str(err)
-                        emit(f"  batched-native: [load-failed] {err}")
-                    else:
-                        load_ms = _time.perf_counter() - loaded
-                        record["batched_native"]["seconds"] = elapsed
-                        record["batched_native"]["load_seconds"] = (
-                            load_ms
-                        )
-                        emit(
-                            f"  batched-native: [{batched.rule}] "
-                            f"{batched.detail} (same module, "
-                            f"compiled in {elapsed * 1e3:.0f} ms)"
-                        )
+                loaded = _time.perf_counter()
+                try:
+                    compiled.ensure_batched_native()
+                except NativeBuildError as err:
+                    record["batched_native"]["ok"] = False
+                    record["batched_native"]["error"] = str(err)
+                    emit(f"  batched-native: [load-failed] {err}")
                 else:
-                    emit(f"  batched-native: [{batched.rule}] "
-                         f"{batched.detail}")
+                    load_ms = _time.perf_counter() - loaded
+                    record["batched_native"]["seconds"] = elapsed
+                    record["batched_native"]["load_seconds"] = load_ms
+                    emit(
+                        f"  batched-native: [{batched.rule}] "
+                        f"{batched.detail} (same module, "
+                        f"compiled in {elapsed * 1e3:.0f} ms)"
+                    )
         emit(f"  parallel: {parallel.summary}")
         try:
             certificate, _diags = verify_schedule(

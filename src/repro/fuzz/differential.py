@@ -576,13 +576,14 @@ class DifferentialHarness:
         from ..ir import cbackend
         from ..runtime import native as native_rt
         from ..runtime.values import Bindings
+        from ..verify.races import licences
 
         native_leg = legs.get("native")
         if (
             native_leg is None
             or native_leg.status != "ok"
             or scalar.table is None
-            or not cbackend.native_entries(scalar.value_kernel).tiled
+            or licences(scalar.value_kernel).tile is None
         ):
             return ""
         draw = zlib.crc32(case.text.encode("utf-8"))
@@ -608,7 +609,7 @@ class DifferentialHarness:
                 engine.domain_of(func, bound, run_kwargs["initial"]),
                 run_kwargs["at"], run_kwargs["initial"], reduce,
             )
-            reach = cbackend.native_entries(compiled.kernel).reach
+            reach = licences(compiled.kernel).tile.reach
             fused = {"default tile": compiled.run.result(
                 ctx, reduce, coords
             )}

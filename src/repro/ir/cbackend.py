@@ -2,77 +2,62 @@
 
 Where :mod:`repro.ir.cuda` renders the kernel as ``__global__`` text
 for inspection, this module emits a *compilable* C99 translation unit
-of the same synthesised program (Figure 9's loop nest): the time loop
-over partitions and the space loop over a partition's cells both live
-in C, so a whole run — every partition, every cell — is one shared
-library call instead of millions of interpreted Python steps. The
-cell expression is printed by the C dialect of the one cell printer
-(:mod:`repro.ir.cell`), shared with the CUDA emitter; only the
-surrounding function differs.
+of the same synthesised program: the time loop over partitions and
+the space loop over a partition's cells both live in C, so a whole
+run — every partition, every cell — is one shared library call.
 
-``repro_<name>`` reads and writes the caller's table, in one of two
-orders picked by the ``tile`` axis of the kernel's parallel-safety
-certificate (:func:`native_entries` is the one place that decides):
+The TU is the kernel's own loop nest (Figure 9) under a chain of
+rewrites, printed by the one C nest printer
+(:meth:`repro.ir.cell.CCell.print_nest`, which the CUDA text shares):
 
-* **blocked wavefront** (``R-TILE-ORDER`` CONFIRMED: every own-table
-  read looks backward in every dimension — Smith-Waterman, edit
-  distance) — the box is cut into :data:`TILE` blocks, block
-  anti-diagonals run in order under *one* ``#pragma omp parallel``,
-  the blocks of a diagonal are shared out by ``#pragma omp for`` (its
-  implicit barrier is the only synchronisation), and inside a block
-  runs the kernel's own scattering nest over the block's box
-  ``[lo_<dim>, hi_<dim>]``, serially. A problem no larger than one
-  tile is one block: one region, one barrier. The same entry has a
-  *result-only* mode (``_res`` non-null, no table): every thread
-  keeps one private halo tile, block edges travel through two
-  boundary strips, and ``max``/``min``/one coordinate is folded in C
-  — see :func:`_emit_tiled_body`.
-* **partition sweep** (everything else) — Figure 9 literally: the
-  time loop over the whole box, ``#pragma omp parallel for`` on the
-  first space loop of each partition.
+* :func:`sweep` — the partition sweep, Figure 9 literally: the time
+  loop over the whole box, clipped to ``[part_lo, part_hi]``;
+* :func:`tile` — the blocked wavefront: the box cut into :data:`TILE`
+  blocks, block anti-diagonals in order, the kernel's own nest over
+  each block's box ``[lo_<dim>, hi_<dim>]`` inside;
+  :func:`result_only` lays out its storage — the caller's table, or
+  (``_res`` non-null, no table) a private halo tile per thread, block
+  edges travelling through two boundary strips and
+  ``max``/``min``/one coordinate folded in C;
+* :func:`batch` — ``repro_<name>_batched``'s problem loop over a
+  padded map group, each member running its own sweep over its own
+  bounds: no masking, no clamping, bitwise the per-problem cells;
+* :func:`parallel` — an OpenMP pragma on the first space loop of each
+  partition, on the problem loop, or over the blocks of each block
+  diagonal.
 
-Either way the table is the only storage: Section 4.8's sliding
-window is a shared-memory device and stays in the CUDA text
-(:func:`repro.ir.cuda.emit_cuda`); on a CPU the tile is the resident
-window. The entry takes ``(table, part_lo, part_hi, bounds, context
-arrays...)`` with a fixed parameter order described by
+A rewrite that adds a pragma or changes the order takes its licence
+as a required argument of its own type — ``parallel(loop,
+SpaceLicence)``, ``parallel(problem_loop, BatchLicence)``,
+``tile(kernel, TileLicence, edges)``, ``result_only(tiled,
+TileLicence)`` — and only :mod:`repro.verify.races` grants one, from
+a CONFIRMED verdict. Anything else is a ``TypeError`` at the call, so
+an unproved pragma or block order cannot be written at all.
+:func:`emit_native_source` reads the kernel's licences once and
+composes.
+
+Either order keeps the table the only storage: Section 4.8's sliding
+window is a shared-memory device and stays in the CUDA text; on a
+CPU the tile is the resident window. The entry takes ``(table,
+part_lo, part_hi, bounds, context arrays...)`` in the order of
 :func:`native_param_spec` — :mod:`repro.runtime.native` builds the
 matching ``ctypes`` call from the same spec — and computes exactly
 the cells whose partition lies in ``[part_lo, part_hi]``.
-
-The translation unit's second and last entry point serves the
-lane-batched ``map`` path (the native mirror of the vector batcher
-in :mod:`repro.ir.npbackend`):
-
-* ``repro_<name>_batched`` — runs a whole same-kernel map group as
-  one call over a padded ``(B, d0max, ...)`` table with ``(B, 1)``
-  bounds, ``(B, Lmax)`` sequence buffers and length-``B`` scalar
-  columns (:func:`native_batched_param_spec`). Where the NumPy
-  batcher needs explicit validity masks (`_bread`/`_bgather`/
-  `_bstore`) because every lane executes every global partition, the
-  C entry simply runs each member's *own* loop nest over its own
-  bounds inside an outer problem loop — no masking, no clamping, and
-  bitwise-identical cells to the per-problem entry. The problem loop
-  is the parallel axis; with OpenMP it carries ``#pragma omp parallel
-  for`` *when* :mod:`repro.verify.races` has proved the members'
-  padded slices disjoint (``R-BATCH-OVERLAP``) — race freedom is a
-  per-kernel certificate, not an assumption — and the serial build of
-  the identical loop produces identical bits.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..analysis.affine import Affine
-from ..lang.errors import CodegenError
 from ..lang.types import IntType
 from ..polyhedral import loopast
 from ..polyhedral.codegen import generate_loops
+from ..verify import races
 from . import expr as ir
-from .cell import CCell, prelude
+from .cell import Block, CCell, Parallel, Store, for_head, prelude
 from .kernel import Kernel
 from .npbackend import Eligibility
 
@@ -133,52 +118,6 @@ def entry_symbol(kernel: Kernel, batched: bool = False) -> str:
     return f"repro_{kernel.name}{'_batched' if batched else ''}"
 
 
-@dataclass(frozen=True)
-class Entries:
-    """What a kernel's per-problem entry ``repro_<name>`` is (the
-    batched entry is always the whole-box sweep)."""
-
-    #: ``repro_<name>`` is the blocked wavefront, and this is its tile
-    #: verdict's reach — the halo of a result-only launch (``None``:
-    #: the partition sweep).
-    reach: Optional[Tuple[int, ...]] = None
-
-    @property
-    def tiled(self) -> bool:
-        """Is ``repro_<name>`` the blocked wavefront?"""
-        return self.reach is not None
-
-    @property
-    def result_only(self) -> bool:
-        """May ``repro_<name>`` be launched without a table? Every
-        blocked entry has the mode; it is *used* while the reach fits
-        the block edge, which caps a thread's private halo tile
-        (``(T0 + h0) x (T1 + h1)`` cells of stack) at four blocks."""
-        return self.tiled and all(
-            h <= t for h, t in zip(self.reach, TILE)
-        )
-
-
-def native_entries(kernel: Kernel, certificate=None) -> Entries:
-    """The one answer to "which order and modes does ``repro_<name>``
-    have".
-
-    The emitter, :class:`repro.runtime.native.NativeRun`, both
-    eligibility sentences and ``explain --json`` read it, so none can
-    describe an entry the others do not emit or load. ``certificate``
-    is the kernel's
-    :class:`~repro.verify.races.ParallelismCertificate` (the memoised
-    one when omitted): a CONFIRMED ``tile`` axis selects the blocked
-    wavefront, anything else the partition sweep.
-    """
-    if certificate is None:
-        from ..verify.races import parallelism_certificate
-
-        certificate = parallelism_certificate(kernel)
-    tile = certificate.tile
-    return Entries(reach=tile.reach if tile.confirmed else None)
-
-
 #: ``reduce=`` spellings a result-only launch folds in C, as the
 #: ``_red`` codes of the emitted entry (0 reads the ``_at`` cell).
 REDUCTIONS = {None: 0, "max": 1, "min": 2}
@@ -191,7 +130,7 @@ def result_scratch_cells(reach, extents) -> int:
     The result cell, one partial per block row, the top strip (the
     last ``h0`` rows of every column) and the left strips (the last
     ``h1`` columns of every table row, plus ``h0`` corner rows per
-    block row) — laid out in that order by :func:`_emit_tiled_body`.
+    block row) — laid out in that order by :func:`result_only`.
     Sized for *any* block shape, since the dispatcher does not see
     the tile a translation unit was built with: a launch has at most
     one block row per table row, which bounds the partials by ``n0``
@@ -224,7 +163,7 @@ def _scalar_kinds(kernel: Kernel) -> dict:
     return kinds
 
 
-def native_param_spec(kernel: Kernel, certificate=None) -> List[Param]:
+def native_param_spec(kernel: Kernel) -> List[Param]:
     """The (ordered) formal parameters of the per-problem entry.
 
     The emitter renders the C declarations from this list and the
@@ -251,19 +190,20 @@ def native_param_spec(kernel: Kernel, certificate=None) -> List[Param]:
         kind = scalar_kinds.get(a, "scalar_f64")
         ctext = "long" if kind == "scalar_int" else "double"
         params.append(Param(f"arg_{a}", ctext, kind, f"arg_{a}"))
-    params += _shared_model_params(kernel, refs)
-    if native_entries(kernel, certificate).tiled:
+    params += model_params(kernel, refs)
+    if races.licences(kernel).tile is not None:
         params.append(Param("_res", f"{vt}*", "result"))
         params.append(Param("_red", "long", "reduce"))
         params += [Param(f"_at_{d}", "long", "at") for d in kernel.dims]
     return params
 
 
-def _shared_model_params(kernel: Kernel, refs: dict) -> List[Param]:
+def model_params(kernel: Kernel, refs: dict) -> List[Param]:
     """Matrix and HMM parameters, identical in the per-problem and
-    batched entries: every member of a map group shares one scoring
-    model (the batcher groups by model identity), so these marshal
-    once, not per problem."""
+    batched entries (and spelled the same in the CUDA text): every
+    member of a map group shares one scoring model (the batcher
+    groups by model identity), so these marshal once, not per
+    problem."""
     params: List[Param] = []
     for m in sorted(refs["matrices"]):
         params += [
@@ -332,18 +272,19 @@ def native_batched_param_spec(kernel: Kernel) -> List[Param]:
             params.append(
                 Param(f"b_arg_{a}", "const double*", "f64[]", f"arg_{a}")
             )
-    params += _shared_model_params(kernel, refs)
+    params += model_params(kernel, refs)
     return params
 
 
 def native_eligibility(kernel: Kernel) -> Eligibility:
     """Why (or why not) this kernel can use the native backend.
 
-    The emitter handles every nest shape and rank the polyhedral
-    generator produces; the hard exclusions are cross-table reads
+    The rewrites handle every nest shape and rank the polyhedral
+    generator produces, and the C dialect of :mod:`repro.ir.cell`
+    renders every cell construct but one: a cross-table read
     (mutual-group members compile through the scalar group module of
-    :mod:`repro.ir.pybackend`) and any cell construct the C dialect
-    of :mod:`repro.ir.cell` cannot render.
+    :mod:`repro.ir.pybackend`). A map group batches through the same
+    TU whenever this verdict is ok.
     """
     for node in ir.walk(kernel.body.cell):
         if isinstance(node, ir.TableRead) and node.table:
@@ -352,57 +293,18 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
                 f"kernel {kernel.name!r} reads the table of "
                 f"{node.table!r}; mutual groups use the group backend",
             )
-    try:
-        emit_native_source(kernel)
-    except CodegenError as err:
-        return Eligibility(
-            False, "codegen",
-            f"kernel {kernel.name!r} has no C99 rendering: {err}",
-        )
-    entries = native_entries(kernel)
+    licence = races.licences(kernel).tile
     shape = ""
-    if entries.tiled:
+    if licence is not None:
         shape = (
             f"; blocked wavefront, tile "
             f"{'×'.join(str(t) for t in TILE)}"
-            + (", result-only launches" if entries.result_only else "")
+            + (", result-only launches" if licence.result_only else "")
         )
     return Eligibility(
         True, "ok",
         f"kernel {kernel.name!r} compiles to portable C99 "
         f"(whole-run dispatch, partition loop in C{shape})",
-    )
-
-
-def batched_eligibility(kernel: Kernel) -> Eligibility:
-    """Why (or why not) a map group of this kernel can run as one
-    batched native launch.
-
-    The batched entry reuses the per-problem body verbatim (each
-    member runs its own nest over its own bounds), so it is eligible
-    exactly when the per-problem native path is — with one named
-    nuance: a kernel whose per-problem entry is blocked batches
-    through the *plain* whole-box body (``ok-plain-body``), because
-    blocks are a single-problem device: the batch's parallel axis is
-    the problem loop, and the batched table's member slices are
-    written in full regardless.
-    """
-    base = native_eligibility(kernel)
-    if not base.ok:
-        return base
-    if native_entries(kernel).tiled:
-        return Eligibility(
-            True, "ok-plain-body",
-            f"kernel {kernel.name!r} batches natively with the plain "
-            f"(unblocked) body; the blocked wavefront parallelises "
-            f"one problem, a batched launch parallelises over "
-            f"problems",
-        )
-    return Eligibility(
-        True, "ok-batched",
-        f"kernel {kernel.name!r} runs whole map groups as one native "
-        f"launch: outer problem loop over the padded (B, ...) table, "
-        f"each member's own loop nest inside",
     )
 
 
@@ -497,139 +399,69 @@ static __attribute__((noinline, cold)) void repro_block(
 """
 
 
-def emit_native_source(
-    kernel: Kernel,
-    openmp: bool = False,
-    certificate=None,
-    tile: Optional[Tuple[int, int]] = None,
-) -> str:
-    """Emit the complete C99 translation unit for one kernel.
-
-    ``openmp=True`` requests the pragmas — over the blocks of a block
-    diagonal (blocked wavefront) or the first space loop of each
-    partition (partition sweep), and over the batched entry's problem
-    loop — but a pragma is only *emitted* for an axis the
-    parallel-safety verifier CONFIRMED (:mod:`repro.verify.races`
-    re-proves intra-partition disjointness, batched-slice
-    disjointness and the block order per kernel; the emitter no
-    longer trusts the schedule's independence claim as a comment).
-    An axis without a certificate degrades to serial emission — the
-    TU is simply pragma-free there, so its content hash differs from
-    the proved TU's and the build cache keeps the variants apart.
-    The pragmas are inert unless the library is built with
-    ``-fopenmp``.
-
-    Which order ``repro_<name>`` runs in is :func:`native_entries`'
-    decision, serial builds included: the blocked wavefront is an
-    order, not a threading choice.
-
-    ``certificate`` overrides the verifier's own judgement (tests use
-    it to force refusals); when ``None``, the memoised certificate is
-    computed on demand. ``tile`` overrides :data:`TILE` — a test seam
-    like the race analyser's mutation knobs, so block-edge clipping
-    and multi-block order can be exercised at small extents.
-    """
-    # A serial TU emitted on the verifier's own judgement carries no
-    # header comment, as before there was an order to certify.
-    annotate = bool(openmp) or certificate is not None
-    if certificate is None:
-        from ..verify.races import parallelism_certificate
-
-        certificate = parallelism_certificate(kernel)
-    entries = native_entries(kernel, certificate)
-
-    def _unused_casts(params, body_lines, pad="  "):
-        # A shared model marshals every column of its context whether
-        # or not this kernel's equations read them all; silence the
-        # (correct) -Wunused-parameter so -Wall -Wextra -Werror and
-        # sanitizer builds stay noise-free.
-        text = "\n".join(body_lines)
-        return [
-            f"{pad}(void) {p.name};"
-            for p in params
-            if not re.search(rf"\b{re.escape(p.name)}\b", text)
-        ]
-    space_omp = bool(openmp) and certificate.space.confirmed
-    batch_omp = bool(openmp) and certificate.batch.confirmed
-    vt = value_ctype(kernel)
-    params = native_param_spec(kernel, certificate)
-    decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
-    lines: List[str] = [
-        f"/* native kernel: {kernel.name} "
-        f"(schedule {kernel.schedule}) */",
-        prelude("c"),
-        _THREAD_HELPERS,
-    ]
-    if annotate:
-        lines.insert(1, f"/* parallel-safety: {certificate.summary} */")
-    body: List[str] = []
-    if entries.tiled:
-        lines.append(
-            _RESULT_HELPERS.format(
-                vt=vt,
-                nan=" || acc != acc" if vt == "double" else "",
-                nanv=" || v != v" if vt == "double" else "",
-            )
+def _require(licence, kind):
+    if not isinstance(licence, kind):
+        raise TypeError(
+            f"needs a {kind.__name__} granted by repro.verify.races, "
+            f"not {licence!r}"
         )
-        _emit_tiled_body(
-            kernel, body, vt, openmp=bool(openmp), tile=tile or TILE,
-            reach=entries.reach,
-        )
-    else:
-        _emit_body(kernel, body, vt, openmp=space_omp)
-    lines.append(f"void {entry_symbol(kernel)}({decl}) {{")
-    lines.extend(_unused_casts(params, body))
-    lines.extend(body)
-    lines.append("}")
-    lines.append("")
-    _emit_batched_entry(
-        kernel, lines, vt, openmp=batch_omp,
-        unused_casts=_unused_casts,
+
+
+def sweep(nest: loopast.LoopNest) -> tuple:
+    """The partition sweep, Figure 9 literally: ``nest``'s time loop
+    over the whole box, clipped to ``[part_lo, part_hi]`` (a nest
+    without one runs as generated)."""
+    time = nest.time_loop
+    if time is None:
+        return nest.roots
+    return (
+        f"long _plo = {time.lower.c_text('l')};",
+        f"long _phi = {time.upper.c_text('l')};",
+        "if (part_lo > _plo) _plo = part_lo;",
+        "if (part_hi < _phi) _phi = part_hi;",
+        Block(for_head(time.var, "_plo", "_phi"), time.body),
     )
-    lines.append("")
-    return "\n".join(lines)
 
 
-def _emit_batched_entry(
-    kernel: Kernel,
-    lines: List[str],
-    vt: str,
-    openmp: bool,
-    unused_casts=None,
-) -> None:
-    """Emit ``repro_<name>_batched``: a whole map group in one call.
+def _partition_loops(nest: loopast.LoopNest, rewrite) -> loopast.LoopNest:
+    """``nest`` with ``rewrite`` applied to the first space loops of
+    each partition: under the time loop (at the root of a nest
+    without one), through pins and guards."""
 
-    An outer loop over the ``B`` problems; inside it, locals shadow
-    the per-problem entry's formals (``farr`` points at this member's
+    def walk(nodes):
+        return tuple(
+            rewrite(node) if isinstance(node, loopast.Loop)
+            else replace(node, body=walk(node.body))
+            if isinstance(node, (loopast.Assign, loopast.Guard))
+            else node
+            for node in nodes
+        )
+
+    time = nest.time_loop
+    if time is None:
+        return replace(nest, roots=walk(nest.roots))
+    return replace(nest, roots=(replace(time, body=walk(time.body)),))
+
+
+def batch(kernel: Kernel) -> tuple:
+    """``repro_<name>_batched``'s body, ``(setup, problem loop)``.
+
+    Inside the loop over the ``B`` problems, locals shadow the
+    per-problem entry's formals (``farr`` points at this member's
     padded slice, ``ub_<dim>``/``seq_<s>``/``arg_<a>`` are this
-    member's row of the stacked context), so the body below is the
-    *same* emission as the per-problem entry, only linearising with
-    the padded extents. Each member therefore computes bitwise the
-    cells the per-problem loop would — at any thread count, since the
-    parallel axis is the problem loop and the per-member nest stays
-    serial.
+    member's row of the stacked context), so the body is the same
+    :func:`sweep`, linearising with the padded extents. Each member
+    therefore computes bitwise the cells the per-problem loop would —
+    at any thread count, since the parallel axis is the problem loop
+    and the per-member nest stays serial.
     """
-    params = native_batched_param_spec(kernel)
-    decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
-    pad = "  "
-    body: List[str] = []
-    tsz = " * ".join(f"pad_{d}" for d in kernel.dims)
-    body.append(f"{pad}const long _tsz = {tsz};")
-    if openmp:
-        body.append(
-            f"{pad}#pragma omp parallel for schedule(static)"
-        )
-    body.append(f"{pad}for (long _b = 0; _b < nprob; _b++) {{")
-    inner = pad + "  "
-    body.append(f"{inner}{vt}* farr = btab + _b * _tsz;")
-    for d in kernel.dims:
-        body.append(f"{inner}const long ub_{d} = b_ub_{d}[_b];")
+    member = [f"{value_ctype(kernel)}* farr = btab + _b * _tsz;"]
+    member += [f"const long ub_{d} = b_ub_{d}[_b];" for d in kernel.dims]
     refs = kernel.referenced_names()
-    for s in sorted(refs["seqs"]):
-        body.append(
-            f"{inner}const long* seq_{s} = "
-            f"b_seq_{s} + _b * b_seq_{s}_cols;"
-        )
+    member += [
+        f"const long* seq_{s} = b_seq_{s} + _b * b_seq_{s}_cols;"
+        for s in sorted(refs["seqs"])
+    ]
     scalar_kinds = _scalar_kinds(kernel)
     for a in sorted(refs["scalars"]):
         ctext = (
@@ -637,227 +469,246 @@ def _emit_batched_entry(
             if scalar_kinds.get(a, "scalar_f64") == "scalar_int"
             else "double"
         )
-        body.append(f"{inner}const {ctext} arg_{a} = b_arg_{a}[_b];")
-    cell = CCell(
-        kernel, strides=tuple(f"pad_{d}" for d in kernel.dims)
+        member.append(f"const {ctext} arg_{a} = b_arg_{a}[_b];")
+    tsz = " * ".join(f"pad_{d}" for d in kernel.dims)
+    return (
+        f"const long _tsz = {tsz};",
+        Block(
+            "for (long _b = 0; _b < nprob; _b++)",
+            (*member, *sweep(kernel.nest)),
+        ),
     )
-    _emit_body(kernel, body, vt, openmp=False, cell=cell, pad=inner)
-    body.append(f"{pad}}}")
-    lines.append(
-        f"void {entry_symbol(kernel, batched=True)}({decl}) {{"
-    )
-    if unused_casts is not None:
-        lines.extend(unused_casts(params, body))
-    lines.extend(body)
-    lines.append("}")
 
 
-def _emit_tiled_body(
-    kernel: Kernel,
-    lines: List[str],
-    vt: str,
-    openmp: bool,
-    tile: Tuple[int, int],
-    reach: Tuple[int, int],
-) -> None:
-    """The blocked wavefront: block anti-diagonals in order, the
-    blocks of one diagonal in parallel, the kernel's own nest inside
-    each block.
+@dataclass(frozen=True)
+class _Tiled:
+    """A :func:`tile`-d kernel, before :func:`result_only` lays out
+    its storage. ``blocks`` is the licence to run the blocks of one
+    block diagonal in parallel, once :func:`parallel` added it."""
 
-    ``openmp`` may be passed unconditionally: this body is only
-    emitted under a CONFIRMED ``tile`` axis, which is the proof that
-    two blocks of one diagonal never reach each other. Every thread
-    of the one region walks the diagonal loop; ``omp for`` shares out
-    a diagonal's blocks and its implicit barrier is the only
-    synchronisation — ``nb_0 + nb_1 - 1`` rounds per launch, one for
-    a problem that fits a single tile.
+    kernel: Kernel
+    edges: Tuple[int, int]
+    blocks: Optional[races.TileLicence] = None
 
-    The nest is emitted once and addresses ``farr[i * _ts + j]``;
-    ``(farr, _ts)`` is chosen per block. A table launch points them
-    at the caller's table and its row stride. A *result-only* launch
-    (``_res`` non-null) points them at the thread's private halo tile
-    — the block's box plus ``reach`` rows above and columns to the
-    left — so nothing the size of the table exists. ``R-TILE-ORDER``'s
-    offsets are the licence: a cell reads at most ``reach`` cells
-    back, so the halo is all a block needs of its neighbours; it
-    travels through the strips of :data:`_RESULT_HELPERS`, laid out
-    in the caller's scratch as :func:`result_scratch_cells` sizes it.
+
+def tile(kernel: Kernel, licence, edges: Tuple[int, int]) -> _Tiled:
+    """The blocked wavefront of ``kernel``'s nest, which ``licence``
+    (the kernel's :class:`~repro.verify.races.TileLicence`) permits.
+
+    The box is cut into ``edges`` blocks; block anti-diagonals run in
+    order and inside a block runs the kernel's own scattering nest
+    over the block's box, serially. ``R-TILE-ORDER`` is the proof
+    that every read's callee sits in the reader's block at an earlier
+    partition or on an earlier block diagonal, and that two blocks of
+    one diagonal never reach each other.
     """
-    (d0, d1), (t0, t1), (h0, h1) = kernel.dims, tile, reach
-    pad = "  "
-    lines.append(f"{pad}const long _nb_{d0} = (ub_{d0} + {t0}) / {t0};")
-    lines.append(f"{pad}const long _nb_{d1} = (ub_{d1} + {t1}) / {t1};")
-    lines += [
-        f"{pad}{vt}* const _tab = farr;",
-        f"{pad}const long _tw = lmin(ub_{d1} + 1, {t1}) + {h1};",
-        f"{pad}repro_strips _s = {{_res, 0, 0, {h0}, {h1}, "
-        f"lmin(ub_{d0} + 1, {t0}) + {h0}, ub_{d1} + 1, "
-        f"_nb_{d0}, _nb_{d1}, _red, _at_{d0}, _at_{d1}}};",
-        f"{pad}if (_res) {{",
-        f"{pad}  _s.top = _res + 1 + _nb_{d0};",
-        f"{pad}  _s.left = _s.top + {h0} * (ub_{d1} + 1);",
-        f"{pad}}}",
-    ]
-    if openmp:
-        lines.append(f"{pad}#pragma omp parallel")
-    lines.append(f"{pad}{{")
-    lines.append(f"{pad}{vt} _tile[_res ? _s.th * _tw : 1];")
+    _require(licence, races.TileLicence)
+    return _Tiled(kernel, tuple(edges))
+
+
+def result_only(tiled: _Tiled, licence) -> tuple:
+    """The blocked entry's body, with its result-only mode.
+
+    The nest addresses ``farr[i * _ts + j]``, with ``(farr, _ts)``
+    chosen per block. A table launch points them at the caller's
+    table and its row stride. A *result-only* launch (``_res``
+    non-null) points them at the thread's private halo tile — the
+    block's box plus ``reach`` rows above and columns to the left —
+    so nothing the size of the table exists. ``licence``'s reach is
+    the halo: a cell reads at most ``reach`` cells back. The halo
+    travels through the strips of :data:`_RESULT_HELPERS`, laid out in
+    the caller's scratch as :func:`result_scratch_cells` sizes it, and
+    every stored cell is folded into the running ``_amax``/``_amin``.
+    """
+    _require(licence, races.TileLicence)
+    kernel = tiled.kernel
+    vt = value_ctype(kernel)
+    (d0, d1), (t0, t1), (h0, h1) = kernel.dims, tiled.edges, licence.reach
+    # ndarray.max()/min(): a NaN cell wins from then on.
+    nan = " || {0} != {0}" if vt == "double" else ""
     lowest, highest = (
         ("-INFINITY", "INFINITY") if vt == "double"
         else ("LONG_MIN", "LONG_MAX")
     )
-    lines.append(f"{pad}{vt} _amax = {lowest}, _amin = {highest};")
-    lines.append(
-        f"{pad}for (long _bd = 0; _bd <= _nb_{d0} + _nb_{d1} - 2; "
-        f"_bd++) {{"
-    )
-    mid = pad * 2
-    lines.append(f"{mid}const long _b0 = lmax(0, _bd - _nb_{d1} + 1);")
-    lines.append(f"{mid}const long _b1 = lmin(_nb_{d0} - 1, _bd);")
-    if openmp:
-        lines.append(f"{mid}#pragma omp for schedule(static)")
-    lines.append(f"{mid}for (long _b = _b0; _b <= _b1; _b++) {{")
-    inner = pad * 3
-    for dim, edge, block in ((d0, t0, "_b"), (d1, t1, "(_bd - _b)")):
-        lines.append(f"{inner}const long lo_{dim} = {block} * {edge};")
-        lines.append(
-            f"{inner}const long hi_{dim} = "
-            f"lmin(ub_{dim}, lo_{dim} + {edge - 1});"
-        )
+    nest = _tile_nest(kernel)
+    folded = replace(nest, roots=_stored(nest.roots, (
+        f"if ({{0}} > _amax{nan}) _amax = {{0}};",
+        f"if ({{0}} < _amin{nan}) _amin = {{0}};",
+    )))
     block = (
         f"farr, _ts, _b, _bd - _b, lo_{d0}, hi_{d0}, lo_{d1}, hi_{d1}"
     )
-    acc = "_red == 1 ? _amax : _amin"
-    lines += [
-        f"{inner}{vt}* farr = _tab;",
-        f"{inner}long _ts = ub_{d1} + 1;",
-        f"{inner}if (_res) {{",
-        f"{inner}  _ts = _tw;",
-        f"{inner}  farr = _tile - (lo_{d0} - {h0}) * _ts "
-        f"- (lo_{d1} - {h1});",
-        f"{inner}  repro_block(&_s, 0, {block}, 0);",
-        f"{inner}}}",
+    box = []
+    for dim, edge, index in ((d0, t0, "_b"), (d1, t1, "(_bd - _b)")):
+        box += [
+            f"const long lo_{dim} = {index} * {edge};",
+            f"const long hi_{dim} = lmin(ub_{dim}, lo_{dim} + {edge - 1});",
+        ]
+    blocks = Block("for (long _b = _b0; _b <= _b1; _b++)", (
+        *box,
+        f"{vt}* farr = _tab;",
+        f"long _ts = ub_{d1} + 1;",
+        Block("if (_res)", (
+            "_ts = _tw;",
+            f"farr = _tile - (lo_{d0} - {h0}) * _ts - (lo_{d1} - {h1});",
+            f"repro_block(&_s, 0, {block}, 0);",
+        )),
+        *sweep(folded),
+        f"if (_res) repro_block(&_s, 1, {block}, "
+        f"_red == 1 ? _amax : _amin);",
+    ))
+    diagonals = Block(
+        f"for (long _bd = 0; _bd <= _nb_{d0} + _nb_{d1} - 2; _bd++)",
+        (
+            f"const long _b0 = lmax(0, _bd - _nb_{d1} + 1);",
+            f"const long _b1 = lmin(_nb_{d0} - 1, _bd);",
+            blocks if tiled.blocks is None
+            else Parallel(blocks, "for schedule(static)", tiled.blocks),
+        ),
+    )
+    region = Block("", (
+        f"{vt} _tile[_res ? _s.th * _tw : 1];",
+        f"{vt} _amax = {lowest}, _amin = {highest};",
+        diagonals,
+    ))
+    return (
+        f"const long _nb_{d0} = (ub_{d0} + {t0}) / {t0};",
+        f"const long _nb_{d1} = (ub_{d1} + {t1}) / {t1};",
+        f"{vt}* const _tab = farr;",
+        f"const long _tw = lmin(ub_{d1} + 1, {t1}) + {h1};",
+        f"repro_strips _s = {{_res, 0, 0, {h0}, {h1}, "
+        f"lmin(ub_{d0} + 1, {t0}) + {h0}, ub_{d1} + 1, "
+        f"_nb_{d0}, _nb_{d1}, _red, _at_{d0}, _at_{d1}}};",
+        Block("if (_res)", (
+            f"_s.top = _res + 1 + _nb_{d0};",
+            f"_s.left = _s.top + {h0} * (ub_{d1} + 1);",
+        )),
+        region if tiled.blocks is None
+        else Parallel(region, "parallel", tiled.blocks),
+    )
+
+
+def _stored(nodes, then) -> tuple:
+    """``nodes`` with every cell store followed by ``then``."""
+    return tuple(
+        Store(then) if isinstance(node, loopast.Stmt)
+        else replace(node, body=_stored(node.body, then))
+        if hasattr(node, "body")
+        else node
+        for node in nodes
+    )
+
+
+def parallel(node, licence):
+    """``node`` run in parallel, as ``licence`` permits.
+
+    A partition's space loop (a nest ``Loop``) takes a
+    :class:`~repro.verify.races.SpaceLicence`; :func:`batch`'s problem
+    loop a :class:`~repro.verify.races.BatchLicence`; a :func:`tile`-d
+    kernel its :class:`~repro.verify.races.TileLicence`, for one
+    region round the diagonal loop whose ``omp for`` shares out the
+    blocks of a diagonal — its implicit barrier is the only
+    synchronisation, ``nb_0 + nb_1 - 1`` rounds per launch. Any other
+    pairing is a ``TypeError``: there is no serial fallback.
+    """
+    if isinstance(licence, races.SpaceLicence) and isinstance(
+        node, loopast.Loop
+    ):
+        return Parallel(node, "parallel for", licence)
+    if isinstance(licence, races.BatchLicence) and isinstance(node, Block):
+        return Parallel(node, "parallel for schedule(static)", licence)
+    if isinstance(licence, races.TileLicence) and isinstance(node, _Tiled):
+        return replace(node, blocks=licence)
+    raise TypeError(
+        f"parallel() needs the licence of this loop's own axis, granted "
+        f"by repro.verify.races; got {licence!r} for a "
+        f"{type(node).__name__}"
+    )
+
+
+#: :func:`tile`, for the caller whose ``tile=`` parameter shadows it.
+_tile = tile
+
+
+def emit_native_source(
+    kernel: Kernel,
+    openmp: bool = False,
+    tile: Optional[Tuple[int, int]] = None,
+) -> str:
+    """Emit the complete C99 translation unit for one kernel.
+
+    A composition of the rewrites above under the kernel's licences
+    (:func:`repro.verify.races.licences`), read once. A tile licence
+    selects the blocked wavefront — an order, not a threading
+    choice, so serial builds take it too — and its absence the
+    partition sweep. ``openmp=True`` adds every pragma the licences
+    permit; without it they are dropped and the TU is pragma-free, so
+    its content hash differs and the build cache keeps the variants
+    apart. The pragmas are inert unless the library is built with
+    ``-fopenmp``.
+
+    ``tile`` overrides :data:`TILE` — a test seam like the race
+    analyser's mutation knobs, so block-edge clipping and multi-block
+    order can be exercised at small extents.
+    """
+    certificate = races.parallelism_certificate(kernel)
+    licences = certificate.licences
+    # Without OpenMP the pragma licences go; the order stays.
+    pragmas = licences if openmp else races.Licences(None, None, None)
+    vt = value_ctype(kernel)
+    lines: List[str] = [
+        f"/* native kernel: {kernel.name} "
+        f"(schedule {kernel.schedule}) */",
+        prelude("c"),
+        _THREAD_HELPERS,
     ]
-    _emit_body(
-        kernel, lines, vt, openmp=False,
-        cell=CCell(kernel, strides=(None, "_ts")),
-        pad=inner, nest=_tile_nest(kernel), fold=True,
-    )
-    lines.append(
-        f"{inner}if (_res) repro_block(&_s, 1, {block}, {acc});"
-    )
-    lines.append(f"{mid}}}")
-    lines.append(f"{pad}}}")
-    lines.append(f"{pad}}}")
-
-
-def _emit_body(
-    kernel: Kernel,
-    lines: List[str],
-    vt: str,
-    openmp: bool,
-    cell: Optional[CCell] = None,
-    pad: str = "  ",
-    nest: Optional[loopast.LoopNest] = None,
-    fold: bool = False,
-) -> None:
-    """The scattering nest with its time loop clipped to
-    ``[part_lo, part_hi]``: ``kernel.nest`` over the whole box, or a
-    block's ``nest`` over ``[lo_<dim>, hi_<dim>]``. ``fold`` keeps
-    the running ``_amax``/``_amin`` of every cell stored."""
-    if cell is None:
-        cell = CCell(kernel)
-    if nest is None:
-        nest = kernel.nest
-    time_loop = nest.time_loop
-    if time_loop is None:
-        _emit_nest(
-            kernel, nest.roots, cell, lines, pad, vt,
-            fold=False, openmp=openmp, space_seen=False,
+    if openmp:
+        lines.insert(1, f"/* parallel-safety: {certificate.summary} */")
+    if licences.tile is not None:
+        lines.append(
+            _RESULT_HELPERS.format(
+                vt=vt,
+                nan=" || acc != acc" if vt == "double" else "",
+                nanv=" || v != v" if vt == "double" else "",
+            )
         )
-        return
-    low = time_loop.lower.c_text("l")
-    high = time_loop.upper.c_text("l")
-    tv = time_loop.var
-    lines.append(f"{pad}long _plo = {low};")
-    lines.append(f"{pad}long _phi = {high};")
-    lines.append(f"{pad}if (part_lo > _plo) _plo = part_lo;")
-    lines.append(f"{pad}if (part_hi < _phi) _phi = part_hi;")
-    lines.append(
-        f"{pad}for (long {tv} = _plo; {tv} <= _phi; {tv}++) {{"
-    )
-    _emit_nest(
-        kernel, time_loop.body, cell, lines, pad + "  ", vt,
-        fold=fold, openmp=openmp, space_seen=False,
-    )
-    lines.append(f"{pad}}}")
+        blocked = _tile(kernel, licences.tile, tile or TILE)
+        if pragmas.tile is not None:
+            blocked = parallel(blocked, pragmas.tile)
+        body = result_only(blocked, licences.tile)
+        cell = CCell(kernel, strides=(None, "_ts"))
+    else:
+        nest = kernel.nest
+        if pragmas.space is not None:
+            nest = _partition_loops(
+                nest, lambda loop: parallel(loop, pragmas.space)
+            )
+        body, cell = sweep(nest), CCell(kernel)
+    _entry(lines, entry_symbol(kernel), native_param_spec(kernel),
+           body, cell, vt)
+    setup, loop = batch(kernel)
+    if pragmas.batch is not None:
+        loop = parallel(loop, pragmas.batch)
+    strides = tuple(f"pad_{d}" for d in kernel.dims)
+    _entry(lines, entry_symbol(kernel, batched=True),
+           native_batched_param_spec(kernel), (setup, loop),
+           CCell(kernel, strides=strides), vt)
+    return "\n".join(lines)
 
 
-def _emit_nest(
-    kernel: Kernel,
-    nodes,
-    cell: CCell,
-    lines: List[str],
-    pad: str,
-    vt: str,
-    fold: bool,
-    openmp: bool,
-    space_seen: bool,
-) -> None:
-    for node in nodes:
-        if isinstance(node, loopast.Loop):
-            low = node.lower.c_text("l")
-            high = node.upper.c_text("l")
-            if openmp and not space_seen:
-                # OpenMP's canonical loop form rejects function calls
-                # (our lmin/lmax helpers) in the controlling predicate:
-                # hoist the bounds into loop-invariant temporaries.
-                lo_t, hi_t = cell.fresh(), cell.fresh()
-                lines.append(f"{pad}const long {lo_t} = {low};")
-                lines.append(f"{pad}const long {hi_t} = {high};")
-                lines.append(f"{pad}#pragma omp parallel for")
-                low, high = lo_t, hi_t
-            lines.append(
-                f"{pad}for (long {node.var} = {low}; "
-                f"{node.var} <= {high}; {node.var}++) {{"
-            )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad + "  ", vt,
-                fold, openmp, space_seen=True,
-            )
-            lines.append(pad + "}")
-        elif isinstance(node, loopast.Assign):
-            lines.append(
-                f"{pad}long {node.var} = {node.value.c_text()};"
-            )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad, vt,
-                fold, openmp, space_seen,
-            )
-        elif isinstance(node, loopast.Guard):
-            lines.append(
-                f"{pad}if (({loopast.affine_c_text(node.expr)}) % "
-                f"{node.divisor} == 0) {{"
-            )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad + "  ", vt,
-                fold, openmp, space_seen,
-            )
-            lines.append(pad + "}")
-        elif isinstance(node, loopast.Stmt):
-            target = cell.fresh()
-            lines.append(f"{pad}{vt} {target};")
-            cell.emit_to(kernel.body.cell, target, lines, pad)
-            store = cell.address(kernel.dims)
-            lines.append(f"{pad}{store} = {target};")
-            if fold:
-                # ndarray.max()/min(): a NaN cell wins from then on.
-                nan = (
-                    f" || {target} != {target}" if vt == "double" else ""
-                )
-                lines += [
-                    f"{pad}if ({target} > _amax{nan}) _amax = {target};",
-                    f"{pad}if ({target} < _amin{nan}) _amin = {target};",
-                ]
-        else:
-            raise CodegenError(f"unknown nest node {node!r}")
+def _entry(lines, symbol, params, body, cell, vt) -> None:
+    """Append ``void <symbol>(<params>) { <body> }``."""
+    text: List[str] = []
+    cell.print_nest(body, vt, text, "  ")
+    printed = "\n".join(text)
+    # A shared model marshals every column of its context whether or
+    # not this kernel's equations read them all; silence the
+    # (correct) -Wunused-parameter so -Wall -Wextra -Werror and
+    # sanitizer builds stay noise-free.
+    unused = [
+        f"  (void) {p.name};"
+        for p in params
+        if not re.search(rf"\b{re.escape(p.name)}\b", printed)
+    ]
+    decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
+    lines += [f"void {symbol}({decl}) {{", *unused, *text, "}", ""]

@@ -13,6 +13,10 @@ C dialect (:class:`CCell`) is here, shared by the native backend
 the scalar Python dialect is in :mod:`repro.ir.pybackend` and the
 NumPy lane dialect in :mod:`repro.ir.npbackend`.
 
+:meth:`CCell.print_nest` is the one C nest printer: the loop nest
+around the cell, under the rewrites of :mod:`repro.ir.cbackend` and
+:mod:`repro.ir.cuda`.
+
 The operations whose spelling differs by target are one table,
 :data:`OPS`: a semantics line per operation, then its Python, NumPy
 and C spelling. Every target's prelude is built from it
@@ -30,6 +34,7 @@ from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.errors import CodegenError
+from ..polyhedral import loopast
 from . import expr as ir
 from .kernel import Kernel
 
@@ -409,6 +414,51 @@ class CellPrinter:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
+class Block:
+    """``head {``, then ``body`` one level in, then ``}``. An empty
+    ``head`` opens a bare scope whose body keeps its level."""
+
+    head: str
+    body: tuple
+
+
+@dataclass(frozen=True)
+class Store:
+    """A nest leaf whose cell store is followed by ``then``: lines in
+    which ``{0}`` is the stored value's temporary."""
+
+    then: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Parallel:
+    """``#pragma omp <pragma>`` on ``node`` — the only way a pragma
+    reaches the C text, and it holds the licence that permits it (a
+    :class:`repro.verify.races.Licence`; anything else is a
+    ``TypeError``). A :class:`~repro.polyhedral.loopast.Loop` has its
+    bounds hoisted first: OpenMP's canonical loop form rejects the
+    ``lmin``/``lmax`` calls in its controlling predicate."""
+
+    node: object
+    pragma: str
+    licence: object
+
+    def __post_init__(self) -> None:
+        from ..verify.races import Licence
+
+        if not isinstance(self.licence, Licence):
+            raise TypeError(
+                f"'#pragma omp {self.pragma}' needs a licence from "
+                f"repro.verify.races, not {self.licence!r}"
+            )
+
+
+def for_head(var: str, low: str, high: str) -> str:
+    """A counted C ``for`` over ``var`` in ``[low, high]``."""
+    return f"for (long {var} = {low}; {var} <= {high}; {var}++)"
+
+
 class CCell(CellPrinter):
     """The C dialect, for the native and CUDA texts.
 
@@ -426,6 +476,9 @@ class CCell(CellPrinter):
     """
 
     TARGET = "c"
+    #: Prefix of the bound helpers: loop bounds are ``long``, so the
+    #: typed ``lmin``/``lmax``.
+    BOUND = "l"
     INDENT = "  "
     END = ";"
     BOOLS = ("0", "1")
@@ -511,9 +564,7 @@ class CCell(CellPrinter):
         var = node.var
         if isinstance(node, ir.RangeReduce):
             lo, hi = over
-            lines.append(
-                f"{pad}for (long {var} = {lo}; {var} <= {hi}; {var}++) {{"
-            )
+            lines.append(f"{pad}{for_head(var, lo, hi)} {{")
             return None
         (state,) = over
         ids, offsets = csr_arrays(node)
@@ -523,3 +574,63 @@ class CCell(CellPrinter):
         )
         lines.append(f"{pad}  int {var} = {ids}[_e];")
         return None
+
+    def print_nest(
+        self, nodes, vt: str, lines: List[str], pad: str
+    ) -> None:
+        """Append the C text of ``nodes``: lines (``str``),
+        :class:`Block`, :class:`Parallel`, and the nest's own
+        ``Loop``/``Assign``/``Guard`` nodes and cell leaves (``Stmt``
+        or :class:`Store`), whose value is a ``vt`` temporary."""
+        for node in nodes:
+            if isinstance(node, str):
+                lines.append(pad + node)
+            elif isinstance(node, Block):
+                if node.head:
+                    lines.append(f"{pad}{node.head} {{")
+                    self.print_nest(node.body, vt, lines, pad + self.INDENT)
+                else:
+                    lines.append(pad + "{")
+                    self.print_nest(node.body, vt, lines, pad)
+                lines.append(pad + "}")
+            elif isinstance(node, loopast.Loop):
+                head = for_head(
+                    node.var,
+                    node.lower.c_text(self.BOUND),
+                    node.upper.c_text(self.BOUND),
+                )
+                self.print_nest((Block(head, node.body),), vt, lines, pad)
+            elif isinstance(node, loopast.Assign):
+                lines.append(
+                    f"{pad}long {node.var} = {node.value.c_text()};"
+                )
+                self.print_nest(node.body, vt, lines, pad)
+            elif isinstance(node, loopast.Guard):
+                head = (
+                    f"if (({loopast.affine_c_text(node.expr)}) % "
+                    f"{node.divisor} == 0)"
+                )
+                self.print_nest((Block(head, node.body),), vt, lines, pad)
+            elif isinstance(node, Parallel):
+                loop = node.node
+                if isinstance(loop, loopast.Loop):
+                    low, high = self.fresh(), self.fresh()
+                    lines += [
+                        f"{pad}const long {low} = "
+                        f"{loop.lower.c_text(self.BOUND)};",
+                        f"{pad}const long {high} = "
+                        f"{loop.upper.c_text(self.BOUND)};",
+                    ]
+                    loop = Block(for_head(loop.var, low, high), loop.body)
+                lines.append(f"{pad}#pragma omp {node.pragma}")
+                self.print_nest((loop,), vt, lines, pad)
+            elif isinstance(node, (loopast.Stmt, Store)):
+                target = self.fresh()
+                lines.append(f"{pad}{vt} {target};")
+                self.emit_to(self.kernel.body.cell, target, lines, pad)
+                store = self.address(self.kernel.dims)
+                lines.append(f"{pad}{store} = {target};")
+                for line in getattr(node, "then", ()):
+                    lines.append(pad + line.format(target))
+            else:
+                raise CodegenError(f"unknown nest node {node!r}")

@@ -5,18 +5,21 @@ outer space loop is strided across the block's threads (``+ t`` start,
 ``+= tn`` step) and a ``__syncthreads()`` barrier separates
 partitions. The text is what the compiler *would* hand to nvcc on real
 hardware; in this reproduction it is emitted for inspection, examples
-and tests (no GPU is assumed — see DESIGN.md §2). The cell expression
-is printed by the C dialect of :mod:`repro.ir.cell`, the one the
-*executable* native C backend (:mod:`repro.ir.cbackend`) uses.
+and tests (no GPU is assumed — see DESIGN.md §2). The text is the
+kernel's loop nest under one rewrite (:func:`_figure10`), printed by
+the one C nest printer of :mod:`repro.ir.cell` — the printer and
+cell dialect the *executable* native C backend
+(:mod:`repro.ir.cbackend`) uses.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List
 
 from ..lang.errors import CodegenError
 from ..polyhedral import loopast
-from .cell import C_HELPERS, CCell
+from .cell import C_HELPERS, Block, CCell, Store
 from .kernel import Kernel
 
 
@@ -28,6 +31,8 @@ def _ctype(kind: str) -> str:
 class _CudaCell(CCell):
     """The C dialect with CUDA's overloaded ``min``/``max`` (already
     typed per operand, so no ``lmin``/``lmax``)."""
+
+    BOUND = ""
 
     def _minmax(self, node) -> str:
         return node.op
@@ -58,28 +63,9 @@ def emit_cuda(kernel: Kernel, windowed: bool = False) -> str:
         params += ["long win_cols"]
     params += [f"const long* seq_{s}" for s in sorted(refs["seqs"])]
     params += [f"double arg_{a}" for a in sorted(refs["scalars"])]
-    for m in sorted(refs["matrices"]):
-        params += [
-            f"const long* mat_{m}",
-            f"const long* rowidx_{m}",
-            f"const long* colidx_{m}",
-            f"long {m}_cols",
-        ]
-    for h in sorted(refs["hmms"]):
-        params += [
-            f"const int* hmm_{h}_isstart",
-            f"const int* hmm_{h}_isend",
-            f"const double* hmm_{h}_emis",
-            f"const long* hmm_{h}_symidx",
-            f"long {h}_nsym",
-            f"const double* hmm_{h}_tprob",
-            f"const long* hmm_{h}_tsrc",
-            f"const long* hmm_{h}_ttgt",
-            f"const long* hmm_{h}_inoff",
-            f"const long* hmm_{h}_inids",
-            f"const long* hmm_{h}_outoff",
-            f"const long* hmm_{h}_outids",
-        ]
+    from .cbackend import model_params
+
+    params += [f"{p.ctext} {p.name}" for p in model_params(kernel, refs)]
 
     lines: List[str] = [C_HELPERS]
     suffix = "_windowed" if windowed else ""
@@ -101,88 +87,55 @@ def emit_cuda(kernel: Kernel, windowed: bool = False) -> str:
             f"  // [{rows} rows x win_cols]"
         )
     cell = _CudaCell(kernel, windowed=windowed)
-    _emit_nest(
-        kernel, kernel.nest.roots, cell, lines, "  ",
-        value_type=value_type, thread_strided=False,
+    cell.print_nest(
+        _figure10(kernel, kernel.nest.roots, windowed), value_type,
+        lines, "  ",
     )
     lines.append("}")
     return "\n".join(lines)
 
 
-def _emit_nest(
-    kernel: Kernel,
-    nodes,
-    cell: _CudaCell,
-    lines: List[str],
-    pad: str,
-    value_type: str,
-    thread_strided: bool,
-) -> None:
+def _figure10(kernel: Kernel, nodes, windowed: bool, strided=False):
+    """The Figure 10 template over ``nodes``: the first space loop
+    strided over the block's threads, a barrier closing each
+    partition, and — ``windowed`` — every store of the last
+    ``window + 1`` partitions also written back to global memory."""
+    out = []
     for node in nodes:
         if isinstance(node, loopast.Loop):
             is_time = node.var == kernel.nest.time_var
-            # Figure 10: the first space loop is strided over threads.
-            stride_this = not is_time and not thread_strided
-            low = node.lower.c_text()
-            high = node.upper.c_text()
-            if stride_this:
-                lines.append(
-                    f"{pad}for (long {node.var} = ({low}) + t; "
-                    f"{node.var} <= {high}; {node.var} += tn) {{"
-                )
-            else:
-                lines.append(
-                    f"{pad}for (long {node.var} = {low}; "
-                    f"{node.var} <= {high}; {node.var}++) {{"
-                )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad + "  ",
-                value_type, thread_strided or stride_this,
+            stride = not (is_time or strided)
+            body = _figure10(
+                kernel, node.body, windowed, strided or stride
             )
             if is_time:
-                # Figure 8/10: barrier between partitions.
-                lines.append(pad + "  __syncthreads();")
-            lines.append(pad + "}")
-        elif isinstance(node, loopast.Assign):
-            lines.append(
-                f"{pad}long {node.var} = {node.value.c_text()};"
-            )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad,
-                value_type, thread_strided,
-            )
-        elif isinstance(node, loopast.Guard):
-            lines.append(
-                f"{pad}if (({loopast.affine_c_text(node.expr)}) % "
-                f"{node.divisor} == 0) {{"
-            )
-            _emit_nest(
-                kernel, node.body, cell, lines, pad + "  ",
-                value_type, thread_strided,
-            )
-            lines.append(pad + "}")
-        elif isinstance(node, loopast.Stmt):
-            target = cell.fresh()
-            lines.append(f"{pad}{value_type} {target};")
-            cell.emit_to(kernel.body.cell, target, lines, pad)
-            store = cell.address(kernel.dims)
-            lines.append(f"{pad}{store} = {target};")
-            if cell.windowed:
-                # Results still need to reach global memory: write
-                # back the cells of the last `window + 1` partitions
-                # (everything an caller could still ask for).
-                dims = kernel.dims
-                text = dims[0]
-                for k in range(1, len(dims)):
-                    text = (
-                        f"({text}) * (ub_{dims[k]} + 1) + {dims[k]}"
-                    )
-                time_var = kernel.nest.time_var
-                root = kernel.nest.roots[0]
-                upper = root.upper.c_text()
-                lines.append(
-                    f"{pad}if ({time_var} >= ({upper}) - "
-                    f"{kernel.window}) farr[{text}] = {target};"
+                body += ("__syncthreads();",)
+            if stride:
+                v = node.var
+                node = Block(
+                    f"for (long {v} = ({node.lower.c_text()}) + t; "
+                    f"{v} <= {node.upper.c_text()}; {v} += tn)",
+                    body,
                 )
-        else:
-            raise CodegenError(f"unknown nest node {node!r}")
+            else:
+                node = replace(node, body=body)
+        elif isinstance(node, (loopast.Assign, loopast.Guard)):
+            node = replace(
+                node,
+                body=_figure10(kernel, node.body, windowed, strided),
+            )
+        elif isinstance(node, loopast.Stmt) and windowed:
+            # Results still need to reach global memory: write back
+            # the cells of the last `window + 1` partitions
+            # (everything a caller could still ask for).
+            dims = kernel.dims
+            text = dims[0]
+            for k in range(1, len(dims)):
+                text = f"({text}) * (ub_{dims[k]} + 1) + {dims[k]}"
+            upper = kernel.nest.roots[0].upper.c_text()
+            node = Store((
+                f"if ({kernel.nest.time_var} >= ({upper}) - "
+                f"{kernel.window}) farr[{text}] = {{0}};",
+            ))
+        out.append(node)
+    return tuple(out)

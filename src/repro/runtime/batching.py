@@ -206,22 +206,6 @@ def pack_group(
     )
 
 
-def batched_native_eligibility(kernel) -> "Eligibility":
-    """Why (or why not) map groups of this kernel can run the
-    batched-native rung *in this process*: the toolchain must be
-    available and the kernel must pass
-    :func:`repro.ir.cbackend.batched_eligibility` (named rules —
-    ``ok-batched``, ``ok-plain-body``, ``cross-table-read``,
-    ``codegen``, ``no-compiler``, ``disabled``)."""
-    from ..ir import cbackend
-    from . import native as native_rt
-
-    verdict = native_rt.available()
-    if not verdict.ok:
-        return verdict
-    return cbackend.batched_eligibility(kernel)
-
-
 class BatchedLaunch:
     """A packed batch speaking the compiled-kernel protocol.
 

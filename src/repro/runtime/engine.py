@@ -201,7 +201,6 @@ class Engine:
         kernel_cache: Optional[LRUKernelCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         batching: bool = True,
-        verify: str = "schedule",
         sanitize: bool = False,
     ) -> None:
         # ``backend=None`` (the default) defers to the REPRO_BACKEND
@@ -214,8 +213,6 @@ class Engine:
             backend = os.environ.get("REPRO_BACKEND") or "auto"
         if backend not in ("auto", "scalar", "vector", "native"):
             raise ValueError(f"unknown backend {backend!r}")
-        if verify not in ("off", "schedule", "full"):
-            raise ValueError(f"unknown verify mode {verify!r}")
         self.spec = device or GTX480
         self.prob_mode = prob_mode
         self.backend = backend
@@ -233,10 +230,6 @@ class Engine:
         )
         self.cache_hits = 0
         self.cache_misses = 0
-        #: ``"off"`` trusts the solver; ``"schedule"`` (the default)
-        #: independently re-proves every schedule before first use;
-        #: ``"full"`` adds the IR access/initialization analysis.
-        self.verify = verify
         #: Route execution through the runtime table sanitizer
         #: (poison-filled tables, partition-barrier checks).
         self.sanitize = sanitize
@@ -276,10 +269,8 @@ class Engine:
         """What one verification verdict covers, as its memo key:
         (function plan, schedule) where the verifier's proof is
         extent-free, plus the concrete extents otherwise. ``None``
-        when nothing is verified (mode ``"off"``, or descents outside
-        the single-function verifier's scope)."""
-        if self.verify == "off":
-            return None
+        when the descents are outside the single-function verifier's
+        scope."""
         from ..verify.soundness import verdict_is_extent_free
 
         try:
@@ -288,11 +279,7 @@ class Engine:
             # Mutual groups / non-affine descents: out of the
             # single-function verifier's scope, not a failure.
             return None
-        # The access and parallel-safety passes of "full" read the
-        # real extents, so their verdicts are always per box.
-        extent_free = self.verify == "schedule" and (
-            verdict_is_extent_free(func, domain)
-        )
+        extent_free = verdict_is_extent_free(func, domain)
         return (
             plan, "verdict", schedule,
             None if extent_free else domain.extents,
@@ -304,7 +291,7 @@ class Engine:
         schedule: Schedule,
         domain: Domain,
     ):
-        """Run the independent verifier, per the engine's mode.
+        """Prove the schedule with the independent verifier.
 
         Verdicts are memoised per (function plan, schedule) — plus
         the concrete extents unless the verifier's proof is
@@ -312,8 +299,8 @@ class Engine:
         probe and a partition count. Raises
         :class:`~repro.lang.errors.VerificationError` when any
         error-severity diagnostic survives; returns the certificate
-        (or None when verification is off or the descents are outside
-        the single-function verifier's scope).
+        (or None when the descents are outside the single-function
+        verifier's scope).
         """
         key = self._verdict_key(func, schedule, domain)
         if key is None:
@@ -334,33 +321,11 @@ class Engine:
         verdict, remembered or fresh."""
         cached = self._memo.lookup(key)
         if cached is None:
-            from ..verify import analyze_access
             from ..verify.soundness import verify_schedule
 
             certificate, diagnostics = verify_schedule(
                 func, schedule, domain
             )
-            if self.verify == "full":
-                diagnostics += analyze_access(
-                    func, domain,
-                    schedule=schedule, prob_mode=self.prob_mode,
-                )
-                # Parallel-safety certificates on the real extents: a
-                # refused axis is a warning (the native build simply
-                # goes serial there), never a VerificationError.
-                from ..verify.races import analyze_parallelism
-
-                try:
-                    parallel = analyze_parallelism(
-                        build_kernel(
-                            func, schedule, prob_mode=self.prob_mode
-                        ),
-                        extents=domain.extents,
-                    )
-                except AnalysisError:
-                    parallel = None
-                if parallel is not None:
-                    diagnostics += parallel.diagnostics()
             errors = tuple(
                 d for d in diagnostics if d.severity == "error"
             )
@@ -748,8 +713,8 @@ class Engine:
         search). Within the call the rung and product are resolved
         once per distinct (schedule, size class) and the verifier is
         asked once per distinct verdict key — so whatever it proves
-        per box (the brute-force leg, non-uniform descents,
-        ``verify="full"``) is still proved per box, while any number
+        per box (the brute-force leg, non-uniform descents) is still
+        proved per box, while any number
         of members under one extent-free verdict cost one memo probe.
         """
         prepared = []
@@ -808,7 +773,7 @@ class Engine:
         # batching stands down.
         batch_groups: List[List[int]] = []
         if self.batching and not self.sanitize and len(prepared) > 1:
-            from ..verify.races import parallelism_certificate
+            from ..verify.races import licences
             from . import native as native_rt
             from .batching import BatchedLaunch, pack_group, plan_batches
 
@@ -833,15 +798,13 @@ class Engine:
                 values[index] = value
             # Pricing reads the rung and thread count the group
             # *ran* on, so they are taken now, not when it is priced.
-            # A kernel whose certificate refuses the batch axis ran a
-            # pragma-free problem loop: one thread.
+            # A kernel without a batch licence ran a pragma-free
+            # problem loop: one thread.
             batched_backends.append(group_launch.backend)
             group_threads.append(
                 native_rt.effective_threads()
                 if group_launch.rung == "native"
-                and parallelism_certificate(
-                    packed.compiled.kernel
-                ).batch.confirmed
+                and licences(packed.compiled.kernel).batch is not None
                 else 1
             )
         batched = {i for group in batch_groups for i in group}

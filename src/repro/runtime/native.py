@@ -51,11 +51,11 @@ cell and every reduction stays serial inside its cell.
 ``REPRO_NATIVE_THREADS=N`` (a positive integer) caps the OpenMP team
 size (applied via the emitted ``repro_set_threads`` export when each
 library loads). The pragmas
-themselves are certificate-gated: :func:`repro.ir.cbackend
-.emit_native_source` consults :mod:`repro.verify.races` and emits a
-pragma only on axes with a CONFIRMED parallel-safety verdict, so an
-unproved kernel builds a pragma-free (serial-native) TU with its own
-content hash.
+themselves are licensed: :func:`repro.ir.cbackend
+.emit_native_source` writes a pragma only with a licence
+:mod:`repro.verify.races` granted from a CONFIRMED parallel-safety
+verdict, so an unproved kernel builds a pragma-free (serial-native)
+TU with its own content hash.
 
 ``REPRO_NATIVE_SANITIZE=address,undefined`` builds *instrumented*
 translation units — the dynamic, independent check on the static
@@ -92,7 +92,8 @@ import numpy as np
 from ..ir import cbackend
 from ..ir.kernel import Kernel
 from ..ir.npbackend import Eligibility
-from ..lang.errors import NativeBuildError
+from ..lang.errors import CodegenError, NativeBuildError
+from ..verify import races
 
 #: ``part_lo``/``part_hi`` sentinels for "no clamp" (any real
 #: partition index is strictly inside this range).
@@ -496,7 +497,8 @@ class NativeRun:
     Speaks the backend calling convention —
     ``run(T, ctx, part_lo=None, part_hi=None)`` — through the
     library's one per-problem entry, ``repro_<name>``; which order it
-    runs in is :func:`repro.ir.cbackend.native_entries`' answer.
+    runs in is the kernel's tile licence
+    (:func:`repro.verify.races.licences`).
 
     Where :attr:`result_only` is set, :meth:`result` launches the
     same entry without a table and hands back one value.
@@ -513,11 +515,11 @@ class NativeRun:
         )
         self._entry.restype = None
         self._entry.argtypes = _argtypes_for(self._spec)
-        entries = cbackend.native_entries(kernel)
+        licence = races.licences(kernel).tile
         #: May :meth:`result` be used (a blocked entry whose halo
         #: tile is bounded)?
-        self.result_only = entries.result_only
-        self._reach = entries.reach
+        self.result_only = licence is not None and licence.result_only
+        self._reach = licence.reach if licence else None
         self._ub_keys = tuple(f"ub_{d}" for d in kernel.dims)
         self._dtype = (
             np.int64 if cbackend.value_ctype(kernel) == "long"
@@ -691,7 +693,12 @@ def compile_native(kernel: Kernel):
     verdict = available()
     if not verdict.ok:
         raise NativeBuildError(verdict.detail)
-    source = cbackend.emit_native_source(kernel, openmp=toolchain()[1])
+    try:
+        source = cbackend.emit_native_source(
+            kernel, openmp=toolchain()[1]
+        )
+    except CodegenError as err:
+        raise NativeBuildError(f"no C99 rendering: {err}") from err
     so_path = build_shared_object(source)
     probe_shared_object(so_path)
     return _make_run(kernel, so_path), source, so_path

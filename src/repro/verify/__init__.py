@@ -13,8 +13,9 @@ machine-readable :class:`~repro.verify.diagnostics.Diagnostic` type:
   calling parameters;
 * :mod:`repro.verify.races` — parallel-safety certificates for the
   OpenMP axes and the block order: intra-partition disjointness,
-  batched-slice disjointness, the blocked wavefront's licence; the
-  native emitter withholds every pragma an axis has not earned;
+  batched-slice disjointness, the blocked wavefront's order; a
+  CONFIRMED axis grants the licence without which the native emitter
+  cannot write its pragma or order;
 * :mod:`repro.verify.sanitizer` — poison-fill execution with
   per-partition read/write tracking that fails at partition barriers;
 * :mod:`repro.verify.lint` — the program-level orchestration behind

@@ -86,12 +86,9 @@ RULES: Dict[str, Tuple[str, str]] = {
     "rank": ("info", "eligibility: the vector/batched backend only renders rank-1/2 nests"),
     "nest-shape": ("info", "eligibility: the loop nest shape has no vector/batched rendering"),
     "cross-table-read": ("info", "eligibility: the body reads another function's table"),
-    "codegen": ("info", "eligibility: the C emitter cannot render the kernel body"),
     "no-compiler": ("info", "eligibility: no working C compiler on this host"),
     "disabled": ("info", "eligibility: native backend disabled by REPRO_NATIVE_DISABLE"),
     "ok": ("info", "eligibility: the backend accepts the kernel"),
-    "ok-plain-body": ("info", "eligibility: the per-problem entry is blocked; the group batches via the whole-box body"),
-    "ok-batched": ("info", "eligibility: the batched native entry accepts the kernel"),
 }
 
 

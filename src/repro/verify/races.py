@@ -5,8 +5,9 @@ over a partition's cells (or, blocked, the blocks of one block
 diagonal) and the batched entry's problem loop. Until this pass
 existed, those claims were comments in :mod:`repro.ir.cbackend`; here
 they are re-proved per kernel, in the same independent-verifier
-discipline as :mod:`repro.verify.soundness`, and the emitter refuses
-to emit a pragma on any axis without a CONFIRMED verdict.
+discipline as :mod:`repro.verify.soundness`, and the emitter cannot
+write a pragma on an axis without the licence its CONFIRMED verdict
+grants.
 
 Three obligations — two race axes and one order licence:
 
@@ -48,6 +49,13 @@ runtime can marshal. Free components do not break box membership
 (state-typed values are dimension-valid by the marshalling contract,
 the same stance the access pass takes).
 
+A CONFIRMED verdict is worth a *licence* (:class:`SpaceLicence`,
+:class:`BatchLicence`, :class:`TileLicence`), which the native
+emitter's rewrites take as a required argument before they add a
+pragma or change the order (:mod:`repro.ir.cbackend`). Only this
+module grants one (:attr:`ParallelismCertificate.licences`);
+constructing one anywhere else is a ``TypeError``.
+
 The analyzer accepts one mutation knob (``pad_extents``) so tests
 can perturb a proved-safe kernel into a racy one and watch the
 matching rule fire.
@@ -55,8 +63,9 @@ matching rule fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.affine import Affine
 from ..analysis.domain import Domain
@@ -72,10 +81,16 @@ __all__ = [
     "REFUSED",
     "NOT_APPLICABLE",
     "AxisVerdict",
+    "BatchLicence",
+    "Licence",
+    "Licences",
     "ParallelismCertificate",
     "ReadFootprint",
+    "SpaceLicence",
+    "TileLicence",
     "analyze_parallelism",
     "collect_read_footprints",
+    "licences",
     "parallelism_certificate",
 ]
 
@@ -139,6 +154,85 @@ class AxisVerdict:
         return record
 
 
+#: The key to a licence's constructor; it never leaves this module.
+_GRANT = object()
+
+
+@dataclass(frozen=True)
+class Licence:
+    """What one CONFIRMED verdict of axis :attr:`AXIS` permits the
+    emitter to write. Constructing one outside this module, or from
+    any other verdict, raises ``TypeError``."""
+
+    verdict: AxisVerdict
+    grant: InitVar[object] = None
+
+    AXIS = ""
+
+    def __post_init__(self, grant) -> None:
+        verdict = self.verdict
+        if grant is not _GRANT or not (
+            isinstance(verdict, AxisVerdict)
+            and verdict.confirmed
+            and verdict.axis == self.AXIS
+        ):
+            raise TypeError(
+                f"a {type(self).__name__} is granted by "
+                f"repro.verify.races from a CONFIRMED {self.AXIS!r} "
+                f"verdict, never constructed"
+            )
+
+
+class SpaceLicence(Licence):
+    """The cells of one partition may run in parallel
+    (``R-SPACE-WW``/``R-SPACE-RW``): a pragma on the space loop."""
+
+    AXIS = "space"
+
+
+class BatchLicence(Licence):
+    """The members of a batched launch may run in parallel
+    (``R-BATCH-OVERLAP``): a pragma on the problem loop."""
+
+    AXIS = "batch"
+
+
+class TileLicence(Licence):
+    """The blocked wavefront may replace the partition sweep
+    (``R-TILE-ORDER``), with the blocks of one block diagonal in
+    parallel."""
+
+    AXIS = "tile"
+
+    @property
+    def reach(self) -> Tuple[int, ...]:
+        """The verdict's reach: the halo a block needs."""
+        return self.verdict.reach
+
+    @property
+    def result_only(self) -> bool:
+        """May the blocked entry be launched without a table? It is
+        while the reach fits the block edge, which caps a thread's
+        private halo tile (``(T0 + h0) x (T1 + h1)`` cells of stack)
+        at four blocks."""
+        from ..ir.cbackend import TILE
+
+        return all(h <= t for h, t in zip(self.reach, TILE))
+
+
+class Licences(NamedTuple):
+    """The licences one certificate grants (``None``: the axis is
+    not CONFIRMED)."""
+
+    space: Optional[SpaceLicence]
+    batch: Optional[BatchLicence]
+    tile: Optional[TileLicence]
+
+
+def _grant(kind, verdict: AxisVerdict):
+    return kind(verdict, _GRANT) if verdict.confirmed else None
+
+
 @dataclass(frozen=True)
 class ParallelismCertificate:
     """Per-axis parallel-safety verdicts for one kernel."""
@@ -161,6 +255,15 @@ class ParallelismCertificate:
         The tile licence is not one: without it the kernel keeps the
         order these two were proved for."""
         return (self.space, self.batch)
+
+    @cached_property
+    def licences(self) -> Licences:
+        """The licence of every CONFIRMED axis."""
+        return Licences(
+            _grant(SpaceLicence, self.space),
+            _grant(BatchLicence, self.batch),
+            _grant(TileLicence, self.tile),
+        )
 
     @property
     def ok(self) -> bool:
@@ -616,3 +719,9 @@ def parallelism_certificate(
         hit = analyze_parallelism(kernel, extents)
         cache[key] = hit
     return hit
+
+
+def licences(kernel: Kernel) -> Licences:
+    """The licences of ``kernel``'s memoised certificate: what the
+    native emitter may write for it."""
+    return parallelism_certificate(kernel).licences

@@ -199,10 +199,10 @@ class TestTiledLeg:
         tiles = []
         real = cbackend.emit_native_source
 
-        def spy(kernel, openmp=False, certificate=None, tile=None):
+        def spy(kernel, openmp=False, tile=None):
             if tile is not None:
                 tiles.append(tile)
-            return real(kernel, openmp, certificate, tile)
+            return real(kernel, openmp, tile)
 
         monkeypatch.setattr(cbackend, "emit_native_source", spy)
         case = case_from_text(EDIT_CASE, function="d", args=EDIT_ARGS)

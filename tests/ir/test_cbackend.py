@@ -1,9 +1,11 @@
 """Tests for the native C99 emitter (the compiled backend's source)."""
 
+import dataclasses
+
 import pytest
 
+from repro.ir import cbackend
 from repro.ir.cbackend import (
-    batched_eligibility,
     emit_native_source,
     entry_symbol,
     native_batched_param_spec,
@@ -14,7 +16,9 @@ from repro.ir.cbackend import (
 from repro.ir.kernel import build_kernel
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
+from repro.ir.cell import Parallel
 from repro.schedule.schedule import Schedule
+from repro.verify import races
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
 
@@ -332,26 +336,14 @@ class TestBatchedEmission:
         assert symbol == "repro_d_batched"
         assert f"void {symbol}(" in text
 
-    def test_blocked_kernel_batches_via_plain_body(
-        self, edit_kernel, forward_kernel
-    ):
-        """Blocks are a per-problem device: a blocked kernel batches
-        through the plain whole-box body and says so; a kernel whose
-        per-problem entry already is that body is plain
-        ``ok-batched``."""
-        verdict = batched_eligibility(edit_kernel)
-        assert verdict.ok
-        assert verdict.rule == "ok-plain-body"
-        assert "blocked wavefront" in verdict.detail
-        verdict = batched_eligibility(forward_kernel)
-        assert verdict.ok
-        assert verdict.rule == "ok-batched"
-
-    def test_plain_kernel_rule(self):
-        kernel = kernel_for(FORWARD, Schedule.of(s=0, i=1), {})
-        verdict = batched_eligibility(kernel)
-        assert verdict.ok
-        assert verdict.rule == "ok-batched"
+    def test_blocked_kernel_batches_via_plain_body(self, edit_kernel):
+        """Blocks are a per-problem device: a blocked kernel's
+        batched entry runs each member's partition sweep."""
+        text = emit_native_source(edit_kernel, openmp=True)
+        per_problem = text[:text.index("void repro_d_batched(")]
+        batched = text[text.index("void repro_d_batched("):]
+        assert "_bd" in per_problem
+        assert "_bd" not in batched and "_plo" in batched
 
     def test_cross_table_read_refused(self):
         from repro.ir import expr as ir
@@ -364,7 +356,7 @@ class TestBatchedEmission:
         )
         body = dataclasses.replace(kernel.body, cell=cross)
         kernel = dataclasses.replace(kernel, body=body)
-        verdict = batched_eligibility(kernel)
+        verdict = native_eligibility(kernel)
         assert not verdict.ok
         assert verdict.rule == "cross-table-read"
 
@@ -428,3 +420,116 @@ class TestBatchedEmission:
         assert by_name["b_ub_i"].key == "ub_i"
         assert by_name["b_seq_s"].key == "seq_s"
         assert by_name["b_seq_s_cols"].kind == "cols"
+
+
+def split_entries(text, kernel):
+    """The per-problem and the batched entry of a TU."""
+    batched = text.index(f"void {entry_symbol(kernel, batched=True)}(")
+    return text[:batched], text[batched:]
+
+
+def refuse(monkeypatch, kernel, axis, rule):
+    """Make the certificate every caller reads refuse ``axis``."""
+    from repro.verify.races import REFUSED, AxisVerdict
+
+    doctored = dataclasses.replace(
+        races.parallelism_certificate(kernel),
+        **{axis: AxisVerdict(axis, REFUSED, "doctored", rule=rule)},
+    )
+    monkeypatch.setattr(
+        races, "parallelism_certificate", lambda k, extents=None: doctored
+    )
+
+
+def not_licences(verdict):
+    """What may not stand in for the licence of ``verdict``'s axis:
+    the CONFIRMED verdict itself, a refused one, nothing."""
+    refused = dataclasses.replace(verdict, status="refused", rule="R-X")
+    return [verdict, refused, None]
+
+
+class TestLicences:
+    """A pragma or the blocked order needs a licence, granted only by
+    :mod:`repro.verify.races` from a CONFIRMED verdict."""
+
+    def test_parallel_needs_the_licence_of_its_axis(self, edit_kernel):
+        cert = races.parallelism_certificate(edit_kernel)
+        loop = edit_kernel.nest.time_loop.body[0]
+        _setup, problems = cbackend.batch(edit_kernel)
+        for node, verdict in ((loop, cert.space), (problems, cert.batch)):
+            for wrong in not_licences(verdict):
+                with pytest.raises(TypeError):
+                    cbackend.parallel(node, wrong)
+        with pytest.raises(TypeError):
+            cbackend.parallel(loop, cert.licences.batch)
+        with pytest.raises(TypeError):
+            cbackend.parallel(problems, cert.licences.space)
+        for wrong in not_licences(cert.space):
+            with pytest.raises(TypeError):
+                Parallel(loop, "parallel for", wrong)
+
+    def test_tile_and_result_only_need_a_tile_licence(self, edit_kernel):
+        cert = races.parallelism_certificate(edit_kernel)
+        for wrong in not_licences(cert.tile) + [cert.licences.space]:
+            with pytest.raises(TypeError):
+                cbackend.tile(edit_kernel, wrong, (3, 4))
+        tiled = cbackend.tile(edit_kernel, cert.licences.tile, (3, 4))
+        for wrong in not_licences(cert.tile):
+            with pytest.raises(TypeError):
+                cbackend.result_only(tiled, wrong)
+            with pytest.raises(TypeError):
+                cbackend.parallel(tiled, wrong)
+
+    def test_a_licence_is_granted_not_constructed(self, edit_kernel):
+        cert = races.parallelism_certificate(edit_kernel)
+        kinds = (
+            (races.SpaceLicence, cert.space),
+            (races.BatchLicence, cert.batch),
+            (races.TileLicence, cert.tile),
+        )
+        for kind, verdict in kinds:
+            assert verdict.confirmed
+            with pytest.raises(TypeError):
+                kind(verdict)
+            with pytest.raises(TypeError):
+                kind(verdict, object())
+        assert [type(lic) for lic in cert.licences] == [
+            kind for kind, _ in kinds
+        ]
+
+    def test_a_refused_verdict_grants_nothing(self):
+        racy = kernel_for(EDIT_DISTANCE, Schedule.of(i=1, j=0))
+        licences = races.licences(racy)
+        assert licences.space is None and licences.tile is None
+
+    def test_refused_space_axis_has_no_pragma(
+        self, forward_kernel, monkeypatch
+    ):
+        proved, _ = split_entries(
+            emit_native_source(forward_kernel, openmp=True), forward_kernel
+        )
+        assert "#pragma omp parallel for\n" in proved
+        refuse(monkeypatch, forward_kernel, "space", "R-SPACE-RW")
+        text = emit_native_source(forward_kernel, openmp=True)
+        per_problem, batched = split_entries(text, forward_kernel)
+        assert "#pragma" not in per_problem
+        assert "#pragma omp parallel for schedule(static)" in batched
+
+    def test_refused_batch_axis_has_no_pragma(
+        self, forward_kernel, monkeypatch
+    ):
+        refuse(monkeypatch, forward_kernel, "batch", "R-BATCH-OVERLAP")
+        text = emit_native_source(forward_kernel, openmp=True)
+        per_problem, batched = split_entries(text, forward_kernel)
+        assert "#pragma omp parallel for\n" in per_problem
+        assert "#pragma" not in batched
+
+    def test_refused_tile_axis_yields_the_partition_sweep(
+        self, edit_kernel, monkeypatch
+    ):
+        refuse(monkeypatch, edit_kernel, "tile", "R-TILE-ORDER")
+        text = emit_native_source(edit_kernel, openmp=True)
+        per_problem, _ = split_entries(text, edit_kernel)
+        assert "_bd" not in per_problem and "_plo" in per_problem
+        assert "_res" not in per_problem
+        assert "#pragma omp parallel for\n" in per_problem

@@ -37,7 +37,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.values import PROTEIN, Bindings, Sequence
 from repro.schedule import find_schedule
 from repro.schedule.schedule import Schedule
-from repro.verify.races import parallelism_certificate
+from repro.verify.races import licences, parallelism_certificate
 
 needs_cc = pytest.mark.skipif(
     not native.available().ok,
@@ -335,9 +335,12 @@ class TestStructure:
         for a, b in zip(default.splitlines(), small.splitlines()):
             assert digits.sub("N", a) == digits.sub("N", b)
 
-    def test_refused_tile_axis_forces_the_partition_sweep(self, kernel):
+    def test_refused_tile_axis_forces_the_partition_sweep(
+        self, kernel, monkeypatch
+    ):
         import dataclasses
 
+        from repro.verify import races
         from repro.verify.races import AxisVerdict
 
         cert = parallelism_certificate(kernel)
@@ -347,14 +350,15 @@ class TestStructure:
                 "tile", "refused", "doctored", rule="R-TILE-ORDER"
             ),
         )
-        source = cbackend.emit_native_source(
-            kernel, openmp=True, certificate=doctored
+        monkeypatch.setattr(
+            races, "parallelism_certificate", lambda k: doctored
         )
+        source = cbackend.emit_native_source(kernel, openmp=True)
         entry = entry_text(source, "repro_d")
         assert "_bd" not in entry and "lo_i" not in entry
         assert "#pragma omp parallel for\n" in entry
         assert "tile=refused[R-TILE-ORDER]" in source
-        assert not cbackend.native_entries(kernel, doctored).tiled
+        assert races.licences(kernel).tile is None
 
     @pytest.mark.parametrize(
         "name, make",
@@ -530,7 +534,7 @@ def test_result_only_value_is_read_off_no_table(
     name, tile, threads, monkeypatch
 ):
     monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
-    reach = cbackend.native_entries(problem_for(name, (3, 2)).kernel).reach
+    reach = licences(problem_for(name, (3, 2)).kernel).tile.reach
     if any(h > t for h, t in zip(reach, tile)):
         pytest.skip(f"reach {reach} past the {tile} block edge")
     for lengths in LENGTHS:
@@ -644,9 +648,9 @@ class TestResultOnlyStructure:
         assert "(_ts)" not in batched and "_amax" not in batched
 
     def test_entries_and_spec_agree_on_the_mode(self, kernel):
-        entries = cbackend.native_entries(kernel)
-        assert entries.tiled and entries.result_only
-        assert entries.reach == (1, 1)
+        licence = licences(kernel).tile
+        assert licence.result_only
+        assert licence.reach == (1, 1)
         tail = cbackend.native_param_spec(kernel)[-4:]
         assert [(p.name, p.kind) for p in tail] == [
             ("_res", "result"), ("_red", "reduce"),
@@ -662,10 +666,9 @@ class TestResultOnlyStructure:
         """The halo tile is capped at four blocks: under a block
         edge smaller than the reach the mode is not used."""
         kernel = problem_for("rows-S=i", (3, 2)).kernel
-        assert cbackend.native_entries(kernel).result_only
+        assert licences(kernel).tile.result_only
         monkeypatch.setattr(cbackend, "TILE", (1, 4))
-        entries = cbackend.native_entries(kernel)
-        assert entries.tiled and not entries.result_only
+        assert not licences(kernel).tile.result_only
         assert "result-only" not in (
             cbackend.native_eligibility(kernel).detail
         )
@@ -674,8 +677,7 @@ class TestResultOnlyStructure:
         func = forward_function()
         domain = Domain(func.dim_names, (13, 13))
         kernel = build_kernel(func, find_schedule(func, domain))
-        entries = cbackend.native_entries(kernel)
-        assert not entries.tiled and not entries.result_only
+        assert licences(kernel).tile is None
         assert all(
             p.kind not in ("result", "reduce", "at")
             for p in cbackend.native_param_spec(kernel)

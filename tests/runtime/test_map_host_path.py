@@ -658,18 +658,6 @@ class TestNoVerdictSkipped:
         )
         assert engine.cache_info().verified == len(set(lengths))
 
-    def test_full_mode_still_runs_per_box(self, monkeypatch):
-        from repro.verify import analyze_access
-
-        analysed = count_calls(monkeypatch, analyze_access)
-        engine = Engine(backend="vector", verify="full")
-        engine.map_run(EDIT_FUNC, EDIT_BASE, edit_problems())
-        boxes = {(n + 1, 64) for n in EDIT_LENGTHS}
-        assert sorted(args[1].extents for args in analysed) == sorted(
-            boxes
-        )
-        assert engine.cache_info().verified == len(boxes)
-
     def test_a_failed_verdict_raises_and_counts_once(self, monkeypatch):
         bad = Schedule(EDIT_FUNC.dim_names, (1, -1))
         monkeypatch.setattr(

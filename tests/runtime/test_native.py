@@ -14,6 +14,7 @@ from repro.runtime import native
 from repro.runtime.engine import Engine
 from repro.runtime.ladder import VECTOR_CROSSOVER
 from repro.runtime.values import Bindings, Sequence
+from repro.verify.races import licences
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -419,7 +420,7 @@ int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
             full = table.copy()
             compiled.run(full, ctx, part_lo=lo, part_hi=hi)
             tables[backend] = full
-        assert not cbackend.native_entries(compiled.kernel).tiled
+        assert licences(compiled.kernel).tile is None
         assert compiled.source.count("\nvoid repro_g") == 2
         assert "void repro_g_batched(" in compiled.source
         assert np.array_equal(tables["scalar"], tables["native"])
@@ -478,6 +479,41 @@ class TestEngineLadder:
         assert "'d'" in message  # the kernel is named
         assert "[build-failed]" in message
         assert "synthetic probe detail" in message
+
+    @needs_cc
+    def test_a_cold_run_emits_once(self, monkeypatch):
+        """Eligibility looks for the one construct C cannot render
+        instead of emitting a trial TU, so a cold native run emits
+        its translation unit once."""
+        from tests.verify.test_extent_free import count_calls
+
+        func, bindings = edit_func(), edit_bindings()
+        expected = Engine(backend="scalar").run(func, bindings).value
+        emitted = count_calls(monkeypatch, cbackend.emit_native_source)
+        assert Engine(backend="native").run(func, bindings).value == (
+            expected
+        )
+        assert len(emitted) == 1
+
+    def test_a_tu_without_a_rendering_is_a_build_failure(
+        self, monkeypatch
+    ):
+        """A ``CodegenError`` at emission is a failed build: the
+        ladder records ``[build-failed]`` and takes the rung below."""
+
+        def refuse(kernel, openmp=False, tile=None):
+            raise CodegenError("synthetic: no C99 rendering")
+
+        monkeypatch.setattr(cbackend, "emit_native_source", refuse)
+        monkeypatch.setattr(
+            native, "available",
+            lambda: native.Eligibility(True, "ok", "stubbed"),
+        )
+        engine = Engine(backend="auto")
+        compiled, _ctx, _table, _domain, schedule = compile_edit(engine)
+        assert compiled.backend in ("vector", "scalar")
+        with pytest.raises(NativeBuildError, match="synthetic"):
+            native.compile_native(compiled.kernel)
 
     def test_env_native_is_preference_not_force(self, monkeypatch):
         """REPRO_BACKEND=native degrades down the ladder instead of

@@ -44,11 +44,12 @@ def edit_args():
 
 class TestEngineVerifyHook:
     def test_default_mode_is_schedule(self):
-        assert Engine().verify == "schedule"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(verify="everything")
+        """Proving the schedule is the engine's one mode: there is no
+        knob to trust the solver or to add the access pass (``lint``
+        and service admission run it)."""
+        assert not hasattr(Engine(), "verify")
+        with pytest.raises(TypeError):
+            Engine(verify="off")
 
     def test_good_run_increments_verified_counter(self, edit_func):
         engine = Engine()
@@ -79,12 +80,6 @@ class TestEngineVerifyHook:
         with pytest.raises(VerificationError):
             engine.run(edit_func, edit_args())
 
-    def test_verify_off_trusts_the_solver(self, edit_func, monkeypatch):
-        engine = Engine(verify="off", backend="scalar")
-        info = engine.cache_info()
-        engine.run(edit_func, edit_args())
-        assert engine.cache_info().verified == info.verified == 0
-
     def test_verdicts_are_memoised(self, edit_func):
         engine = Engine()
         for _ in range(3):
@@ -92,23 +87,18 @@ class TestEngineVerifyHook:
         assert engine.cache_info().verified == 1
 
     def test_full_mode_catches_access_errors(self):
-        func = check_function(
-            parse_function(
-                "int f(seq[en] s, index[s] i) =\n"
-                "  if i == 0 then f(i - 1)\n"
-                "  else f(i - 1) + 1"
-            ),
-            EN,
-        )
-        engine = Engine(verify="full")
-        with pytest.raises(VerificationError) as exc:
-            engine.run(func, {"s": Sequence("abc", ALPHA)})
-        assert "A-OOB-TABLE" in str(exc.value)
+        """The access pass the engine's old ``"full"`` mode re-ran is
+        ``lint``'s: it reports the out-of-box base case."""
+        from repro.verify.lint import lint_text
+
+        result = lint_text(OOB_PROGRAM)
+        errors = result.report.by_severity("error")
+        assert "A-OOB-TABLE" in {d.rule for d in errors}
 
     def test_schedule_mode_allows_access_bugs(self):
-        """verify='schedule' proves ordering only — the OOB base case
-        executes (the table read clamps nothing; scalar kernels guard
-        it), matching the pre-verifier behaviour."""
+        """The engine proves ordering only — a base case reading out
+        of the box executes (the table read clamps nothing; scalar
+        kernels guard it), matching the pre-verifier behaviour."""
         func = check_function(
             parse_function(
                 "int f(seq[en] s, index[s] i) =\n"
@@ -117,7 +107,7 @@ class TestEngineVerifyHook:
             ),
             EN,
         )
-        engine = Engine(verify="schedule")
+        engine = Engine()
         assert engine.run(func, {"s": Sequence("abc", ALPHA)}).value == 3
 
     def test_map_run_verifies_once_per_schedule(self, edit_func):

@@ -205,16 +205,6 @@ class TestEngineMemo:
             )
         assert engine.cache_info().verified == 3
 
-    def test_full_mode_keys_on_the_extents(self):
-        func = smith_waterman_function()
-        schedule = Schedule(func.dim_names, (1, 1))
-        engine = Engine(verify="full")
-        for extents in [(70, 70), (80, 90)]:
-            engine.verify_compiled(
-                func, schedule, Domain(func.dim_names, extents)
-            )
-        assert engine.cache_info().verified == 2
-
     def test_memo_is_bounded_by_cache_capacity(self):
         func = forward_function()
         engine = Engine(cache_capacity=4)

@@ -38,7 +38,7 @@ def edit_func():
 
 
 def compiled_for(func, schedule, backend="scalar"):
-    engine = Engine(backend=backend, verify="off")
+    engine = Engine(backend=backend)
     return engine, engine.compile(func, schedule)
 
 
