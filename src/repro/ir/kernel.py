@@ -9,7 +9,7 @@ CUDA C text or executable Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from ..analysis.affine import Affine
@@ -36,6 +36,13 @@ class Kernel:
     nest: LoopNest
     body: LoweredBody
     window: Optional[int]
+    #: Analyses memoised on this instance (its referenced names, its
+    #: parallelism certificates). Never serialised, so the payload —
+    #: and the sandbox digest over it — is the plan alone, whichever
+    #: memos a caller happened to fill first.
+    memo: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -70,12 +77,12 @@ class Kernel:
         """Names of sequences, matrices, models and scalars the cell
         expression touches (drives context preparation).
 
-        Memoised on the instance (same idiom as the cache key's
-        ``_cache_source_form``): context preparation asks per problem,
-        and a lane-batched map group shares one kernel across every
-        member, so the IR walk should run once, not once per member.
+        Memoised in :attr:`memo`: context preparation asks per
+        problem, and a lane-batched map group shares one kernel across
+        every member, so the IR walk should run once, not once per
+        member.
         """
-        cached = self.__dict__.get("_referenced_names")
+        cached = self.memo.get("referenced_names")
         if cached is not None:
             return cached
         seqs: Set[str] = set()
@@ -101,7 +108,7 @@ class Kernel:
             "hmms": hmms,
             "scalars": scalars,
         }
-        self.__dict__["_referenced_names"] = refs
+        self.memo["referenced_names"] = refs
         return refs
 
     # -- serialisation -------------------------------------------------------
@@ -115,6 +122,14 @@ class Kernel:
     #: references) changes incompatibly; stale cache entries are then
     #: rejected instead of mis-loaded.
     SERIAL_FORMAT = 1
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["memo"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, memo={})
 
     def to_payload(self) -> bytes:
         """Serialize the full kernel plan for the persistent cache."""

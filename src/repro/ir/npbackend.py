@@ -380,7 +380,6 @@ def compile_vector_kernel(
 def compile_batched_kernel(
     kernel: Kernel, func_name: str = "kernel"
 ):
-    """Compile the lane-batched source; returns ``(callable, source)``."""
+    """Compile the lane-batched source into its callable."""
     source = emit_batched_source(kernel, func_name)
-    run = exec_source(source, f"<npbatched:{kernel.name}>", func_name)
-    return run, source
+    return exec_source(source, f"<npbatched:{kernel.name}>", func_name)

@@ -102,11 +102,12 @@ class CheckedFunction:
         # Derived state stays out of pickles (kernel-cache records,
         # sandbox frames): the parameter tuples are re-derived on
         # load, so records keep their layout, and the analysis plan
-        # (repro.analysis.plan) is recomputed on demand.
+        # (repro.analysis.plan) and the source form are recomputed on
+        # demand.
         state = dict(self.__dict__)
         for derived in (
             "recursive_params", "calling_params", "dim_names",
-            "_function_plan",
+            "_function_plan", "_cache_source_form",
         ):
             state.pop(derived, None)
         return state

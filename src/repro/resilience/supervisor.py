@@ -224,7 +224,7 @@ class ExecutionSupervisor:
             # demoted (vector/scalar) twin, and later epochs keep
             # using the demoted rung.
             state, compiled = self._run_epoch(
-                compiled, ctx, state, elo, ehi, problem, sm
+                compiled, ctx, state, elo, ehi, problem, sm, domain
             )
             self.stats.epochs_committed += 1
             self.stats.partitions_committed += ehi - elo + 1
@@ -242,12 +242,14 @@ class ExecutionSupervisor:
         ehi: int,
         problem: int,
         sm: int,
+        domain,
     ) -> Tuple[np.ndarray, object]:
         """One epoch to a committed state, replaying on faults.
 
         Returns ``(state, compiled)`` — the compiled kernel may have
-        been swapped for its demoted twin when the sandbox circuit
-        breaker opened mid-epoch.
+        been swapped for the rung below it (:func:`ladder.demote`,
+        judged on ``domain`` as an unsupervised crash is) when the
+        sandbox circuit breaker opened mid-epoch.
         """
         attempts = itertools.count()
         for round_index in range(self.policy.max_replays + 1):
@@ -293,7 +295,9 @@ class ExecutionSupervisor:
                 # the ladder instead and replay there (a transient
                 # crash under a closed breaker retries on native).
                 if ladder.circuit_open(compiled):
-                    compiled = ladder.demote(self.engine, compiled)
+                    compiled = ladder.demote(
+                        self.engine, compiled, domain
+                    )
                 self.stats.replays += 1
                 self.stats.replayed_ranges.append((problem, elo, ehi))
         raise FaultEscalation(

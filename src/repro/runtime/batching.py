@@ -23,27 +23,29 @@ kernel masks every store with the problem's own validity, so padding
 cells are never written (the unpack step slices each problem back out
 of its row).
 
-Two rungs can run a packed group, mirroring the per-problem ladder:
+A packed group runs on its compiled product's rung, one launch for
+the group:
 
-* **native-batched** — the compiled backend's batched entry point
-  (:func:`repro.ir.cbackend.native_batched_param_spec`): one
-  ``ctypes`` call runs every member's own loop nest, optionally with
-  OpenMP across members — emitted only when the parallel-safety
-  analyzer proved the members' padded slices disjoint
-  (:mod:`repro.verify.races`, rule ``R-BATCH-OVERLAP`` on refusal).
-  Bitwise-identical to the per-problem native loop at any thread
-  count.
+* **native-batched** — the library's batched entry point
+  (:func:`repro.ir.cbackend.native_batched_param_spec`), bound with
+  the per-problem one when the library loaded: one ``ctypes`` call
+  runs every member's own loop nest, optionally with OpenMP across
+  members — emitted only when the parallel-safety analyzer proved
+  the members' padded slices disjoint (:mod:`repro.verify.races`,
+  rule ``R-BATCH-OVERLAP`` on refusal). Bitwise-identical to the
+  per-problem native loop at any thread count.
 * **vector-batched** — the NumPy batched twin
   (:func:`repro.ir.npbackend.emit_batched_source`), which masks
   per-problem validity lane-wise.
+* **scalar-batched** — every member on the scalar generator over its
+  own slice of the padded table: where a group lands when it leaves
+  a rung whose kernel the vector rung refuses.
 
-:class:`BatchedLaunch` picks the rung from the group's compiled
-backend and degrades gracefully — a failed native batched build (or,
-through :func:`repro.runtime.ladder.launch`, a sandbox crash or open
-circuit breaker) demotes the launch to the rung
-:mod:`repro.runtime.ladder` names below it: vector-batched when the
-kernel is vector-eligible, else a scalar per-member sweep, without
-losing the single-launch shape the resilience layer supervises.
+A group leaves a rung the way any launch does: a sandbox crash,
+deadline kill or open circuit breaker is caught by
+:func:`repro.runtime.ladder.launch` (or the supervisor) and
+:func:`repro.runtime.ladder.demote` hands back the group on the rung
+below, keeping its packed table and single-launch shape.
 
 :class:`BatchedLaunch` adapts a packed batch to the compiled-kernel
 protocol the resilience layer speaks (``run(T, ctx, part_lo,
@@ -57,13 +59,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Sequence as Seq, Tuple
 
 import numpy as np
 
 from ..analysis.domain import Domain
 from ..ir.kernel import UB_PREFIX
-from . import ladder
 from .context import build_context, sequence_codes
 
 #: Smallest group worth packing: a singleton gains nothing over the
@@ -217,37 +218,24 @@ class BatchedLaunch:
     member's range; the generated kernel clamps and masks internally,
     so out-of-range epochs are no-ops for the members they miss).
 
-    The launch runs on a **rung** — ``"native"`` (the batched C
-    entry, picked when the group compiled native), ``"vector"`` (the
-    batched NumPy twin) or ``"scalar"`` (per-member sweep, the floor
-    every kernel supports). ``run`` degrades one rung at a time on
-    :class:`~repro.lang.errors.NativeBuildError`; sandbox faults are
-    :func:`repro.runtime.ladder.launch`'s to catch, which steps the
-    group down through :meth:`demote`.
+    The launch runs on the rung of the batch's compiled product:
+    its batched entry (:attr:`~repro.runtime.ladder.CompiledKernel
+    .batched`), or the per-member scalar sweep on the scalar rung.
 
     ``reference_run`` gives the divergence oracle an independent
     backend: every member replayed on the *scalar* generator over its
     own slice of the padded table.
     """
 
-    def __init__(
-        self, batch: PackedBatch, rung: Optional[str] = None
-    ) -> None:
+    def __init__(self, batch: PackedBatch) -> None:
         self.batch = batch
         self.compiled = batch.compiled
-        if rung is None:
-            rung = (
-                "native"
-                if getattr(self.compiled, "backend", "") == "native"
-                else "vector"
-            )
-        self.rung = rung
         self._scalar_run = None
 
     @property
     def backend(self) -> str:
         """Backend label for reports/oracles: ``"<rung>-batched"``."""
-        return f"{self.rung}-batched"
+        return f"{self.compiled.backend}-batched"
 
     @property
     def kernel(self):
@@ -259,45 +247,17 @@ class BatchedLaunch:
         """The shared schedule (epoch ranges derive from it)."""
         return self.compiled.kernel.schedule
 
-    def demote(self) -> str:
-        """Drop to the next rung the ladder allows below this one
-        (native → vector when the kernel is vector-eligible, else —
-        and from vector — → scalar). Returns the new rung."""
-        if self.rung == "native":
-            self.rung = ladder.below_native(self.kernel)
-        else:
-            self.rung = "scalar"
-        return self.rung
-
     def run(self, table, ctx, part_lo=None, part_hi=None):
-        """One batched sweep over the global partition range.
+        """One batched sweep over the global partition range."""
+        if self.compiled.backend == "scalar":
+            return self.reference_run(table, ctx, part_lo, part_hi)
+        return self.compiled.batched(
+            table, ctx, part_lo=part_lo, part_hi=part_hi
+        )
 
-        A native build/load failure is permanent for this process, so
-        it demotes the launch (native → vector → scalar) and retries
-        on the spot — the table is untouched by a failed build.
-        Sandbox *crash* faults are deliberately not caught here:
-        :func:`repro.runtime.ladder.launch` owns demotion for those.
-        """
-        from ..lang.errors import NativeBuildError
-
-        while True:
-            if self.rung == "native":
-                try:
-                    batched = self.compiled.ensure_batched_native()
-                except NativeBuildError:
-                    self.demote()
-                    continue
-                return batched(
-                    table, ctx, part_lo=part_lo, part_hi=part_hi
-                )
-            if self.rung == "vector":
-                return self.compiled.ensure_batched()(
-                    table, ctx, part_lo=part_lo, part_hi=part_hi
-                )
-            return self._scalar_sweep(table, part_lo, part_hi)
-
-    def _scalar_sweep(self, table, part_lo=None, part_hi=None):
-        """Every member on the scalar generator, in its own slice."""
+    def reference_run(self, table, ctx, part_lo=None, part_hi=None):
+        """Every member on the scalar generator, in its own slice
+        (also the oracle's reference backend)."""
         if self._scalar_run is None:
             from ..ir.pybackend import compile_kernel
 
@@ -312,7 +272,3 @@ class BatchedLaunch:
                 view, pctx, part_lo=part_lo, part_hi=part_hi
             )
         return table
-
-    def reference_run(self, table, ctx, part_lo=None, part_hi=None):
-        """Scalar per-member replay (the oracle's reference backend)."""
-        return self._scalar_sweep(table, part_lo, part_hi)

@@ -385,7 +385,7 @@ class Engine:
             self.sanitize, large,
         )
         try:
-            compiled = self._product(func, schedule, rung, kernel)
+            compiled = self.product(func, schedule, rung, kernel)
         except NativeBuildError as err:
             if self.backend == "native" and self.backend_forced:
                 # Name the failure the way a forced-vector
@@ -402,28 +402,25 @@ class Engine:
             # take the rung below.
             rungs = ladder.refuse_native(rungs, err)
             self._memo.store(memo_key, rungs)
-            compiled = self._product(
+            compiled = self.product(
                 func, schedule, ladder.choose(rungs, large), kernel
             )
         if ladder.circuit_open(compiled):
             # The sandbox's crash breaker is open for this kernel:
             # route around native *without* rewriting the memo, so it
             # returns to native once the breaker half-opens.
-            self.native_demotions += 1
-            compiled = self._product(
-                func, schedule,
-                ladder.choose(rungs, large, allow_native=False), kernel,
-            )
+            compiled = ladder.demote(self, compiled, domain)
         return compiled
 
-    def _product(
+    def product(
         self,
         func: CheckedFunction,
         schedule: Schedule,
         rung: str,
         kernel: Optional[Kernel] = None,
     ) -> CompiledKernel:
-        """The kernel cache's product for ``rung``, built on a miss."""
+        """The kernel cache's product for ``rung``, built on a miss
+        (from ``kernel`` when the caller has it)."""
         key = kernel_cache_key(func, schedule, self.prob_mode, rung)
         cached = self._cache.lookup(key)
         if cached is not None:
@@ -803,7 +800,7 @@ class Engine:
             batched_backends.append(group_launch.backend)
             group_threads.append(
                 native_rt.effective_threads()
-                if group_launch.rung == "native"
+                if group_launch.backend == "native-batched"
                 and licences(packed.compiled.kernel).batch is not None
                 else 1
             )

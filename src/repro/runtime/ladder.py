@@ -15,10 +15,12 @@ and what each rung needs:
 * :func:`build` — the one place a rung name becomes a
   :class:`CompiledKernel` (``compile_native`` /
   ``compile_vector_kernel`` / ``compile_kernel``).
-* :func:`launch` — the one place a launch is caught and demoted: a
-  sandbox worker crash, deadline kill or open circuit breaker counts
-  one ``native_demotions``, re-zeroes the table and reruns the problem
-  a rung down (:func:`demote`). Plain runs, map members and
+* :func:`demote` — the one place anything leaves a rung, and the
+  one place ``native_demotions`` is counted: :func:`launch` catching
+  a sandbox worker crash, deadline kill or open circuit breaker (it
+  re-zeroes the table and reruns the problem a rung down), the
+  supervisor's breaker step inside an epoch, and ``Engine.compile``
+  routing around an open breaker. Plain runs, map members and
   lane-batched groups all pass through it, supervised or not.
 
 The verdicts are size-independent, so an engine remembers them once
@@ -32,7 +34,8 @@ representation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 from ..ir.kernel import Kernel
@@ -71,11 +74,6 @@ class CompiledKernel:
     source: str
     compile_seconds: float
     backend: str = "scalar"
-    batched_run: object = None  # lazy lane-batched twin (vector only)
-    batched_source: Optional[str] = None
-    #: Lazy batched-native callable (native backend only) — the
-    #: ``repro_<name>_batched`` entry of the same shared object.
-    batched_native_run: object = None
     #: Path of the compiled shared object (native backend only).
     so_path: Optional[str] = None
 
@@ -99,51 +97,18 @@ class CompiledKernel:
 
         return cbackend.native_eligibility(self.kernel)
 
-    def ensure_batched(self):
-        """Compile (once) and return the lane-batched twin kernel.
+    @cached_property
+    def batched(self):
+        """The lane-batched entry, ``(T, ctx, part_lo, part_hi)`` over
+        a packed map group (:mod:`repro.runtime.batching`): the
+        library's ``repro_<name>_batched`` symbol, bound when a native
+        product loaded, or the NumPy twin of a vector product,
+        compiled on first use."""
+        if self.backend == "native":
+            return self.run.batched
+        from ..ir import npbackend
 
-        Only meaningful for vector-backend products; the batched
-        generator shares the vector backend's eligibility rules.
-        """
-        if self.batched_run is None:
-            from ..ir import npbackend
-
-            self.batched_run, self.batched_source = (
-                npbackend.compile_batched_kernel(self.kernel)
-            )
-        return self.batched_run
-
-    def ensure_batched_native(self):
-        """Load (once) and return the batched-native callable.
-
-        Only meaningful for native-backend products: the
-        ``repro_<name>_batched`` entry lives in the *same* shared
-        object as the per-problem run, so this is a symbol load, not
-        a compile. Raises
-        :class:`~repro.lang.errors.NativeBuildError` when this is not
-        a native product or the artifact cannot serve the symbol
-        (e.g. a stale shared-cache ``.so`` from before the batched
-        entry existed) — callers demote to the vector-batched rung.
-        """
-        if self.batched_native_run is None:
-            from . import native as native_rt
-
-            if self.backend != "native" or not self.so_path:
-                raise NativeBuildError(
-                    f"kernel {self.kernel.name!r} compiled on the "
-                    f"{self.backend!r} backend; batched-native needs "
-                    f"a native product"
-                )
-            try:
-                self.batched_native_run = native_rt.load_batched(
-                    self.kernel, self.so_path
-                )
-            except (OSError, AttributeError) as err:
-                raise NativeBuildError(
-                    f"batched entry unavailable in "
-                    f"{self.so_path}: {err}"
-                ) from err
-        return self.batched_native_run
+        return npbackend.compile_batched_kernel(self.kernel)
 
     def cuda_source(self, windowed: bool = False) -> str:
         """The synthesised CUDA text; ``windowed=True`` emits the
@@ -206,33 +171,20 @@ def rungs(kernel: Kernel) -> Tuple[Rung, ...]:
 
 
 def choose(
-    ladder: Tuple[Rung, ...],
-    large: Optional[bool] = None,
-    allow_native: bool = True,
+    ladder: Tuple[Rung, ...], large: Optional[bool] = None
 ) -> str:
-    """The best eligible rung: native > vector > scalar.
+    """The best eligible rung of ``ladder``: native > vector > scalar.
 
     ``large`` is the size test (:func:`is_large`; ``None`` = unknown
     extents, treated as large): below the crossover the vector rung
-    is passed over. ``allow_native=False`` is "the
-    rung below native" — the demotion target, and the whole ladder of
-    a sanitized engine (the sanitizer instruments the generated
-    Python, which machine code does not have).
+    is passed over.
     """
     for rung in ladder[:-1]:
-        if rung.name == "native" and not allow_native:
-            continue
         if rung.name == "vector" and large is False:
             continue
         if rung.verdict.ok:
             return rung.name
     return ladder[-1].name  # scalar: the floor every kernel supports
-
-
-def below_native(kernel: Kernel, large: Optional[bool] = None) -> str:
-    """The rung a kernel leaving native lands on (the demotion
-    target), judged without consulting the toolchain."""
-    return choose(_python_rungs(kernel), large)
 
 
 def resolve(
@@ -279,7 +231,10 @@ def resolve(
                 f"[{native.verdict.rule}]: {native.verdict.detail}"
             )
         return "native"
-    return choose(ladder, large, allow_native=not sanitize)
+    # A sanitized engine's whole ladder is the Python rungs: the
+    # sanitizer instruments the generated Python, which machine code
+    # does not have.
+    return choose(ladder[1:] if sanitize else ladder, large)
 
 
 def refuse_native(
@@ -363,21 +318,34 @@ def circuit_open(target) -> bool:
     return not sandbox_rt.get_breaker().allows(run.digest)
 
 
-def demote(engine, target, large: Optional[bool] = None):
-    """``target`` one rung down, counted on ``engine.native_demotions``.
+def demote(engine, target, domain):
+    """``target`` one rung down: the one place a launch leaves a
+    rung, counted once on ``engine.native_demotions``.
 
-    A lane-batched launch steps down in place (it keeps its packed
-    table and single-launch shape); a compiled kernel is rebuilt on
-    the rung below native. Demotions are rare — a kernel's breaker
-    opens after a few crashes and ``Engine.compile`` then routes
-    around native before anything launches — so the rebuilt product
-    is not cached.
+    ``target`` is a :class:`CompiledKernel` or a lane-batched launch.
+    Off native it lands where :func:`choose` puts the Python rungs
+    for ``domain``'s size test; a packed group sweeps every member's
+    lanes at once, so for it the crossover's tiny-partition case does
+    not arise and only eligibility counts. Off a Python rung it lands
+    on the scalar floor. The product is the engine's cached one for
+    that rung, so a breaker that stays open costs no rebuilds.
     """
     engine.native_demotions += 1
-    if hasattr(target, "demote"):
-        target.demote()
-        return target
-    return build(target.kernel, below_native(target.kernel, large))
+    kernel = target.kernel
+    batch = getattr(target, "batch", None)
+    if getattr(target, "compiled", target).backend != "native":
+        rung = "scalar"
+    else:
+        rung = choose(
+            _python_rungs(kernel),
+            None if batch is not None else is_large(domain),
+        )
+    compiled = engine.product(kernel.func, kernel.schedule, rung, kernel)
+    if batch is None:
+        return compiled
+    from .batching import BatchedLaunch
+
+    return BatchedLaunch(replace(batch, compiled=compiled))
 
 
 def launch(engine, execute, target, table, ctx, domain):
@@ -399,7 +367,7 @@ def launch(engine, execute, target, table, ctx, domain):
 
         if not isinstance(err, (WorkerCrash, SandboxHang)):
             raise
-        target = demote(engine, target, is_large(domain))
+        target = demote(engine, target, domain)
         table[...] = 0
         execute(target, table, ctx, domain)
     return target

@@ -472,9 +472,9 @@ def probe_shared_object(so_path: str) -> None:
     _PROBED[so_path] = True
 
 
-def _argtypes_for(spec) -> List[object]:
-    """ctypes argtypes matching a :func:`native_param_spec` (or
-    batched) parameter list."""
+def _bind(lib: ctypes.CDLL, symbol: str, spec) -> tuple:
+    """``(entry, spec)``: ``symbol`` of ``lib`` with argtypes matching
+    its param spec."""
     types: List[object] = []
     for param in spec:
         if "*" in param.ctext:
@@ -483,7 +483,10 @@ def _argtypes_for(spec) -> List[object]:
             types.append(ctypes.c_double)
         else:
             types.append(ctypes.c_long)
-    return types
+    entry = getattr(lib, symbol)
+    entry.restype = None
+    entry.argtypes = types
+    return entry, spec
 
 
 #: numpy dtype of each array-valued :class:`~repro.ir.cbackend.Param`
@@ -491,17 +494,82 @@ def _argtypes_for(spec) -> List[object]:
 _ARRAY_DTYPES = {"i64[]": np.int64, "i32[]": np.int32, "f64[]": np.float64}
 
 
+def _call(
+    bound: tuple,
+    ctx: Dict[str, object],
+    table: Optional[np.ndarray] = None,
+    part_lo: Optional[int] = None,
+    part_hi: Optional[int] = None,
+    result: int = 0,
+    reduce: int = 0,
+    at: Tuple[int, ...] = (),
+) -> None:
+    """Marshal one call of a :func:`_bind` entry from its param spec.
+
+    ``table`` is the contiguous table (a packed group's ``(B, ...)``
+    one for the batched entry, whose batch size and padded extents
+    are read off its shape), or ``None`` for a result-only launch,
+    whose scratch address is ``result``.
+    """
+    entry, spec = bound
+    args: List[object] = []
+    keepalive: List[np.ndarray] = []
+    pads = iter(table.shape[1:] if table is not None else ())
+    at = iter(at)
+    for param in spec:
+        if param.kind == "table":
+            args.append(0 if table is None else table.ctypes.data)
+        elif param.kind == "nprob":
+            args.append(int(table.shape[0]))
+        elif param.kind == "pad":
+            args.append(int(next(pads)))
+        elif param.name == "part_lo":
+            args.append(_NO_LO if part_lo is None else int(part_lo))
+        elif param.name == "part_hi":
+            args.append(_NO_HI if part_hi is None else int(part_hi))
+        elif param.kind in ("ub", "scalar_int"):
+            args.append(int(ctx[param.key]))
+        elif param.kind == "cols":
+            args.append(int(np.asarray(ctx[param.key]).shape[1]))
+        elif param.kind == "scalar_f64":
+            args.append(float(ctx[param.key]))
+        elif param.kind == "result":
+            args.append(result)
+        elif param.kind == "reduce":
+            args.append(reduce)
+        elif param.kind == "at":
+            args.append(next(at, 0))
+        else:
+            arr = np.ascontiguousarray(
+                ctx[param.key], dtype=_ARRAY_DTYPES[param.kind]
+            )
+            keepalive.append(arr)
+            args.append(arr.ctypes.data)
+    entry(*args)
+
+
+def _fill(bound: tuple, T: np.ndarray, ctx, part_lo, part_hi) -> np.ndarray:
+    """One table launch of ``bound``, written into ``T``."""
+    table = np.ascontiguousarray(T)
+    _call(bound, ctx, table, part_lo, part_hi)
+    if table is not T:
+        np.copyto(T, table)
+    return T
+
+
 class NativeRun:
     """The compiled-kernel callable for a loaded shared object.
 
-    Speaks the backend calling convention —
-    ``run(T, ctx, part_lo=None, part_hi=None)`` — through the
-    library's one per-problem entry, ``repro_<name>``; which order it
-    runs in is the kernel's tile licence
-    (:func:`repro.verify.races.licences`).
+    Binds both entries of the library when it loads: the per-problem
+    ``repro_<name>`` and the lane-batched ``repro_<name>_batched``. A
+    library missing either does not load. Each launch is a method:
 
-    Where :attr:`result_only` is set, :meth:`result` launches the
-    same entry without a table and hands back one value.
+    * ``run(T, ctx, part_lo=None, part_hi=None)`` — the backend
+      calling convention; which order it runs in is the kernel's tile
+      licence (:func:`repro.verify.races.licences`);
+    * :meth:`result` — where :attr:`result_only` is set, the same
+      entry without a table, handing back one value;
+    * :meth:`batched` — a whole packed map group in one call.
     """
 
     def __init__(self, kernel: Kernel, so_path: str) -> None:
@@ -509,12 +577,14 @@ class NativeRun:
         self.so_path = so_path
         self._lib = ctypes.CDLL(so_path)
         _apply_thread_cap(self._lib)
-        self._spec = cbackend.native_param_spec(kernel)
-        self._entry = getattr(
-            self._lib, cbackend.entry_symbol(kernel)
+        self._entry = _bind(
+            self._lib, cbackend.entry_symbol(kernel),
+            cbackend.native_param_spec(kernel),
         )
-        self._entry.restype = None
-        self._entry.argtypes = _argtypes_for(self._spec)
+        self._batched = _bind(
+            self._lib, cbackend.entry_symbol(kernel, batched=True),
+            cbackend.native_batched_param_spec(kernel),
+        )
         licence = races.licences(kernel).tile
         #: May :meth:`result` be used (a blocked entry whose halo
         #: tile is bounded)?
@@ -526,50 +596,6 @@ class NativeRun:
             else np.float64
         )
 
-    def _launch(
-        self,
-        ctx: Dict[str, object],
-        table: int,
-        part_lo: Optional[int] = None,
-        part_hi: Optional[int] = None,
-        result: int = 0,
-        reduce: int = 0,
-        at: Tuple[int, ...] = (),
-    ) -> None:
-        """Marshal one call from the param spec. ``table`` and
-        ``result`` are addresses (0 = null): exactly one is set."""
-        args: List[object] = []
-        keepalive: List[np.ndarray] = []
-        at = iter(at)
-        for param in self._spec:
-            if param.kind == "table":
-                args.append(table)
-            elif param.name == "part_lo":
-                args.append(_NO_LO if part_lo is None else int(part_lo))
-            elif param.name == "part_hi":
-                args.append(_NO_HI if part_hi is None else int(part_hi))
-            elif param.kind == "ub":
-                args.append(int(ctx[param.key]))
-            elif param.kind == "cols":
-                args.append(int(np.asarray(ctx[param.key]).shape[1]))
-            elif param.kind == "scalar_int":
-                args.append(int(ctx[param.key]))
-            elif param.kind == "scalar_f64":
-                args.append(float(ctx[param.key]))
-            elif param.kind == "result":
-                args.append(result)
-            elif param.kind == "reduce":
-                args.append(reduce)
-            elif param.kind == "at":
-                args.append(next(at, 0))
-            else:
-                arr = np.ascontiguousarray(
-                    ctx[param.key], dtype=_ARRAY_DTYPES[param.kind]
-                )
-                keepalive.append(arr)
-                args.append(arr.ctypes.data)
-        self._entry(*args)
-
     def __call__(
         self,
         T: np.ndarray,
@@ -577,11 +603,21 @@ class NativeRun:
         part_lo: Optional[int] = None,
         part_hi: Optional[int] = None,
     ) -> np.ndarray:
-        table = np.ascontiguousarray(T)
-        self._launch(ctx, table.ctypes.data, part_lo, part_hi)
-        if table is not T:
-            np.copyto(T, table)
-        return T
+        return _fill(self._entry, T, ctx, part_lo, part_hi)
+
+    def batched(
+        self,
+        T: np.ndarray,
+        ctx: Dict[str, object],
+        part_lo: Optional[int] = None,
+        part_hi: Optional[int] = None,
+    ) -> np.ndarray:
+        """One launch of a whole map group: ``T`` is the padded
+        ``(B, d0max, ...)`` group table and ``ctx`` is
+        :func:`~repro.runtime.batching.pack_group`'s stacked context
+        (``(B, 1)`` bounds, ``(B, Lmax)`` sequences, ``(B, 1)`` scalar
+        columns, shared models)."""
+        return _fill(self._batched, T, ctx, part_lo, part_hi)
 
     def result(
         self,
@@ -612,75 +648,11 @@ class NativeRun:
             cbackend.result_scratch_cells(self._reach, extents),
             dtype=self._dtype,
         )
-        self._launch(
-            ctx, 0, result=scratch.ctypes.data,
+        _call(
+            self._entry, ctx, result=scratch.ctypes.data,
             reduce=cbackend.REDUCTIONS[reduce], at=coords,
         )
         return scratch[0]
-
-
-class NativeBatchedRun:
-    """Callable for the batched entry point of a loaded library.
-
-    Speaks the *batched* calling convention of the vector batcher's
-    compiled twin — ``run(T, ctx, part_lo=None, part_hi=None)`` where
-    ``T`` is the padded ``(B, d0max, ...)`` group table and ``ctx``
-    is ``pack_group``'s stacked context (``(B, 1)`` bounds,
-    ``(B, Lmax)`` sequences, ``(B, 1)`` scalar columns, shared
-    models) — so a whole same-kernel map group is one ``ctypes``
-    call. Batch size and padded extents marshal straight off
-    ``T.shape``; nothing else about the convention is new.
-    """
-
-    batched = True
-
-    def __init__(self, kernel: Kernel, so_path: str) -> None:
-        self.kernel = kernel
-        self.so_path = so_path
-        self._lib = ctypes.CDLL(so_path)
-        _apply_thread_cap(self._lib)
-        self._spec = cbackend.native_batched_param_spec(kernel)
-        self._entry = getattr(
-            self._lib, cbackend.entry_symbol(kernel, batched=True)
-        )
-        self._entry.restype = None
-        self._entry.argtypes = _argtypes_for(self._spec)
-
-    def __call__(
-        self,
-        T: np.ndarray,
-        ctx: Dict[str, object],
-        part_lo: Optional[int] = None,
-        part_hi: Optional[int] = None,
-    ) -> np.ndarray:
-        table = np.ascontiguousarray(T)
-        args: List[object] = []
-        keepalive: List[np.ndarray] = []
-        pad_axis = 1
-        for param in self._spec:
-            if param.kind == "table":
-                args.append(table.ctypes.data)
-            elif param.kind == "nprob":
-                args.append(int(table.shape[0]))
-            elif param.kind == "pad":
-                args.append(int(table.shape[pad_axis]))
-                pad_axis += 1
-            elif param.name == "part_lo":
-                args.append(_NO_LO if part_lo is None else int(part_lo))
-            elif param.name == "part_hi":
-                args.append(_NO_HI if part_hi is None else int(part_hi))
-            elif param.kind == "cols":
-                args.append(int(np.asarray(ctx[param.key]).shape[1]))
-            else:
-                arr = np.ascontiguousarray(
-                    ctx[param.key], dtype=_ARRAY_DTYPES[param.kind]
-                )
-                keepalive.append(arr)
-                args.append(arr.ctypes.data)
-        self._entry(*args)
-        if table is not T:
-            np.copyto(T, table)
-        return T
 
 
 def compile_native(kernel: Kernel):
@@ -724,7 +696,10 @@ def _make_run(kernel: Kernel, so_path: str):
 
     if sandbox.enabled() or sanitize_active():
         return sandbox.SandboxedNativeRun(kernel, so_path)
-    return NativeRun(kernel, so_path)
+    try:
+        return NativeRun(kernel, so_path)
+    except (OSError, AttributeError) as err:
+        raise NativeBuildError(f"cannot load {so_path}: {err}") from err
 
 
 def load_compiled(kernel: Kernel, so_path: str):
@@ -736,18 +711,3 @@ def load_compiled(kernel: Kernel, so_path: str):
     probe_shared_object(so_path)
     return _make_run(kernel, so_path)
 
-
-def load_batched(kernel: Kernel, so_path: str):
-    """Batched-entry callable for an already-built artifact.
-
-    The library was probed when its per-problem run loaded; loading a
-    second handle for the batched symbol is the same ``dlopen``
-    (refcounted by the loader). Sandboxed processes get a proxy that
-    ships whole batched launches to a worker instead.
-    """
-    from . import sandbox
-
-    probe_shared_object(so_path)
-    if sandbox.enabled() or sanitize_active():
-        return sandbox.SandboxedNativeRun(kernel, so_path, batched=True)
-    return NativeBatchedRun(kernel, so_path)

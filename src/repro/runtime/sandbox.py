@@ -123,28 +123,25 @@ def _handle_launch(request: dict, runs: dict) -> dict:
         elif kind == "hang":
             time.sleep(float(fault.get("seconds") or 3600.0))
         from ..ir.kernel import Kernel
-        from .native import NativeBatchedRun, NativeRun
+        from .native import NativeRun
 
-        batched = bool(request.get("batched"))
-        # Plain and batched callables for one kernel memoise under
-        # distinct keys (same .so, different entry symbol/spec) — and
-        # so do two builds of one kernel (a test-seam tile, a doctored
-        # certificate), which must not answer for each other.
-        memo_key = (request["digest"], request["so_path"], batched)
+        # One loaded library per build: two builds of one kernel (a
+        # test-seam tile, a doctored certificate) share a digest but
+        # must not answer for each other.
+        memo_key = (request["digest"], request["so_path"])
         run = runs.get(memo_key)
         if run is None:
             kernel = Kernel.from_payload(request["payload"])
-            cls = NativeBatchedRun if batched else NativeRun
-            run = cls(kernel, request["so_path"])
+            run = NativeRun(kernel, request["so_path"])
             runs[memo_key] = run
-        if request.get("want") is not None:
+        if request["entry"] == "result":
             # A result-only launch: no table either way.
             return {
                 "ok": True,
                 "value": run.result(request["ctx"], *request["want"]),
             }
         table = np.array(request["table"], copy=True)
-        out = run(
+        out = getattr(run, request["entry"])(
             table,
             request["ctx"],
             request.get("part_lo"),
@@ -161,8 +158,8 @@ def worker_main() -> None:
     Loops over length-prefixed pickle frames on stdin, writing one
     reply frame per request to stdout. Exits cleanly on EOF or an
     explicit ``exit`` op. ``NativeRun`` instances are memoised per
-    kernel digest, so a long-lived worker pays ``CDLL`` + argtype
-    setup once per kernel, like the in-process path.
+    (kernel digest, library), so a long-lived worker pays ``CDLL`` +
+    argtype setup once per build, like the in-process path.
     """
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
@@ -454,20 +451,17 @@ class NativeSandbox:
         part_hi: Optional[int] = None,
         fault: Optional[dict] = None,
         deadline: Optional[float] = None,
-        batched: bool = False,
+        entry: str = "__call__",
         want: Optional[tuple] = None,
     ):
         """Run one kernel launch in a worker; copy the result into ``T``.
 
-        ``want=(reduce, coords)`` asks for a result-only launch
-        instead (:meth:`repro.runtime.native.NativeRun.result`):
-        ``T`` is ``None``, no table travels either way and the raw
-        value is returned.
-
-        ``batched=True`` routes the request through the worker's
-        batched entry point: ``T`` is then a whole map group's padded
-        ``(B, ...)`` table and one crash costs one disposable worker,
-        not the service.
+        ``entry`` names the :class:`~repro.runtime.native.NativeRun`
+        launch the worker makes: ``"__call__"`` (the table launch),
+        ``"batched"`` (``T`` is a whole map group's padded ``(B, ...)``
+        table) or ``"result"`` (``want=(reduce, coords)``; ``T`` is
+        ``None``, no table travels either way and the raw value is
+        returned).
 
         Raises ``WorkerCrash`` when the worker dies mid-launch and
         ``SandboxHang`` when it misses the deadline (in which case it
@@ -486,15 +480,15 @@ class NativeSandbox:
                     "digest": digest,
                     "payload": payload,
                     "so_path": so_path,
+                    "entry": entry,
                     "table": (
-                        None if want else np.ascontiguousarray(T)
+                        None if T is None else np.ascontiguousarray(T)
                     ),
                     "want": want,
                     "ctx": ctx,
                     "part_lo": part_lo,
                     "part_hi": part_hi,
                     "fault": fault,
-                    "batched": batched,
                 }
             )
             reply = worker.read_reply(time.monotonic() + deadline)
@@ -520,7 +514,7 @@ class NativeSandbox:
             raise RuntimeError(
                 f"sandboxed launch failed: {reply.get('error')}"
             )
-        if want:
+        if T is None:
             return reply["value"]
         np.copyto(T, reply["table"])
         return T
@@ -629,26 +623,25 @@ def kernel_digest(kernel) -> str:
 
 
 class SandboxedNativeRun:
-    """Drop-in for :class:`~repro.runtime.native.NativeRun` that
-    dispatches every call to the worker pool.
+    """:class:`~repro.runtime.native.NativeRun` in the worker pool:
+    the same launches, each shipped to a worker.
 
     Crucially the ``.so`` is **never** loaded into the parent
     process — this object only holds the kernel payload and artifact
     path. The breaker is consulted before every launch: an open
     breaker raises ``WorkerCrash`` without spawning anything, so
-    callers demote exactly as they would for a real death.
+    callers demote exactly as they would for a real death. Every
+    launch of one kernel shares its digest on purpose: the breaker
+    tracks the *kernel's* crash history, so a batched crash demotes
+    per-problem launches too.
     """
 
     sandboxed = True
 
-    def __init__(self, kernel, so_path: str, batched: bool = False) -> None:
+    def __init__(self, kernel, so_path: str) -> None:
         self.kernel = kernel
         self.so_path = so_path
-        self.batched = batched
         self.payload = kernel.to_payload()
-        # Plain and batched launches of one kernel share a digest on
-        # purpose: the breaker tracks the *kernel's* crash history,
-        # and a batched crash should demote per-problem launches too.
         self.digest = hashlib.sha256(self.payload).hexdigest()
 
     def __call__(
@@ -659,9 +652,38 @@ class SandboxedNativeRun:
         part_hi: Optional[int] = None,
         fault: Optional[dict] = None,
         deadline: Optional[float] = None,
-        want: Optional[tuple] = None,
     ):
-        from ..resilience.faults import WorkerCrash
+        return self._launch(
+            "__call__", T, ctx, part_lo, part_hi, fault, deadline
+        )
+
+    def batched(
+        self,
+        T: np.ndarray,
+        ctx: Dict[str, object],
+        part_lo: Optional[int] = None,
+        part_hi: Optional[int] = None,
+    ):
+        """:meth:`repro.runtime.native.NativeRun.batched` in a worker:
+        one crash costs one disposable worker, not the service."""
+        return self._launch("batched", T, ctx, part_lo, part_hi)
+
+    def result(self, ctx: Dict[str, object], reduce, coords):
+        """:meth:`repro.runtime.native.NativeRun.result` in a worker.
+        There is no ``result_only`` flag here: the engine keeps a
+        sandboxed run on the table path (its demotion re-runs on the
+        table); this is how a sanitized build's halo tiles get
+        launched at all.
+        """
+        return self._launch(
+            "result", None, ctx, want=(reduce, tuple(coords))
+        )
+
+    def _launch(
+        self, entry, T, ctx, part_lo=None, part_hi=None, fault=None,
+        deadline=None, want=None,
+    ):
+        from ..resilience.faults import DeviceFault, WorkerCrash
 
         breaker = get_breaker()
         if not breaker.allows(self.digest):
@@ -681,23 +703,11 @@ class SandboxedNativeRun:
                 part_hi=part_hi,
                 fault=fault,
                 deadline=deadline,
-                batched=self.batched,
+                entry=entry,
                 want=want,
             )
-        except Exception as err:
-            from ..resilience.faults import DeviceFault
-
-            if isinstance(err, DeviceFault):
-                breaker.record_failure(self.digest)
+        except DeviceFault:
+            breaker.record_failure(self.digest)
             raise
         breaker.record_success(self.digest)
         return result
-
-    def result(self, ctx: Dict[str, object], reduce, coords):
-        """:meth:`repro.runtime.native.NativeRun.result` in a worker,
-        behind the same breaker. There is no ``result_only`` flag
-        here: the engine keeps a sandboxed run on the table path
-        (its demotion re-runs on the table); this is how a sanitized
-        build's halo tiles get launched at all.
-        """
-        return self(None, ctx, want=(reduce, tuple(coords)))

@@ -64,7 +64,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 #: v7 ``python-src`` record re-exec'd its stored source, old prelude
 #: and all, so it would keep answering with the old ``min``/``max``
 #: and ``safelog``.
-KEY_FORMAT = 8
+#: v9: a pickled kernel carries no memos (``Kernel.memo`` is left out
+#: of the payload). A v8 kernel brings its filled memos back as stray
+#: attributes, so its sandbox digest differs from a fresh build's and
+#: the two would keep separate crash histories.
+KEY_FORMAT = 9
 
 #: Leading magic of every on-disk record. Checked *before* the pickle
 #: payload is touched: entries written by an older (or entirely

@@ -709,11 +709,11 @@ def parallelism_certificate(
 
     The native backend consults the certificate on every emission and
     a lane-batched map group shares one kernel across every member,
-    so the analysis runs once per (kernel instance, box) — the same
-    idiom as :meth:`Kernel.referenced_names`.
+    so the analysis runs once per (kernel instance, box), in
+    :attr:`Kernel.memo`.
     """
     key = tuple(int(e) for e in extents) if extents is not None else None
-    cache = kernel.__dict__.setdefault("_parallelism_certs", {})
+    cache = kernel.memo.setdefault("parallelism_certs", {})
     hit = cache.get(key)
     if hit is None:
         hit = analyze_parallelism(kernel, extents)

@@ -116,33 +116,27 @@ class TestSupervisedBatchedMap:
         """A deterministic bug in the *batched* generator must
         surface as BackendDivergenceError (the oracle's per-member
         scalar replay disagrees), never as recovered corruption."""
-        from repro.runtime.engine import CompiledKernel
-
         supervisor = ExecutionSupervisor(
             engine=Engine(backend="vector"),
             plan=FaultPlan(seed=3, corrupt_rate=0.05,
                            corrupt_mode="bitflip"),
             policy=SupervisionPolicy(checkpoint_interval=2),
         )
-        real_ensure = CompiledKernel.ensure_batched
+        prepared, _, _, _ = supervisor.engine.prepare_map(
+            edit_func, base(edit_bindings), problems()
+        )
+        compiled = prepared[0][2]
+        real_run = compiled.batched
 
-        def buggy_ensure(self):
-            real_run = real_ensure(self)
+        def run(table, ctx, part_lo=None, part_hi=None):
+            real_run(table, ctx, part_lo=part_lo, part_hi=part_hi)
+            table[(0,) * table.ndim] += 1  # the "bug"
 
-            def run(table, ctx, part_lo=None, part_hi=None):
-                real_run(table, ctx, part_lo=part_lo, part_hi=part_hi)
-                table[(0,) * table.ndim] += 1  # the "bug"
-
-            return run
-
-        CompiledKernel.ensure_batched = buggy_ensure
-        try:
-            with pytest.raises(BackendDivergenceError):
-                supervisor.map_run(
-                    edit_func, base(edit_bindings), problems()
-                )
-        finally:
-            CompiledKernel.ensure_batched = real_ensure
+        compiled.batched = run
+        with pytest.raises(BackendDivergenceError):
+            supervisor.map_run(
+                edit_func, base(edit_bindings), problems()
+            )
 
 
 class TestBatchedFaultInjection:

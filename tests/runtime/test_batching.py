@@ -6,6 +6,7 @@ import pytest
 from repro.apps.profile_hmm import tk_model
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
+from repro.runtime import ladder
 from repro.runtime.batching import (
     MIN_BATCH,
     BatchedLaunch,
@@ -275,7 +276,7 @@ class TestNativeRung:
 
     have_cc = _native_rt.available().ok
 
-    def launch_for(self, edit_func, backend="native"):
+    def engine_and_launch(self, edit_func, backend="native"):
         engine = Engine(backend=backend)
         prepared, _, _, _ = engine.prepare_map(
             edit_func, BASE, edit_problems()
@@ -283,71 +284,59 @@ class TestNativeRung:
         (group,) = plan_batches(prepared)
         compiled = prepared[group[0]][2]
         members = [(prepared[i][0], prepared[i][1]) for i in group]
-        return BatchedLaunch(pack_group(compiled, members, group))
+        return engine, BatchedLaunch(pack_group(compiled, members, group))
+
+    def launch_for(self, edit_func, backend="native"):
+        return self.engine_and_launch(edit_func, backend)[1]
 
     def native_launch(self, edit_func):
         return self.launch_for(edit_func, "native")
 
+    def assert_matches_reference(self, launch):
+        batch = launch.batch
+        table = batch.table.copy()
+        launch.run(table, batch.ctx)
+        reference = batch.table.copy()
+        launch.reference_run(reference, batch.ctx)
+        for slot, domain in enumerate(batch.domains):
+            sel = (slot,) + tuple(slice(0, e) for e in domain.extents)
+            assert table[sel].tobytes() == reference[sel].tobytes()
+
     def test_vector_compiled_starts_on_vector_rung(self, edit_func):
         launch = self.launch_for(edit_func, "vector")
-        assert launch.rung == "vector"
         assert launch.backend == "vector-batched"
+        assert launch.compiled.batched is launch.compiled.batched
 
     def test_demotion_ladder_bottoms_out_at_scalar(self, edit_func):
-        launch = self.launch_for(edit_func, "vector")
-        assert launch.demote() == "scalar"
-        assert launch.backend == "scalar-batched"
+        engine, launch = self.engine_and_launch(edit_func, "vector")
+        demoted = ladder.demote(
+            engine, launch, launch.batch.padded_domain
+        )
+        assert demoted.backend == "scalar-batched"
+        assert demoted.batch.table is launch.batch.table
+        assert engine.native_demotions == 1
+        self.assert_matches_reference(demoted)
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
     def test_native_compiled_starts_on_native_rung(self, edit_func):
-        launch = self.native_launch(edit_func)
-        assert launch.rung == "native"
+        engine, launch = self.engine_and_launch(edit_func)
         assert launch.backend == "native-batched"
-        assert launch.demote() == "vector"
-        assert launch.demote() == "scalar"
+        # The library's batched symbol, bound when it loaded.
+        assert launch.compiled.batched == launch.compiled.run.batched
+        domain = launch.batch.padded_domain
+        vector = ladder.demote(engine, launch, domain)
+        assert vector.backend == "vector-batched"
+        scalar = ladder.demote(engine, vector, domain)
+        assert scalar.backend == "scalar-batched"
+        assert engine.native_demotions == 2
+        for rung in (launch, vector, scalar):
+            self.assert_matches_reference(rung)
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
     def test_native_rung_matches_scalar_sweep(self, edit_func):
         launch = self.native_launch(edit_func)
-        batch = launch.batch
-        native = batch.table.copy()
-        launch.run(native, batch.ctx)
-        assert launch.rung == "native"
-        reference = batch.table.copy()
-        launch.reference_run(reference, batch.ctx)
-        for slot, domain in enumerate(batch.domains):
-            sel = (slot,) + tuple(slice(0, e) for e in domain.extents)
-            assert (
-                native[sel].tobytes() == reference[sel].tobytes()
-            )
-
-    @pytest.mark.skipif(not have_cc, reason="no C compiler")
-    def test_build_failure_demotes_to_vector(self, edit_func):
-        """A native compiled whose shared object went missing demotes
-        gracefully: the launch lands on the vector rung and still
-        fills the exact table."""
-        launch = self.native_launch(edit_func)
-        launch.compiled.so_path = "/nonexistent/kernel.so"
-        launch.compiled.batched_native_run = None
-        batch = launch.batch
-        table = batch.table.copy()
-        launch.run(table, batch.ctx)
-        assert launch.rung == "vector"
-        assert launch.backend == "vector-batched"
-        reference = batch.table.copy()
-        launch.reference_run(reference, batch.ctx)
-        for slot, domain in enumerate(batch.domains):
-            sel = (slot,) + tuple(slice(0, e) for e in domain.extents)
-            assert (table[sel] == reference[sel]).all()
-
-    def test_ensure_batched_native_refuses_vector_compiled(
-        self, edit_func
-    ):
-        from repro.lang.errors import NativeBuildError
-
-        launch = self.launch_for(edit_func, "vector")
-        with pytest.raises(NativeBuildError):
-            launch.compiled.ensure_batched_native()
+        self.assert_matches_reference(launch)
+        assert launch.backend == "native-batched"
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
     def test_map_run_reports_native_batched(self, edit_func):

@@ -164,7 +164,7 @@ class TestRungTable:
         for vector_ok, size in itertools.product(VECTOR, SIZES):
             rungs = make_ladder("ok", True, vector_ok)
             assert ladder.choose(
-                rungs, SIZES[size], allow_native=False
+                rungs[1:], SIZES[size]
             ) == expected("disabled", True, vector_ok, size, False, "auto")
 
     def test_rungs_of_a_real_kernel(self, monkeypatch):
@@ -179,12 +179,8 @@ class TestRungTable:
         assert native_rung.verdict.rule == "disabled"
         assert native_rung.checks[1].ok  # the kernel itself is fine
         assert vector.verdict.ok and scalar.verdict.ok
-        assert ladder.below_native(compiled.kernel, large=True) == (
-            "vector"
-        )
-        assert ladder.below_native(compiled.kernel, large=False) == (
-            "scalar"
-        )
+        assert ladder.choose((vector, scalar), large=True) == "vector"
+        assert ladder.choose((vector, scalar), large=False) == "scalar"
 
 
 class TestBuild:
@@ -334,9 +330,7 @@ class TestLaunchDemotion:
         # the product every site is about to launch.
         compiled = compile_for(engine, func, words())
         if site is batched_group:
-            compiled.batched_native_run = CrashOnce(
-                compiled.ensure_batched_native()
-            )
+            compiled.batched = CrashOnce(compiled.batched)
         else:
             compiled.run = CrashOnce(compiled.run)
         recovered = site(engine, func)
@@ -359,6 +353,134 @@ class TestLaunchDemotion:
         with pytest.raises(ValueError):
             engine.run(func, words())
         assert engine.native_demotions == 0
+
+
+# -- every route off native ---------------------------------------------------
+
+#: One-dimensional, so the NumPy rungs refuse it: below native there
+#: is only the scalar rung.
+RUN_LENGTH = """
+int r(seq[en] s, index[s] i) =
+  if i == 0 then 0
+  else if s[i-1] == 'a' then r(i-1) + 1 else 0
+"""
+
+#: Member sequences either side of the vector crossover.
+ROUTE_WORDS = {
+    "small": ("kitten", "mitten", "witty", "sit"),
+    "large": ("ab" * 60, "ba" * 55, "abc" * 40, "a" * 110),
+}
+
+
+def route_case(kernel, size):
+    """``(func, base, problems)``: edit distance (vector-eligible) or
+    the run-length kernel, over small or large members."""
+    problems = [
+        {"s": Sequence(word, ALPHABET)} for word in ROUTE_WORDS[size]
+    ]
+    if kernel == "edit":
+        return edit_func(), {"t": Sequence("sitting", ALPHABET)}, problems
+    return check_function(parse_function(RUN_LENGTH.strip()), EN), {}, problems
+
+
+def kill_first(monkeypatch, entry):
+    """The first sandboxed launch of ``entry`` kills its worker for
+    real (SIGKILL mid-launch); later launches go through."""
+    original = sandbox.SandboxedNativeRun._launch
+    armed = [True]
+
+    def launch(self, name, T, ctx, part_lo=None, part_hi=None,
+               fault=None, deadline=None, want=None):
+        if name == entry and armed:
+            armed.clear()
+            fault = {"kind": "kill"}
+        return original(
+            self, name, T, ctx, part_lo, part_hi, fault, deadline, want
+        )
+
+    monkeypatch.setattr(sandbox.SandboxedNativeRun, "_launch", launch)
+
+
+def via_compile(engine, func, base, problems, monkeypatch):
+    """The breaker is open when ``Engine.compile`` resolves."""
+    bound = {**base, **problems[0]}
+    native_product = compile_for(engine, func, bound)
+    breaker = sandbox.get_breaker()
+    for _ in range(breaker.threshold):
+        breaker.record_failure(native_product.run.digest)
+    return [engine.run(func, bound).value]
+
+
+def via_launch(engine, func, base, problems, monkeypatch):
+    """A worker dies under ``ladder.launch``."""
+    kill_first(monkeypatch, "__call__")
+    return [engine.run(func, {**base, **problems[0]}).value]
+
+
+def via_epoch(engine, func, base, problems, monkeypatch):
+    """A worker dies inside a supervised epoch and opens the breaker."""
+    from repro.resilience import ExecutionSupervisor
+
+    sandbox.get_breaker().threshold = 1
+    kill_first(monkeypatch, "__call__")
+    supervisor = ExecutionSupervisor(engine)
+    return [supervisor.run(func, {**base, **problems[0]}).value]
+
+
+def via_group(engine, func, base, problems, monkeypatch):
+    """A packed group's worker dies."""
+    kill_first(monkeypatch, "batched")
+    result = engine.map_run(func, base, problems)
+    return result.values + result.batched_backends
+
+
+@pytest.fixture
+def sandboxed():
+    sandbox.configure(True)
+    sandbox.reset()
+    yield
+    sandbox.configure(None)
+    sandbox.reset()
+
+
+@needs_cc
+class TestRoutesOffNative:
+    @pytest.mark.parametrize("kernel", ["edit", "run-length"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize(
+        "route", [via_compile, via_launch, via_epoch, via_group]
+    )
+    def test_every_route_lands_where_the_ladder_says(
+        self, route, size, kernel, sandboxed, monkeypatch
+    ):
+        """Supervised or not, a run leaves native for the rung the
+        size test picks; a packed group for the best eligible one,
+        whatever its size. Either way one demotion is counted, the
+        landing rung's product joins the kernel cache, and the
+        values are the scalar rung's."""
+        func, base, problems = route_case(kernel, size)
+        engine = Engine(backend="native")
+        got = route(engine, func, base, problems, monkeypatch)
+        if route is via_group:
+            landed = "vector" if kernel == "edit" else "scalar"
+            assert got[-1] == f"{landed}-batched"
+            got = got[:-1]
+            expect = Engine(backend="scalar").map_run(
+                func, base, problems
+            ).values
+        else:
+            large = size == "large" and kernel == "edit"
+            landed = "vector" if large else "scalar"
+            expect = [
+                Engine(backend="scalar").run(
+                    func, {**base, **problems[0]}
+                ).value
+            ]
+        assert engine.native_demotions == 1
+        assert dict(engine.cache_info().backends) == {
+            "native": 1, landed: 1,
+        }
+        assert got == expect
 
 
 # -- the device model prices, it does not choose -------------------------------

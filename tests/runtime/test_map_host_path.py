@@ -429,7 +429,7 @@ class TestPricedView:
 
         def refused(func, schedule, prob_mode):
             kernel = build_kernel(func, schedule, prob_mode)
-            kernel.__dict__["_parallelism_certs"] = {
+            kernel.memo["parallelism_certs"] = {
                 None: analyze_parallelism(kernel, pad_extents=(1, 1))
             }
             return kernel
@@ -465,9 +465,7 @@ class TestPricedView:
             func, EDIT_BASE, edit_problems()
         )
         compiled = prepared[0][2]
-        compiled.batched_native_run = CrashOnce(
-            compiled.ensure_batched_native()
-        )
+        compiled.batched = CrashOnce(compiled.batched)
         result = engine.map_run(func, EDIT_BASE, edit_problems())
         assert result.batched_backends == ["vector-batched"]
         assert result.batched_costs == [
@@ -676,15 +674,6 @@ class TestNoVerdictSkipped:
 # -- (e) a group on the scalar sweep ---
 
 
-#: One-dimensional, so the NumPy rungs refuse it: below native there
-#: is only the scalar sweep.
-RUN_LENGTH = """
-int r(seq[en] s, index[s] i) =
-  if i == 0 then 0
-  else if s[i-1] == 'a' then r(i-1) + 1 else 0
-"""
-
-
 class TestScalarSweep:
     def test_member_contexts_appear_on_demand(self, monkeypatch):
         engine = Engine(backend="vector")
@@ -692,7 +681,7 @@ class TestScalarSweep:
             EDIT_FUNC, EDIT_BASE, edit_problems()
         )
         compiled = prepared[0][2]
-        compiled.batched_run = CrashOnce(compiled.ensure_batched())
+        compiled.batched = CrashOnce(compiled.batched)
         contexts = count_calls(monkeypatch, build_context)
         result = engine.map_run(EDIT_FUNC, EDIT_BASE, edit_problems())
         assert result.batched_backends == ["scalar-batched"]
@@ -706,25 +695,3 @@ class TestScalarSweep:
             ).value
             for problem in edit_problems()
         ]
-
-    @needs_cc
-    def test_lost_native_entry_with_no_vector_rung(self):
-        """A vector-ineligible native group whose batched entry cannot
-        load steps straight down to the scalar sweep, inside the
-        launch, with no fault counted."""
-        func = checked(RUN_LENGTH)
-        problems = [
-            {"s": Sequence(word, ENGLISH)}
-            for word in ("banana", "aaa", "", "abaa")
-        ]
-        engine = Engine(backend="native")
-        clean = engine.map_run(func, {}, problems)
-        assert clean.batched_backends == ["native-batched"]
-        prepared, _, _, _ = engine.prepare_map(func, {}, problems)
-        compiled = prepared[0][2]
-        compiled.so_path = "/nonexistent/kernel.so"
-        compiled.batched_native_run = None
-        result = engine.map_run(func, {}, problems)
-        assert result.batched_backends == ["scalar-batched"]
-        assert engine.native_demotions == 0
-        assert result.values == clean.values == [1, 3, 0, 2]

@@ -276,6 +276,22 @@ class TestProbe:
         finally:
             native.reset_toolchain_cache()
 
+    @needs_cc
+    def test_a_library_without_the_batched_entry_fails_to_load(
+        self, monkeypatch
+    ):
+        """Both entries are bound when a library loads, or it does
+        not load: a map group never finds its entry missing later.
+        (An in-process load: a sandbox worker binds them instead.)"""
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_NATIVE_SANDBOX", raising=False)
+        compiled = compile_edit(Engine(backend="native"))[0]
+        symbol = cbackend.entry_symbol(compiled.kernel, batched=True)
+        source = compiled.source.replace(symbol, "unrelated_name")
+        so_path = native.build_shared_object(source)
+        with pytest.raises(NativeBuildError, match=symbol):
+            native.load_compiled(compiled.kernel, so_path)
+
     def test_probe_failure_is_permanent(self):
         """NativeBuildError is a DslError: the supervisor's retry loop
         only catches DeviceFault, so native failures never retry."""

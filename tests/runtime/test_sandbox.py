@@ -266,6 +266,29 @@ class TestKernelDigest:
         assert digest == compiled.run.digest
         assert len(digest) == 64
 
+    def test_digest_does_not_depend_on_filled_memos(self):
+        """The breaker's crash history and the worker memo key on the
+        digest, so it must not move with the order callers happen to
+        ask a kernel (or its function) for derived facts."""
+        from repro.analysis.plan import function_plan
+        from repro.ir.kernel import build_kernel
+        from repro.runtime.values import Bindings
+        from repro.service.cache import kernel_cache_key
+        from repro.verify.races import parallelism_certificate
+
+        engine = Engine(backend="scalar")
+        func = edit_func()
+        domain = engine.domain_of(func, Bindings(edit_args()))
+        schedule = engine.schedule_for(func, domain)
+        kernel = build_kernel(func, schedule, engine.prob_mode)
+        digest = sandbox.kernel_digest(kernel)
+        kernel.referenced_names()
+        parallelism_certificate(kernel)
+        parallelism_certificate(kernel, (5, 6))
+        function_plan(kernel.func)
+        kernel_cache_key(kernel.func, schedule, "direct", "native")
+        assert sandbox.kernel_digest(kernel) == digest
+
 
 class TestEnablement:
     def test_disabled_by_default(self, monkeypatch):

@@ -133,13 +133,15 @@ class TestRouting:
 
     def test_sanitized_batched_runs_are_sandboxed(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "address")
-        # the probe subprocess is not under test here
+        run = native._make_run(edit_kernel(), "/nowhere/k.so")
+        launches = []
         monkeypatch.setattr(
-            native, "probe_shared_object", lambda _path: None
+            sandbox.NativeSandbox, "launch",
+            lambda _pool, *args, **kwargs: launches.append(kwargs),
         )
-        run = native.load_batched(edit_kernel(), "/nowhere/k.so")
-        assert isinstance(run, sandbox.SandboxedNativeRun)
-        assert run.batched
+        run.batched(object(), {})
+        (launch,) = launches
+        assert launch["entry"] == "batched"
 
 
 class TestCacheRefusal:

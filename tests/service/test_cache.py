@@ -367,25 +367,26 @@ class TestFormatGuard:
     def test_previous_format_record_is_a_miss_not_a_misload(
         self, tmp_path, edit_func
     ):
-        """Format 7 records re-exec a Python prelude this format no
-        longer emits; format 6 ones are a persisted autotune winner —
-        a kind this format no longer has — or a native product whose
-        pickled certificate still carries a ``ring`` axis: none may be
+        """Format 8 records pickle a kernel with its memos filled;
+        format 7 ones re-exec a Python prelude this format no longer
+        emits; format 6 ones are a persisted autotune winner — a kind
+        this format no longer has — or a native product whose pickled
+        certificate still carries a ``ring`` axis: none may be
         unpickled into today's classes. Keys embed the format, so a
-        format-8 process never asks for one; and a file that does sit
+        format-9 process never asks for one; and a file that does sit
         under a current key with an old header is evicted unread,
         then replaced by a fresh build."""
         from repro.service import cache as cache_mod
         from repro.service.cache import MAGIC, canonical_kernel_form
 
-        assert cache_mod.KEY_FORMAT == 8
+        assert cache_mod.KEY_FORMAT == 9
         warm = Engine(kernel_cache=PersistentKernelCache(str(tmp_path)))
         warm.run(edit_func, ARGS)
         compiled = warm._cache.values()[0]
         form = canonical_kernel_form(
             edit_func, compiled.schedule, "direct", compiled.backend
         )
-        assert form.startswith("v8\n")
+        assert form.startswith("v9\n")
         (name,) = record_names(tmp_path)
         path = tmp_path / name
         for stale in (
@@ -401,6 +402,12 @@ class TestFormatGuard:
                 "kind": "python-src",
                 "payload": Tripwire(),
                 "source": "def kernel(T, ctx): return min(1, 2)",
+            },
+            {
+                "format": 8,
+                "kind": "python-src",
+                "payload": Tripwire(),
+                "source": "def kernel(T, ctx): return T",
             },
         ):
             Tripwire.unpickled = False
