@@ -37,9 +37,9 @@ class Kernel:
     body: LoweredBody
     window: Optional[int]
     #: Analyses memoised on this instance (its referenced names, its
-    #: parallelism certificates). Never serialised, so the payload —
-    #: and the sandbox digest over it — is the plan alone, whichever
-    #: memos a caller happened to fill first.
+    #: parallelism certificates, its Python rungs). Never serialised,
+    #: so the payload — and the sandbox digest — is the plan alone,
+    #: whichever memos a caller happened to fill first.
     memo: Dict[str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -44,8 +44,9 @@ the group:
 A group leaves a rung the way any launch does: a sandbox crash,
 deadline kill or open circuit breaker is caught by
 :func:`repro.runtime.ladder.launch` (or the supervisor) and
-:func:`repro.runtime.ladder.demote` hands back the group on the rung
-below, keeping its packed table and single-launch shape.
+:func:`repro.runtime.ladder.demote` steps the group down in place
+to the rung below, keeping its packed table and single-launch shape,
+so the engine labels and prices the rung the group ran on.
 
 :class:`BatchedLaunch` adapts a packed batch to the compiled-kernel
 protocol the resilience layer speaks (``run(T, ctx, part_lo,
@@ -229,8 +230,12 @@ class BatchedLaunch:
 
     def __init__(self, batch: PackedBatch) -> None:
         self.batch = batch
-        self.compiled = batch.compiled
-        self._scalar_run = None
+
+    @property
+    def compiled(self):
+        """The batch's compiled product: the rung the group runs on
+        (:func:`repro.runtime.ladder.demote` steps it down in place)."""
+        return self.batch.compiled
 
     @property
     def backend(self) -> str:
@@ -257,18 +262,25 @@ class BatchedLaunch:
 
     def reference_run(self, table, ctx, part_lo=None, part_hi=None):
         """Every member on the scalar generator, in its own slice
-        (also the oracle's reference backend)."""
-        if self._scalar_run is None:
-            from ..ir.pybackend import compile_kernel
-
-            self._scalar_run, _source = compile_kernel(self.kernel)
+        (also the oracle's reference backend): the product's own run
+        on the scalar rung, else one compiled here for the oracle."""
+        run = (
+            self.compiled.run if self.compiled.backend == "scalar"
+            else self._scalar_run
+        )
         for slot, (domain, pctx) in enumerate(
             zip(self.batch.domains, self.batch.problem_ctxs)
         ):
             view = table[slot][
                 tuple(slice(0, e) for e in domain.extents)
             ]
-            self._scalar_run(
-                view, pctx, part_lo=part_lo, part_hi=part_hi
-            )
+            run(view, pctx, part_lo=part_lo, part_hi=part_hi)
         return table
+
+    @cached_property
+    def _scalar_run(self):
+        """The scalar generator for a group on a batched rung, built
+        the first time the oracle needs a reference."""
+        from ..ir.pybackend import compile_kernel
+
+        return compile_kernel(self.kernel)[0]

@@ -34,7 +34,7 @@ representation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
@@ -137,9 +137,15 @@ class Rung(NamedTuple):
 
 
 def _python_rungs(kernel: Kernel) -> Tuple[Rung, ...]:
+    """The vector and scalar rungs, memoised in :attr:`Kernel.memo`:
+    every step off native re-reads them, and an open breaker steps on
+    every compile until it half-opens."""
+    cached = kernel.memo.get("python_rungs")
+    if cached is not None:
+        return cached
     from ..ir import npbackend
 
-    return (
+    cached = kernel.memo["python_rungs"] = (
         Rung("vector", (npbackend.eligibility(kernel),)),
         Rung(
             "scalar",
@@ -151,6 +157,7 @@ def _python_rungs(kernel: Kernel) -> Tuple[Rung, ...]:
             ),
         ),
     )
+    return cached
 
 
 def rungs(kernel: Kernel) -> Tuple[Rung, ...]:
@@ -329,6 +336,11 @@ def demote(engine, target, domain):
     not arise and only eligibility counts. Off a Python rung it lands
     on the scalar floor. The product is the engine's cached one for
     that rung, so a breaker that stays open costs no rebuilds.
+
+    A compiled kernel is a shared cached product, so the step hands
+    back the rung below; a group steps down in place, so whoever
+    holds it — ``launch``'s caller, or the supervisor's caller — reads
+    the rung it ran on.
     """
     engine.native_demotions += 1
     kernel = target.kernel
@@ -343,9 +355,8 @@ def demote(engine, target, domain):
     compiled = engine.product(kernel.func, kernel.schedule, rung, kernel)
     if batch is None:
         return compiled
-    from .batching import BatchedLaunch
-
-    return BatchedLaunch(replace(batch, compiled=compiled))
+    batch.compiled = compiled
+    return target
 
 
 def launch(engine, execute, target, table, ctx, domain):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import io
 import os
 import pickle
 import select
@@ -618,8 +619,18 @@ def reset() -> None:
 
 
 def kernel_digest(kernel) -> str:
-    """Content digest keying the circuit breaker and worker memo."""
-    return hashlib.sha256(kernel.to_payload()).hexdigest()
+    """Content digest keying the circuit breaker and worker memo.
+
+    Taken over a memo-free pickle (``Pickler.fast``), not the payload:
+    the payload's pickle shares objects by identity, and a kernel
+    restored from disk shares its strings differently from a fresh
+    build of the same plan, so the two would digest apart.
+    """
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(kernel)
+    return hashlib.sha256(out.getvalue()).hexdigest()
 
 
 class SandboxedNativeRun:
@@ -642,7 +653,7 @@ class SandboxedNativeRun:
         self.kernel = kernel
         self.so_path = so_path
         self.payload = kernel.to_payload()
-        self.digest = hashlib.sha256(self.payload).hexdigest()
+        self.digest = kernel_digest(kernel)
 
     def __call__(
         self,

@@ -430,8 +430,42 @@ def via_epoch(engine, func, base, problems, monkeypatch):
 def via_group(engine, func, base, problems, monkeypatch):
     """A packed group's worker dies."""
     kill_first(monkeypatch, "batched")
-    result = engine.map_run(func, base, problems)
-    return result.values + result.batched_backends
+    return group_outcome(
+        engine.map_run(func, base, problems), monkeypatch
+    )
+
+
+def via_supervised_group(engine, func, base, problems, monkeypatch):
+    """A packed group's worker dies inside a supervised epoch and
+    opens the breaker."""
+    from repro.resilience import ExecutionSupervisor
+
+    sandbox.get_breaker().threshold = 1
+    kill_first(monkeypatch, "batched")
+    supervisor = ExecutionSupervisor(engine)
+    return group_outcome(
+        supervisor.map_run(func, base, problems), monkeypatch
+    )
+
+
+def group_outcome(result, monkeypatch):
+    """A map's values, then its one group's rung label and the thread
+    count the group is priced at."""
+    from repro.gpu import device
+
+    threads = []
+    price = device.batched_launch_cost
+
+    def spy(*args, **kwargs):
+        threads.append(kwargs["threads"])
+        return price(*args, **kwargs)
+
+    monkeypatch.setattr(device, "batched_launch_cost", spy)
+    result.batched_costs
+    return result.values + result.batched_backends + threads
+
+
+GROUP_ROUTES = (via_group, via_supervised_group)
 
 
 @pytest.fixture
@@ -448,23 +482,30 @@ class TestRoutesOffNative:
     @pytest.mark.parametrize("kernel", ["edit", "run-length"])
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize(
-        "route", [via_compile, via_launch, via_epoch, via_group]
+        "route",
+        [via_compile, via_launch, via_epoch, via_group,
+         via_supervised_group],
     )
     def test_every_route_lands_where_the_ladder_says(
         self, route, size, kernel, sandboxed, monkeypatch
     ):
         """Supervised or not, a run leaves native for the rung the
         size test picks; a packed group for the best eligible one,
-        whatever its size. Either way one demotion is counted, the
-        landing rung's product joins the kernel cache, and the
+        whatever its size, and is labelled and priced (one thread)
+        as the rung it ran on. Either way one demotion is counted,
+        the landing rung's product joins the kernel cache, and the
         values are the scalar rung's."""
+        from repro.runtime import native
+
+        # A group still read as native would be priced at 4 threads.
+        monkeypatch.setattr(native, "effective_threads", lambda: 4)
         func, base, problems = route_case(kernel, size)
         engine = Engine(backend="native")
         got = route(engine, func, base, problems, monkeypatch)
-        if route is via_group:
+        if route in GROUP_ROUTES:
             landed = "vector" if kernel == "edit" else "scalar"
-            assert got[-1] == f"{landed}-batched"
-            got = got[:-1]
+            assert got[-2:] == [f"{landed}-batched", 1]
+            got = got[:-2]
             expect = Engine(backend="scalar").map_run(
                 func, base, problems
             ).values

@@ -289,6 +289,23 @@ class TestKernelDigest:
         kernel_cache_key(kernel.func, schedule, "direct", "native")
         assert sandbox.kernel_digest(kernel) == digest
 
+    def test_digest_survives_a_payload_round_trip(self):
+        """A kernel restored from the disk cache and a fresh build of
+        it share one crash history and one worker memo entry, though
+        the restored copy shares its strings differently."""
+        from repro.ir.kernel import Kernel, build_kernel
+        from repro.runtime.values import Bindings
+
+        engine = Engine(backend="scalar")
+        func = edit_func()
+        domain = engine.domain_of(func, Bindings(edit_args()))
+        schedule = engine.schedule_for(func, domain)
+        kernel = build_kernel(func, schedule, engine.prob_mode)
+        restored = Kernel.from_payload(kernel.to_payload())
+        assert sandbox.kernel_digest(restored) == (
+            sandbox.kernel_digest(kernel)
+        )
+
 
 class TestEnablement:
     def test_disabled_by_default(self, monkeypatch):
