@@ -43,6 +43,9 @@ class FunctionPlan:
     criteria: Tuple[Criterion, ...]
     #: Is every descent uniform (``x_k + c_k`` in every component)?
     is_uniform: bool
+    #: Is every call site's delta ``S(x) - S(r(x))`` the constant
+    #: ``-a . c`` whatever the box (uniform, no range binder)?
+    extent_free: bool
     #: Coefficient bound -> the vectors that can be optimal for *some*
     #: extents, in preference order; ``None`` when the coefficient box
     #: is too large to enumerate (the per-extents solver runs then).
@@ -69,6 +72,7 @@ def function_plan(func: CheckedFunction) -> FunctionPlan:
             descents,
             tuple(Criterion(func.dim_names, d) for d in descents),
             all(d.is_uniform for d in descents),
+            all(d.is_uniform and not d.binders for d in descents),
         )
         func._function_plan = plan
     return plan

@@ -575,6 +575,7 @@ class DifferentialHarness:
 
         from ..ir import cbackend
         from ..runtime import native as native_rt
+        from ..runtime.engine import settle
         from ..runtime.values import Bindings
         from ..verify.races import licences
 
@@ -604,11 +605,9 @@ class DifferentialHarness:
             run(table, ctx, part_lo=lo, part_hi=hi)
             reduce = run_kwargs["reduce"]
             bound = Bindings(dict(bindings))
-            coords = engine._result_request(
-                func, bound,
-                engine.domain_of(func, bound, run_kwargs["initial"]),
-                run_kwargs["at"], run_kwargs["initial"], reduce,
-            )
+            domain = engine.domain_of(func, bound, run_kwargs["initial"])
+            rows = settle(func, [(bound, domain)], run_kwargs["at"], reduce)
+            coords = () if rows is None else tuple(rows[0].tolist())
             reach = licences(compiled.kernel).tile.reach
             fused = {"default tile": compiled.run.result(
                 ctx, reduce, coords

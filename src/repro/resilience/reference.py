@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..runtime.interpreter import memoised
+from ..analysis.domain import Domain
+from ..runtime.interpreter import domain_extents, memoised
 from ..runtime.values import Bindings
 
 
@@ -26,25 +27,22 @@ def serial_reference_run(
 ) -> object:
     """Solve one problem with the memoised interpreter.
 
-    Settles the request with :meth:`~repro.runtime.engine.Engine.run`'s
-    own rule — default coordinates per dimension kind, a negative
-    ``at`` wrapped within the extents, an out-of-range ``at`` an
-    ``IndexError``, an unknown ``reduce`` a ``RuntimeDslError`` — so
-    a demoted job answers (or refuses) exactly as a served one.
-    Interpreter semantics are direct-space — the match is exact for
-    integer kernels and direct-mode probability kernels (the service
-    default).
+    Settles the request with the engine's own rule
+    (:func:`~repro.runtime.engine.settle`: default coordinates per
+    dimension kind, a negative ``at`` wrapped within the extents, an
+    out-of-range ``at`` an ``IndexError``, an unknown ``reduce`` a
+    ``RuntimeDslError``), so a demoted job answers (or refuses)
+    exactly as a served one. Interpreter semantics are direct-space —
+    the match is exact for integer kernels and direct-mode
+    probability kernels (the service default).
     """
-    from ..runtime.engine import Engine
+    from ..runtime.engine import settle
 
-    engine = Engine()  # coordinate/domain helpers only; nothing runs on it
     bound = Bindings(dict(bindings))
-    domain = engine.domain_of(func, bound, initial)
-    coords = engine._result_request(
-        func, bound, domain, at, initial, reduce
-    )
+    domain = Domain(func.dim_names, domain_extents(func, bound, initial))
+    coords = settle(func, [(bound, domain)], at, reduce)
     call = memoised(func, bound)
-    if reduce is None:
-        return call(coords)
+    if coords is not None:
+        return call(tuple(coords[0].tolist()))
     pick = max if reduce == "max" else min
     return pick(call(tuple(point)) for point in domain.points())

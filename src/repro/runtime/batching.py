@@ -243,6 +243,18 @@ class BatchedLaunch:
         return f"{self.compiled.backend}-batched"
 
     @property
+    def threads(self) -> int:
+        """The thread count a sweep on the current rung runs on: the
+        native one where the batched entry carries the problem-loop
+        pragma (the kernel has a batch licence), else one."""
+        from ..verify.races import licences
+        from . import native as native_rt
+
+        if self.compiled.backend == "native" and licences(self.kernel).batch:
+            return native_rt.effective_threads()
+        return 1
+
+    @property
     def kernel(self):
         """The shared kernel."""
         return self.compiled.kernel

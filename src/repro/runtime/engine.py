@@ -11,9 +11,10 @@
   (Section 6); pass ``kernel_cache=PersistentKernelCache(dir)`` to
   persist compilation products across processes;
 * context preparation (device layout of sequences, matrices, models);
-* single-problem runs and ``map`` runs over problem collections with
-  conditional parallelisation (Section 4.7), whose results price the
-  launch on first read (:func:`repro.gpu.device.price_launch`).
+* one request path for ``map`` runs over problem collections with
+  conditional parallelisation (Section 4.7) and for single-problem
+  runs, which are its one-member case; results price the launch on
+  first read (:func:`repro.gpu.device.price_launch`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from ..analysis.domain import Domain
 from ..analysis.plan import function_plan
-from ..extensions.hmm import Hmm
 from ..gpu.device import Pricing, price_launch
 from ..gpu.spec import DeviceSpec, GTX480
 from ..ir.kernel import Kernel, build_kernel
@@ -101,9 +101,10 @@ class RunResult(_Priced):
     ``value`` is what the launch produced. ``table`` is computed on
     first read: a launch that could hand back the value without
     materialising the table (a blocked-wavefront kernel on the native
-    rung — see :meth:`Engine.run`) did so, and the first access runs
-    the full-table entry once and keeps the array. Every other launch
-    filled its table up front and the attribute just returns it.
+    rung — see :meth:`Engine._launch_member`) did so, and the first
+    access runs the full-table entry once and keeps the array. Every
+    other launch filled its table up front and the attribute just
+    returns it.
     ``cost`` (the one problem's), ``report`` and ``seconds`` are the
     priced view of a one-member launch.
     """
@@ -499,65 +500,10 @@ class Engine:
             func.dim_names, domain_extents(func, bindings, initial)
         )
 
-    def result_coords(
-        self,
-        func: CheckedFunction,
-        bindings: Bindings,
-        domain: Domain,
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-    ) -> Tuple[int, ...]:
-        """Where the requested value lives in the table.
-
-        Defaults per dimension kind: indices at the sequence length,
-        integers at their initial value, states at the model's end
-        state, transitions need an explicit position.
-        """
-        at = dict(at or {})
-        initial = initial or {}
-        coords = []
-        for param, extent in zip(func.recursive_params, domain.extents):
-            if param.name in at:
-                coords.append(int(at[param.name]))
-            elif isinstance(param.type, IndexType):
-                coords.append(extent - 1)
-            elif isinstance(param.type, IntType):
-                coords.append(initial.get(param.name, extent - 1))
-            elif isinstance(param.type, StateType):
-                hmm = bindings[param.type.hmm_param]
-                assert isinstance(hmm, Hmm)
-                coords.append(hmm.end_state.index)
-            elif isinstance(param.type, TransitionType):
-                raise RuntimeDslError(
-                    f"dimension {param.name!r}: pass at={{...}} to pick "
-                    f"a transition coordinate"
-                )
-            else:
-                raise RuntimeDslError(
-                    f"cannot default a coordinate for {param.name!r}"
-                )
-        return tuple(coords)
-
     def _table_for(self, kernel: Kernel, domain: Domain) -> np.ndarray:
         if kernel.body.return_kind == "int":
             return np.zeros(domain.extents, dtype=np.int64)
         return np.zeros(domain.extents, dtype=np.float64)
-
-    def _result_request(
-        self,
-        func: CheckedFunction,
-        bindings: Bindings,
-        domain: Domain,
-        at: Optional[Mapping[str, int]],
-        initial: Optional[Dict[str, int]],
-        reduce: Optional[str],
-    ) -> Tuple[int, ...]:
-        """:meth:`_member_requests` for one problem: its settled
-        result coordinates, ``()`` for a whole-table ``reduce``."""
-        coords = self._member_requests(
-            func, [(bindings, domain)], at, initial, reduce
-        )
-        return () if coords is None else tuple(coords.tolist()[0])
 
     def _extract(
         self, kernel: Kernel, table, coords, reduce: Optional[str] = None
@@ -606,57 +552,29 @@ class Engine:
         reduce: Optional[str] = None,
         _launch=None,
     ) -> RunResult:
-        """Solve one problem end to end on the simulated device.
+        """Solve one problem end to end on the simulated device: the
+        one-member :meth:`map_run`, through the same request path.
 
-        The result is settled before the launch: an unknown
-        ``reduce`` or an ``at=`` outside the table raises without
-        running anything. When nobody needs the table up front — the
-        default launch, unsanitized, of an in-process native run
-        whose entry has a result-only mode
-        (:attr:`~repro.runtime.native.NativeRun.result_only`) — the
-        kernel hands back the value alone and ``RunResult.table``
-        runs the full-table entry on first read, through the same
-        :func:`ladder.launch` seam.
+        The request is settled before anything runs: an unknown
+        ``reduce`` or an ``at=`` outside the table raises without a
+        launch. After a result-only launch (:meth:`_launch_member`)
+        ``RunResult.table`` runs the full-table entry on first read,
+        through the same :func:`ladder.launch` seam.
 
         ``_launch`` is the private launch seam — a callable
         ``(compiled_or_batched_launch, table, ctx, domain)`` that
         fills the table (default: :meth:`_execute`). The resilience
-        supervisor passes its checkpointed executor here, so domain,
-        schedule, verification, rung, context and extraction are this
-        one code path whether or not a run is supervised.
+        supervisor passes its checkpointed executor here, so a
+        supervised request takes this one code path too.
         """
-        bound = Bindings(dict(bindings))
-        domain = self.domain_of(func, bound, initial)
-        coords = self._result_request(
-            func, bound, domain, at, initial, reduce
+        mapped, prepared, tables = self._request(
+            func, self._bind_members(func, bindings, [{}], initial),
+            at, reduce, user_schedule, use_window, _launch,
         )
-        schedule = self.schedule_for(func, domain, user_schedule)
-        self.verify_compiled(func, schedule, domain)
-        compiled = self.compile(func, schedule, domain)
-        ctx = self.build_context(compiled, bound, domain)
-        kernel = compiled.kernel
-        execute = _launch or self._execute
-
-        def fill() -> np.ndarray:
-            table = self._table_for(kernel, domain)
-            ladder.launch(self, execute, compiled, table, ctx, domain)
-            return table
-
-        if (
-            _launch is None
-            and not self.sanitize
-            and getattr(compiled.run, "result_only", False)
-        ):
-            table = fill
-            value = self._value(
-                kernel, compiled.run.result(ctx, reduce, coords)
-            )
-        else:
-            table = fill()
-            value = self._extract(kernel, table, coords, reduce)
+        _bound, domain, compiled = prepared[0]
         return RunResult(
-            value, table, kernel, domain,
-            self._pricing(func, [(bound, domain, compiled)], use_window),
+            mapped.values[0], tables[0], compiled.kernel, domain,
+            mapped._pricing,
         )
 
     def prepare_map(
@@ -671,10 +589,13 @@ class Engine:
 
         Returns ``(prepared, costs, usage, problem_costs)`` where
         ``prepared`` is a list of ``(bindings, domain, compiled)``
-        triples in problem order and the rest is their
+        triples in problem order — each with the product
+        :meth:`map_run` would launch it on, so
+        :func:`~repro.runtime.batching.plan_batches` finds the groups
+        it would — and the rest is their
         :class:`~repro.gpu.device.Pricing`.
         """
-        prepared = self._prepare_members(
+        prepared, _groups = self._prepare_members(
             func, self._bind_members(func, base_bindings, problems, initial)
         )
         priced = self._pricing(func, prepared, use_window)()
@@ -701,36 +622,57 @@ class Engine:
         func: CheckedFunction,
         members: Seq[Tuple[Bindings, Domain]],
         user_schedule: Optional[ast.Expr] = None,
-    ) -> List[Tuple[Bindings, Domain, CompiledKernel]]:
-        """Schedule, verify and compile every bound member.
+    ) -> Tuple[list, List[List[int]]]:
+        """Schedule, verify and compile every bound member, and plan
+        the lane-batched groups; returns ``(prepared, groups)``.
 
         Per member only what depends on the member's box: the
-        schedule (:meth:`schedule_for`'s for that box:
-        ``user_schedule`` verified, else the one :meth:`run` would
-        search). Within the call the rung and product are resolved
-        once per distinct (schedule, size class) and the verifier is
-        asked once per distinct verdict key — so whatever it proves
-        per box (the brute-force leg, non-uniform descents) is still
-        proved per box, while any number
-        of members under one extent-free verdict cost one memo probe.
+        schedule (:meth:`schedule_for`'s for that box, or
+        ``user_schedule`` verified). Within the call the rung and
+        product are resolved once per distinct (schedule, size class)
+        and the verifier is asked once per distinct verdict key — so
+        whatever it proves per box (the brute-force leg, non-uniform
+        descents) is still proved per box, while any number of members
+        under one extent-free verdict cost one memo probe.
+
+        When members may batch, each first takes its rung by
+        eligibility alone, as :func:`ladder.demote` steps a group: one
+        sweep covers every member's lanes, so the size crossover's
+        tiny-partition case does not arise. A member left out of every
+        group launches alone, and takes the rung the crossover picks
+        for its box. Sanitized runs step partition by partition; the
+        packed sweep cannot, so batching stands down.
         """
-        prepared = []
+        batching = self.batching and not self.sanitize and len(members) > 1
         products: Dict[tuple, CompiledKernel] = {}
         proved: set = set()
+
+        def product(schedule: Schedule, domain: Optional[Domain]):
+            size_class = (schedule, ladder.is_large(domain))
+            if size_class not in products:
+                products[size_class] = self.compile(func, schedule, domain)
+            return products[size_class]
+
+        prepared = []
         for bound, domain in members:
             schedule = self.schedule_for(func, domain, user_schedule)
             verdict = self._verdict_key(func, schedule, domain)
             if verdict is not None and verdict not in proved:
                 self._verdict(verdict, func, schedule, domain)
                 proved.add(verdict)
-            size_class = (schedule, ladder.is_large(domain))
-            compiled = products.get(size_class)
-            if compiled is None:
-                compiled = products[size_class] = self.compile(
-                    func, schedule, domain
-                )
+            compiled = product(schedule, None if batching else domain)
             prepared.append((bound, domain, compiled))
-        return prepared
+        if not batching:
+            return prepared, []
+        from .batching import plan_batches
+
+        groups = plan_batches(prepared)
+        grouped = {i for group in groups for i in group}
+        for index, (bound, domain, compiled) in enumerate(prepared):
+            if index not in grouped:
+                compiled = product(compiled.kernel.schedule, domain)
+                prepared[index] = (bound, domain, compiled)
+        return prepared, groups
 
     def map_run(
         self,
@@ -749,35 +691,41 @@ class Engine:
         Each problem overrides some calling parameters (typically the
         database sequence) and runs on a multiprocessor of its own,
         its threads cooperating on partitions. ``at``, ``initial``,
-        ``reduce`` and ``user_schedule`` mean what they mean to
-        :meth:`run`, for every member, and every member's request is
-        settled, as :meth:`run` settles its one, before anything is
-        scheduled, compiled or launched. Without ``user_schedule``
-        each problem gets the schedule :meth:`run` would pick for its
-        box (Section 4.7's per-problem choice). The result is priced
-        as :meth:`run`'s is, on first read. ``_launch`` is the private
-        launch seam of :meth:`run`.
+        ``reduce``, ``user_schedule`` and ``_launch`` mean what they
+        mean to :meth:`run`, which is this call with one member: every
+        member's request is settled before anything is scheduled,
+        compiled or launched, lane-batched groups run as one padded
+        sweep each, and every other member launches exactly as
+        :meth:`run` launches its one — result-only where nobody needs
+        the table. Without ``user_schedule`` each problem gets the
+        schedule :meth:`schedule_for` picks for its box (Section
+        4.7's per-problem choice). The result is priced on first read.
         """
-        members = self._bind_members(func, base_bindings, problems, initial)
-        coords = self._member_requests(func, members, at, initial, reduce)
-        prepared = self._prepare_members(func, members, user_schedule)
+        return self._request(
+            func, self._bind_members(func, base_bindings, problems, initial),
+            at, reduce, user_schedule, use_window, _launch,
+        )[0]
+
+    def _request(
+        self, func, members, at, reduce, user_schedule, use_window,
+        _launch,
+    ) -> Tuple[MapResult, list, list]:
+        """The one request path of :meth:`run` and :meth:`map_run`:
+        settle every member's request (:func:`settle`), prepare the
+        members, launch each lane-batched group as one sweep and every
+        other member through :meth:`_launch_member`. Returns the
+        :class:`MapResult`, the prepared members and each member's
+        table (``None`` for a grouped member)."""
+        coords = settle(func, members, at, reduce)
+        prepared, groups = self._prepare_members(func, members, user_schedule)
         values: List[object] = [None] * len(prepared)
-        launch = _launch or self._execute
-
-        # Lane batching: groups of same-kernel problems run as single
-        # padded sweeps, then the rest one launch each. Sanitized runs
-        # step partition-by-partition; the packed sweep cannot, so
-        # batching stands down.
-        batch_groups: List[List[int]] = []
-        if self.batching and not self.sanitize and len(prepared) > 1:
-            from ..verify.races import licences
-            from . import native as native_rt
-            from .batching import BatchedLaunch, pack_group, plan_batches
-
-            batch_groups = plan_batches(prepared)
+        tables: List[object] = [None] * len(prepared)
+        execute = _launch or self._execute
         batched_backends: List[str] = []
         group_threads: List[int] = []
-        for group in batch_groups:
+        if groups:
+            from .batching import BatchedLaunch, pack_group
+        for group in groups:
             packed = pack_group(
                 prepared[group[0]][2],
                 [prepared[i][:2] for i in group],
@@ -785,8 +733,8 @@ class Engine:
             )
             # One launch for the whole group: a crash kills one
             # disposable worker and demotes the group as a unit.
-            group_launch = ladder.launch(
-                self, launch, BatchedLaunch(packed),
+            launched = ladder.launch(
+                self, execute, BatchedLaunch(packed),
                 packed.table, packed.ctx, packed.padded_domain,
             )
             for index, value in zip(
@@ -795,74 +743,56 @@ class Engine:
                 values[index] = value
             # Pricing reads the rung and thread count the group
             # *ran* on, so they are taken now, not when it is priced.
-            # A kernel without a batch licence ran a pragma-free
-            # problem loop: one thread.
-            batched_backends.append(group_launch.backend)
-            group_threads.append(
-                native_rt.effective_threads()
-                if group_launch.backend == "native-batched"
-                and licences(packed.compiled.kernel).batch is not None
-                else 1
-            )
-        batched = {i for group in batch_groups for i in group}
+            batched_backends.append(launched.backend)
+            group_threads.append(launched.threads)
+        grouped = {i for group in groups for i in group}
         for index, (bound, domain, compiled) in enumerate(prepared):
-            if index in batched:
-                continue
-            ctx = self.build_context(compiled, bound, domain)
-            table = self._table_for(compiled.kernel, domain)
-            ladder.launch(self, launch, compiled, table, ctx, domain)
-            values[index] = self._extract(
-                compiled.kernel, table,
-                None if coords is None else tuple(coords[index]), reduce,
-            )
-        return MapResult(
-            values,
-            self._pricing(
-                func, prepared, use_window,
-                list(zip(batch_groups, group_threads)),
-            ),
-            lane_batched_problems=sum(map(len, batch_groups)),
-            batched_backends=batched_backends,
+            if index not in grouped:
+                values[index], tables[index] = self._launch_member(
+                    compiled, bound, domain,
+                    () if coords is None else tuple(coords[index].tolist()),
+                    reduce, _launch,
+                )
+        pricing = self._pricing(
+            func, prepared, use_window, list(zip(groups, group_threads))
         )
+        mapped = MapResult(values, pricing, len(grouped), batched_backends)
+        return mapped, prepared, tables
 
-    def _member_requests(self, func, members, at, initial, reduce):
-        """What every one of ``members`` — ``(bindings, domain)``
-        pairs — is asked for, settled before anything launches: after
-        refusing an unknown ``reduce``, ``None`` for a whole-table
-        one, else one row per member of its result coordinates,
-        wrapped the way NumPy wraps a negative index after refusing an
-        out-of-range one. One check over the stacked extents: the
-        first member's coordinates, with only the columns that follow
-        the member — an index dimension's own length, a state
-        dimension's own model — filled per member."""
-        if reduce not in (None, "max", "min"):
-            raise RuntimeDslError(f"unknown reduction {reduce!r}")
-        if reduce is not None or not members:
-            return None
-        at = at or {}
-        extents = np.array(
-            [domain.extents for _, domain in members], dtype=np.int64
-        )
-        coords = np.empty_like(extents)
-        coords[:] = self.result_coords(func, *members[0], at, initial)
-        for axis, param in enumerate(func.recursive_params):
-            if param.name in at or len(members) == 1:
-                continue  # one member: the first row is its own
-            if isinstance(param.type, IndexType):
-                coords[:, axis] = extents[:, axis] - 1
-            elif isinstance(param.type, StateType):
-                coords[:, axis] = [
-                    bound[param.type.hmm_param].end_state.index
-                    for bound, _ in members
-                ]
-        outside = (coords < -extents) | (coords >= extents)
-        if np.count_nonzero(outside):
-            member, axis = np.argwhere(outside)[0]
-            raise IndexError(
-                f"index {coords[member, axis]} is out of bounds for "
-                f"axis {axis} with size {extents[member, axis]}"
+    def _launch_member(
+        self, compiled, bound, domain, coords, reduce, _launch
+    ) -> Tuple[object, object]:
+        """One problem launched on its own; returns ``(value, table)``.
+
+        The one place that decides whether a launch fills its table.
+        Nobody needs it up front on the default launch, unsanitized,
+        of an in-process native run whose entry has a result-only
+        mode (:attr:`~repro.runtime.native.NativeRun.result_only`):
+        the kernel hands back the value alone and ``table`` is the
+        zero-argument launch that fills it. Every other launch —
+        supervised (``_launch``), sanitized, sandboxed, a Python rung —
+        fills its table and the value is read off it.
+        """
+        ctx = self.build_context(compiled, bound, domain)
+        kernel = compiled.kernel
+
+        def fill() -> np.ndarray:
+            table = self._table_for(kernel, domain)
+            ladder.launch(
+                self, _launch or self._execute, compiled, table, ctx,
+                domain,
             )
-        return coords % extents
+            return table
+
+        if (
+            _launch is None
+            and not self.sanitize
+            and getattr(compiled.run, "result_only", False)
+        ):
+            raw = compiled.run.result(ctx, reduce, coords)
+            return self._value(kernel, raw), fill
+        table = fill()
+        return self._extract(kernel, table, coords, reduce), table
 
     def _group_values(self, packed, coords, reduce) -> List[object]:
         """Every member's result out of a packed group's table: one
@@ -907,3 +837,60 @@ class Engine:
             return price_launch(members, spec, use_window, groups)
 
         return price
+
+
+def settle(
+    func: CheckedFunction,
+    members: Seq[Tuple[Bindings, Domain]],
+    at: Optional[Mapping[str, int]] = None,
+    reduce: Optional[str] = None,
+) -> Optional[np.ndarray]:
+    """What every one of ``members`` — ``(bindings, domain)`` pairs —
+    is asked for, settled before anything launches: the one rule of
+    the engine, the serial reference path and the fuzzer.
+
+    After refusing an unknown ``reduce``: ``None`` for a whole-table
+    one, else one row per member of its result coordinates, wrapped
+    the way NumPy wraps a negative index after refusing an
+    out-of-range one. A coordinate not given in ``at`` defaults by
+    its dimension's kind: an index at its sequence's length, an
+    integer at its initial value, a state at its model's end state;
+    a transition has no default.
+    """
+    if reduce not in (None, "max", "min"):
+        raise RuntimeDslError(f"unknown reduction {reduce!r}")
+    if reduce is not None or not members:
+        return None
+    at = at or {}
+    extents = np.array(
+        [domain.extents for _, domain in members], dtype=np.int64
+    )
+    coords = np.empty_like(extents)
+    for axis, param in enumerate(func.recursive_params):
+        if param.name in at:
+            coords[:, axis] = int(at[param.name])
+        elif isinstance(param.type, (IndexType, IntType)):
+            # an integer dimension's extent is its initial value + 1
+            coords[:, axis] = extents[:, axis] - 1
+        elif isinstance(param.type, StateType):
+            coords[:, axis] = [
+                bound[param.type.hmm_param].end_state.index
+                for bound, _ in members
+            ]
+        elif isinstance(param.type, TransitionType):
+            raise RuntimeDslError(
+                f"dimension {param.name!r}: pass at={{...}} to pick "
+                f"a transition coordinate"
+            )
+        else:
+            raise RuntimeDslError(
+                f"cannot default a coordinate for {param.name!r}"
+            )
+    outside = (coords < -extents) | (coords >= extents)
+    if np.count_nonzero(outside):
+        member, axis = np.argwhere(outside)[0]
+        raise IndexError(
+            f"index {coords[member, axis]} is out of bounds for "
+            f"axis {axis} with size {extents[member, axis]}"
+        )
+    return coords % extents

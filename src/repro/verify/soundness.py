@@ -208,12 +208,11 @@ def verdict_is_extent_free(
 ) -> bool:
     """Does one verdict per (function, schedule) cover ``domain``?
 
-    True when every call site has a constant delta and the box is
-    beyond the brute-force leg, which always runs per extents.
+    True when every call site has a constant delta (the plan's
+    ``extent_free``, analysed once) and the box is beyond the
+    brute-force leg, which always runs per extents.
     """
-    return domain.size > brute_force_cap and all(
-        _extent_free(d) for d in function_plan(func).descents
-    )
+    return domain.size > brute_force_cap and function_plan(func).extent_free
 
 
 def _call_site_verdicts(

@@ -213,6 +213,29 @@ class TestBatchedMapRun:
         assert len(result.costs) == len(WORDS)
         assert sum(result.schedule_usage.values()) == len(WORDS)
 
+    def test_a_group_takes_its_rung_by_eligibility(
+        self, edit_func, monkeypatch
+    ):
+        """Without a compiler every word is under the vector
+        crossover, so alone each would run scalar; a group sweeps all
+        its members' lanes at once, so its rung is chosen by
+        eligibility alone, as ``ladder.demote`` steps a group."""
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        engine = Engine()
+        result = engine.map_run(edit_func, BASE, edit_problems())
+        assert result.batched_backends == ["vector-batched"]
+        assert result.values == [3, 3, 4, 2]
+        prepared, _, _, _ = engine.prepare_map(
+            edit_func, BASE, edit_problems()
+        )
+        (group,) = plan_batches(prepared)
+        assert prepared[group[0]][2].backend == "vector"
+        # a member that launches alone keeps the crossover
+        (alone,), _, _, _ = engine.prepare_map(
+            edit_func, BASE, edit_problems(["sit"])
+        )
+        assert alone[2].backend == "scalar"
+
     def test_batching_off_engine_flag(self, edit_func):
         engine = Engine(batching=False)
         result = engine.map_run(edit_func, BASE, edit_problems())
