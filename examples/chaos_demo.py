@@ -17,7 +17,6 @@ Three acts:
 Run:  python examples/chaos_demo.py
 """
 
-import queue as _queue
 
 from repro import check_function, parse_function
 from repro.resilience import (
@@ -100,9 +99,8 @@ def determinism(func, bindings):
 
 def degradation():
     print("\n=== 3. graceful degradation ===")
-    from repro.service.batcher import Batch
     from repro.service.programs import ProgramRegistry
-    from repro.service.queue import Job
+    from repro.service.queue import Batch, Job, JobQueue
     from repro.service.stats import StatsRegistry
     from repro.service.workers import WorkerPool
 
@@ -116,7 +114,7 @@ def degradation():
     registry = ProgramRegistry()
     stats = StatsRegistry()
     pool = WorkerPool(
-        _queue.Queue(), Engine, registry, stats,
+        JobQueue(), Engine, registry, stats,
         workers=1, backoff_seconds=0.001, demote_after=3,
     )
     program = registry.register(SERVICE_PROGRAM)

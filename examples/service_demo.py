@@ -4,11 +4,11 @@
 Demonstrates the acceptance scenario for ``repro.service``:
 
 1. 120 edit-distance problems submitted concurrently to a 4-worker
-   ``ComputeService`` complete with a mean batch size well above 1:
-   the first four go straight to the four idle workers, which are
-   then busy compiling, and everything that arrives while no worker
-   is free coalesces into a handful of ``map`` launches — every value
-   bitwise-identical to a serial ``Engine.run``.
+   ``ComputeService`` all complete, every value bitwise-identical to
+   a serial ``Engine.run``. A free worker takes the oldest job and
+   every queued job with its key as one ``map`` launch, so the first
+   jobs go straight to idle workers and whatever arrives while all
+   four are busy (compiling, at first) shares a launch.
 2. A second service started on the same cache directory answers
    without compiling anything: the persistent kernel cache made the
    schedule search and code generation a one-time cost.
@@ -56,11 +56,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         # -- phase 1: cold cache, concurrent clients ---------------
-        # ``batch_window`` bounds how long a job waits for company
-        # while all four workers are busy; an idle worker never waits.
+        # An idle worker takes the oldest job and every queued job
+        # with its key (up to ``max_batch``); while all four workers
+        # are busy, arrivals pile up and ride together.
         with ComputeService(
-            workers=4, batch_window=0.05, max_batch=64,
-            cache_dir=cache_dir,
+            workers=4, max_batch=64, cache_dir=cache_dir,
         ) as service:
             handles = [None] * len(problems)
 
@@ -91,9 +91,7 @@ def main() -> None:
         print("determinism   : all values bitwise-equal to Engine.run")
 
         # -- phase 2: new service, warm disk cache -----------------
-        with ComputeService(
-            workers=1, batch_window=0.01, cache_dir=cache_dir
-        ) as warm:
+        with ComputeService(workers=1, cache_dir=cache_dir) as warm:
             value = warm.submit(
                 PROGRAM, "d", {"s": "kitten", "t": "sitting"}
             ).result(timeout=30)

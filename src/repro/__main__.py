@@ -69,13 +69,8 @@ def serve_main(argv) -> int:
         help="bounded submission queue size (admission control)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.01,
-        help="longest wait (seconds) for coalescible requests "
-        "while all workers are busy",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=64,
-        help="flush a batch at this many jobs",
+        help="most jobs an idle worker takes as one batch",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -105,7 +100,6 @@ def serve_main(argv) -> int:
     service = ComputeService(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         cache_dir=args.cache_dir,
         cache_capacity=args.cache_capacity,

@@ -191,7 +191,7 @@ def native_param_spec(kernel: Kernel) -> List[Param]:
         ctext = "long" if kind == "scalar_int" else "double"
         params.append(Param(f"arg_{a}", ctext, kind, f"arg_{a}"))
     params += model_params(kernel, refs)
-    if races.licences(kernel).tile is not None:
+    if races.tile_licence(kernel) is not None:
         params.append(Param("_res", f"{vt}*", "result"))
         params.append(Param("_red", "long", "reduce"))
         params += [Param(f"_at_{d}", "long", "at") for d in kernel.dims]
@@ -201,7 +201,7 @@ def native_param_spec(kernel: Kernel) -> List[Param]:
 def model_params(kernel: Kernel, refs: dict) -> List[Param]:
     """Matrix and HMM parameters, identical in the per-problem and
     batched entries (and spelled the same in the CUDA text): every
-    member of a map group shares one scoring model (the batcher
+    member of a map group shares one scoring model (the batch plan
     groups by model identity), so these marshal once, not per
     problem."""
     params: List[Param] = []
@@ -237,7 +237,7 @@ def native_batched_param_spec(kernel: Kernel) -> List[Param]:
     The padded ``(B, d0max, ...)`` table arrives with its batch size
     and padded extents (``nprob``/``pad`` kinds, both read off
     ``table.shape`` by the dispatcher); per-problem context arrives as
-    the batcher's stacked buffers — ``(B, 1)`` bounds, ``(B, Lmax)``
+    ``pack_group``'s stacked buffers — ``(B, 1)`` bounds, ``(B, Lmax)``
     zero-padded sequences with their stride, ``(B, 1)`` scalar
     columns — keyed by the *member* context names so the dispatcher
     reads straight from ``pack_group``'s ctx. Shared matrices and
@@ -293,7 +293,7 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
                 f"kernel {kernel.name!r} reads the table of "
                 f"{node.table!r}; mutual groups use the group backend",
             )
-    licence = races.licences(kernel).tile
+    licence = races.tile_licence(kernel)
     shape = ""
     if licence is not None:
         shape = (

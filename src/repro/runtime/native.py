@@ -335,13 +335,13 @@ def effective_threads() -> int:
 def _apply_thread_cap(lib: ctypes.CDLL) -> None:
     """Push the ``REPRO_NATIVE_THREADS`` cap into a freshly loaded
     library via its ``repro_set_threads`` export (a no-op symbol in
-    serial builds, so this is always safe)."""
+    serial builds, so this is always safe). Every translation unit
+    exports it: a library without it fails to load, as one missing an
+    entry does."""
+    setter = lib.repro_set_threads
     forced = thread_count()
     if forced is None:
         return
-    setter = getattr(lib, "repro_set_threads", None)
-    if setter is None:
-        return  # pre-existing cache artifact without the export
     setter.restype = None
     setter.argtypes = [ctypes.c_long]
     setter(forced)
@@ -566,7 +566,7 @@ class NativeRun:
 
     * ``run(T, ctx, part_lo=None, part_hi=None)`` — the backend
       calling convention; which order it runs in is the kernel's tile
-      licence (:func:`repro.verify.races.licences`);
+      licence (:func:`repro.verify.races.tile_licence`);
     * :meth:`result` — where :attr:`result_only` is set, the same
       entry without a table, handing back one value;
     * :meth:`batched` — a whole packed map group in one call.
@@ -585,7 +585,7 @@ class NativeRun:
             self._lib, cbackend.entry_symbol(kernel, batched=True),
             cbackend.native_batched_param_spec(kernel),
         )
-        licence = races.licences(kernel).tile
+        licence = races.tile_licence(kernel)
         #: May :meth:`result` be used (a blocked entry whose halo
         #: tile is bounded)?
         self.result_only = licence is not None and licence.result_only

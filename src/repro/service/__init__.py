@@ -11,9 +11,8 @@ one-off requests into batched runs. This package provides it:
 * :mod:`repro.service.programs` — parse/check/declare DSL programs
   once, bind per-request arguments;
 * :mod:`repro.service.queue` — bounded job queue with admission
-  control and per-job handles;
-* :mod:`repro.service.batcher` — coalesce concurrent requests against
-  the same compiled function into one ``map``-style batch;
+  control and per-job handles, from which a free worker takes every
+  queued request against one compiled function as one ``map`` batch;
 * :mod:`repro.service.workers` — worker threads (one engine each,
   shared kernel cache) with timeout, bounded retry and graceful drain;
 * :mod:`repro.service.stats` — service counters and latency
@@ -41,8 +40,7 @@ _EXPORTS = {
     "JobQueue": ("queue", "JobQueue"),
     "AdmissionError": ("queue", "AdmissionError"),
     "JobTimeoutError": ("queue", "JobTimeoutError"),
-    "Batch": ("batcher", "Batch"),
-    "Batcher": ("batcher", "Batcher"),
+    "Batch": ("queue", "Batch"),
     "WorkerPool": ("workers", "WorkerPool"),
     "ServiceStats": ("stats", "ServiceStats"),
     "StatsRegistry": ("stats", "StatsRegistry"),

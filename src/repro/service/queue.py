@@ -3,7 +3,16 @@
 Admission control happens at the front door: a full queue (or a
 draining service) rejects the submission synchronously with a reason,
 instead of buffering without bound — under overload the caller learns
-immediately and can back off.
+immediately and can back off. Every job that has not started counts
+against the bound, because jobs stay queued until a worker takes them.
+
+Batching is the queue's other half. A worker that is free takes the
+oldest job together with every queued job that shares its
+:attr:`Job.group_key` (:meth:`JobQueue.take_batch`), and runs them as
+one batched ``map`` launch — the paper's many-problem primitive
+(Section 4.7). No job waits for a timer: a lone request meets an idle
+worker at once, and batches grow with load because jobs pile up while
+every worker is busy.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 
 class AdmissionError(RuntimeError):
@@ -170,8 +179,30 @@ class Job:
         ) - self.submitted_at
 
 
+@dataclass
+class Batch:
+    """Jobs that will run as one batched ``map`` launch."""
+
+    key: GroupKey
+    jobs: List[Job] = field(default_factory=list)
+
+    @property
+    def program_sha(self) -> str:
+        """The shared program hash."""
+        return self.key[0]
+
+    @property
+    def function(self) -> str:
+        """The shared function name."""
+        return self.key[1]
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+
 class JobQueue:
-    """Bounded FIFO of admitted jobs, with reject-with-reason."""
+    """Bounded FIFO of admitted jobs, with reject-with-reason, taken
+    a batch at a time."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
@@ -180,7 +211,6 @@ class JobQueue:
         self._jobs: Deque[Job] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._woken = False
         self._closed = False
 
     def submit(self, job: Job) -> None:
@@ -196,24 +226,30 @@ class JobQueue:
             self._jobs.append(job)
             self._not_empty.notify()
 
-    def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next job, or None after ``timeout`` seconds of emptiness
-        (``None`` waits without limit) or a :meth:`wake`."""
+    def take_batch(self, max_batch: int) -> Optional[Batch]:
+        """Block until a job is queued, then take the oldest job and
+        every queued job sharing its group key, oldest first, up to
+        ``max_batch``. Jobs of other keys keep their order. Returns
+        None once the queue is closed and empty."""
         with self._not_empty:
-            if not self._jobs and not self._woken:
-                self._not_empty.wait(timeout)
-            self._woken = False
-            if not self._jobs:
-                return None
-            return self._jobs.popleft()
-
-    def wake(self) -> None:
-        """End the consumer's current ``pop`` or, if it is between
-        two, its next: something it plans by (a worker freed, a stop
-        request) changed. The flag keeps the wake from being lost."""
-        with self._lock:
-            self._woken = True
-            self._not_empty.notify_all()
+            while not self._jobs:
+                if self._closed:
+                    return None
+                self._not_empty.wait()
+            key = self._jobs[0].group_key
+            taken: List[Job] = []
+            left: Deque[Job] = deque()
+            for job in self._jobs:
+                if len(taken) < max_batch and job.group_key == key:
+                    taken.append(job)
+                else:
+                    left.append(job)
+            self._jobs = left
+            if left:
+                # Each submit wakes one taker; pass the turn on, so
+                # jobs left behind never wait beside an idle worker.
+                self._not_empty.notify()
+            return Batch(key, taken)
 
     def depth(self) -> int:
         """Jobs currently waiting."""
@@ -221,7 +257,8 @@ class JobQueue:
             return len(self._jobs)
 
     def close(self) -> None:
-        """Stop admitting; queued jobs still drain."""
+        """Stop admitting; queued jobs still drain, then every
+        :meth:`take_batch` returns None."""
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()

@@ -6,11 +6,9 @@
         │  parse/check once per program (ProgramRegistry)
         │  bind args, admission control (JobQueue)
         ▼
-    Batcher ── buckets same-function jobs; a bucket leaves when a
-        │      worker is idle, at max-batch, or (all workers busy)
-        ▼      after the batch window
-    WorkerPool ── N engines, shared kernel cache ──▶ map_run batches
-        │  a finished batch wakes the batcher: capacity to fill
+    WorkerPool ── an idle worker takes the oldest job and every
+        │         queued job with its key, up to max_batch; N
+        │         engines, shared kernel cache ──▶ map_run batches
         ▼
     JobHandle.result()
 
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue as _queue
 import signal
 import sys
 import threading
@@ -56,7 +53,6 @@ from ..resilience import (
     SupervisionPolicy,
 )
 from ..runtime.engine import Engine
-from .batcher import Batch, Batcher
 from .cache import LRUKernelCache, PersistentKernelCache
 from .programs import ProgramRegistry
 from .queue import (
@@ -107,7 +103,6 @@ class ComputeService:
         self,
         workers: int = 4,
         queue_capacity: int = 1024,
-        batch_window: float = 0.01,
         max_batch: int = 64,
         cache_dir: Optional[str] = None,
         cache_capacity: int = 256,
@@ -131,16 +126,6 @@ class ComputeService:
         self.registry = ProgramRegistry()
         self.stats_registry = StatsRegistry()
         self.jobs = JobQueue(queue_capacity)
-        self.batch_queue: "_queue.Queue[Optional[Batch]]" = _queue.Queue()
-        # Work-conserving batching is two wires: the batcher reads the
-        # pool's spare capacity (late-bound: the pool is built below)
-        # and a worker finishing a batch tells the batcher.
-        self.batcher = Batcher(
-            self.jobs, self.batch_queue,
-            window=batch_window, max_batch=max_batch,
-            stats=self.stats_registry,
-            spare=lambda: self.pool.spare(),
-        )
         self.default_timeout = default_timeout
         self.max_retries = max_retries
 
@@ -164,18 +149,17 @@ class ComputeService:
             )
 
         self.pool = WorkerPool(
-            self.batch_queue,
+            self.jobs,
             engine_factory,
             self.registry,
             self.stats_registry,
             workers=workers,
+            max_batch=max_batch,
             backoff_seconds=backoff_seconds,
             demote_after=demote_after,
-            on_batch_done=self.batcher.capacity_freed,
         )
         self._closed = False
         self._draining = False
-        self.batcher.start()
         self.pool.start()
 
     # -- submission ----------------------------------------------------------
@@ -256,18 +240,14 @@ class ComputeService:
         self.jobs.close()
 
     def shutdown(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop the service; ``drain`` finishes every admitted job."""
+        """Stop the service. ``drain`` waits until every admitted job
+        has finished; without it the wait ends after ``timeout``
+        seconds and the workers finish what is left in the background."""
         if self._closed:
             return
         self._closed = True
         self._draining = True
-        self.jobs.close()
-        if drain:
-            self.batcher.stop(drain_timeout=timeout)
-            self.batch_queue.join()  # all emitted batches executed
-        else:
-            self.batcher.stop(drain_timeout=0.0)
-        self.pool.shutdown(timeout=timeout)
+        self.pool.shutdown(timeout=None if drain else timeout)
 
     def __enter__(self) -> "ComputeService":
         return self
@@ -358,8 +338,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 timeout=timeout,
                 reduce=request.get("reduce"),
             )
-            # Wait slightly *past* the job's own deadline: the queue
-            # and batcher enforce it authoritatively (classifying the
+            # Wait slightly *past* the job's own deadline: the
+            # workers enforce it authoritatively (classifying the
             # outcome as shed vs timed-out mid-run), and that verdict
             # should win the race against this thread's stopwatch.
             value = handle.result(
@@ -448,7 +428,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     # whole point). Match the admission queue's scale instead.
     request_queue_size = 128
     #: Extra seconds the handler waits beyond a job's deadline so the
-    #: batcher's shed/timeout classification arrives before we reply.
+    #: worker's shed/timeout classification arrives before we reply.
     DEADLINE_GRACE = 2.0
 
     def __init__(

@@ -51,6 +51,9 @@ class ServiceStats:
     batched_jobs: int
     mean_batch_size: float
     max_batch_size: int
+    #: Jobs admitted and not yet started: a job stays in the queue
+    #: until a worker takes it, so this counts every one of them and
+    #: is what ``queue_capacity`` bounds.
     queue_depth: int
     p50_latency_seconds: float
     p95_latency_seconds: float

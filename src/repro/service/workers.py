@@ -2,9 +2,10 @@
 
 Each worker owns a full :class:`~repro.runtime.engine.Engine` (the
 engines share one kernel cache, so a function compiled by any worker
-is a hit for all) and executes whole batches through
-:meth:`~repro.runtime.engine.Engine.map_run` — the paper's batched
-``map`` path, not a serial loop of one-off runs.
+is a hit for all). A free worker takes its own batch from the job
+queue (:meth:`~repro.service.queue.JobQueue.take_batch`) and executes
+it through :meth:`~repro.runtime.engine.Engine.map_run` — the paper's
+batched ``map`` path, not a serial loop of one-off runs.
 
 Failure policy per batch attempt (see :func:`classify_failure`):
 
@@ -33,7 +34,6 @@ Failure policy per batch attempt (see :func:`classify_failure`):
 from __future__ import annotations
 
 import hashlib
-import queue as _queue
 import threading
 import time
 from typing import Callable, List, Optional, Tuple
@@ -42,9 +42,15 @@ from ..lang.errors import DslError
 from ..resilience.faults import DeviceFault
 from ..resilience.reference import serial_reference_run
 from ..runtime.engine import Engine
-from .batcher import Batch
 from .programs import ProgramRegistry
-from .queue import DeadlineError, Job, JobState, JobTimeoutError
+from .queue import (
+    Batch,
+    DeadlineError,
+    Job,
+    JobQueue,
+    JobState,
+    JobTimeoutError,
+)
 from .stats import StatsRegistry
 
 
@@ -85,35 +91,37 @@ def backoff_delay(
 
 
 class WorkerPool:
-    """Executes batches from a queue until shut down."""
+    """N threads, each taking batches of up to ``max_batch`` jobs
+    from ``jobs`` until it is closed and empty."""
 
     def __init__(
         self,
-        batches: "_queue.Queue[Optional[Batch]]",
+        jobs: JobQueue,
         engine_factory: Callable[[], Engine],
         registry: ProgramRegistry,
         stats: StatsRegistry,
         workers: int = 4,
+        max_batch: int = 64,
         backoff_seconds: float = 0.05,
         backoff_cap_seconds: float = 1.0,
         demote_after: int = 3,
-        on_batch_done: Callable[[], None] = lambda: None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if demote_after < 1:
             raise ValueError(
                 f"demote_after must be >= 1, got {demote_after}"
             )
-        self.batches = batches
+        self.jobs = jobs
+        self.max_batch = max_batch
         self.engine_factory = engine_factory
         self.registry = registry
         self.stats = stats
         self.backoff_seconds = backoff_seconds
         self.backoff_cap_seconds = backoff_cap_seconds
         self.demote_after = demote_after
-        #: Called after each ``task_done()``: capacity just changed.
-        self.on_batch_done = on_batch_done
         #: The engines (or supervisors) the worker threads built —
         #: the stats endpoint sums ``native_demotions`` across them.
         self.engines: List[object] = []
@@ -138,27 +146,24 @@ class WorkerPool:
         for thread in self._threads:
             thread.start()
 
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop workers after the queue drains (one sentinel each)."""
-        for _ in self._threads:
-            self.batches.put(None)
-        deadline = time.monotonic() + timeout
+    def shutdown(self, timeout: Optional[float] = 10.0) -> None:
+        """Close the queue and wait for the workers to drain it and
+        stop: at most ``timeout`` seconds, or for as long as that
+        takes when it is None."""
+        self.jobs.close()
+        deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
             if not self._started:
                 break
-            thread.join(max(0.0, deadline - time.monotonic()))
+            thread.join(
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
 
     @property
     def size(self) -> int:
         """Number of worker threads."""
         return len(self._threads)
-
-    def spare(self) -> int:
-        """Workers with nothing to run: the pool's size minus the
-        batches in flight — put and not yet ``task_done``, the count
-        the queue already keeps for ``join()``, so a batch counts
-        from the instant it is queued."""
-        return len(self._threads) - self.batches.unfinished_tasks
 
     # -- execution -----------------------------------------------------------
 
@@ -176,14 +181,10 @@ class WorkerPool:
         with self._engines_lock:
             self.engines.append(engine)
         while True:
-            batch = self.batches.get()
-            try:
-                if batch is None:
-                    return
-                self.execute_batch(engine, batch)
-            finally:
-                self.batches.task_done()
-                self.on_batch_done()
+            batch = self.jobs.take_batch(self.max_batch)
+            if batch is None:
+                return
+            self.execute_batch(engine, batch)
 
     def execute_batch(self, engine: Engine, batch: Batch) -> None:
         """Run one batch to completion (public for tests/tools)."""
@@ -201,8 +202,8 @@ class WorkerPool:
         retry_round = 0
         device_fault_rounds = 0
         # Until the first launch is attempted, an expired deadline
-        # means the job was *shed* (queue/batcher wait ate its whole
-        # budget) rather than timed out mid-retry.
+        # means the job was *shed* (queue wait ate its whole budget)
+        # rather than timed out mid-retry.
         attempted = False
         backoff_token = f"{batch.program_sha}:{batch.function}"
         while True:

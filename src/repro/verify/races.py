@@ -92,6 +92,7 @@ __all__ = [
     "collect_read_footprints",
     "licences",
     "parallelism_certificate",
+    "tile_licence",
 ]
 
 #: Axis verdict states. ``CONFIRMED`` is the only state that permits
@@ -725,3 +726,19 @@ def licences(kernel: Kernel) -> Licences:
     """The licences of ``kernel``'s memoised certificate: what the
     native emitter may write for it."""
     return parallelism_certificate(kernel).licences
+
+
+def tile_licence(kernel: Kernel) -> Optional[TileLicence]:
+    """``licences(kernel).tile`` without proving the space and batch
+    axes. The tile verdict reads no extents, so binding a library (the
+    param spec, :class:`~repro.runtime.native.NativeRun`) skips the
+    footprint analysis a decoded kernel would otherwise redo. Once a
+    certificate is memoised it is read instead, so the licence never
+    differs from the one the emitter read."""
+    if None in kernel.memo.get("parallelism_certs", {}):
+        return licences(kernel).tile
+    if "tile_licence" not in kernel.memo:
+        kernel.memo["tile_licence"] = _grant(
+            TileLicence, _tile_axis(kernel)
+        )
+    return kernel.memo["tile_licence"]

@@ -7,7 +7,7 @@ import pytest
 
 from repro import check_function, parse_function
 from repro.runtime import ENGLISH
-from repro.service.batcher import Batch
+from repro.service.queue import Job
 
 EDIT_PROGRAM = '''\
 alphabet en = "abcdefghijklmnopqrstuvwxyz"
@@ -53,16 +53,20 @@ def edit_func():
     )
 
 
+#: The program hash of :func:`workers_held`'s plug jobs: no real
+#: program hashes to it.
+PLUG = "plug"
+
+
 @contextmanager
 def workers_held(service):
     """Hold every worker of ``service`` inside ``execute_batch`` until
     the block exits.
 
-    Saturation stated, not raced: each worker is given an empty plug
-    batch and parked in it, so the pool has no spare capacity and
-    whatever the block submits coalesces under the size and window
-    triggers alone. Batches flushed meanwhile queue behind the plugs
-    and run, in order, once the block exits.
+    Saturation stated, not raced: each worker takes a plug job of a
+    key of its own and is parked in it, so no worker is free and
+    whatever the block submits stays in the queue. Once the block
+    exits the freed workers take it, oldest key first.
     """
     pool = service.pool
     release = threading.Event()
@@ -70,16 +74,17 @@ def workers_held(service):
     execute = pool.execute_batch
 
     def hold(engine, batch):
+        if batch.program_sha != PLUG:
+            execute(engine, batch)
+            return
         parked.release()
         release.wait(60)
-        if batch.jobs:
-            execute(engine, batch)
 
     pool.execute_batch = hold
     try:
-        for _ in range(pool.size):
-            service.batch_queue.put(Batch(("", "", (), (), None)))
-        for _ in range(pool.size):
+        for index in range(pool.size):
+            # One plug at a time: a queue of capacity 1 holds it.
+            service.jobs.submit(Job(PLUG, f"plug-{index}", {}, {}, {}))
             assert parked.acquire(timeout=30), "a worker never parked"
         yield
     finally:

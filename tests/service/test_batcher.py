@@ -1,21 +1,27 @@
-"""Coalescing behaviour of the batch scheduler."""
+"""How queued jobs become batches: ``JobQueue.take_batch`` and the
+worker pool whose threads call it."""
 
-import queue as _queue
+import random
+import threading
 import time
 
-from repro.service.batcher import Batch, Batcher
-from repro.service.queue import JobQueue
+from repro.service.programs import ProgramRegistry
+from repro.service.queue import Batch, JobQueue
+from repro.service.stats import StatsRegistry
+from repro.service.workers import WorkerPool
 
 from .test_queue import make_job
 
 
-def drain(batches):
+def take_all(jobs, max_batch=32):
+    """Close ``jobs`` and take batches until it is empty."""
+    jobs.close()
     out = []
     while True:
-        try:
-            out.append(batches.get_nowait())
-        except _queue.Empty:
+        batch = jobs.take_batch(max_batch)
+        if batch is None:
             return out
+        out.append(batch)
 
 
 def wait_for(predicate, timeout=5.0):
@@ -27,67 +33,43 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
+def ids(jobs):
+    return [job.job_id for job in jobs]
+
+
 class TestBatcher:
     def test_same_key_jobs_coalesce(self):
-        jobs, batches = JobQueue(64), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=0.05, max_batch=32)
-        batcher.start()
+        jobs = JobQueue(64)
         submitted = [make_job() for _ in range(5)]
         for job in submitted:
             jobs.submit(job)
-        assert wait_for(lambda: not batches.empty())
-        batcher.stop()
-        (batch,) = drain(batches)
-        assert len(batch) == 5
-        assert [j.job_id for j in batch.jobs] == [
-            j.job_id for j in submitted
-        ]
+        batch = jobs.take_batch(32)
+        assert ids(batch.jobs) == ids(submitted)
+        assert jobs.depth() == 0
 
     def test_distinct_keys_stay_separate(self):
-        jobs, batches = JobQueue(64), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=0.02, max_batch=32)
-        batcher.start()
-        for _ in range(3):
-            jobs.submit(make_job(function="d"))
-        for _ in range(2):
-            jobs.submit(make_job(function="g"))
-        assert wait_for(lambda: batches.qsize() >= 2)
-        batcher.stop()
-        got = {b.function: len(b) for b in drain(batches)}
-        assert got == {"d": 3, "g": 2}
+        jobs = JobQueue(64)
+        for name in "dgdgd":
+            jobs.submit(make_job(function=name))
+        got = [(b.function, len(b)) for b in take_all(jobs)]
+        # The oldest job's key goes first.
+        assert got == [("d", 3), ("g", 2)]
 
     def test_max_batch_flushes_immediately(self):
-        jobs, batches = JobQueue(64), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=30.0, max_batch=4)
-        batcher.start()
-        for _ in range(4):
-            jobs.submit(make_job())
-        # The window is half a minute: only the size trigger can
-        # flush this quickly.
-        assert wait_for(lambda: not batches.empty(), timeout=2.0)
-        batcher.stop(drain_timeout=1.0)
-        sizes = sorted(len(b) for b in drain(batches))
-        assert sizes[-1] == 4
-
-    def test_window_flushes_partial_batch(self):
-        jobs, batches = JobQueue(64), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=0.02, max_batch=1000)
-        batcher.start()
-        jobs.submit(make_job())
-        assert wait_for(lambda: not batches.empty(), timeout=2.0)
-        batcher.stop()
-        (batch,) = drain(batches)
-        assert len(batch) == 1
+        jobs = JobQueue(64)
+        submitted = [make_job() for _ in range(10)]
+        for job in submitted:
+            jobs.submit(job)
+        batches = take_all(jobs, max_batch=4)
+        assert [len(b) for b in batches] == [4, 4, 2]
+        assert [j for b in batches for j in ids(b.jobs)] == ids(submitted)
 
     def test_stop_drains_buffered_jobs(self):
-        jobs, batches = JobQueue(64), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=60.0, max_batch=1000)
-        batcher.start()
+        jobs = JobQueue(64)
         for _ in range(3):
             jobs.submit(make_job())
-        assert batcher.stop(drain_timeout=5.0)
-        total = sum(len(b) for b in drain(batches))
-        assert total == 3
+        assert sum(len(b) for b in take_all(jobs)) == 3
+        assert jobs.take_batch(32) is None
 
     def test_batch_metadata(self):
         job = make_job()
@@ -97,136 +79,132 @@ class TestBatcher:
         assert len(batch) == 1
 
 
-class FakePool:
-    """Stands in for the worker pool: ``size`` workers, a batch in
-    flight from ``put`` until :meth:`finish` marks it done — the same
-    count ``WorkerPool.spare`` reads."""
+class RecordingPool:
+    """A :class:`WorkerPool` over ``jobs`` whose workers record the
+    batches they take instead of running them; a batch of a function
+    named in ``held`` parks its worker until :meth:`stop`."""
 
-    def __init__(self, batches, size):
-        self.batches, self.size = batches, size
-        self.finished = []
-        self.on_batch_done = None
+    def __init__(self, jobs, size, max_batch=32, held=()):
+        self.jobs = jobs
+        self.taken = []
+        self.held = set(held)
+        self.parked = threading.Semaphore(0)
+        self._release = threading.Event()
+        self.pool = WorkerPool(
+            jobs, lambda: None, ProgramRegistry(), StatsRegistry(),
+            workers=size, max_batch=max_batch,
+        )
+        self.pool.execute_batch = self._record
+        self.pool.start()
 
-    def spare(self):
-        return self.size - self.batches.unfinished_tasks
+    def _record(self, engine, batch):
+        self.taken.append(batch)
+        if batch.function in self.held:
+            self.parked.release()
+            self._release.wait(30)
 
-    def finish(self):
-        """One worker completes the oldest queued batch."""
-        self.finished.append(self.batches.get_nowait())
-        self.batches.task_done()
-        self.on_batch_done()
+    def park(self, name):
+        """Submit a job of function ``name`` and wait until a worker
+        is parked in it."""
+        self.held.add(name)
+        self.jobs.submit(make_job(function=name))
+        assert self.parked.acquire(timeout=5), "no worker took it"
 
-
-def started(size, window=30.0, max_batch=32):
-    jobs, batches = JobQueue(256), _queue.Queue()
-    pool = FakePool(batches, size)
-    batcher = Batcher(
-        jobs, batches, window=window, max_batch=max_batch,
-        spare=pool.spare,
-    )
-    pool.on_batch_done = batcher.capacity_freed
-    batcher.start()
-    return jobs, batches, pool, batcher
+    def stop(self):
+        """Release any parked worker, then drain and stop the pool."""
+        self._release.set()
+        self.pool.shutdown(timeout=5.0)
+        return self.taken
 
 
 class TestDispatchOnIdle:
-    """The third trigger: a bucket leaves when a worker is spare."""
+    """A free worker takes its own batch: nothing waits for a timer."""
 
     def test_lone_job_leaves_at_once_when_a_worker_is_spare(self):
-        jobs, batches, _, batcher = started(size=1)
+        pool = RecordingPool(JobQueue(8), size=1)
         began = time.monotonic()
-        jobs.submit(make_job())
-        # The window is half a minute: only the idle trigger is this
-        # quick.
-        assert wait_for(lambda: not batches.empty(), timeout=0.5)
+        pool.jobs.submit(make_job())
+        assert wait_for(lambda: pool.taken, timeout=0.5)
         assert time.monotonic() - began < 0.5
-        batcher.stop()
-        assert [len(b) for b in drain(batches)] == [1]
-
-    def test_no_spare_worker_waits_for_the_window(self):
-        jobs, batches, _, batcher = started(size=0, window=0.15)
-        began = time.monotonic()
-        jobs.submit(make_job())
-        time.sleep(0.05)
-        assert batches.empty()
-        assert wait_for(lambda: not batches.empty(), timeout=2.0)
-        assert time.monotonic() - began >= 0.15
-        batcher.stop()
+        assert [len(b) for b in pool.stop()] == [1]
 
     def test_oldest_bucket_goes_first_younger_stays_open(self):
-        jobs, batches, pool, batcher = started(size=1)
-        jobs.submit(make_job(function="busy"))
-        assert wait_for(lambda: batches.qsize() == 1)
-        jobs.submit(make_job(function="older"))
-        jobs.submit(make_job(function="younger"))
+        pool = RecordingPool(JobQueue(8), size=1)
+        pool.park("busy")
+        pool.jobs.submit(make_job(function="older"))
+        pool.jobs.submit(make_job(function="younger"))
         time.sleep(0.05)
-        assert batches.qsize() == 1  # the worker is taken: both wait
-        pool.finish()
-        assert wait_for(lambda: batches.qsize() == 1)
-        time.sleep(0.05)
-        assert [b.function for b in drain(batches)] == ["older"]
-        batcher.stop()
-        assert [b.function for b in drain(batches)] == ["younger"]
+        assert pool.jobs.depth() == 2  # the worker is taken: both wait
+        assert [b.function for b in pool.stop()] == [
+            "busy", "older", "younger",
+        ]
 
     def test_one_early_batch_per_spare_worker(self):
-        jobs, batches, _, batcher = started(size=3)
+        pool = RecordingPool(JobQueue(8), size=3, held="abcde")
         for name in "abcde":
-            jobs.submit(make_job(function=name))
-        assert wait_for(lambda: batches.qsize() == 3)
+            pool.jobs.submit(make_job(function=name))
+        for _ in range(3):
+            assert pool.parked.acquire(timeout=5)
         time.sleep(0.05)
-        assert [b.function for b in drain(batches)] == ["a", "b", "c"]
-        batcher.stop()
-        assert [b.function for b in drain(batches)] == ["d", "e"]
+        assert sorted(b.function for b in pool.taken) == ["a", "b", "c"]
+        assert pool.jobs.depth() == 2
+        assert sorted(b.function for b in pool.stop()[3:]) == ["d", "e"]
 
     def test_arrivals_under_saturation_leave_as_one_batch(self):
-        jobs, batches, pool, batcher = started(size=1)
-        first, *rest = [make_job() for _ in range(4)]
-        jobs.submit(first)
-        assert wait_for(lambda: batches.qsize() == 1)
+        pool = RecordingPool(JobQueue(8), size=1)
+        pool.park("d")
+        rest = [make_job() for _ in range(3)]
         for job in rest:
-            jobs.submit(job)
-        time.sleep(0.05)
-        assert batches.qsize() == 1
-        pool.finish()  # the wake, not the 30 s window, frees them
-        assert wait_for(lambda: batches.qsize() == 1, timeout=1.0)
-        (batch,) = drain(batches)
-        assert batch.jobs == rest
-        batcher.stop()
+            pool.jobs.submit(job)
+            time.sleep(0.02)
+        taken = pool.stop()
+        assert len(taken) == 2
+        assert ids(taken[1].jobs) == ids(rest)
 
     def test_every_job_flushed_once_in_order_under_any_interleaving(
         self,
     ):
-        """Random arrivals and completions over three keys, two
-        workers, all three triggers live: per key, what comes out is
-        what went in — nothing lost, duplicated or reordered."""
-        import random
-
+        """Random arrivals over three keys, two workers that take a
+        random while over each batch: per key, what comes out is what
+        went in — nothing lost, duplicated or reordered — and no batch
+        mixes keys or exceeds ``max_batch``."""
         for seed in range(12):
             rng = random.Random(seed)
-            jobs, batches, pool, batcher = started(
-                size=2, window=rng.choice([0.001, 0.005, 30.0]),
-                max_batch=rng.choice([2, 5, 32]),
-            )
+            jobs = JobQueue(256)
+            max_batch = rng.choice([1, 2, 5, 32])
+            pool = RecordingPool(jobs, size=2, max_batch=max_batch)
+            record, pause = pool._record, rng.random() * 0.002
+
+            def slow(engine, batch):
+                record(engine, batch)
+                time.sleep(pause)
+
+            pool.pool.execute_batch = slow
             sent = {"a": [], "b": [], "c": []}
             for _ in range(150):
-                if rng.random() < 0.6:
-                    name = rng.choice("abc")
-                    job = make_job(function=name)
-                    sent[name].append(job.job_id)
-                    jobs.submit(job)
-                elif not batches.empty():
-                    pool.finish()
+                name = rng.choice("abc")
+                job = make_job(function=name)
+                sent[name].append(job.job_id)
+                jobs.submit(job)
                 if rng.random() < 0.1:
                     time.sleep(0.002)
-            assert batcher.stop()
-            out = pool.finished + drain(batches)
-            assert all(0 < len(b) <= batcher.max_batch for b in out)
+            out = pool.stop()
+            assert all(0 < len(b) <= max_batch for b in out)
+            assert all(
+                {j.function for j in b.jobs} == {b.function} for b in out
+            )
+            # Two workers may record their batches in either order;
+            # laid out by first job, one key's batches must spell out
+            # exactly what was sent for it.
+            first = {
+                job_id: n for order in sent.values()
+                for n, job_id in enumerate(order)
+            }
             got = {
-                name: [
-                    j.job_id
-                    for b in out if b.function == name
-                    for j in b.jobs
-                ]
+                name: [j for b in sorted(
+                    (b for b in out if b.function == name),
+                    key=lambda b: first[b.jobs[0].job_id],
+                ) for j in ids(b.jobs)]
                 for name in sent
             }
             assert got == sent, f"seed {seed}"
@@ -234,29 +212,21 @@ class TestDispatchOnIdle:
 
 class TestEventDrivenLoop:
     def test_idle_batcher_does_not_poll(self):
-        jobs, batches = JobQueue(8), _queue.Queue()
+        """Idle workers, the pool's batchers, each sleep in one
+        ``take_batch`` call until a job or a close wakes them."""
+        jobs = JobQueue(8)
         calls = []
-        pop = jobs.pop
+        take = jobs.take_batch
 
-        def counting_pop(timeout=None):
-            calls.append(timeout)
-            return pop(timeout=timeout)
+        def counting_take(max_batch):
+            calls.append(max_batch)
+            return take(max_batch)
 
-        jobs.pop = counting_pop
-        batcher = Batcher(jobs, batches, window=0.001)
-        batcher.start()
+        jobs.take_batch = counting_take
+        pool = RecordingPool(jobs, size=2)
         time.sleep(0.2)
+        assert len(calls) == 2
+        jobs.submit(make_job())
+        assert wait_for(lambda: pool.taken)
+        assert [len(b) for b in pool.stop()] == [1]
         assert len(calls) <= 5
-        assert batcher.stop()
-
-    def test_stop_is_prompt_under_a_long_window(self):
-        jobs, batches = JobQueue(8), _queue.Queue()
-        batcher = Batcher(jobs, batches, window=60.0, max_batch=1000)
-        batcher.start()
-        for _ in range(3):
-            jobs.submit(make_job())
-        assert wait_for(lambda: jobs.depth() == 0)
-        began = time.monotonic()
-        assert batcher.stop(drain_timeout=5.0)
-        assert time.monotonic() - began < 0.2
-        assert sum(len(b) for b in drain(batches)) == 3

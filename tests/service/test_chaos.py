@@ -7,7 +7,6 @@ replaying only failed partition ranges; deterministic DSL errors are
 never retried.
 """
 
-import queue as _queue
 import threading
 
 import pytest
@@ -20,14 +19,13 @@ from repro.resilience import (
     SupervisionPolicy,
 )
 from repro.runtime.engine import Engine
-from repro.service.batcher import Batch
 from repro.service.programs import ProgramRegistry
-from repro.service.queue import Job, JobState
+from repro.service.queue import Batch, Job, JobQueue, JobState
 from repro.service.server import ComputeService, chaos_plan_from_env
 from repro.service.stats import StatsRegistry
 from repro.service.workers import WorkerPool, classify_failure
 
-from .conftest import EDIT_PROGRAM
+from .conftest import EDIT_PROGRAM, workers_held
 
 CHAOS_PLAN = FaultPlan(
     seed=20120611,  # PLDI'12
@@ -77,7 +75,7 @@ def make_pool(stats, registry, **overrides):
     options = dict(workers=1, backoff_seconds=0.001)
     options.update(overrides)
     return WorkerPool(
-        _queue.Queue(), Engine, registry, stats, **options
+        JobQueue(), Engine, registry, stats, **options
     )
 
 
@@ -174,9 +172,7 @@ class TestChaosService:
         """Single and map-style submissions under 5% launch failure +
         1% corruption complete identical to fault-free execution."""
         fault_free = {}
-        with ComputeService(
-            workers=2, batch_window=0.01
-        ) as service:
+        with ComputeService(workers=2) as service:
             for word in WORDS:
                 fault_free[word] = service.submit(
                     EDIT_PROGRAM, "d", {"s": word, "t": "sitting"}
@@ -184,7 +180,6 @@ class TestChaosService:
 
         with ComputeService(
             workers=2,
-            batch_window=0.05,  # wide window => coalesced map runs
             fault_plan=CHAOS_PLAN,
             supervision=SupervisionPolicy(checkpoint_interval=4),
         ) as service:
@@ -201,11 +196,14 @@ class TestChaosService:
                 threading.Thread(target=submit, args=(w,))
                 for w in WORDS
             ]
-            for thread in threads:
-                thread.start()
-            barrier.wait()
-            for thread in threads:
-                thread.join()
+            # Workers parked while the words arrive: they run as
+            # coalesced map launches.
+            with workers_held(service):
+                for thread in threads:
+                    thread.start()
+                barrier.wait()
+                for thread in threads:
+                    thread.join()
             chaotic = {
                 word: handle.result(timeout=60)
                 for word, handle in handles.items()
@@ -213,13 +211,13 @@ class TestChaosService:
             stats = service.stats()
         assert chaotic == fault_free
         assert stats.failed == 0
-        assert stats.batches >= 1
+        assert stats.batches < len(WORDS)
 
     def test_chaos_is_deterministic_across_services(self):
         values = []
         for _ in range(2):
             with ComputeService(
-                workers=1, batch_window=0.001, fault_plan=CHAOS_PLAN
+                workers=1, fault_plan=CHAOS_PLAN
             ) as service:
                 values.append([
                     service.submit(
@@ -232,7 +230,7 @@ class TestChaosService:
 
     def test_dsl_errors_fail_fast_under_chaos(self):
         with ComputeService(
-            workers=1, batch_window=0.001, fault_plan=CHAOS_PLAN
+            workers=1, fault_plan=CHAOS_PLAN
         ) as service:
             with pytest.raises(DslError):
                 service.submit("int f( = broken", "f")
@@ -261,7 +259,7 @@ class TestChaosEnv:
     def test_service_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_RATE", "0.05")
         monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
-        with ComputeService(workers=1, batch_window=0.001) as service:
+        with ComputeService(workers=1) as service:
             assert service.fault_plan is not None
             assert service.fault_plan.seed == 7
             engine = service.pool.engine_factory()

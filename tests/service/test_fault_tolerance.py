@@ -62,7 +62,7 @@ def http_post(host, port, path, payload, headers=None):
 
 @pytest.fixture
 def http_service():
-    service = ComputeService(workers=1, batch_window=0.005)
+    service = ComputeService(workers=1)
     server = make_http_server(service, "127.0.0.1", 0)
     serve_in_thread(server)
     host, port = server.server_address[:2]
@@ -133,8 +133,8 @@ class TestDeadlinePropagation:
     def test_expired_deadline_is_504_shed(self, http_service):
         host, port, service = http_service
         # A microscopic budget and no worker free to take the job:
-        # the wait for one eats it, so the job is shed — at dequeue
-        # or just before launch, never launched.
+        # the wait for one eats it, so the job is shed before its
+        # first launch, never launched.
         result = []
         post = threading.Thread(
             target=lambda: result.extend(http_post(
@@ -163,40 +163,28 @@ class TestDeadlinePropagation:
 
 class TestQueueFullShedding:
     def test_admission_rejection_carries_retry_after(self):
-        """One admitted job holds the only queue slot — the batcher
-        is parked so it cannot dequeue it — and the next submit is
-        refused at admission. (Racing several submitters against the
-        batcher's dequeue instead was a coin toss under load.)"""
+        """The only worker is parked, so one admitted job holds the
+        only queue slot and the next submit is refused at admission."""
         service = ComputeService(workers=1, queue_capacity=1)
         server = make_http_server(service, "127.0.0.1", 0)
         serve_in_thread(server)
         host, port = server.server_address[:2]
-        pop = service.jobs.pop
-        parked = threading.Event()
-
-        def held(timeout=None):
-            parked.set()
-            time.sleep(0.005)
-
-        service.jobs.pop = held
         try:
-            # Past this point the batcher's calls all land in held().
-            assert parked.wait(timeout=10)
-            service.submit(
-                EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
-            )
-            assert service.jobs.depth() == 1
-            status, headers, reply = http_post(
-                host, port, "/submit",
-                {"program": EDIT_PROGRAM, "function": "d",
-                 "args": {"s": "kitten", "t": "sitting"}},
-            )
+            with workers_held(service):
+                service.submit(
+                    EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
+                )
+                assert service.jobs.depth() == 1
+                status, headers, reply = http_post(
+                    host, port, "/submit",
+                    {"program": EDIT_PROGRAM, "function": "d",
+                     "args": {"s": "kitten", "t": "sitting"}},
+                )
             assert status == 503
             assert headers["Retry-After"] == "1"
             assert reply["rejected"] is True
             assert service.stats().rejected == 1
         finally:
-            service.jobs.pop = pop
             server.shutdown()
             server.server_close()
             service.shutdown(drain=False)

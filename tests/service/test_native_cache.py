@@ -78,6 +78,30 @@ class TestRecordFormat:
         clone.run(actual, ctx, part_lo=lo, part_hi=hi)
         assert actual.tobytes() == expected.tobytes()
 
+    def test_decode_proves_no_parallel_axis(
+        self, edit_func, tmp_path, monkeypatch
+    ):
+        """Binding a decoded library needs only the tile licence,
+        whose verdict reads no extents: the space and batch axes'
+        footprint analysis is not re-run per record."""
+        from repro.verify import races
+
+        _engine, compiled, *_ = native_compiled(edit_func)
+        data = encode_compiled(compiled)
+        calls = []
+        analyze = races.analyze_parallelism
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(races, "analyze_parallelism", counting)
+        clone = decode_compiled(data, so_dir=str(tmp_path))
+        assert calls == []
+        assert races.tile_licence(clone.kernel).reach == (
+            races.licences(compiled.kernel).tile.reach
+        )
+
     def test_digest_mismatch_refused_before_dlopen(
         self, edit_func, tmp_path
     ):
@@ -216,8 +240,7 @@ class TestServiceRoundTrip:
     def test_native_service_warm_start(self, tmp_path):
         cache_dir = str(tmp_path / "kernels")
         with ComputeService(
-            workers=1, batch_window=0.001,
-            cache_dir=cache_dir, backend="native",
+            workers=1, cache_dir=cache_dir, backend="native",
         ) as service:
             handle = service.submit(
                 EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
@@ -228,8 +251,7 @@ class TestServiceRoundTrip:
             assert ("native", 1) in cold.backends
 
         with ComputeService(
-            workers=1, batch_window=0.001,
-            cache_dir=cache_dir, backend="native",
+            workers=1, cache_dir=cache_dir, backend="native",
         ) as service:
             handle = service.submit(
                 EDIT_PROGRAM, "d", {"s": "sunday", "t": "saturday"}

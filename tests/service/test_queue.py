@@ -84,11 +84,11 @@ class TestJobHandle:
 class TestJobQueue:
     def test_fifo(self):
         queue = JobQueue(capacity=4)
-        first, second = make_job(), make_job()
+        first, second = make_job(), make_job(function="g")
         queue.submit(first)
         queue.submit(second)
-        assert queue.pop() is first
-        assert queue.pop() is second
+        assert queue.take_batch(8).jobs == [first]
+        assert queue.take_batch(8).jobs == [second]
 
     def test_admission_control_rejects_with_reason(self):
         queue = JobQueue(capacity=2)
@@ -111,33 +111,41 @@ class TestJobQueue:
         job = make_job()
         queue.submit(job)
         queue.close()
-        assert queue.pop() is job
+        assert queue.take_batch(8).jobs == [job]
+        assert queue.take_batch(8) is None
 
-    def test_pop_times_out_empty(self):
-        queue = JobQueue(capacity=2)
-        assert queue.pop(timeout=0.01) is None
-
-    def test_wake_ends_a_blocked_pop(self):
-        queue = JobQueue(capacity=2)
-        threading.Timer(0.02, queue.wake).start()
-        began = time.monotonic()
-        assert queue.pop(timeout=30.0) is None
-        assert time.monotonic() - began < 5.0
-
-    def test_wake_between_pops_is_not_lost(self):
-        queue = JobQueue(capacity=2)
-        queue.wake()
-        began = time.monotonic()
-        assert queue.pop(timeout=30.0) is None  # the pending wake
-        assert time.monotonic() - began < 5.0
-        assert queue.pop(timeout=0.01) is None  # spent: times out
-
-    def test_wake_does_not_hide_a_job(self):
+    def test_take_waits_for_a_job(self):
         queue = JobQueue(capacity=2)
         job = make_job()
-        queue.submit(job)
-        queue.wake()
-        assert queue.pop(timeout=1.0) is job
+        threading.Timer(0.02, queue.submit, args=(job,)).start()
+        assert queue.take_batch(8).jobs == [job]
+
+    def test_close_ends_a_blocked_take(self):
+        queue = JobQueue(capacity=2)
+        threading.Timer(0.02, queue.close).start()
+        began = time.monotonic()
+        assert queue.take_batch(8) is None
+        assert time.monotonic() - began < 5.0
+
+    def test_jobs_left_behind_wake_another_taker(self):
+        """Two takers wait; one submit wakes one of them. Jobs it
+        leaves behind (another key) must reach the other."""
+        queue = JobQueue(capacity=4)
+        taken = []
+
+        def take():
+            taken.append(queue.take_batch(8).function)
+
+        takers = [threading.Thread(target=take) for _ in range(2)]
+        for taker in takers:
+            taker.start()
+        time.sleep(0.05)  # both wait on the empty queue
+        with queue._lock:  # land both jobs before either taker runs
+            queue._jobs.extend([make_job(), make_job(function="g")])
+            queue._not_empty.notify()
+        for taker in takers:
+            taker.join(5.0)
+        assert sorted(taken) == ["d", "g"]
 
     def test_rejects_capacity_below_one(self):
         with pytest.raises(ValueError):

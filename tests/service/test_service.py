@@ -27,7 +27,7 @@ WORDS = [
 
 class TestComputeService:
     def test_single_submission(self):
-        with ComputeService(workers=1, batch_window=0.001) as service:
+        with ComputeService(workers=1) as service:
             handle = service.submit(
                 EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
             )
@@ -53,7 +53,7 @@ class TestComputeService:
         ]
 
         with ComputeService(
-            workers=4, batch_window=0.05, max_batch=64
+            workers=4, max_batch=64
         ) as service:
             handles = [None] * len(problems)
 
@@ -85,17 +85,17 @@ class TestComputeService:
     def test_unsaturated_request_does_not_wait_out_the_window(
         self, monkeypatch
     ):
-        """Half a second of window, two idle workers: a request is
-        dispatched at once (typically 0.2 ms; the margin is the
-        point), and the service's own latency figures agree. Timed
-        without injected faults: a chaos leg's killed sandbox worker
-        costs a respawn, which is recovery time, not dispatch."""
+        """Two idle workers and no batch window to wait out: a request
+        is taken at once (typically 0.2 ms; the margin is the point),
+        and the service's own latency figures agree. Timed without
+        injected faults: a chaos leg's killed sandbox worker costs a
+        respawn, which is recovery time, not dispatch."""
         import time
 
         for name in ("RATE", "CORRUPT", "KILL", "HANG", "SEED"):
             monkeypatch.delenv(f"REPRO_CHAOS_{name}", raising=False)
         args = {"s": "kitten", "t": "sitting"}
-        with ComputeService(workers=2, batch_window=0.5) as service:
+        with ComputeService(workers=2) as service:
             service.submit(EDIT_PROGRAM, "d", args).result(timeout=30)
             began = time.monotonic()
             value = service.submit(
@@ -116,7 +116,7 @@ class TestComputeService:
         expected = run_script(
             FORWARD_PROGRAM + '\nprint fw(h, h.end, "acgt", 4)\n'
         ).last
-        with ComputeService(workers=2, batch_window=0.01) as service:
+        with ComputeService(workers=2) as service:
             edit = service.submit(
                 EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
             )
@@ -134,35 +134,24 @@ class TestComputeService:
             assert service.stats().submitted == 0
 
     def test_overload_rejected_with_reason(self):
-        service = ComputeService(
-            workers=1, queue_capacity=1, batch_window=5.0
-        )
+        service = ComputeService(workers=1, queue_capacity=1)
         try:
-            # Outrun the batcher: the queue holds one job, and a tight
-            # loop on this thread submits several before the batcher
-            # thread is scheduled to dequeue the last. (The 5 s window
-            # only keeps what was admitted in one bucket while the
-            # lone worker compiles; shutdown drains it.)
-            service.submit(
-                EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
-            )
-            rejections = 0
-            for _ in range(50):
-                try:
+            with workers_held(service):
+                service.submit(
+                    EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
+                )
+                with pytest.raises(AdmissionError) as excinfo:
                     service.submit(
                         EDIT_PROGRAM, "d",
                         {"s": "kitten", "t": "sitting"},
                     )
-                except AdmissionError as err:
-                    rejections += 1
-                    assert "queue full" in err.reason
-            assert rejections > 0
-            assert service.stats().rejected == rejections
+                assert "queue full" in excinfo.value.reason
+            assert service.stats().rejected == 1
         finally:
             service.shutdown(drain=True, timeout=30)
 
     def test_shutdown_drains_admitted_jobs(self):
-        service = ComputeService(workers=2, batch_window=0.2)
+        service = ComputeService(workers=2)
         handles = [
             service.submit(
                 EDIT_PROGRAM, "d", {"s": w, "t": "sitting"}
@@ -183,7 +172,7 @@ class TestComputeService:
 
     def test_persistent_cache_warm_across_services(self, tmp_path):
         with ComputeService(
-            workers=1, cache_dir=str(tmp_path), batch_window=0.001
+            workers=1, cache_dir=str(tmp_path)
         ) as warm:
             warm.submit(
                 EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
@@ -191,7 +180,7 @@ class TestComputeService:
             assert warm.stats().cache_misses == 1
 
         with ComputeService(
-            workers=1, cache_dir=str(tmp_path), batch_window=0.001
+            workers=1, cache_dir=str(tmp_path)
         ) as cold:
             value = cold.submit(
                 EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"}
@@ -202,9 +191,75 @@ class TestComputeService:
         assert stats.cache_disk_hits == 1
 
 
+class TestSaturation:
+    """Every worker busy: jobs wait in the one queue, where they are
+    bounded and where a freed worker finds them."""
+
+    def test_spaced_arrivals_ride_in_one_batch(self):
+        """No timer closes a batch: jobs 50 ms apart, none of them
+        able to start, all leave with the first worker freed."""
+        import time
+
+        with ComputeService(workers=2) as service:
+            with workers_held(service):
+                handles = []
+                for word in WORDS[:4]:
+                    handles.append(service.submit(
+                        EDIT_PROGRAM, "d", {"s": word, "t": "sitting"}
+                    ))
+                    time.sleep(0.05)
+            values = [h.result(timeout=30) for h in handles]
+            stats = service.stats()
+        assert values == [3, 3, 0, 2]
+        assert (stats.batches, stats.max_batch_size) == (1, 4)
+
+    def test_queue_capacity_bounds_every_job_not_started(self):
+        """Capacity C admits exactly C jobs while no worker is free,
+        however slowly they arrive; the rest are refused with a
+        reason, and the admitted C all complete once the workers
+        are."""
+        import time
+
+        capacity = 3
+        with ComputeService(
+            workers=2, queue_capacity=capacity
+        ) as service:
+            admitted, refused = [], []
+            with workers_held(service):
+                for word in WORDS:
+                    try:
+                        admitted.append(service.submit(
+                            EDIT_PROGRAM, "d",
+                            {"s": word, "t": "sitting"},
+                        ))
+                    except AdmissionError as err:
+                        refused.append(err.reason)
+                    time.sleep(0.01)
+                assert service.stats().queue_depth == capacity
+            values = [h.result(timeout=30) for h in admitted]
+            stats = service.stats()
+        assert len(admitted) == capacity
+        assert len(refused) == len(WORDS) - capacity
+        assert all("queue full" in reason for reason in refused)
+        assert values == [3, 3, 0]
+        assert stats.rejected == len(refused)
+
+    def test_a_service_runs_its_workers_and_no_other_thread(self):
+        before = set(threading.enumerate())
+        service = ComputeService(workers=3)
+        try:
+            started = set(threading.enumerate()) - before
+            assert sorted(t.name for t in started) == [
+                "repro-worker-0", "repro-worker-1", "repro-worker-2",
+            ]
+        finally:
+            service.shutdown()
+        assert not any(thread.is_alive() for thread in started)
+
+
 @pytest.fixture
 def http_service():
-    service = ComputeService(workers=2, batch_window=0.01)
+    service = ComputeService(workers=2)
     server = make_http_server(service, "127.0.0.1", 0)
     serve_in_thread(server)
     host, port = server.server_address[:2]

@@ -1,6 +1,5 @@
 """Worker-pool semantics: timeout, retry with backoff, failure kinds."""
 
-import queue as _queue
 import threading
 import time
 
@@ -8,9 +7,9 @@ import pytest
 
 from repro.lang.errors import RuntimeDslError
 from repro.runtime.engine import Engine
-from repro.service.batcher import Batch, Batcher
 from repro.service.programs import ProgramRegistry
 from repro.service.queue import (
+    Batch,
     DeadlineError,
     Job,
     JobQueue,
@@ -29,7 +28,7 @@ def make_pool(stats=None, registry=None, **overrides):
     options = dict(workers=1, backoff_seconds=0.001)
     options.update(overrides)
     return WorkerPool(
-        _queue.Queue(),
+        JobQueue(),
         Engine,
         registry,
         stats or StatsRegistry(),
@@ -213,60 +212,27 @@ class TestRetry:
 class TestLifecycle:
     def test_pool_drains_queue_then_stops(self):
         stats, registry = StatsRegistry(), ProgramRegistry()
-        batches = _queue.Queue()
-        pool = WorkerPool(
-            batches, Engine, registry, stats, workers=2
-        )
-        pool.start()
+        jobs = JobQueue()
+        pool = WorkerPool(jobs, Engine, registry, stats, workers=2)
         submitted = [
-            edit_batch(registry, ["kitten", "mitten"])
+            job
             for _ in range(4)
+            for job in edit_batch(registry, ["kitten", "mitten"]).jobs
         ]
-        for batch in submitted:
-            batches.put(batch)
-        batches.join()
-        pool.shutdown(timeout=5.0)
-        assert stats.snapshot().completed == 8
-        assert all(
-            j.handle.done() for b in submitted for j in b.jobs
-        )
-
-    def test_spare_counts_batches_from_put_to_task_done(self):
-        registry = ProgramRegistry()
-        batches = _queue.Queue()
-        done = []
-        pool = WorkerPool(
-            batches, Engine, registry, StatsRegistry(), workers=2,
-            on_batch_done=lambda: done.append(pool.spare()),
-        )
-        assert pool.spare() == 2
-        batches.put(edit_batch(registry, ["kitten"]))
-        # In flight from the put, before any worker has taken it.
-        assert pool.spare() == 1
-        batches.put(edit_batch(registry, ["mitten"]))
-        batches.put(edit_batch(registry, ["bitten"]))
-        assert pool.spare() == -1
+        for job in submitted:
+            jobs.submit(job)
         pool.start()
-        batches.join()
-        assert pool.spare() == 2
-        # Told after each task_done, when the capacity already shows.
-        assert len(done) == 3 and done[-1] == 2
-        pool.shutdown(timeout=5.0)
+        pool.shutdown(timeout=30.0)
+        assert stats.snapshot().completed == 8
+        assert all(job.handle.done() for job in submitted)
+        assert not any(thread.is_alive() for thread in pool._threads)
 
     def test_bucket_filled_under_saturation_leaves_on_task_done(self):
-        """Batcher and pool wired as the service wires them, one
-        worker held mid-batch: what arrives meanwhile shares a bucket,
-        and the worker finishing — not the 30 s window — sends it."""
+        """One worker held mid-batch: what arrives meanwhile shares
+        one batch, which the worker takes as soon as it is done."""
         stats, registry = StatsRegistry(), ProgramRegistry()
-        jobs, batches = JobQueue(16), _queue.Queue()
-        batcher = Batcher(
-            jobs, batches, window=30.0,
-            spare=lambda: pool.spare(),
-        )
-        pool = WorkerPool(
-            batches, Engine, registry, stats, workers=1,
-            on_batch_done=batcher.capacity_freed,
-        )
+        jobs = JobQueue(16)
+        pool = WorkerPool(jobs, Engine, registry, stats, workers=1)
         release, entered = threading.Event(), threading.Event()
         execute = pool.execute_batch
 
@@ -276,7 +242,6 @@ class TestLifecycle:
             execute(engine, batch)
 
         pool.execute_batch = held
-        batcher.start()
         pool.start()
         try:
             first, *rest = edit_batch(
@@ -287,12 +252,11 @@ class TestLifecycle:
             for job in rest:
                 jobs.submit(job)
             time.sleep(0.05)
-            assert batches.unfinished_tasks == 1  # bucket still open
+            assert jobs.depth() == 3  # queued, not started
             release.set()
             values = [j.handle.result(timeout=10) for j in rest]
         finally:
             release.set()
-            batcher.stop()
             pool.shutdown(timeout=5.0)
         assert values == [3, 3, 4]
         snapshot = stats.snapshot()
@@ -301,3 +265,7 @@ class TestLifecycle:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             make_pool(workers=0)
+
+    def test_rejects_max_batch_below_one(self):
+        with pytest.raises(ValueError):
+            make_pool(max_batch=0)
