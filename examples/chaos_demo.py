@@ -11,7 +11,7 @@ Three acts:
 2. **Determinism** — the same seed replays the exact same faults at
    the exact same sites; a different seed draws a different storm.
 3. **Graceful degradation** — a service whose device never completes
-   a launch still answers correctly: after `demote_after` faulted
+   a launch still answers correctly: after `DEMOTE_AFTER` (3) faulted
    rounds the jobs finish on the serial reference interpreter.
 
 Run:  python examples/chaos_demo.py
@@ -115,7 +115,7 @@ def degradation():
     stats = StatsRegistry()
     pool = WorkerPool(
         JobQueue(), Engine, registry, stats,
-        workers=1, backoff_seconds=0.001, demote_after=3,
+        workers=1, backoff_seconds=0.001,
     )
     program = registry.register(SERVICE_PROGRAM)
     jobs = []

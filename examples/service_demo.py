@@ -81,6 +81,11 @@ def main() -> None:
             stats = service.stats()
 
         assert values == serial, "batched results diverged from serial"
+        # One function, one rung: the first worker to miss compiles it
+        # and the others wait for that build instead of repeating it.
+        assert stats.cache_misses == 1, (
+            f"{stats.cache_misses} compiles of one kernel"
+        )
         print(f"batches       : {stats.batches} "
               f"(mean size {stats.mean_batch_size:.1f}, "
               f"max {stats.max_batch_size})")

@@ -3,21 +3,14 @@
 This package hardens the paper's execution model against the failure
 modes real accelerators exhibit. :mod:`~repro.resilience.faults`
 defines the seeded, deterministic injection plane;
-:mod:`~repro.resilience.checkpoint` the partition-barrier snapshot
-format; :mod:`~repro.resilience.supervisor` the checkpointed
-execution layer that detects faults and replays only the failed
-partition range; :mod:`~repro.resilience.oracle` the cross-backend
-divergence oracle that separates injected corruption from genuine
-compiler bugs; and :mod:`~repro.resilience.reference` the serial
+:mod:`~repro.resilience.supervisor` the execution layer that commits
+the table at partition barriers, detects faults and replays only the
+failed partition range; :mod:`~repro.resilience.oracle` the
+cross-backend divergence oracle that separates injected corruption
+from genuine compiler bugs; and :mod:`~repro.resilience.reference` the serial
 interpreter fallback that graceful degradation demotes to.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    CheckpointLog,
-    partition_ranges,
-    table_checksum,
-)
 from .faults import (
     CellCorruption,
     DeviceFault,
@@ -36,12 +29,11 @@ from .supervisor import (
     ExecutionSupervisor,
     SupervisionPolicy,
     SupervisorStats,
+    partition_ranges,
 )
 
 __all__ = [
     "CellCorruption",
-    "Checkpoint",
-    "CheckpointLog",
     "DeviceFault",
     "DivergenceOracle",
     "ExecutionSupervisor",
@@ -57,6 +49,5 @@ __all__ = [
     "TransferFault",
     "partition_ranges",
     "serial_reference_run",
-    "table_checksum",
     "tables_agree",
 ]

@@ -57,7 +57,11 @@ class TransferFault(DeviceFault):
 
 
 class KernelHang(DeviceFault):
-    """A kernel exceeded the watchdog deadline and was abandoned."""
+    """An in-process kernel launch wedged (an injected hang).
+
+    An in-process launch cannot be stopped, so the supervisor raises
+    this at once instead of waiting the wedge out; only a sandboxed
+    launch has a deadline (:class:`SandboxHang`)."""
 
 
 class WorkerCrash(DeviceFault):
@@ -75,9 +79,9 @@ class WorkerCrash(DeviceFault):
 class SandboxHang(DeviceFault):
     """A sandboxed kernel launch exceeded its deadline and was killed.
 
-    Unlike :class:`KernelHang` (a thread-watchdog abandonment that
-    can leak the wedged thread), a sandbox hang is terminated for
-    real: the worker process is SIGKILLed and respawned.
+    Unlike :class:`KernelHang` (an in-process wedge, which nothing
+    can stop), a sandbox hang is terminated for real: the worker
+    process is SIGKILLed and respawned.
     """
 
 
@@ -142,7 +146,7 @@ class FaultPlan:
     ``worker_kill_rate`` and ``sandbox_hang_rate`` are per sandboxed
     partition-range launch: the sandbox worker process is SIGKILLed
     mid-launch (the real process-death failure mode, not an
-    exception) or wedged past the watchdog deadline (and then killed
+    exception) or wedged past the launch deadline (and then killed
     for real). Both are inert for in-process backends — only launches
     routed through :mod:`repro.runtime.sandbox` can honour them.
     """
@@ -251,7 +255,7 @@ class FaultInjector:
 
         Returns ``{"kind": "kill"}`` (the worker SIGKILLs itself
         mid-launch) or ``{"kind": "hang", "seconds": s}`` (the worker
-        wedges until the parent watchdog kills it). Only launches
+        wedges until the parent's deadline kills it). Only launches
         dispatched through the native sandbox consult this — the
         directive travels inside the pipe request, so the failure is
         a *real* process death, not a simulated exception.

@@ -11,14 +11,16 @@ partitions, the natural consistency points of the paper's time loop
 
 * before an epoch, the committed table state is the checkpoint;
 * the epoch runs as a partition-range launch
-  (``compiled.run(T, ctx, part_lo, part_hi)``) under an optional
-  watchdog deadline;
+  (``compiled.run(T, ctx, part_lo, part_hi)``); a sandboxed native
+  launch runs under a deadline the worker's SIGKILL enforces;
 * fault detection: launch/transfer faults surface as exceptions from
-  the injection plane (or real infrastructure), hangs trip the
-  watchdog, poisoned cells are caught by a NaN scan, and — when the
-  fault plan can corrupt cells — silent bit-flips by replay
-  verification (the epoch runs twice from the same checkpoint and
-  must agree bitwise);
+  the injection plane (or real infrastructure), an injected wedge
+  raises :class:`~repro.resilience.faults.KernelHang` in process (an
+  in-process launch cannot be stopped, so none is waited on) or
+  trips the sandbox deadline, poisoned cells are caught by a NaN
+  scan, and — when the fault plan can corrupt cells — silent
+  bit-flips by replay verification (the epoch runs twice from the
+  same checkpoint and must agree bitwise);
 * recovery restores the checkpoint and replays *only the failed
   partition range* — earlier epochs are never recomputed;
 * a detected corruption consults the
@@ -37,14 +39,12 @@ the final tables are bitwise-identical to a fault-free execution.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..runtime import ladder
-from .checkpoint import CheckpointLog, partition_ranges
 from .faults import (
     CellCorruption,
     DeviceFault,
@@ -57,6 +57,28 @@ from .faults import (
 from .oracle import DivergenceOracle
 
 
+def partition_ranges(
+    lo: int, hi: int, interval: int
+) -> List[Tuple[int, int]]:
+    """Chunk the inclusive partition span ``[lo, hi]`` into epochs.
+
+    Each epoch covers at most ``interval`` partitions; the last epoch
+    absorbs the remainder's tail. ``interval < 1`` means a single
+    epoch (checkpoint only at the end).
+    """
+    if hi < lo:
+        return []
+    if interval < 1:
+        return [(lo, hi)]
+    ranges = []
+    start = lo
+    while start <= hi:
+        end = min(start + interval - 1, hi)
+        ranges.append((start, end))
+        start = end + 1
+    return ranges
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """Knobs of the supervised execution layer.
@@ -64,8 +86,11 @@ class SupervisionPolicy:
     ``checkpoint_interval`` is the epoch size in partitions (the
     recovery granularity: smaller = cheaper replays, more snapshot
     copies). ``max_replays`` bounds the replays of one faulting
-    range. ``watchdog_seconds`` bounds one epoch's wall time;
-    ``None`` disables the watchdog unless the plan injects hangs.
+    range. ``watchdog_seconds`` is the deadline of one sandboxed
+    epoch launch, enforced by SIGKILLing the worker; ``None`` derives
+    it from the plan's hang length when the plan injects hangs, and
+    otherwise leaves the sandbox's own launch deadline. An
+    in-process launch has no deadline: it cannot be stopped.
     """
 
     checkpoint_interval: int = 8
@@ -156,7 +181,6 @@ class ExecutionSupervisor:
         self.injector = injector
         self.oracle = DivergenceOracle()
         self.stats = SupervisorStats()
-        self.checkpoints = CheckpointLog()
         self.on_fault = on_fault
         self._problem_ids = itertools.count()
 
@@ -165,6 +189,7 @@ class ExecutionSupervisor:
         # for poison; a plan that can flip bits silently also runs
         # each epoch twice, and the two must agree bitwise.
         self._replay = plan is not None and plan.corrupt_rate > 0.0
+        # The deadline of a sandboxed launch (a SIGKILL enforces it).
         watchdog = self.policy.watchdog_seconds
         if watchdog is None and plan is not None and (
             plan.hang_rate > 0 or plan.sandbox_hang_rate > 0
@@ -215,6 +240,8 @@ class ExecutionSupervisor:
         p_lo = schedule.min_partition(domain)
         p_hi = schedule.max_partition(domain)
         sm = problem % self.engine.spec.sm_count
+        # The committed table is the checkpoint: every attempt runs on
+        # its own copy of ``state``, which only a clean epoch replaces.
         state = table
         for elo, ehi in partition_ranges(
             p_lo, p_hi, self.policy.checkpoint_interval
@@ -228,7 +255,6 @@ class ExecutionSupervisor:
             )
             self.stats.epochs_committed += 1
             self.stats.partitions_committed += ehi - elo + 1
-            self.checkpoints.record(problem, elo, ehi, state)
         if state is not table:
             np.copyto(table, state)
         return table
@@ -351,20 +377,21 @@ class ExecutionSupervisor:
         ehi: int,
         site: FaultSite,
     ) -> None:
-        """Execute the partition range, under the watchdog if set."""
+        """Execute the partition range.
+
+        A sandboxed native launch (a kernel's or a lane-batched
+        group's) takes the injection plane's kill/hang directive and
+        the watchdog deadline into its worker, where a wedge is
+        SIGKILLed for real; ``WorkerCrash``/``SandboxHang`` surface as
+        DeviceFaults and replay like any other launch fault. An
+        in-process launch cannot be stopped, so an injected wedge
+        raises :class:`KernelHang` at once instead of being waited on.
+        """
         injector = self.injector
         hang = (
             injector.hang_delay(site) if injector is not None else 0.0
         )
-        deadline = self._watchdog
-        if getattr(compiled.run, "sandboxed", False):
-            # Sandboxed native launch: the subprocess pool *is* the
-            # watchdog (a wedged worker gets SIGKILLed for real, no
-            # thread is left behind), so hang injection routes
-            # through the worker as a fault directive instead of a
-            # parent-side sleep. Kill/hang directives come from the
-            # injection plane; WorkerCrash / SandboxHang surface as
-            # DeviceFaults and replay like any other launch fault.
+        if ladder.sandboxed_run(compiled) is not None:
             fault = (
                 injector.sandbox_fault(site)
                 if injector is not None
@@ -374,52 +401,11 @@ class ExecutionSupervisor:
                 fault = {"kind": "hang", "seconds": hang}
             compiled.run(
                 scratch, ctx, part_lo=elo, part_hi=ehi,
-                fault=fault, deadline=deadline,
+                fault=fault, deadline=self._watchdog,
             )
             return
-        if deadline is None:
-            if hang > 0.0:
-                # No watchdog configured: surface the wedge directly
-                # rather than blocking the worker forever.
-                raise KernelHang(
-                    f"kernel wedged on partitions [{elo}, {ehi}] "
-                    f"(no watchdog configured)", site
-                )
-            compiled.run(scratch, ctx, part_lo=elo, part_hi=ehi)
-            return
-
-        done = threading.Event()
-        cancel = threading.Event()
-        failure: List[BaseException] = []
-
-        def body() -> None:
-            try:
-                # The injected wedge the watchdog catches. A
-                # cancellable wait, not a sleep: when the watchdog
-                # fires it sets ``cancel`` and this thread exits
-                # promptly instead of leaking for ``hang`` seconds.
-                if hang > 0.0 and cancel.wait(hang):
-                    return
-                compiled.run(scratch, ctx, part_lo=elo, part_hi=ehi)
-            except BaseException as err:  # noqa: BLE001 - relayed
-                failure.append(err)
-            finally:
-                done.set()
-
-        thread = threading.Thread(
-            target=body, name="repro-epoch", daemon=True
-        )
-        thread.start()
-        if not done.wait(deadline):
-            # Abandon the wedged launch; it ran on its own scratch
-            # copy of the checkpoint, so the committed state is safe.
-            # Cancelling the injected wedge lets the thread unwind
-            # now (a *real* runaway launch still needs the sandbox —
-            # only a subprocess can be killed for real).
-            cancel.set()
+        if hang > 0.0:
             raise KernelHang(
-                f"watchdog: partitions [{elo}, {ehi}] exceeded "
-                f"{deadline}s", site
+                f"kernel wedged on partitions [{elo}, {ehi}]", site
             )
-        if failure:
-            raise failure[0]
+        compiled.run(scratch, ctx, part_lo=elo, part_hi=ehi)

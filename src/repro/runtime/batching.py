@@ -264,12 +264,14 @@ class BatchedLaunch:
         """The shared schedule (epoch ranges derive from it)."""
         return self.compiled.kernel.schedule
 
-    def run(self, table, ctx, part_lo=None, part_hi=None):
-        """One batched sweep over the global partition range."""
+    def run(self, table, ctx, part_lo=None, part_hi=None, **sandbox):
+        """One batched sweep over the global partition range.
+        ``sandbox`` carries a sandboxed entry's ``fault``/``deadline``
+        arguments through."""
         if self.compiled.backend == "scalar":
             return self.reference_run(table, ctx, part_lo, part_hi)
         return self.compiled.batched(
-            table, ctx, part_lo=part_lo, part_hi=part_hi
+            table, ctx, part_lo=part_lo, part_hi=part_hi, **sandbox
         )
 
     def reference_run(self, table, ctx, part_lo=None, part_hi=None):

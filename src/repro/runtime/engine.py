@@ -423,15 +423,18 @@ class Engine:
         """The kernel cache's product for ``rung``, built on a miss
         (from ``kernel`` when the caller has it)."""
         key = kernel_cache_key(func, schedule, self.prob_mode, rung)
-        cached = self._cache.lookup(key)
-        if cached is not None:
+        misses = self.cache_misses
+
+        def build() -> CompiledKernel:
+            self.cache_misses += 1
+            return ladder.build(
+                kernel or build_kernel(func, schedule, self.prob_mode),
+                rung,
+            )
+
+        compiled = self._cache.get(key, build)
+        if self.cache_misses == misses:
             self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        compiled = ladder.build(
-            kernel or build_kernel(func, schedule, self.prob_mode), rung
-        )
-        self._cache.store(key, compiled)
         return compiled
 
     def schedule_for(
@@ -457,11 +460,7 @@ class Engine:
         # A search that needs the extents: a lane-batched map group
         # solves one schedule for the whole batch, not one per member.
         key = (function_plan(func), "schedule", domain.extents)
-        schedule = self._memo.lookup(key)
-        if schedule is None:
-            schedule = find_schedule(func, domain)
-            self._memo.store(key, schedule)
-        return schedule
+        return self._memo.get(key, lambda: find_schedule(func, domain))
 
     # -- context preparation --------------------------------------------------
 

@@ -311,14 +311,21 @@ def build(kernel: Kernel, rung: str) -> CompiledKernel:
 # -- launch with demotion ------------------------------------------------------
 
 
+def sandboxed_run(target):
+    """The sandboxed native run behind ``target`` (a
+    :class:`CompiledKernel` or a lane-batched launch), or ``None`` when
+    it launches in process. Read from the product, so a packed group
+    answers for the rung it currently holds."""
+    run = getattr(target, "compiled", target).run
+    return run if getattr(run, "sandboxed", False) else None
+
+
 def circuit_open(target) -> bool:
     """Whether ``target`` (a :class:`CompiledKernel` or a lane-batched
     launch) is on a sandboxed native rung whose crash breaker is open
     — launching it would only raise "circuit open" again."""
-    if not target.backend.startswith("native"):
-        return False
-    run = getattr(target, "compiled", target).run
-    if not getattr(run, "sandboxed", False):
+    run = sandboxed_run(target)
+    if run is None:
         return False
     from . import sandbox as sandbox_rt
 

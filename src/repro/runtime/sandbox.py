@@ -3,10 +3,10 @@
 The native backend runs generated C in-process through ``ctypes`` —
 the fastest rung of the ladder, but also the only one where a
 miscompiled or corrupted kernel can take the whole service down with
-a segfault. This module confines that blast radius to a pool of
-long-lived **worker subprocesses**:
+a segfault. This module confines that blast radius to one
+long-lived **worker subprocess**:
 
-* Each worker is a plain ``python -c`` child speaking a
+* The worker is a plain ``python -c`` child speaking a
   length-prefixed pickle frame protocol over its stdin/stdout pipes.
   A launch request carries the kernel payload, the ``.so`` path, the
   serialized numpy table and context; the reply carries the finished
@@ -14,9 +14,8 @@ long-lived **worker subprocesses**:
   successful reply, a crashed launch can never leave it torn.
 * The parent detects worker death by EOF on the pipe plus
   ``poll()``, and enforces a per-launch **deadline**: a wedged worker
-  is SIGKILLed for real (unlike the thread watchdog in
-  :mod:`repro.resilience.supervisor`, which can only abandon a hung
-  thread). Death raises :class:`~repro.resilience.faults.WorkerCrash`
+  is SIGKILLed for real (an in-process launch cannot be stopped at
+  all) and respawned. Death raises :class:`~repro.resilience.faults.WorkerCrash`
   and a deadline kill raises
   :class:`~repro.resilience.faults.SandboxHang` — both
   ``DeviceFault`` subclasses, so the supervisor replays them and the
@@ -29,7 +28,7 @@ long-lived **worker subprocesses**:
 
 Sandboxing is **opt-in** (serializing tables over a pipe costs real
 throughput): set ``REPRO_NATIVE_SANDBOX=1`` or call
-:func:`configure`. The pool holds :data:`POOL_SIZE` worker and a
+:func:`configure`. Launches share the one worker in turn, and a
 launch without its own deadline gets :data:`LAUNCH_DEADLINE` seconds.
 """
 
@@ -67,8 +66,6 @@ __all__ = [
 
 _HEADER = struct.Struct(">Q")
 
-#: Worker subprocesses in the process-wide pool.
-POOL_SIZE = 1
 #: Seconds a launch may take when its caller sets no deadline.
 LAUNCH_DEADLINE = 60.0
 #: Consecutive crashes that open a kernel's circuit breaker.
@@ -374,12 +371,16 @@ class CircuitBreaker:
 
 
 class NativeSandbox:
-    """A pool of sandbox workers plus checkout/checkin bookkeeping."""
+    """The sandbox worker: one long-lived subprocess behind one lock.
+
+    Launches take the lock in turn, so the worker runs one at a time.
+    The counters are plain integers written under the lock and read
+    without it, so a stats read never waits out a launch.
+    """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._idle: List[WorkerProcess] = []
-        self._spawned = 0
+        self._lock = threading.Lock()
+        self._worker: Optional[WorkerProcess] = None
         self.launches = 0
         self.crashes = 0
         self.hangs = 0
@@ -388,56 +389,38 @@ class NativeSandbox:
 
     # -- worker lifecycle -------------------------------------------------
 
-    def _checkout(self) -> WorkerProcess:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise RuntimeError("sandbox is shut down")
-                while self._idle:
-                    worker = self._idle.pop()
-                    if worker.alive():
-                        return worker
-                    # Killed while idle (external SIGKILL, OOM):
-                    # replace silently — no launch was harmed.
-                    worker.kill()
-                    self._spawned -= 1
-                    self.restarts += 1
-                if self._spawned < POOL_SIZE:
-                    self._spawned += 1
-                    break
-                self._cond.wait(timeout=0.5)
-        try:
-            return WorkerProcess()
-        except BaseException:
-            with self._cond:
-                self._spawned -= 1
-                self._cond.notify()
-            raise
-
-    def _checkin(self, worker: WorkerProcess) -> None:
-        with self._cond:
-            if self._closed:
-                worker.close()
-                return
-            self._idle.append(worker)
-            self._cond.notify()
-
-    def _replace(self, worker: WorkerProcess) -> None:
-        """Kill a crashed/hung worker and eagerly restart its slot."""
-        worker.kill()
-        try:
-            replacement: Optional[WorkerProcess] = WorkerProcess()
-        except BaseException:
-            replacement = None
-        with self._cond:
+    def _ready_worker(self) -> WorkerProcess:
+        """The live worker, spawned on first use (lock held)."""
+        if self._closed:
+            raise RuntimeError("sandbox is shut down")
+        worker = self._worker
+        if worker is not None and not worker.alive():
+            # Killed while idle (external SIGKILL, OOM): replace it
+            # silently — no launch was harmed, so no crash is charged.
+            worker.kill()
+            worker = self._worker = None
             self.restarts += 1
-            if replacement is None or self._closed:
-                self._spawned -= 1
-                if replacement is not None:
-                    replacement.close()
-            else:
-                self._idle.append(replacement)
-            self._cond.notify()
+        if worker is None:
+            worker = self._worker = WorkerProcess()
+        return worker
+
+    def _respawn(self) -> None:
+        """Kill a crashed or hung worker and eagerly start its
+        successor (lock held); a failed spawn is left to the next
+        launch."""
+        self._worker.kill()
+        self._worker = None
+        self.restarts += 1
+        try:
+            self._worker = WorkerProcess()
+        except Exception:
+            pass
+
+    def _stop(self) -> None:
+        """Close the worker, if there is one (lock held)."""
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.close()
 
     # -- the launch path --------------------------------------------------
 
@@ -455,7 +438,7 @@ class NativeSandbox:
         entry: str = "__call__",
         want: Optional[tuple] = None,
     ):
-        """Run one kernel launch in a worker; copy the result into ``T``.
+        """Run one kernel launch in the worker; copy the result into ``T``.
 
         ``entry`` names the :class:`~repro.runtime.native.NativeRun`
         launch the worker makes: ``"__call__"`` (the table launch),
@@ -466,50 +449,47 @@ class NativeSandbox:
 
         Raises ``WorkerCrash`` when the worker dies mid-launch and
         ``SandboxHang`` when it misses the deadline (in which case it
-        is SIGKILLed). Either way the slot is restarted eagerly and
+        is SIGKILLed). Either way the worker is respawned eagerly and
         ``T`` is left untouched.
         """
         from ..resilience.faults import SandboxHang, WorkerCrash
 
         if deadline is None:
             deadline = LAUNCH_DEADLINE
-        worker = self._checkout()
-        try:
-            worker.send(
-                {
-                    "op": "launch",
-                    "digest": digest,
-                    "payload": payload,
-                    "so_path": so_path,
-                    "entry": entry,
-                    "table": (
-                        None if T is None else np.ascontiguousarray(T)
-                    ),
-                    "want": want,
-                    "ctx": ctx,
-                    "part_lo": part_lo,
-                    "part_hi": part_hi,
-                    "fault": fault,
-                }
-            )
-            reply = worker.read_reply(time.monotonic() + deadline)
-        except _WorkerDied as err:
-            with self._cond:
+        request = {
+            "op": "launch",
+            "digest": digest,
+            "payload": payload,
+            "so_path": so_path,
+            "entry": entry,
+            "table": None if T is None else np.ascontiguousarray(T),
+            "want": want,
+            "ctx": ctx,
+            "part_lo": part_lo,
+            "part_hi": part_hi,
+            "fault": fault,
+        }
+        with self._lock:
+            worker = self._ready_worker()
+            try:
+                worker.send(request)
+                reply = worker.read_reply(time.monotonic() + deadline)
+            except _WorkerDied as err:
                 self.crashes += 1
-            self._replace(worker)
-            raise WorkerCrash(
-                f"sandbox worker died mid-launch: {err}"
-            ) from err
-        except _WorkerTimeout as err:
-            with self._cond:
+                self._respawn()
+                raise WorkerCrash(
+                    f"sandbox worker died mid-launch: {err}"
+                ) from err
+            except _WorkerTimeout as err:
                 self.hangs += 1
-            self._replace(worker)
-            raise SandboxHang(
-                f"sandbox launch exceeded {deadline:.3f}s deadline "
-                f"(worker SIGKILLed): {err}"
-            ) from err
-        self._checkin(worker)
-        with self._cond:
+                self._respawn()
+                raise SandboxHang(
+                    f"sandbox launch exceeded {deadline:.3f}s deadline "
+                    f"(worker SIGKILLed): {err}"
+                ) from err
+            finally:
+                if self._closed:
+                    self._stop()
             self.launches += 1
         if not reply.get("ok"):
             raise RuntimeError(
@@ -524,24 +504,23 @@ class NativeSandbox:
 
     def counters(self) -> Dict[str, int]:
         """Launches/crashes/hangs/restarts plus live worker count."""
-        with self._cond:
-            return {
-                "launches": self.launches,
-                "crashes": self.crashes,
-                "hangs": self.hangs,
-                "restarts": self.restarts,
-                "workers": self._spawned,
-            }
+        return {
+            "launches": self.launches,
+            "crashes": self.crashes,
+            "hangs": self.hangs,
+            "restarts": self.restarts,
+            "workers": int(self._worker is not None),
+        }
 
     def shutdown(self) -> None:
-        """Kill every pooled worker and drop them."""
-        with self._cond:
-            self._closed = True
-            idle, self._idle = self._idle, []
-            self._spawned = 0
-            self._cond.notify_all()
-        for worker in idle:
-            worker.close()
+        """Close the worker; one mid-launch is closed when its launch
+        returns."""
+        self._closed = True
+        if self._lock.acquire(blocking=False):
+            try:
+                self._stop()
+            finally:
+                self._lock.release()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +547,7 @@ def configure(enabled: Optional[bool]) -> None:
 
 
 def get_sandbox() -> NativeSandbox:
-    """The process-wide worker pool (created on first use)."""
+    """The process-wide sandbox (created on first use)."""
     global _SANDBOX
     with _LOCK:
         if _SANDBOX is None:
@@ -591,17 +570,7 @@ def counters() -> Dict[str, int]:
     with _LOCK:
         sandbox = _SANDBOX
         breaker = _BREAKER
-    stats = (
-        sandbox.counters()
-        if sandbox is not None
-        else {
-            "launches": 0,
-            "crashes": 0,
-            "hangs": 0,
-            "restarts": 0,
-            "workers": 0,
-        }
-    )
+    stats = (sandbox or NativeSandbox()).counters()
     stats["open_breakers"] = (
         breaker.open_count() if breaker is not None else 0
     )
@@ -634,8 +603,8 @@ def kernel_digest(kernel) -> str:
 
 
 class SandboxedNativeRun:
-    """:class:`~repro.runtime.native.NativeRun` in the worker pool:
-    the same launches, each shipped to a worker.
+    """:class:`~repro.runtime.native.NativeRun` in the sandbox worker:
+    the same launches, each shipped to the worker.
 
     Crucially the ``.so`` is **never** loaded into the parent
     process — this object only holds the kernel payload and artifact
@@ -674,10 +643,14 @@ class SandboxedNativeRun:
         ctx: Dict[str, object],
         part_lo: Optional[int] = None,
         part_hi: Optional[int] = None,
+        fault: Optional[dict] = None,
+        deadline: Optional[float] = None,
     ):
         """:meth:`repro.runtime.native.NativeRun.batched` in a worker:
         one crash costs one disposable worker, not the service."""
-        return self._launch("batched", T, ctx, part_lo, part_hi)
+        return self._launch(
+            "batched", T, ctx, part_lo, part_hi, fault, deadline
+        )
 
     def result(self, ctx: Dict[str, object], reduce, coords):
         """:meth:`repro.runtime.native.NativeRun.result` in a worker.

@@ -325,6 +325,8 @@ class LRUKernelCache:
         self.capacity = capacity
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.RLock()
+        #: key -> event set when the build in flight for it ends.
+        self._flights: Dict[str, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -337,22 +339,70 @@ class LRUKernelCache:
     def lookup(self, key: str):
         """The cached product for ``key``, or None (counted)."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._hit(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
                 return entry
-            self.misses += 1
-            return None
+        entry = self._load(key)
+        with self._lock:
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return entry
+
+    def get(self, key: str, build):
+        """The product for ``key``, made by ``build()`` on a miss.
+
+        Single-flight: the first caller to miss builds, and concurrent
+        callers for the same key wait for it and count as hits, so
+        ``misses`` equals builds. A build that raises wakes the
+        waiters, and the next of them builds.
+        """
+        while True:
+            with self._lock:
+                entry = self._hit(key)
+                if entry is not None:
+                    return entry
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            entry = self.lookup(key)
+            if entry is None:
+                entry = build()
+                self.store(key, entry)
+            return entry
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.set()
 
     def store(self, key: str, compiled) -> None:
         """Insert (or refresh) ``key``, evicting the LRU overflow."""
         with self._lock:
-            self._entries[key] = compiled
+            self._store_memory(key, compiled)
+
+    def _hit(self, key: str):
+        """The memory tier's entry for ``key``, counted as a hit, or
+        None (lock held)."""
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self.hits += 1
+        return entry
+
+    def _load(self, key: str):
+        """A memory miss's second tier: none here."""
+        return None
+
+    def _store_memory(self, key: str, compiled) -> None:
+        self._entries[key] = compiled
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def cache_info(self) -> CacheInfo:
         """Counter snapshot."""
@@ -450,23 +500,14 @@ class PersistentKernelCache(LRUKernelCache):
 
     # -- tiered lookup -------------------------------------------------------
 
-    def lookup(self, key: str):
-        """Memory first, then disk (promoting into memory)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry
+    def _load(self, key: str):
+        """A memory miss falls to disk, promoting a hit into memory."""
         compiled = self._load_from_disk(key)
-        with self._lock:
-            if compiled is not None:
-                self.hits += 1
+        if compiled is not None:
+            with self._lock:
                 self.disk_hits += 1
                 self._store_memory(key, compiled)
-                return compiled
-            self.misses += 1
-            return None
+        return compiled
 
     def store(self, key: str, compiled) -> None:
         """Insert into both tiers; disk errors degrade to memory-only.
@@ -489,13 +530,6 @@ class PersistentKernelCache(LRUKernelCache):
             pass  # a read-only / full / contended disk (or an
             # unencodable product, e.g. a torn .so) never fails
             # compilation — the disk tier just misses next time
-
-    def _store_memory(self, key: str, compiled) -> None:
-        self._entries[key] = compiled
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
 
     # -- disk tier -----------------------------------------------------------
 

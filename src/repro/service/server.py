@@ -114,7 +114,6 @@ class ComputeService:
         backoff_seconds: float = 0.05,
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionPolicy] = None,
-        demote_after: int = 3,
     ) -> None:
         if fault_plan is None:
             fault_plan = chaos_plan_from_env()
@@ -156,7 +155,6 @@ class ComputeService:
             workers=workers,
             max_batch=max_batch,
             backoff_seconds=backoff_seconds,
-            demote_after=demote_after,
         )
         self._closed = False
         self._draining = False

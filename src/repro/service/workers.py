@@ -15,8 +15,9 @@ Failure policy per batch attempt (see :func:`classify_failure`):
   *permanent*: the input — or the compiler — is wrong, retrying
   cannot help, every job in the batch fails immediately;
 * :class:`~repro.resilience.faults.DeviceFault` is *device-transient*:
-  retried with backoff, but a batch that keeps hitting device faults
-  is **demoted** to the serial reference interpreter (graceful
+  retried with backoff, but a batch that hits device faults in
+  :data:`DEMOTE_AFTER` rounds is **demoted** to the serial reference
+  interpreter (graceful
   degradation — slow but fault-free), recorded in
   :class:`~repro.service.stats.ServiceStats`;
 * environmental errors (``OSError``/``MemoryError``/``TimeoutError``)
@@ -52,6 +53,10 @@ from .queue import (
     JobTimeoutError,
 )
 from .stats import StatsRegistry
+
+#: Device-faulted rounds of one batch before it is demoted to the
+#: serial reference interpreter.
+DEMOTE_AFTER = 3
 
 
 def classify_failure(error: BaseException) -> str:
@@ -104,16 +109,11 @@ class WorkerPool:
         max_batch: int = 64,
         backoff_seconds: float = 0.05,
         backoff_cap_seconds: float = 1.0,
-        demote_after: int = 3,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if demote_after < 1:
-            raise ValueError(
-                f"demote_after must be >= 1, got {demote_after}"
-            )
         self.jobs = jobs
         self.max_batch = max_batch
         self.engine_factory = engine_factory
@@ -121,7 +121,6 @@ class WorkerPool:
         self.stats = stats
         self.backoff_seconds = backoff_seconds
         self.backoff_cap_seconds = backoff_cap_seconds
-        self.demote_after = demote_after
         #: The engines (or supervisors) the worker threads built —
         #: the stats endpoint sums ``native_demotions`` across them.
         self.engines: List[object] = []
@@ -233,7 +232,7 @@ class WorkerPool:
                 if kind == "device":
                     self.stats.device_fault()
                     device_fault_rounds += 1
-                    if device_fault_rounds >= self.demote_after:
+                    if device_fault_rounds >= DEMOTE_AFTER:
                         # The device keeps misbehaving on this batch:
                         # stop trusting it, finish on the serial
                         # reference interpreter.

@@ -1,12 +1,6 @@
-"""Partition-barrier checkpoints: ranges, checksums, the log."""
+"""Partition-barrier epochs: how a partition span is chunked."""
 
-import numpy as np
-
-from repro.resilience.checkpoint import (
-    CheckpointLog,
-    partition_ranges,
-    table_checksum,
-)
+from repro.resilience import partition_ranges
 
 
 class TestPartitionRanges:
@@ -31,41 +25,3 @@ class TestPartitionRanges:
             p for lo, hi in ranges for p in range(lo, hi + 1)
         ]
         assert covered == list(range(2, 32))
-
-
-class TestChecksum:
-    def test_content_addressed(self):
-        a = np.arange(12, dtype=np.float64).reshape(3, 4)
-        assert table_checksum(a) == table_checksum(a.copy())
-
-    def test_sensitive_to_any_cell(self):
-        a = np.arange(12, dtype=np.float64).reshape(3, 4)
-        b = a.copy()
-        b[2, 3] += 1e-12
-        assert table_checksum(a) != table_checksum(b)
-
-    def test_non_contiguous_views_hash_by_content(self):
-        a = np.arange(16, dtype=np.int64).reshape(4, 4)
-        assert table_checksum(a[:, ::2]) == table_checksum(
-            a[:, ::2].copy()
-        )
-
-
-class TestCheckpointLog:
-    def test_records_in_commit_order(self):
-        log = CheckpointLog()
-        table = np.zeros((2, 2))
-        log.record(0, 0, 3, table)
-        log.record(0, 4, 7, table)
-        log.record(1, 0, 3, table)
-        assert len(log) == 3
-        assert [c.partition_lo for c in log.for_problem(0)] == [0, 4]
-        assert log.latest(0).partition_hi == 7
-        assert log.latest(2) is None
-
-    def test_checksums_map(self):
-        log = CheckpointLog()
-        log.record(0, 0, 3, np.zeros(4))
-        log.record(0, 0, 3, np.ones(4))  # replay overwrites
-        mapping = log.checksums()
-        assert mapping[(0, 0, 3)] == table_checksum(np.ones(4))

@@ -9,6 +9,7 @@ from repro.resilience import (
     FaultEscalation,
     FaultPlan,
     SupervisionPolicy,
+    partition_ranges,
 )
 from repro.runtime.engine import Engine
 
@@ -47,14 +48,17 @@ class TestFaultFree:
         supervisor = ExecutionSupervisor(
             policy=SupervisionPolicy(checkpoint_interval=3)
         )
-        supervisor.run(edit_func, dict(edit_bindings))
-        checkpoints = supervisor.checkpoints.for_problem(0)
-        assert len(checkpoints) >= 2
-        spans = [
-            (c.partition_lo, c.partition_hi) for c in checkpoints
-        ]
-        flat = [p for lo, hi in spans for p in range(lo, hi + 1)]
-        assert flat == sorted(set(flat))  # contiguous, no overlap
+        result = supervisor.run(edit_func, dict(edit_bindings))
+        schedule, domain = result.schedule, result.domain
+        p_lo = schedule.min_partition(domain)
+        p_hi = schedule.max_partition(domain)
+        epochs = partition_ranges(p_lo, p_hi, 3)
+        assert len(epochs) >= 2
+        stats = supervisor.stats
+        # Every epoch committed once, and together they cover the
+        # whole span exactly once.
+        assert stats.epochs_committed == len(epochs)
+        assert stats.partitions_committed == p_hi - p_lo + 1
 
     def test_float_kernel_matches(
         self, forward_func, forward_bindings
@@ -296,6 +300,9 @@ class TestEscalation:
 
 
 class TestWatchdog:
+    """Hangs: an in-process wedge cannot be stopped, so it raises
+    ``KernelHang`` at once; only a sandboxed launch has a deadline."""
+
     def test_hung_kernel_detected_and_replayed(
         self, edit_func, edit_bindings
     ):
@@ -310,31 +317,42 @@ class TestWatchdog:
         assert result.value == 3
         # Sandboxed native launches surface the wedge as SandboxHang
         # (the worker is SIGKILLed); in-process launches as KernelHang
-        # (the watchdog abandons the thread). Both replay the range.
+        # (raised at once). Both replay the range.
         faults = supervisor.stats.faults
         assert (faults.get("KernelHang", 0)
                 + faults.get("SandboxHang", 0)) > 0
 
     def test_hang_without_watchdog_surfaces(self):
-        """A plan that injects hangs auto-enables the watchdog."""
+        """A plan that injects hangs derives the sandbox deadline."""
         plan = FaultPlan(seed=0, hang_rate=0.5, hang_seconds=0.1)
         supervisor = ExecutionSupervisor(plan=plan)
         assert supervisor._watchdog is not None
 
-    def test_abandoned_hangs_do_not_leak_threads(
+    def test_in_process_wedge_is_not_waited_out(
         self, edit_func, edit_bindings
     ):
-        """Regression: each watchdog trip used to strand one epoch
-        thread sleeping out the full injected hang. The wedge is a
-        cancellable wait now, so the thread count returns to baseline
-        as soon as the run finishes."""
-        import threading
+        """An injected in-process wedge raises at once: nothing waits
+        out the derived deadline (``hang_seconds / 4``, 7.5 s here)."""
         import time
 
         plan = FaultPlan(seed=1, hang_rate=0.5, hang_seconds=30.0)
-        # Pin the vector backend: the in-process thread watchdog is
-        # the code path under test (sandboxed launches hang in the
-        # worker subprocess and spawn no parent-side thread at all).
+        supervisor = ExecutionSupervisor(
+            Engine(backend="vector"), plan=plan
+        )
+        start = time.monotonic()
+        result = supervisor.run(edit_func, dict(edit_bindings))
+        assert time.monotonic() - start < 2.0
+        assert result.value == 3
+        assert supervisor.stats.faults.get("KernelHang", 0) > 0
+
+    def test_abandoned_hangs_do_not_leak_threads(
+        self, edit_func, edit_bindings
+    ):
+        """An in-process wedge is never left running on a thread of
+        its own: the thread count does not grow over a run."""
+        import threading
+
+        plan = FaultPlan(seed=1, hang_rate=0.5, hang_seconds=30.0)
         supervisor = ExecutionSupervisor(
             Engine(backend="vector"),
             plan=plan,
@@ -346,13 +364,38 @@ class TestWatchdog:
         result = supervisor.run(edit_func, dict(edit_bindings))
         assert result.value == 3
         assert supervisor.stats.faults.get("KernelHang", 0) > 0
-        # Cancelled epoch threads unwind promptly — with 30 s wedges,
-        # any leak would still be alive here.
-        deadline = time.monotonic() + 5.0
-        while (threading.active_count() > baseline
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
         assert threading.active_count() <= baseline
+
+
+class TestLongLived:
+    def test_memory_does_not_grow_with_problems(
+        self, edit_func, edit_bindings
+    ):
+        """A supervisor in a long-lived service keeps nothing per
+        committed epoch: 200 problems hold what 10 do."""
+        import gc
+        import tracemalloc
+
+        supervisor = ExecutionSupervisor(
+            policy=SupervisionPolicy(checkpoint_interval=1)
+        )
+
+        def held_after(count):
+            for _ in range(count):
+                supervisor.run(edit_func, dict(edit_bindings))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            after_10 = held_after(10)
+            after_200 = held_after(190)
+        finally:
+            tracemalloc.stop()
+        # The slack absorbs warm-up (interned names, pickle and
+        # allocator caches); the checksum log this replaced grew by
+        # ~600 KiB over the same runs.
+        assert after_200 - after_10 < 64 * 1024
 
 
 class TestSupervisedMap:

@@ -211,8 +211,7 @@ class TestSandboxedExecution:
         func = edit_func()
         engine = Engine(backend="native")
         assert engine.run(func, edit_args()).value == 3
-        pool = sandbox.get_sandbox()
-        (worker,) = pool._idle
+        worker = sandbox.get_sandbox()._worker
         os.kill(worker.pid, signal.SIGKILL)
         worker.proc.wait(timeout=5)
         # Next launch notices the corpse, replaces it silently (no

@@ -279,6 +279,64 @@ class TestPersistentKernelCache:
         assert b.cache_misses == 0  # compiled by a, hit for b
 
 
+class TestSingleFlight:
+    def test_concurrent_misses_build_once(self, edit_func, monkeypatch):
+        """Four engines sharing a cache ask for one unbuilt kernel at
+        once: the first builds, the others wait for it and hit."""
+        import threading
+        import time
+
+        from repro.runtime import ladder
+
+        builds = []
+        real_build = ladder.build
+
+        def slow_build(kernel, rung):
+            builds.append(rung)
+            time.sleep(0.2)
+            return real_build(kernel, rung)
+
+        monkeypatch.setattr(ladder, "build", slow_build)
+        cache = LRUKernelCache()
+        engines = [Engine(kernel_cache=cache) for _ in range(4)]
+        schedule = engines[0].schedule_for(
+            edit_func, engines[0].domain_of(edit_func, ARGS)
+        )
+        start = threading.Barrier(len(engines))
+        products = []
+
+        def ask(engine):
+            start.wait()
+            products.append(
+                engine.product(edit_func, schedule, "scalar")
+            )
+
+        threads = [
+            threading.Thread(target=ask, args=(engine,))
+            for engine in engines
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert builds == ["scalar"]
+        assert cache.misses == 1
+        assert cache.hits == 3
+        assert len({id(product) for product in products}) == 1
+        assert sum(engine.cache_misses for engine in engines) == 1
+
+    def test_failed_build_wakes_the_waiters(self):
+        cache = LRUKernelCache()
+
+        def fail():
+            raise RuntimeError("toolchain down")
+
+        with pytest.raises(RuntimeError):
+            cache.get("k", fail)
+        assert cache.get("k", lambda: "built") == "built"
+        assert cache.misses == 2
+
+
 class Tripwire:
     """Records whether it was ever reconstructed by ``pickle.loads``."""
 

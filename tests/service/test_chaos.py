@@ -114,7 +114,7 @@ class BrokenDeviceEngine(Engine):
 class TestDemotion:
     def test_repeated_device_faults_demote_to_reference(self):
         stats, registry = StatsRegistry(), ProgramRegistry()
-        pool = make_pool(stats, registry, demote_after=3)
+        pool = make_pool(stats, registry)
         engine = BrokenDeviceEngine()
         batch = edit_batch(
             registry, ["kitten", "mitten"], retries_left=10
@@ -122,7 +122,7 @@ class TestDemotion:
         pool.execute_batch(engine, batch)
         values = [j.handle.result(timeout=5) for j in batch.jobs]
         assert values == [3, 3]  # correct despite a dead device
-        assert engine.attempts == 3  # demote_after rounds, then stop
+        assert engine.attempts == 3  # DEMOTE_AFTER rounds, then stop
         snapshot = stats.snapshot()
         assert snapshot.demotions == 2
         assert snapshot.device_faults == 3
@@ -136,7 +136,7 @@ class TestDemotion:
             ({}, 3), ({"i": -1}, 3), ({"i": -3}, 4), ({"j": -6}, 5)
         ):
             stats, registry = StatsRegistry(), ProgramRegistry()
-            pool = make_pool(stats, registry, demote_after=100)
+            pool = make_pool(stats, registry)
             served = edit_batch(registry, ["kitten"], args)
             pool.execute_batch(Engine(), served)
             assert served.jobs[0].handle.result(timeout=5) == value

@@ -10,7 +10,11 @@ to the fault-free run via the demoted backend.
 import pytest
 
 from repro import Engine, Sequence
-from repro.resilience import ExecutionSupervisor, FaultPlan
+from repro.resilience import (
+    ExecutionSupervisor,
+    FaultPlan,
+    SupervisionPolicy,
+)
 from repro.runtime import ENGLISH, native, sandbox
 from repro.service.server import (
     ComputeService,
@@ -80,8 +84,8 @@ class TestSupervisedSandboxChaos:
         counts = sandbox.counters()
         assert counts["crashes"] + counts["hangs"] >= 1
         assert counts["restarts"] >= 1
-        # The pool healed: every slot has a live worker again.
-        assert counts["workers"] == sandbox.POOL_SIZE
+        # The sandbox healed: its one worker is live again.
+        assert counts["workers"] == 1
 
     def test_breaker_opens_and_engine_demotes(
         self, sandboxed, edit_func
@@ -121,6 +125,59 @@ class TestSupervisedSandboxChaos:
              "t": Sequence("sitting", ENGLISH)},
         ).value == expected[0]
         assert sandbox.counters()["crashes"] == crashes_before
+
+
+@needs_cc
+class TestSupervisedSandboxedGroup:
+    """A lane-batched group on sandboxed native takes the injection
+    plane's kill/hang directives and the supervisor's deadline, as a
+    single run does."""
+
+    GROUP = ["kitten", "mitten", "bitten", "smitten"]
+
+    def map_group(self, edit_func, engine):
+        return engine.map_run(
+            edit_func,
+            {"t": Sequence("sitting", ENGLISH)},
+            [{"s": Sequence(w, ENGLISH)} for w in self.GROUP],
+        )
+
+    def expected(self, edit_func):
+        return self.map_group(edit_func, Engine(backend="scalar")).values
+
+    def test_kill_directives_reach_the_group(
+        self, sandboxed, edit_func
+    ):
+        expected = self.expected(edit_func)
+        supervisor = ExecutionSupervisor(
+            Engine(backend="native"),
+            plan=FaultPlan(seed=20120611, worker_kill_rate=0.5),
+        )
+        result = self.map_group(edit_func, supervisor)
+        assert result.lane_batches == 1
+        assert result.values == expected
+        assert supervisor.stats.faults.get("WorkerCrash", 0) >= 1
+        assert sandbox.counters()["crashes"] >= 1
+
+    def test_group_hang_is_killed_at_the_policy_deadline(
+        self, sandboxed, edit_func
+    ):
+        import time
+
+        expected = self.expected(edit_func)
+        supervisor = ExecutionSupervisor(
+            Engine(backend="native"),
+            plan=FaultPlan(
+                seed=1, sandbox_hang_rate=1.0, hang_seconds=30.0
+            ),
+            policy=SupervisionPolicy(watchdog_seconds=0.3),
+        )
+        start = time.monotonic()
+        result = self.map_group(edit_func, supervisor)
+        assert time.monotonic() - start < 10.0
+        assert result.lane_batches == 1
+        assert result.values == expected
+        assert supervisor.stats.faults.get("SandboxHang", 0) >= 1
 
 
 @needs_cc
