@@ -63,9 +63,9 @@ def chaos_campaign(func, bindings):
     print(f"detected by kind: {stats.faults}")
     print(f"epochs committed: {stats.epochs_committed}, "
           f"replays: {stats.replays}, "
-          f"replayed ranges: {stats.replayed_ranges}")
+          f"replayed ranges: {list(stats.replayed_ranges)}")
     print(f"oracle recoveries: {stats.corruption_recovered} "
-          f"(ranges {stats.recovered_ranges}, "
+          f"(ranges {list(stats.recovered_ranges)}, "
           f"{stats.oracle_runs} oracle runs)")
     extra = (stats.partitions_launched
              - stats.partitions_committed

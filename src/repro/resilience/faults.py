@@ -12,8 +12,8 @@ failure modes *explicit, seeded and replayable*:
 * a :class:`FaultInjector` turns the plan into per-site decisions by
   hashing ``(seed, kind, site)`` — no hidden RNG stream, so the same
   plan over the same workload produces the *same* faults regardless
-  of retry interleaving, and every decision is recorded in
-  :attr:`FaultInjector.log` for the tests' accounting;
+  of retry interleaving, and the latest :data:`HISTORY` decisions
+  are kept in :attr:`FaultInjector.log` for the tests' accounting;
 * the fault exceptions all derive from :class:`DeviceFault`, the
   marker the serving layer uses to classify an error as transient
   (retry from checkpoint) rather than deterministic (fail fast).
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import Deque, FrozenSet, List, Optional
 
 import numpy as np
 
@@ -120,6 +121,13 @@ class FaultSite:
         )
 
 
+#: How many fault events, and how many replayed and recovered ranges, an
+#: injector and a supervisor keep, newest last. A service worker's supervisor lives as
+#: long as the service, so its history is a window; the counters beside
+#: it stay exact.
+HISTORY = 256
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One recorded injection (the accounting unit of the tests)."""
@@ -199,8 +207,8 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        #: Every fault actually injected, in injection order.
-        self.log: List[FaultEvent] = []
+        #: The latest :data:`HISTORY` faults injected, in injection order.
+        self.log: Deque[FaultEvent] = deque(maxlen=HISTORY)
 
     # -- deterministic dice --------------------------------------------------
 

@@ -39,13 +39,15 @@ the final tables are bitwise-identical to a fault-free execution.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..runtime import ladder
 from .faults import (
+    HISTORY,
     CellCorruption,
     DeviceFault,
     FaultEscalation,
@@ -124,6 +126,12 @@ class SupervisorStats:
     oracle (whose clean re-executions are counted in ``oracle_runs``,
     not in ``partitions_launched``) are itemised separately in
     ``recovered_ranges``.
+
+    The counters are exact for the supervisor's whole life. The two
+    range lists keep only the latest :data:`~.faults.HISTORY` entries
+    (``replays`` and ``corruption_recovered`` count them all), so the
+    identity above holds while ``replayed_ranges`` has not filled its
+    window, that is while ``replays <= HISTORY``.
     """
 
     problems: int = 0
@@ -136,11 +144,11 @@ class SupervisorStats:
     corruption_recovered: int = 0
     oracle_runs: int = 0
     faults: Dict[str, int] = field(default_factory=dict)
-    replayed_ranges: List[Tuple[int, int, int]] = field(
-        default_factory=list
+    replayed_ranges: Deque[Tuple[int, int, int]] = field(
+        default_factory=lambda: deque(maxlen=HISTORY)
     )
-    recovered_ranges: List[Tuple[int, int, int]] = field(
-        default_factory=list
+    recovered_ranges: Deque[Tuple[int, int, int]] = field(
+        default_factory=lambda: deque(maxlen=HISTORY)
     )
 
     def note_fault(self, fault: DeviceFault) -> None:

@@ -25,6 +25,10 @@ The HTTP layer is deliberately small (``http.server`` +
   ``Retry-After`` once draining — load balancers stop routing here
   first.
 
+Connections are kept alive: :func:`submit_remote` holds one per client
+thread, and the server closes one after five idle seconds, or after its
+next reply once draining.
+
 Fault-tolerance plumbing: request deadlines propagate from the JSON
 body or the ``X-Repro-Timeout`` header through queue wait into
 execution (expired jobs are shed, never launched → 504); a full
@@ -265,6 +269,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     #: memory, not just queue slots.
     MAX_BODY = 16 * 1024 * 1024
     protocol_version = "HTTP/1.1"
+    #: Seconds a kept-alive connection may sit idle before its handler
+    #: thread closes it (Apache's default): an idle client must not
+    #: hold a thread forever. A timed-out read ends the connection
+    #: quietly (``handle_one_request`` sets ``close_connection``).
+    timeout = 5.0
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/stats":
@@ -406,6 +415,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             f"Content-Length: {len(body)}",
         ]
         lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
+        if not self.server.service.ready():
+            # A draining server sheds its kept-alive clients: each
+            # one's next reply is its connection's last.
+            self.close_connection = True
+            lines.append("Connection: close")
         # One write, so one segment: head and body sent separately on
         # a kept-alive socket without TCP_NODELAY meet Nagle's
         # algorithm and the client's delayed ACK, ~40 ms per reply.
@@ -500,6 +514,11 @@ def install_signal_handlers(
 
 # -- client helpers -----------------------------------------------------------
 
+#: Each client thread's one kept-alive connection, as ``held =
+#: ((host, port), HTTPConnection)``; a thread that has none has no
+#: ``held`` or ``held = None``.
+_client = threading.local()
+
 
 def _http_json(
     host: str,
@@ -509,23 +528,56 @@ def _http_json(
     payload: Optional[Dict[str, object]] = None,
     timeout: float = 60.0,
 ) -> Dict[str, object]:
+    """One JSON request over this thread's kept-alive connection.
+
+    The thread holds at most one connection. A call to another
+    ``(host, port)`` closes it and opens one there; a reply that says
+    ``Connection: close``, and any error, drop it. A request that
+    fails on a *reused* connection before a status line arrives is
+    sent once more on a fresh one: the server closed the connection
+    while it was idle, so it never read the request. Nothing else is
+    retried, not a timeout and not a fresh connection's failure: the
+    server may have admitted that POST, and a retry would submit the
+    job twice.
+    """
     from http.client import HTTPConnection
 
-    connection = HTTPConnection(host, port, timeout=timeout)
+    body = (
+        json.dumps(payload).encode("utf-8") if payload is not None else None
+    )
+    headers = {"Content-Type": "application/json"} if body else {}
+    held = getattr(_client, "held", None)
+    _client.held = None
+    if held is not None and held[0] != (host, port):
+        held[1].close()
+        held = None
+    if held is None:
+        connection = HTTPConnection(host, port, timeout=timeout)
+    else:
+        connection = held[1]
+        connection.sock.settimeout(timeout)
     try:
-        body = (
-            json.dumps(payload).encode("utf-8")
-            if payload is not None
-            else None
-        )
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body=body, headers=headers)
-        response = connection.getresponse()
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # ``RemoteDisconnected`` is a ``ConnectionResetError``.
+            if held is None:
+                raise
+            connection.close()
+            connection = HTTPConnection(host, port, timeout=timeout)
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
         data = json.loads(response.read().decode("utf-8"))
-        data["_status"] = response.status
-        return data
-    finally:
+    except BaseException:
         connection.close()
+        raise
+    if response.will_close:
+        connection.close()
+    else:
+        _client.held = ((host, port), connection)
+    data["_status"] = response.status
+    return data
 
 
 def submit_remote(

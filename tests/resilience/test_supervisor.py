@@ -1,5 +1,8 @@
 """The supervised, checkpointed execution layer."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -367,35 +370,62 @@ class TestWatchdog:
         assert threading.active_count() <= baseline
 
 
+def held_after(supervisor, func, bindings, count):
+    """Traced bytes still held after ``count`` more supervised runs."""
+    for _ in range(count):
+        supervisor.run(func, dict(bindings))
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
 class TestLongLived:
     def test_memory_does_not_grow_with_problems(
         self, edit_func, edit_bindings
     ):
         """A supervisor in a long-lived service keeps nothing per
         committed epoch: 200 problems hold what 10 do."""
-        import gc
-        import tracemalloc
-
         supervisor = ExecutionSupervisor(
             policy=SupervisionPolicy(checkpoint_interval=1)
         )
-
-        def held_after(count):
-            for _ in range(count):
-                supervisor.run(edit_func, dict(edit_bindings))
-            gc.collect()
-            return tracemalloc.get_traced_memory()[0]
-
         tracemalloc.start()
         try:
-            after_10 = held_after(10)
-            after_200 = held_after(190)
+            after_10 = held_after(supervisor, edit_func, edit_bindings, 10)
+            after_200 = held_after(
+                supervisor, edit_func, edit_bindings, 190
+            )
         finally:
             tracemalloc.stop()
         # The slack absorbs warm-up (interned names, pickle and
         # allocator caches); the checksum log this replaced grew by
         # ~600 KiB over the same runs.
         assert after_200 - after_10 < 64 * 1024
+
+    def test_fault_history_is_a_window(self, edit_func, edit_bindings):
+        """Under chaos the fault log and the range lists keep a fixed
+        window while the counters stay exact: 2 000 problems hold what
+        200 do (unbounded lists grew by ~860 KiB over the same runs)."""
+        from repro.resilience.faults import HISTORY
+
+        supervisor = ExecutionSupervisor(
+            plan=FaultPlan(seed=5, launch_fail_rate=0.05,
+                           corrupt_rate=0.01)
+        )
+        tracemalloc.start()
+        try:
+            after_200 = held_after(
+                supervisor, edit_func, edit_bindings, 200
+            )
+            after_2000 = held_after(
+                supervisor, edit_func, edit_bindings, 1800
+            )
+        finally:
+            tracemalloc.stop()
+        assert after_2000 - after_200 < 64 * 1024
+        stats = supervisor.stats
+        assert stats.problems == 2000
+        assert stats.replays > len(stats.replayed_ranges)
+        assert stats.corruption_recovered > len(stats.recovered_ranges)
+        assert len(supervisor.injector.log) == HISTORY
 
 
 class TestSupervisedMap:

@@ -7,9 +7,11 @@ import pytest
 from repro import Engine, Sequence
 from repro.lang.errors import DslError
 from repro.runtime import ENGLISH
+from repro.service import server as server_module
 from repro.service.queue import AdmissionError
 from repro.service.server import (
     ComputeService,
+    ServiceHTTPServer,
     fetch_remote_stats,
     make_http_server,
     serve_in_thread,
@@ -403,6 +405,115 @@ class TestHttpFrontEnd:
             connection.close()
         assert len(writes) == 6
         assert statistics.median(took[1:]) < 0.025
+
+
+class CountingServer(ServiceHTTPServer):
+    """Counts the connections it accepts and the ones it has closed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.accepted = 0
+        self.closed = 0
+
+    def process_request(self, request, client_address) -> None:
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed += 1
+
+
+@pytest.fixture
+def counted_service():
+    service = ComputeService(workers=2)
+    server = CountingServer(("127.0.0.1", 0), service)
+    serve_in_thread(server)
+    yield server, service
+    server.shutdown()
+    server.server_close()
+    service.shutdown()
+
+
+def held_connection():
+    """This thread's kept-alive client connection, or None."""
+    return getattr(server_module._client, "held", None)
+
+
+class TestKeepAlive:
+    def test_sequential_calls_share_one_connection(self, counted_service):
+        server, _ = counted_service
+        host, port = server.server_address[:2]
+        for index in range(20):
+            reply = submit_remote(
+                host, port, EDIT_PROGRAM, "d",
+                args={"s": WORDS[index % len(WORDS)], "t": "sitting"},
+            )
+            assert reply["ok"] is True
+        assert server.accepted == 1
+
+    def test_idle_drop_is_resent_once(self, counted_service, monkeypatch):
+        """The server closes an idle connection; the next call finds it
+        dead before any status line, sends once more on a fresh one,
+        and the service sees that job once."""
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 0.2)
+        server, service = counted_service
+        host, port = server.server_address[:2]
+        args = {"s": "kitten", "t": "sitting"}
+        assert submit_remote(host, port, EDIT_PROGRAM, "d", args)["ok"]
+        assert held_connection() is not None
+        assert wait_for(lambda: server.closed == 1, timeout=10)
+        reply = submit_remote(host, port, EDIT_PROGRAM, "d", args)
+        assert reply["value"] == 3
+        assert service.stats().submitted == 2
+        assert server.accepted == 2
+
+    def test_draining_server_closes_kept_alive_connections(
+        self, counted_service
+    ):
+        import json
+        from http.client import HTTPConnection
+
+        server, service = counted_service
+        host, port = server.server_address[:2]
+        args = {"s": "kitten", "t": "sitting"}
+        body = json.dumps(
+            {"program": EDIT_PROGRAM, "function": "d", "args": args}
+        )
+        assert submit_remote(host, port, EDIT_PROGRAM, "d", args)["ok"]
+        raw = HTTPConnection(host, port, timeout=30)
+        try:
+            raw.request("GET", "/healthz")
+            first = raw.getresponse()
+            first.read()
+            assert not first.will_close
+            service.begin_drain()
+            raw.request("POST", "/submit", body=body)
+            response = raw.getresponse()
+            response.read()
+            assert response.status == 503
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+        finally:
+            raw.close()
+        reply = submit_remote(host, port, EDIT_PROGRAM, "d", args)
+        assert reply["_status"] == 503
+        assert server.accepted == 2
+        assert held_connection() is None
+
+    def test_not_found_keeps_the_connection(self, counted_service):
+        server, _ = counted_service
+        host, port = server.server_address[:2]
+        assert server_module._http_json(
+            host, port, "GET", "/nope"
+        )["_status"] == 404
+        reply = submit_remote(
+            host, port, EDIT_PROGRAM, "d",
+            args={"s": "kitten", "t": "sitting"},
+        )
+        assert reply["value"] == 3
+        assert server.accepted == 1
+        assert held_connection() is not None
 
 
 class TestServiceCli:
