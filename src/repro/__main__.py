@@ -119,9 +119,9 @@ def serve_main(argv) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
+        # SIGTERM's drain thread prints the final stats itself and
+        # then ends serve_forever; only Ctrl-C lands here.
         print("draining...", file=sys.stderr)
-    finally:
-        server.shutdown()
         service.shutdown(drain=True)
         print(service.stats().render(), file=sys.stderr)
     return 0

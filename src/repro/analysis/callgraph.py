@@ -98,13 +98,6 @@ def recursive_groups(
     return groups
 
 
-def is_mutual_group(
-    functions: Mapping[str, CheckedFunction], names: Tuple[str, ...]
-) -> bool:
-    """Is this recursive group larger than one function?"""
-    return len(names) > 1
-
-
 def group_of(
     checked: CheckedProgram, name: str
 ) -> Tuple[str, ...]:

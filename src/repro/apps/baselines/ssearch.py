@@ -13,7 +13,7 @@ implementation of full Smith-Waterman on one core. Here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence as Seq
+from typing import Iterable
 
 import numpy as np
 
@@ -88,18 +88,3 @@ class SSearchBaseline:
         """Modelled wall-clock: cells x cycles / clock."""
         cells = float(query_length) * float(sum(db_lengths))
         return cells * self.cycles_per_cell / self.spec.clock_hz
-
-    def search_scores(
-        self,
-        query: Sequence,
-        database: Seq[Sequence],
-        scores: np.ndarray,
-        row_index: np.ndarray,
-        col_index: np.ndarray,
-        gap: int = 8,
-    ) -> List[int]:
-        """Functional search (reference scores for validation)."""
-        return [
-            sw_score(query, target, scores, row_index, col_index, gap)
-            for target in database
-        ]

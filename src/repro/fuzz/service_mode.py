@@ -122,7 +122,6 @@ class ServiceRoundTrip:
                 case.function,
                 args=case.args,
                 reduce=case.reduce,
-                http_timeout=60.0,
             )
         except Exception as err:
             # The front end is a thread of *this* process: a dead

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Set, Tuple
 from ..analysis.affine import Affine
 from ..analysis.plan import function_plan
 from ..lang.typecheck import CheckedFunction
-from ..lang.types import HmmType, MatrixType, SeqType
 from ..polyhedral.codegen import generate_loops
 from ..polyhedral.loopast import LoopNest
 from ..schedule.schedule import Schedule
@@ -168,20 +167,6 @@ class Kernel:
                 f"kernel payload holds {type(kernel).__name__}"
             )
         return kernel
-
-    def calling_param_kinds(self) -> Dict[str, str]:
-        """Map calling parameter name -> coarse kind."""
-        kinds: Dict[str, str] = {}
-        for param in self.func.calling_params:
-            if isinstance(param.type, SeqType):
-                kinds[param.name] = "seq"
-            elif isinstance(param.type, MatrixType):
-                kinds[param.name] = "matrix"
-            elif isinstance(param.type, HmmType):
-                kinds[param.name] = "hmm"
-            else:
-                kinds[param.name] = "scalar"
-        return kinds
 
 
 def build_kernel(

@@ -145,18 +145,6 @@ class BinOpKind(Enum):
             BinOpKind.NE,
         )
 
-    @property
-    def is_arithmetic(self) -> bool:
-        """Is this an arithmetic (or min/max) operator?"""
-        return self in (
-            BinOpKind.ADD,
-            BinOpKind.SUB,
-            BinOpKind.MUL,
-            BinOpKind.DIV,
-            BinOpKind.MIN,
-            BinOpKind.MAX,
-        )
-
 
 @dataclass(frozen=True)
 class BinOp(Expr):

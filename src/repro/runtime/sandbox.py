@@ -68,6 +68,8 @@ _HEADER = struct.Struct(">Q")
 
 #: Seconds a launch may take when its caller sets no deadline.
 LAUNCH_DEADLINE = 60.0
+#: Seconds a new worker has to start and answer its first ping.
+SPAWN_TIMEOUT = 30.0
 #: Consecutive crashes that open a kernel's circuit breaker.
 BREAKER_THRESHOLD = 3
 #: Seconds an open breaker waits before going half-open.
@@ -199,7 +201,7 @@ class _WorkerTimeout(Exception):
 class WorkerProcess:
     """One long-lived sandbox subprocess plus its pipe endpoints."""
 
-    def __init__(self, spawn_timeout: float = 30.0) -> None:
+    def __init__(self) -> None:
         env = dict(os.environ)
         env["REPRO_NATIVE_SANDBOX"] = "0"
         existing = env.get("PYTHONPATH")
@@ -223,7 +225,7 @@ class WorkerProcess:
         # generous timeout, so the first launch's deadline measures
         # the launch and not the spawn.
         self.send({"op": "ping"})
-        self.read_reply(time.monotonic() + spawn_timeout)
+        self.read_reply(time.monotonic() + SPAWN_TIMEOUT)
 
     @property
     def pid(self) -> int:

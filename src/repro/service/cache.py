@@ -15,9 +15,10 @@ of everything that determines the generated code —
   hit/miss/eviction counters (the :class:`~repro.runtime.engine.Engine`
   default);
 * :class:`PersistentKernelCache` — the same memory tier backed by a
-  directory of pickled kernel plans. Writes are atomic (temp file +
-  ``os.replace``); loads are corruption-tolerant (a bad entry is
-  evicted and counted, never fatal); the executable callable is
+  directory of pickled kernel plans. Every file is written to a temp
+  file and published with ``os.replace``, so processes share one
+  directory with no lock; loads are corruption-tolerant (a bad entry
+  is evicted and counted, never fatal); the executable callable is
   rebuilt by re-exec'ing the backend's generated source.
 
 Nothing here imports the runtime at module level, so the engine can
@@ -456,19 +457,19 @@ class LRUKernelCache:
 class PersistentKernelCache(LRUKernelCache):
     """Memory tier + content-addressed directory of kernel plans.
 
-    One file per key (``<sha256>.kpkl``) under ``directory``. The
-    directory is **multi-process safe**: every record lands via
-    atomic temp-file + ``os.replace`` (readers only ever observe
-    complete entries), writers and the prune pass serialise on a
-    cross-process :class:`~repro.service.locking.FileLock`
-    (``.lock`` sidecar), and a crash-recovery sweep at start-up
-    quarantines torn or foreign entries into ``.quarantine/`` —
-    preserved for post-mortem, never re-read, never fatal — and
-    clears stale temp files left by crashed writers. A load that
-    fails for any reason likewise quarantines the file and counts a
-    ``corrupt_eviction`` — a damaged cache degrades to
-    recompilation, never to a crash. ``disk_capacity`` (entries)
-    bounds the directory by evicting the oldest files (mtime order).
+    One file per key (``<sha256>.kpkl``) under ``directory``, which
+    any number of processes may share without a lock. Every record,
+    and every shared object a native record embeds, is written to an
+    ``mkstemp`` file and published with ``os.replace``: a reader
+    opens either the whole old file or the whole new one, and two
+    writers of one digest write the same content, so the last rename
+    wins harmlessly. A crash-recovery sweep at start-up quarantines
+    torn or foreign entries into ``.quarantine/`` — preserved for
+    post-mortem, never re-read, never fatal — and clears stale temp
+    files left by crashed writers. A load that fails for any reason
+    likewise quarantines the file and counts a ``corrupt_eviction``
+    — a damaged cache degrades to recompilation, never to a crash.
+    Nothing bounds the directory; only the memory tier is an LRU.
     """
 
     SUFFIX = ".kpkl"
@@ -477,25 +478,10 @@ class PersistentKernelCache(LRUKernelCache):
     #: leftover, not a write in flight, and is swept.
     STALE_TMP_SECONDS = 60.0
 
-    def __init__(
-        self,
-        directory: str,
-        capacity: int = 256,
-        disk_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, directory: str, capacity: int = 256) -> None:
         super().__init__(capacity)
-        if disk_capacity is not None and disk_capacity < 1:
-            raise ValueError(
-                f"disk_capacity must be >= 1, got {disk_capacity}"
-            )
         self.directory = str(directory)
-        self.disk_capacity = disk_capacity
         os.makedirs(self.directory, exist_ok=True)
-        from .locking import FileLock
-
-        self._file_lock = FileLock(
-            os.path.join(self.directory, ".lock")
-        )
         self._recover_sweep()
 
     # -- tiered lookup -------------------------------------------------------
@@ -510,26 +496,17 @@ class PersistentKernelCache(LRUKernelCache):
         return compiled
 
     def store(self, key: str, compiled) -> None:
-        """Insert into both tiers; disk errors degrade to memory-only.
-
-        The disk write and the prune pass hold the cross-process file
-        lock, so two processes storing the same digest concurrently
-        serialise instead of racing the prune against each other's
-        fresh records. A lock timeout is just another disk error:
-        memory-only, never fatal.
-        """
+        """Insert into both tiers; disk errors degrade to memory-only."""
         with self._lock:
             self._store_memory(key, compiled)
         try:
-            with self._file_lock:
-                self._write_to_disk(key, compiled)
-                with self._lock:
-                    self.disk_stores += 1
-                self._prune_disk()
+            self._write_to_disk(key, compiled)
+            with self._lock:
+                self.disk_stores += 1
         except (OSError, ValueError):
-            pass  # a read-only / full / contended disk (or an
-            # unencodable product, e.g. a torn .so) never fails
-            # compilation — the disk tier just misses next time
+            pass  # a read-only / full disk (or an unencodable
+            # product, e.g. a torn .so) never fails compilation —
+            # the disk tier just misses next time
 
     # -- disk tier -----------------------------------------------------------
 
@@ -563,24 +540,6 @@ class PersistentKernelCache(LRUKernelCache):
         except OSError:
             self._evict_file(tmp_path)
             raise
-
-    def _prune_disk(self) -> None:
-        if self.disk_capacity is None:
-            return
-        try:
-            entries = [
-                os.path.join(self.directory, name)
-                for name in os.listdir(self.directory)
-                if name.endswith(self.SUFFIX)
-                and not name.startswith(".tmp-")
-            ]
-            if len(entries) <= self.disk_capacity:
-                return
-            entries.sort(key=lambda p: os.path.getmtime(p))
-            for path in entries[: len(entries) - self.disk_capacity]:
-                self._evict_file(path)
-        except OSError:
-            pass
 
     @staticmethod
     def _evict_file(path: str) -> None:

@@ -48,7 +48,6 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional
 
-from ..gpu.spec import DeviceSpec
 from ..lang.errors import DslError
 from ..lang.source import SourceText
 from ..resilience import (
@@ -69,6 +68,10 @@ from .queue import (
 )
 from .stats import ServiceStats, StatsRegistry
 from .workers import WorkerPool
+
+#: How many times a submitted job may be retried after a transient
+#: failure (see :mod:`repro.service.workers`).
+MAX_RETRIES = 2
 
 
 def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
@@ -112,9 +115,6 @@ class ComputeService:
         cache_capacity: int = 256,
         prob_mode: str = "direct",
         backend: str = "auto",
-        device: Optional[DeviceSpec] = None,
-        default_timeout: Optional[float] = None,
-        max_retries: int = 2,
         backoff_seconds: float = 0.05,
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionPolicy] = None,
@@ -129,15 +129,12 @@ class ComputeService:
         self.registry = ProgramRegistry()
         self.stats_registry = StatsRegistry()
         self.jobs = JobQueue(queue_capacity)
-        self.default_timeout = default_timeout
-        self.max_retries = max_retries
 
         self.fault_plan = fault_plan
         self.supervision = supervision
 
         def engine_factory() -> Engine:
             engine = Engine(
-                device=device,
                 prob_mode=prob_mode,
                 backend=backend,
                 kernel_cache=self.kernel_cache,
@@ -192,10 +189,8 @@ class ComputeService:
             at=at,
             initial=initial,
             reduce=reduce,
-            timeout=(
-                timeout if timeout is not None else self.default_timeout
-            ),
-            retries_left=self.max_retries,
+            timeout=timeout,
+            retries_left=MAX_RETRIES,
         )
         try:
             self.jobs.submit(job)
@@ -352,7 +347,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             value = handle.result(
                 timeout=timeout + self.server.DEADLINE_GRACE
                 if timeout is not None
-                else self.server.result_timeout
+                else self.server.RESULT_TIMEOUT
             )
         except AdmissionError as err:
             # Queue-full / draining load shedding: tell the caller
@@ -442,26 +437,19 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     #: Extra seconds the handler waits beyond a job's deadline so the
     #: worker's shed/timeout classification arrives before we reply.
     DEADLINE_GRACE = 2.0
+    #: Seconds the handler waits for a job that has no deadline.
+    RESULT_TIMEOUT = 60.0
 
-    def __init__(
-        self,
-        address,
-        service: ComputeService,
-        result_timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, address, service: ComputeService) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
-        self.result_timeout = result_timeout
 
 
 def make_http_server(
-    service: ComputeService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    result_timeout: float = 60.0,
+    service: ComputeService, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceHTTPServer:
     """Bind (but do not run) the HTTP front end; port 0 picks one."""
-    return ServiceHTTPServer((host, port), service, result_timeout)
+    return ServiceHTTPServer((host, port), service)
 
 
 def serve_in_thread(server: ServiceHTTPServer) -> threading.Thread:
@@ -514,6 +502,11 @@ def install_signal_handlers(
 
 # -- client helpers -----------------------------------------------------------
 
+#: Seconds a client waits for a ``/submit`` reply, and for a
+#: ``/stats`` reply.
+SUBMIT_TIMEOUT = 60.0
+STATS_TIMEOUT = 10.0
+
 #: Each client thread's one kept-alive connection, as ``held =
 #: ((host, port), HTTPConnection)``; a thread that has none has no
 #: ``held`` or ``held = None``.
@@ -526,7 +519,7 @@ def _http_json(
     method: str,
     path: str,
     payload: Optional[Dict[str, object]] = None,
-    timeout: float = 60.0,
+    timeout: float = SUBMIT_TIMEOUT,
 ) -> Dict[str, object]:
     """One JSON request over this thread's kept-alive connection.
 
@@ -588,7 +581,6 @@ def submit_remote(
     args: Optional[Mapping[str, object]] = None,
     timeout: Optional[float] = None,
     reduce: Optional[str] = None,
-    http_timeout: float = 60.0,
 ) -> Dict[str, object]:
     """POST one job to a running service; returns the JSON reply."""
     payload: Dict[str, object] = {
@@ -600,13 +592,9 @@ def submit_remote(
         payload["timeout"] = timeout
     if reduce is not None:
         payload["reduce"] = reduce
-    return _http_json(
-        host, port, "POST", "/submit", payload, timeout=http_timeout
-    )
+    return _http_json(host, port, "POST", "/submit", payload)
 
 
-def fetch_remote_stats(
-    host: str, port: int, http_timeout: float = 10.0
-) -> Dict[str, object]:
+def fetch_remote_stats(host: str, port: int) -> Dict[str, object]:
     """GET the ``/stats`` snapshot of a running service."""
-    return _http_json(host, port, "GET", "/stats", timeout=http_timeout)
+    return _http_json(host, port, "GET", "/stats", timeout=STATS_TIMEOUT)

@@ -14,6 +14,9 @@ from typing import Deque, Dict, Optional
 
 from .cache import CacheInfo
 
+#: The latency percentiles are over this many most recent jobs.
+LATENCY_WINDOW = 4096
+
 
 def percentile(samples, fraction: float) -> float:
     """Nearest-rank percentile of ``samples`` (0 for no samples)."""
@@ -99,7 +102,7 @@ class ServiceStats:
 class StatsRegistry:
     """Thread-safe mutable counters behind the snapshots."""
 
-    def __init__(self, latency_window: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.submitted = 0
         self.rejected = 0
@@ -113,7 +116,7 @@ class StatsRegistry:
         self.batches = 0
         self.batched_jobs = 0
         self.max_batch_size = 0
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # -- ticks ---------------------------------------------------------------
 

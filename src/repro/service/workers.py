@@ -58,6 +58,9 @@ from .stats import StatsRegistry
 #: serial reference interpreter.
 DEMOTE_AFTER = 3
 
+#: Upper bound, in seconds, on one retry's backoff sleep.
+BACKOFF_CAP_SECONDS = 1.0
+
 
 def classify_failure(error: BaseException) -> str:
     """Classify one batch-attempt failure for the retry policy.
@@ -108,7 +111,6 @@ class WorkerPool:
         workers: int = 4,
         max_batch: int = 64,
         backoff_seconds: float = 0.05,
-        backoff_cap_seconds: float = 1.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -120,7 +122,6 @@ class WorkerPool:
         self.registry = registry
         self.stats = stats
         self.backoff_seconds = backoff_seconds
-        self.backoff_cap_seconds = backoff_cap_seconds
         #: The engines (or supervisors) the worker threads built —
         #: the stats endpoint sums ``native_demotions`` across them.
         self.engines: List[object] = []
@@ -255,7 +256,7 @@ class WorkerPool:
                 time.sleep(
                     backoff_delay(
                         self.backoff_seconds, retry_round,
-                        self.backoff_cap_seconds, backoff_token,
+                        BACKOFF_CAP_SECONDS, backoff_token,
                     )
                 )
                 retry_round += 1

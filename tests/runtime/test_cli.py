@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
+import re
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import DEMO, main
+from repro.service.server import submit_remote
 
 
 class TestCli:
@@ -223,3 +229,35 @@ class TestCli:
         assert main([str(script), "--prob-mode", "logspace"]) == 0
         out = capsys.readouterr().out
         assert out.strip().startswith("0.25")
+
+
+class TestServeSigterm:
+    def test_final_stats_printed_once(self):
+        """SIGTERM's drain flushes the final stats; ``serve`` itself
+        must not print them a second time on the way out."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"],
+            stderr=subprocess.PIPE,
+        )
+        try:
+            banner = proc.stderr.readline().decode()
+            port = int(re.search(r":(\d+) ", banner).group(1))
+            reply = submit_remote(
+                "127.0.0.1", port,
+                'alphabet en = "abcdefghijklmnopqrstuvwxyz"\n'
+                "int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+                "  if i == 0 then j else if j == 0 then i\n"
+                "  else if s[i-1] == t[j-1] then d(i-1, j-1)\n"
+                "  else (d(i-1, j) min d(i, j-1) min d(i-1, j-1)) + 1\n",
+                "d", {"s": "kitten", "t": "sitting"},
+            )
+            assert reply["value"] == 3, reply
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err.decode()
+            assert err.count(b"service stats") == 1, err.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

@@ -570,9 +570,9 @@ def test_nothing_that_chooses_code_imports_the_device_model():
     """The simulated GTX 480 prices what ran; it never decides what
     runs. So nothing that picks a schedule, emits or verifies code,
     or launches it may import ``repro.gpu`` — only what prices a
-    launch (the engines), configures the device (the service) or
-    reproduces the paper's baselines. The engine imports the spec it
-    is configured with and the one pricer, nothing of the model."""
+    launch (the engines) or reproduces the paper's baselines. The
+    engine imports the spec it is configured with and the one pricer,
+    nothing of the model."""
     imports = _gpu_imports()
     importers = set(imports)
     choosers = {
@@ -587,9 +587,7 @@ def test_nothing_that_chooses_code_imports_the_device_model():
     assert {
         path for path in importers
         if not path.startswith("apps/baselines/")
-    } == {
-        "runtime/engine.py", "runtime/mutual.py", "service/server.py",
-    }
+    } == {"runtime/engine.py", "runtime/mutual.py"}
     assert imports["runtime/engine.py"] == {
         "repro.gpu.spec.DeviceSpec",
         "repro.gpu.spec.GTX480",

@@ -247,27 +247,10 @@ class TestPersistentKernelCache:
         names = [
             name
             for name in os.listdir(tmp_path)
-            if name != ".lock"
-            and name != PersistentKernelCache.QUARANTINE
+            if name != PersistentKernelCache.QUARANTINE
         ]
         assert all(name.endswith(".kpkl") for name in names)
         assert not any(name.startswith(".tmp-") for name in names)
-
-    def test_disk_capacity_prunes_oldest(self, tmp_path):
-        cache = PersistentKernelCache(str(tmp_path), disk_capacity=2)
-        from repro import check_function, parse_function
-
-        engine = Engine(kernel_cache=cache)
-        for extra in (0, 1, 2):
-            func = check_function(
-                parse_function(
-                    f"int f(seq[en] s, index[s] i) = "
-                    f"if i == 0 then {extra} else f(i-1) + 1"
-                ),
-                {"en": ENGLISH.chars},
-            )
-            engine.run(func, {"s": Sequence("abc", ENGLISH)})
-        assert len(cache.disk_keys()) == 2
 
     def test_shared_across_engines(self, tmp_path, edit_func):
         cache = PersistentKernelCache(str(tmp_path))

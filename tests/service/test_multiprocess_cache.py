@@ -1,9 +1,11 @@
-"""Multi-process kernel cache: locking, quarantine, crash recovery.
+"""Multi-process kernel cache: atomic renames, quarantine, crash recovery.
 
 The acceptance scenario: two concurrent OS processes sharing one
 cache directory both complete a warm-start round trip with zero
-corrupt-eviction races — plus the crash-recovery sweep that makes a
-shared directory safe to reopen after a writer died mid-store.
+corrupt-eviction races; writers renaming records into place while a
+reader loads them never show the reader a torn record — plus the
+crash-recovery sweep that makes a shared directory safe to reopen
+after a writer died mid-store.
 """
 
 import os
@@ -11,12 +13,9 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro import Engine, Sequence, check_function, parse_function
 from repro.runtime import ENGLISH
 from repro.service.cache import MAGIC, PersistentKernelCache
-from repro.service.locking import FileLock, LockTimeout
 
 SRC_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(Engine.__init__.__code__.co_filename)))
@@ -62,19 +61,20 @@ def edit_func():
     )
 
 
-def run_children(cache_dir, count=2):
+def spawn(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-c", script] + [str(arg) for arg in args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def run_children(cache_dir, count=2):
     script = CHILD_SCRIPT.format(src=EDIT_FUNC_SRC)
-    children = [
-        subprocess.Popen(
-            [sys.executable, "-c", script, str(cache_dir)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        for _ in range(count)
-    ]
+    children = [spawn(script, cache_dir) for _ in range(count)]
     outcomes = []
     for child in children:
         out, err = child.communicate(timeout=120)
@@ -92,8 +92,7 @@ class TestTwoProcessRace:
             assert code == 0, err.decode()
             assert out.strip() == b"3"
         # The directory holds exactly one record per digest — the
-        # concurrent stores serialised on the file lock instead of
-        # colliding.
+        # concurrent stores each renamed a whole record into place.
         cold = PersistentKernelCache(str(tmp_path))
         assert len(cold.disk_keys()) >= 1
         engine = Engine(kernel_cache=cold)
@@ -156,22 +155,88 @@ class TestRecoverySweep:
         assert cache.cache_info().corrupt_evictions == 0
         assert len(cache.disk_keys()) == 1
 
-
-class TestFileLock:
-    def test_exclusive_across_check(self, tmp_path):
-        path = str(tmp_path / "x.lock")
-        with FileLock(path):
-            other = FileLock(path, timeout=0.1)
-            if other.supported:
-                with pytest.raises(LockTimeout):
-                    with other:
-                        pass
-
-    def test_reentrant_use_after_release(self, tmp_path):
-        lock = FileLock(str(tmp_path / "x.lock"))
-        for _ in range(3):
-            with lock:
-                pass
-
     def test_magic_header_is_versioned(self):
         assert MAGIC.startswith(b"repro-kernel-cache:")
+
+
+#: A writer compiles the two shared kernels and its own, then stores
+#: each again and again, so its renames land while the reader reads.
+WRITER_SCRIPT = """
+import sys
+from repro import Engine, Sequence, check_function, parse_function
+from repro.runtime import ENGLISH
+from repro.service.cache import PersistentKernelCache
+
+cache = PersistentKernelCache(sys.argv[1])
+engine = Engine(kernel_cache=cache)
+for extra in (0, 1, 100 + int(sys.argv[2])):
+    func = check_function(
+        parse_function(
+            f"int f(seq[en] s, index[s] i) = "
+            f"if i == 0 then {extra} else f(i-1) + 1"
+        ),
+        {"en": ENGLISH.chars},
+    )
+    result = engine.run(func, {"s": Sequence("abc", ENGLISH)})
+    assert result.value == extra + 3, result.value
+for _ in range(20):
+    for key in cache.keys():
+        cache.store(key, cache.lookup(key))
+info = cache.cache_info()
+assert info.corrupt_evictions == 0, info
+print(info.disk_stores)
+"""
+
+#: The reader opens a fresh cache over the directory and loads every
+#: listed record, round after round, until the stop file appears.
+READER_SCRIPT = """
+import os, sys
+from repro.service.cache import PersistentKernelCache
+
+loads = 0
+while True:
+    stopping = os.path.exists(sys.argv[2])
+    cache = PersistentKernelCache(sys.argv[1])
+    for key in cache.disk_keys():
+        assert cache.lookup(key) is not None, key
+        loads += 1
+    info = cache.cache_info()
+    assert info.corrupt_evictions == 0, info
+    if stopping:
+        break
+print(loads)
+"""
+
+
+class TestRenamePublication:
+    def test_reader_never_sees_a_partial_record(self, tmp_path):
+        """Three writers store shared and distinct kernels into one
+        directory while a fourth process keeps loading everything
+        listed there: no process counts a corrupt record, every
+        record decodes, and no temp file is left behind."""
+        stop = tmp_path / "stop"
+        cache_dir = tmp_path / "kcache"
+        cache_dir.mkdir()
+        reader = spawn(READER_SCRIPT, cache_dir, stop)
+        writers = [
+            spawn(WRITER_SCRIPT, cache_dir, index) for index in range(3)
+        ]
+        try:
+            for writer in writers:
+                out, err = writer.communicate(timeout=120)
+                assert writer.returncode == 0, err.decode()
+                assert int(out) > 0
+        finally:
+            stop.touch()
+            out, err = reader.communicate(timeout=120)
+        assert reader.returncode == 0, err.decode()
+        assert int(out) > 0
+        names = os.listdir(cache_dir)
+        assert not [name for name in names if name.startswith(".tmp-")]
+        assert PersistentKernelCache.QUARANTINE not in names
+        cold = PersistentKernelCache(str(cache_dir))
+        keys = cold.disk_keys()
+        assert len(keys) == 5  # two shared kernels, one per writer
+        for key in keys:
+            assert cold.lookup(key) is not None
+        assert cold.cache_info().corrupt_evictions == 0
