@@ -564,7 +564,9 @@ class DifferentialHarness:
         block; edges of 1-4 cells (a pure function of the case text,
         so a campaign stays reproducible) give the same table several
         block diagonals, ragged last blocks and, under ASan, every
-        block-edge clip a chance to read out of bounds. The table
+        block-edge clip a chance to read out of bounds — a 1-cell
+        wide block makes every row segment's first cell load its
+        carried left neighbour from the block to its left. The table
         must be the scalar rung's bitwise; and the value the case
         asked for, taken by a result-only launch (under the default
         tile, and under the tiny one when its edges reach as far back

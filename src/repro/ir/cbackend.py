@@ -12,16 +12,20 @@ rewrites, printed by the one C nest printer
 
 * :func:`sweep` — the partition sweep, Figure 9 literally: the time
   loop over the whole box, clipped to ``[part_lo, part_hi]``;
+* :func:`walk` — a tile-licensed kernel's serial order: rows outer,
+  the unit-stride dimension inner, each row clipped to ``[part_lo,
+  part_hi]``, the left neighbour carried in a register;
 * :func:`tile` — the blocked wavefront: the box cut into :data:`TILE`
-  blocks, block anti-diagonals in order, the kernel's own nest over
-  each block's box ``[lo_<dim>, hi_<dim>]`` inside;
+  blocks, block anti-diagonals in order, the walk over each block's
+  box ``[lo_<dim>, hi_<dim>]`` inside;
   :func:`result_only` lays out its storage — the caller's table, or
   (``_res`` non-null, no table) a private halo tile per thread, block
   edges travelling through two boundary strips and
   ``max``/``min``/one coordinate folded in C;
 * :func:`batch` — ``repro_<name>_batched``'s problem loop over a
-  padded map group, each member running its own sweep over its own
-  bounds: no masking, no clamping, bitwise the per-problem cells;
+  padded map group, each member running the per-problem entry's
+  serial order (walk or sweep) over its own bounds: no masking, no
+  clamping, bitwise the per-problem cells;
 * :func:`parallel` — an OpenMP pragma on the first space loop of each
   partition, on the problem loop, or over the blocks of each block
   diagonal.
@@ -29,10 +33,11 @@ rewrites, printed by the one C nest printer
 A rewrite that adds a pragma or changes the order takes its licence
 as a required argument of its own type — ``parallel(loop,
 SpaceLicence)``, ``parallel(problem_loop, BatchLicence)``,
-``tile(kernel, TileLicence, edges)``, ``result_only(tiled,
-TileLicence)`` — and only :mod:`repro.verify.races` grants one, from
-a CONFIRMED verdict. Anything else is a ``TypeError`` at the call, so
-an unproved pragma or block order cannot be written at all.
+``tile(kernel, TileLicence, edges)``, ``walk(kernel, TileLicence,
+box, ...)``, ``result_only(tiled, TileLicence)`` — and only
+:mod:`repro.verify.races` grants one, from a CONFIRMED verdict.
+Anything else is a ``TypeError`` at the call, so an unproved pragma
+or block order cannot be written at all.
 :func:`emit_native_source` reads the kernel's licences once and
 composes.
 
@@ -54,7 +59,6 @@ from typing import List, Optional, Tuple
 from ..analysis.affine import Affine
 from ..lang.types import IntType
 from ..polyhedral import loopast
-from ..polyhedral.codegen import generate_loops
 from ..verify import races
 from . import expr as ir
 from .cell import Block, CCell, Parallel, Store, for_head, prelude
@@ -140,18 +144,6 @@ def result_scratch_cells(reach, extents) -> int:
     return 1 + n0 + h0 * n1 + h1 * n0 * (1 + h0)
 
 
-def _tile_nest(kernel: Kernel) -> loopast.LoopNest:
-    """The kernel's own scattering nest over one block's box
-    ``[lo_<dim>, hi_<dim>]`` instead of ``[0, ub_<dim>]``."""
-    return generate_loops(
-        kernel.dims,
-        [Affine.variable(f"hi_{d}") for d in kernel.dims],
-        kernel.schedule.coefficients,
-        time_var=kernel.nest.time_var,
-        lower_bounds=[Affine.variable(f"lo_{d}") for d in kernel.dims],
-    )
-
-
 def _scalar_kinds(kernel: Kernel) -> dict:
     kinds = {}
     for param in kernel.func.calling_params:
@@ -171,6 +163,15 @@ def native_param_spec(kernel: Kernel) -> List[Param]:
     the two can never disagree on the calling convention. A
     blocked-wavefront kernel's list closes with the result-only
     parameters (all zero on a table launch).
+
+    A blocked-wavefront kernel's TU declares every pointer formal of
+    both entries ``restrict`` (the spec's ``ctext`` stays as listed).
+    That is sound because no written buffer is ever passed twice: the
+    table (or, in a result-only launch, the ``_res`` scratch, with a
+    null table) is the only buffer an entry writes, and every other
+    pointer is a read-only context array — two of which may share a
+    buffer (one sequence bound twice), which ``restrict`` allows of
+    what is not modified.
     """
     vt = value_ctype(kernel)
     params: List[Param] = [
@@ -308,22 +309,32 @@ def native_eligibility(kernel: Kernel) -> Eligibility:
     )
 
 
-#: Thread-control exports, one pair per translation unit. Serial
-#: builds keep the symbols (so the dispatcher can always resolve
-#: them) but make them report a fixed single thread.
+#: Thread-control exports, one pair per translation unit. The cap is
+#: the library's own: ``repro_set_threads`` writes it (``n < 1``
+#: clears it) and every parallel region opens with :data:`_TEAM`, so
+#: it holds on whichever thread launches (``omp_set_num_threads``
+#: would set only the calling thread's control variable, and a
+#: service worker's launch would still open a team on every core).
+#: Serial builds keep the symbols (so the dispatcher can always
+#: resolve them) but make them report a fixed single thread.
 _THREAD_HELPERS = """\
 #ifdef _OPENMP
-void omp_set_num_threads(int);
 int omp_get_max_threads(void);
+static long repro_cap;
 void repro_set_threads(long n) {
-  if (n >= 1) omp_set_num_threads((int) n);
+  repro_cap = n >= 1 ? n : 0;
 }
-long repro_max_threads(void) { return omp_get_max_threads(); }
+long repro_max_threads(void) {
+  return repro_cap ? repro_cap : omp_get_max_threads();
+}
 #else
 void repro_set_threads(long n) { (void) n; }
 long repro_max_threads(void) { return 1; }
 #endif
 """
+
+#: The team-size clause of every ``omp parallel``.
+_TEAM = "num_threads(repro_max_threads())"
 
 
 #: The result-only half of a blocked entry, typed by the table's
@@ -428,10 +439,10 @@ def _partition_loops(nest: loopast.LoopNest, rewrite) -> loopast.LoopNest:
     each partition: under the time loop (at the root of a nest
     without one), through pins and guards."""
 
-    def walk(nodes):
+    def descend(nodes):
         return tuple(
             rewrite(node) if isinstance(node, loopast.Loop)
-            else replace(node, body=walk(node.body))
+            else replace(node, body=descend(node.body))
             if isinstance(node, (loopast.Assign, loopast.Guard))
             else node
             for node in nodes
@@ -439,23 +450,28 @@ def _partition_loops(nest: loopast.LoopNest, rewrite) -> loopast.LoopNest:
 
     time = nest.time_loop
     if time is None:
-        return replace(nest, roots=walk(nest.roots))
-    return replace(nest, roots=(replace(time, body=walk(time.body)),))
+        return replace(nest, roots=descend(nest.roots))
+    return replace(nest, roots=(replace(time, body=descend(time.body)),))
 
 
-def batch(kernel: Kernel) -> tuple:
+def batch(kernel: Kernel, licence=None) -> tuple:
     """``repro_<name>_batched``'s body, ``(setup, problem loop)``.
 
     Inside the loop over the ``B`` problems, locals shadow the
     per-problem entry's formals (``farr`` points at this member's
     padded slice, ``ub_<dim>``/``seq_<s>``/``arg_<a>`` are this
-    member's row of the stacked context), so the body is the same
-    :func:`sweep`, linearising with the padded extents. Each member
-    therefore computes bitwise the cells the per-problem loop would —
-    at any thread count, since the parallel axis is the problem loop
-    and the per-member nest stays serial.
+    member's row of the stacked context), so the body is the
+    per-problem entry's serial order over the member's whole box,
+    linearising with the padded extents: the :func:`walk` under the
+    kernel's :class:`~repro.verify.races.TileLicence` ``licence``,
+    else the :func:`sweep`. Each member therefore computes bitwise the
+    cells the per-problem entry would — at any thread count, since
+    the parallel axis is the problem loop and the per-member nest
+    stays serial.
     """
-    member = [f"{value_ctype(kernel)}* farr = btab + _b * _tsz;"]
+    vt = value_ctype(kernel)
+    restrict = " restrict" if licence is not None else ""
+    member = [f"{vt}*{restrict} farr = btab + _b * _tsz;"]
     member += [f"const long ub_{d} = b_ub_{d}[_b];" for d in kernel.dims]
     refs = kernel.referenced_names()
     member += [
@@ -471,11 +487,98 @@ def batch(kernel: Kernel) -> tuple:
         )
         member.append(f"const {ctext} arg_{a} = b_arg_{a}[_b];")
     tsz = " * ".join(f"pad_{d}" for d in kernel.dims)
+    if licence is None:
+        nest = sweep(kernel.nest)
+    else:
+        box = [(Affine.constant(0), Affine.variable(f"ub_{d}"))
+               for d in kernel.dims]
+        nest = walk(kernel, licence, box, f"pad_{kernel.dims[1]}")
     return (
         f"const long _tsz = {tsz};",
+        Block("for (long _b = 0; _b < nprob; _b++)", (*member, *nest)),
+    )
+
+
+def walk(kernel: Kernel, licence, box, stride: str, then=()) -> tuple:
+    """A tile-licensed kernel's serial nest over ``box`` (per
+    dimension an :class:`Affine` ``(low, high)``), clipped to
+    ``[part_lo, part_hi]``, as a **row walk**: rows ``d0`` outer,
+    ``d1`` innermost at unit stride.
+
+    The clip is a per-row ``d1`` segment solved from ``S = a·d0 +
+    b·d1``: ``ceild``/``floord`` bounds when ``b > 0``, flipped when
+    ``b < 0``; when ``b = 0`` a whole row is in or out. ``licence``
+    (``R-TILE-ORDER``) is what makes the order sound: every callee
+    ``x + c`` has ``c ≤ 0`` in both dimensions and ``S(c) < 0``, so it
+    is lexicographically earlier — this walk computed it already, or
+    (the clip cut it) a launch of an earlier range did. Each cell is
+    the same expression over the same inputs as in the partition
+    sweep, so the values are bitwise the sweep's.
+
+    The own-table read at ``(0, -1)`` is the cell just stored, so it
+    is carried in the local ``_left`` instead of re-read: loaded from
+    ``farr`` (row stride ``stride``) only at a segment's first cell,
+    and only when that cell has a left neighbour (``d1 > 0``; in a
+    halo tile the ``h1 ≥ 1`` columns left of the block hold it). Each
+    leaf stores its cell, sets ``_left`` and runs ``then`` (lines in
+    which ``{0}`` is the stored value).
+    """
+    _require(licence, races.TileLicence)
+    (d0, d1), (a, b) = kernel.dims, kernel.schedule.coefficients
+    (lo0, hi0), (lo1, hi1) = box
+    smin = lo0.scale(a) if a >= 0 else hi0.scale(a)
+    smax = hi0.scale(a) if a >= 0 else lo0.scale(a)
+    smin += lo1.scale(b) if b >= 0 else hi1.scale(b)
+    smax += hi1.scale(b) if b >= 0 else lo1.scale(b)
+    row, plo, phi = (
+        Affine.variable(d0).scale(a), Affine.variable("_plo"),
+        Affine.variable("_phi"),
+    )
+    text = loopast.affine_c_text
+
+    def bound(helper, numerator, divisor):
+        if divisor == 1:
+            return text(numerator)
+        return f"{helper}({text(numerator)}, {divisor})"
+
+    first, last = text(lo1), text(hi1)
+    if b > 0:
+        first = f"lmax({first}, {bound('ceild', plo - row, b)})"
+        last = f"lmin({last}, {bound('floord', phi - row, b)})"
+    elif b < 0:
+        first = f"lmax({first}, {bound('ceild', row - phi, -b)})"
+        last = f"lmin({last}, {bound('floord', row - plo, -b)})"
+    left = tuple(dict.fromkeys(
+        read for read, offsets in races.own_read_offsets(kernel)
+        if offsets == (0, -1)
+    ))
+    segment = [
+        f"const long _first = {first};",
+        f"const long _last = {last};",
+    ]
+    if left:
+        load = CCell(kernel, strides=(None, stride)).address(
+            (d0, "_first - 1")
+        )
+        segment.append(
+            f"{value_ctype(kernel)} _left = _first > 0 && "
+            f"_first <= _last ? {load} : 0;"
+        )
+    leaf = Store(
+        ("_left = {0};",) * bool(left) + tuple(then),
+        tuple((read, "_left") for read in left),
+    )
+    segment.append(Block(for_head(d1, "_first", "_last"), (leaf,)))
+    if b == 0:
+        segment = [Block(
+            f"if (_plo <= {text(row)} && {text(row)} <= _phi)",
+            tuple(segment),
+        )]
+    return (
+        f"const long _plo = lmax({text(smin)}, part_lo);",
+        f"const long _phi = lmin({text(smax)}, part_hi);",
         Block(
-            "for (long _b = 0; _b < nprob; _b++)",
-            (*member, *sweep(kernel.nest)),
+            for_head(d0, text(lo0), text(hi0)), tuple(segment)
         ),
     )
 
@@ -496,10 +599,10 @@ def tile(kernel: Kernel, licence, edges: Tuple[int, int]) -> _Tiled:
     (the kernel's :class:`~repro.verify.races.TileLicence`) permits.
 
     The box is cut into ``edges`` blocks; block anti-diagonals run in
-    order and inside a block runs the kernel's own scattering nest
-    over the block's box, serially. ``R-TILE-ORDER`` is the proof
-    that every read's callee sits in the reader's block at an earlier
-    partition or on an earlier block diagonal, and that two blocks of
+    order and inside a block the :func:`walk` runs over the block's
+    box, serially, row by row. ``R-TILE-ORDER`` is the proof that
+    every read's callee sits in the reader's block, lexicographically
+    earlier, or on an earlier block diagonal, and that two blocks of
     one diagonal never reach each other.
     """
     _require(licence, races.TileLicence)
@@ -530,30 +633,31 @@ def result_only(tiled: _Tiled, licence) -> tuple:
         ("-INFINITY", "INFINITY") if vt == "double"
         else ("LONG_MIN", "LONG_MAX")
     )
-    nest = _tile_nest(kernel)
-    folded = replace(nest, roots=_stored(nest.roots, (
+    fold = (
         f"if ({{0}} > _amax{nan}) _amax = {{0}};",
         f"if ({{0}} < _amin{nan}) _amin = {{0}};",
-    )))
+    )
     block = (
         f"farr, _ts, _b, _bd - _b, lo_{d0}, hi_{d0}, lo_{d1}, hi_{d1}"
     )
-    box = []
+    bounds = []
     for dim, edge, index in ((d0, t0, "_b"), (d1, t1, "(_bd - _b)")):
-        box += [
+        bounds += [
             f"const long lo_{dim} = {index} * {edge};",
             f"const long hi_{dim} = lmin(ub_{dim}, lo_{dim} + {edge - 1});",
         ]
+    box = [(Affine.variable(f"lo_{d}"), Affine.variable(f"hi_{d}"))
+           for d in kernel.dims]
     blocks = Block("for (long _b = _b0; _b <= _b1; _b++)", (
-        *box,
-        f"{vt}* farr = _tab;",
+        *bounds,
+        f"{vt}* restrict farr = _tab;",
         f"long _ts = ub_{d1} + 1;",
         Block("if (_res)", (
             "_ts = _tw;",
             f"farr = _tile - (lo_{d0} - {h0}) * _ts - (lo_{d1} - {h1});",
             f"repro_block(&_s, 0, {block}, 0);",
         )),
-        *sweep(folded),
+        *walk(kernel, licence, box, "_ts", fold),
         f"if (_res) repro_block(&_s, 1, {block}, "
         f"_red == 1 ? _amax : _amin);",
     ))
@@ -584,18 +688,7 @@ def result_only(tiled: _Tiled, licence) -> tuple:
             f"_s.left = _s.top + {h0} * (ub_{d1} + 1);",
         )),
         region if tiled.blocks is None
-        else Parallel(region, "parallel", tiled.blocks),
-    )
-
-
-def _stored(nodes, then) -> tuple:
-    """``nodes`` with every cell store followed by ``then``."""
-    return tuple(
-        Store(then) if isinstance(node, loopast.Stmt)
-        else replace(node, body=_stored(node.body, then))
-        if hasattr(node, "body")
-        else node
-        for node in nodes
+        else Parallel(region, f"parallel {_TEAM}", tiled.blocks),
     )
 
 
@@ -614,9 +707,11 @@ def parallel(node, licence):
     if isinstance(licence, races.SpaceLicence) and isinstance(
         node, loopast.Loop
     ):
-        return Parallel(node, "parallel for", licence)
+        return Parallel(node, f"parallel for {_TEAM}", licence)
     if isinstance(licence, races.BatchLicence) and isinstance(node, Block):
-        return Parallel(node, "parallel for schedule(static)", licence)
+        return Parallel(
+            node, f"parallel for schedule(static) {_TEAM}", licence
+        )
     if isinstance(licence, races.TileLicence) and isinstance(node, _Tiled):
         return replace(node, blocks=licence)
     raise TypeError(
@@ -684,20 +779,22 @@ def emit_native_source(
                 nest, lambda loop: parallel(loop, pragmas.space)
             )
         body, cell = sweep(nest), CCell(kernel)
+    restrict = licences.tile is not None
     _entry(lines, entry_symbol(kernel), native_param_spec(kernel),
-           body, cell, vt)
-    setup, loop = batch(kernel)
+           body, cell, vt, restrict)
+    setup, loop = batch(kernel, licences.tile)
     if pragmas.batch is not None:
         loop = parallel(loop, pragmas.batch)
     strides = tuple(f"pad_{d}" for d in kernel.dims)
     _entry(lines, entry_symbol(kernel, batched=True),
            native_batched_param_spec(kernel), (setup, loop),
-           CCell(kernel, strides=strides), vt)
+           CCell(kernel, strides=strides), vt, restrict)
     return "\n".join(lines)
 
 
-def _entry(lines, symbol, params, body, cell, vt) -> None:
-    """Append ``void <symbol>(<params>) { <body> }``."""
+def _entry(lines, symbol, params, body, cell, vt, restrict) -> None:
+    """Append ``void <symbol>(<params>) { <body> }``, every pointer
+    formal ``restrict`` when ``restrict`` is set."""
     text: List[str] = []
     cell.print_nest(body, vt, text, "  ")
     printed = "\n".join(text)
@@ -710,5 +807,9 @@ def _entry(lines, symbol, params, body, cell, vt) -> None:
         for p in params
         if not re.search(rf"\b{re.escape(p.name)}\b", printed)
     ]
-    decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
+    decl = ", ".join(
+        f"{p.ctext}{' restrict' if restrict and '*' in p.ctext else ''} "
+        f"{p.name}"
+        for p in params
+    )
     lines += [f"void {symbol}({decl}) {{", *unused, *text, "}", ""]

@@ -426,9 +426,12 @@ class Block:
 @dataclass(frozen=True)
 class Store:
     """A nest leaf whose cell store is followed by ``then``: lines in
-    which ``{0}`` is the stored value's temporary."""
+    which ``{0}`` is the stored value's temporary. ``carried`` names
+    the local that holds each listed own-table read's value, printed
+    in the read's place instead of a table access."""
 
     then: Tuple[str, ...]
+    carried: Tuple[Tuple[ir.TableRead, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -497,6 +500,9 @@ class CCell(CellPrinter):
         super().__init__(kernel)
         self.windowed = windowed
         self.strides = tuple(strides) if strides is not None else None
+        #: The reads the leaf being printed carries in locals
+        #: (:attr:`Store.carried`).
+        self.carried: Dict[ir.TableRead, str] = {}
 
     def _dim_size(self, k: int) -> str:
         """C text of dimension ``k``'s row length in the table."""
@@ -528,7 +534,7 @@ class CCell(CellPrinter):
                 f"cross-table read of {node.table!r}: mutual-group "
                 f"members have no single-kernel C rendering"
             )
-        return self.address(kids)
+        return self.carried.get(node) or self.address(kids)
 
     def address(self, rendered) -> str:
         """The table cell at the rendered coordinates, row-major.
@@ -627,7 +633,9 @@ class CCell(CellPrinter):
             elif isinstance(node, (loopast.Stmt, Store)):
                 target = self.fresh()
                 lines.append(f"{pad}{vt} {target};")
+                self.carried = dict(getattr(node, "carried", ()))
                 self.emit_to(self.kernel.body.cell, target, lines, pad)
+                self.carried = {}
                 store = self.address(self.kernel.dims)
                 lines.append(f"{pad}{store} = {target};")
                 for line in getattr(node, "then", ()):

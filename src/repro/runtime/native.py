@@ -49,8 +49,9 @@ construction, since the parallel axes (cells of one partition,
 blocks of one diagonal, problems of one batch) never share a written
 cell and every reduction stays serial inside its cell.
 ``REPRO_NATIVE_THREADS=N`` (a positive integer) caps the OpenMP team
-size (applied via the emitted ``repro_set_threads`` export when each
-library loads). The pragmas
+size (written into each library through its ``repro_set_threads``
+export when it loads, and read by every parallel region of it, on
+whichever thread launches). The pragmas
 themselves are licensed: :func:`repro.ir.cbackend
 .emit_native_source` writes a pragma only with a licence
 :mod:`repro.verify.races` granted from a CONFIRMED parallel-safety
@@ -333,18 +334,16 @@ def effective_threads() -> int:
 
 
 def _apply_thread_cap(lib: ctypes.CDLL) -> None:
-    """Push the ``REPRO_NATIVE_THREADS`` cap into a freshly loaded
-    library via its ``repro_set_threads`` export (a no-op symbol in
-    serial builds, so this is always safe). Every translation unit
-    exports it: a library without it fails to load, as one missing an
-    entry does."""
+    """Write the ``REPRO_NATIVE_THREADS`` cap into a freshly loaded
+    library via its ``repro_set_threads`` export (0 when unset: the
+    OpenMP runtime picks). The cap is the library's, read by every
+    parallel region whichever thread launches it; a serial build's
+    export is a no-op. Every translation unit exports it: a library
+    without it fails to load, as one missing an entry does."""
     setter = lib.repro_set_threads
-    forced = thread_count()
-    if forced is None:
-        return
     setter.restype = None
     setter.argtypes = [ctypes.c_long]
-    setter(forced)
+    setter(thread_count() or 0)
 
 
 def build_shared_object(source: str) -> str:

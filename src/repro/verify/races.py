@@ -31,15 +31,17 @@ Three obligations — two race axes and one order licence:
   the partition-by-partition sweep. CONFIRMED iff every own-table
   read in the cell body, guarded or not, is ``x + c`` with a constant
   ``c <= 0`` in every dimension and ``S(c) < 0``: a callee then lies
-  in the reader's own block at a strictly earlier partition, or in a
-  block whose indices are componentwise no larger and not all equal,
-  i.e. on a strictly earlier block diagonal, and two blocks of one
-  diagonal cannot reach each other. A sign check on the IR — no
-  extents, no path conditions, no LP — so the verdict holds at every
-  problem size. A refusal is not a hazard (it selects the untiled
-  nest, the normal state of every kernel with a free or forward
-  index), so it does not count against :attr:`ParallelismCertificate
-  .ok` and raises no diagnostic.
+  in the reader's own block, lexicographically earlier (the row walk
+  inside a block has computed it) and at a strictly earlier partition
+  (a range launch's clip has kept it), or in a block whose indices
+  are componentwise no larger and not all equal, i.e. on a strictly
+  earlier block diagonal, and two blocks of one diagonal cannot reach
+  each other. A sign check on the IR — no extents, no path
+  conditions, no LP — so the verdict holds at every problem size. A
+  refusal is not a hazard (it selects the untiled nest, the normal
+  state of every kernel with a free or forward index), so it does
+  not count against :attr:`ParallelismCertificate.ok` and raises no
+  diagnostic.
 
 Index components the affine abstraction cannot express (opaque
 transition binders) are treated as *free*: a fresh variable spanning
@@ -91,6 +93,7 @@ __all__ = [
     "analyze_parallelism",
     "collect_read_footprints",
     "licences",
+    "own_read_offsets",
     "parallelism_certificate",
     "tile_licence",
 ]
@@ -598,6 +601,33 @@ def _batch_axis(
     )
 
 
+def own_read_offsets(
+    kernel: Kernel,
+) -> List[Tuple[ir.TableRead, Tuple[Optional[int], ...]]]:
+    """Every own-table read of the cell body, guarded or not, in walk
+    order, with its offset per dimension: ``c`` where the index is
+    ``dim + c``, ``None`` where it is not a constant step from the
+    reader's own coordinate."""
+    # The access pass's affine abstraction, with no binder in scope:
+    # a transition or range binder abstracts to None / a foreign
+    # variable. (The box only fills the constructor; the abstraction
+    # reads no extents.)
+    affine_of = _FootprintCollector(
+        kernel.func, _nominal_domain(kernel)
+    )._affine_of
+    reads = []
+    for node in ir.walk(kernel.body.cell):
+        if not isinstance(node, ir.TableRead) or node.table:
+            continue
+        offsets = []
+        for dim, index in zip(kernel.dims, node.indices):
+            affine = affine_of(index)
+            steps = affine is not None and affine.coeffs == ((dim, 1),)
+            offsets.append(affine.const if steps else None)
+        reads.append((node, tuple(offsets)))
+    return reads
+
+
 def _tile_axis(kernel: Kernel) -> AxisVerdict:
     """May a blocked wavefront replace the partition sweep?
 
@@ -620,24 +650,12 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
             rule="R-TILE-ORDER", witness={"store": 0},
         )
     coefficients = kernel.schedule.coefficients
-    reads = [
-        node for node in ir.walk(kernel.body.cell)
-        if isinstance(node, ir.TableRead) and not node.table
-    ]
-    # The access pass's affine abstraction, with no binder in scope:
-    # a transition or range binder abstracts to None / a foreign
-    # variable. (The box only fills the constructor; the abstraction
-    # reads no extents.)
-    affine_of = _FootprintCollector(
-        kernel.func, _nominal_domain(kernel)
-    )._affine_of
+    reads = own_read_offsets(kernel)
     reach = [0] * kernel.rank
-    for n, read in enumerate(reads):
+    for n, (read, offsets) in enumerate(reads):
         text = f"{kernel.name}({', '.join(map(str, read.indices))})"
-        offsets = []
-        for k, (dim, index) in enumerate(zip(kernel.dims, read.indices)):
-            affine = affine_of(index)
-            if affine is None or affine.coeffs != ((dim, 1),):
+        for k, (dim, offset) in enumerate(zip(kernel.dims, offsets)):
+            if offset is None:
                 return AxisVerdict(
                     "tile", REFUSED,
                     f"read {text}: the {dim!r} index is not "
@@ -645,7 +663,6 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
                     f"fixed relative to the reader's",
                     rule="R-TILE-ORDER", witness={"read": n, "dim": k},
                 )
-            offset = affine.const
             if offset > 0:
                 return AxisVerdict(
                     "tile", REFUSED,
@@ -655,7 +672,6 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
                     rule="R-TILE-ORDER",
                     witness={"read": n, "dim": k, "offset": offset},
                 )
-            offsets.append(offset)
         delta = -sum(a * c for a, c in zip(coefficients, offsets))
         if delta <= 0:
             return AxisVerdict(
@@ -671,8 +687,9 @@ def _tile_axis(kernel: Kernel) -> AxisVerdict:
         "tile", CONFIRMED,
         f"all {len(reads)} own-table read(s) are x + c with c <= 0 "
         f"in every dimension and S(c) < 0: a callee is in the "
-        f"reader's block at an earlier partition or in a block on an "
-        f"earlier block diagonal, at every problem size",
+        f"reader's block, lexicographically earlier and at an earlier "
+        f"partition, or in a block on an earlier block diagonal, at "
+        f"every problem size",
         reach=tuple(reach),
     )
 

@@ -1,6 +1,7 @@
 """Tests for the native C99 emitter (the compiled backend's source)."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -57,6 +58,19 @@ int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =
 """
 
 
+#: The team-size clause every ``omp parallel`` carries.
+TEAM = "num_threads(repro_max_threads())"
+
+
+def restricted(params):
+    """A tiled entry's declaration: the spec's formals, every pointer
+    ``restrict``."""
+    return ", ".join(
+        f"{p.ctext}{' restrict' if '*' in p.ctext else ''} {p.name}"
+        for p in params
+    )
+
+
 def kernel_for(src, schedule, alphabets=EN):
     func = check_function(parse_function(src.strip()), alphabets)
     return build_kernel(func, schedule)
@@ -109,15 +123,17 @@ class TestEmission:
         assert "tile=refused[R-TILE-ORDER]" in text
 
     def test_partition_clamps_emitted(self, edit_kernel, forward_kernel):
-        """Replay support: every entry honours part_lo/part_hi."""
-        for kernel in (edit_kernel, forward_kernel):
-            text = emit_native_source(kernel)
-            assert text.count(
-                "if (part_lo > _plo) _plo = part_lo;"
-            ) == 2
-            assert text.count(
-                "if (part_hi < _phi) _phi = part_hi;"
-            ) == 2
+        """Replay support: every entry honours part_lo/part_hi — the
+        partition sweep clamps its time loop, the row walk its
+        partition range."""
+        text = emit_native_source(forward_kernel)
+        assert text.count("if (part_lo > _plo) _plo = part_lo;") == 2
+        assert text.count("if (part_hi < _phi) _phi = part_hi;") == 2
+        text = emit_native_source(edit_kernel)
+        assert text.count("const long _plo = lmax(") == 2
+        assert text.count("const long _phi = lmin(") == 2
+        assert text.count(", part_lo);") == 2
+        assert text.count(", part_hi);") == 2
 
     def test_table_type_matches_kind(self, edit_kernel):
         assert value_ctype(edit_kernel) == "long"
@@ -141,7 +157,7 @@ class TestEmission:
         assert "static inline long lmax(long a, long b)" in text
         assert "lmin(lmin(farr[" in text
         assert " min(" not in text.split("void repro_d(")[1]
-        assert "lmax(0,p-ub_j)" in text  # batched whole-box bounds
+        assert "lmax(0, _plo-i)" in text  # batched whole-box bounds
         viterbi = kernel_for(
             FORWARD.replace("sum(", "max(").replace("forward", "vit"),
             Schedule.of(s=0, i=1), {},
@@ -325,8 +341,7 @@ class TestParamSpec:
         parameters in spec order."""
         text = emit_native_source(edit_kernel)
         params = native_param_spec(edit_kernel)
-        decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
-        assert f"void repro_d({decl})" in text
+        assert f"void repro_d({restricted(params)})" in text
 
 
 class TestBatchedEmission:
@@ -338,12 +353,14 @@ class TestBatchedEmission:
 
     def test_blocked_kernel_batches_via_plain_body(self, edit_kernel):
         """Blocks are a per-problem device: a blocked kernel's
-        batched entry runs each member's partition sweep."""
+        batched entry runs each member's row walk over its whole
+        box."""
         text = emit_native_source(edit_kernel, openmp=True)
         per_problem = text[:text.index("void repro_d_batched(")]
         batched = text[text.index("void repro_d_batched("):]
         assert "_bd" in per_problem
         assert "_bd" not in batched and "_plo" in batched
+        assert "for (long i = 0; i <= ub_i; i++)" in batched
 
     def test_cross_table_read_refused(self):
         from repro.ir import expr as ir
@@ -366,7 +383,7 @@ class TestBatchedEmission:
         ragged member reads its neighbour's rows."""
         text = emit_native_source(edit_kernel)
         body = text[text.index("repro_d_batched"):]
-        assert "long* farr = btab + _b * _tsz;" in body
+        assert "long* restrict farr = btab + _b * _tsz;" in body
         assert "* (pad_j) +" in body
         assert "* (ub_j + 1) +" not in body
 
@@ -386,7 +403,8 @@ class TestBatchedEmission:
         omp = emit_native_source(edit_kernel, openmp=True)
         batched = omp[omp.index("repro_d_batched"):]
         assert (
-            "#pragma omp parallel for schedule(static)\n"
+            "#pragma omp parallel for schedule(static) "
+            "num_threads(repro_max_threads())\n"
             "  for (long _b = 0; _b < nprob; _b++)" in batched
         )
         # exactly one pragma in the batched entry
@@ -396,19 +414,41 @@ class TestBatchedEmission:
             serial.index("repro_d_batched"):
         ]
 
-    def test_thread_helpers_emitted(self, edit_kernel):
+    def test_thread_helpers_emitted(self, edit_kernel, forward_kernel):
         """repro_set_threads/repro_max_threads ship in every TU, with
-        serial stubs when the TU compiles without OpenMP."""
-        text = emit_native_source(edit_kernel)
-        assert "void repro_set_threads(long n)" in text
-        assert "long repro_max_threads(void)" in text
-        assert "#ifdef _OPENMP" in text
+        serial stubs when the TU compiles without OpenMP; the cap is
+        a file-scope value every parallel region reads, tiled or
+        not."""
+        for kernel in (edit_kernel, forward_kernel):
+            text = emit_native_source(kernel, openmp=True)
+            assert "void repro_set_threads(long n)" in text
+            assert "long repro_max_threads(void)" in text
+            assert "#ifdef _OPENMP" in text
+            assert "static long repro_cap;" in text
+            assert "omp_set_num_threads" not in text
+            regions = re.findall(r"#pragma omp parallel.*", text)
+            assert regions and all(
+                line.endswith(" num_threads(repro_max_threads())")
+                for line in regions
+            )
 
     def test_batched_spec_matches_declaration(self, edit_kernel):
         text = emit_native_source(edit_kernel)
         params = native_batched_param_spec(edit_kernel)
-        decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
-        assert f"void repro_d_batched({decl})" in text
+        assert f"void repro_d_batched({restricted(params)})" in text
+
+    def test_only_a_tiled_tu_is_restrict(self, forward_kernel):
+        """``restrict`` rides with the row walk: an untiled kernel's
+        formals are declared as the spec spells them."""
+        text = emit_native_source(forward_kernel)
+        assert "restrict" not in text
+        for params, batched in (
+            (native_param_spec(forward_kernel), False),
+            (native_batched_param_spec(forward_kernel), True),
+        ):
+            decl = ", ".join(f"{p.ctext} {p.name}" for p in params)
+            symbol = entry_symbol(forward_kernel, batched=batched)
+            assert f"void {symbol}({decl})" in text
 
     def test_batched_spec_kinds(self, edit_kernel):
         params = native_batched_param_spec(edit_kernel)
@@ -508,7 +548,7 @@ class TestLicences:
         proved, _ = split_entries(
             emit_native_source(forward_kernel, openmp=True), forward_kernel
         )
-        assert "#pragma omp parallel for\n" in proved
+        assert f"#pragma omp parallel for {TEAM}\n" in proved
         refuse(monkeypatch, forward_kernel, "space", "R-SPACE-RW")
         text = emit_native_source(forward_kernel, openmp=True)
         per_problem, batched = split_entries(text, forward_kernel)
@@ -521,7 +561,7 @@ class TestLicences:
         refuse(monkeypatch, forward_kernel, "batch", "R-BATCH-OVERLAP")
         text = emit_native_source(forward_kernel, openmp=True)
         per_problem, batched = split_entries(text, forward_kernel)
-        assert "#pragma omp parallel for\n" in per_problem
+        assert f"#pragma omp parallel for {TEAM}\n" in per_problem
         assert "#pragma" not in batched
 
     def test_refused_tile_axis_yields_the_partition_sweep(
@@ -532,4 +572,4 @@ class TestLicences:
         per_problem, _ = split_entries(text, edit_kernel)
         assert "_bd" not in per_problem and "_plo" in per_problem
         assert "_res" not in per_problem
-        assert "#pragma omp parallel for\n" in per_problem
+        assert f"#pragma omp parallel for {TEAM}\n" in per_problem

@@ -5,10 +5,12 @@ Kernels whose own-table reads all look backward in every dimension
 anti-diagonal instead of partition by partition. These tests pin the
 three things that change with the order: the table (never — bitwise
 the scalar table for any tile shape, thread count and extents, whole
-launch or any split into partition ranges), the text (one region, one
-``omp for``, the kernel's own nest inside a tile, no ring entry), and
-what does *not* change (every other kernel's translation unit, byte
-for byte against goldens taken at the commit before tiling).
+launch or any split into partition ranges, per problem or per batched
+member), the text (one region, one ``omp for``, a row walk inside a
+tile with the left neighbour in a register, no ring entry), and what
+does *not* change (every other kernel's translation unit, byte for
+byte against goldens taken at the commit before tiling, up to the
+thread cap).
 
 The same entry launched *without* a table — a private halo tile per
 thread, two boundary strips, the reduction folded in C — must hand
@@ -33,11 +35,16 @@ from repro.ir.kernel import build_kernel
 from repro.lang.parser import parse_expr, parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime import native
+from repro.runtime.batching import pack_group
 from repro.runtime.engine import Engine
 from repro.runtime.values import PROTEIN, Bindings, Sequence
 from repro.schedule import find_schedule
 from repro.schedule.schedule import Schedule
-from repro.verify.races import licences, parallelism_certificate
+from repro.verify.races import (
+    licences,
+    own_read_offsets,
+    parallelism_certificate,
+)
 
 needs_cc = pytest.mark.skipif(
     not native.available().ok,
@@ -73,6 +80,23 @@ int g(seq[al] s, index[s] i, seq[al] t, index[t] j) =
 """
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+
+#: Every TU's thread helpers, and the ones the goldens' commit had
+#: (the cap set through the loading thread's ``omp_set_num_threads``).
+THREAD_HELPERS = cbackend._THREAD_HELPERS
+GOLDEN_THREAD_HELPERS = """\
+#ifdef _OPENMP
+void omp_set_num_threads(int);
+int omp_get_max_threads(void);
+void repro_set_threads(long n) {
+  if (n >= 1) omp_set_num_threads((int) n);
+}
+long repro_max_threads(void) { return omp_get_max_threads(); }
+#else
+void repro_set_threads(long n) { (void) n; }
+long repro_max_threads(void) { return 1; }
+#endif
+"""
 
 #: Tile shapes: single cells, ragged, wider than tall, the default.
 TILES = [(1, 1), (2, 3), (5, 4), (128, 128)]
@@ -119,6 +143,11 @@ PROGRAMS = {
         checked(EDIT), "2*i + j",
         lambda n, m: {"s": dna(n, 1), "t": dna(m, 2)},
     ),
+    # b = 2: a row's segment is solved with ceild/floord.
+    "edit-i+2j": (
+        checked(EDIT), "i + 2*j",
+        lambda n, m: {"s": dna(n, 1), "t": dna(m, 2)},
+    ),
     "rows-S=i": (
         checked(ROWS), "i",
         lambda n, m: {"s": dna(n, 3), "t": dna(m, 4)},
@@ -160,7 +189,10 @@ class Problem:
         self.schedule = engine.schedule_for(
             func, self.domain, parse_expr(user) if user else None
         )
-        compiled = engine.compile(func, self.schedule, self.domain)
+        compiled = self.compiled = engine.compile(
+            func, self.schedule, self.domain
+        )
+        self.bound = bound
         self.kernel = compiled.kernel
         self.ctx = engine.build_context(compiled, bound, self.domain)
         self.lo = self.schedule.min_partition(self.domain)
@@ -214,35 +246,105 @@ def test_tiled_table_is_the_scalar_table(name, tile, threads, monkeypatch):
 # -- (b) partition ranges ---------------------------------------------------
 
 
+#: A ragged map group: every member shorter than the padded table in
+#: at least one dimension but one, an empty sequence among them.
+GROUP = [(9, 7), (3, 2), (11, 13), (0, 3)]
+
+
+#: What a cell no launch has reached holds.
+UNWRITTEN = -7
+
+
+def launches(run, table, ctx, lo, hi, cuts, check):
+    """Consecutive ``(part_lo, part_hi)`` launches of ``run`` ending
+    at each of ``cuts`` and then at ``hi``; ``check(cut)`` after
+    each."""
+    start = lo
+    for cut in cuts + [hi]:
+        run(table, ctx, part_lo=start, part_hi=cut)
+        check(cut)
+        start = max(start, cut + 1)
+
+
+def draw_cuts(data, lo, hi, label):
+    return sorted(
+        data.draw(st.lists(st.integers(lo - 1, hi), max_size=8), label=label)
+    )
+
+
+def assert_written_through(table, problem, cut):
+    """``table`` (one problem's box in its top-left corner) holds the
+    scalar cells of every partition up to ``cut`` and nothing else."""
+    a, b = problem.schedule.coefficients
+    n0, n1 = problem.expected.shape
+    i, j = np.indices(table.shape)
+    done = (a * i + b * j <= cut) & (i < n0) & (j < n1)
+    want = np.full(table.shape, UNWRITTEN, dtype=table.dtype)
+    want[done] = np.pad(
+        problem.expected,
+        [(0, table.shape[0] - n0), (0, table.shape[1] - n1)],
+    )[done]
+    assert np.array_equal(table, want), (
+        f"{problem.kernel.name} {problem.schedule} "
+        f"{problem.expected.shape}: cells through partition {cut}"
+    )
+
+
 @needs_cc
-@pytest.mark.parametrize("tile", [(2, 3), (128, 128)])
-@pytest.mark.parametrize("name", ["edit", "edit-2i+j", "rows-S=i"])
+@pytest.mark.parametrize("tile", [(2, 3), (128, 128), (1, 1), (5, 4)])
+@pytest.mark.parametrize(
+    # Declared schedules of every sign of b in S = a*i + b*j: the row
+    # walk's segment for b = 1, b = 2 (ceild/floord), b = 0 (a whole
+    # row in or out) and b = -1 (the bounds flip).
+    "name", ["edit", "edit-2i+j", "rows-S=i", "edit-i+2j", "down-i-j"]
+)
 @settings(
-    deadline=None, max_examples=25,
+    deadline=None, max_examples=15,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
 def test_any_split_into_partition_ranges_is_one_full_launch(
-    name, tile, data
+    name, tile, monkeypatch, data
 ):
     """Consecutive ``(part_lo, part_hi)`` launches — prefixes,
     suffixes, single partitions, empty ranges — leave the table one
     full launch leaves: a range launch computes exactly the cells of
-    its partitions, in every block, whatever came before."""
+    its partitions, in every block, whatever came before, and writes
+    no other cell. The same holds for the batched entry, whose
+    members walk their rows over their whole boxes: each member's
+    slice is its scalar table and its padding is never written. At
+    one thread and at two."""
     problem = problem_for(name, (9, 7))
-    run = tiled_run(problem.kernel, tile)
+    members = [problem_for(name, lengths) for lengths in GROUP]
     lo, hi = problem.lo, problem.hi
-    cuts = sorted(
-        data.draw(
-            st.lists(st.integers(lo - 1, hi), max_size=8), label="cuts"
+    group_lo = min(m.lo for m in members)
+    group_hi = max(m.hi for m in members)
+    for threads in (1, 2):
+        # The cap is applied when a library loads.
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
+        run = tiled_run(problem.kernel, tile)
+        table = problem.fresh()
+        table[...] = UNWRITTEN
+        launches(
+            run, table, problem.ctx, lo, hi,
+            draw_cuts(data, lo, hi, "cuts"),
+            lambda cut: assert_written_through(table, problem, cut),
         )
-    )
-    table = problem.fresh()
-    start = lo
-    for cut in cuts + [hi]:
-        run(table, problem.ctx, part_lo=start, part_hi=cut)
-        start = max(start, cut + 1)
-    assert np.array_equal(table, problem.expected)
+
+        packed = pack_group(
+            problem.compiled, [(m.bound, m.domain) for m in members]
+        )
+        packed.table[...] = UNWRITTEN
+
+        def every_member(cut):
+            for slot, member in enumerate(members):
+                assert_written_through(packed.table[slot], member, cut)
+
+        launches(
+            run.batched, packed.table, packed.ctx, group_lo, group_hi,
+            draw_cuts(data, group_lo, group_hi, "batched cuts"),
+            every_member,
+        )
 
 
 @needs_cc
@@ -276,20 +378,52 @@ class TestStructure:
         source = cbackend.emit_native_source(kernel, openmp=True)
         entry = entry_text(source, "repro_d")
         assert entry.count("#pragma omp") == 2
-        assert entry.count("#pragma omp parallel\n") == 1
+        assert entry.count(
+            "#pragma omp parallel num_threads(repro_max_threads())\n"
+        ) == 1
         assert entry.count("#pragma omp for schedule(static)\n") == 1
         # nothing inside a tile: the last pragma precedes the block
-        # loop, and the tile's own nest follows it
+        # loop, and the row walk over the block's box follows it
         tile_body = entry[entry.index("const long lo_i"):]
         assert "#pragma" not in tile_body
-        assert "for (long p = _plo; p <= _phi; p++)" in tile_body
-        assert "lmax(lo_i,p-hi_j)" in tile_body
-        assert "lmin(hi_i,p-lo_j)" in tile_body
+        assert "for (long i = lo_i; i <= hi_i; i++)" in tile_body
+        assert "const long _first = lmax(lo_j, _plo-i);" in tile_body
+        assert "const long _last = lmin(hi_j, _phi-i);" in tile_body
         assert "_windowed" not in source and "swin" not in source
-        # the batched entry keeps the whole-box nest
+        # the batched entry walks each member's whole box
         batched = entry_text(source, "repro_d_batched")
         assert "lo_i" not in batched and "_bd" not in batched
-        assert "lmax(0,p-ub_j)" in batched
+        assert "for (long i = 0; i <= ub_i; i++)" in batched
+        assert "const long _first = lmax(0, _plo-i);" in batched
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_a_block_walks_its_rows(self, name):
+        """Inside a block, and inside a batched member, the innermost
+        loop runs over ``d1`` at unit stride; the ``(0, -1)`` read is
+        the carried ``_left``, never a table access; every pointer
+        formal and the block's ``farr`` are ``restrict``."""
+        kernel = problem_for(name, (3, 2)).kernel
+        d0, d1 = kernel.dims
+        carried = any(
+            offsets == (0, -1) for _, offsets in own_read_offsets(kernel)
+        )
+        assert carried == (name not in ("rows-S=i", "down-i-j"))
+        source = cbackend.emit_native_source(kernel, openmp=True)
+        for batched in (False, True):
+            entry = entry_text(
+                source, cbackend.entry_symbol(kernel, batched)
+            )
+            heads = re.findall(r"for \(long (\w+) = (\w+);", entry)
+            assert heads[-1] == (d1, "_first")
+            assert f"{d1} <= _last; {d1}++)" in entry
+            assert re.search(
+                rf"farr\[\({d0}\) \* \(\w+\) \+ \({d1} - 1\)\]", entry
+            ) is None
+            assert ("_left = _t0;" in entry) == carried
+            header = entry[:entry.index("{")]
+            pointers = re.findall(r"\w+\* (?:restrict )?\w+", header)
+            assert header.count("* restrict ") == len(pointers) > 0
+            assert re.search(r"\w+\* restrict farr = ", entry)
 
     def test_serial_build_is_tiled_and_pragma_free(self, kernel):
         source = cbackend.emit_native_source(kernel, openmp=False)
@@ -356,7 +490,10 @@ class TestStructure:
         source = cbackend.emit_native_source(kernel, openmp=True)
         entry = entry_text(source, "repro_d")
         assert "_bd" not in entry and "lo_i" not in entry
-        assert "#pragma omp parallel for\n" in entry
+        assert (
+            "#pragma omp parallel for num_threads(repro_max_threads())\n"
+            in entry
+        )
         assert "tile=refused[R-TILE-ORDER]" in source
         assert races.licences(kernel).tile is None
 
@@ -374,8 +511,11 @@ class TestStructure:
         before tiling, byte for byte — up to what has changed in
         every TU since, which the normaliser spells out: the
         ``lmin``/``lmax`` prelude pair and their use in loop bounds
-        and int cells, and the certificate header's third axis
-        (``tile`` where the goldens' commit had ``ring``)."""
+        and int cells, the certificate header's third axis (``tile``
+        where the goldens' commit had ``ring``), and the thread cap
+        (a file-scope value each region reads through
+        ``num_threads``, where the goldens' commit set the loading
+        thread's ``omp_set_num_threads``)."""
         func = make()
         domain = Domain(func.dim_names, tuple(13 for _ in func.dim_names))
         kernel = build_kernel(func, find_schedule(func, domain))
@@ -396,6 +536,8 @@ class TestStructure:
         text = text.replace(
             " tile=refused[R-TILE-ORDER] */", " ring=not-applicable */"
         )
+        text = text.replace(THREAD_HELPERS, GOLDEN_THREAD_HELPERS)
+        text = text.replace(" num_threads(repro_max_threads())", "")
         assert text == golden
 
 
@@ -512,7 +654,8 @@ def test_the_tile_verdict_carries_the_reach():
         for name in PROGRAMS
     }
     assert reach == {
-        "edit": (1, 1), "edit-2i+j": (1, 1), "sw": (1, 1),
+        "edit": (1, 1), "edit-2i+j": (1, 1), "edit-i+2j": (1, 1),
+        "sw": (1, 1),
         "rows-S=i": (2, 1), "down-i-j": (1, 0),
     }
     forward = forward_function()
@@ -636,11 +779,11 @@ class TestResultOnlyStructure:
         source = cbackend.emit_native_source(kernel, openmp=True)
         entry = entry_text(source, "repro_d")
         assert entry.count("farr[(i) * (_ts) + j] = ") == 1
-        assert entry.count("for (long p = _plo; p <= _phi; p++)") == 1
+        assert entry.count("for (long j = _first; j <= _last; j++)") == 1
         assert entry.count("repro_block(&_s, 0, farr, _ts,") == 1
         assert entry.count("repro_block(&_s, 1, farr, _ts,") == 1
         # table and result-only launches choose (farr, _ts) per block
-        assert "long* farr = _tab;" in entry
+        assert "long* restrict farr = _tab;" in entry
         assert "farr = _tile - (lo_i - 1) * _ts - (lo_j - 1);" in entry
         assert source.count("void repro_block(") == 1
         # the batched entry keeps its own strides and no fold

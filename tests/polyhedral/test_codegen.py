@@ -126,7 +126,7 @@ class TestSchedules:
 
 class TestLowerBounds:
     """Symbolic lower bounds: the same generator scans one block
-    ``[lo, hi]`` of the box (the native backend's tile nest)."""
+    ``[lo, hi]`` of the box."""
 
     @staticmethod
     def block_nest(coeffs):

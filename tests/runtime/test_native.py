@@ -27,6 +27,15 @@ int d(seq[en] s, index[s] i, seq[en] t, index[t] j) =
   else (d(i-1, j) min d(i, j-1) min d(i-1, j-1)) + 1
 """
 
+# One read looks forward in j: the partition sweep, not the blocked
+# wavefront.
+FORWARD_LOOKING = """
+int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =
+  if i == 0 then j
+  else if j > 7 then g(i-1, j) + 1
+  else g(i-1, j+1) + 1
+"""
+
 have_cc = native.available().ok
 needs_cc = pytest.mark.skipif(
     not have_cc, reason="no working C compiler in this environment"
@@ -98,6 +107,50 @@ class TestAvailability:
         assert "positive integer" in str(err.value)
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
         assert native.thread_count() == 3
+
+    @needs_cc
+    def test_thread_cap_holds_on_every_launching_thread(self, monkeypatch):
+        """The cap belongs to the library, not to the thread that
+        loaded it: a service worker or a client thread launching it
+        reads the same cap, and a load without the variable clears
+        it."""
+        import ctypes
+        import threading
+
+        if not native.toolchain()[1] or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs OpenMP and two cores")
+        if native.sanitize_active():
+            pytest.skip("a sanitized library never loads in-process")
+        engine = Engine(backend="scalar")
+        kernels = [
+            compile_edit(engine, func=check_function(
+                parse_function(text.strip()), EN
+            ))[0].kernel
+            for text in (EDIT_DISTANCE, FORWARD_LOOKING)
+        ]
+        assert licences(kernels[0]).tile is not None
+        assert licences(kernels[1]).tile is None
+
+        def reads(lib):
+            """``repro_max_threads()`` here and on a new thread."""
+            probe = lib.repro_max_threads
+            probe.restype = ctypes.c_long
+            seen = []
+            worker = threading.Thread(target=lambda: seen.append(probe()))
+            worker.start()
+            worker.join(timeout=30)
+            return probe(), seen[0]
+
+        for kernel in kernels:
+            so_path = native.build_shared_object(
+                cbackend.emit_native_source(kernel, openmp=True)
+            )
+            monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
+            run = native.NativeRun(kernel, so_path)
+            assert reads(run._lib) == (1, 1)
+            monkeypatch.delenv("REPRO_NATIVE_THREADS")
+            run = native.NativeRun(kernel, so_path)
+            assert min(reads(run._lib)) >= 2
 
     @needs_cc
     def test_toolchain_memoised(self):

@@ -472,7 +472,9 @@ class TestFormatGuard:
             rebuilt = cold._cache.values()[0]
             assert "_windowed" not in rebuilt.source
             assert "for (long _bd = 0;" in rebuilt.source
-            assert "long* _res, long _red, long _at_i" in rebuilt.source
+            assert "long* restrict _res, long _red, long _at_i" in (
+                rebuilt.source
+            )
 
     def test_backend_survives_round_trip(self, edit_func):
         engine = Engine(backend="vector")
