@@ -3,16 +3,17 @@
 
 Three acts:
 
-1. **Chaos campaign** — edit distance under 5% launch failures, 2%
-   transfer truncations and 1% silent bit-flip corruption. The
+1. **Chaos campaign** — edit distance under 7% launch failures and
+   1% silent bit-flip corruption. The
    supervisor detects every fault, replays only the failed partition
    ranges, and the final table is bitwise-identical to a fault-free
    run. The launch accounting proves no clean epoch was recomputed.
 2. **Determinism** — the same seed replays the exact same faults at
    the exact same sites; a different seed draws a different storm.
 3. **Graceful degradation** — a service whose device never completes
-   a launch still answers correctly: after `DEMOTE_AFTER` (3) faulted
-   rounds the jobs finish on the serial reference interpreter.
+   a launch still answers correctly: its last attempt
+   (`MAX_RETRIES + 1` = 3) demotes the jobs to the serial reference
+   interpreter.
 
 Run:  python examples/chaos_demo.py
 """
@@ -45,8 +46,7 @@ def chaos_campaign(func, bindings):
     baseline = Engine().run(func, dict(bindings))
     plan = FaultPlan(
         seed=1234,
-        launch_fail_rate=0.05,
-        truncate_rate=0.02,
+        launch_fail_rate=0.07,
         corrupt_rate=0.01,
         corrupt_mode="bitflip",
     )
@@ -124,8 +124,7 @@ def degradation():
             "d", {"s": word, "t": "sitting"}
         )
         jobs.append(Job(program_sha=program.sha, function="d",
-                        bindings=bindings, at=at, initial=initial,
-                        retries_left=10))
+                        bindings=bindings, at=at, initial=initial))
     pool.execute_batch(
         BrokenDeviceEngine(), Batch(jobs[0].group_key, jobs)
     )

@@ -64,7 +64,6 @@ class ServiceRoundTrip:
         return FaultPlan(
             seed=self.chaos_seed,
             launch_fail_rate=self.chaos_rate,
-            truncate_rate=self.chaos_rate,
             worker_kill_rate=self.chaos_rate if self.use_native else 0.0,
             sandbox_hang_rate=(
                 self.chaos_rate / 2.0 if self.use_native else 0.0

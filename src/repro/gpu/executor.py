@@ -36,19 +36,11 @@ class LockStepExecutor:
         schedule: Schedule,
         bindings: Bindings,
         domain: Domain,
-        injector=None,
     ) -> None:
         self.func = func
         self.schedule = schedule
         self.bindings = bindings
         self.domain = domain
-        #: Optional fault injector (duck-typed against
-        #: :class:`~repro.resilience.faults.FaultInjector`); when set,
-        #: each partition's staged writes pass through
-        #: ``corrupt_staged`` before the barrier commits them.
-        self.injector = injector
-        #: Cells the injector corrupted, per partition (accounting).
-        self.corrupted: Dict[int, list] = {}
         self._table: Dict[Tuple[int, ...], object] = {}
         #: Partition that wrote each cell (barrier bookkeeping).
         self._written_at: Dict[Tuple[int, ...], int] = {}
@@ -85,10 +77,6 @@ class LockStepExecutor:
             staged = {}
             for cell in cells:
                 staged[cell] = self._evaluator.evaluate(cell)
-            if self.injector is not None:
-                victims = self.injector.corrupt_staged(staged, partition)
-                if victims:
-                    self.corrupted[partition] = victims
             # Barrier: all of this partition's writes commit at once.
             for cell, value in staged.items():
                 self._table[cell] = value

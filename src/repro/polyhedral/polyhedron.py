@@ -78,22 +78,11 @@ class Polyhedron:
     constraints: Tuple[Constraint, ...]
 
     @staticmethod
-    def box(
-        bounds: Sequence[Tuple[str, Affine]],
-        lowers: Optional[Sequence[Affine]] = None,
-    ) -> "Polyhedron":
-        """``lo <= dim <= ub`` for each ``(dim, ub)`` (both inclusive).
-
-        ``lowers`` gives one lower bound per dimension, affine in
-        symbolic parameters like the upper bounds; omitted, every
-        dimension starts at 0.
-        """
+    def box(bounds: Sequence[Tuple[str, Affine]]) -> "Polyhedron":
+        """``0 <= dim <= ub`` for each ``(dim, ub)`` (both inclusive)."""
         constraints: List[Constraint] = []
-        for k, (dim, upper) in enumerate(bounds):
-            lower = Affine.variable(dim)
-            if lowers is not None:
-                lower = lower - lowers[k]
-            constraints.append(Constraint(lower))
+        for dim, upper in bounds:
+            constraints.append(Constraint(Affine.variable(dim)))
             constraints.append(
                 Constraint(upper - Affine.variable(dim))
             )

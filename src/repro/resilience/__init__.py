@@ -19,9 +19,7 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultSite,
-    KernelHang,
     LaunchFault,
-    TransferFault,
 )
 from .oracle import DivergenceOracle, tables_agree
 from .reference import serial_reference_run
@@ -42,11 +40,9 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSite",
-    "KernelHang",
     "LaunchFault",
     "SupervisionPolicy",
     "SupervisorStats",
-    "TransferFault",
     "partition_ranges",
     "serial_reference_run",
     "tables_agree",

@@ -3,9 +3,10 @@
 The paper's execution template assumes every partition launch
 completes and every barrier commits. A service built on the simulator
 must instead survive the classic GPU failure modes: launches that
-fail at the driver, cells silently corrupted in device memory,
-transfers cut short, kernels that wedge. This module makes those
-failure modes *explicit, seeded and replayable*:
+fail (refused by the device, or cut short at copy-back — either way
+the range's output is lost), cells silently corrupted in device memory,
+sandbox workers that die or wedge. This module makes those failure
+modes *explicit, seeded and replayable*:
 
 * a :class:`FaultPlan` fixes the rates (and optionally the sites) of
   each fault kind plus a seed;
@@ -18,8 +19,8 @@ failure modes *explicit, seeded and replayable*:
   marker the serving layer uses to classify an error as transient
   (retry from checkpoint) rather than deterministic (fail fast).
 
-Nothing here imports the runtime, so the device simulator and the
-lock-step executor can consume an injector without an import cycle.
+Nothing here imports the runtime; the only consumer of a plan is
+:class:`~repro.resilience.supervisor.ExecutionSupervisor`.
 """
 
 from __future__ import annotations
@@ -50,19 +51,9 @@ class DeviceFault(RuntimeError):
 
 
 class LaunchFault(DeviceFault):
-    """A kernel launch failed before executing any cell."""
-
-
-class TransferFault(DeviceFault):
-    """A host/device transfer was truncated mid-copy."""
-
-
-class KernelHang(DeviceFault):
-    """An in-process kernel launch wedged (an injected hang).
-
-    An in-process launch cannot be stopped, so the supervisor raises
-    this at once instead of waiting the wedge out; only a sandboxed
-    launch has a deadline (:class:`SandboxHang`)."""
+    """A partition-range launch produced no usable output: it failed
+    before executing any cell, or its copy-back was cut short. Either
+    way the range is discarded and replayed."""
 
 
 class WorkerCrash(DeviceFault):
@@ -80,9 +71,9 @@ class WorkerCrash(DeviceFault):
 class SandboxHang(DeviceFault):
     """A sandboxed kernel launch exceeded its deadline and was killed.
 
-    Unlike :class:`KernelHang` (an in-process wedge, which nothing
-    can stop), a sandbox hang is terminated for real: the worker
-    process is SIGKILLed and respawned.
+    The wedge is terminated for real: the worker process is
+    SIGKILLed and respawned. (An in-process launch cannot be stopped,
+    so only sandboxed launches are ever hung.)
     """
 
 
@@ -111,7 +102,7 @@ class FaultSite:
     partition: int
     sm: int
     attempt: int
-    stage: str = "kernel"  # "launch" | "kernel" | "transfer" | "memory"
+    stage: str = "kernel"  # "launch" | "kernel" | "memory"
 
     def tokens(self) -> str:
         """Canonical ``problem:partition:sm:attempt:stage`` form."""
@@ -141,9 +132,8 @@ class FaultEvent:
 class FaultPlan:
     """Rates, modes and site filters of a fault campaign.
 
-    Rates are probabilities per opportunity: ``launch_fail_rate`` and
-    ``hang_rate`` per partition-range launch, ``truncate_rate`` per
-    result transfer, ``corrupt_rate`` per table cell.
+    Rates are probabilities per opportunity: ``launch_fail_rate`` per
+    partition-range launch, ``corrupt_rate`` per table cell.
     ``corrupt_mode`` picks the damage pattern: ``"nan"`` writes NaN
     into float tables (scan-detectable) and ``"bitflip"`` flips a
     high mantissa/exponent bit of the raw 64-bit word (silent —
@@ -154,16 +144,15 @@ class FaultPlan:
     ``worker_kill_rate`` and ``sandbox_hang_rate`` are per sandboxed
     partition-range launch: the sandbox worker process is SIGKILLed
     mid-launch (the real process-death failure mode, not an
-    exception) or wedged past the launch deadline (and then killed
-    for real). Both are inert for in-process backends — only launches
-    routed through :mod:`repro.runtime.sandbox` can honour them.
+    exception) or wedged for ``hang_seconds``, past the launch
+    deadline (and then killed for real). Both are inert for in-process
+    backends — only launches routed through :mod:`repro.runtime.sandbox`
+    can honour them.
     """
 
     seed: int = 0
     launch_fail_rate: float = 0.0
     corrupt_rate: float = 0.0
-    truncate_rate: float = 0.0
-    hang_rate: float = 0.0
     worker_kill_rate: float = 0.0
     sandbox_hang_rate: float = 0.0
     corrupt_mode: str = "nan"
@@ -173,7 +162,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in ("launch_fail_rate", "corrupt_rate",
-                     "truncate_rate", "hang_rate",
                      "worker_kill_rate", "sandbox_hang_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -183,18 +171,6 @@ class FaultPlan:
                 f"corrupt_mode must be 'nan' or 'bitflip', "
                 f"got {self.corrupt_mode!r}"
             )
-
-    @property
-    def any_faults(self) -> bool:
-        """Does this plan inject anything at all?"""
-        return (
-            self.launch_fail_rate > 0.0
-            or self.corrupt_rate > 0.0
-            or self.truncate_rate > 0.0
-            or self.hang_rate > 0.0
-            or self.worker_kill_rate > 0.0
-            or self.sandbox_hang_rate > 0.0
-        )
 
 
 class FaultInjector:
@@ -247,17 +223,6 @@ class FaultInjector:
                 f"injected launch failure at {site.tokens()}", site
             )
 
-    def check_transfer(self, site: FaultSite) -> None:
-        """Raise :class:`TransferFault` when the copy-back truncates."""
-        rate = self.plan.truncate_rate
-        if rate <= 0.0 or not self._enabled(site):
-            return
-        if self._uniform("transfer", site) < rate:
-            self._record("transfer", site)
-            raise TransferFault(
-                f"injected transfer truncation at {site.tokens()}", site
-            )
-
     def sandbox_fault(self, site: FaultSite) -> Optional[dict]:
         """The fault directive for one *sandboxed* launch, or None.
 
@@ -280,16 +245,6 @@ class FaultInjector:
             self._record("sandbox-hang", site)
             return {"kind": "hang", "seconds": plan.hang_seconds}
         return None
-
-    def hang_delay(self, site: FaultSite) -> float:
-        """Seconds this kernel will wedge for (0.0 = healthy)."""
-        rate = self.plan.hang_rate
-        if rate <= 0.0 or not self._enabled(site):
-            return 0.0
-        if self._uniform("hang", site) < rate:
-            self._record("hang", site)
-            return self.plan.hang_seconds
-        return 0.0
 
     def corrupt_cells(
         self,
@@ -348,31 +303,6 @@ class FaultInjector:
                         "memory", site, detail=f"cell={coords}"
                     )
                     break
-        return victims
-
-    def corrupt_staged(
-        self, staged: dict, partition: int, problem: int = 0
-    ) -> List[tuple]:
-        """Lock-step variant: corrupt a partition's staged writes.
-
-        Called by :class:`~repro.gpu.executor.LockStepExecutor` at the
-        barrier, before the partition's writes commit. Values become
-        NaN (the semantic executor works on Python floats).
-        """
-        plan = self.plan
-        if plan.corrupt_rate <= 0.0:
-            return []
-        victims: List[tuple] = []
-        site = FaultSite(problem, partition, sm=0, attempt=0,
-                         stage="memory")
-        if not self._enabled(site):
-            return []
-        for cell in sorted(staged):
-            if self._uniform("memory", site, extra=str(cell)) \
-                    < plan.corrupt_rate:
-                staged[cell] = float("nan")
-                victims.append(cell)
-                self._record("memory", site, detail=f"cell={cell}")
         return victims
 
     # -- damage patterns -----------------------------------------------------

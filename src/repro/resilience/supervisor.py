@@ -13,14 +13,13 @@ partitions, the natural consistency points of the paper's time loop
 * the epoch runs as a partition-range launch
   (``compiled.run(T, ctx, part_lo, part_hi)``); a sandboxed native
   launch runs under a deadline the worker's SIGKILL enforces;
-* fault detection: launch/transfer faults surface as exceptions from
-  the injection plane (or real infrastructure), an injected wedge
-  raises :class:`~repro.resilience.faults.KernelHang` in process (an
-  in-process launch cannot be stopped, so none is waited on) or
-  trips the sandbox deadline, poisoned cells are caught by a NaN
-  scan, and — when the fault plan can corrupt cells — silent
-  bit-flips by replay verification (the epoch runs twice from the
-  same checkpoint and must agree bitwise);
+* fault detection: launch faults surface as exceptions from the
+  injection plane (or real infrastructure), a sandboxed worker's
+  death or wedge as :class:`~repro.resilience.faults.WorkerCrash` /
+  :class:`~repro.resilience.faults.SandboxHang`, poisoned cells are
+  caught by a NaN scan, and — when the fault plan can corrupt cells —
+  silent bit-flips by replay verification (the epoch runs twice from
+  the same checkpoint and must agree bitwise);
 * recovery restores the checkpoint and replays *only the failed
   partition range* — earlier epochs are never recomputed;
 * a detected corruption consults the
@@ -54,7 +53,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultSite,
-    KernelHang,
 )
 from .oracle import DivergenceOracle
 
@@ -90,9 +88,9 @@ class SupervisionPolicy:
     copies). ``max_replays`` bounds the replays of one faulting
     range. ``watchdog_seconds`` is the deadline of one sandboxed
     epoch launch, enforced by SIGKILLing the worker; ``None`` derives
-    it from the plan's hang length when the plan injects hangs, and
-    otherwise leaves the sandbox's own launch deadline. An
-    in-process launch has no deadline: it cannot be stopped.
+    it from the plan's hang length when the plan hangs sandbox
+    workers, and otherwise leaves the sandbox's own launch deadline.
+    An in-process launch has no deadline: it cannot be stopped.
     """
 
     checkpoint_interval: int = 8
@@ -199,9 +197,8 @@ class ExecutionSupervisor:
         self._replay = plan is not None and plan.corrupt_rate > 0.0
         # The deadline of a sandboxed launch (a SIGKILL enforces it).
         watchdog = self.policy.watchdog_seconds
-        if watchdog is None and plan is not None and (
-            plan.hang_rate > 0 or plan.sandbox_hang_rate > 0
-        ):
+        if (watchdog is None and plan is not None
+                and plan.sandbox_hang_rate > 0):
             watchdog = max(0.02, plan.hang_seconds / 4.0)
         self._watchdog = watchdog
 
@@ -362,9 +359,6 @@ class ExecutionSupervisor:
         scratch = base.copy()
         self._run_range(compiled, scratch, ctx, elo, ehi, site)
         if injector is not None:
-            injector.check_transfer(
-                FaultSite(problem, elo, sm, attempt, "transfer")
-            )
             injector.corrupt_cells(
                 scratch, compiled.schedule, elo, ehi,
                 FaultSite(problem, elo, sm, attempt, "memory"),
@@ -391,29 +385,18 @@ class ExecutionSupervisor:
         group's) takes the injection plane's kill/hang directive and
         the watchdog deadline into its worker, where a wedge is
         SIGKILLed for real; ``WorkerCrash``/``SandboxHang`` surface as
-        DeviceFaults and replay like any other launch fault. An
-        in-process launch cannot be stopped, so an injected wedge
-        raises :class:`KernelHang` at once instead of being waited on.
+        DeviceFaults and replay like any other launch fault.
         """
-        injector = self.injector
-        hang = (
-            injector.hang_delay(site) if injector is not None else 0.0
-        )
         if ladder.sandboxed_run(compiled) is not None:
-            fault = (
-                injector.sandbox_fault(site)
-                if injector is not None
-                else None
-            )
-            if fault is None and hang > 0.0:
-                fault = {"kind": "hang", "seconds": hang}
+            injector = self.injector
             compiled.run(
                 scratch, ctx, part_lo=elo, part_hi=ehi,
-                fault=fault, deadline=self._watchdog,
+                fault=(
+                    injector.sandbox_fault(site)
+                    if injector is not None
+                    else None
+                ),
+                deadline=self._watchdog,
             )
             return
-        if hang > 0.0:
-            raise KernelHang(
-                f"kernel wedged on partitions [{elo}, {ehi}]", site
-            )
         compiled.run(scratch, ctx, part_lo=elo, part_hi=ehi)

@@ -20,7 +20,6 @@
 from __future__ import annotations
 
 import math
-import os
 from functools import cached_property
 from typing import (
     Callable,
@@ -204,14 +203,10 @@ class Engine:
         batching: bool = True,
         sanitize: bool = False,
     ) -> None:
-        # ``backend=None`` (the default) defers to the REPRO_BACKEND
-        # environment variable, then "auto". An env-provided backend
-        # is a *preference* (it degrades gracefully when, say, no C
-        # compiler exists); an explicit argument is *forced* and
-        # raises instead of degrading.
-        self.backend_forced = backend is not None
+        # ``backend=None`` (the default) is "auto"; any other mode is
+        # forced and raises instead of degrading.
         if backend is None:
-            backend = os.environ.get("REPRO_BACKEND") or "auto"
+            backend = "auto"
         if backend not in ("auto", "scalar", "vector", "native"):
             raise ValueError(f"unknown backend {backend!r}")
         self.spec = device or GTX480
@@ -382,13 +377,12 @@ class Engine:
             rungs = ladder.rungs(kernel)
             self._memo.store(memo_key, rungs)
         rung = ladder.resolve(
-            func.name, rungs, self.backend, self.backend_forced,
-            self.sanitize, large,
+            func.name, rungs, self.backend, self.sanitize, large,
         )
         try:
             compiled = self.product(func, schedule, rung, kernel)
         except NativeBuildError as err:
-            if self.backend == "native" and self.backend_forced:
+            if self.backend == "native":
                 # Name the failure the way a forced-vector
                 # CodegenError names its eligibility rule, so
                 # callers see which toolchain step broke.

@@ -198,19 +198,16 @@ def resolve(
     name: str,
     ladder: Tuple[Rung, ...],
     mode: str,
-    forced: bool,
     sanitize: bool = False,
     large: Optional[bool] = None,
 ) -> str:
     """Apply an engine's backend mode to kernel ``name``'s ladder.
 
     ``mode`` is ``auto``/``scalar``/``vector``/``native``. A
-    ``vector`` mode, and a ``native`` one given as an explicit
-    argument (``forced``), raise
-    :class:`~repro.lang.errors.CodegenError` naming the failed rule up
-    front rather than letting the generator die mid-emission; a
-    ``native`` mode that came from ``REPRO_BACKEND`` is a preference
-    and degrades down the rest of the ladder like ``auto``.
+    ``vector`` or ``native`` mode is forced: when its rung is not
+    eligible it raises :class:`~repro.lang.errors.CodegenError` naming
+    the failed rule up front rather than letting the generator die
+    mid-emission.
     """
     if mode == "scalar":
         return "scalar"
@@ -223,7 +220,7 @@ def resolve(
                 f"[{vector.verdict.rule}]: {vector.verdict.detail}"
             )
         return "vector"
-    if mode == "native" and forced:
+    if mode == "native":
         if sanitize:
             raise CodegenError(
                 "backend='native' cannot run sanitized: the "

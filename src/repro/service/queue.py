@@ -18,6 +18,7 @@ every worker is busy.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -117,6 +118,28 @@ class JobHandle:
         return self._error
 
 
+def job_timeout(value: object) -> Optional[float]:
+    """A job's timeout in seconds: a finite number > 0, or None.
+
+    Anything else (a string, a bool, NaN, infinity, zero or a negative
+    number) raises :class:`ValueError`, so a bad deadline is refused
+    before the job is admitted.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"timeout must be a finite number of seconds > 0, "
+            f"got {value!r}"
+        )
+    return float(value)
+
+
 #: Everything jobs must share to ride in one batched ``map`` run.
 GroupKey = Tuple[str, str, Tuple[Tuple[str, int], ...],
                  Tuple[Tuple[str, int], ...], Optional[str]]
@@ -135,7 +158,6 @@ class Job:
     initial: Dict[str, int]
     reduce: Optional[str] = None
     timeout: Optional[float] = None
-    retries_left: int = 0
     job_id: str = field(
         default_factory=lambda: f"job-{next(_job_ids)}"
     )

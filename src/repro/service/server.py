@@ -65,19 +65,16 @@ from .queue import (
     JobHandle,
     JobQueue,
     JobTimeoutError,
+    job_timeout,
 )
 from .stats import ServiceStats, StatsRegistry
 from .workers import WorkerPool
-
-#: How many times a submitted job may be retried after a transient
-#: failure (see :mod:`repro.service.workers`).
-MAX_RETRIES = 2
 
 
 def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
     """Build a :class:`FaultPlan` from ``REPRO_CHAOS_*`` variables.
 
-    ``REPRO_CHAOS_RATE`` (launch failure + transfer truncation rate),
+    ``REPRO_CHAOS_RATE`` (launch failure rate),
     ``REPRO_CHAOS_CORRUPT`` (per-cell corruption rate),
     ``REPRO_CHAOS_KILL`` / ``REPRO_CHAOS_HANG`` (sandbox worker
     SIGKILL / hang rates — only live when the native sandbox is on)
@@ -95,7 +92,6 @@ def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
     return FaultPlan(
         seed=int(environ.get("REPRO_CHAOS_SEED", "0") or 0),
         launch_fail_rate=rate,
-        truncate_rate=rate,
         corrupt_rate=corrupt,
         corrupt_mode="bitflip",
         worker_kill_rate=kill,
@@ -175,9 +171,11 @@ class ComputeService:
 
         Raises :class:`~repro.lang.errors.DslError` on a bad program
         or arguments (checked synchronously, so malformed work never
-        occupies the queue) and
-        :class:`~repro.service.queue.AdmissionError` under overload.
+        occupies the queue), :class:`ValueError` on a timeout that is
+        not a finite number > 0 (:func:`~repro.service.queue.job_timeout`)
+        and :class:`~repro.service.queue.AdmissionError` under overload.
         """
+        timeout = job_timeout(timeout)
         service_program = self.registry.register(program)
         bindings, at, initial = service_program.bind(
             function, args or {}
@@ -190,7 +188,6 @@ class ComputeService:
             initial=initial,
             reduce=reduce,
             timeout=timeout,
-            retries_left=MAX_RETRIES,
         )
         try:
             self.jobs.submit(job)
@@ -315,23 +312,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                           f"'program' and 'function')"},
             )
             return
-        timeout = request.get("timeout")
-        if timeout is None:
-            # Deadline propagation from the transport layer: proxies
-            # and load balancers can stamp the header without parsing
-            # the body.
-            header = self.headers.get("X-Repro-Timeout")
-            if header:
-                try:
-                    timeout = float(header)
-                except ValueError:
-                    self._reply(
-                        400,
-                        {"ok": False,
-                         "error": f"bad X-Repro-Timeout header "
-                                  f"{header!r}: not a number"},
-                    )
-                    return
+        try:
+            timeout = self._request_timeout(request)
+        except ValueError as err:
+            self._reply(400, {"ok": False, "error": str(err)})
+            return
         try:
             handle = self.server.service.submit(
                 program,
@@ -393,6 +378,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
              "job_id": handle.job_id,
              "latency_seconds": handle.latency_seconds},
         )
+
+    def _request_timeout(self, request: dict) -> Optional[float]:
+        """The job's timeout: the body's ``timeout``, else the
+        ``X-Repro-Timeout`` header, checked by
+        :func:`~repro.service.queue.job_timeout` (:class:`ValueError`
+        when it is not a finite number > 0)."""
+        timeout = request.get("timeout")
+        header = self.headers.get("X-Repro-Timeout")
+        if timeout is None and header:
+            # Deadline propagation from the transport layer: proxies
+            # and load balancers can stamp the header without parsing
+            # the body.
+            try:
+                timeout = float(header)
+            except ValueError:
+                raise ValueError(
+                    f"bad X-Repro-Timeout header {header!r}: "
+                    f"not a number"
+                ) from None
+        return job_timeout(timeout)
 
     def _reply(
         self,

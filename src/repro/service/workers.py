@@ -7,7 +7,8 @@ queue (:meth:`~repro.service.queue.JobQueue.take_batch`) and executes
 it through :meth:`~repro.runtime.engine.Engine.map_run` — the paper's
 batched ``map`` path, not a serial loop of one-off runs.
 
-Failure policy per batch attempt (see :func:`classify_failure`):
+Failure policy: a batch makes at most ``MAX_RETRIES + 1`` attempts,
+and each failed attempt is classified (see :func:`classify_failure`):
 
 * DSL errors (parse/type/schedule/runtime-DSL, including
   :class:`~repro.gpu.executor.RaceError` and
@@ -15,14 +16,13 @@ Failure policy per batch attempt (see :func:`classify_failure`):
   *permanent*: the input — or the compiler — is wrong, retrying
   cannot help, every job in the batch fails immediately;
 * :class:`~repro.resilience.faults.DeviceFault` is *device-transient*:
-  retried with backoff, but a batch that hits device faults in
-  :data:`DEMOTE_AFTER` rounds is **demoted** to the serial reference
-  interpreter (graceful
+  retried with exponential backoff, and on the last attempt the batch
+  is **demoted** to the serial reference interpreter (graceful
   degradation — slow but fault-free), recorded in
   :class:`~repro.service.stats.ServiceStats`;
 * environmental errors (``OSError``/``MemoryError``/``TimeoutError``)
-  are *transient*: jobs with retry budget left are retried with
-  exponential backoff (jobs without budget fail);
+  are *transient*: retried with exponential backoff, and on the last
+  attempt the batch fails;
 * any other exception is treated as permanent — unknown failures
   fail fast rather than burn retries;
 * a job whose per-job timeout has passed is failed with
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..lang.errors import DslError
 from ..resilience.faults import DeviceFault
@@ -54,9 +54,9 @@ from .queue import (
 )
 from .stats import StatsRegistry
 
-#: Device-faulted rounds of one batch before it is demoted to the
-#: serial reference interpreter.
-DEMOTE_AFTER = 3
+#: How many times a batch is retried after a device or transient
+#: failure; the last of its ``MAX_RETRIES + 1`` attempts demotes or fails.
+MAX_RETRIES = 2
 
 #: Upper bound, in seconds, on one retry's backoff sleep.
 BACKOFF_CAP_SECONDS = 1.0
@@ -66,8 +66,8 @@ def classify_failure(error: BaseException) -> str:
     """Classify one batch-attempt failure for the retry policy.
 
     Returns ``"permanent"`` (fail fast, never retry), ``"device"``
-    (transient device fault: retry, eventually demote) or
-    ``"transient"`` (environmental: retry while budget lasts).
+    (transient device fault: retry, demote on the last attempt) or
+    ``"transient"`` (environmental: retry, fail on the last attempt).
     DslError is checked first: BackendDivergenceError subclasses both
     worlds conceptually but *is* a DslError — a compiler bug must
     never be retried.
@@ -199,20 +199,16 @@ class WorkerPool:
         reduce = batch.key[4]
 
         live = list(batch.jobs)
-        retry_round = 0
-        device_fault_rounds = 0
-        # Until the first launch is attempted, an expired deadline
-        # means the job was *shed* (queue wait ate its whole budget)
-        # rather than timed out mid-retry.
-        attempted = False
         backoff_token = f"{batch.program_sha}:{batch.function}"
-        while True:
-            live = self._expire(live, shed=not attempted)
+        for attempt in range(MAX_RETRIES + 1):
+            # Until the first launch is attempted, an expired deadline
+            # means the job was *shed* (queue wait ate its whole
+            # budget) rather than timed out mid-retry.
+            live = self._expire(live, shed=attempt == 0)
             if not live:
                 return
             for job in live:
                 job.handle.state = JobState.RUNNING
-            attempted = True
             try:
                 result = engine.map_run(
                     func,
@@ -232,34 +228,22 @@ class WorkerPool:
                     return
                 if kind == "device":
                     self.stats.device_fault()
-                    device_fault_rounds += 1
-                    if device_fault_rounds >= DEMOTE_AFTER:
-                        # The device keeps misbehaving on this batch:
+                if attempt == MAX_RETRIES:
+                    if kind == "device":
+                        # The device kept misbehaving on this batch:
                         # stop trusting it, finish on the serial
                         # reference interpreter.
                         self._demote(live, func, at, initial, reduce)
-                        return
-                    retryable, exhausted = self._split_retry_budget(
-                        live
-                    )
-                    # Out-of-budget jobs of a *device* fault still get
-                    # a correct answer, just slowly.
-                    if exhausted:
-                        self._demote(exhausted, func, at, initial,
-                                     reduce)
-                    live = retryable
-                else:
-                    live = self._spend_retry_budget(live, err)
-                if not live:
+                    else:
+                        self._fail_jobs(live, err)
                     return
                 self.stats.retry()
                 time.sleep(
                     backoff_delay(
-                        self.backoff_seconds, retry_round,
+                        self.backoff_seconds, attempt,
                         BACKOFF_CAP_SECONDS, backoff_token,
                     )
                 )
-                retry_round += 1
                 continue
             now = time.monotonic()
             self.stats.batch_executed(len(live))
@@ -309,28 +293,6 @@ class WorkerPool:
             else:
                 live.append(job)
         return live
-
-    def _split_retry_budget(
-        self, jobs: List[Job]
-    ) -> Tuple[List[Job], List[Job]]:
-        """Decrement budgets; partition into (retryable, exhausted)."""
-        retryable: List[Job] = []
-        exhausted: List[Job] = []
-        for job in jobs:
-            if job.retries_left > 0:
-                job.retries_left -= 1
-                retryable.append(job)
-            else:
-                exhausted.append(job)
-        return retryable, exhausted
-
-    def _spend_retry_budget(
-        self, jobs: List[Job], error: BaseException
-    ) -> List[Job]:
-        """Decrement budgets; fail jobs that are out of retries."""
-        retryable, exhausted = self._split_retry_budget(jobs)
-        self._fail_jobs(exhausted, error)
-        return retryable
 
     def _demote(
         self,

@@ -22,9 +22,8 @@ machine-readable :class:`~repro.verify.diagnostics.Diagnostic` type:
   ``python -m repro lint`` and the service's admission control.
 
 What every ``Engine.run`` needs — the schedule proof, the access
-pass, the certificates — is re-exported here. The sanitizer (and the
-fault injector it borrows from :mod:`repro.resilience`) and the lint
-orchestration are not: import :mod:`repro.verify.sanitizer` and
+pass, the certificates — is re-exported here. The sanitizer and the
+lint orchestration are not: import :mod:`repro.verify.sanitizer` and
 :mod:`repro.verify.lint` by name, so the run path never loads them.
 """
 

@@ -19,11 +19,8 @@ real hardware:
   NaN propagation turns any poison read into a poison *result* for
   float tables, and unwritten cells stay poison for both dtypes.
 
-Resilience integration: when a fault injector is active, the same
-observations raise :class:`~repro.resilience.faults.CellCorruption`
-(a transient *device* fault the supervisor retries) instead of
-:class:`~repro.lang.errors.SanitizerError` (a deterministic codegen or
-schedule bug that must fail fast).
+Every observation raises :class:`~repro.lang.errors.SanitizerError`:
+a deterministic codegen or schedule bug, which must fail fast.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import numpy as np
 
 from ..analysis.domain import Domain
 from ..lang.errors import SanitizerError
-from ..resilience.faults import CellCorruption, FaultInjector, FaultSite
 from ..schedule.schedule import Schedule
 from .diagnostics import Diagnostic, Severity
 
@@ -76,17 +72,9 @@ class TableSanitizer:
     every finding is also recorded in :attr:`findings`.
     """
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        domain: Domain,
-        injector: Optional[FaultInjector] = None,
-        site: Optional[FaultSite] = None,
-    ) -> None:
+    def __init__(self, schedule: Schedule, domain: Domain) -> None:
         self.schedule = schedule
         self.domain = domain
-        self.injector = injector
-        self.site = site
         self.findings: List[Diagnostic] = []
         self._partition: Optional[int] = None
         self._reads: set = set()
@@ -98,12 +86,7 @@ class TableSanitizer:
         self.findings.append(
             Diagnostic(Severity.ERROR, rule, message)
         )
-        text = f"[{rule}] {message}"
-        if self.injector is not None:
-            # A fault campaign is running: classify the observation as
-            # device corruption so the resilience layer retries it.
-            raise CellCorruption(text, self.site)
-        raise SanitizerError(text)
+        raise SanitizerError(f"[{rule}] {message}")
 
     # -- kernel entry points --------------------------------------------------
 
@@ -220,8 +203,6 @@ def run_sanitized(
     table: np.ndarray,
     ctx: Dict[str, object],
     domain: Domain,
-    injector: Optional[FaultInjector] = None,
-    site: Optional[FaultSite] = None,
 ) -> np.ndarray:
     """Execute one problem with sanitization, whatever the backend.
 
@@ -230,13 +211,9 @@ def run_sanitized(
     same values a plain run produces — the sanitizer only *observes*).
     """
     if compiled.backend == "vector":
-        return sanitized_partition_scan(
-            compiled, table, ctx, domain, injector=injector, site=site
-        )
+        return sanitized_partition_scan(compiled, table, ctx, domain)
     poison_fill(table)
-    sanitizer = TableSanitizer(
-        compiled.schedule, domain, injector=injector, site=site
-    )
+    sanitizer = TableSanitizer(compiled.schedule, domain)
     instrumented_ctx = dict(ctx)
     instrumented_ctx["_san"] = sanitizer
     _sanitized_twin(compiled)(table, instrumented_ctx)
@@ -262,8 +239,6 @@ def sanitized_partition_scan(
     table: np.ndarray,
     ctx: Dict[str, object],
     domain: Domain,
-    injector: Optional[FaultInjector] = None,
-    site: Optional[FaultSite] = None,
 ) -> np.ndarray:
     """Vector-backend sanitization: step partitions, scan poison.
 
@@ -271,25 +246,16 @@ def sanitized_partition_scan(
     poison state (a float cell that reads poison computes NaN and so
     *stays* poison — detected here; an unwritten cell of either dtype
     likewise), and no later partition's cell may have been written
-    yet. Faults injected between partitions surface at the next scan
-    and are classified as device corruption.
+    yet.
     """
-    schedule = compiled.schedule
-    mesh = partition_mesh(schedule, domain)
+    mesh = partition_mesh(compiled.schedule, domain)
     poison_fill(table)
 
     def fail(rule: str, message: str) -> None:
-        text = f"[{rule}] {message}"
-        if injector is not None:
-            raise CellCorruption(text, site)
-        raise SanitizerError(text)
+        raise SanitizerError(f"[{rule}] {message}")
 
     for partition in range(int(mesh.min()), int(mesh.max()) + 1):
         compiled.run(table, ctx, part_lo=partition, part_hi=partition)
-        if injector is not None and site is not None:
-            injector.corrupt_cells(
-                table, schedule, partition, partition, site
-            )
         mask = poison_mask(table)
         stale = mask & (mesh == partition)
         if stale.any():

@@ -596,8 +596,8 @@ def test_supervised_run_recovers_bitwise_under_a_tiny_tile(monkeypatch):
     supervisor = ExecutionSupervisor(
         engine,
         plan=FaultPlan(
-            seed=1234, launch_fail_rate=0.15, corrupt_rate=0.02,
-            truncate_rate=0.05, corrupt_mode="bitflip",
+            seed=1234, launch_fail_rate=0.2, corrupt_rate=0.02,
+            corrupt_mode="bitflip",
         ),
         policy=SupervisionPolicy(checkpoint_interval=4),
     )

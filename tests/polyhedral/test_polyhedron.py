@@ -35,22 +35,6 @@ class TestConstruction:
         assert len(poly.constraints) == 2
         assert enumerate_poly(poly, {"x": range(-3, 6)}) == [(0,), (1,), (2,)]
 
-    def test_box_with_lower_bounds(self):
-        poly = Polyhedron.box(
-            [("x", Affine.constant(5)), ("y", Affine.variable("n"))],
-            lowers=[Affine.constant(3), Affine.variable("m")],
-        )
-        assert len(poly.constraints) == 4
-        lowers, uppers = poly.bounds_for("y")
-        assert lowers == [(1, Affine.variable("m"))]
-        assert uppers == [(1, Affine.variable("n"))]
-        only_x = Polyhedron.box(
-            [("x", Affine.constant(5))], lowers=[Affine.constant(3)]
-        )
-        assert enumerate_poly(only_x, {"x": range(-3, 9)}) == [
-            (3,), (4,), (5,),
-        ]
-
     def test_with_constraint_and_dim(self):
         poly = Polyhedron.box([("x", Affine.constant(3))])
         poly = poly.with_dim("t", front=True)

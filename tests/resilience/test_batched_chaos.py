@@ -21,9 +21,8 @@ from repro.runtime.values import ENGLISH, Sequence
 
 CHAOS = FaultPlan(
     seed=1234,
-    launch_fail_rate=0.05,
+    launch_fail_rate=0.07,
     corrupt_rate=0.01,
-    truncate_rate=0.02,
     corrupt_mode="bitflip",
 )
 

@@ -82,3 +82,12 @@ def test_a_first_run_imports_no_analysis_only_packages():
 
 def test_a_first_nussinov_run_imports_no_scipy():
     assert first_run_imports(NUSSINOV) == ["16"]
+
+
+def test_a_sanitized_run_imports_no_fault_injection():
+    """The sanitizer reports to its caller alone: nothing in a
+    sanitized run reaches for the fault-injection package."""
+    script = SMITH_WATERMAN.replace(
+        "Engine().run(", "Engine(sanitize=True).run("
+    )
+    assert first_run_imports(script) == ["10"]

@@ -67,13 +67,15 @@ VECTOR = {
     False: Eligibility(False, "rank", "kernel is 1-dimensional"),
 }
 SIZES = {"small": False, "large": True, "unknown": None}
-#: (mode, forced): REPRO_BACKEND gives a preference, an argument forces.
+#: The engine's ``backend`` argument per mode. "env-native" is an
+#: ``Engine()`` given none while the retired ``REPRO_BACKEND=native`` is
+#: still set: the variable is ignored, so it resolves exactly as "auto".
 MODES = {
-    "auto": ("auto", False),
-    "env-native": ("native", False),
-    "forced-native": ("native", True),
-    "vector": ("vector", True),
-    "scalar": ("scalar", True),
+    "auto": "auto",
+    "env-native": None,
+    "forced-native": "native",
+    "vector": "vector",
+    "scalar": "scalar",
 }
 
 
@@ -119,21 +121,25 @@ class TestRungTable:
         "toolchain,native_ok,vector_ok,size,sanitize,mode", CASES
     )
     def test_resolve(
-        self, toolchain, native_ok, vector_ok, size, sanitize, mode
+        self, toolchain, native_ok, vector_ok, size, sanitize, mode,
+        monkeypatch,
     ):
         rungs = make_ladder(toolchain, native_ok, vector_ok)
         want = expected(
             toolchain, native_ok, vector_ok, size, sanitize, mode
         )
-        backend, forced = MODES[mode]
+        backend = MODES[mode]
+        if backend is None:
+            monkeypatch.setenv("REPRO_BACKEND", "native")
+            backend = Engine().backend
         if want in ("native", "vector", "scalar"):
             assert ladder.resolve(
-                "d", rungs, backend, forced, sanitize, SIZES[size]
+                "d", rungs, backend, sanitize, SIZES[size]
             ) == want
         else:
             with pytest.raises(CodegenError) as err:
                 ladder.resolve(
-                    "d", rungs, backend, forced, sanitize, SIZES[size]
+                    "d", rungs, backend, sanitize, SIZES[size]
                 )
             assert want in str(err.value)
 
@@ -141,19 +147,19 @@ class TestRungTable:
         """The fuzzer's eligibility-mismatch leg reads these."""
         rungs = make_ladder("disabled", True, False)
         with pytest.raises(CodegenError) as err:
-            ladder.resolve("d", rungs, "vector", True)
+            ladder.resolve("d", rungs, "vector")
         assert err.value.message == (
             "backend='vector' was forced but kernel 'd' is not "
             "eligible [rank]: kernel is 1-dimensional"
         )
         with pytest.raises(CodegenError) as err:
-            ladder.resolve("d", rungs, "native", True)
+            ladder.resolve("d", rungs, "native")
         assert err.value.message == (
             "backend='native' was forced but kernel 'd' cannot use it "
             "[disabled]: REPRO_NATIVE_DISABLE"
         )
         with pytest.raises(CodegenError) as err:
-            ladder.resolve("d", rungs, "native", True, sanitize=True)
+            ladder.resolve("d", rungs, "native", sanitize=True)
         assert err.value.message == (
             "backend='native' cannot run sanitized: the sanitizer "
             "instruments the generated Python partition loop, which "

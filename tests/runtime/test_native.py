@@ -584,17 +584,6 @@ class TestEngineLadder:
         with pytest.raises(NativeBuildError, match="synthetic"):
             native.compile_native(compiled.kernel)
 
-    def test_env_native_is_preference_not_force(self, monkeypatch):
-        """REPRO_BACKEND=native degrades down the ladder instead of
-        erroring when native is unavailable."""
-        monkeypatch.setenv("REPRO_BACKEND", "native")
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        engine = Engine()
-        assert engine.backend == "native"
-        assert not engine.backend_forced
-        compiled, _ctx, _table, _domain, _schedule = compile_edit(engine)
-        assert compiled.backend in ("vector", "scalar")
-
     @needs_cc
     def test_engine_value_parity_end_to_end(self):
         func = edit_func()

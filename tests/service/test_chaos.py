@@ -23,7 +23,11 @@ from repro.service.programs import ProgramRegistry
 from repro.service.queue import Batch, Job, JobQueue, JobState
 from repro.service.server import ComputeService, chaos_plan_from_env
 from repro.service.stats import StatsRegistry
-from repro.service.workers import WorkerPool, classify_failure
+from repro.service.workers import (
+    MAX_RETRIES,
+    WorkerPool,
+    classify_failure,
+)
 
 from .conftest import EDIT_PROGRAM, workers_held
 
@@ -53,11 +57,11 @@ class TestClassifyFailure:
         from repro.resilience.faults import (
             CellCorruption,
             FaultEscalation,
-            KernelHang,
-            TransferFault,
+            SandboxHang,
+            WorkerCrash,
         )
 
-        for cls in (LaunchFault, TransferFault, KernelHang,
+        for cls in (LaunchFault, WorkerCrash, SandboxHang,
                     CellCorruption, FaultEscalation):
             assert classify_failure(cls("boom")) == "device"
 
@@ -116,13 +120,12 @@ class TestDemotion:
         stats, registry = StatsRegistry(), ProgramRegistry()
         pool = make_pool(stats, registry)
         engine = BrokenDeviceEngine()
-        batch = edit_batch(
-            registry, ["kitten", "mitten"], retries_left=10
-        )
+        batch = edit_batch(registry, ["kitten", "mitten"])
         pool.execute_batch(engine, batch)
         values = [j.handle.result(timeout=5) for j in batch.jobs]
         assert values == [3, 3]  # correct despite a dead device
-        assert engine.attempts == 3  # DEMOTE_AFTER rounds, then stop
+        # MAX_RETRIES + 1 attempts, the last one demotes.
+        assert engine.attempts == MAX_RETRIES + 1
         snapshot = stats.snapshot()
         assert snapshot.demotions == 2
         assert snapshot.device_faults == 3
@@ -140,7 +143,7 @@ class TestDemotion:
             served = edit_batch(registry, ["kitten"], args)
             pool.execute_batch(Engine(), served)
             assert served.jobs[0].handle.result(timeout=5) == value
-            batch = edit_batch(registry, ["kitten"], args, retries_left=0)
+            batch = edit_batch(registry, ["kitten"], args)
             pool.execute_batch(BrokenDeviceEngine(), batch)
             assert batch.jobs[0].handle.result(timeout=5) == value
             assert stats.snapshot().demotions == 1
@@ -159,7 +162,7 @@ class TestDemotion:
                 BuggyEngine.attempts += 1
                 raise RuntimeDslError("deterministic bug")
 
-        batch = edit_batch(registry, ["kitten"], retries_left=10)
+        batch = edit_batch(registry, ["kitten"])
         pool.execute_batch(BuggyEngine(), batch)
         assert BuggyEngine.attempts == 1
         assert batch.jobs[0].handle.state is JobState.FAILED
@@ -247,7 +250,6 @@ class TestChaosEnv:
         })
         assert plan is not None
         assert plan.launch_fail_rate == 0.05
-        assert plan.truncate_rate == 0.05
         assert plan.corrupt_rate == 0.01
         assert plan.seed == 99
         assert plan.corrupt_mode == "bitflip"

@@ -157,6 +157,48 @@ class TestDeadlinePropagation:
         assert stats.shed >= 1
         assert stats.failed == 0  # declined work is not failed work
 
+    def test_bad_body_timeout_is_400_and_the_worker_lives(
+        self, http_service
+    ):
+        """A timeout that is not a finite number > 0 is refused before
+        admission; the one worker still answers the next request."""
+        host, port, service = http_service
+        request = {"program": EDIT_PROGRAM, "function": "d",
+                   "args": {"s": "kitten", "t": "sitting"}}
+        for bad in ("5", -1, 0, True, float("inf")):
+            status, _, reply = http_post(
+                host, port, "/submit", {**request, "timeout": bad}
+            )
+            assert status == 400, bad
+            assert "timeout" in reply["error"]
+        for bad in ("-1", "nan"):
+            status, _, reply = http_post(
+                host, port, "/submit", request,
+                headers={"X-Repro-Timeout": bad},
+            )
+            assert status == 400, bad
+        assert service.stats().submitted == 0
+        status, _, reply = http_post(
+            host, port, "/submit", {**request, "timeout": 30}
+        )
+        assert status == 200
+        assert reply["value"] == 3
+
+    def test_submit_refuses_a_bad_timeout(self, http_service):
+        _, _, service = http_service
+        for bad in ("5", -1, 0.0, False, float("nan")):
+            with pytest.raises(ValueError):
+                service.submit(
+                    EDIT_PROGRAM, "d",
+                    {"s": "kitten", "t": "sitting"}, timeout=bad,
+                )
+        assert service.stats().submitted == 0
+        handle = service.submit(
+            EDIT_PROGRAM, "d", {"s": "kitten", "t": "sitting"},
+            timeout=30,
+        )
+        assert handle.result(timeout=30) == 3
+
     def test_deadline_error_is_a_job_timeout(self):
         assert issubclass(DeadlineError, JobTimeoutError)
 

@@ -17,7 +17,7 @@ from repro.service.queue import (
     JobTimeoutError,
 )
 from repro.service.stats import StatsRegistry
-from repro.service.workers import WorkerPool
+from repro.service.workers import MAX_RETRIES, WorkerPool
 
 from .conftest import EDIT_PROGRAM
 
@@ -177,7 +177,7 @@ class TestRetry:
         stats, registry = StatsRegistry(), ProgramRegistry()
         pool = make_pool(stats, registry)
         engine = FlakyEngine(failures=2)
-        batch = edit_batch(registry, ["kitten"], retries_left=3)
+        batch = edit_batch(registry, ["kitten"])
         pool.execute_batch(engine, batch)
         assert batch.jobs[0].handle.result(timeout=1) == 3
         assert engine.attempts == 3
@@ -187,13 +187,13 @@ class TestRetry:
         stats, registry = StatsRegistry(), ProgramRegistry()
         pool = make_pool(stats, registry)
         engine = FlakyEngine(failures=100)
-        batch = edit_batch(registry, ["kitten"], retries_left=2)
+        batch = edit_batch(registry, ["kitten"])
         pool.execute_batch(engine, batch)
         job = batch.jobs[0]
         assert job.handle.state is JobState.FAILED
         with pytest.raises(OSError):
             job.handle.result(timeout=1)
-        assert engine.attempts == 3  # initial + 2 retries
+        assert engine.attempts == MAX_RETRIES + 1  # initial + 2 retries
         assert stats.snapshot().failed == 1
 
     def test_dsl_errors_never_retry(self):
@@ -202,7 +202,7 @@ class TestRetry:
         engine = FlakyEngine(
             failures=100, error=RuntimeDslError("bad input")
         )
-        batch = edit_batch(registry, ["kitten"], retries_left=5)
+        batch = edit_batch(registry, ["kitten"])
         pool.execute_batch(engine, batch)
         assert engine.attempts == 1  # permanent: no second attempt
         assert batch.jobs[0].handle.state is JobState.FAILED

@@ -9,7 +9,6 @@ from repro.ir.pybackend import compile_kernel
 from repro.lang.errors import SanitizerError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.resilience.faults import CellCorruption, FaultInjector, FaultPlan, FaultSite
 from repro.runtime.engine import CompiledKernel, Engine
 from repro.runtime.values import Bindings, Sequence, PROTEIN
 from repro.schedule.schedule import Schedule
@@ -103,24 +102,6 @@ class TestScalarSanitizer:
         with pytest.raises(SanitizerError) as exc:
             run_sanitized(compiled, table, dict(ctx), domain)
         assert "S-POISON-READ" in str(exc.value)
-
-    def test_injector_reclassifies_as_device_fault(self, edit_func):
-        engine, compiled = compiled_for(
-            edit_func, Schedule.of(i=1, j=-1), backend="scalar"
-        )
-        domain = Domain(edit_func.dim_names, (7, 8))
-        ctx = context_for(
-            engine, compiled, edit_func, domain, "kitten", "sitting"
-        )
-        table = np.zeros(domain.extents, dtype=np.int64)
-        injector = FaultInjector(FaultPlan(seed=1))
-        site = FaultSite(problem=0, partition=0, sm=0, attempt=0,
-                         stage="kernel")
-        with pytest.raises(CellCorruption):
-            run_sanitized(
-                compiled, table, dict(ctx), domain,
-                injector=injector, site=site,
-            )
 
 
 class TestVectorSanitizer:
