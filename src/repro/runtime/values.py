@@ -85,12 +85,12 @@ class Sequence:
     codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for ch in self.text:
-            if ch not in self.alphabet:
-                raise RuntimeDslError(
-                    f"sequence character {ch!r} is not in alphabet "
-                    f"{self.alphabet.name!r}"
-                )
+        if not set(self.text).issubset(self.alphabet):
+            ch = next(ch for ch in self.text if ch not in self.alphabet)
+            raise RuntimeDslError(
+                f"sequence character {ch!r} is not in alphabet "
+                f"{self.alphabet.name!r}"
+            )
         encoded = np.frombuffer(
             self.text.encode("ascii"), dtype=np.uint8
         ).astype(np.int64)

@@ -18,7 +18,8 @@ one-off requests into batched runs. This package provides it:
 * :mod:`repro.service.stats` — service counters and latency
   percentiles;
 * :mod:`repro.service.server` — the :class:`ComputeService` facade,
-  a stdlib HTTP front end, and a small client.
+  an HTTP/1.1 front end on ``http.server`` that frames its own
+  requests and replies, and a small client.
 
 Submodules are resolved lazily so that
 ``repro.runtime.engine -> repro.service.cache`` never cycles through

@@ -1,4 +1,4 @@
-"""The compute service facade and its stdlib HTTP front end.
+"""The compute service facade and its HTTP front end.
 
 :class:`ComputeService` wires the serving layer together::
 
@@ -12,8 +12,11 @@
         ▼
     JobHandle.result()
 
-The HTTP layer is deliberately small (``http.server`` +
-``http.client``, JSON bodies, no dependencies):
+The HTTP layer is deliberately small (JSON bodies, no dependencies):
+``http.server`` accepts connections and runs one handler thread per
+connection, and this module frames HTTP/1.1 itself on both ends. A
+request's head and body are one write, its header block is read into a
+plain dict, and each side holds one buffered reader per connection.
 
 * ``POST /submit``  ``{"program": "...", "function": "f",
   "args": {...}, "timeout": 5.0}`` → ``{"ok": true, "value": ...,
@@ -27,7 +30,11 @@ The HTTP layer is deliberately small (``http.server`` +
 
 Connections are kept alive: :func:`submit_remote` holds one per client
 thread, and the server closes one after five idle seconds, or after its
-next reply once draining.
+next reply once draining. A reply sent before the request's declared
+body was read closes its connection, as does a request framed by
+``Transfer-Encoding`` (501) or by disagreeing ``Content-Length``
+headers (400): bytes the server did not read as a body are never read
+as the next request.
 
 Fault-tolerance plumbing: request deadlines propagate from the JSON
 body or the ``X-Repro-Timeout`` header through queue wait into
@@ -41,12 +48,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
+import socket
 import sys
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..lang.errors import DslError
 from ..lang.source import SourceText
@@ -171,10 +180,22 @@ class ComputeService:
 
         Raises :class:`~repro.lang.errors.DslError` on a bad program
         or arguments (checked synchronously, so malformed work never
-        occupies the queue), :class:`ValueError` on a timeout that is
-        not a finite number > 0 (:func:`~repro.service.queue.job_timeout`)
+        occupies the queue), :class:`ValueError` on a field of the wrong
+        type (``program`` and ``function`` strings, ``args`` a mapping
+        or None, ``reduce`` a string or None) or a timeout that is not a
+        finite number > 0 (:func:`~repro.service.queue.job_timeout`),
         and :class:`~repro.service.queue.AdmissionError` under overload.
         """
+        for name, value, kind, what in (
+            ("program", program, str, "a string"),
+            ("function", function, str, "a string"),
+            ("args", args, (Mapping, type(None)), "an object"),
+            ("reduce", reduce, (str, type(None)), "a string"),
+        ):
+            if not isinstance(value, kind):
+                raise ValueError(
+                    f"field {name!r} must be {what}, got {value!r:.60}"
+                )
         timeout = job_timeout(timeout)
         service_program = self.registry.register(program)
         bindings, at, initial = service_program.bind(
@@ -250,6 +271,61 @@ class ComputeService:
         self.shutdown()
 
 
+# -- HTTP framing -------------------------------------------------------------
+
+#: The stdlib's limits on a header block, kept on both ends: a line of
+#: at most 65 536 bytes and at most 100 header lines.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class ProtocolError(ConnectionError):
+    """The peer broke HTTP/1.1 framing; ``status`` is the reply the
+    server sends for it (400, or 431 for an oversized header block)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _read_headers(rfile) -> Dict[str, str]:
+    """Read header lines up to the blank line into a dict.
+
+    Names are lower-cased. A repeated header's values are joined with
+    ``", "``, except ``Content-Length``: a repeat must agree with the
+    first. Raises :class:`ProtocolError` on a line without a ``name:``,
+    disagreeing lengths, a line over :data:`MAX_LINE` bytes or more than
+    :data:`MAX_HEADERS` lines (the last two with status 431).
+    """
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ProtocolError("header line too long", 431)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not _TOKEN.fullmatch(name):
+            raise ProtocolError(f"bad header line {line[:80]!r}")
+        name = name.lower()
+        value = value.strip()
+        if name in headers:
+            if name != "content-length":
+                value = f"{headers[name]}, {value}"
+            elif value != headers[name]:
+                raise ProtocolError("disagreeing Content-Length headers")
+        headers[name] = value
+    raise ProtocolError(f"more than {MAX_HEADERS} headers", 431)
+
+
+def _tokens(value: str) -> set:
+    """The lower-cased tokens of a comma-separated header value."""
+    return {token.strip().lower() for token in value.split(",")}
+
+
 # -- HTTP front end -----------------------------------------------------------
 
 
@@ -266,6 +342,75 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     #: hold a thread forever. A timed-out read ends the connection
     #: quietly (``handle_one_request`` sets ``close_connection``).
     timeout = 5.0
+    #: The request's header block, names lower-cased (:func:`_read_headers`).
+    headers: Dict[str, str]
+    #: Bytes of the request's declared body not read yet. A reply sent
+    #: while any are left closes the connection: they are not a request.
+    unread = 0
+
+    def parse_request(self) -> bool:
+        """Parse the request line and the header block.
+
+        The stdlib's statuses, without its email parser: 400 for a
+        malformed request line or header line, 505 for HTTP/2 and
+        later, 431 for an oversized header block (:func:`_read_headers`).
+        HTTP/1.0 closes unless it asks for ``keep-alive``, and
+        ``Connection: close`` is honoured. A body is framed by
+        ``Content-Length`` alone: ``Transfer-Encoding`` gets a 501, and
+        a length that is not a number a 400, both closing the
+        connection. ``Expect: 100-continue`` goes through
+        :meth:`handle_expect_100`.
+        """
+        self.command = None
+        # An error before the version is read is still sent with a
+        # status line (the stdlib sends an HTTP/0.9 body alone).
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        self.unread = 0
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = line
+        words = line.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        command, path, version = words
+        number = _VERSION.fullmatch(version)
+        if number is None:
+            self.send_error(400, f"Bad request version ({version!r})")
+            return False
+        number = (int(number[1]), int(number[2]))
+        if number >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+            return False
+        self.command, self.request_version = command, version
+        # As the stdlib does: a path starting with '//' would read as a
+        # host to a client that follows it.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = headers = _read_headers(self.rfile)
+        except ProtocolError as err:
+            self.send_error(err.status, str(err))
+            return False
+        connection = _tokens(headers.get("connection", ""))
+        self.close_connection = "close" in connection or (
+            number < (1, 1) and "keep-alive" not in connection
+        )
+        if "transfer-encoding" in headers:
+            self.send_error(501, "Transfer-Encoding is not supported")
+            return False
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, f"Bad Content-Length ({length!r})")
+            return False
+        self.unread = int(length)
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and number >= (1, 1)
+        ):
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/stats":
@@ -290,18 +435,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if self.path != "/submit":
             self._reply(404, {"ok": False, "error": "unknown path"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
+        length = self.unread
         if length <= 0 or length > self.MAX_BODY:
             self._reply(
                 413 if length > self.MAX_BODY else 400,
                 {"ok": False, "error": "missing or oversized body"},
             )
             return
+        body = self.rfile.read(length)
+        self.unread = 0
         try:
-            request = json.loads(self.rfile.read(length))
+            request = json.loads(body)
             program = request["program"]
             function = request["function"]
         except (json.JSONDecodeError, KeyError, TypeError) as err:
@@ -314,17 +458,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             timeout = self._request_timeout(request)
-        except ValueError as err:
-            self._reply(400, {"ok": False, "error": str(err)})
-            return
-        try:
             handle = self.server.service.submit(
                 program,
                 function,
-                args=request.get("args") or {},
+                args=request.get("args"),
                 timeout=timeout,
                 reduce=request.get("reduce"),
             )
+        except ValueError as err:
+            self._reply(400, {"ok": False, "error": str(err)})
+            return
+        except Exception as err:
+            self._reply_failure(err, program)
+            return
+        try:
             # Wait slightly *past* the job's own deadline: the
             # workers enforce it authoritatively (classifying the
             # outcome as shed vs timed-out mid-run), and that verdict
@@ -334,42 +481,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 if timeout is not None
                 else self.server.RESULT_TIMEOUT
             )
-        except AdmissionError as err:
-            # Queue-full / draining load shedding: tell the caller
-            # when to come back instead of just slamming the door.
-            self._reply(
-                503, {"ok": False, "error": err.reason,
-                      "rejected": True},
-                headers={"Retry-After": "1"},
-            )
-            return
-        except JobTimeoutError as err:
-            # The job missed its deadline — shed before launch
-            # (DeadlineError) or timed out mid-retry. Gateway-timeout
-            # semantics either way.
-            self._reply(
-                504,
-                {"ok": False, "error": str(err),
-                 "timed_out": True,
-                 "shed": isinstance(err, DeadlineError)},
-            )
-            return
-        except DslError as err:
-            # Full caret diagnostic, same rendering the CLI prints —
-            # the client sees *where* in their program the error is.
-            rendered = err.render(
-                SourceText(program, name="<submit>")
-                if isinstance(program, str)
-                else None
-            )
-            self._reply(
-                400,
-                {"ok": False, "error": rendered,
-                 "message": err.message},
-            )
-            return
         except Exception as err:
-            self._reply(500, {"ok": False, "error": str(err)})
+            self._reply_failure(err, program)
             return
         self._reply(
             200,
@@ -379,13 +492,45 @@ class _ServiceHandler(BaseHTTPRequestHandler):
              "latency_seconds": handle.latency_seconds},
         )
 
+    def _reply_failure(self, err: Exception, program: str) -> None:
+        """Reply to a submission that was refused or whose job failed."""
+        if isinstance(err, AdmissionError):
+            # Queue-full / draining load shedding: tell the caller
+            # when to come back instead of just slamming the door.
+            self._reply(
+                503, {"ok": False, "error": err.reason,
+                      "rejected": True},
+                headers={"Retry-After": "1"},
+            )
+        elif isinstance(err, JobTimeoutError):
+            # The job missed its deadline — shed before launch
+            # (DeadlineError) or timed out mid-retry. Gateway-timeout
+            # semantics either way.
+            self._reply(
+                504,
+                {"ok": False, "error": str(err),
+                 "timed_out": True,
+                 "shed": isinstance(err, DeadlineError)},
+            )
+        elif isinstance(err, DslError):
+            # Full caret diagnostic, same rendering the CLI prints —
+            # the client sees *where* in their program the error is.
+            self._reply(
+                400,
+                {"ok": False,
+                 "error": err.render(SourceText(program, name="<submit>")),
+                 "message": err.message},
+            )
+        else:
+            self._reply(500, {"ok": False, "error": str(err)})
+
     def _request_timeout(self, request: dict) -> Optional[float]:
         """The job's timeout: the body's ``timeout``, else the
         ``X-Repro-Timeout`` header, checked by
         :func:`~repro.service.queue.job_timeout` (:class:`ValueError`
         when it is not a finite number > 0)."""
         timeout = request.get("timeout")
-        header = self.headers.get("X-Repro-Timeout")
+        header = self.headers.get("x-repro-timeout")
         if timeout is None and header:
             # Deadline propagation from the transport layer: proxies
             # and load balancers can stamp the header without parsing
@@ -415,9 +560,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             f"Content-Length: {len(body)}",
         ]
         lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
-        if not self.server.service.ready():
-            # A draining server sheds its kept-alive clients: each
-            # one's next reply is its connection's last.
+        if (
+            self.close_connection
+            or self.unread
+            or not self.server.service.ready()
+        ):
+            # The connection's last reply says so. Body bytes left
+            # unread must not be read as the next request, and a
+            # draining server sheds its kept-alive clients.
             self.close_connection = True
             lines.append("Connection: close")
         # One write, so one segment: head and body sent separately on
@@ -512,9 +662,75 @@ def install_signal_handlers(
 SUBMIT_TIMEOUT = 60.0
 STATS_TIMEOUT = 10.0
 
-#: Each client thread's one kept-alive connection, as ``held =
-#: ((host, port), HTTPConnection)``; a thread that has none has no
-#: ``held`` or ``held = None``.
+
+class _Connection:
+    """One kept-alive HTTP/1.1 client connection: a socket with
+    ``TCP_NODELAY`` and one buffered reader for all of its replies."""
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.address = (host, port)
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+        bracketed = f"[{host}]" if ":" in host else host
+        self.host = f"Host: {bracketed}:{port}\r\n"
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    def request(
+        self, method: str, path: str, body: Optional[bytes]
+    ) -> bytes:
+        """Send one request in one write; return the reply's status line.
+
+        Raises :class:`ConnectionResetError` when the connection ends
+        before a status line.
+        """
+        head = f"{method} {path} HTTP/1.1\r\n{self.host}"
+        if body is not None:
+            head += (
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError(
+                "the server closed the connection before replying"
+            )
+        return line
+
+    def reply(self, line: bytes) -> Tuple[int, bytes, bool]:
+        """Read the rest of the reply whose status line is ``line``.
+
+        Returns the status, the body and whether the connection stays
+        open: it does not after ``Connection: close``, nor after a reply
+        with no ``Content-Length``, whose body is read to EOF. Raises
+        :class:`ProtocolError` on a malformed reply.
+        """
+        words = line.split(None, 2)
+        if (
+            len(words) < 2
+            or not words[0].startswith(b"HTTP/")
+            or not (len(words[1]) == 3 and words[1].isdigit())
+        ):
+            raise ProtocolError(f"bad status line {line[:80]!r}")
+        headers = _read_headers(self.rfile)
+        length = headers.get("content-length")
+        if length is None:
+            return int(words[1]), self.rfile.read(), False
+        if not (length.isascii() and length.isdigit()):
+            raise ProtocolError(f"bad Content-Length {length!r}")
+        data = self.rfile.read(int(length))
+        if len(data) < int(length):
+            raise ProtocolError("the reply's body was cut short")
+        keep = "close" not in _tokens(headers.get("connection", ""))
+        return int(words[1]), data, keep
+
+
+#: Each client thread's one kept-alive :class:`_Connection`, as
+#: ``held``; a thread that has none has no ``held`` or ``held = None``.
 _client = threading.local()
 
 
@@ -530,52 +746,47 @@ def _http_json(
 
     The thread holds at most one connection. A call to another
     ``(host, port)`` closes it and opens one there; a reply that says
-    ``Connection: close``, and any error, drop it. A request that
-    fails on a *reused* connection before a status line arrives is
-    sent once more on a fresh one: the server closed the connection
-    while it was idle, so it never read the request. Nothing else is
-    retried, not a timeout and not a fresh connection's failure: the
-    server may have admitted that POST, and a retry would submit the
-    job twice.
+    ``Connection: close`` or has no ``Content-Length``, and any error,
+    drop it. A request that fails on a *reused* connection before a
+    status line arrives (EOF, a reset, a broken pipe) is sent once more
+    on a fresh one: the server closed the connection while it was
+    idle, so it never read the request. Nothing else is retried, not a
+    timeout and not a fresh connection's failure: the server may have
+    admitted that POST, and a retry would submit the job twice.
     """
-    from http.client import HTTPConnection
-
     body = (
         json.dumps(payload).encode("utf-8") if payload is not None else None
     )
-    headers = {"Content-Type": "application/json"} if body else {}
     held = getattr(_client, "held", None)
     _client.held = None
-    if held is not None and held[0] != (host, port):
-        held[1].close()
+    if held is not None and held.address != (host, port):
+        held.close()
         held = None
     if held is None:
-        connection = HTTPConnection(host, port, timeout=timeout)
+        connection = _Connection(host, port, timeout)
     else:
-        connection = held[1]
+        connection = held
         connection.sock.settimeout(timeout)
     try:
         try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            line = connection.request(method, path, body)
         except (ConnectionResetError, BrokenPipeError):
-            # ``RemoteDisconnected`` is a ``ConnectionResetError``.
             if held is None:
                 raise
             connection.close()
-            connection = HTTPConnection(host, port, timeout=timeout)
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-        data = json.loads(response.read().decode("utf-8"))
+            connection = _Connection(host, port, timeout)
+            line = connection.request(method, path, body)
+        status, data, keep = connection.reply(line)
+        reply = json.loads(data)
     except BaseException:
         connection.close()
         raise
-    if response.will_close:
-        connection.close()
+    if keep:
+        _client.held = connection
     else:
-        _client.held = ((host, port), connection)
-    data["_status"] = response.status
-    return data
+        connection.close()
+    reply["_status"] = status
+    return reply
 
 
 def submit_remote(

@@ -62,6 +62,13 @@ class TestSequence:
         with pytest.raises(RuntimeDslError, match="not in alphabet"):
             Sequence("acgx", DNA)
 
+    def test_error_names_the_first_character_outside_the_alphabet(self):
+        with pytest.raises(
+            RuntimeDslError,
+            match=r"^sequence character 'z' is not in alphabet 'dna'$",
+        ):
+            Sequence("aczgxt", DNA)
+
     def test_len(self):
         assert len(Sequence("acgt", DNA)) == 4
         assert len(Sequence("", DNA)) == 0
