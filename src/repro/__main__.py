@@ -134,8 +134,9 @@ def explain_main(argv) -> int:
     derive a schedule, build the kernel and print which backend the
     auto ladder (native > vector > scalar) would pick plus the
     machine-readable eligibility verdicts — the same rule identifiers
-    a forced ``Engine.compile(backend=...)`` raises on and
-    ``CompiledKernel.eligibility`` / ``.native_eligibility`` carry.
+    a forced ``Engine.compile(backend=...)`` raises on,
+    ``CompiledKernel.eligibility`` carries and
+    :func:`~repro.ir.cbackend.native_eligibility` returns.
     When a C toolchain is present the native kernel is actually
     built, so the reported compile time is measured, not estimated.
     """

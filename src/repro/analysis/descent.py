@@ -121,13 +121,6 @@ class DescentFunction:
                 return comp
         raise KeyError(dim)
 
-    def binder(self, name: str) -> BinderBound:
-        """The bound record of range binder ``name``."""
-        for bound in self.binders:
-            if bound.name == name:
-                return bound
-        raise KeyError(name)
-
     def uniform_offsets(self) -> Tuple[int, ...]:
         """The offset vector ``c`` of a fully uniform descent."""
         return tuple(c.uniform_offset for c in self.components)

@@ -53,10 +53,6 @@ class Domain:
         """Dimension name -> extent, as a dict."""
         return dict(zip(self.dims, self.extents))
 
-    def extent(self, dim: str) -> int:
-        """The extent of one dimension."""
-        return self.extent_map()[dim]
-
     def points(self) -> Iterator[Tuple[int, ...]]:
         """Enumerate all points, lexicographically. For small domains."""
         return itertools.product(*(range(e) for e in self.extents))

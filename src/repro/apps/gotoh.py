@@ -107,11 +107,6 @@ class GotohResult:
         """The group's jointly derived schedules, rendered."""
         return str(self.result.mutual)
 
-    @property
-    def seconds(self) -> float:
-        """Modelled device time of the group launch."""
-        return self.result.seconds
-
 
 class GotohAligner:
     """Affine-gap global alignment via the mutual-group pipeline."""

@@ -97,11 +97,6 @@ class ProfileSearchResult:
     likelihoods: List[float]
     map_result: MapResult
 
-    @property
-    def seconds(self) -> float:
-        """Simulated device time of the search."""
-        return self.map_result.seconds
-
 
 class ProfileSearch:
     """Profile-vs-database forward search on the simulated GPU."""

@@ -144,11 +144,6 @@ class FoldResult:
     structure: str
     run: RunResult
 
-    @property
-    def seconds(self) -> float:
-        """Simulated device time of the fold."""
-        return self.run.seconds
-
 
 class RnaFolding:
     """Nussinov folding on the simulated GPU."""

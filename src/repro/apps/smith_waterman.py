@@ -57,9 +57,6 @@ class AlignmentHit:
     target: Sequence
     score: int
 
-    def __repr__(self) -> str:
-        return f"AlignmentHit({self.target.name or '?'}, {self.score})"
-
 
 class SmithWaterman:
     """Query-vs-database Smith-Waterman on the simulated GPU.

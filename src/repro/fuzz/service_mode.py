@@ -159,9 +159,3 @@ class ServiceRoundTrip:
             finally:
                 service.shutdown(drain=True)
         self._services.clear()
-
-    def __enter__(self) -> "ServiceRoundTrip":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,7 +1,6 @@
 """The simulated CUDA-class device: spec, timing model, placement."""
 
 from .device import LaunchReport, ProblemCost, SimulatedDevice, greedy_makespan
-from .executor import LockStepExecutor, RaceError
 from .spec import CpuSpec, DeviceSpec, GTX480, XEON_E5520, XEON_E5520_SSE
 from .timing import (
     KernelCost,
@@ -17,8 +16,6 @@ __all__ = [
     "ProblemCost",
     "SimulatedDevice",
     "greedy_makespan",
-    "LockStepExecutor",
-    "RaceError",
     "CpuSpec",
     "DeviceSpec",
     "GTX480",

@@ -62,9 +62,6 @@ class ArgRef(Node):
     name: str
     kind: str
 
-    def __str__(self) -> str:
-        return f"arg:{self.name}"
-
 
 @dataclass(frozen=True)
 class Binary(Node):
@@ -87,9 +84,6 @@ class Log(Node):
     """Natural log — converts a linear operand into log space."""
 
     operand: Node
-
-    def __str__(self) -> str:
-        return f"log({self.operand})"
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,6 @@ class MatrixRead(Node):
     row: Node
     col: Node
 
-    def __str__(self) -> str:
-        return f"{self.matrix}[{self.row}, {self.col}]"
-
 
 @dataclass(frozen=True)
 class StateFlag(Node):
@@ -152,9 +143,6 @@ class StateFlag(Node):
     hmm: str
     state: Node
 
-    def __str__(self) -> str:
-        return f"{self.hmm}.{self.which}({self.state})"
-
 
 @dataclass(frozen=True)
 class EmissionRead(Node):
@@ -163,9 +151,6 @@ class EmissionRead(Node):
     hmm: str
     state: Node
     symbol: Node
-
-    def __str__(self) -> str:
-        return f"{self.hmm}.emission[{self.state}, {self.symbol}]"
 
 
 @dataclass(frozen=True)
@@ -199,12 +184,6 @@ class ReduceLoop(Node):
     #: The reduction produces a probability: an empty set then means
     #: "no path", whose max is 0 (or -inf in log space).
     prob: bool = False
-
-    def __str__(self) -> str:
-        return (
-            f"{self.kind}({self.var} in {self.hmm}.{self.source}"
-            f"({self.state}) : {self.body})"
-        )
 
 
 @dataclass(frozen=True)
@@ -335,37 +314,20 @@ def _count(node: Node, counts: OpCounts) -> None:
         counts.matrix_reads += 1
     elif isinstance(node, (StateFlag, EmissionRead, TransField)):
         counts.hmm_reads += 1
-    if isinstance(node, ReduceLoop):
+    if isinstance(node, (ReduceLoop, RangeReduce)):
+        # Every reduction's body adds to the one per-iteration record;
+        # the state or bounds are evaluated once, outside the loop.
         counts.reduce_count += 1
-        body = OpCounts()
-        _count(node.body, body)
         if counts.reduce_body is None:
-            counts.reduce_body = body
-        else:
-            _merge(counts.reduce_body, body)
-        _count(node.state, counts)
-        return
-    if isinstance(node, RangeReduce):
-        counts.reduce_count += 1
-        body = OpCounts()
-        _count(node.body, body)
-        if counts.reduce_body is None:
-            counts.reduce_body = body
-        else:
-            _merge(counts.reduce_body, body)
-        _count(node.lo, counts)
-        _count(node.hi, counts)
+            counts.reduce_body = OpCounts()
+        _count(node.body, counts.reduce_body)
+        outside = (
+            (node.state,) if isinstance(node, ReduceLoop)
+            else (node.lo, node.hi)
+        )
+        for child in outside:
+            _count(child, counts)
         return
     for child in children(node):
         _count(child, counts)
 
-
-def _merge(into: OpCounts, other: OpCounts) -> None:
-    into.arith += other.arith
-    into.compare += other.compare
-    into.select += other.select
-    into.table_reads += other.table_reads
-    into.seq_reads += other.seq_reads
-    into.matrix_reads += other.matrix_reads
-    into.hmm_reads += other.hmm_reads
-    into.special += other.special

@@ -128,9 +128,6 @@ class Eligibility:
     rule: str
     detail: str
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def eligibility(kernel: Kernel) -> Eligibility:
     """Why (or why not) this kernel can use the vectorised backend."""

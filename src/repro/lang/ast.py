@@ -42,11 +42,6 @@ class TypeExpr:
     args: Tuple[str, ...] = ()
     span: Span = SYNTHETIC
 
-    @property
-    def argument(self) -> Optional[str]:
-        """The single bracketed reference, when there is exactly one."""
-        return self.args[0] if len(self.args) == 1 else None
-
     def __str__(self) -> str:
         if not self.args:
             return self.name
@@ -465,10 +460,6 @@ class Program:
     """A full script: an ordered sequence of statements."""
 
     statements: Tuple[Stmt, ...]
-
-    def functions(self) -> Tuple[FuncDef, ...]:
-        """All function definitions, in order."""
-        return tuple(s for s in self.statements if isinstance(s, FuncDef))
 
     def function(self, name: str) -> FuncDef:
         """Look a function definition up by name."""

@@ -59,9 +59,6 @@ class CheckedParam:
         """Does this parameter span a recursion dimension?"""
         return self.type.is_recursive
 
-    def __str__(self) -> str:
-        return f"{self.type} {self.name}"
-
 
 @dataclass
 class CheckedFunction:
@@ -120,13 +117,6 @@ class CheckedFunction:
     def body(self) -> ast.Expr:
         """The function's body expression."""
         return self.definition.body
-
-    def param(self, name: str) -> CheckedParam:
-        """Look a parameter up by name."""
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     def type_of(self, expr: ast.Expr) -> Type:
         """The checked type of an expression in this function's body."""

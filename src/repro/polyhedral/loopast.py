@@ -60,9 +60,6 @@ class Div:
         helper = "ceild" if self.mode == "ceil" else "floord"
         return f"{helper}({inner},{self.divisor})"
 
-    def __str__(self) -> str:
-        return self.c_text()
-
 
 @dataclass(frozen=True)
 class Bound:
@@ -97,9 +94,6 @@ class Bound:
         for text in texts[1:]:
             out = f"{prefix}{self.kind}({out},{text})"
         return out
-
-    def __str__(self) -> str:
-        return self.c_text()
 
 
 @dataclass(frozen=True)
@@ -168,10 +162,6 @@ class LoopNest:
         ):
             return self.roots[0]
         return None
-
-    def c_text(self) -> str:
-        """The whole nest as CLooG-style C text."""
-        return emit_c(self.roots)
 
     def iterations(
         self, params: Mapping[str, int]

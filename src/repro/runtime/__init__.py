@@ -16,7 +16,6 @@ from .mutual import (
     MutualTabulator,
     solve_mutual,
 )
-from .tabulate import tabulate
 from .values import (
     DNA,
     ENGLISH,
@@ -41,7 +40,6 @@ __all__ = [
     "random_protein",
     "read_fasta",
     "write_fasta",
-    "tabulate",
     "MutualLockStep",
     "MutualResult",
     "MutualTabulator",

@@ -7,8 +7,9 @@ pluggable handler. Two standard wirings:
 * :func:`memoised` — the semantic oracle: straight recursive
   evaluation with memoisation (the "implicit method of evaluation" of
   Section 2, plus the obvious dynamic-programming cache);
-* the serial tabulator in :mod:`repro.runtime.tabulate` — bottom-up
-  evaluation in schedule order, recursive calls become table reads.
+* :class:`~repro.runtime.mutual.MutualTabulator` — bottom-up
+  evaluation in schedule order, recursive calls become table reads
+  (a single function runs as a group of one).
 
 Everything downstream (the compiled Python backend, the simulated GPU)
 is tested against this module.

@@ -90,13 +90,6 @@ class CompiledKernel:
 
         return npbackend.eligibility(self.kernel)
 
-    @property
-    def native_eligibility(self):
-        """The native (C99) backend verdict for this kernel."""
-        from ..ir import cbackend
-
-        return cbackend.native_eligibility(self.kernel)
-
     @cached_property
     def batched(self):
         """The lane-batched entry, ``(T, ctx, part_lo, part_hi)`` over

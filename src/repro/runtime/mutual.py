@@ -2,14 +2,18 @@
 
 The global time axis interleaves the group's functions: at partition
 ``p``, every function evaluates its cells with ``S_f(x) + o_f == p``,
-then the group synchronises. Three engines, picked by
-:func:`solve_mutual`'s ``engine``:
+then the group synchronises. A single function is served as a group
+of one, ``MutualSchedule({f: FunctionSchedule(schedule, 0)})``: the
+validity condition of Section 4.5 is the compatibility criterion with
+``g = f``. Three engines, picked by :func:`solve_mutual`'s ``engine``:
 
 * :class:`MutualTabulator` (``"serial"``) — serial evaluation in
   global partition order (the functional reference);
 * :class:`MutualLockStep` (``"lockstep"``) — barrier semantics with
   race detection: a cell may only read cells (of any table in the
-  group) written at a strictly earlier global partition;
+  group) written at a strictly earlier global partition. This is the
+  executable form of the partition ordering condition (1),
+  independent of the algebraic criteria;
 * :class:`MutualCompiled` (``"compiled"``) — the generated group
   module of :mod:`repro.ir.pybackend`, for sizes the interpreters
   cannot reach.
@@ -101,7 +105,7 @@ class _GroupEvaluation:
         if not self.filled[name][args]:
             raise RuntimeDslError(
                 f"cell {name}{args} read before it was computed; the "
-                f"schedules {self.mutual} are not compatible"
+                f"schedules {self.mutual} are not valid for the group"
             )
         value = self.tables[name][args]
         return (

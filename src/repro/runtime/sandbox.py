@@ -366,11 +366,6 @@ class CircuitBreaker:
             if self.state(digest) == "open"
         )
 
-    def reset(self) -> None:
-        """Forget all tallies and open breakers (tests, reconfigure)."""
-        with self._lock:
-            self._entries.clear()
-
 
 class NativeSandbox:
     """The sandbox worker: one long-lived subprocess behind one lock.

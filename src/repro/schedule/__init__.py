@@ -6,11 +6,7 @@ from .mutual_rec import (
     brute_force_mutual_valid,
     find_mutual_schedules,
 )
-from .schedule import (
-    Schedule,
-    brute_force_valid,
-    validate_user_schedule,
-)
+from .schedule import Schedule, validate_user_schedule
 from .solver import (
     DEFAULT_BOUND,
     EnumerativeSolver,
@@ -26,7 +22,6 @@ __all__ = [
     "MutualSchedule",
     "brute_force_mutual_valid",
     "find_mutual_schedules",
-    "brute_force_valid",
     "validate_user_schedule",
     "DEFAULT_BOUND",
     "EnumerativeSolver",

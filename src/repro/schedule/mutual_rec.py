@@ -82,9 +82,6 @@ class MutualSchedule:
     def __getitem__(self, name: str) -> FunctionSchedule:
         return self.schedules[name]
 
-    def __iter__(self):
-        return iter(self.schedules.items())
-
     def global_range(
         self, domains: Mapping[str, Domain]
     ) -> Tuple[int, int]:
@@ -147,13 +144,6 @@ class CrossCriterion:
             min_over_binders(delta, descent.binders, caller_extents)
             + free_min
         )
-
-    def is_satisfied(self, coeffs, offsets, domains) -> bool:
-        """Does the joint assignment satisfy this edge?"""
-        return self.min_delta(coeffs, offsets, domains) > 0
-
-    def __str__(self) -> str:
-        return f"S_{self.descent.caller} > S_{self.descent.callee} o r"
 
 
 def group_criteria(
@@ -302,19 +292,24 @@ def brute_force_mutual_valid(
     funcs: Mapping[str, CheckedFunction],
     domains: Mapping[str, Domain],
 ) -> bool:
-    """Enumerate every call edge and check the partition ordering."""
+    """Enumerate every call edge and check the partition ordering.
+
+    The testing oracle for groups and, as a group of one, for single
+    functions: ``S(c1) > S(c2)`` on every direct edge ``c1 -> c2``
+    with ``c2`` in-domain (condition (1), which by induction covers
+    the transitive closure). Small domains only.
+    """
     for name, func in funcs.items():
         domain = domains[name]
         caller_sched = mutual[name]
         for descent in extract_cross_descents(func, funcs):
             callee_sched = mutual[descent.callee]
             callee_domain = domains[descent.callee]
+            extents = callee_domain.extent_map()
             for point in domain.points():
                 values = dict(zip(domain.dims, point))
                 here = caller_sched.partition_of(point)
-                for target in _cross_targets(
-                    descent, values, callee_domain
-                ):
+                for target in call_targets(descent, values, extents):
                     if not callee_domain.contains_tuple(target):
                         continue
                     if not here > callee_sched.partition_of(target):
@@ -322,7 +317,14 @@ def brute_force_mutual_valid(
     return True
 
 
-def _cross_targets(descent: CrossDescent, values, callee_domain):
+def call_targets(descent, values, extents):
+    """All concrete callee points of one call site at ``values``.
+
+    ``descent`` is a single-function or a cross descent: each
+    component names its callee dimension. Range binders range over
+    their evaluated bounds, free components over the callee's whole
+    dimension (``extents`` maps dimension to extent).
+    """
     binder_ranges = []
     for bound in descent.binders:
         lo = bound.lo.evaluate(values)
@@ -334,21 +336,16 @@ def _cross_targets(descent: CrossDescent, values, callee_domain):
         env.update(zip(names, combo))
         fixed = []
         free_dims = []
-        for dim, comp in zip(descent.callee_dims, descent.components):
+        for comp in descent.components:
             if comp.is_free:
                 fixed.append(None)
-                free_dims.append(dim)
+                free_dims.append(comp.dim)
             else:
                 fixed.append(comp.affine.evaluate(env))
-        if not free_dims:
-            yield tuple(fixed)
-            continue
-        extents = callee_domain.extent_map()
         for free_combo in itertools.product(
             *(range(extents[d]) for d in free_dims)
         ):
-            result = []
             it = iter(free_combo)
-            for value in fixed:
-                result.append(next(it) if value is None else value)
-            yield tuple(result)
+            yield tuple(
+                next(it) if value is None else value for value in fixed
+            )

@@ -196,71 +196,3 @@ def validate_user_schedule(
     schedule.validate(function_plan(func).criteria, domain)
     return schedule
 
-
-def brute_force_valid(
-    schedule: Schedule,
-    func: CheckedFunction,
-    domain: Domain,
-) -> bool:
-    """Check validity by enumerating the call graph (testing oracle).
-
-    Walks every domain point and every descent, and confirms
-    ``S(c1) > S(c2)`` whenever ``c1 -> c2`` with ``c2`` in-domain —
-    the partition ordering condition (1) applied to direct edges,
-    which by induction implies it for the transitive closure.
-    Exponentially slower than the algebraic criteria; small domains
-    only.
-    """
-    descents = function_plan(func).descents
-    extent = domain.extent_map()
-    for point in domain.points():
-        values = dict(zip(domain.dims, point))
-        here = schedule.partition_of(point)
-        for descent in descents:
-            for target in _descent_targets(descent, values, extent):
-                if not domain.contains_tuple(target):
-                    continue
-                if not here > schedule.partition_of(target):
-                    return False
-    return True
-
-
-def _descent_targets(descent, values, extents):
-    """All concrete callee points of a descent at ``values``.
-
-    Free components range over their whole dimension; range binders
-    range over their (evaluated) bounds.
-    """
-    import itertools
-
-    binder_ranges = []
-    for bound in descent.binders:
-        lo = bound.lo.evaluate(values)
-        hi = bound.hi.evaluate(values)
-        binder_ranges.append((bound.name, range(lo, hi + 1)))
-    binder_combos = itertools.product(
-        *(r for _, r in binder_ranges)
-    )
-    binder_names = [name for name, _ in binder_ranges]
-
-    for combo in binder_combos:
-        env = dict(values)
-        env.update(zip(binder_names, combo))
-        fixed = []
-        free_dims = []
-        for comp in descent.components:
-            if comp.is_free:
-                fixed.append(None)
-                free_dims.append(comp.dim)
-            else:
-                fixed.append(comp.affine.evaluate(env))
-        if not free_dims:
-            yield tuple(fixed)
-            continue
-        ranges = [range(extents[d]) for d in free_dims]
-        for free_combo in itertools.product(*ranges):
-            result = []
-            it = iter(free_combo)
-            for value in fixed:
-                result.append(next(it) if value is None else value)
-            yield tuple(result)

@@ -66,7 +66,3 @@ def __getattr__(name: str):
     from importlib import import_module
 
     return getattr(import_module(f".{module_name}", __name__), attr)
-
-
-def __dir__():
-    return __all__

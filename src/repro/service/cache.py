@@ -424,11 +424,6 @@ class LRUKernelCache:
                 tuple(sorted(by_backend.items())),
             )
 
-    def clear(self) -> None:
-        """Drop every in-memory entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
     # -- mapping compatibility ----------------------------------------------
 
     def values(self) -> List[object]:

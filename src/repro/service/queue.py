@@ -97,10 +97,6 @@ class JobHandle:
         """Has the job finished (either way)?"""
         return self._done.is_set()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until done; False if ``timeout`` elapsed first."""
-        return self._done.wait(timeout)
-
     def result(self, timeout: Optional[float] = None) -> object:
         """The job's value; raises its error, or ``JobTimeoutError``
         if it is not done within ``timeout`` seconds."""
@@ -111,11 +107,6 @@ class JobHandle:
         if self._error is not None:
             raise self._error
         return self._value
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        """The delivered error, if any (None while pending)."""
-        return self._error
 
 
 def job_timeout(value: object) -> Optional[float]:

@@ -11,7 +11,7 @@ Failure policy: a batch makes at most ``MAX_RETRIES + 1`` attempts,
 and each failed attempt is classified (see :func:`classify_failure`):
 
 * DSL errors (parse/type/schedule/runtime-DSL, including
-  :class:`~repro.gpu.executor.RaceError` and
+  :class:`~repro.runtime.mutual.MutualRaceError` and
   :class:`~repro.lang.errors.BackendDivergenceError`) are
   *permanent*: the input — or the compiler — is wrong, retrying
   cannot help, every job in the batch fails immediately;

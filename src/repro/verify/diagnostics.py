@@ -131,20 +131,6 @@ class Diagnostic:
             return source.render(self.span, body)
         return body
 
-    def to_dict(self) -> dict:
-        """A JSON-safe record (spans flattened to line/column)."""
-        record = {
-            "severity": self.severity,
-            "rule": self.rule,
-            "message": self.message,
-            "function": self.function,
-            "exact": self.exact,
-        }
-        if self.span is not None:
-            record["line"] = self.span.start.line
-            record["column"] = self.span.start.column
-        return record
-
 
 @dataclass
 class Report:
@@ -178,9 +164,6 @@ class Report:
         return "\n".join(
             d.render(source) for d in self.diagnostics
         )
-
-    def __len__(self) -> int:
-        return len(self.diagnostics)
 
     def __iter__(self):
         return iter(self.diagnostics)

@@ -45,6 +45,7 @@ from ..analysis.descent import DescentFunction
 from ..analysis.domain import Domain
 from ..analysis.plan import FunctionPlan, function_plan
 from ..lang.typecheck import CheckedFunction
+from ..schedule.mutual_rec import call_targets
 from ..schedule.schedule import Schedule
 from .diagnostics import Diagnostic, Severity
 from .exact import constrained_min, vertex_max, vertex_min
@@ -325,8 +326,6 @@ def _brute_force_edges(
     views are compared against it; the edge-at-a-time walk only runs
     at the one cell that gets named.
     """
-    from ..schedule.schedule import _descent_targets
-
     coords = np.indices(domain.extents)
     partition = np.tensordot(
         np.array(schedule.coefficients, dtype=np.int64), coords, axes=1
@@ -339,7 +338,7 @@ def _brute_force_edges(
         point = tuple(int(x) for x in np.argwhere(bad)[0])
         here = schedule.partition_of(point)
         values = dict(zip(domain.dims, point))
-        for target in _descent_targets(descent, values, extents):
+        for target in call_targets(descent, values, extents):
             if not domain.contains_tuple(target):
                 continue
             there = schedule.partition_of(target)

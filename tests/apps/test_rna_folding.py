@@ -14,8 +14,9 @@ from repro.apps.rna_folding import (
 from repro.analysis.criteria import schedule_criteria
 from repro.analysis.domain import Domain
 from repro.runtime.values import Sequence
-from repro.schedule.schedule import Schedule, brute_force_valid
+from repro.schedule.schedule import Schedule
 from repro.schedule.solver import EnumerativeSolver
+from tests.group_of_one import edges_valid
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ class TestSchedule:
     def test_brute_force_valid(self):
         func = nussinov_function()
         domain = Domain.of(i=9, j=9)
-        assert brute_force_valid(
+        assert edges_valid(
             Schedule.of(i=-1, j=1), func, domain
         )
 

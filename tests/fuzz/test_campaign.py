@@ -14,6 +14,26 @@ class TestCampaign:
         assert sum(report.classifications.values()) == 10
         assert sum(report.shapes.values()) == 10
 
+    def test_finding_is_shrunk_against_the_harness(self, monkeypatch):
+        """A finding is delta-debugged with the harness as the
+        predicate: when every candidate still diverges, the reproducer
+        shrinks below the original script."""
+        from repro.fuzz.differential import CaseOutcome, DifferentialHarness
+
+        calls = []
+
+        def diverges(self, case):
+            calls.append(case)
+            return CaseOutcome(case, "divergence", "injected")
+
+        monkeypatch.setattr(DifferentialHarness, "classify", diverges)
+        report = run_campaign(seed=3, count=1)
+        (record,) = report.failures
+        assert record.classification == "divergence"
+        assert record.shrink_steps > 0
+        assert len(calls) > 1
+        assert len(record.shrunk_script) < len(record.script)
+
     def test_same_seed_same_report(self):
         first = run_campaign(seed=2, count=8)
         second = run_campaign(seed=2, count=8)

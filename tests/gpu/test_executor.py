@@ -1,14 +1,20 @@
-"""Tests for the lock-step executor: barriers and race detection."""
+"""Tests for the lock-step evaluator: barriers and race detection.
 
+A single function runs as a group of one.
+"""
+
+import numpy as np
 import pytest
 
 from repro.analysis.domain import Domain
-from repro.gpu.executor import LockStepExecutor, RaceError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime.interpreter import memoised
+from repro.runtime.mutual import MutualRaceError
 from repro.runtime.values import Bindings, ENGLISH, Sequence
 from repro.schedule.schedule import Schedule
+from repro.verify import soundness
+from tests.group_of_one import edges_valid, lockstep
 
 EN = {"en": ENGLISH.chars}
 
@@ -33,20 +39,14 @@ def setup(s_text="abcab", t_text="bcab"):
 class TestValidSchedules:
     def test_diagonal_executes_cleanly(self):
         func, bindings, domain = setup()
-        executor = LockStepExecutor(
-            func, Schedule.of(i=1, j=1), bindings, domain
-        )
-        table = executor.run()
+        table = lockstep(func, bindings, Schedule.of(i=1, j=1))
         oracle = memoised(func, bindings)
         for point in domain.points():
             assert table[point] == oracle(point)
 
     def test_skewed_schedule_also_valid(self):
         func, bindings, domain = setup()
-        executor = LockStepExecutor(
-            func, Schedule.of(i=2, j=1), bindings, domain
-        )
-        table = executor.run()
+        table = lockstep(func, bindings, Schedule.of(i=2, j=1))
         oracle = memoised(func, bindings)
         assert table[domain.extents[0] - 1, domain.extents[1] - 1] == (
             oracle((domain.extents[0] - 1, domain.extents[1] - 1))
@@ -57,25 +57,19 @@ class TestInvalidSchedules:
     def test_single_axis_races(self):
         """S = i puts d(i, j-1) in the same partition as (i, j)."""
         func, bindings, domain = setup()
-        executor = LockStepExecutor(
-            func, Schedule.of(i=1, j=0), bindings, domain
-        )
-        with pytest.raises(RaceError):
-            executor.run()
+        with pytest.raises(MutualRaceError):
+            lockstep(func, bindings, Schedule.of(i=1, j=0))
 
     def test_reversed_schedule_reads_unwritten(self):
         """S = -(i+j) runs the partitions backwards."""
         func, bindings, domain = setup()
-        executor = LockStepExecutor(
-            func, Schedule.of(i=-1, j=-1), bindings, domain
-        )
-        with pytest.raises(RaceError):
-            executor.run()
+        with pytest.raises(MutualRaceError):
+            lockstep(func, bindings, Schedule.of(i=-1, j=-1))
 
     def test_agreement_with_algebraic_criteria(self):
-        """Lock-step acceptance == criteria satisfaction, across many
-        candidate schedules (the paper's condition (1) made
-        executable)."""
+        """Lock-step acceptance == criteria satisfaction == the naive
+        edge walk == the vectorised edge check, across many candidate
+        schedules (the paper's condition (1) made executable)."""
         from repro.analysis.criteria import schedule_criteria
 
         func, bindings, domain = setup("abc", "cba")
@@ -85,11 +79,32 @@ class TestInvalidSchedules:
             (1, -1), (-1, 1), (2, 2),
         ]:
             schedule = Schedule(("i", "j"), coeffs)
-            executor = LockStepExecutor(func, schedule, bindings, domain)
             algebraic = schedule.is_valid(criteria)
             try:
-                executor.run()
+                lockstep(func, bindings, schedule)
                 executed = True
-            except RaceError:
+            except MutualRaceError:
                 executed = False
             assert executed == algebraic, coeffs
+            walked = edges_valid(schedule, func, domain)
+            assert walked == algebraic, coeffs
+            vectorised = soundness._brute_force_edges(
+                func, schedule, domain
+            ) is None
+            assert vectorised == algebraic, coeffs
+
+
+class TestIntegerTables:
+    def test_int_cells_above_2p53_stay_exact(self):
+        """Cells past 2**53 have no exact float64: an int kernel's
+        lock-step table is int64 and equals the oracle exactly."""
+        func = check_function(parse_function(
+            "int g(int n) = if n == 0 then 9007199254740993 "
+            "else g(n-1) + 2"
+        ))
+        bindings = Bindings({})
+        table = lockstep(func, bindings, Schedule.of(n=1), {"n": 3})
+        assert table.dtype == np.int64
+        oracle = memoised(func, bindings)
+        assert [int(v) for v in table] == [oracle((n,)) for n in range(4)]
+        assert int(table[3]) == 9007199254740999

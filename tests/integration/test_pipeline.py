@@ -5,7 +5,9 @@ For a battery of DSL programs the four evaluation routes must agree:
 1. the memoised recursive interpreter (oracle);
 2. serial bottom-up tabulation in schedule order;
 3. the compiled Python kernel on the simulated device;
-4. the lock-step executor (barrier semantics).
+4. the lock-step evaluator (barrier semantics).
+
+The two interpreted routes run the function as a group of one.
 """
 
 import math
@@ -15,13 +17,12 @@ import pytest
 
 from repro.analysis.domain import Domain
 from repro.extensions.hmm import HmmBuilder
-from repro.gpu.executor import LockStepExecutor
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime.engine import Engine
 from repro.runtime.interpreter import domain_extents, memoised
-from repro.runtime.tabulate import tabulate
 from repro.runtime.values import Bindings, DNA, ENGLISH, Sequence
+from tests.group_of_one import lockstep, tabulate
 
 EN = {"en": ENGLISH.chars}
 
@@ -38,13 +39,13 @@ def agree_everywhere(func, bindings, initial=None, rel=1e-9):
 
     oracle = memoised(func, bound)
     serial = tabulate(func, bound, schedule, initial=initial)
-    lockstep = LockStepExecutor(func, schedule, bound, domain).run()
+    barrier = lockstep(func, bound, schedule, initial=initial)
 
     for point in domain.points():
         want = oracle(point)
         assert serial[point] == pytest.approx(want, rel=rel)
         assert run.table[point] == pytest.approx(want, rel=rel)
-        assert lockstep[point] == pytest.approx(want, rel=rel)
+        assert barrier[point] == pytest.approx(want, rel=rel)
     return run
 
 

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.domain import Domain
-from repro.gpu.executor import LockStepExecutor
 from repro.lang.errors import ScheduleError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime.engine import Engine
 from repro.runtime.interpreter import domain_extents, memoised
 from repro.runtime.values import Bindings, ENGLISH, Sequence
+from tests.group_of_one import lockstep
 
 EN = {"en": ENGLISH.chars}
 
@@ -89,7 +89,7 @@ def test_random_recurrences_agree(src, s_text, t_text):
         assert run.table[point] == oracle(point), (src, point)
 
     # Lock-step execution must pass the barrier check too.
-    LockStepExecutor(func, run.schedule, bound, domain).run()
+    lockstep(func, bound, run.schedule)
 
 
 @settings(deadline=None, max_examples=15)

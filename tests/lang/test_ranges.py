@@ -100,8 +100,9 @@ class TestDescentAnalysis:
     def test_interval_schedule_derived(self):
         from repro.analysis.criteria import schedule_criteria
         from repro.analysis.domain import Domain
-        from repro.schedule.schedule import Schedule, brute_force_valid
+        from repro.schedule.schedule import Schedule
         from repro.schedule.solver import EnumerativeSolver
+        from tests.group_of_one import edges_valid
 
         func = check_function(
             parse_function(
@@ -115,7 +116,7 @@ class TestDescentAnalysis:
             func.dim_names, schedule_criteria(func), domain
         )
         assert schedule == Schedule.of(i=-1, j=1)
-        assert brute_force_valid(schedule, func, domain)
+        assert edges_valid(schedule, func, domain)
 
     def test_invalid_schedule_detected_with_ranges(self):
         from repro.analysis.criteria import schedule_criteria

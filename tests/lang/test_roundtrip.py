@@ -143,6 +143,10 @@ class TestRoundTrip:
         expr = parse_expr("s.emission[x[i - 1]]")
         assert strip(parse_expr(str(expr))) == strip(expr)
 
+    def test_bool_literal_roundtrip(self):
+        expr = parse_expr("if true then 1 else (if false then 2 else 3)")
+        assert strip(parse_expr(str(expr))) == strip(expr)
+
     def test_matrix_roundtrip(self):
         expr = parse_expr("m[s[i-1], t[j-1]]")
         assert strip(parse_expr(str(expr))) == strip(expr)

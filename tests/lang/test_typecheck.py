@@ -51,6 +51,23 @@ class TestParameterClassification:
         assert func.dim_names == ("i",)
         assert [p.name for p in func.calling_params] == ["g", "s"]
 
+    def test_every_parameter_type_spelled_as_declared(self):
+        """Each calling and recursive type is accepted and prints in
+        its DSL spelling (type errors name parameters this way)."""
+        func = check(
+            "prob f(prob p, char[en] c, matrix[en, en] m, hmm h, "
+            "state[h] q) = p"
+        )
+        assert [p.name for p in func.calling_params] == [
+            "p", "c", "m", "h"
+        ]
+        assert [str(p.type) for p in func.params] == [
+            "prob", "char[en]", "matrix[en, en]", "hmm", "state[h]"
+        ]
+        func = check("prob g(hmm h, transition[h] t) = t.prob")
+        assert func.dim_names == ("t",)
+        assert str(func.params[1].type) == "transition[h]"
+
     def test_no_recursive_params_rejected(self):
         with pytest.raises(TypeCheckError, match="no recursive parameters"):
             check("float f(seq[en] s) = 1.0")
@@ -137,6 +154,14 @@ class TestExpressionTyping:
     def test_script_only_forms_rejected_in_body(self):
         with pytest.raises(TypeCheckError, match="script"):
             check('int f(seq[en] s, index[s] i) = |s|')
+        with pytest.raises(TypeCheckError, match='^"abc" is only allowed'):
+            check('int f(int n) = "abc"')
+        with pytest.raises(TypeCheckError, match="^_ is only allowed"):
+            check("int f(int n) = _")
+
+    def test_transition_set_named_in_body_type_error(self):
+        with pytest.raises(TypeCheckError, match=r"type transitionset\[h\]"):
+            check("prob f(hmm h, state[h] s) = s.transitionsto")
 
 
 class TestRecursiveCalls:

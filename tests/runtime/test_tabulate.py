@@ -1,4 +1,4 @@
-"""Tests for serial bottom-up tabulation."""
+"""Tests for serial bottom-up tabulation (a function as a group of one)."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.lang.errors import RuntimeDslError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
 from repro.runtime.interpreter import memoised
-from repro.runtime.tabulate import tabulate
 from repro.runtime.values import Bindings, ENGLISH, Sequence
 from repro.schedule.schedule import Schedule
+from tests.group_of_one import tabulate
 
 EN = {"en": ENGLISH.chars}
 

@@ -7,11 +7,8 @@ from repro.analysis.domain import Domain
 from repro.lang.errors import ScheduleError
 from repro.lang.parser import parse_expr, parse_function
 from repro.lang.typecheck import check_function
-from repro.schedule.schedule import (
-    Schedule,
-    brute_force_valid,
-    validate_user_schedule,
-)
+from repro.schedule.schedule import Schedule, validate_user_schedule
+from tests.group_of_one import edges_valid
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
 
@@ -119,7 +116,7 @@ class TestValidation:
         criteria = schedule_criteria(func)
         for coeffs in [(1, 1), (2, 1), (1, 2), (1, 0), (0, 1), (1, -1)]:
             schedule = Schedule(("i", "j"), coeffs)
-            assert schedule.is_valid(criteria) == brute_force_valid(
+            assert schedule.is_valid(criteria) == edges_valid(
                 schedule, func, domain
             ), coeffs
 

@@ -8,12 +8,13 @@ from repro.analysis.domain import Domain
 from repro.lang.errors import ScheduleError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.schedule.schedule import Schedule, brute_force_valid
+from repro.schedule.schedule import Schedule
 from repro.schedule.solver import (
     EnumerativeSolver,
     OrthantSolver,
     find_schedule,
 )
+from tests.group_of_one import edges_valid
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
 DNA = {"dna": "acgt"}
@@ -119,7 +120,7 @@ class TestSolverProperties:
         ]:
             func = checked(src)
             schedule = find_schedule(func, domain)
-            assert brute_force_valid(schedule, func, domain)
+            assert edges_valid(schedule, func, domain)
 
 
 class TestSolverAgreement:
@@ -181,5 +182,5 @@ class TestSolverAgreement:
             return
         b = solve_with(EnumerativeSolver(), func, domain)
         assert a.num_partitions(domain) == b.num_partitions(domain)
-        assert brute_force_valid(a, func, domain)
-        assert brute_force_valid(b, func, domain)
+        assert edges_valid(a, func, domain)
+        assert edges_valid(b, func, domain)

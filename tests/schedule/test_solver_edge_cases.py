@@ -7,8 +7,9 @@ from repro.analysis.domain import Domain
 from repro.lang.errors import ScheduleError
 from repro.lang.parser import parse_function
 from repro.lang.typecheck import check_function
-from repro.schedule.schedule import Schedule, brute_force_valid
+from repro.schedule.schedule import Schedule
 from repro.schedule.solver import find_schedule
+from tests.group_of_one import edges_valid
 
 
 def checked(src):
@@ -34,7 +35,7 @@ class TestSingleCellDomains:
         # criterion a_x + a_y >= 1 still demands a non-zero vector;
         # the minimal valid choice spans the trivial dimension.
         assert schedule.num_partitions(domain) == 1
-        assert brute_force_valid(schedule, func, Domain.of(x=1, y=6))
+        assert edges_valid(schedule, func, Domain.of(x=1, y=6))
 
 
 class TestZeroOffsetCalls:
@@ -68,7 +69,7 @@ class TestMixedDirections:
         )
         domain = Domain.of(x=6, y=6)
         schedule = find_schedule(func, domain)
-        assert brute_force_valid(schedule, func, domain)
+        assert edges_valid(schedule, func, domain)
         # The minimal schedule points against the descent direction:
         # its dot product with the step vector is negative.
         coeffs = schedule.coefficient_map()
@@ -88,7 +89,7 @@ class TestMixedDirections:
         )
         domain = Domain.of(x=8, y=8)
         schedule = find_schedule(func, domain)
-        assert brute_force_valid(schedule, func, domain)
+        assert edges_valid(schedule, func, domain)
         assert schedule.num_partitions(domain) <= 15
 
 

@@ -43,11 +43,11 @@ WORDS = ["kitten", "mitten", "sitting", "bitten", "written", "kit"]
 
 class TestClassifyFailure:
     def test_dsl_errors_are_permanent(self):
-        from repro.gpu.executor import RaceError
+        from repro.runtime.mutual import MutualRaceError
         from repro.lang.errors import BackendDivergenceError
 
         assert classify_failure(RuntimeDslError("bad")) == "permanent"
-        assert classify_failure(RaceError("race")) == "permanent"
+        assert classify_failure(MutualRaceError("race")) == "permanent"
         assert (
             classify_failure(BackendDivergenceError("diverged"))
             == "permanent"
@@ -150,7 +150,7 @@ class TestDemotion:
             assert stats.snapshot().failed == 0
 
     def test_dsl_error_still_fails_fast(self):
-        """A RaceError-style DslError from a chaotic engine is never
+        """A MutualRaceError-style DslError from a chaotic engine is never
         retried and never demoted: the input/compiler is at fault."""
         stats, registry = StatsRegistry(), ProgramRegistry()
         pool = make_pool(stats, registry)

@@ -156,6 +156,26 @@ class TestTimeout:
         assert healthy.jobs[0].handle.result(timeout=1) == 3
 
 
+    def test_deadline_passing_between_retries_is_a_timeout(self):
+        # The first launch fails transiently; the deadline passes
+        # during the backoff, so the retry never starts: a timeout,
+        # not a shed.
+        stats, registry = StatsRegistry(), ProgramRegistry()
+        pool = make_pool(stats, registry, backoff_seconds=0.8)
+        batch = edit_batch(registry, ["kitten"], timeout=0.2)
+        engine = FlakyEngine(failures=1)
+        pool.execute_batch(engine, batch)
+        job = batch.jobs[0]
+        assert engine.attempts == 1
+        assert job.handle.state is JobState.TIMED_OUT
+        with pytest.raises(JobTimeoutError) as raised:
+            job.handle.result(timeout=1)
+        assert not isinstance(raised.value, DeadlineError)
+        snapshot = stats.snapshot()
+        assert snapshot.timed_out == 1
+        assert snapshot.shed == 0
+
+
 class FlakyEngine(Engine):
     """Fails ``map_run`` a fixed number of times, then delegates."""
 

@@ -21,7 +21,8 @@ from repro.apps.rna_folding import nussinov_function
 from repro.apps.smith_waterman import smith_waterman_function
 from repro.lang.errors import AnalysisError, VerificationError
 from repro.runtime.engine import Engine
-from repro.schedule.schedule import Schedule, _descent_targets
+from repro.schedule.mutual_rec import call_targets
+from repro.schedule.schedule import Schedule
 from repro.schedule.solver import find_schedule
 from repro.verify import soundness
 from repro.verify.exact import constrained_min
@@ -263,7 +264,7 @@ def reference_edges(func, schedule, domain):
         for point in domain.points():
             values = dict(zip(domain.dims, point))
             here = schedule.partition_of(point)
-            for target in _descent_targets(descent, values, extents):
+            for target in call_targets(descent, values, extents):
                 if not domain.contains_tuple(target):
                     continue
                 there = schedule.partition_of(target)

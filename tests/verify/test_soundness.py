@@ -188,10 +188,10 @@ class TestBruteForceCrossCheck:
         assert certificate.ok
 
     def test_uniform_descent_schedule_cross_validates(self):
-        """verify_schedule and Schedule.brute_force_valid agree on a
+        """verify_schedule and the edge-enumerating oracle agree on a
         grid of candidate schedules (the property-style cross-check)."""
         from repro.apps.smith_waterman import smith_waterman_function
-        from repro.schedule.schedule import brute_force_valid
+        from tests.group_of_one import edges_valid
 
         func = smith_waterman_function()
         domain = Domain(func.dim_names, (5, 5))
@@ -201,6 +201,6 @@ class TestBruteForceCrossCheck:
                 certificate, _ = verify_schedule(
                     func, schedule, domain
                 )
-                assert certificate.ok == brute_force_valid(
+                assert certificate.ok == edges_valid(
                     schedule, func, domain
                 ), f"disagreement at {schedule}"
