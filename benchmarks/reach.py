@@ -26,7 +26,11 @@ Every function and method in ``src/`` gets one label: ``product``
 ``REACH.json`` at the root of the checkout holds the totals for each
 label, each step's exit code, and every function the product does not
 reach with its label and its own line count (its lines minus those of
-the functions nested in it, so the totals add up).
+the functions nested in it, so the totals add up). It is a build
+output, not a tracked file: each step's wall time goes to stdout
+only. The exit status is 1 when any step failed, since a failed step
+records nothing and would make the functions only it reaches look
+unreached.
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ def finish(label, name, code, start, output):
           flush=True)
     if code != 0:
         print("".join(output.splitlines(True)[-20:]), file=sys.stderr)
-    return {"label": label, "step": name, "returncode": code,
-            "seconds": seconds}
+    return {"label": label, "step": name, "returncode": code}
 
 
 def run_serve(work, env):
@@ -278,7 +281,10 @@ def main() -> int:
     kept = sum("kept" in e for e in report["not_reached_by_product"])
     print(f"  of which kept as documented API: {kept} functions")
     print(f"src/     {report['src_lines']:6d} lines; wrote REACH.json")
-    return 0
+    failed = [s["step"] for s in report["steps"] if s["returncode"]]
+    for step in failed:
+        print(f"FAILED step: {step}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def build_report(src, product, tests, steps):

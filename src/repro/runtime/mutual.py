@@ -156,8 +156,7 @@ class MutualLockStep(_GroupEvaluation):
     def run(self) -> Dict[str, np.ndarray]:
         """Evaluate with barrier semantics; returns the tables."""
         written_at = {
-            name: np.full(self.domains[name].extents, -1,
-                          dtype=np.int64)
+            name: np.zeros(self.domains[name].extents, dtype=np.int64)
             for name in self.funcs
         }
         current = {"p": 0}
@@ -168,8 +167,15 @@ class MutualLockStep(_GroupEvaluation):
                 raise RuntimeDslError(
                     f"call {name}{args} leaves the domain {domain}"
                 )
+            # Partitions may be negative: ``filled`` says whether a
+            # cell was written, ``written_at`` only when.
+            if not self.filled[name][args]:
+                raise MutualRaceError(
+                    f"cell {name}{args} read before any partition "
+                    f"wrote it (current partition {current['p']})"
+                )
             stamp = written_at[name][args]
-            if stamp < 0 or stamp >= current["p"]:
+            if stamp >= current["p"]:
                 raise MutualRaceError(
                     f"cell {name}{args} (written at partition {stamp}) "
                     f"read by partition {current['p']}: the group's "

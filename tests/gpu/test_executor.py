@@ -108,3 +108,32 @@ class TestIntegerTables:
         oracle = memoised(func, bindings)
         assert [int(v) for v in table] == [oracle((n,)) for n in range(4)]
         assert int(table[3]) == 9007199254740999
+
+
+class TestNegativePartitions:
+    """``S`` is a plain dot product, so valid schedules often give
+    negative partitions; a cell written at one is still written."""
+
+    def test_upward_recursion_under_negated_schedule(self):
+        """Cell 2 (partition -2) reads cell 3 (partition -3)."""
+        func = check_function(parse_function(
+            "int f(int n) = if n >= 3 then 0 else f(n+1) + 1"
+        ))
+        bindings = Bindings({})
+        table = lockstep(func, bindings, Schedule.of(n=-1), {"n": 3})
+        oracle = memoised(func, bindings)
+        assert [int(v) for v in table] == [oracle((n,)) for n in range(4)]
+
+    def test_interval_recursion_under_interval_schedule(self):
+        """Under S = j - i, cell (i, i+1) (partition 1) reads cell
+        (i+1, i), written at partition -1."""
+        func = check_function(parse_function(
+            "int h(seq[en] x, index[x] i, index[x] j) = "
+            "if j <= i then 0 else h(i+1, j-1) + 1"
+        ), EN)
+        bindings = Bindings({"x": Sequence("abcab", ENGLISH)})
+        table = lockstep(func, bindings, Schedule.of(i=-1, j=1))
+        oracle = memoised(func, bindings)
+        domain = Domain.of(i=table.shape[0], j=table.shape[1])
+        for point in domain.points():
+            assert table[point] == oracle(point)

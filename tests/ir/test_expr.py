@@ -77,6 +77,34 @@ class TestOpCounts:
         # Accumulator update counted once per iteration.
         assert ten["arith"] == pytest.approx(10.0)
 
+    def test_later_reduction_keeps_its_nested_reduction(self):
+        """Every reduction's body, the first or a later one, is counted
+        into the one per-iteration record, nested reductions too."""
+        first = ir.RangeReduce(
+            "sum", "k", ir.Const(0, "int"), ir.DimRef("n"),
+            ir.TableRead((ir.VarRef("k"),)),
+        )
+        nested = ir.RangeReduce(
+            "sum", "m", ir.Const(0, "int"), ir.DimRef("n"),
+            ir.TableRead((ir.VarRef("m"),)),
+        )
+        second = ir.RangeReduce(
+            "max", "k", ir.Const(0, "int"), ir.DimRef("n"),
+            ir.Binary("+", ir.TableRead((ir.VarRef("k"),)), nested,
+                      "int"),
+        )
+        counts = ir.count_ops(ir.Binary("+", first, second, "int"))
+        assert counts.reduce_count == 2
+        assert counts.arith == 1
+        assert counts.reduce_body.table_reads == 2
+        assert counts.reduce_body.arith == 1
+        assert counts.reduce_body.reduce_count == 1
+        assert counts.reduce_body.reduce_body.table_reads == 1
+        # 2 reductions x 4 iterations x (2 reads + 1 nested x 4 reads).
+        assert counts.scaled_total(4.0)["table_reads"] == (
+            pytest.approx(48.0)
+        )
+
     def test_logaddexp_counts_as_special(self):
         node = ir.Binary(
             "logaddexp", ir.Const(0.0, "float"),
